@@ -25,20 +25,22 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     AlphabetMismatch,
-    DegenerateTree,
     MassNotNormalized,
     NegativeMass,
+    NonFiniteMass,
     ParamsInvalid,
     UnknownLabel,
 )
 from .identities import (
     align_by_paths,
-    branching_node_distribution,
+    branch_sum,
+    entropy_rate,
     expected_path_length,
     normalized_divergence,
+    normalizer,
 )
-from .numeric import entropy_of, kl_term
-from .tree import Label, NodeId, Tree, node_probabilities
+from .numeric import entropy_of, kl_of, kl_term
+from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, branching_distributions
 
 __all__ = [
     "BoundedFunctional",
@@ -57,7 +59,6 @@ __all__ = [
     "variational_distance",
 ]
 
-MASS_SUM_TOLERANCE = 1e-9
 PINSKER_TOLERANCE = 1e-12
 
 
@@ -75,6 +76,8 @@ class FiniteDistribution:
     def __post_init__(self):
         total = 0
         for label, m in self.mass.items():
+            if isinstance(m, float) and not math.isfinite(m):
+                raise NonFiniteMass(f"label {label!r} has non-finite mass {m}")
             if m < 0:
                 raise NegativeMass(f"label {label!r} has negative mass {m}")
             total = total + m
@@ -149,13 +152,7 @@ def pinsker_check(p: FiniteDistribution, q: FiniteDistribution) -> PinskerCheck:
             f"alphabets differ: {p.alphabet!r} vs {q.alphabet!r}"
         )
     exact = p.exact and q.exact
-    divergence = 0
-    for label in p.alphabet:
-        term = kl_term(p.mass[label], q.mass[label], exact)
-        if term == math.inf:
-            divergence = math.inf
-            break
-        divergence = divergence + term
+    divergence = kl_of(((p.mass[lab], q.mass[lab]) for lab in p.alphabet), exact)
     distance = variational_distance(p, q)
     bound = float(distance) ** 2 / (2.0 * math.log(2.0))
     holds = float(divergence) >= bound - PINSKER_TOLERANCE
@@ -189,6 +186,16 @@ class ProductSpec:
         return self.base.exact
 
 
+def _require_alphabet(tree: Tree, spec: ProductSpec) -> None:
+    """Raise UnknownLabel unless every edge label of the tree is in the spec."""
+    for node in tree.nodes:
+        for label, _ in tree.children[node]:
+            if label not in spec.base.mass:
+                raise UnknownLabel(
+                    f"edge label {label!r} not in product alphabet {spec.alphabet!r}"
+                )
+
+
 def product_node_probabilities(shape: Tree, spec: ProductSpec) -> dict[NodeId, object]:
     """Node probabilities when every internal node branches per the spec.
 
@@ -196,14 +203,11 @@ def product_node_probabilities(shape: Tree, spec: ProductSpec) -> dict[NodeId, o
     label.  On complete shapes the leaf values form a distribution; on
     non-complete shapes they sum to less than one and are left as is.
     """
+    _require_alphabet(shape, spec)
     one = Fraction(1) if spec.exact else 1.0
     qplus: dict[NodeId, object] = {shape.root: one}
     for node in shape.nodes:
         for label, child in shape.children[node]:
-            if label not in spec.base.mass:
-                raise UnknownLabel(
-                    f"edge label {label!r} not in product alphabet {spec.alphabet!r}"
-                )
             qplus[child] = qplus[node] * spec.base.mass[label]
     return qplus
 
@@ -224,21 +228,14 @@ def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
 
 def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
     """Same divergence as a Q-weighted sum of per-node divergences to the spec."""
-    for label in tree.label_alphabet:
-        if label not in spec.base.mass:
-            raise UnknownLabel(
-                f"edge label {label!r} not in product alphabet {spec.alphabet!r}"
-            )
-    q = node_probabilities(tree)
+    _require_alphabet(tree, spec)
     exact = tree.exact and spec.exact
-    total = Fraction(0) if exact else 0.0
-    for j in tree.branching_nodes:
-        qj = q[j]
-        inner = 0
-        for label, child in tree.children[j]:
-            inner = inner + kl_term(q[child] / qj, spec.base.mass[label], exact)
-        total = total + qj * inner
-    return total
+    base = spec.base.mass
+    return branch_sum(
+        tree,
+        lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), exact),
+        exact,
+    )
 
 
 @dataclass(frozen=True)
@@ -275,43 +272,28 @@ def _branch_distances(
     reference, every node compares against the one spec distribution over
     the full spec alphabet.
     """
-    q = node_probabilities(p)
-    exact_p = p.exact
-    distances: dict[NodeId, object] = {}
     if isinstance(reference, ProductSpec):
-        for label in p.label_alphabet:
-            if label not in reference.base.mass:
-                raise UnknownLabel(
-                    f"edge label {label!r} not in product alphabet"
-                    f" {reference.alphabet!r}"
-                )
-        zero = Fraction(0) if exact_p else 0.0
-        for j in p.branching_nodes:
-            qj = q[j]
-            own = {lab: q[c] / qj for lab, c in p.children[j]}
-            d = 0
-            for lab in reference.alphabet:
-                d = d + abs(own.get(lab, zero) - reference.base.mass[lab])
-            distances[j] = d
-        ew = expected_path_length(p)
-        nd = product_branch_divergence(p, reference) / ew
-        return distances, nd
-
-    mapping, covered = align_by_paths(p, reference)
-    qq = node_probabilities(reference)
-    for j in p.branching_nodes:
-        qj = q[j]
-        own = [(lab, q[c] / qj) for lab, c in p.children[j]]
-        counterpart = mapping.get(j)
-        ref_kids = reference.children[counterpart] if counterpart is not None else ()
-        ref = {lab: qq[c] / qq[counterpart] for lab, c in ref_kids}
+        _require_alphabet(p, reference)
+        nd = product_branch_divergence(p, reference) / expected_path_length(p)
+        refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
+    else:
+        mapping, _ = align_by_paths(p, reference)
+        nd = normalized_divergence(p, reference)
+        ref_dists = branching_distributions(reference)
+        refs = {
+            j: ref_dists.get(mapping[j], {}) if j in mapping else {}
+            for j in p.branching_nodes
+        }
+    distances: dict[NodeId, object] = {}
+    for j, own in branching_distributions(p).items():
+        ref = refs[j]
         d = 0
-        for lab, mass in own:
-            d = d + abs(mass - ref.pop(lab, 0))
-        for stray in ref.values():
-            d = d + abs(stray)
+        for lab, mass in own.items():
+            d = d + abs(mass - ref.get(lab, 0))
+        for lab, mass in ref.items():
+            if lab not in own:
+                d = d + abs(mass)
         distances[j] = d
-    nd = normalized_divergence(p, reference)
     return distances, nd
 
 
@@ -326,22 +308,16 @@ def tree_pinsker_report(
     estimates.  The Markov cross-check E[d]/eps is available from the
     report's ``markov_tail_bound``.
     """
-    if not p.branching_nodes:
-        raise DegenerateTree("single-node tree: no branching nodes")
+    ew = normalizer(p)
     distances, nd = _branch_distances(p, q_or_spec)
-    pb = branching_node_distribution(p).mass
-    mean_d = 0
-    mean_sq = 0
-    for j in p.branching_nodes:
-        mean_d = mean_d + pb[j] * distances[j]
-        mean_sq = mean_sq + pb[j] * distances[j] * distances[j]
-    tail: dict[float, float] = {}
-    for eps in epsilons:
-        total = 0
-        for j in p.branching_nodes:
-            if distances[j] >= eps:
-                total = total + pb[j]
-        tail[eps] = float(total)
+
+    def average(h):
+        """The P_B-average of h(d_j)."""
+        return branch_sum(p, lambda j, dist: h(distances[j]), p.exact) / ew
+
+    mean_d = average(lambda d: d)
+    mean_sq = average(lambda d: d * d)
+    tail = {eps: float(average(lambda d: d >= eps)) for eps in epsilons}
     bound = float(mean_sq) / (2.0 * math.log(2.0))
     nd_float = float(nd)
     return PinskerTreeReport(
@@ -392,6 +368,14 @@ def entropy_functional(alphabet: Iterable[Label]) -> BoundedFunctional:
     )
 
 
+def _gap(value, target, exact: bool) -> float:
+    """|value - target| as a float; exactly 0.0 when equal in exact mode."""
+    diff = value - target if exact else float(value) - float(target)
+    if diff == 0:
+        return 0.0
+    return abs(float(diff))
+
+
 def functional_convergence_gap(
     tree: Tree, spec: ProductSpec, g: BoundedFunctional
 ) -> float:
@@ -400,35 +384,24 @@ def functional_convergence_gap(
     Branching distributions are zero-extended to the spec alphabet before
     evaluation so g sees one fixed domain.  Computed in exact arithmetic
     when the tree and spec allow it, so a gap of zero is reported as an
-    exact 0.0 rather than rounding noise.
+    exact 0.0 rather than rounding noise; otherwise both terms are floats.
     """
-    if not tree.branching_nodes:
-        raise DegenerateTree("single-node tree: no branching nodes")
-    for label in tree.label_alphabet:
-        if label not in spec.base.mass:
-            raise UnknownLabel(
-                f"edge label {label!r} not in product alphabet {spec.alphabet!r}"
-            )
+    ew = normalizer(tree)
+    _require_alphabet(tree, spec)
     exact = tree.exact and spec.exact
-    pb = branching_node_distribution(tree).mass
-    q = node_probabilities(tree)
     zero = Fraction(0) if exact else 0.0
-    average = 0
-    for j in tree.branching_nodes:
-        qj = q[j]
-        own = {lab: q[c] / qj for lab, c in tree.children[j]}
-        dist = FiniteDistribution(
-            {lab: own.get(lab, zero) for lab in spec.alphabet}, exact=exact
-        )
-        average = average + pb[j] * g.evaluate(dist)
-    diff = average - g.evaluate(spec.base)
-    if diff == 0:
-        return 0.0
-    return abs(float(diff))
+
+    def inner(j, dist):
+        extended = {lab: dist.get(lab, zero) for lab in spec.alphabet}
+        return g.evaluate(FiniteDistribution(extended, exact=exact))
+
+    average = branch_sum(tree, inner, exact) / ew
+    return _gap(average, g.evaluate(spec.base), exact)
 
 
 def entropy_rate_gap(tree: Tree, spec: ProductSpec) -> float:
-    """Gap between the tree's entropy rate and the spec's entropy, in bits/branch."""
-    return functional_convergence_gap(
-        tree, spec, entropy_functional(spec.alphabet)
-    )
+    """|entropy rate - H(spec)|: the tree's bits/branch against the target's."""
+    rate = entropy_rate(tree)
+    _require_alphabet(tree, spec)
+    return _gap(rate, spec.base.entropy(), tree.exact and spec.exact)
+

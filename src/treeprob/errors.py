@@ -29,6 +29,10 @@ class NegativeMass(TreeProbError):
     """A probability mass is negative."""
 
 
+class NonFiniteMass(TreeProbError):
+    """A probability mass is NaN or infinite."""
+
+
 class MassNotNormalized(TreeProbError):
     """Leaf masses (or distribution masses) do not sum to one."""
 

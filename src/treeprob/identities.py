@@ -14,11 +14,22 @@ summation; the two walk the branching nodes in the same order and perform
 the same elementary operations, so they agree bit for bit even in float
 mode.
 
-Specializing f gives the derived quantities: f = path length yields the
-expected parse length, f = -log2 Q yields entropy, and f = log2(Q/Q') for
-two mass assignments on one shape yields informational divergence.  Each
-also has a normalized, per-branch form driven by the distribution
-P_B(j) = Q_j / E[w(L)] over branching nodes.
+Specializing f gives the derived quantities, and for each the node side
+takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
+``branch_sum`` evaluates once for all of them:
+
+* f = path length: inner = 1, giving the expected parse length E[w(L)];
+* f = -log2 Q: inner = H(P_{S_j}), giving the leaf entropy;
+* f = log2(Q/Q') for two mass assignments on one shape: inner =
+  D(P_{S_j} || P'_{S_j}), giving the informational divergence;
+* f = log2(Q/Q+) for a product reference (``approximation``): inner is the
+  divergence of P_{S_j} from the product's one branching distribution.
+
+Each normalized, per-branch form is its unnormalized value divided by
+E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
+nodes.  ``approximation`` takes its other P_B averages (of branch
+distances, and of a bounded functional g) the same way, with inner = the
+distance at j or g(P_{S_j}).
 """
 
 from __future__ import annotations
@@ -26,11 +37,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
-from .numeric import ExactLog2, entropy_term, kl_term, log2_of
-from .tree import NodeId, Tree, node_probabilities, path_lengths
+from .numeric import entropy_of, kl_of, log2_of
+from .tree import (
+    Label,
+    NodeId,
+    Tree,
+    branching_distributions,
+    node_probabilities,
+    path_lengths,
+)
 
 __all__ = [
     "BranchingNodeDistribution",
@@ -87,6 +105,30 @@ def _require_complete(tree: Tree, f: NodeFunctional) -> None:
         )
 
 
+def normalizer(tree: Tree) -> object:
+    """E[w(L)], the divisor of every normalized form; rejects bare roots."""
+    if not tree.branching_nodes:
+        raise DegenerateTree("single-node tree: no branching nodes")
+    return expected_path_length(tree)
+
+
+def branch_sum(
+    tree: Tree,
+    inner: Callable[[NodeId, Mapping[Label, object]], object],
+    exact: bool,
+) -> object:
+    """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}).
+
+    Accumulates from Fraction(0) when ``exact`` and from 0.0 otherwise, so
+    a tree without branching nodes still yields a zero of the right mode.
+    """
+    q = node_probabilities(tree)
+    total = Fraction(0) if exact else 0.0
+    for j, dist in branching_distributions(tree).items():
+        total = total + q[j] * inner(j, dist)
+    return total
+
+
 def _merge_order(tree: Tree) -> list[NodeId]:
     """Branching nodes deepest first; ties by preorder position."""
     depth = path_lengths(tree)
@@ -125,17 +167,14 @@ def merged_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     return total
 
 
-def node_increment_sum(
-    tree: Tree, f: NodeFunctional, q: Mapping[NodeId, object] | None = None
-) -> object:
-    """Direct node-side sum from precomputed node probabilities.
+def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
+    """Direct node-side sum from the tree's node probabilities.
 
     Walks branching nodes in the same order as the merging evaluation and
     performs the same divisions and additions, so the two results are
     identical, not merely close.
     """
-    if q is None:
-        q = node_probabilities(tree)
+    q = node_probabilities(tree)
     total = 0
     for j in _merge_order(tree):
         qj = q[j]
@@ -173,11 +212,7 @@ def expected_path_length(tree: Tree) -> object:
     no branching nodes and yields 0; normalized quantities reject that case
     separately with DegenerateTree.
     """
-    q = node_probabilities(tree)
-    total = Fraction(0) if tree.exact else 0.0
-    for j in tree.branching_nodes:
-        total = total + q[j]
-    return total
+    return branch_sum(tree, lambda j, dist: 1, tree.exact)
 
 
 def leaf_entropy(tree: Tree) -> object:
@@ -186,15 +221,9 @@ def leaf_entropy(tree: Tree) -> object:
     Equals the direct leaf-side entropy -sum of P_L log2 P_L; exact mode
     returns an ExactLog2 value for which that equality is literal.
     """
-    q = node_probabilities(tree)
-    total = Fraction(0) if tree.exact else 0.0
-    for j in tree.branching_nodes:
-        qj = q[j]
-        inner = 0
-        for _, child in tree.children[j]:
-            inner = inner + entropy_term(q[child] / qj, tree.exact)
-        total = total + qj * inner
-    return total
+    return branch_sum(
+        tree, lambda j, dist: entropy_of(dist.values(), tree.exact), tree.exact
+    )
 
 
 def align_by_paths(p: Tree, q: Tree) -> tuple[dict[NodeId, NodeId], bool]:
@@ -240,26 +269,19 @@ def tree_divergence(p: Tree, q: Tree) -> object:
     if not covered:
         return math.inf
     exact = p.exact and q.exact
-    qp = node_probabilities(p)
-    qq = node_probabilities(q)
-    total = Fraction(0) if exact else 0.0
-    for j in p.branching_nodes:
-        qj = qp[j]
-        qjq = qq[mapping[j]]
-        q_by_label = {lab: qq[c] for lab, c in q.children[mapping[j]]}
-        inner = 0
-        for lab, child in p.children[j]:
-            inner = inner + kl_term(qp[child] / qj, q_by_label[lab] / qjq, exact)
-        total = total + qj * inner
-    return total
+    ref = branching_distributions(q)
+
+    def inner(j, dist):
+        ref_j = ref[mapping[j]]
+        return kl_of(((m, ref_j[lab]) for lab, m in dist.items()), exact)
+
+    return branch_sum(p, inner, exact)
 
 
 def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:
     """The length-biased distribution P_B(j) = Q_j / E[w(L)] over branching nodes."""
-    if not tree.branching_nodes:
-        raise DegenerateTree("single-node tree: no branching nodes")
+    ew = normalizer(tree)
     q = node_probabilities(tree)
-    ew = expected_path_length(tree)
     mass = {j: q[j] / ew for j in tree.branching_nodes}
     return BranchingNodeDistribution(mass=mass, mean_length=ew)
 
@@ -267,70 +289,34 @@ def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:
 def differential_lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
     """Per-branch form of the interchange identity.
 
-    leaf_side is (E[f(L)] - f(root)) / E[w(L)]; node_side averages the
-    per-node increments under P_B.  With f = path length both sides are 1.
+    ``lansit_check`` with every side divided by E[w(L)]: leaf_side is
+    (E[f(L)] - f(root)) / E[w(L)] and node_side the P_B-average of the
+    per-node increments.  With f = path length both sides are 1.
     """
-    _require_complete(tree, f)
-    if not tree.branching_nodes:
-        raise DegenerateTree("single-node tree: no branching nodes")
-    ew = expected_path_length(tree)
-    leaf_side = 0
-    for leaf in tree.leaves:
-        leaf_side = leaf_side + tree.leaf_mass[leaf] * f[leaf]
-    leaf_side = (leaf_side - f[tree.root]) / ew
-    node_side = 0
-    for qj, inner in _merged_terms(tree, f):
-        node_side = node_side + (qj / ew) * inner
-    residual = leaf_side - node_side
-    exact = tree.exact and not any(
-        isinstance(f[n], float) for n in tree.nodes
+    report = lansit_check(tree, f)
+    ew = normalizer(tree)
+    return LansitReport(
+        report.leaf_side / ew,
+        report.node_side / ew,
+        report.residual / ew,
+        report.exact,
     )
-    return LansitReport(leaf_side, node_side, residual, exact)
 
 
 def entropy_rate(tree: Tree) -> object:
-    """Bits per branch: the P_B-average of branching-node entropies.
-
-    Equals H(P_L) / E[w(L)]; exactly so in exact mode.
-    """
-    dist = branching_node_distribution(tree)
-    q = node_probabilities(tree)
-    total = Fraction(0) if tree.exact else 0.0
-    for j in tree.branching_nodes:
-        qj = q[j]
-        inner = 0
-        for _, child in tree.children[j]:
-            inner = inner + entropy_term(q[child] / qj, tree.exact)
-        total = total + dist.mass[j] * inner
-    return total
+    """Bits per branch: H(P_L) / E[w(L)], the P_B-average of node entropies."""
+    ew = normalizer(tree)
+    return leaf_entropy(tree) / ew
 
 
 def normalized_divergence(p: Tree, q: Tree) -> object:
-    """Bits per branch: the P_B-average of per-node divergences.
+    """Bits per branch: tree_divergence(p, q) over p's expected path length.
 
-    P_B comes from p, the first argument.  Equals tree_divergence(p, q)
-    divided by p's expected path length; +inf propagates from the
-    unnormalized form when q fails to cover p's support.
+    This is the P_B-average of per-node divergences, with P_B from p, the
+    first argument; +inf propagates when q fails to cover p's support.
     """
-    if not p.branching_nodes:
-        raise DegenerateTree("single-node tree: no branching nodes")
-    mapping, covered = align_by_paths(p, q)
-    if not covered:
-        return math.inf
-    exact = p.exact and q.exact
-    qp = node_probabilities(p)
-    qq = node_probabilities(q)
-    ew = expected_path_length(p)
-    total = Fraction(0) if exact else 0.0
-    for j in p.branching_nodes:
-        qj = qp[j]
-        qjq = qq[mapping[j]]
-        q_by_label = {lab: qq[c] for lab, c in q.children[mapping[j]]}
-        inner = 0
-        for lab, child in p.children[j]:
-            inner = inner + kl_term(qp[child] / qj, q_by_label[lab] / qjq, exact)
-        total = total + (qj / ew) * inner
-    return total
+    ew = normalizer(p)
+    return tree_divergence(p, q) / ew
 
 
 def surprisal_functional(tree: Tree) -> dict[NodeId, object]:

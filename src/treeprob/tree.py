@@ -13,9 +13,11 @@ downstream accumulates in a reproducible order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Hashable, Iterable, Mapping
 
 from .errors import (
     CycleDetected,
@@ -25,6 +27,7 @@ from .errors import (
     MultipleParents,
     MultipleRoots,
     NegativeMass,
+    NonFiniteMass,
     ParamsInvalid,
 )
 
@@ -50,6 +53,10 @@ class Tree:
     ``children`` maps every node to its (label, child) pairs; leaves map to
     the empty tuple.  ``nodes`` lists all nodes in preorder.  ``exact`` is
     True when the leaf masses are Fractions and False when they are floats.
+
+    The derived maps ``node_mass`` (Q), ``branching`` (P_{S_j}) and
+    ``depths`` are computed on first use and then kept; callers must not
+    mutate them.
     """
 
     root: NodeId
@@ -82,11 +89,41 @@ class Tree:
         return tuple(path)
 
     def depth_of(self, node: NodeId) -> int:
-        depth = 0
-        while node != self.root:
-            node, _ = self.parent_edge[node]
-            depth += 1
-        return depth
+        return self.depths[node]
+
+    @cached_property
+    def node_mass(self) -> dict[NodeId, Fraction | float]:
+        """Q: leaf mass summed below each node, children in stored order."""
+        q: dict[NodeId, Fraction | float] = {}
+        for node in reversed(self.nodes):
+            kids = self.children[node]
+            if kids:
+                total = q[kids[0][1]]
+                for _, child in kids[1:]:
+                    total = total + q[child]
+                q[node] = total
+            else:
+                q[node] = self.leaf_mass[node]
+        return q
+
+    @cached_property
+    def branching(self) -> dict[NodeId, dict[Label, Fraction | float]]:
+        """P_{S_j}: child probability over own, per branching node in preorder."""
+        q = self.node_mass
+        return {
+            node: {lab: q[child] / q[node] for lab, child in self.children[node]}
+            for node in self.nodes
+            if self.children[node]
+        }
+
+    @cached_property
+    def depths(self) -> dict[NodeId, int]:
+        """Edge count from the root to each node."""
+        depths = {self.root: 0}
+        for node in self.nodes:
+            for _, child in self.children[node]:
+                depths[child] = depths[node] + 1
+        return depths
 
 
 def _coerce_masses(
@@ -118,9 +155,10 @@ def build_tree(
     Checks, in order: no node has two parents, sibling labels are unique,
     there is exactly one root and every node is reachable from it (anything
     else indicates a cycle), mass sits only on childless nodes, no mass is
-    negative, and the masses sum to one (exactly in exact mode, within
-    1e-9 in float mode).  Zero-mass leaves are then pruned together with
-    any internal node left without descendants of positive mass.
+    NaN, infinite or negative, and the masses sum to one (exactly in exact
+    mode, within 1e-9 in float mode).  Zero-mass leaves are then pruned
+    together with any internal node left without descendants of positive
+    mass.
 
     ``exact`` picks the numeric mode; None infers it from the mass types
     (any float mass means float mode).
@@ -152,18 +190,17 @@ def build_tree(
         raise MultipleRoots(f"multiple roots: {sorted(map(repr, roots))}")
     root = roots[0]
 
-    reached = {root}
+    # One walk from the root lists the whole tree in preorder.  It cannot
+    # loop: with one parent per node, no cycle is reachable from the root.
+    order: list[NodeId] = []
     stack = [root]
     while stack:
         node = stack.pop()
-        for _, child in children[node]:
-            if child not in reached:
-                reached.add(child)
-                stack.append(child)
-    if reached != all_nodes:
-        stray = all_nodes - reached
+        order.append(node)
+        stack.extend(child for _, child in reversed(children[node]))
+    if len(order) != len(all_nodes):
         raise CycleDetected(
-            f"{len(stray)} node(s) unreachable from root {root!r}"
+            f"{len(all_nodes) - len(order)} node(s) unreachable from root {root!r}"
         )
 
     for node in leaf_mass:
@@ -174,6 +211,8 @@ def build_tree(
 
     masses, exact_mode = _coerce_masses(leaf_mass, exact)
     for node, mass in masses.items():
+        if not exact_mode and not math.isfinite(mass):
+            raise NonFiniteMass(f"leaf {node!r} has non-finite mass {mass}")
         if mass < 0:
             raise NegativeMass(f"leaf {node!r} has negative mass {mass}")
     total = sum(masses.values())
@@ -183,17 +222,10 @@ def build_tree(
     elif abs(total - 1.0) > MASS_SUM_TOLERANCE:
         raise MassNotNormalized(f"leaf masses sum to {total!r}, expected 1")
 
-    # Prune zero-mass leaves, then every branch that lost all its leaves.
-    # Decide bottom-up over an explicit stack; recursion would be bounded
-    # only by tree height.
+    # Prune zero-mass leaves, then every branch that lost all its leaves,
+    # deciding bottom-up over the preorder; recursion would be bounded only
+    # by tree height.
     keep: set[NodeId] = set()
-    order: list[NodeId] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for _, child in children[node]:
-            stack.append(child)
     for node in reversed(order):
         kids = children[node]
         if kids:
@@ -202,31 +234,24 @@ def build_tree(
         elif masses.get(node, 0) > 0:
             keep.add(node)
 
+    preorder = tuple(node for node in order if node in keep)
     pruned_children = {
         node: tuple((lab, c) for lab, c in children[node] if c in keep)
-        for node in keep
+        for node in preorder
     }
     pruned_parent = {
-        node: parent_edge[node] for node in keep if node in parent_edge
+        node: parent_edge[node] for node in preorder if node in parent_edge
     }
     pruned_mass = {
         node: mass for node, mass in masses.items() if node in keep
     }
-
-    preorder: list[NodeId] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        preorder.append(node)
-        for lab, child in reversed(pruned_children[node]):
-            stack.append(child)
 
     return Tree(
         root=root,
         children=pruned_children,
         leaf_mass=pruned_mass,
         parent_edge=pruned_parent,
-        nodes=tuple(preorder),
+        nodes=preorder,
         exact=exact_mode,
     )
 
@@ -234,60 +259,42 @@ def build_tree(
 def node_probabilities(tree: Tree) -> dict[NodeId, Fraction | float]:
     """Probability of passing through each node: leaf mass summed below it.
 
-    The root always carries probability one.  Internal sums run over
-    children in stored order, so float results are reproducible.
+    The root always carries probability one.  Returns the tree's cached
+    map; internal sums run over children in stored order, so float results
+    are reproducible.
     """
-    q: dict[NodeId, Fraction | float] = {}
-    for node in reversed(tree.nodes):
-        kids = tree.children[node]
-        if kids:
-            total = q[kids[0][1]]
-            for _, child in kids[1:]:
-                total = total + q[child]
-            q[node] = total
-        else:
-            q[node] = tree.leaf_mass[node]
-    return q
+    return tree.node_mass
 
 
-def branching_distributions(
-    tree: Tree, q: Mapping[NodeId, Fraction | float] | None = None
-) -> dict[NodeId, dict[Label, Fraction | float]]:
+def branching_distributions(tree: Tree) -> dict[NodeId, dict[Label, Fraction | float]]:
     """Per-branching-node label distribution: child probability over own.
 
-    Only nodes with children appear in the result.  Pass precomputed node
-    probabilities via ``q`` to avoid recomputing them.
+    Only nodes with children appear in the result, in preorder.  Returns
+    the tree's cached map.
     """
-    if q is None:
-        q = node_probabilities(tree)
-    dists: dict[NodeId, dict[Label, Fraction | float]] = {}
-    for node in tree.nodes:
-        kids = tree.children[node]
-        if kids:
-            qj = q[node]
-            dists[node] = {lab: q[child] / qj for lab, child in kids}
-    return dists
+    return tree.branching
 
 
 def path_lengths(tree: Tree) -> dict[NodeId, int]:
-    """Edge count from the root to each node."""
-    lengths = {tree.root: 0}
-    for node in tree.nodes:
-        for _, child in tree.children[node]:
-            lengths[child] = lengths[node] + 1
-    return lengths
+    """Edge count from the root to each node; the tree's cached map."""
+    return tree.depths
 
 
 def structurally_equal(a: Tree, b: Tree) -> bool:
     """True when both trees have the same label paths and leaf masses.
 
-    Node ids are ignored; two trees are compared purely by the labels along
-    root-to-node paths and by the mass each leaf path carries.
+    Node ids and sibling order are ignored; the two trees are walked from
+    their roots in step, matching children by label, so the cost is linear
+    in the number of nodes whatever the depth.
     """
-    a_leaves = {a.path_of(n): a.leaf_mass[n] for n in a.leaves}
-    b_leaves = {b.path_of(n): b.leaf_mass[n] for n in b.leaves}
-    if a_leaves != b_leaves:
-        return False
-    a_internal = {a.path_of(n) for n in a.branching_nodes}
-    b_internal = {b.path_of(n) for n in b.branching_nodes}
-    return a_internal == b_internal
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        a_kids = dict(a.children[x])
+        b_kids = dict(b.children[y])
+        if a_kids.keys() != b_kids.keys():
+            return False
+        if not a_kids and a.leaf_mass[x] != b.leaf_mass[y]:
+            return False
+        stack.extend((a_kids[lab], b_kids[lab]) for lab in a_kids)
+    return True

@@ -12,6 +12,7 @@ from treeprob import (
     FiniteDistribution,
     MassNotNormalized,
     NegativeMass,
+    NonFiniteMass,
     ParamsInvalid,
     ProductSpec,
     UnknownLabel,
@@ -55,6 +56,11 @@ class TestFiniteDistribution:
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
             FiniteDistribution({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass(self, bad):
+        with pytest.raises(NonFiniteMass):
+            FiniteDistribution({"a": bad, "b": 0.3}, exact=False)
 
     def test_zero_mass_kept(self):
         d = FiniteDistribution({"a": Fraction(1), "b": Fraction(0)})
@@ -341,6 +347,19 @@ class TestFunctionalConvergenceGap:
         gap = entropy_rate_gap(demo_tree, spec)
         expected = abs(0.6 - 0.9182958340544896)
         assert gap == pytest.approx(expected, rel=1e-12)
+
+    def test_float_tree_with_rational_spec(self, demo_tree_float):
+        spec = ProductSpec(
+            FiniteDistribution({"a": Fraction(2, 3), "b": Fraction(1, 3)})
+        )
+        expected = abs(0.6 - 0.9182958340544896)
+        assert entropy_rate_gap(demo_tree_float, spec) == pytest.approx(
+            expected, rel=1e-12
+        )
+        g = entropy_functional(spec.alphabet)
+        assert functional_convergence_gap(
+            demo_tree_float, spec, g
+        ) == pytest.approx(expected, rel=1e-12)
 
     def test_matched_tree_gap_is_exact_zero(self):
         spec = ProductSpec(

@@ -120,6 +120,19 @@ class TestAnalyze:
         assert report.results["mean_length"]["value"] == 0.0
         assert "entropy_rate" not in report.results
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_mass_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.tree"
+        path.write_text(
+            '{"root": 0, "edges": [[0, "a", 1], [0, "b", 2]],'
+            f' "leaf_mass": [[1, {bad}], [2, 0.3]]}}',
+            "utf-8",
+        )
+        code, report, _, err = invoke(["analyze", "--json", str(path)])
+        assert code == 2
+        assert report is None
+        assert "NonFiniteMass" in err
+
 
 class TestDivergence:
     def test_tree_reference(self, demo_file, demo_q_file):

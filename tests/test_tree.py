@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from treeprob import (
     MultipleParents,
     MultipleRoots,
     NegativeMass,
+    NonFiniteMass,
     ParamsInvalid,
     branching_distributions,
     build_tree,
@@ -103,6 +106,11 @@ class TestValidationErrors:
         with pytest.raises(NegativeMass):
             build_tree([(0, "a", 1), (0, "b", 2)], {1: Fraction(3, 2), 2: -half})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass(self, bad):
+        with pytest.raises(NonFiniteMass):
+            build_tree([(0, "a", 1), (0, "b", 2)], {1: bad, 2: 0.3})
+
     def test_unnormalized_exact(self):
         with pytest.raises(MassNotNormalized):
             build_tree([(0, "a", 1), (0, "b", 2)], {1: half, 2: Fraction(1, 3)})
@@ -155,6 +163,10 @@ class TestNodeProbabilities:
         assert q[1] == Fraction(3, 4)
         assert q[3] == Fraction(3, 4)
         assert q[2] == Fraction(1, 4)
+
+    def test_derived_maps_are_cached_on_the_tree(self, demo_tree):
+        for derive in (node_probabilities, branching_distributions, path_lengths):
+            assert derive(demo_tree) is derive(demo_tree)
 
     def test_child_sums_exact(self):
         for i in range(20):
@@ -266,3 +278,14 @@ class TestStructuralEquality:
             [(0, "a", 1), (0, "b", 2)], {1: Fraction(3, 4), 2: Fraction(1, 4)}
         )
         assert not structurally_equal(demo_tree, other)
+
+    def test_deep_chain_is_linear(self):
+        depth = 5000
+        edges = [(i, "a", i + 1) for i in range(depth)]
+        a = build_tree(edges, {depth: Fraction(1)})
+        b = build_tree([(-p, lab, -c) for p, lab, c in edges], {-depth: Fraction(1)})
+        start = time.perf_counter()
+        assert structurally_equal(a, b)
+        assert [a.depth_of(n) for n in a.nodes] == list(range(depth + 1))
+        # a comparison costing nodes times depth takes several seconds here
+        assert time.perf_counter() - start < 1.0
