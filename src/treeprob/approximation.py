@@ -35,12 +35,11 @@ from .identities import (
     align_by_paths,
     branch_sum,
     entropy_rate,
-    expected_path_length,
-    normalized_divergence,
     normalizer,
+    tree_divergence,
 )
 from .numeric import entropy_of, kl_of, kl_term
-from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, branching_distributions
+from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, label_order
 
 __all__ = [
     "BoundedFunctional",
@@ -99,7 +98,7 @@ class FiniteDistribution:
 
     @property
     def alphabet(self) -> tuple[Label, ...]:
-        return tuple(sorted(self.mass))
+        return tuple(sorted(self.mass, key=label_order))
 
     def __getitem__(self, label: Label):
         return self.mass[label]
@@ -216,7 +215,11 @@ def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
     """D(P_L || P+) in bits, the definition's plain sum over leaves.
 
     P+ is not normalized on non-complete shapes.  Agrees with the
-    branch-sum form ``product_branch_divergence``.
+    branch-sum form ``product_branch_divergence``, and stays as its
+    leaf-side oracle.  In float mode the product masses P+ of deep leaves
+    underflow (to subnormals, then to 0.0), so this sum turns infinite or
+    divides by zero where the branch-sum form, which never forms P+, stays
+    accurate; the CLI reports the branch-sum form.
     """
     qplus = product_node_probabilities(tree, spec)
     exact = tree.exact and spec.exact
@@ -242,11 +245,15 @@ def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
 class PinskerTreeReport:
     """Per-branch Pinsker diagnostics for a tree against a reference.
 
-    ``tail`` maps each requested epsilon to the exact P_B mass of branching
-    nodes whose branch distance reaches it.  ``holds`` records the bound
+    ``divergence`` is the branch-sum D, exact when both inputs are, and
+    +inf when a reference tree lacks a branch of p; ``normalized_divergence``
+    is D / E[w(L)] as a float.  ``tail`` maps each requested epsilon to the
+    exact P_B mass of branching nodes whose branch distance reaches it.
+    ``holds`` records the bound
     normalized_divergence >= mean_sq_distance / (2 ln 2).
     """
 
+    divergence: object
     normalized_divergence: float
     mean_distance: float
     mean_sq_distance: float
@@ -264,7 +271,7 @@ class PinskerTreeReport:
 def _branch_distances(
     p: Tree, reference: "Tree | ProductSpec"
 ) -> tuple[dict[NodeId, object], object]:
-    """Branch distance d(P_{S_j}, ref_j) per branching node, plus normalized divergence.
+    """Branch distance d(P_{S_j}, ref_j) per branching node, plus the divergence D.
 
     For a tree reference, nodes align by label paths; structure missing
     from the reference counts as zero mass there (distance then includes
@@ -273,19 +280,18 @@ def _branch_distances(
     the full spec alphabet.
     """
     if isinstance(reference, ProductSpec):
-        _require_alphabet(p, reference)
-        nd = product_branch_divergence(p, reference) / expected_path_length(p)
+        divergence = product_branch_divergence(p, reference)
         refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
     else:
         mapping, _ = align_by_paths(p, reference)
-        nd = normalized_divergence(p, reference)
-        ref_dists = branching_distributions(reference)
+        divergence = tree_divergence(p, reference)
+        ref_dists = reference.branching
         refs = {
             j: ref_dists.get(mapping[j], {}) if j in mapping else {}
             for j in p.branching_nodes
         }
     distances: dict[NodeId, object] = {}
-    for j, own in branching_distributions(p).items():
+    for j, own in p.branching.items():
         ref = refs[j]
         d = 0
         for lab, mass in own.items():
@@ -294,7 +300,7 @@ def _branch_distances(
             if lab not in own:
                 d = d + abs(mass)
         distances[j] = d
-    return distances, nd
+    return distances, divergence
 
 
 def tree_pinsker_report(
@@ -309,7 +315,7 @@ def tree_pinsker_report(
     report's ``markov_tail_bound``.
     """
     ew = normalizer(p)
-    distances, nd = _branch_distances(p, q_or_spec)
+    distances, divergence = _branch_distances(p, q_or_spec)
 
     def average(h):
         """The P_B-average of h(d_j)."""
@@ -319,8 +325,9 @@ def tree_pinsker_report(
     mean_sq = average(lambda d: d * d)
     tail = {eps: float(average(lambda d: d >= eps)) for eps in epsilons}
     bound = float(mean_sq) / (2.0 * math.log(2.0))
-    nd_float = float(nd)
+    nd_float = float(divergence / ew)
     return PinskerTreeReport(
+        divergence=divergence,
         normalized_divergence=nd_float,
         mean_distance=float(mean_d),
         mean_sq_distance=float(mean_sq),
@@ -369,10 +376,9 @@ def entropy_functional(alphabet: Iterable[Label]) -> BoundedFunctional:
 
 
 def _gap(value, target, exact: bool) -> float:
-    """|value - target| as a float; exactly 0.0 when equal in exact mode."""
+    """|value - target| as a float, rounded once from the exact difference
+    in exact mode, so equal values give exactly 0.0."""
     diff = value - target if exact else float(value) - float(target)
-    if diff == 0:
-        return 0.0
     return abs(float(diff))
 
 

@@ -30,7 +30,6 @@ from .tree import Tree, path_lengths
 __all__ = ["Report", "main", "run_cli"]
 
 DEFAULT_EPSILONS = (0.01, 0.1, 0.5, 1.0)
-RESIDUAL_REL_TOL = identities.RESIDUAL_REL_TOL
 
 
 @dataclass
@@ -73,7 +72,7 @@ def _result(value, unit: str) -> dict:
 
 
 def _check_entry(name: str, report: identities.LansitReport) -> dict:
-    tolerance = 0.0 if report.exact else RESIDUAL_REL_TOL
+    tolerance = 0.0 if report.exact else identities.RESIDUAL_REL_TOL
     return {
         "name": name,
         "leaf_side": _json_value(report.leaf_side),
@@ -153,14 +152,12 @@ def _cmd_validate(args, out) -> tuple[int, Report]:
 def _cmd_analyze(args, out) -> tuple[int, Report]:
     tree, digest = _load_tree(args.tree, args.float)
     report = Report(command="analyze", inputs={args.tree: digest})
-    report.results["mean_length"] = _result(
-        identities.expected_path_length(tree), "branches"
-    )
-    report.results["leaf_entropy"] = _result(identities.leaf_entropy(tree), "bits")
+    mean_length = identities.expected_path_length(tree)
+    entropy = identities.leaf_entropy(tree)
+    report.results["mean_length"] = _result(mean_length, "branches")
+    report.results["leaf_entropy"] = _result(entropy, "bits")
     if tree.branching_nodes:
-        report.results["entropy_rate"] = _result(
-            identities.entropy_rate(tree), "bits/branch"
-        )
+        report.results["entropy_rate"] = _result(entropy / mean_length, "bits/branch")
         dist = identities.branching_node_distribution(tree)
         report.results["branching_node_distribution"] = {
             "value": {str(node): float(mass) for node, mass in dist.mass.items()},
@@ -185,12 +182,10 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
     if args.treeq is not None:
         reference, q_digest = _load_tree(args.treeq, args.float)
         report.inputs[args.treeq] = q_digest
-        divergence = identities.tree_divergence(tree, reference)
     else:
         reference = _product_spec_for(tree, args.product)
-        divergence = approximation.divergence_to_product(tree, reference)
     pinsker = approximation.tree_pinsker_report(tree, reference, epsilons)
-    report.results["divergence"] = _result(divergence, "bits")
+    report.results["divergence"] = _result(pinsker.divergence, "bits")
     report.results["normalized_divergence"] = {
         "value": _json_value(pinsker.normalized_divergence),
         "unit": "bits/branch",
@@ -216,9 +211,7 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
             "name": "pinsker-tree",
             "leaf_side": _json_value(pinsker.normalized_divergence),
             "node_side": pinsker.bound,
-            "residual": _json_value(pinsker.normalized_divergence - pinsker.bound)
-            if not math.isinf(pinsker.normalized_divergence)
-            else "inf",
+            "residual": _json_value(pinsker.normalized_divergence - pinsker.bound),
             "tolerance": approximation.PINSKER_TOLERANCE,
             "passed": pinsker.holds,
         }
@@ -250,14 +243,13 @@ def _cmd_check(args, out) -> tuple[int, Report]:
         functionals.append(("path-length", path_lengths(tree)))
         functionals.append(("surprisal", identities.surprisal_functional(tree)))
     for name, f in functionals:
-        report.checks.append(
-            _check_entry(f"lansit[{name}]", identities.lansit_check(tree, f))
-        )
+        lansit = identities.lansit_check(tree, f)
+        report.checks.append(_check_entry(f"lansit[{name}]", lansit))
         if tree.branching_nodes:
             report.checks.append(
                 _check_entry(
                     f"differential-lansit[{name}]",
-                    identities.differential_lansit_check(tree, f),
+                    lansit.per_branch(tree.mean_length),
                 )
             )
     _print_report(report, args.json, out)
@@ -276,10 +268,6 @@ def _cmd_sweep(args, out) -> tuple[int, Report]:
     generators.write_sweep_csv(rows, buffer)
     csv_text = buffer.getvalue()
     report = Report(command="sweep")
-    report.results["generator_algorithm"] = {
-        "value": generators.GENERATOR_ALGORITHM,
-        "unit": "identifier",
-    }
     report.results["rows"] = {"value": len(rows), "unit": "budgets"}
     last = rows[-1]
     report.results["final_normalized_divergence"] = {

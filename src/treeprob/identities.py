@@ -18,7 +18,8 @@ Specializing f gives the derived quantities, and for each the node side
 takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
 ``branch_sum`` evaluates once for all of them:
 
-* f = path length: inner = 1, giving the expected parse length E[w(L)];
+* f = path length: inner = 1, giving the expected parse length E[w(L)],
+  which the tree sums itself and keeps (``Tree.mean_length``);
 * f = -log2 Q: inner = H(P_{S_j}), giving the leaf entropy;
 * f = log2(Q/Q') for two mass assignments on one shape: inner =
   D(P_{S_j} || P'_{S_j}), giving the informational divergence;
@@ -27,9 +28,10 @@ takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
 
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
-nodes.  ``approximation`` takes its other P_B averages (of branch
-distances, and of a bounded functional g) the same way, with inner = the
-distance at j or g(P_{S_j}).
+nodes; a caller that already holds an unnormalized value gets its
+per-branch form with one division.  ``approximation`` takes its other
+P_B averages (of branch distances, and of a bounded functional g) the
+same way, with inner = the distance at j or g(P_{S_j}).
 """
 
 from __future__ import annotations
@@ -82,11 +84,17 @@ class LansitReport:
     residual: object
     exact: bool
 
-    def holds(self, rel_tol: float = RESIDUAL_REL_TOL) -> bool:
+    def holds(self) -> bool:
         if self.exact:
             return self.residual == 0
         scale = max(1.0, abs(float(self.leaf_side)))
-        return abs(float(self.residual)) <= rel_tol * scale
+        return abs(float(self.residual)) <= RESIDUAL_REL_TOL * scale
+
+    def per_branch(self, ew: object) -> "LansitReport":
+        """This report with every side divided by E[w(L)] = ``ew``."""
+        return LansitReport(
+            self.leaf_side / ew, self.node_side / ew, self.residual / ew, self.exact
+        )
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ def normalizer(tree: Tree) -> object:
     """E[w(L)], the divisor of every normalized form; rejects bare roots."""
     if not tree.branching_nodes:
         raise DegenerateTree("single-node tree: no branching nodes")
-    return expected_path_length(tree)
+    return tree.mean_length
 
 
 def branch_sum(
@@ -206,13 +214,14 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
 
 
 def expected_path_length(tree: Tree) -> object:
-    """E[w(L)] as the sum of branching-node probabilities.
+    """E[w(L)] as the sum of branching-node probabilities (inner = 1).
 
-    Equals the leaf-side average of path lengths.  A single-node tree has
-    no branching nodes and yields 0; normalized quantities reject that case
-    separately with DegenerateTree.
+    Equals the leaf-side average of path lengths.  Returns the tree's
+    cached ``mean_length``.  A single-node tree has no branching nodes and
+    yields 0; normalized quantities reject that case separately with
+    DegenerateTree.
     """
-    return branch_sum(tree, lambda j, dist: 1, tree.exact)
+    return tree.mean_length
 
 
 def leaf_entropy(tree: Tree) -> object:
@@ -291,16 +300,10 @@ def differential_lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
 
     ``lansit_check`` with every side divided by E[w(L)]: leaf_side is
     (E[f(L)] - f(root)) / E[w(L)] and node_side the P_B-average of the
-    per-node increments.  With f = path length both sides are 1.
+    per-node increments.  With f = path length both sides are 1.  A caller
+    that already holds the ``lansit_check`` report uses its ``per_branch``.
     """
-    report = lansit_check(tree, f)
-    ew = normalizer(tree)
-    return LansitReport(
-        report.leaf_side / ew,
-        report.node_side / ew,
-        report.residual / ew,
-        report.exact,
-    )
+    return lansit_check(tree, f).per_branch(normalizer(tree))
 
 
 def entropy_rate(tree: Tree) -> object:

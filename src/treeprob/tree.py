@@ -46,6 +46,15 @@ Label = Hashable
 MASS_SUM_TOLERANCE = 1e-9
 
 
+def label_order(label: Label) -> tuple[bool, Label]:
+    """Sort key for label sets: non-strings (integers) first, then strings.
+
+    Labels of one type keep their natural order, and a set mixing the two
+    types, which documents allow, sorts without comparing a str with an int.
+    """
+    return isinstance(label, str), label
+
+
 @dataclass(frozen=True)
 class Tree:
     """A validated rooted tree with positive leaf probabilities.
@@ -55,8 +64,8 @@ class Tree:
     True when the leaf masses are Fractions and False when they are floats.
 
     The derived maps ``node_mass`` (Q), ``branching`` (P_{S_j}) and
-    ``depths`` are computed on first use and then kept; callers must not
-    mutate them.
+    ``depths``, and the mean path length ``mean_length`` (E[w(L)]), are
+    computed on first use and then kept; callers must not mutate them.
     """
 
     root: NodeId
@@ -77,7 +86,7 @@ class Tree:
     @property
     def label_alphabet(self) -> tuple[Label, ...]:
         labels = {lab for kids in self.children.values() for lab, _ in kids}
-        return tuple(sorted(labels))
+        return tuple(sorted(labels, key=label_order))
 
     def path_of(self, node: NodeId) -> tuple[Label, ...]:
         """Labels along the path from the root down to ``node``."""
@@ -115,6 +124,17 @@ class Tree:
             for node in self.nodes
             if self.children[node]
         }
+
+    @cached_property
+    def mean_length(self) -> Fraction | float:
+        """E[w(L)]: Q summed over branching nodes in preorder.
+
+        Starts from a zero of the tree's mode, so a bare root yields 0.
+        """
+        total = Fraction(0) if self.exact else 0.0
+        for j in self.branching:
+            total = total + self.node_mass[j]
+        return total
 
     @cached_property
     def depths(self) -> dict[NodeId, int]:

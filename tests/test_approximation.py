@@ -44,6 +44,15 @@ class TestFiniteDistribution:
         assert d["a"] == Fraction(1, 3)
         assert d.alphabet == ("a", "b")
 
+    def test_mixed_label_types_sort_like_tree_labels(self):
+        labels = ["b", 1, "a", 0]
+        tree = build_tree(
+            [("r", lab, i) for i, lab in enumerate(labels)],
+            {i: Fraction(1, 4) for i in range(4)},
+        )
+        d = FiniteDistribution({lab: Fraction(1, 4) for lab in labels})
+        assert tree.label_alphabet == d.alphabet == (0, 1, "a", "b")
+
     def test_exact_rejects_floats(self):
         with pytest.raises(ParamsInvalid):
             FiniteDistribution({"a": 0.5, "b": 0.5}, exact=True)

@@ -1,10 +1,20 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from conftest import DEMO_DOCUMENT
-from treeprob import run_cli
+from treeprob import (
+    FiniteDistribution,
+    ProductSpec,
+    approximation,
+    generators,
+    identities,
+    product_branch_divergence,
+    run_cli,
+)
+from treeprob.treefile import parse_tree
 
 DEMO_Q_DOCUMENT = """\
 {
@@ -25,6 +35,19 @@ CYCLIC_DOCUMENT = """\
   "metadata": {}
 }
 """
+
+
+def caterpillar_document(depth):
+    """Float caterpillar: each spine node has a leaf on label 0 and goes on
+    along label 1; leaf masses are the weights 1..depth+1 over their sum."""
+    edges = []
+    for level in range(depth):
+        spine = 2 * level
+        edges += [[spine, 0, spine + 1], [spine, 1, spine + 2]]
+    leaves = [2 * level + 1 for level in range(depth)] + [2 * depth]
+    total = len(leaves) * (len(leaves) + 1) // 2
+    masses = [[leaf, (i + 1) / total] for i, leaf in enumerate(leaves)]
+    return json.dumps({"root": 0, "edges": edges, "leaf_mass": masses})
 
 
 def invoke(argv):
@@ -197,6 +220,38 @@ class TestDivergence:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("depth", [660, 1000])
+    def test_product_reference_on_deep_float_tree(self, tmp_path, depth):
+        # The product masses of the deepest leaves, 3**-depth, are subnormal
+        # at depth 660 and 0.0 at depth 1000 in float; the branch-sum form
+        # never forms them.
+        text = caterpillar_document(depth)
+        path = tmp_path / "caterpillar.tree"
+        path.write_text(text, "utf-8")
+        code, report, _, err = invoke(
+            ["divergence", str(path), "--product", "2/3,1/3", "--json"]
+        )
+        assert (code, err) == (0, "")
+        spec = ProductSpec(
+            FiniteDistribution({0: Fraction(2, 3), 1: Fraction(1, 3)})
+        )
+        expected = float(product_branch_divergence(parse_tree(text), spec))
+        value = report.results["divergence"]["value"]
+        assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_mixed_label_types(self, tmp_path):
+        path = tmp_path / "mixed.tree"
+        path.write_text(
+            '{"root": 0, "edges": [[0, "a", 1], [0, 1, 2]],'
+            ' "leaf_mass": [[1, "1/4"], [2, "3/4"]]}',
+            "utf-8",
+        )
+        code, report, _, err = invoke(
+            ["divergence", str(path), "--product", "1/2,1/2"]
+        )
+        assert (code, err) == (0, "")
+        assert report.all_checks_pass()
+
     def test_wrong_product_arity(self, demo_file):
         code, _, _, err = invoke(
             ["divergence", demo_file, "--product", "1/2,1/4,1/4"]
@@ -290,9 +345,7 @@ class TestSweep:
         assert code == 0
         payload = json.loads(out)
         assert payload["command"] == "sweep"
-        assert payload["results"]["generator_algorithm"]["value"] == (
-            "python-random-mt19937"
-        )
+        assert "generator_algorithm" not in payload["results"]
         assert payload["results"]["csv"]["value"].startswith("leaf_count,")
         assert payload["results"]["final_normalized_divergence"]["value"] == 0.0
 
@@ -324,3 +377,50 @@ class TestParsing:
     def test_missing_required_argument(self):
         code, _, _, _ = invoke(["sweep", "--target", "1/2,1/2"])
         assert code == 2
+
+
+class TestComputeOnce:
+    """Each request evaluates each branch sum once.
+
+    Calls are counted by wrapping the name on every module that binds it,
+    since callers look it up there at call time.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, names, calls",
+        [
+            (["check", "P"], ["lansit_check"], 2),
+            (["analyze", "P"], ["leaf_entropy"], 1),
+            (["divergence", "P", "Q"], ["tree_divergence"], 1),
+            (
+                ["divergence", "P", "--product", "1/2,1/2"],
+                ["product_branch_divergence", "divergence_to_product"],
+                1,
+            ),
+            (
+                ["sweep", "--target", "2/3,1/3", "--budgets", "4,16,64"],
+                ["leaf_entropy"],
+                3,
+            ),
+        ],
+        ids=["check", "analyze", "divergence-tree", "divergence-product", "sweep"],
+    )
+    def test_branch_sums_per_request(
+        self, monkeypatch, demo_file, demo_q_file, argv, names, calls
+    ):
+        counted = []
+        modules = (identities, approximation, generators)
+        for name in names:
+            original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+            def wrapper(*args, _original=original, _name=name):
+                counted.append(_name)
+                return _original(*args)
+
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        paths = {"P": demo_file, "Q": demo_q_file}
+        code, _, _, _ = invoke([paths.get(arg, arg) for arg in argv])
+        assert code == 0
+        assert len(counted) == calls, counted

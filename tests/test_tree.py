@@ -19,6 +19,7 @@ from treeprob import (
     ParamsInvalid,
     branching_distributions,
     build_tree,
+    expected_path_length,
     node_probabilities,
     path_lengths,
     structurally_equal,
@@ -165,7 +166,12 @@ class TestNodeProbabilities:
         assert q[2] == Fraction(1, 4)
 
     def test_derived_maps_are_cached_on_the_tree(self, demo_tree):
-        for derive in (node_probabilities, branching_distributions, path_lengths):
+        for derive in (
+            node_probabilities,
+            branching_distributions,
+            path_lengths,
+            expected_path_length,
+        ):
             assert derive(demo_tree) is derive(demo_tree)
 
     def test_child_sums_exact(self):
