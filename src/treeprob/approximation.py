@@ -33,10 +33,10 @@ from .errors import (
 )
 from .identities import (
     align_by_paths,
+    aligned_divergence,
     branch_sum,
     entropy_rate,
     normalizer,
-    tree_divergence,
 )
 from .numeric import entropy_of, kl_of, kl_term
 from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, label_order
@@ -283,8 +283,8 @@ def _branch_distances(
         divergence = product_branch_divergence(p, reference)
         refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
     else:
-        mapping, _ = align_by_paths(p, reference)
-        divergence = tree_divergence(p, reference)
+        mapping, covered = align_by_paths(p, reference)
+        divergence = aligned_divergence(p, reference, mapping, covered)
         ref_dists = reference.branching
         refs = {
             j: ref_dists.get(mapping[j], {}) if j in mapping else {}

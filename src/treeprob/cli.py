@@ -225,10 +225,8 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
     if not isinstance(raw, dict):
         raise TreeProbError("functional file must be a JSON object of node: value")
     values = {}
-    for node in tree.nodes:
-        key = str(node)
-        if key in raw:
-            v = raw[key]
+    for node, v in treefile.resolve_node_keys(raw, tree.nodes).items():
+        if node in tree.children:
             values[node] = parse_rational(v) if isinstance(v, str) else float(v)
     return values
 

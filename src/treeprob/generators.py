@@ -180,6 +180,9 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
         raise ParamsInvalid("matcher requires an exact (rational) target")
     labels = spec.alphabet
     width = len(labels)
+    if width < 2:
+        # an expansion must add leaves, or the growth never reaches the budget
+        raise ParamsInvalid(f"matcher needs at least two labels, got {width}")
     if leaf_budget < width:
         raise ParamsInvalid(
             f"leaf budget {leaf_budget} is below the alphabet size {width}"

@@ -12,7 +12,9 @@ deepest sibling set into its parent, accumulating that node's term, until
 only the root remains.  ``node_increment_sum`` is the independent direct
 summation; the two walk the branching nodes in the same order and perform
 the same elementary operations, so they agree bit for bit even in float
-mode.
+mode.  A sum that is fully exact (exact tree, no float value in f or in an
+inner term) is folded by ``numeric.exact_weighted_sum``; any other sum is
+chained left to right as ``total = total + w * v``.
 
 Specializing f gives the derived quantities, and for each the node side
 takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
@@ -42,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
-from .numeric import entropy_of, kl_of, log2_of
+from .numeric import entropy_of, exact_weighted_sum, kl_of, log2_of
 from .tree import (
     Label,
     NodeId,
@@ -120,6 +122,11 @@ def normalizer(tree: Tree) -> object:
     return tree.mean_length
 
 
+def _exact_functional(tree: Tree, f: NodeFunctional) -> bool:
+    """True when the tree is exact and f has no float value on its nodes."""
+    return tree.exact and not any(isinstance(f.get(n), float) for n in tree.nodes)
+
+
 def branch_sum(
     tree: Tree,
     inner: Callable[[NodeId, Mapping[Label, object]], object],
@@ -127,12 +134,16 @@ def branch_sum(
 ) -> object:
     """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}).
 
-    Accumulates from Fraction(0) when ``exact`` and from 0.0 otherwise, so
-    a tree without branching nodes still yields a zero of the right mode.
+    Exact sums start from Fraction(0) and float sums from 0.0, so a tree
+    without branching nodes still yields a zero of the right mode.  An
+    exact sum that meets a float inner value continues as a float sum.
     """
     q = node_probabilities(tree)
-    total = Fraction(0) if exact else 0.0
-    for j, dist in branching_distributions(tree).items():
+    branching = branching_distributions(tree)
+    if exact:
+        return exact_weighted_sum((q[j], inner(j, dist)) for j, dist in branching.items())
+    total = 0.0
+    for j, dist in branching.items():
         total = total + q[j] * inner(j, dist)
     return total
 
@@ -144,7 +155,19 @@ def _merge_order(tree: Tree) -> list[NodeId]:
     return sorted(tree.branching_nodes, key=lambda j: (-depth[j], index[j]))
 
 
-def _merged_terms(tree: Tree, f: NodeFunctional) -> Iterator[tuple[object, object]]:
+def _exact_mean_increment(
+    tree: Tree, f: NodeFunctional, j: NodeId, mass, qj
+) -> object:
+    """E[delta_f(S_j)], the sum over children c of (mass_c / Q_j)(f(c) - f(j)),
+    folded as the sum of w_c f(c) less (sum of w_c) f(j): the same number."""
+    weights = [(mass[child] / qj, f[child]) for _, child in tree.children[j]]
+    weights.append((-sum(w for w, _ in weights), f[j]))
+    return exact_weighted_sum(weights)
+
+
+def _merged_terms(
+    tree: Tree, f: NodeFunctional, exact: bool
+) -> Iterator[tuple[object, object]]:
     """Yield (Q_j, E[delta_f(S_j)]) by the leaf-merging contraction.
 
     Maintains the current leaf masses of the progressively contracted tree:
@@ -158,9 +181,12 @@ def _merged_terms(tree: Tree, f: NodeFunctional) -> Iterator[tuple[object, objec
         qj = mass[kids[0][1]]
         for _, child in kids[1:]:
             qj = qj + mass[child]
-        inner = 0
-        for _, child in kids:
-            inner = inner + (mass[child] / qj) * (f[child] - f[j])
+        if exact:
+            inner = _exact_mean_increment(tree, f, j, mass, qj)
+        else:
+            inner = 0
+            for _, child in kids:
+                inner = inner + (mass[child] / qj) * (f[child] - f[j])
         for _, child in kids:
             del mass[child]
         mass[j] = qj
@@ -169,8 +195,12 @@ def _merged_terms(tree: Tree, f: NodeFunctional) -> Iterator[tuple[object, objec
 
 def merged_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     """Node-side sum evaluated by repeated merging of deepest sibling sets."""
+    exact = _exact_functional(tree, f)
+    terms = _merged_terms(tree, f, exact)
+    if exact:
+        return exact_weighted_sum(terms)
     total = 0
-    for qj, inner in _merged_terms(tree, f):
+    for qj, inner in terms:
         total = total + qj * inner
     return total
 
@@ -183,6 +213,10 @@ def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     identical, not merely close.
     """
     q = node_probabilities(tree)
+    if _exact_functional(tree, f):
+        return exact_weighted_sum(
+            (q[j], _exact_mean_increment(tree, f, j, q, q[j])) for j in _merge_order(tree)
+        )
     total = 0
     for j in _merge_order(tree):
         qj = q[j]
@@ -201,15 +235,17 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
     contraction argument.  Raises FunctionalIncomplete when f lacks a node.
     """
     _require_complete(tree, f)
-    leaf_side = 0
-    for leaf in tree.leaves:
-        leaf_side = leaf_side + tree.leaf_mass[leaf] * f[leaf]
-    leaf_side = leaf_side - f[tree.root]
+    exact = _exact_functional(tree, f)
+    if exact:
+        terms = [(tree.leaf_mass[leaf], f[leaf]) for leaf in tree.leaves]
+        leaf_side = exact_weighted_sum(terms + [(-1, f[tree.root])])
+    else:
+        leaf_side = 0
+        for leaf in tree.leaves:
+            leaf_side = leaf_side + tree.leaf_mass[leaf] * f[leaf]
+        leaf_side = leaf_side - f[tree.root]
     node_side = merged_increment_sum(tree, f)
     residual = leaf_side - node_side
-    exact = tree.exact and not any(
-        isinstance(f[n], float) for n in tree.nodes
-    )
     return LansitReport(leaf_side, node_side, residual, exact)
 
 
@@ -274,7 +310,13 @@ def tree_divergence(p: Tree, q: Tree) -> object:
     that carries positive p mass; raises ShapeMismatch when q has branches
     p does not.  Equals the leaf-side sum of P_L log2(P_L/P_L').
     """
-    mapping, covered = align_by_paths(p, q)
+    return aligned_divergence(p, q, *align_by_paths(p, q))
+
+
+def aligned_divergence(
+    p: Tree, q: Tree, mapping: Mapping[NodeId, NodeId], covered: bool
+) -> object:
+    """``tree_divergence`` for an alignment ``align_by_paths`` already made."""
     if not covered:
         return math.inf
     exact = p.exact and q.exact

@@ -19,6 +19,13 @@ leave it.  By unique factorization the values ``log2(p)`` are linearly
 independent over the rationals, which makes the coefficient map a canonical
 form: two expressions denote the same real number exactly when their maps
 are equal.  No epsilon enters an exact-mode identity check.
+
+Exact sums are folded, not chained: ``exact_weighted_sum`` adds every
+term's coefficients into one ``{prime: Fraction}`` map and builds a single
+``ExactLog2`` at the end, where ``total = total + term`` would copy the
+running map on each addition.  Since the map is canonical, the fold equals
+the chained sum under ``==``.  Float sums keep their left-to-right
+``total + term`` order, so float results do not depend on this.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "Scalar",
     "entropy_of",
     "entropy_term",
+    "exact_weighted_sum",
     "kl_of",
     "kl_term",
     "log2_of",
@@ -92,7 +100,8 @@ class ExactLog2:
         cleaned = {}
         if coef:
             for p, c in coef.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     cleaned[p] = c
         object.__setattr__(self, "_coef", cleaned)
@@ -114,11 +123,10 @@ class ExactLog2:
         ratio = Fraction(ratio)
         if ratio <= 0:
             raise ValueError(f"log2 of non-positive rational {ratio}")
-        coef: dict[int, Fraction] = {}
-        for p, e in _factorize(ratio.numerator).items():
-            coef[p] = coef.get(p, Fraction(0)) + e
+        # numerator and denominator are coprime, so no prime is in both
+        coef = dict(_factorize(ratio.numerator))
         for p, e in _factorize(ratio.denominator).items():
-            coef[p] = coef.get(p, Fraction(0)) - e
+            coef[p] = -e
         return cls(coef)
 
     # -- interrogation ------------------------------------------------------
@@ -148,7 +156,9 @@ class ExactLog2:
     def _merged(self, other: "ExactLog2", sign: int) -> "ExactLog2":
         coef = dict(self._coef)
         for p, c in other._coef.items():
-            coef[p] = coef.get(p, Fraction(0)) + sign * c
+            if sign < 0:
+                c = -c
+            coef[p] = coef[p] + c if p in coef else c
         return ExactLog2(coef)
 
     @staticmethod
@@ -295,6 +305,8 @@ def entropy_term(p, exact: bool) -> Scalar:
 
 def entropy_of(masses: Iterable, exact: bool) -> Scalar:
     """Shannon entropy in bits of an iterable of probability masses."""
+    if exact:
+        return exact_weighted_sum((-p, ExactLog2.log2(p)) for p in masses if p)
     return sum(entropy_term(p, exact) for p in masses)
 
 
@@ -315,10 +327,64 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
     Returns +inf as soon as some p > 0 faces q = 0; otherwise the exact or
     float sum of the individual terms.
     """
-    total: Scalar = Fraction(0) if exact else 0.0
+    if exact:
+        terms = []
+        for p, q in pairs:
+            if not p:
+                continue
+            if not q:
+                return math.inf
+            terms.append((p, ExactLog2.log2(Fraction(p) / q)))
+        return exact_weighted_sum(terms)
+    total = 0.0
     for p, q in pairs:
         term = kl_term(p, q, exact)
         if term == math.inf:
             return math.inf
         total = total + term
     return total
+
+
+def exact_weighted_sum(pairs: Iterable) -> Scalar:
+    """The sum of w * v over (w, v) pairs, for rational w and v a rational
+    or an ExactLog2, folded into one coefficient map.
+
+    Returns a Fraction when no v is an ExactLog2 (Fraction(0) for no
+    pairs) and an ExactLog2 otherwise, equal under ``==`` to the chained
+    sum ``Fraction(0) + w1 * v1 + w2 * v2 + ...``.  The inputs' coefficient
+    maps are read, never changed or shared.
+
+    A pair holding anything else, such as a float from a mixed-mode caller,
+    ends the fold: the sum so far joins that term and the rest as
+    ``total = total + w * v`` from left to right, which is the chained sum
+    itself, float rounding and TypeErrors included.
+    """
+    rational = Fraction(0)
+    coef: dict[int, Fraction] = {}
+    has_log = False
+    pairs = iter(pairs)
+    for w, v in pairs:
+        if isinstance(w, (int, Fraction)):
+            if isinstance(v, ExactLog2):
+                has_log = True
+                for p, c in v._coef.items():
+                    c = w * c
+                    coef[p] = coef[p] + c if p in coef else c
+                continue
+            if isinstance(v, (int, Fraction)):
+                rational += w * v
+                continue
+        total = _folded(rational, coef, has_log) + w * v
+        for w, v in pairs:
+            total = total + w * v
+        return total
+    return _folded(rational, coef, has_log)
+
+
+def _folded(rational: Fraction, coef: dict[int, Fraction], has_log: bool) -> Scalar:
+    """The value of a fold: ``rational`` alone, or with ``coef`` an ExactLog2."""
+    if not has_log:
+        return rational
+    if rational:
+        coef[2] = coef[2] + rational if 2 in coef else rational
+    return ExactLog2(coef)

@@ -3,7 +3,9 @@
 A tree document is a JSON object with fields ``version`` (currently "1"),
 ``root``, ``edges`` (list of [parent, label, child]), ``leaf_mass`` (list
 of [leaf, mass] pairs; a JSON object keyed by leaf id is also accepted on
-input), and optional free-form ``metadata``.
+input), and optional free-form ``metadata``.  JSON object keys are strings,
+so each key names the node id whose ``str()`` it is (key "1" names node 1);
+a key that two node ids print as, such as 0 and "0", is rejected.
 
 A mass may be a rational string such as "1/4", "1", or "0.3" (parsed
 exactly), or a JSON number (parsed as a float).  The numeric mode follows
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParseError
 from .numeric import parse_rational
@@ -29,6 +31,7 @@ __all__ = [
     "document_to_tree",
     "parse_document",
     "parse_tree",
+    "resolve_node_keys",
     "serialize_document",
     "serialize_tree",
     "tree_to_document",
@@ -52,6 +55,28 @@ def _check_id(value, what: str):
     if not isinstance(value, (str, int)) or isinstance(value, bool):
         raise ParseError(f"{what} must be a string or integer, got {value!r}")
     return value
+
+
+def resolve_node_keys(
+    obj: Mapping[str, object], ids: Iterable[NodeId]
+) -> dict[NodeId, object]:
+    """Re-key a JSON object by node id: each key names the id whose str() it is.
+
+    A key that names none of ``ids`` stays as the string it is.  Raises
+    ParseError for a key that two ids print as, such as 0 and "0".
+    """
+    by_key: dict[str, list[NodeId]] = {}
+    for node in dict.fromkeys(ids):
+        by_key.setdefault(str(node), []).append(node)
+    resolved: dict[NodeId, object] = {}
+    for key, value in obj.items():
+        nodes = by_key.get(key, [key])
+        if len(nodes) > 1:
+            raise ParseError(
+                f"key {key!r} names more than one node id: {nodes[0]!r}, {nodes[1]!r}"
+            )
+        resolved[nodes[0]] = value
+    return resolved
 
 
 def parse_document(text: str) -> TreeDocument:
@@ -91,7 +116,8 @@ def parse_document(text: str) -> TreeDocument:
     raw_mass = raw["leaf_mass"]
     pairs: list[tuple[NodeId, object]] = []
     if isinstance(raw_mass, dict):
-        pairs = list(raw_mass.items())
+        ids = [root, *(node for parent, _, child in edges for node in (parent, child))]
+        pairs = list(resolve_node_keys(raw_mass, ids).items())
     elif isinstance(raw_mass, list):
         for i, entry in enumerate(raw_mass):
             if not isinstance(entry, list) or len(entry) != 2:

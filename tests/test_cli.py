@@ -308,6 +308,44 @@ class TestCheck:
         assert code == 2
         assert "FunctionalIncomplete" in err
 
+    def test_functional_file_keys_name_string_and_integer_ids(self, tmp_path):
+        # node ids 1 (integer) and "x" (string) are both named by JSON keys
+        doc = tmp_path / "mixed.tree"
+        doc.write_text(
+            json.dumps(
+                {
+                    "root": 0,
+                    "edges": [[0, "a", 1], [0, "b", "x"]],
+                    "leaf_mass": [[1, "1/2"], ["x", "1/2"]],
+                }
+            ),
+            "utf-8",
+        )
+        path = tmp_path / "f.json"
+        path.write_text('{"0": "0", "1": "1", "x": "3"}', "utf-8")
+        code, report, _, _ = invoke(["check", str(doc), "--functional", str(path)])
+        assert code == 0
+        assert report.checks[0]["leaf_side"] == 2.0
+
+    def test_functional_file_key_naming_two_ids_is_rejected(self, tmp_path):
+        # node ids 0 and "0" both print as "0", so key "0" is ambiguous
+        doc = tmp_path / "clash.tree"
+        doc.write_text(
+            json.dumps(
+                {
+                    "root": "r",
+                    "edges": [["r", "a", 0], ["r", "b", "0"]],
+                    "leaf_mass": [[0, "1/2"], ["0", "1/2"]],
+                }
+            ),
+            "utf-8",
+        )
+        path = tmp_path / "f.json"
+        path.write_text('{"r": "0", "0": "1"}', "utf-8")
+        code, _, _, err = invoke(["check", str(doc), "--functional", str(path)])
+        assert code == 2
+        assert "ParseError" in err
+
     def test_float_mode_uses_tolerance(self, demo_file):
         code, report, _, _ = invoke(["check", "--float", demo_file])
         assert code == 0
@@ -337,6 +375,11 @@ class TestSweep:
         text = target.read_text("utf-8")
         assert text.startswith("leaf_count,")
         assert "rows = 2" in out
+
+    def test_one_label_target_is_an_input_error(self):
+        code, _, _, err = invoke(["sweep", "--target", "1", "--budgets", "4"])
+        assert code == 2
+        assert "ParamsInvalid" in err
 
     def test_json_embeds_csv(self):
         code, _, out, _ = invoke(
@@ -391,7 +434,8 @@ class TestComputeOnce:
         [
             (["check", "P"], ["lansit_check"], 2),
             (["analyze", "P"], ["leaf_entropy"], 1),
-            (["divergence", "P", "Q"], ["tree_divergence"], 1),
+            (["divergence", "P", "Q"], ["tree_divergence", "aligned_divergence"], 1),
+            (["divergence", "P", "Q"], ["align_by_paths"], 1),
             (
                 ["divergence", "P", "--product", "1/2,1/2"],
                 ["product_branch_divergence", "divergence_to_product"],
@@ -403,7 +447,14 @@ class TestComputeOnce:
                 3,
             ),
         ],
-        ids=["check", "analyze", "divergence-tree", "divergence-product", "sweep"],
+        ids=[
+            "check",
+            "analyze",
+            "divergence-tree",
+            "divergence-align",
+            "divergence-product",
+            "sweep",
+        ],
     )
     def test_branch_sums_per_request(
         self, monkeypatch, demo_file, demo_q_file, argv, names, calls

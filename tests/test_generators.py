@@ -192,6 +192,12 @@ class TestGrowMatcherTree:
         with pytest.raises(ParamsInvalid):
             grow_matcher_tree(ProductSpec.uniform(["a", "b", "c"]), 2)
 
+    def test_rejects_one_label_spec(self):
+        # with one label an expansion adds no leaf, so the growth never ends
+        spec = ProductSpec(FiniteDistribution({"a": Fraction(1)}))
+        with pytest.raises(ParamsInvalid):
+            grow_matcher_tree(spec, 4)
+
     def test_masses_consistent_with_probabilities(self):
         tree = grow_matcher_tree(TWO_THIRDS_SPEC, 25)
         q = node_probabilities(tree)

@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeprob import FiniteDistribution, ProductSpec, grow_matcher_tree
+from treeprob.approximation import product_branch_divergence
+from treeprob.identities import leaf_entropy
 from treeprob.numeric import (
     ExactLog2,
     entropy_of,
     entropy_term,
+    exact_weighted_sum,
     kl_of,
     kl_term,
     log2_of,
@@ -175,3 +179,88 @@ def test_parse_rational(text, expected):
 def test_parse_rational_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+# a summand value: a rational or the exact log2 of a positive rational
+log_values = st.one_of(
+    rationals, positive_rationals.map(ExactLog2.log2), rationals.map(ExactLog2.from_rational)
+)
+
+
+class TestExactWeightedSum:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(rationals, log_values), max_size=12))
+    def test_equals_the_chained_sum(self, pairs):
+        snapshots = [dict(v._coef) for _, v in pairs if isinstance(v, ExactLog2)]
+        chained = Fraction(0)
+        for w, v in pairs:
+            chained = chained + w * v
+        folded = exact_weighted_sum(pairs)
+        assert folded == chained
+        assert type(folded) is type(chained)
+        all_rational = all(isinstance(v, Fraction) for _, v in pairs)
+        assert isinstance(folded, Fraction) == all_rational
+        # the inputs' coefficient maps are neither changed nor shared
+        logs = [v for _, v in pairs if isinstance(v, ExactLog2)]
+        assert [dict(v._coef) for v in logs] == snapshots
+        if isinstance(folded, ExactLog2):
+            assert all(folded._coef is not v._coef for v in logs)
+
+    def test_empty_is_a_fraction_zero(self):
+        assert type(exact_weighted_sum([])) is Fraction
+        assert exact_weighted_sum([]) == 0
+
+    def test_float_term_continues_as_the_chained_float_sum(self):
+        pairs = [(Fraction(1, 3), Fraction(1, 7)), (Fraction(1, 5), 0.1), (2, 0.3)]
+        chained = Fraction(0)
+        for w, v in pairs:
+            chained = chained + w * v
+        assert exact_weighted_sum(pairs) == chained
+        assert type(exact_weighted_sum(pairs)) is float
+
+    def test_float_after_log_term_raises_like_the_chained_sum(self):
+        with pytest.raises(TypeError):
+            exact_weighted_sum([(1, ExactLog2.log2(3)), (1, 0.5)])
+
+
+class TestExactConstructionCount:
+    """Exact sums build one ExactLog2 per folded sum, not one per addition.
+
+    ``ExactLog2.__init__`` is wrapped to count constructions, as the
+    benchmark's tracer counts them.  On a 2187-leaf matcher for target
+    1/6, 1/2, 1/3 (B = 1093 branching nodes of width 3), each branch sum
+    may build one log2 value per child, one per node and one total:
+    (width + 1) * B + 1 values.
+    """
+
+    SPEC = ProductSpec(
+        FiniteDistribution(
+            {0: Fraction(1, 6), 1: Fraction(1, 2), 2: Fraction(1, 3)}
+        )
+    )
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return grow_matcher_tree(self.SPEC, 2187)
+
+    @pytest.mark.parametrize(
+        "compute",
+        [leaf_entropy, lambda tree: product_branch_divergence(tree, TestExactConstructionCount.SPEC)],
+        ids=["leaf_entropy", "product_branch_divergence"],
+    )
+    def test_constructions_per_branch_sum(self, monkeypatch, tree, compute):
+        width = len(self.SPEC.alphabet)
+        branching = len(tree.branching_nodes)
+        assert (width, branching) == (3, 1093)
+        tree.branching  # Q and P_{S_j} are cached before counting
+        count = 0
+        original_init = ExactLog2.__init__
+
+        def counted_init(obj, *args, **kwargs):
+            nonlocal count
+            count += 1
+            original_init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(ExactLog2, "__init__", counted_init)
+        compute(tree)
+        assert count <= (width + 1) * branching + 1

@@ -40,6 +40,29 @@ class TestParseDocument:
         doc = parse_document(text)
         assert dict(doc.leaf_mass) == {"x": "1/2", "y": "1/2"}
 
+    def test_object_form_keys_name_integer_ids(self):
+        text = json.dumps(
+            {
+                "root": 0,
+                "edges": [[0, "a", 1], [0, "b", 2]],
+                "leaf_mass": {"1": "1/2", "2": "1/2"},
+            }
+        )
+        assert dict(parse_document(text).leaf_mass) == {1: "1/2", 2: "1/2"}
+        tree = parse_tree(text)
+        assert tree.leaf_mass == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+
+    def test_object_form_key_naming_two_ids_is_rejected(self):
+        text = json.dumps(
+            {
+                "root": "r",
+                "edges": [["r", "a", 0], ["r", "b", "0"]],
+                "leaf_mass": {"0": "1/2"},
+            }
+        )
+        with pytest.raises(ParseError, match="'0'"):
+            parse_document(text)
+
     def test_version_defaults(self):
         text = json.dumps({"root": 0, "edges": [], "leaf_mass": [[0, "1"]]})
         assert parse_document(text).version == "1"
