@@ -36,9 +36,11 @@ from .identities import (
     aligned_divergence,
     branch_sum,
     entropy_rate,
+    log_increment_sum,
+    mass_logs,
     normalizer,
 )
-from .numeric import entropy_of, kl_of, kl_term
+from .numeric import entropy_of, kl_of, kl_term, log2_exponents
 from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, label_order
 
 __all__ = [
@@ -230,14 +232,23 @@ def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
 
 
 def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
-    """Same divergence as a Q-weighted sum of per-node divergences to the spec."""
+    """Same divergence as a Q-weighted sum of per-node divergences to the spec.
+
+    Exact mode sums the increments of f = log2(Q / Q+) in integers
+    (``identities.log_increment_sum``): the increment at child c of j is
+    log2(Q_c / Q_j) - log2 s_a for its edge label a, and the s_a terms
+    gather into one weight per label.
+    """
     _require_alphabet(tree, spec)
-    exact = tree.exact and spec.exact
     base = spec.base.mass
+    if tree.exact and spec.exact:
+        # increments of f = log2(Q / Q+): log2(Q_c / Q_j) - log2 s_{label(c)}
+        label_logs = {lab: log2_exponents(1 / m) for lab, m in base.items()}
+        return log_increment_sum(tree, [(1, mass_logs(tree))], label_logs)
     return branch_sum(
         tree,
-        lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), exact),
-        exact,
+        lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), False),
+        False,
     )
 
 
@@ -263,9 +274,18 @@ class PinskerTreeReport:
 
     def markov_tail_bound(self, epsilon: float) -> float:
         """E[d]/epsilon, an upper bound on tail(epsilon) by Markov."""
-        if epsilon <= 0:
-            raise ParamsInvalid(f"epsilon must be positive, got {epsilon}")
+        require_epsilon(epsilon)
         return self.mean_distance / epsilon
+
+
+def require_epsilon(epsilon) -> None:
+    """Raise ParamsInvalid unless epsilon is a finite, positive tail threshold.
+
+    A NaN threshold would make every tail 0 and an infinite one every
+    Markov bound 0, and no branch distance reaches a threshold above 2.
+    """
+    if not 0 < epsilon < math.inf:
+        raise ParamsInvalid(f"epsilon must be finite and positive, got {epsilon}")
 
 
 def _branch_distances(
@@ -314,6 +334,9 @@ def tree_pinsker_report(
     estimates.  The Markov cross-check E[d]/eps is available from the
     report's ``markov_tail_bound``.
     """
+    epsilons = list(epsilons)
+    for eps in epsilons:
+        require_epsilon(eps)
     ew = normalizer(p)
     distances, divergence = _branch_distances(p, q_or_spec)
 

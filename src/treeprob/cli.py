@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import approximation, generators, identities, treefile
-from .errors import AlphabetMismatch, TreeProbError
+from .errors import AlphabetMismatch, ParseError, TreeProbError
 from .numeric import ExactLog2, parse_rational
 from .tree import Tree, path_lengths
 
@@ -95,6 +95,20 @@ def _parse_mass_list(text: str) -> list[Fraction]:
     for part in text.split(","):
         values.append(parse_rational(part))
     return values
+
+
+def _float_or_inf(value) -> float:
+    """float(value), or inf of its sign when value is past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _parse_threshold(text: str) -> float:
+    """A rational tail threshold as a float; the tail computations reject
+    the non-finite and non-positive ones."""
+    return _float_or_inf(parse_rational(text))
 
 
 def _product_spec_for(tree: Tree, text: str) -> approximation.ProductSpec:
@@ -175,7 +189,7 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
     tree, digest = _load_tree(args.treep, args.float)
     report = Report(command="divergence", inputs={args.treep: digest})
     epsilons = (
-        tuple(float(parse_rational(e)) for e in args.epsilons.split(","))
+        tuple(_parse_threshold(e) for e in args.epsilons.split(","))
         if args.epsilons
         else DEFAULT_EPSILONS
     )
@@ -226,8 +240,15 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
         raise TreeProbError("functional file must be a JSON object of node: value")
     values = {}
     for node, v in treefile.resolve_node_keys(raw, tree.nodes).items():
-        if node in tree.children:
-            values[node] = parse_rational(v) if isinstance(v, str) else float(v)
+        if node not in tree.children:
+            continue
+        if isinstance(v, str):
+            values[node] = parse_rational(v)
+            continue
+        x = _float_or_inf(v) if isinstance(v, (int, float)) else math.nan
+        if not math.isfinite(x):
+            raise ParseError(f"functional value of node {node!r} is not a finite number")
+        values[node] = x
     return values
 
 
@@ -261,7 +282,7 @@ def _cmd_sweep(args, out) -> tuple[int, Report]:
     )
     spec = approximation.ProductSpec(base)
     budgets = [int(b) for b in args.budgets.split(",")]
-    rows = generators.convergence_sweep(spec, budgets, float(args.epsilon))
+    rows = generators.convergence_sweep(spec, budgets, _parse_threshold(args.epsilon))
     buffer = io.StringIO()
     generators.write_sweep_csv(rows, buffer)
     csv_text = buffer.getvalue()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .approximation import ProductSpec, tree_pinsker_report
+from .approximation import ProductSpec, require_epsilon, tree_pinsker_report
 from .errors import ParamsInvalid
 from .identities import leaf_entropy
 from .tree import Label, Tree, build_tree
@@ -242,8 +242,7 @@ def convergence_sweep(
         raise ParamsInvalid("no budgets given")
     if any(b >= a for b, a in zip(budgets, budgets[1:])):
         raise ParamsInvalid(f"budgets must be strictly increasing: {budgets}")
-    if epsilon <= 0:
-        raise ParamsInvalid(f"epsilon must be positive, got {epsilon}")
+    require_epsilon(epsilon)
     target_entropy = spec.base.entropy()
     rows: list[SweepRow] = []
     prev_leaves = 0

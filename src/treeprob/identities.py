@@ -28,6 +28,14 @@ takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
 * f = log2(Q/Q+) for a product reference (``approximation``): inner is the
   divergence of P_{S_j} from the product's one branching distribution.
 
+In exact mode the three log-valued sums are not taken per branch: Q_j
+times the entropy or divergence at j is the increment sum over j's
+children c of Q_c (f(c) - f(j)) for the f above, and with every Q_v
+written as an integer n_v over the lcm D of the leaf-mass denominators,
+``log_increment_sum`` adds those increments as integer multiples of
+prime-exponent maps and divides by D once.  The result equals the
+per-branch sum of ``entropy_of`` or ``kl_of`` terms, type included.
+
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
 nodes; a caller that already holds an unnormalized value gets its
@@ -41,10 +49,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
-from .numeric import entropy_of, exact_weighted_sum, kl_of, log2_of
+from .numeric import (
+    entropy_of,
+    exact_log2_sum,
+    exact_weighted_sum,
+    kl_of,
+    log2_exponents,
+    log2_of,
+)
 from .tree import (
     Label,
     NodeId,
@@ -146,6 +161,65 @@ def branch_sum(
     for j, dist in branching.items():
         total = total + q[j] * inner(j, dist)
     return total
+
+
+def mass_logs(tree: Tree) -> dict[NodeId, dict[int, int]]:
+    """The prime exponents of Q_v (``numeric.log2_exponents``) per node of an
+    exact tree: log2 Q_v in the form ``log_increment_sum`` takes."""
+    return {v: log2_exponents(m) for v, m in tree.node_mass.items()}
+
+
+def log_increment_sum(
+    tree: Tree,
+    node_logs: Sequence[tuple[int, Mapping[NodeId, Mapping[int, int]]]],
+    label_logs: Mapping[Label, Mapping[int, int]] | None = None,
+) -> object:
+    """Sum over branching j of Q_j E[f(S_j) - f(j)] for an exact tree and a
+    functional f valued in logarithms of rationals, in integer arithmetic.
+
+    f(v) is the sum of s * log2 R(v) over the (s, lam) pairs of
+    ``node_logs``: s is +1 or -1 and lam(v) holds the prime exponents of
+    the positive rational R(v).  ``label_logs`` maps an edge label a to the
+    exponents of a rational r_a, and adds log2 r_a to the increment
+    f(c) - f(j) of every child c reached by an a-edge.
+
+    With D the lcm of the leaf-mass denominators, every Q_v is n_v / D for
+    an integer n_v, and n_j is the sum of its children's n_c.  So the sum
+    is (1/D) times the integer combination
+
+        sum over j of [sum over children c of n_c f(c)] - n_j f(j)
+        + sum over labels a of W_a log2 r_a,   W_a = sum of n_c over a-edges,
+
+    and each prime's coefficient is an integer sum divided by D once
+    (``numeric.exact_log2_sum``).  A tree without branching nodes gives
+    Fraction(0), the zero that ``branch_sum`` starts from.
+    """
+    children = tree.children
+    if not children[tree.root]:
+        return Fraction(0)
+    d = math.lcm(*(m.denominator for m in tree.leaf_mass.values()))
+    n = {}
+    for v, m in tree.node_mass.items():
+        num, den = m.as_integer_ratio()
+        n[v] = num * (d // den)
+    weights = dict.fromkeys(label_logs or (), 0)
+
+    def terms():
+        for j in tree.nodes:
+            kids = children[j]
+            if not kids:
+                continue
+            for sign, lam in node_logs:
+                yield -sign * n[j], lam[j]
+                for _, c in kids:
+                    yield sign * n[c], lam[c]
+            if label_logs:
+                for a, c in kids:
+                    weights[a] += n[c]
+        for a, w in weights.items():
+            yield w, label_logs[a]
+
+    return exact_log2_sum(terms(), d)
 
 
 def _merge_order(tree: Tree) -> list[NodeId]:
@@ -264,11 +338,13 @@ def leaf_entropy(tree: Tree) -> object:
     """H(P_L) in bits via the branch-sum: sum of Q_j H(P_{S_j}).
 
     Equals the direct leaf-side entropy -sum of P_L log2 P_L; exact mode
-    returns an ExactLog2 value for which that equality is literal.
+    returns an ExactLog2 value for which that equality is literal.  Exact
+    mode sums the increments of f = -log2 Q, since Q_j H(P_{S_j}) is the
+    sum over children c of Q_c (log2 Q_j - log2 Q_c).
     """
-    return branch_sum(
-        tree, lambda j, dist: entropy_of(dist.values(), tree.exact), tree.exact
-    )
+    if tree.exact:
+        return log_increment_sum(tree, [(-1, mass_logs(tree))])
+    return branch_sum(tree, lambda j, dist: entropy_of(dist.values(), False), False)
 
 
 def align_by_paths(p: Tree, q: Tree) -> tuple[dict[NodeId, NodeId], bool]:
@@ -319,14 +395,18 @@ def aligned_divergence(
     """``tree_divergence`` for an alignment ``align_by_paths`` already made."""
     if not covered:
         return math.inf
-    exact = p.exact and q.exact
+    if p.exact and q.exact:
+        # increments of f = log2(Q / Q'), Q' read at the aligned node
+        qq = q.node_mass
+        ref_logs = {v: log2_exponents(qq[mapping[v]]) for v in p.nodes}
+        return log_increment_sum(p, [(1, mass_logs(p)), (-1, ref_logs)])
     ref = branching_distributions(q)
 
     def inner(j, dist):
         ref_j = ref[mapping[j]]
-        return kl_of(((m, ref_j[lab]) for lab, m in dist.items()), exact)
+        return kl_of(((m, ref_j[lab]) for lab, m in dist.items()), False)
 
-    return branch_sum(p, inner, exact)
+    return branch_sum(p, inner, False)
 
 
 def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:

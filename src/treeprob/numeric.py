@@ -23,9 +23,15 @@ are equal.  No epsilon enters an exact-mode identity check.
 Exact sums are folded, not chained: ``exact_weighted_sum`` adds every
 term's coefficients into one ``{prime: Fraction}`` map and builds a single
 ``ExactLog2`` at the end, where ``total = total + term`` would copy the
-running map on each addition.  Since the map is canonical, the fold equals
-the chained sum under ``==``.  Float sums keep their left-to-right
-``total + term`` order, so float results do not depend on this.
+running map on each addition.  Where every weight is an integer n over
+one common denominator D and every logarithm is log2 of a rational, the
+fold needs no Fraction at all: ``log2_exponents`` gives the integer
+exponent map of each rational, ``exact_log2_sum`` adds n times those
+integers per prime and divides each total by D once.  The identities
+module sums leaf entropy and divergences this way.  Since the map is
+canonical, either fold equals the chained sum under ``==``.  Float sums
+keep their left-to-right ``total + term`` order, so float results do not
+depend on this.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ __all__ = [
     "Scalar",
     "entropy_of",
     "entropy_term",
+    "exact_log2_sum",
     "exact_weighted_sum",
     "kl_of",
     "kl_term",
+    "log2_exponents",
     "log2_of",
     "parse_rational",
 ]
@@ -120,14 +128,7 @@ class ExactLog2:
     @classmethod
     def log2(cls, ratio: Rational) -> "ExactLog2":
         """Exact log2 of a positive rational."""
-        ratio = Fraction(ratio)
-        if ratio <= 0:
-            raise ValueError(f"log2 of non-positive rational {ratio}")
-        # numerator and denominator are coprime, so no prime is in both
-        coef = dict(_factorize(ratio.numerator))
-        for p, e in _factorize(ratio.denominator).items():
-            coef[p] = -e
-        return cls(coef)
+        return cls(log2_exponents(ratio))
 
     # -- interrogation ------------------------------------------------------
 
@@ -285,6 +286,35 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def log2_exponents(x: Rational) -> dict[int, int]:
+    """The signed prime exponents {p: e_p} of a positive rational x, so that
+    log2 x is the sum of e_p * log2(p); a new dict the caller may change."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    num, den = x.as_integer_ratio()
+    if num <= 0:
+        raise ValueError(f"log2 of non-positive rational {x}")
+    # numerator and denominator are coprime, so no prime is in both
+    exponents = dict(_factorize(num))
+    for p, e in _factorize(den).items():
+        exponents[p] = -e
+    return exponents
+
+
+def exact_log2_sum(terms: Iterable, denominator: int) -> ExactLog2:
+    """The sum of n * log2(x) over (n, exponents of x) pairs, divided by
+    ``denominator``, with every n an integer.
+
+    Each prime's coefficient is a plain integer sum, made a Fraction over
+    ``denominator`` once at the end, so no Fraction is built per term.
+    """
+    acc: dict[int, int] = {}
+    for n, exponents in terms:
+        for p, e in exponents.items():
+            acc[p] = acc[p] + n * e if p in acc else n * e
+    return ExactLog2({p: Fraction(t, denominator) for p, t in acc.items()})
 
 
 def log2_of(x, exact: bool) -> Scalar:

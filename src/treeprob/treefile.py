@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ParseError
+from .errors import NonFiniteMass, ParseError
 from .numeric import parse_rational
 from .tree import Label, NodeId, Tree, build_tree
 
@@ -77,6 +77,10 @@ def resolve_node_keys(
             )
         resolved[nodes[0]] = value
     return resolved
+
+
+def _beyond_float_range(node: NodeId) -> NonFiniteMass:
+    return NonFiniteMass(f"leaf {node!r} has a mass beyond the float range")
 
 
 def parse_document(text: str) -> TreeDocument:
@@ -136,7 +140,10 @@ def parse_document(text: str) -> TreeDocument:
                 raise ParseError(f"leaf {node!r}: {exc}") from exc
             leaf_mass.append((node, mass))
         elif isinstance(mass, (int, float)) and not isinstance(mass, bool):
-            leaf_mass.append((node, float(mass)))
+            try:
+                leaf_mass.append((node, float(mass)))
+            except OverflowError:
+                raise _beyond_float_range(node) from None
         else:
             raise ParseError(
                 f"leaf {node!r} mass must be a rational string or number,"
@@ -166,7 +173,10 @@ def document_to_tree(doc: TreeDocument, force_float: bool = False) -> Tree:
         if node in mass:
             raise ParseError(f"leaf {node!r} listed twice in leaf_mass")
         value = parse_rational(raw) if isinstance(raw, str) else raw
-        mass[node] = value if exact else float(value)
+        try:
+            mass[node] = value if exact else float(value)
+        except OverflowError:
+            raise _beyond_float_range(node) from None
     tree = build_tree(doc.edges, mass, exact=exact)
     if tree.root != doc.root:
         raise ParseError(

@@ -312,8 +312,15 @@ class TestTreePinskerReport:
 
     def test_markov_rejects_bad_epsilon(self):
         report = tree_pinsker_report(corpus_tree(0), corpus_tree(0))
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParamsInvalid):
+                report.markov_tail_bound(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, Fraction(-1, 2), math.nan, math.inf])
+    def test_tails_reject_bad_epsilon(self, demo_tree, epsilon):
+        spec = ProductSpec.uniform(["a", "b"])
         with pytest.raises(ParamsInvalid):
-            report.markov_tail_bound(0.0)
+            tree_pinsker_report(demo_tree, spec, epsilons=(0.5, epsilon))
 
     def test_custom_epsilons(self, demo_tree):
         spec = ProductSpec.uniform(["a", "b"])

@@ -1,10 +1,14 @@
+import copy
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DEMO_DOCUMENT
+from corpus import corpus_tree, float_mirror
 from treeprob import (
     FiniteDistribution,
     ProductSpec,
@@ -14,7 +18,7 @@ from treeprob import (
     product_branch_divergence,
     run_cli,
 )
-from treeprob.treefile import parse_tree
+from treeprob.treefile import parse_tree, serialize_tree
 
 DEMO_Q_DOCUMENT = """\
 {
@@ -252,6 +256,16 @@ class TestDivergence:
         assert (code, err) == (0, "")
         assert report.all_checks_pass()
 
+    @pytest.mark.parametrize("epsilon", ["-1", "0", "1e-400", "1e400"])
+    def test_non_positive_or_non_finite_epsilon_is_an_input_error(
+        self, demo_file, epsilon
+    ):
+        code, _, _, err = invoke(
+            ["divergence", demo_file, "--product", "1/2,1/2", "--epsilons", epsilon]
+        )
+        assert code == 2
+        assert "ParamsInvalid" in err
+
     def test_wrong_product_arity(self, demo_file):
         code, _, _, err = invoke(
             ["divergence", demo_file, "--product", "1/2,1/4,1/4"]
@@ -307,6 +321,21 @@ class TestCheck:
         )
         assert code == 2
         assert "FunctionalIncomplete" in err
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, [1], {"a": 1}, 10**400, math.inf, math.nan],
+        ids=["null", "list", "object", "huge", "inf", "nan"],
+    )
+    def test_functional_file_value_that_is_no_finite_number_is_rejected(
+        self, demo_file, tmp_path, value
+    ):
+        path = tmp_path / "f.json"
+        values = {str(n): "0" for n in (0, 1, 2, 3, 5, 6)}
+        path.write_text(json.dumps({**values, "3": value}), "utf-8")
+        code, _, _, err = invoke(["check", demo_file, "--functional", str(path)])
+        assert code == 2
+        assert "error:" in err
 
     def test_functional_file_keys_name_string_and_integer_ids(self, tmp_path):
         # node ids 1 (integer) and "x" (string) are both named by JSON keys
@@ -392,6 +421,31 @@ class TestSweep:
         assert payload["results"]["csv"]["value"].startswith("leaf_count,")
         assert payload["results"]["final_normalized_divergence"]["value"] == 0.0
 
+    def test_rational_epsilon(self):
+        argv = ["sweep", "--target", "2/3,1/3", "--budgets", "4,16,64"]
+        code, _, out, err = invoke(argv + ["--epsilon", "1/10"])
+        assert (code, err) == (0, "")
+        assert out == invoke(argv + ["--epsilon", "0.1"])[2]
+
+    @pytest.mark.parametrize(
+        "epsilon, error",
+        [
+            ("nan", "ValueError"),
+            ("inf", "ValueError"),
+            ("1e400", "ParamsInvalid"),
+            ("0", "ParamsInvalid"),
+            ("-1/10", "ParamsInvalid"),
+        ],
+    )
+    def test_non_positive_or_non_finite_epsilon_is_an_input_error(
+        self, epsilon, error
+    ):
+        code, _, out, err = invoke(
+            ["sweep", "--target", "2/3,1/3", "--budgets", "4,16", f"--epsilon={epsilon}"]
+        )
+        assert (code, out) == (2, "")
+        assert error in err
+
     def test_invalid_budgets(self):
         code, _, _, err = invoke(
             ["sweep", "--target", "2/3,1/3", "--budgets", "16,4"]
@@ -475,3 +529,98 @@ class TestComputeOnce:
         code, _, _, _ = invoke([paths.get(arg, arg) for arg in argv])
         assert code == 0
         assert len(counted) == calls, counted
+
+
+# Documents the mutations start from: exact and float, with and without
+# unary nodes; each is valid as it stands.
+SEED_DOCUMENTS = [
+    DEMO_DOCUMENT,
+    DEMO_Q_DOCUMENT,
+    caterpillar_document(3),
+    serialize_tree(corpus_tree(1)),
+    serialize_tree(float_mirror(corpus_tree(2))),
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 10**400, 2**63])
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["1/2", "0", "-1/4", "1e400", "1e-400", "nan", "1/0", "a"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def documents(draw):
+    """A seed document, as it is or with a few JSON-level or text-level
+    mutations: values replaced, entries deleted or duplicated, characters
+    deleted, inserted or replaced."""
+    text = draw(st.sampled_from(SEED_DOCUMENTS))
+    kind = draw(st.sampled_from(["valid", "mass", "json", "text"]))
+    if kind == "mass":
+        doc = json.loads(text)
+        entry = draw(st.sampled_from(doc["leaf_mass"]))
+        entry[1] = draw(st.sampled_from(["1e400", 10**400, "1e-400", 1e308, -0.0]) | json_values)
+        text = json.dumps(doc)
+    elif kind == "json":
+        doc = json.loads(text)
+        for _ in range(draw(st.integers(1, 3))):
+            node = doc
+            while node:
+                key = (
+                    draw(st.sampled_from(sorted(node)))
+                    if isinstance(node, dict)
+                    else draw(st.integers(0, len(node) - 1))
+                )
+                action = draw(st.sampled_from(["descend", "replace", "delete", "copy"]))
+                child = node[key]
+                if action == "descend" and isinstance(child, (dict, list)) and child:
+                    node = child
+                    continue
+                if action == "delete":
+                    del node[key]
+                elif action == "copy" and isinstance(node, list):
+                    node.insert(key, copy.deepcopy(child))
+                else:
+                    node[key] = draw(json_values)
+                break
+        text = json.dumps(doc)
+    elif kind == "text":
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(text)))
+            piece = draw(st.sampled_from(["", "0", "-", "[", "]", '"', ",", "/", "9"]))
+            cut = draw(st.integers(0, 2))
+            text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+class TestAnyDocument:
+    """Every document, valid or not, gives exit code 0, 1 or 2."""
+
+    @settings(
+        deadline=None,
+        max_examples=60,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(documents(), st.booleans())
+    def test_exit_code_contract(self, tmp_path_factory, text, as_float):
+        path = tmp_path_factory.mktemp("doc") / "tree.json"
+        path.write_text(text, "utf-8")
+        ref = tmp_path_factory.mktemp("ref") / "ref.json"
+        ref.write_text(DEMO_DOCUMENT, "utf-8")
+        flags = ["--float"] if as_float else []
+        for argv in (
+            ["validate", str(path)],
+            ["analyze", str(path)],
+            ["check", str(path)],
+            ["divergence", str(path), "--product", "1/2,1/2"],
+            ["divergence", str(path), str(path)],
+            ["divergence", str(ref), str(path)],
+        ):
+            code, _, _, _ = invoke(argv + flags + ["--json"])
+            assert code in (0, 1, 2), argv

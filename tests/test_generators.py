@@ -214,8 +214,9 @@ class TestConvergenceSweep:
             convergence_sweep(TWO_THIRDS_SPEC, [4, 4], 0.1)
         with pytest.raises(ParamsInvalid):
             convergence_sweep(TWO_THIRDS_SPEC, [16, 4], 0.1)
-        with pytest.raises(ParamsInvalid):
-            convergence_sweep(TWO_THIRDS_SPEC, [4, 16], 0.0)
+        for epsilon in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ParamsInvalid):
+                convergence_sweep(TWO_THIRDS_SPEC, [4, 16], epsilon)
 
     def test_rejects_budgets_with_equal_leaf_counts(self):
         # a ternary matcher cannot use budget 4: counts go 1, 3, 5, ...

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import (
     complete_tree,
     corpus_tree,
+    edges_of,
     float_functional,
     float_mirror,
     rational_functional,
@@ -13,13 +15,19 @@ from corpus import (
 )
 from treeprob import (
     DegenerateTree,
+    FiniteDistribution,
     FunctionalIncomplete,
+    GeneratorParams,
+    ProductSpec,
     ShapeMismatch,
     branching_node_distribution,
     build_tree,
     differential_lansit_check,
+    divergence_to_product,
     entropy_rate,
     expected_path_length,
+    generate_random_tree,
+    grow_matcher_tree,
     lansit_check,
     leaf_entropy,
     log_ratio_functional,
@@ -27,10 +35,12 @@ from treeprob import (
     node_increment_sum,
     normalized_divergence,
     path_lengths,
+    product_branch_divergence,
     surprisal_functional,
     tree_divergence,
 )
-from treeprob.numeric import entropy_term, kl_term
+from treeprob.identities import align_by_paths, branch_sum
+from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_of, kl_term
 
 
 def leaf_entropy_oracle(tree):
@@ -336,3 +346,120 @@ class TestFunctionalBuilders:
         assert not report.exact
         assert report.holds()
         assert report.leaf_side == pytest.approx(1.5)
+
+
+def exact_signature(value):
+    """The value with its type and, for an ExactLog2, its coefficient types."""
+    if isinstance(value, ExactLog2):
+        return ExactLog2, {p: (type(c), c) for p, c in value._coef.items()}
+    return type(value), value
+
+
+def mixed_masses(leaves, weights, denominators):
+    """Positive rational masses over ``leaves`` with mixed denominators."""
+    raw = [Fraction(w, d) for w, d in zip(weights, denominators)]
+    total = sum(raw)
+    return {leaf: m / total for leaf, m in zip(leaves, raw)}
+
+
+@st.composite
+def exact_tree_triples(draw):
+    """(p, q, spec): p a random exact tree (unary branching nodes included)
+    or a bare root, q the same shape with other masses, and a full-support
+    product spec on p's labels, all with mixed denominators."""
+    if draw(st.integers(0, 9)) == 0:
+        p = q = build_tree([], {"r": Fraction(1)})
+        labels = [0, 1]
+    else:
+        params = GeneratorParams(
+            alphabet_size=draw(st.integers(2, 4)),
+            max_depth=draw(st.integers(1, 4)),
+            branching_probability=draw(st.floats(0.2, 0.8)),
+            seed=draw(st.integers(0, 10_000)),
+        )
+        shape = generate_random_tree(params)
+        edges, leaves = edges_of(shape), shape.leaves
+        trees = []
+        for _ in range(2):
+            n = len(leaves)
+            weights = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+            dens = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+            trees.append(build_tree(edges, mixed_masses(leaves, weights, dens)))
+        p, q = trees
+        labels = p.label_alphabet
+    weights = draw(st.lists(st.integers(1, 30), min_size=len(labels), max_size=len(labels)))
+    dens = draw(st.lists(st.integers(1, 9), min_size=len(labels), max_size=len(labels)))
+    spec = ProductSpec(FiniteDistribution(mixed_masses(labels, weights, dens)))
+    return p, q, spec
+
+
+MATCHER_SPECS = [
+    {0: Fraction(2, 3), 1: Fraction(1, 3)},
+    {0: Fraction(1, 6), 1: Fraction(1, 2), 2: Fraction(1, 3)},
+    {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 4)},
+]
+
+
+class TestLogIncrementSum:
+    """Exact leaf entropy and both divergences, summed as integer increments
+    over one denominator, are the per-branch sums of entropy_of and kl_of,
+    value and type alike, and equal their leaf-side oracles."""
+
+    @staticmethod
+    def check(p, q, spec):
+        base = spec.base.mass
+        mapping, covered = align_by_paths(p, q)
+        assert covered
+        ref = q.branching
+        references = [
+            (
+                leaf_entropy(p),
+                branch_sum(p, lambda j, dist: entropy_of(dist.values(), True), True),
+                leaf_entropy_oracle(p),
+            ),
+            (
+                tree_divergence(p, q),
+                branch_sum(
+                    p,
+                    lambda j, dist: kl_of(
+                        ((m, ref[mapping[j]][lab]) for lab, m in dist.items()), True
+                    ),
+                    True,
+                ),
+                divergence_oracle(p, q),
+            ),
+            (
+                product_branch_divergence(p, spec),
+                branch_sum(
+                    p,
+                    lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), True),
+                    True,
+                ),
+                divergence_to_product(p, spec),
+            ),
+        ]
+        for value, per_branch, leaf_side in references:
+            assert exact_signature(value) == exact_signature(per_branch)
+            assert value == leaf_side
+
+    @settings(deadline=None, max_examples=60)
+    @given(exact_tree_triples())
+    def test_random_trees(self, triple):
+        self.check(*triple)
+
+    def test_bare_root_gives_a_fraction_zero(self):
+        bare = build_tree([], {"r": Fraction(1)})
+        spec = ProductSpec.uniform([0, 1])
+        for value in (
+            leaf_entropy(bare),
+            tree_divergence(bare, bare),
+            product_branch_divergence(bare, spec),
+        ):
+            assert exact_signature(value) == (Fraction, Fraction(0))
+
+    @pytest.mark.parametrize("budget", [16, 64, 256])
+    @pytest.mark.parametrize("target", MATCHER_SPECS, ids=["2", "3", "4"])
+    def test_matchers(self, target, budget):
+        spec = ProductSpec(FiniteDistribution(target))
+        p = grow_matcher_tree(spec, budget)
+        self.check(p, remass(p, seed=budget), spec)

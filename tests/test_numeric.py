@@ -224,13 +224,14 @@ class TestExactWeightedSum:
 
 
 class TestExactConstructionCount:
-    """Exact sums build one ExactLog2 per folded sum, not one per addition.
+    """Exact leaf entropy and product divergence build a fixed number of
+    ExactLog2 values, however large the tree.
 
     ``ExactLog2.__init__`` is wrapped to count constructions, as the
-    benchmark's tracer counts them.  On a 2187-leaf matcher for target
-    1/6, 1/2, 1/3 (B = 1093 branching nodes of width 3), each branch sum
-    may build one log2 value per child, one per node and one total:
-    (width + 1) * B + 1 values.
+    benchmark's tracer counts them.  Both sums accumulate integer
+    coefficients over one denominator, so the count on a 2187-leaf matcher
+    for target 1/6, 1/2, 1/3 (B = 1093 branching nodes) is the count on the
+    243-leaf one (B = 121).
     """
 
     SPEC = ProductSpec(
@@ -240,19 +241,16 @@ class TestExactConstructionCount:
     )
 
     @pytest.fixture(scope="class")
-    def tree(self):
-        return grow_matcher_tree(self.SPEC, 2187)
+    def trees(self):
+        return [grow_matcher_tree(self.SPEC, budget) for budget in (243, 2187)]
 
     @pytest.mark.parametrize(
         "compute",
         [leaf_entropy, lambda tree: product_branch_divergence(tree, TestExactConstructionCount.SPEC)],
         ids=["leaf_entropy", "product_branch_divergence"],
     )
-    def test_constructions_per_branch_sum(self, monkeypatch, tree, compute):
-        width = len(self.SPEC.alphabet)
-        branching = len(tree.branching_nodes)
-        assert (width, branching) == (3, 1093)
-        tree.branching  # Q and P_{S_j} are cached before counting
+    def test_constructions_per_branch_sum(self, monkeypatch, trees, compute):
+        assert [len(tree.branching_nodes) for tree in trees] == [121, 1093]
         count = 0
         original_init = ExactLog2.__init__
 
@@ -262,5 +260,10 @@ class TestExactConstructionCount:
             original_init(obj, *args, **kwargs)
 
         monkeypatch.setattr(ExactLog2, "__init__", counted_init)
-        compute(tree)
-        assert count <= (width + 1) * branching + 1
+        counts = []
+        for tree in trees:
+            tree.branching  # Q and P_{S_j} are cached before counting
+            count = 0
+            compute(tree)
+            counts.append(count)
+        assert counts[0] == counts[1]

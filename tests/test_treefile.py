@@ -7,6 +7,7 @@ from conftest import DEMO_DOCUMENT
 from corpus import corpus_tree, float_mirror
 from treeprob import (
     MassNotNormalized,
+    NonFiniteMass,
     ParseError,
     TreeDocument,
     build_tree,
@@ -190,6 +191,17 @@ class TestDocumentToTree:
         tree = parse_tree(text)
         assert not tree.exact
         assert tree.leaf_mass[1] == 0.5
+
+    @pytest.mark.parametrize(
+        "mass, force_float", [(10**400, False), ("1e400", True)], ids=["number", "string"]
+    )
+    def test_float_mass_beyond_float_range_is_rejected(self, mass, force_float):
+        # a JSON number or --float rational too large for a float
+        text = json.dumps(
+            {"root": 0, "edges": [[0, "a", 1], [0, "b", 2]], "leaf_mass": [[1, mass], [2, "1/2"]]}
+        )
+        with pytest.raises(NonFiniteMass):
+            parse_tree(text, force_float=force_float)
 
     def test_force_float_downgrades(self):
         tree = parse_tree(DEMO_DOCUMENT, force_float=True)
