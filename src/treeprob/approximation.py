@@ -340,13 +340,16 @@ def tree_pinsker_report(
     ew = normalizer(p)
     distances, divergence = _branch_distances(p, q_or_spec)
 
-    def average(h):
+    def average(h, exact):
         """The P_B-average of h(d_j)."""
-        return branch_sum(p, lambda j, dist: h(distances[j]), p.exact) / ew
+        return branch_sum(p, lambda j, dist: h(distances[j]), exact) / ew
 
-    mean_d = average(lambda d: d)
-    mean_sq = average(lambda d: d * d)
-    tail = {eps: float(average(lambda d: d >= eps)) for eps in epsilons}
+    # a float reference makes every distance a float, unless it is a bare
+    # root and enters none; the tail indicators of an exact tree are exact
+    exact = p.exact and not any(isinstance(d, float) for d in distances.values())
+    mean_d = average(lambda d: d, exact)
+    mean_sq = average(lambda d: d * d, exact)
+    tail = {eps: float(average(lambda d: d >= eps, p.exact)) for eps in epsilons}
     bound = float(mean_sq) / (2.0 * math.log(2.0))
     nd_float = float(divergence / ew)
     return PinskerTreeReport(
@@ -424,8 +427,9 @@ def functional_convergence_gap(
         extended = {lab: dist.get(lab, zero) for lab in spec.alphabet}
         return g.evaluate(FiniteDistribution(extended, exact=exact))
 
-    average = branch_sum(tree, inner, exact) / ew
-    return _gap(average, g.evaluate(spec.base), exact)
+    target = g.evaluate(spec.base)
+    average = branch_sum(tree, inner, exact and not isinstance(target, float)) / ew
+    return _gap(average, target, exact)
 
 
 def entropy_rate_gap(tree: Tree, spec: ProductSpec) -> float:

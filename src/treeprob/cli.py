@@ -235,7 +235,7 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
 
 
 def _functional_from_file(tree: Tree, path: str) -> dict:
-    raw = json.loads(Path(path).read_text("utf-8"))
+    raw = treefile.load_json(Path(path).read_text("utf-8"))
     if not isinstance(raw, dict):
         raise TreeProbError("functional file must be a JSON object of node: value")
     values = {}
@@ -245,7 +245,7 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
         if isinstance(v, str):
             values[node] = parse_rational(v)
             continue
-        x = _float_or_inf(v) if isinstance(v, (int, float)) else math.nan
+        x = _float_or_inf(v) if type(v) in (int, float) else math.nan
         if not math.isfinite(x):
             raise ParseError(f"functional value of node {node!r} is not a finite number")
         values[node] = x

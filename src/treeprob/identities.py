@@ -12,9 +12,16 @@ deepest sibling set into its parent, accumulating that node's term, until
 only the root remains.  ``node_increment_sum`` is the independent direct
 summation; the two walk the branching nodes in the same order and perform
 the same elementary operations, so they agree bit for bit even in float
-mode.  A sum that is fully exact (exact tree, no float value in f or in an
-inner term) is folded by ``numeric.exact_weighted_sum``; any other sum is
-chained left to right as ``total = total + w * v``.
+mode.  Each call decides once whether its sum is exact (an exact tree, and
+no float value in f or in an inner term); any other sum is chained left to
+right as ``total = total + w * v``.
+
+An exact tree keeps one integer table n with Q_v = n_v / D, D = n_root the
+lcm of the leaf-mass denominators (``Tree.mass_numerators``), and every
+exact sum here weights by n and divides by D once.  Because n_j is the sum
+of its children's n_c, Q_j E[delta_f(S_j)] is the integer combination
+sum over children c of n_c f(c), less n_j f(j), over D: no term divides by
+Q_j, and ``numeric.exact_weighted_sum`` folds the whole node side.
 
 Specializing f gives the derived quantities, and for each the node side
 takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
@@ -30,11 +37,12 @@ takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
 
 In exact mode the three log-valued sums are not taken per branch: Q_j
 times the entropy or divergence at j is the increment sum over j's
-children c of Q_c (f(c) - f(j)) for the f above, and with every Q_v
-written as an integer n_v over the lcm D of the leaf-mass denominators,
-``log_increment_sum`` adds those increments as integer multiples of
-prime-exponent maps and divides by D once.  The result equals the
-per-branch sum of ``entropy_of`` or ``kl_of`` terms, type included.
+children c of Q_c (f(c) - f(j)) for the f above, and
+``log_increment_sum`` adds those increments as integer multiples n_c of
+prime-exponent maps and divides by D once.  The weights of each
+increment sum to zero (n_j is the sum of the n_c), so a constant added to
+f cancels, and log2 Q_v enters as log2 n_v.  The result equals the per-branch sum of ``entropy_of`` or
+``kl_of`` terms, type included.
 
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
@@ -149,14 +157,19 @@ def branch_sum(
 ) -> object:
     """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}).
 
-    Exact sums start from Fraction(0) and float sums from 0.0, so a tree
-    without branching nodes still yields a zero of the right mode.  An
-    exact sum that meets a float inner value continues as a float sum.
+    ``exact`` is the caller's promise that the tree is exact and every
+    inner value a rational or an ExactLog2.  The sum then weights inner(j)
+    by the integer n_j of Q_j = n_j / D, folds the terms
+    (``numeric.exact_weighted_sum``) and divides by D once; otherwise it is
+    the float sum from 0.0, left to right.  A tree without branching nodes
+    yields Fraction(0) or 0.0.
     """
     q = node_probabilities(tree)
     branching = branching_distributions(tree)
     if exact:
-        return exact_weighted_sum((q[j], inner(j, dist)) for j, dist in branching.items())
+        n = tree.mass_numerators
+        terms = ((n[j], inner(j, dist)) for j, dist in branching.items())
+        return exact_weighted_sum(terms) / n[tree.root]
     total = 0.0
     for j, dist in branching.items():
         total = total + q[j] * inner(j, dist)
@@ -164,9 +177,9 @@ def branch_sum(
 
 
 def mass_logs(tree: Tree) -> dict[NodeId, dict[int, int]]:
-    """The prime exponents of Q_v (``numeric.log2_exponents``) per node of an
-    exact tree: log2 Q_v in the form ``log_increment_sum`` takes."""
-    return {v: log2_exponents(m) for v, m in tree.node_mass.items()}
+    """The prime exponents of n_v (``numeric.log2_exponents``) per node of an
+    exact tree: log2 Q_v + log2 D in the form ``log_increment_sum`` takes."""
+    return {v: log2_exponents(m) for v, m in tree.mass_numerators.items()}
 
 
 def log_increment_sum(
@@ -179,13 +192,14 @@ def log_increment_sum(
 
     f(v) is the sum of s * log2 R(v) over the (s, lam) pairs of
     ``node_logs``: s is +1 or -1 and lam(v) holds the prime exponents of
-    the positive rational R(v).  ``label_logs`` maps an edge label a to the
-    exponents of a rational r_a, and adds log2 r_a to the increment
-    f(c) - f(j) of every child c reached by an a-edge.
+    the positive rational R(v); a constant added to f changes no increment.
+    ``label_logs`` maps an edge label a to the exponents of a rational r_a,
+    and adds log2 r_a to the increment f(c) - f(j) of every child c reached
+    by an a-edge.
 
-    With D the lcm of the leaf-mass denominators, every Q_v is n_v / D for
-    an integer n_v, and n_j is the sum of its children's n_c.  So the sum
-    is (1/D) times the integer combination
+    With the tree's integer table Q_v = n_v / D (``Tree.mass_numerators``),
+    n_j is the sum of its children's n_c.  So the sum is (1/D) times the
+    integer combination
 
         sum over j of [sum over children c of n_c f(c)] - n_j f(j)
         + sum over labels a of W_a log2 r_a,   W_a = sum of n_c over a-edges,
@@ -197,11 +211,7 @@ def log_increment_sum(
     children = tree.children
     if not children[tree.root]:
         return Fraction(0)
-    d = math.lcm(*(m.denominator for m in tree.leaf_mass.values()))
-    n = {}
-    for v, m in tree.node_mass.items():
-        num, den = m.as_integer_ratio()
-        n[v] = num * (d // den)
+    n = tree.mass_numerators
     weights = dict.fromkeys(label_logs or (), 0)
 
     def terms():
@@ -219,7 +229,7 @@ def log_increment_sum(
         for a, w in weights.items():
             yield w, label_logs[a]
 
-    return exact_log2_sum(terms(), d)
+    return exact_log2_sum(terms(), n[tree.root])
 
 
 def _merge_order(tree: Tree) -> list[NodeId]:
@@ -229,42 +239,42 @@ def _merge_order(tree: Tree) -> list[NodeId]:
     return sorted(tree.branching_nodes, key=lambda j: (-depth[j], index[j]))
 
 
-def _exact_mean_increment(
-    tree: Tree, f: NodeFunctional, j: NodeId, mass, qj
-) -> object:
-    """E[delta_f(S_j)], the sum over children c of (mass_c / Q_j)(f(c) - f(j)),
-    folded as the sum of w_c f(c) less (sum of w_c) f(j): the same number."""
-    weights = [(mass[child] / qj, f[child]) for _, child in tree.children[j]]
-    weights.append((-sum(w for w, _ in weights), f[j]))
-    return exact_weighted_sum(weights)
+def _increments(tree: Tree, f: NodeFunctional, j: NodeId, n, nj) -> Iterator:
+    """D Q_j E[delta_f(S_j)] as exact (weight, value) terms: (n_c, f(c)) for
+    each child c of j, then (-n_j, f(j)), since n_j is the sum of the n_c."""
+    yield from ((n[child], f[child]) for _, child in tree.children[j])
+    yield -nj, f[j]
 
 
 def _merged_terms(
     tree: Tree, f: NodeFunctional, exact: bool
 ) -> Iterator[tuple[object, object]]:
-    """Yield (Q_j, E[delta_f(S_j)]) by the leaf-merging contraction.
+    """Yield the node side's (weight, value) terms by the leaf-merging
+    contraction.
 
     Maintains the current leaf masses of the progressively contracted tree:
     each step recomputes Q_j from the masses of j's current children (all of
     which are leaves by the deepest-first order), then replaces the sibling
-    set by j itself carrying mass Q_j.
+    set by j itself carrying mass Q_j.  Float mode yields (Q_j,
+    E[delta_f(S_j)]); exact mode holds the integers n of Q = n / D and
+    yields the ``_increments`` of j.
     """
-    mass = dict(tree.leaf_mass)
+    mass = dict(tree.mass_numerators if exact else tree.leaf_mass)
     for j in _merge_order(tree):
         kids = tree.children[j]
         qj = mass[kids[0][1]]
         for _, child in kids[1:]:
             qj = qj + mass[child]
         if exact:
-            inner = _exact_mean_increment(tree, f, j, mass, qj)
+            yield from _increments(tree, f, j, mass, qj)
         else:
             inner = 0
             for _, child in kids:
                 inner = inner + (mass[child] / qj) * (f[child] - f[j])
+            yield qj, inner
         for _, child in kids:
             del mass[child]
         mass[j] = qj
-        yield qj, inner
 
 
 def merged_increment_sum(tree: Tree, f: NodeFunctional) -> object:
@@ -272,7 +282,7 @@ def merged_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     exact = _exact_functional(tree, f)
     terms = _merged_terms(tree, f, exact)
     if exact:
-        return exact_weighted_sum(terms)
+        return exact_weighted_sum(terms) / tree.mass_numerators[tree.root]
     total = 0
     for qj, inner in terms:
         total = total + qj * inner
@@ -284,13 +294,14 @@ def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
 
     Walks branching nodes in the same order as the merging evaluation and
     performs the same divisions and additions, so the two results are
-    identical, not merely close.
+    identical, not merely close.  An exact sum reads n_j from the tree's
+    integer table where the contraction sums it.
     """
-    q = node_probabilities(tree)
     if _exact_functional(tree, f):
-        return exact_weighted_sum(
-            (q[j], _exact_mean_increment(tree, f, j, q, q[j])) for j in _merge_order(tree)
-        )
+        n = tree.mass_numerators
+        terms = (t for j in _merge_order(tree) for t in _increments(tree, f, j, n, n[j]))
+        return exact_weighted_sum(terms) / n[tree.root]
+    q = node_probabilities(tree)
     total = 0
     for j in _merge_order(tree):
         qj = q[j]
@@ -397,8 +408,8 @@ def aligned_divergence(
         return math.inf
     if p.exact and q.exact:
         # increments of f = log2(Q / Q'), Q' read at the aligned node
-        qq = q.node_mass
-        ref_logs = {v: log2_exponents(qq[mapping[v]]) for v in p.nodes}
+        qn = q.mass_numerators
+        ref_logs = {v: log2_exponents(qn[mapping[v]]) for v in p.nodes}
         return log_increment_sum(p, [(1, mass_logs(p)), (-1, ref_logs)])
     ref = branching_distributions(q)
 

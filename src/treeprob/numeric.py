@@ -27,11 +27,16 @@ running map on each addition.  Where every weight is an integer n over
 one common denominator D and every logarithm is log2 of a rational, the
 fold needs no Fraction at all: ``log2_exponents`` gives the integer
 exponent map of each rational, ``exact_log2_sum`` adds n times those
-integers per prime and divides each total by D once.  The identities
-module sums leaf entropy and divergences this way.  Since the map is
-canonical, either fold equals the chained sum under ``==``.  Float sums
-keep their left-to-right ``total + term`` order, so float results do not
-depend on this.
+integers per prime and divides each total by D once.  An exact tree keeps
+such integers for every node mass, Q_v = n_v / D (``Tree.mass_numerators``),
+and the identities module sums leaf entropy, divergences and the Lansit
+node side over them.  Since the map is canonical, either fold equals the
+chained sum under ``==``.
+
+Both folds take exact terms only.  Whether a sum mixing an exact tree with
+float values is exact is decided once by its caller, which otherwise takes
+the float sum.  Float sums keep their left-to-right ``total + term`` order,
+so float results do not depend on any of this.
 """
 
 from __future__ import annotations
@@ -99,7 +104,9 @@ class ExactLog2:
 
     Ordering is exact: a float comparison with a rigorous rounding-error
     bound decides well-separated values, and near-ties fall back to comparing
-    the integer powers prod p^(c_p * lcm) directly.
+    the integer powers prod p^(c_p * lcm) directly.  No package code orders
+    these values; ordering serves tests (nonnegativity asserts) and the
+    benchmark's tracer, which wraps the comparisons and ``__abs__`` by name.
     """
 
     __slots__ = ("_coef",)
@@ -291,7 +298,7 @@ def parse_rational(text: str) -> Fraction:
 def log2_exponents(x: Rational) -> dict[int, int]:
     """The signed prime exponents {p: e_p} of a positive rational x, so that
     log2 x is the sum of e_p * log2(p); a new dict the caller may change."""
-    if type(x) is not Fraction:
+    if type(x) not in (int, Fraction):
         x = Fraction(x)
     num, den = x.as_integer_ratio()
     if num <= 0:
@@ -375,46 +382,28 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
     return total
 
 
-def exact_weighted_sum(pairs: Iterable) -> Scalar:
+def exact_weighted_sum(pairs: Iterable) -> Fraction | ExactLog2:
     """The sum of w * v over (w, v) pairs, for rational w and v a rational
     or an ExactLog2, folded into one coefficient map.
 
     Returns a Fraction when no v is an ExactLog2 (Fraction(0) for no
     pairs) and an ExactLog2 otherwise, equal under ``==`` to the chained
     sum ``Fraction(0) + w1 * v1 + w2 * v2 + ...``.  The inputs' coefficient
-    maps are read, never changed or shared.
-
-    A pair holding anything else, such as a float from a mixed-mode caller,
-    ends the fold: the sum so far joins that term and the rest as
-    ``total = total + w * v`` from left to right, which is the chained sum
-    itself, float rounding and TypeErrors included.
+    maps are read, never changed or shared.  Every term must be exact: a
+    caller whose terms may be floats takes the chained float sum instead.
     """
     rational = Fraction(0)
     coef: dict[int, Fraction] = {}
     has_log = False
-    pairs = iter(pairs)
     for w, v in pairs:
-        if isinstance(w, (int, Fraction)):
-            if isinstance(v, ExactLog2):
-                has_log = True
-                for p, c in v._coef.items():
-                    c = w * c
-                    coef[p] = coef[p] + c if p in coef else c
-                continue
-            if isinstance(v, (int, Fraction)):
-                rational += w * v
-                continue
-        total = _folded(rational, coef, has_log) + w * v
-        for w, v in pairs:
-            total = total + w * v
-        return total
-    return _folded(rational, coef, has_log)
-
-
-def _folded(rational: Fraction, coef: dict[int, Fraction], has_log: bool) -> Scalar:
-    """The value of a fold: ``rational`` alone, or with ``coef`` an ExactLog2."""
+        if isinstance(v, ExactLog2):
+            has_log = True
+            for p, c in v._coef.items():
+                c = w * c
+                coef[p] = coef[p] + c if p in coef else c
+        else:
+            rational += w * v
     if not has_log:
         return rational
-    if rational:
-        coef[2] = coef[2] + rational if 2 in coef else rational
+    coef[2] = coef.get(2, 0) + rational
     return ExactLog2(coef)

@@ -65,7 +65,9 @@ class Tree:
 
     The derived maps ``node_mass`` (Q), ``branching`` (P_{S_j}) and
     ``depths``, and the mean path length ``mean_length`` (E[w(L)]), are
-    computed on first use and then kept; callers must not mutate them.
+    computed on first use and then kept; callers must not mutate them.  An
+    exact tree derives Q and E[w(L)] from one integer table,
+    ``mass_numerators``.
     """
 
     root: NodeId
@@ -100,20 +102,35 @@ class Tree:
     def depth_of(self, node: NodeId) -> int:
         return self.depths[node]
 
-    @cached_property
-    def node_mass(self) -> dict[NodeId, Fraction | float]:
-        """Q: leaf mass summed below each node, children in stored order."""
-        q: dict[NodeId, Fraction | float] = {}
+    def _sums_below(self, leaf_values: Mapping[NodeId, object]) -> dict[NodeId, object]:
+        """Each node's sum of ``leaf_values`` below it, children in stored order."""
+        sums: dict[NodeId, object] = {}
         for node in reversed(self.nodes):
             kids = self.children[node]
             if kids:
-                total = q[kids[0][1]]
+                total = sums[kids[0][1]]
                 for _, child in kids[1:]:
-                    total = total + q[child]
-                q[node] = total
+                    total = total + sums[child]
+                sums[node] = total
             else:
-                q[node] = self.leaf_mass[node]
-        return q
+                sums[node] = leaf_values[node]
+        return sums
+
+    @cached_property
+    def mass_numerators(self) -> dict[NodeId, int]:
+        """n, for an exact tree: Q_v = n_v / D with the integer D = n[root],
+        the lcm of the leaf-mass denominators."""
+        leaves = self.leaf_mass.items()
+        d = math.lcm(*(m.denominator for _, m in leaves))
+        return self._sums_below({v: m.numerator * d // m.denominator for v, m in leaves})
+
+    @cached_property
+    def node_mass(self) -> dict[NodeId, Fraction | float]:
+        """Q: leaf mass summed below each node; n_v / D on an exact tree."""
+        if self.exact:
+            n = self.mass_numerators
+            return {v: Fraction(m, n[self.root]) for v, m in n.items()}
+        return self._sums_below(self.leaf_mass)
 
     @cached_property
     def branching(self) -> dict[NodeId, dict[Label, Fraction | float]]:
@@ -132,7 +149,7 @@ class Tree:
         Starts from a zero of the tree's mode, so a bare root yields 0.
         """
         total = Fraction(0) if self.exact else 0.0
-        for j in self.branching:
+        for j in self.branching_nodes:
             total = total + self.node_mass[j]
         return total
 
@@ -184,24 +201,25 @@ def build_tree(
     (any float mass means float mode).
     """
     edges = list(edges)
-    children: dict[NodeId, list[tuple[Label, NodeId]]] = {}
+    # children by label, in the order their edges came
+    children: dict[NodeId, dict[Label, NodeId]] = {}
     parent_edge: dict[NodeId, tuple[NodeId, Label]] = {}
     for parent, label, child in edges:
         if child in parent_edge:
             raise MultipleParents(f"node {child!r} has more than one parent")
-        if any(lab == label for lab, _ in children.get(parent, ())):
+        if label in children.get(parent, ()):
             raise DuplicateSiblingLabel(
                 f"node {parent!r} has two children labeled {label!r}"
             )
         parent_edge[child] = (parent, label)
-        children.setdefault(parent, []).append((label, child))
-        children.setdefault(child, [])
+        children.setdefault(parent, {})[label] = child
+        children.setdefault(child, {})
 
     all_nodes = set(children) | set(leaf_mass)
     if not all_nodes:
         raise ParamsInvalid("empty tree: no edges and no leaf masses")
     for node in leaf_mass:
-        children.setdefault(node, [])
+        children.setdefault(node, {})
 
     roots = [n for n in all_nodes if n not in parent_edge]
     if not roots:
@@ -217,7 +235,7 @@ def build_tree(
     while stack:
         node = stack.pop()
         order.append(node)
-        stack.extend(child for _, child in reversed(children[node]))
+        stack.extend(reversed(children[node].values()))
     if len(order) != len(all_nodes):
         raise CycleDetected(
             f"{len(all_nodes) - len(order)} node(s) unreachable from root {root!r}"
@@ -249,14 +267,14 @@ def build_tree(
     for node in reversed(order):
         kids = children[node]
         if kids:
-            if any(child in keep for _, child in kids):
+            if any(child in keep for child in kids.values()):
                 keep.add(node)
         elif masses.get(node, 0) > 0:
             keep.add(node)
 
     preorder = tuple(node for node in order if node in keep)
     pruned_children = {
-        node: tuple((lab, c) for lab, c in children[node] if c in keep)
+        node: tuple((lab, c) for lab, c in children[node].items() if c in keep)
         for node in preorder
     }
     pruned_parent = {

@@ -83,15 +83,23 @@ def _beyond_float_range(node: NodeId) -> NonFiniteMass:
     return NonFiniteMass(f"leaf {node!r} has a mass beyond the float range")
 
 
-def parse_document(text: str) -> TreeDocument:
-    """Parse document text, reporting structural problems with locations."""
+def load_json(text: str):
+    """``json.loads``, raising ParseError for text it cannot read, including
+    text nested too deeply for its recursive decoder."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid document syntax at line {exc.lineno}, column {exc.colno}:"
             f" {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("document nested too deeply to parse") from exc
+
+
+def parse_document(text: str) -> TreeDocument:
+    """Parse document text, reporting structural problems with locations."""
+    raw = load_json(text)
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
     version = raw.get("version", FORMAT_VERSION)

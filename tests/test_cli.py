@@ -12,6 +12,7 @@ from corpus import corpus_tree, float_mirror
 from treeprob import (
     FiniteDistribution,
     ProductSpec,
+    Tree,
     approximation,
     generators,
     identities,
@@ -108,6 +109,14 @@ class TestValidate:
         assert code == 2
         assert report is None
         assert "error:" in err
+
+    def test_document_nested_too_deeply_is_an_input_error(self, tmp_path):
+        path = tmp_path / "deep.tree"
+        path.write_text("[" * 200_000 + "]" * 200_000, "utf-8")
+        code, report, _, err = invoke(["validate", str(path)])
+        assert code == 2
+        assert report is None
+        assert "ParseError" in err
 
 
 class TestAnalyze:
@@ -324,8 +333,8 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "value",
-        [None, [1], {"a": 1}, 10**400, math.inf, math.nan],
-        ids=["null", "list", "object", "huge", "inf", "nan"],
+        [None, [1], {"a": 1}, 10**400, math.inf, math.nan, True],
+        ids=["null", "list", "object", "huge", "inf", "nan", "true"],
     )
     def test_functional_file_value_that_is_no_finite_number_is_rejected(
         self, demo_file, tmp_path, value
@@ -336,6 +345,15 @@ class TestCheck:
         code, _, _, err = invoke(["check", demo_file, "--functional", str(path)])
         assert code == 2
         assert "error:" in err
+
+    def test_functional_file_nested_too_deeply_is_an_input_error(
+        self, demo_file, tmp_path
+    ):
+        path = tmp_path / "f.json"
+        path.write_text('{"0": ' + "[" * 200_000 + "]" * 200_000 + "}", "utf-8")
+        code, _, _, err = invoke(["check", demo_file, "--functional", str(path)])
+        assert code == 2
+        assert "ParseError" in err
 
     def test_functional_file_keys_name_string_and_integer_ids(self, tmp_path):
         # node ids 1 (integer) and "x" (string) are both named by JSON keys
@@ -529,6 +547,33 @@ class TestComputeOnce:
         code, _, _, _ = invoke([paths.get(arg, arg) for arg in argv])
         assert code == 0
         assert len(counted) == calls, counted
+
+    @pytest.mark.parametrize(
+        "argv, trees",
+        [
+            (["check", "P"], 1),
+            (["analyze", "P"], 1),
+            (["divergence", "P", "Q"], 2),
+            (["divergence", "P", "--product", "1/2,1/2"], 1),
+            (["sweep", "--target", "2/3,1/3", "--budgets", "4,16,64"], 3),
+        ],
+        ids=["check", "analyze", "divergence-tree", "divergence-product", "sweep"],
+    )
+    def test_mass_table_per_tree(self, monkeypatch, demo_file, demo_q_file, argv, trees):
+        built = []
+        table = vars(Tree)["mass_numerators"]
+        original = table.func
+
+        def counted(tree):
+            built.append(tree)
+            return original(tree)
+
+        monkeypatch.setattr(table, "func", counted)
+        paths = {"P": demo_file, "Q": demo_q_file}
+        code, _, _, _ = invoke([paths.get(arg, arg) for arg in argv])
+        assert code == 0
+        # the trees are kept alive in ``built``, so their ids are distinct
+        assert len({id(tree) for tree in built}) == len(built) == trees
 
 
 # Documents the mutations start from: exact and float, with and without

@@ -393,6 +393,21 @@ def exact_tree_triples(draw):
     return p, q, spec
 
 
+class TestMassTable:
+    @settings(deadline=None, max_examples=60)
+    @given(exact_tree_triples())
+    def test_integer_table_gives_the_node_masses(self, triple):
+        for tree in triple[:2]:
+            n = tree.mass_numerators
+            d = n[tree.root]
+            assert d == math.lcm(*(m.denominator for m in tree.leaf_mass.values()))
+            for v in tree.nodes:
+                assert type(n[v]) is int
+                assert tree.node_mass[v] == Fraction(n[v], d)
+                if tree.children[v]:
+                    assert n[v] == sum(n[c] for _, c in tree.children[v])
+
+
 MATCHER_SPECS = [
     {0: Fraction(2, 3), 1: Fraction(1, 3)},
     {0: Fraction(1, 6), 1: Fraction(1, 2), 2: Fraction(1, 3)},

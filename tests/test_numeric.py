@@ -4,7 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeprob import FiniteDistribution, ProductSpec, grow_matcher_tree
+from corpus import corpus_tree, float_functional, float_mirror, random_distribution, remass
+from treeprob import (
+    BoundedFunctional,
+    FiniteDistribution,
+    ProductSpec,
+    build_tree,
+    entropy_functional,
+    functional_convergence_gap,
+    grow_matcher_tree,
+    lansit_check,
+    tree_divergence,
+    tree_pinsker_report,
+)
 from treeprob.approximation import product_branch_divergence
 from treeprob.identities import leaf_entropy
 from treeprob.numeric import (
@@ -210,17 +222,88 @@ class TestExactWeightedSum:
         assert type(exact_weighted_sum([])) is Fraction
         assert exact_weighted_sum([]) == 0
 
-    def test_float_term_continues_as_the_chained_float_sum(self):
-        pairs = [(Fraction(1, 3), Fraction(1, 7)), (Fraction(1, 5), 0.1), (2, 0.3)]
-        chained = Fraction(0)
-        for w, v in pairs:
-            chained = chained + w * v
-        assert exact_weighted_sum(pairs) == chained
-        assert type(exact_weighted_sum(pairs)) is float
 
-    def test_float_after_log_term_raises_like_the_chained_sum(self):
-        with pytest.raises(TypeError):
-            exact_weighted_sum([(1, ExactLog2.log2(3)), (1, 0.5)])
+
+class TestMixedModeSums:
+    """Library calls that mix an exact tree with a float tree, a float spec,
+    a float functional or a float-valued g.  Each caller decides once
+    whether its sum is exact; the results are pinned as float hex, so a
+    change of summation mode or order shows."""
+
+    P = corpus_tree(9)
+    Q = float_mirror(remass(P, 9))
+    LABELS = P.label_alphabet
+    SPEC = ProductSpec(FiniteDistribution(random_distribution(LABELS, 11)))
+    FLOAT_SPEC = ProductSpec(
+        FiniteDistribution(random_distribution(LABELS, 11, exact=False), exact=False)
+    )
+
+    @staticmethod
+    def pinsker(reference):
+        report = tree_pinsker_report(TestMixedModeSums.P, reference)
+        return [report.divergence, report.mean_distance, report.mean_sq_distance,
+                *report.tail.values()]
+
+    @pytest.mark.parametrize(
+        "compute, pinned",
+        [
+            (lambda c: tree_divergence(c.P, c.Q), ["0x1.fa3db4e604da7p-2"]),
+            (lambda c: tree_divergence(c.Q, c.P), ["0x1.5fb5e30a500a7p-2"]),
+            (
+                lambda c: c.pinsker(c.Q),
+                ["0x1.fa3db4e604da7p-2", "0x1.4a21ef9bc29fap-2", "0x1.74005256c1087p-3",
+                 "0x1.5e0d30fffa285p-1", "0x1.5e0d30fffa285p-1", "0x1.a391a160be9d1p-4",
+                 "0x0.0p+0"],
+            ),
+            # a bare float root enters no distance, so the averages stay exact
+            (
+                lambda c: c.pinsker(build_tree([], {0: 1.0}, exact=False)),
+                ["inf"] + ["0x1.0000000000000p+0"] * 6,
+            ),
+            (
+                lambda c: product_branch_divergence(c.P, c.FLOAT_SPEC),
+                ["0x1.9681ff861c276p+1"],
+            ),
+            (
+                lambda c: c.pinsker(c.FLOAT_SPEC),
+                ["0x1.9681ff861c276p+1", "0x1.d4fe37ee6694fp-1", "0x1.f404fb44f4b3cp-1",
+                 "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d04d0c7be16b0p-1",
+                 "0x1.43e59e000baf6p-2"],
+            ),
+            (
+                lambda c: functional_convergence_gap(
+                    c.P, c.SPEC, BoundedFunctional(lambda d: float(d.entropy()), 2.0)
+                ),
+                ["0x1.8c7e9617f3fc5p-1"],
+            ),
+            (
+                lambda c: functional_convergence_gap(
+                    c.P, c.FLOAT_SPEC, entropy_functional(c.LABELS)
+                ),
+                ["0x1.8c7e9617f3fc7p-1"],
+            ),
+            (
+                lambda c: lansit_check(c.P, float_functional(c.P, 6)).node_side,
+                ["-0x1.e818e5148955ap-2"],
+            ),
+        ],
+        ids=[
+            "divergence-exact-float",
+            "divergence-float-exact",
+            "pinsker-float-tree",
+            "pinsker-float-bare-root",
+            "product-divergence-float-spec",
+            "pinsker-float-spec",
+            "gap-float-g",
+            "gap-float-spec",
+            "lansit-float-functional",
+        ],
+    )
+    def test_float_bits_are_pinned(self, compute, pinned):
+        value = compute(TestMixedModeSums)
+        values = value if isinstance(value, list) else [value]
+        assert all(type(v) is float for v in values)
+        assert [v.hex() for v in values] == pinned
 
 
 class TestExactConstructionCount:

@@ -67,6 +67,15 @@ class TestBuildTree:
         assert t.leaves == (7,)
         assert t.branching_nodes == ()
 
+    def test_wide_star_is_linear(self):
+        width = 16_000
+        edges = [(0, i, i + 1) for i in range(width)]
+        start = time.perf_counter()
+        tree = build_tree(edges, {i + 1: Fraction(1, width) for i in range(width)})
+        assert len(tree.children[0]) == width
+        # a sibling-label check that scans the child list takes several seconds here
+        assert time.perf_counter() - start < 1.0
+
     def test_empty_input_rejected(self):
         with pytest.raises(ParamsInvalid):
             build_tree([], {})
@@ -80,7 +89,7 @@ class TestValidationErrors:
 
     def test_duplicate_sibling_label(self):
         edges = [(0, "a", 1), (0, "a", 2)]
-        with pytest.raises(DuplicateSiblingLabel):
+        with pytest.raises(DuplicateSiblingLabel, match="node 0 has two children labeled 'a'"):
             build_tree(edges, {1: half, 2: half})
 
     def test_two_roots(self):
@@ -173,6 +182,11 @@ class TestNodeProbabilities:
             expected_path_length,
         ):
             assert derive(demo_tree) is derive(demo_tree)
+
+    def test_mean_length_does_not_build_branching_distributions(self, demo_tree, demo_tree_float):
+        for tree in (demo_tree, demo_tree_float):
+            assert tree.mean_length == Fraction(5, 2)
+            assert "branching" not in vars(tree)
 
     def test_child_sums_exact(self):
         for i in range(20):

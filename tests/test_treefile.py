@@ -87,6 +87,10 @@ class TestParseDocument:
         with pytest.raises(ParseError, match="JSON object"):
             parse_document("[1, 2]")
 
+    def test_nesting_too_deep_to_parse_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_document("[" * 200_000 + "]" * 200_000)
+
     @pytest.mark.parametrize("missing", ["root", "edges", "leaf_mass"])
     def test_missing_required_field(self, missing):
         raw = {
