@@ -41,7 +41,10 @@ children c of Q_c (f(c) - f(j)) for the f above, and
 ``log_increment_sum`` adds those increments as integer multiples n_c of
 prime-exponent maps and divides by D once.  The weights of each
 increment sum to zero (n_j is the sum of the n_c), so a constant added to
-f cancels, and log2 Q_v enters as log2 n_v.  The result equals the per-branch sum of ``entropy_of`` or
+f cancels.  log2 Q_v is factored from the reduced Q_v all the same, not
+from n_v: n_root = D may hold two large primes that no reduced mass holds
+together, and trial division of their product costs about the smaller
+one.  The result equals the per-branch sum of ``entropy_of`` or
 ``kl_of`` terms, type included.
 
 Each normalized, per-branch form is its unnormalized value divided by
@@ -177,9 +180,9 @@ def branch_sum(
 
 
 def mass_logs(tree: Tree) -> dict[NodeId, dict[int, int]]:
-    """The prime exponents of n_v (``numeric.log2_exponents``) per node of an
-    exact tree: log2 Q_v + log2 D in the form ``log_increment_sum`` takes."""
-    return {v: log2_exponents(m) for v, m in tree.mass_numerators.items()}
+    """The prime exponents of Q_v (``numeric.log2_exponents``) per node of an
+    exact tree: log2 Q_v in the form ``log_increment_sum`` takes."""
+    return {v: log2_exponents(m) for v, m in tree.node_mass.items()}
 
 
 def log_increment_sum(
@@ -259,7 +262,9 @@ def _merged_terms(
     E[delta_f(S_j)]); exact mode holds the integers n of Q = n / D and
     yields the ``_increments`` of j.
     """
-    mass = dict(tree.mass_numerators if exact else tree.leaf_mass)
+    # leaves only: each internal Q_j, or n_j in exact mode, is rebuilt below
+    n = tree.mass_numerators if exact else tree.leaf_mass
+    mass = {v: n[v] for v in tree.leaf_mass}
     for j in _merge_order(tree):
         kids = tree.children[j]
         qj = mass[kids[0][1]]
@@ -408,8 +413,7 @@ def aligned_divergence(
         return math.inf
     if p.exact and q.exact:
         # increments of f = log2(Q / Q'), Q' read at the aligned node
-        qn = q.mass_numerators
-        ref_logs = {v: log2_exponents(qn[mapping[v]]) for v in p.nodes}
+        ref_logs = {v: log2_exponents(q.node_mass[mapping[v]]) for v in p.nodes}
         return log_increment_sum(p, [(1, mass_logs(p)), (-1, ref_logs)])
     ref = branching_distributions(q)
 

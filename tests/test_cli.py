@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from treeprob import (
     approximation,
     generators,
     identities,
+    numeric,
     product_branch_divergence,
     run_cli,
 )
@@ -574,6 +576,61 @@ class TestComputeOnce:
         assert code == 0
         # the trees are kept alive in ``built``, so their ids are distinct
         assert len({id(tree) for tree in built}) == len(built) == trees
+
+
+class TestLargePrimeMasses:
+    """Exact requests factor reduced node masses, never the common
+    denominator D of the integer mass table.
+
+    The leaves 1/2p, (p-1)/2p, 1/2q, (q-1)/2q with primes p, q near 10^9
+    make D = 2pq.  Trial division finds p in about p/3 steps, minutes of
+    work, while each reduced mass holds p or q alone and factors in
+    milliseconds.
+    """
+
+    P, Q = 1000000007, 998244353
+
+    def star(self, tmp_path, name, masses):
+        labels = "abcd"
+        document = {
+            "version": "1",
+            "root": 0,
+            "edges": [[0, a, i + 1] for i, a in enumerate(labels)],
+            "leaf_mass": [[i + 1, m] for i, m in enumerate(masses)],
+            "metadata": {},
+        }
+        path = tmp_path / name
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_requests_never_factor_d(self, monkeypatch, tmp_path):
+        p, q = self.P, self.Q
+        masses = [f"1/{2 * p}", f"{p - 1}/{2 * p}", f"1/{2 * q}", f"{q - 1}/{2 * q}"]
+        tree_p = self.star(tmp_path, "p.tree", masses)
+        tree_q = self.star(tmp_path, "q.tree", [masses[i] for i in (1, 0, 3, 2)])
+        target = ",".join(masses)
+        factorize = numeric._factorize
+        factored = []
+
+        def guarded(n):
+            assert n % (p * q), f"factoring {n}, a multiple of pq"
+            factored.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(numeric, "_factorize", guarded)
+        start = time.perf_counter()
+        for argv in (
+            ["analyze", tree_p],
+            ["check", tree_p],
+            ["divergence", tree_p, tree_q],
+            ["divergence", tree_p, "--product", target],
+            ["sweep", "--target", target, "--budgets", "4,16"],
+        ):
+            code, _, _, err = invoke(argv)
+            assert code == 0, (argv, err)
+        assert time.perf_counter() - start < 5.0
+        assert any(n % p == 0 for n in factored)
+        assert any(n % q == 0 for n in factored)
 
 
 # Documents the mutations start from: exact and float, with and without
