@@ -36,11 +36,10 @@ from .identities import (
     aligned_divergence,
     branch_sum,
     entropy_rate,
-    log_increment_sum,
-    mass_logs,
+    leaf_log_sum,
     normalizer,
 )
-from .numeric import entropy_of, kl_of, kl_term, log2_exponents
+from .numeric import entropy_of, kl_of, kl_term
 from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, label_order
 
 __all__ = [
@@ -218,10 +217,10 @@ def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
 
     P+ is not normalized on non-complete shapes.  Agrees with the
     branch-sum form ``product_branch_divergence``, and stays as its
-    leaf-side oracle.  In float mode the product masses P+ of deep leaves
-    underflow (to subnormals, then to 0.0), so this sum turns infinite or
-    divides by zero where the branch-sum form, which never forms P+, stays
-    accurate; the CLI reports the branch-sum form.
+    leaf-side oracle.  With a float spec the product masses P+ of deep
+    leaves underflow (to subnormals, then to 0.0), so this sum loses
+    precision and then turns infinite where the branch-sum form, which never
+    forms P+, stays accurate; the CLI reports the branch-sum form.
     """
     qplus = product_node_probabilities(tree, spec)
     exact = tree.exact and spec.exact
@@ -234,17 +233,16 @@ def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
 def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
     """Same divergence as a Q-weighted sum of per-node divergences to the spec.
 
-    Exact mode sums the increments of f = log2(Q / Q+) in integers
-    (``identities.log_increment_sum``): the increment at child c of j is
-    log2(Q_c / Q_j) - log2 s_a for its edge label a, and the s_a terms
-    gather into one weight per label.
+    Exact mode folds the telescoped sum over leaves in integers
+    (``identities.leaf_log_sum``): f = log2(Q / Q+) is log2 Q_l less the
+    log2 s_a of each edge on the leaf's path, and the s_a terms gather into
+    one weight per label.  Only leaf and spec masses are factored.
     """
     _require_alphabet(tree, spec)
     base = spec.base.mass
     if tree.exact and spec.exact:
-        # increments of f = log2(Q / Q+): log2(Q_c / Q_j) - log2 s_{label(c)}
-        label_logs = {lab: log2_exponents(1 / m) for lab, m in base.items()}
-        return log_increment_sum(tree, [(1, mass_logs(tree))], label_logs)
+        ratios = {lab: 1 / m for lab, m in base.items()}
+        return leaf_log_sum(tree, [(1, tree.leaf_mass)], ratios)
     return branch_sum(
         tree,
         lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), False),

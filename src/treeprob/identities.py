@@ -37,15 +37,12 @@ takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
 
 In exact mode the three log-valued sums are not taken per branch: Q_j
 times the entropy or divergence at j is the increment sum over j's
-children c of Q_c (f(c) - f(j)) for the f above, and
-``log_increment_sum`` adds those increments as integer multiples n_c of
-prime-exponent maps and divides by D once.  The weights of each
-increment sum to zero (n_j is the sum of the n_c), so a constant added to
-f cancels.  log2 Q_v is factored from the reduced Q_v all the same, not
-from n_v: n_root = D may hold two large primes that no reduced mass holds
-together, and trial division of their product costs about the smaller
-one.  The result equals the per-branch sum of ``entropy_of`` or
-``kl_of`` terms, type included.
+children c of Q_c (f(c) - f(j)) for the f above.  Summed over j, the
+increments telescope to the leaf side E[f(L)] - f(root), with f(root) = 0,
+so ``leaf_log_sum`` adds n_l times the prime-exponent map of f at each
+leaf l and divides by D once.  Only leaf masses (and the product's branch
+masses) are factored, never an internal Q_j.  The result equals the
+per-branch sum of ``entropy_of`` or ``kl_of`` terms, type included.
 
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
@@ -179,60 +176,47 @@ def branch_sum(
     return total
 
 
-def mass_logs(tree: Tree) -> dict[NodeId, dict[int, int]]:
-    """The prime exponents of Q_v (``numeric.log2_exponents``) per node of an
-    exact tree: log2 Q_v in the form ``log_increment_sum`` takes."""
-    return {v: log2_exponents(m) for v, m in tree.node_mass.items()}
-
-
-def log_increment_sum(
+def leaf_log_sum(
     tree: Tree,
-    node_logs: Sequence[tuple[int, Mapping[NodeId, Mapping[int, int]]]],
-    label_logs: Mapping[Label, Mapping[int, int]] | None = None,
+    leaf_ratios: Sequence[tuple[int, Mapping[NodeId, Fraction]]],
+    label_ratios: Mapping[Label, Fraction] | None = None,
 ) -> object:
     """Sum over branching j of Q_j E[f(S_j) - f(j)] for an exact tree and a
-    functional f valued in logarithms of rationals, in integer arithmetic.
+    functional f valued in logarithms of rationals with f(root) = 0, in
+    integer arithmetic over the leaves alone.
 
-    f(v) is the sum of s * log2 R(v) over the (s, lam) pairs of
-    ``node_logs``: s is +1 or -1 and lam(v) holds the prime exponents of
-    the positive rational R(v); a constant added to f changes no increment.
-    ``label_logs`` maps an edge label a to the exponents of a rational r_a,
-    and adds log2 r_a to the increment f(c) - f(j) of every child c reached
-    by an a-edge.
+    f(leaf) is the sum of s * log2 R(leaf) over the (s, R) pairs of
+    ``leaf_ratios``: s is +1 or -1 and R maps each leaf to a positive
+    rational.  ``label_ratios`` maps an edge label a to a positive rational
+    r_a, and adds log2 r_a to f(leaf) once for each a-edge on the leaf's
+    path.
 
-    With the tree's integer table Q_v = n_v / D (``Tree.mass_numerators``),
-    n_j is the sum of its children's n_c.  So the sum is (1/D) times the
-    integer combination
+    The increments telescope to the leaf side E[f(L)] - f(root).  With the
+    tree's integer table Q_v = n_v / D (``Tree.mass_numerators``), that is
+    (1/D) times the integer combination
 
-        sum over j of [sum over children c of n_c f(c)] - n_j f(j)
-        + sum over labels a of W_a log2 r_a,   W_a = sum of n_c over a-edges,
+        sum over leaves l of n_l f(l)
+        + sum over labels a of W_a log2 r_a,   W_a = sum of n_v over a-edges,
 
     and each prime's coefficient is an integer sum divided by D once
-    (``numeric.exact_log2_sum``).  A tree without branching nodes gives
+    (``numeric.exact_log2_sum``).  Only the R(leaf) and r_a are factored,
+    never an internal node mass.  A tree without branching nodes gives
     Fraction(0), the zero that ``branch_sum`` starts from.
     """
-    children = tree.children
-    if not children[tree.root]:
+    if not tree.children[tree.root]:
         return Fraction(0)
     n = tree.mass_numerators
-    weights = dict.fromkeys(label_logs or (), 0)
-
-    def terms():
-        for j in tree.nodes:
-            kids = children[j]
-            if not kids:
-                continue
-            for sign, lam in node_logs:
-                yield -sign * n[j], lam[j]
-                for _, c in kids:
-                    yield sign * n[c], lam[c]
-            if label_logs:
-                for a, c in kids:
-                    weights[a] += n[c]
-        for a, w in weights.items():
-            yield w, label_logs[a]
-
-    return exact_log2_sum(terms(), n[tree.root])
+    terms = [
+        (sign * n[leaf], log2_exponents(r))
+        for sign, ratios in leaf_ratios
+        for leaf, r in ratios.items()
+    ]
+    if label_ratios:
+        weights = dict.fromkeys(label_ratios, 0)
+        for v, (_, a) in tree.parent_edge.items():
+            weights[a] += n[v]
+        terms += [(w, log2_exponents(label_ratios[a])) for a, w in weights.items()]
+    return exact_log2_sum(terms, n[tree.root])
 
 
 def _merge_order(tree: Tree) -> list[NodeId]:
@@ -355,11 +339,11 @@ def leaf_entropy(tree: Tree) -> object:
 
     Equals the direct leaf-side entropy -sum of P_L log2 P_L; exact mode
     returns an ExactLog2 value for which that equality is literal.  Exact
-    mode sums the increments of f = -log2 Q, since Q_j H(P_{S_j}) is the
+    mode folds that leaf side, f = -log2 Q, since Q_j H(P_{S_j}) is the
     sum over children c of Q_c (log2 Q_j - log2 Q_c).
     """
     if tree.exact:
-        return log_increment_sum(tree, [(-1, mass_logs(tree))])
+        return leaf_log_sum(tree, [(-1, tree.leaf_mass)])
     return branch_sum(tree, lambda j, dist: entropy_of(dist.values(), False), False)
 
 
@@ -412,9 +396,10 @@ def aligned_divergence(
     if not covered:
         return math.inf
     if p.exact and q.exact:
-        # increments of f = log2(Q / Q'), Q' read at the aligned node
-        ref_logs = {v: log2_exponents(q.node_mass[mapping[v]]) for v in p.nodes}
-        return log_increment_sum(p, [(1, mass_logs(p)), (-1, ref_logs)])
+        # f = log2(Q / Q') at p's leaves; each aligns with a leaf of q, since
+        # q has no branch that p lacks
+        ref = {v: q.leaf_mass[mapping[v]] for v in p.leaf_mass}
+        return leaf_log_sum(p, [(1, p.leaf_mass), (-1, ref)])
     ref = branching_distributions(q)
 
     def inner(j, dist):

@@ -28,10 +28,11 @@ one common denominator D and every logarithm is log2 of a rational, the
 fold needs no Fraction at all: ``log2_exponents`` gives the integer
 exponent map of each rational, ``exact_log2_sum`` adds n times those
 integers per prime and divides each total by D once.  An exact tree keeps
-such integers for every node mass, Q_v = n_v / D (``Tree.mass_numerators``),
-and the identities module sums leaf entropy, divergences and the Lansit
-node side over them.  Since the map is canonical, either fold equals the
-chained sum under ``==``.
+such integers for every node mass, Q_v = n_v / D (``Tree.mass_numerators``).
+The identities module folds leaf entropy and both divergences over the
+leaves with them, so only leaf and product masses are factored, and sums
+the Lansit node side over them.  Since the map is canonical, either fold
+equals the chained sum under ``==``.
 
 Both folds take exact terms only.  Whether a sum mixing an exact tree with
 float values is exact is decided once by its caller, which otherwise takes
@@ -348,14 +349,27 @@ def entropy_of(masses: Iterable, exact: bool) -> Scalar:
 
 
 def kl_term(p, q, exact: bool) -> Scalar:
-    """The summand p*log2(p/q); zero when p = 0, +inf when p > 0 and q = 0."""
+    """The summand p*log2(p/q); zero when p = 0, +inf when p > 0 and q = 0.
+
+    A float quotient p/q past the float range (inf, 0.0, or a division by
+    a Fraction q that rounds to 0.0) gives no logarithm.  The summand is
+    then p * (log2 p - log2 q), taken from the exact integer ratios p = a/b
+    and q = c/d as log2(a d) - log2(b c), which stays finite.
+    """
     if not p:
         return Fraction(0) if exact else 0.0
     if not q:
         return math.inf
     if exact:
         return ExactLog2.log2(Fraction(p) / Fraction(q)) * Fraction(p)
-    return p * math.log2(p / q)
+    try:
+        term = p * math.log2(p / q)
+        if term != math.inf:
+            return term
+    except (ValueError, ZeroDivisionError):
+        pass
+    (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
+    return p * (math.log2(a * d) - math.log2(b * c))
 
 
 def kl_of(pairs: Iterable, exact: bool) -> Scalar:

@@ -4,8 +4,9 @@ A tree document is a JSON object with fields ``version`` (currently "1"),
 ``root``, ``edges`` (list of [parent, label, child]), ``leaf_mass`` (list
 of [leaf, mass] pairs; a JSON object keyed by leaf id is also accepted on
 input), and optional free-form ``metadata``.  JSON object keys are strings,
-so each key names the node id whose ``str()`` it is (key "1" names node 1);
-a key that two node ids print as, such as 0 and "0", is rejected.
+so each key names the node id whose ``str()`` it is (key "1" names node 1).
+Reports name nodes the same way, so two node ids that print alike, such as
+0 and "0", are rejected.
 
 A mass may be a rational string such as "1/4", "1", or "0.3" (parsed
 exactly), or a JSON number (parsed as a float).  The numeric mode follows
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -57,26 +59,28 @@ def _check_id(value, what: str):
     return value
 
 
+def _ids_by_name(ids: Iterable[NodeId]) -> dict[str, NodeId]:
+    """Each node id keyed by its str(); raises ParseError for two ids that
+    print alike, such as 0 and "0", since reports and JSON keys name nodes
+    by that string."""
+    names: dict[str, NodeId] = {}
+    for node in dict.fromkeys(ids):
+        other = names.setdefault(str(node), node)
+        if other != node:
+            raise ParseError(f"node ids {other!r} and {node!r} print alike")
+    return names
+
+
 def resolve_node_keys(
     obj: Mapping[str, object], ids: Iterable[NodeId]
 ) -> dict[NodeId, object]:
     """Re-key a JSON object by node id: each key names the id whose str() it is.
 
     A key that names none of ``ids`` stays as the string it is.  Raises
-    ParseError for a key that two ids print as, such as 0 and "0".
+    ParseError when two ids print alike, such as 0 and "0".
     """
-    by_key: dict[str, list[NodeId]] = {}
-    for node in dict.fromkeys(ids):
-        by_key.setdefault(str(node), []).append(node)
-    resolved: dict[NodeId, object] = {}
-    for key, value in obj.items():
-        nodes = by_key.get(key, [key])
-        if len(nodes) > 1:
-            raise ParseError(
-                f"key {key!r} names more than one node id: {nodes[0]!r}, {nodes[1]!r}"
-            )
-        resolved[nodes[0]] = value
-    return resolved
+    names = _ids_by_name(ids)
+    return {names.get(key, key): value for key, value in obj.items()}
 
 
 def _beyond_float_range(node: NodeId) -> NonFiniteMass:
@@ -126,9 +130,9 @@ def parse_document(text: str) -> TreeDocument:
             )
         )
     raw_mass = raw["leaf_mass"]
+    ids = [root, *map(itemgetter(0), edges), *map(itemgetter(2), edges)]
     pairs: list[tuple[NodeId, object]] = []
     if isinstance(raw_mass, dict):
-        ids = [root, *(node for parent, _, child in edges for node in (parent, child))]
         pairs = list(resolve_node_keys(raw_mass, ids).items())
     elif isinstance(raw_mass, list):
         for i, entry in enumerate(raw_mass):
@@ -137,6 +141,10 @@ def parse_document(text: str) -> TreeDocument:
                     f"leaf_mass entry {i} must be a [leaf, mass] pair, got {entry!r}"
                 )
             pairs.append((_check_id(entry[0], f"leaf_mass entry {i} leaf"), entry[1]))
+        ids += map(itemgetter(0), pairs)
+        # only an integer and a string id can print alike
+        if {int, str} <= set(map(type, ids)):
+            _ids_by_name(ids)
     else:
         raise ParseError("field 'leaf_mass' must be a list of pairs or an object")
     leaf_mass: list[tuple[NodeId, object]] = []

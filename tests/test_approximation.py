@@ -162,6 +162,17 @@ class TestPinskerCheck:
         assert check.distance == 2
         assert check.holds
 
+    def test_float_mass_ratio_past_the_float_range(self):
+        p = FiniteDistribution({"a": 0.5, "b": 0.5}, exact=False)
+        big = 10**400
+        for q in (
+            FiniteDistribution({"a": 1.0, "b": 1e-320}, exact=False),
+            FiniteDistribution({"a": Fraction(1, big), "b": Fraction(big - 1, big)}),
+        ):
+            check = pinsker_check(p, q)
+            assert math.isfinite(check.divergence)
+            assert check.holds
+
     def test_random_suite_never_violates(self):
         for i in range(200):
             labels = list(range(2 + i % 5))
@@ -234,6 +245,14 @@ class TestDivergenceToProduct:
         )
         assert divergence_to_product(matched, spec) == 0
         assert product_branch_divergence(matched, spec) == 0
+
+    def test_float_mass_ratio_past_the_float_range(self):
+        # P+ of leaf 1 is 1e-320, and 0.5 / 1e-320 overflows the float range
+        tree = build_tree([(0, 0, 1), (0, 1, 2)], {1: 0.5, 2: 0.5})
+        spec = ProductSpec(FiniteDistribution({0: 1e-320, 1: 1.0}, exact=False))
+        expected = 530.5085032126528
+        assert divergence_to_product(tree, spec) == pytest.approx(expected, rel=1e-12)
+        assert product_branch_divergence(tree, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative(self):
         for i in range(30):

@@ -2,8 +2,12 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -55,6 +59,13 @@ def caterpillar_document(depth):
     total = len(leaves) * (len(leaves) + 1) // 2
     masses = [[leaf, (i + 1) / total] for i, leaf in enumerate(leaves)]
     return json.dumps({"root": 0, "edges": edges, "leaf_mass": masses})
+
+
+def float_star(masses):
+    """A float document: root 0 with one leaf per mass, on labels 0, 1, ..."""
+    edges = [[0, i, i + 1] for i in range(len(masses))]
+    leaf_mass = [[i + 1, m] for i, m in enumerate(masses)]
+    return json.dumps({"root": 0, "edges": edges, "leaf_mass": leaf_mass})
 
 
 def invoke(argv):
@@ -148,6 +159,24 @@ class TestAnalyze:
         assert dist == {"0": 0.4, "1": 0.3, "3": 0.3}
         assert "branching_node_distribution[0] = 0.4" in out
 
+    def test_node_ids_that_print_alike_are_an_input_error(self, tmp_path):
+        # 0 and "0" would both be reported as branching node "0"
+        path = tmp_path / "alike.tree"
+        path.write_text(
+            json.dumps(
+                {
+                    "root": "r",
+                    "edges": [["r", "a", 0], ["r", "b", "0"], [0, "a", 1],
+                              [0, "b", 2], ["0", "a", 3], ["0", "b", 4]],
+                    "leaf_mass": [[leaf, "1/4"] for leaf in (1, 2, 3, 4)],
+                }
+            ),
+            "utf-8",
+        )
+        code, report, _, err = invoke(["analyze", "--json", str(path)])
+        assert (code, report) == (2, None)
+        assert "ParseError" in err
+
     def test_single_node_tree_omits_rate(self, tmp_path):
         path = tmp_path / "point.tree"
         path.write_text(
@@ -225,6 +254,31 @@ class TestDivergence:
         assert report.results["normalized_divergence"]["value"] == "inf"
         assert code == 0
         assert report.all_checks_pass()
+
+    @pytest.fixture
+    def halves_file(self, tmp_path):
+        path = tmp_path / "halves.tree"
+        path.write_text(float_star([0.5, 0.5]), "utf-8")
+        return str(path)
+
+    def test_float_mass_ratio_past_the_float_range(self, halves_file, tmp_path):
+        # 0.5 / 1e-320 overflows to inf, while its logarithm is about 1064
+        path = tmp_path / "tiny.tree"
+        path.write_text(float_star([1.0, 1e-320]), "utf-8")
+        code, report, _, err = invoke(["divergence", halves_file, str(path)])
+        assert (code, err) == (0, "")
+        value = report.results["divergence"]["value"]
+        assert value == pytest.approx(530.5085032126528, rel=1e-12)
+
+    def test_product_mass_below_the_float_range(self, halves_file):
+        # float(1/10^400) is 0.0, so the float quotient p / q divides by zero
+        big = 10**400
+        code, report, _, err = invoke(
+            ["divergence", halves_file, "--product", f"1/{big},{big - 1}/{big}"]
+        )
+        assert (code, err) == (0, "")
+        value = report.results["divergence"]["value"]
+        assert value == pytest.approx(663.3856189774724, rel=1e-12)
 
     def test_requires_exactly_one_reference(self, demo_file, demo_q_file):
         code, _, _, err = invoke(["divergence", demo_file])
@@ -496,6 +550,23 @@ class TestParsing:
         assert code == 2
 
 
+class TestModuleEntryPoint:
+    """``python -m treeprob`` exits with the code that run_cli returns."""
+
+    def test_exit_codes(self, tmp_path):
+        tests = Path(__file__).resolve().parent
+        malformed = tmp_path / "malformed.tree"
+        malformed.write_text('{"root": 0, "edges": [', "utf-8")
+        path = [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        for document, expected in ((tests / "golden" / "demo.tree", 0), (malformed, 2)):
+            done = subprocess.run(
+                [sys.executable, "-m", "treeprob", "validate", str(document)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == expected, done.stderr
+
+
 class TestComputeOnce:
     """Each request evaluates each branch sum once.
 
@@ -579,8 +650,8 @@ class TestComputeOnce:
 
 
 class TestLargePrimeMasses:
-    """Exact requests factor reduced node masses, never the common
-    denominator D of the integer mass table.
+    """Exact requests factor reduced masses, never the common denominator D
+    of the integer mass table.
 
     The leaves 1/2p, (p-1)/2p, 1/2q, (q-1)/2q with primes p, q near 10^9
     make D = 2pq.  Trial division finds p in about p/3 steps, minutes of
@@ -631,6 +702,46 @@ class TestLargePrimeMasses:
         assert time.perf_counter() - start < 5.0
         assert any(n % p == 0 for n in factored)
         assert any(n % q == 0 for n in factored)
+
+    def test_internal_prime_is_never_factored(self, monkeypatch, tmp_path):
+        """Every leaf mass is smooth, but the node above the leaves 3^30/2^140
+        and 5^37/2^140 has the mass (3^30 + 5^37)/2^140, whose odd part is the
+        26-digit prime 36379788071020075082648887.  The rest of 2^140 hangs
+        as power-of-two leaves down a 0/1 spine.  Entropy and both
+        divergences fold over leaves, so they factor leaf and spec masses
+        only."""
+        whole = 2**140
+        rest = whole - 3**30 - 5**37
+        edges, masses = [], []
+        spine = 0
+        for k in reversed(range(rest.bit_length())):
+            if rest >> k & 1:
+                edges += [[spine, 0, spine + 1], [spine, 1, spine + 2]]
+                masses.append([spine + 1, f"{2**k}/{whole}"])
+                spine += 2
+        edges += [[spine, 0, spine + 1], [spine, 1, spine + 2]]
+        masses += [[spine + 1, f"{3**30}/{whole}"], [spine + 2, f"{5**37}/{whole}"]]
+        path = tmp_path / "spine.tree"
+        path.write_text(json.dumps({"root": 0, "edges": edges, "leaf_mass": masses}))
+        allowed = set()
+        for m in [m for _, m in masses] + ["1/2", "2"]:
+            allowed.update(Fraction(m).as_integer_ratio())
+        factorize = numeric._factorize
+
+        def guarded(n):
+            assert n in allowed, f"factoring {n}, not a term of a leaf or spec mass"
+            return factorize(n)
+
+        monkeypatch.setattr(numeric, "_factorize", guarded)
+        start = time.perf_counter()
+        for argv in (
+            ["analyze", str(path)],
+            ["divergence", str(path), str(path)],
+            ["divergence", str(path), "--product", "1/2,1/2"],
+        ):
+            code, _, _, err = invoke(argv)
+            assert code == 0, (argv, err)
+        assert time.perf_counter() - start < 5.0
 
 
 # Documents the mutations start from: exact and float, with and without

@@ -416,9 +416,10 @@ MATCHER_SPECS = [
 
 
 class TestLogIncrementSum:
-    """Exact leaf entropy and both divergences, summed as integer increments
-    over one denominator, are the per-branch sums of entropy_of and kl_of,
-    value and type alike, and equal their leaf-side oracles."""
+    """Exact leaf entropy and both divergences, folded over the leaves in
+    integers over one denominator (the telescoped increment sums), are the
+    per-branch sums of entropy_of and kl_of, value and type alike, and equal
+    their leaf-side oracles."""
 
     @staticmethod
     def check(p, q, spec):

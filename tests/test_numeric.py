@@ -169,6 +169,20 @@ class TestModeHelpers:
         assert kl_term(Fraction(1, 2), Fraction(0), exact=True) == math.inf
         assert kl_term(0.0, 0.5, exact=False) == 0.0
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (0.5, 1e-320),  # p / q overflows to inf
+            (5e-324, 4.0),  # p / q underflows to 0.0
+            (0.5, Fraction(1, 10**400)),  # float(q) is 0.0
+        ],
+    )
+    def test_kl_term_past_the_float_range(self, p, q):
+        log_q = math.log2(q) if isinstance(q, float) else -400 * math.log2(10)
+        assert kl_term(p, q, exact=False) == pytest.approx(
+            p * (math.log2(p) - log_q), rel=1e-12
+        )
+
     def test_kl_of_short_circuits_on_infinity(self):
         pairs = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))]
         assert kl_of(pairs, exact=True) == math.inf

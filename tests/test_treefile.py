@@ -19,6 +19,7 @@ from treeprob import (
     structurally_equal,
     tree_to_document,
 )
+from treeprob.treefile import resolve_node_keys
 
 
 class TestParseDocument:
@@ -63,6 +64,29 @@ class TestParseDocument:
         )
         with pytest.raises(ParseError, match="'0'"):
             parse_document(text)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            # two edge ends
+            {"root": "r", "edges": [["r", "a", 0], ["r", "b", "0"]],
+             "leaf_mass": [[0, "1/2"], ["0", "1/2"]]},
+            # an edge end and a list-form leaf id
+            {"root": 0, "edges": [[0, "a", 1], [0, "b", 2]],
+             "leaf_mass": [[1, "1/2"], ["2", "1/2"]]},
+            # the root and an edge end
+            {"root": "0", "edges": [[0, "a", 1], [0, "b", 2]],
+             "leaf_mass": [[1, "1/2"], [2, "1/2"]]},
+        ],
+        ids=["edges", "leaf", "root"],
+    )
+    def test_node_ids_that_print_alike_are_rejected(self, document):
+        with pytest.raises(ParseError, match="print alike"):
+            parse_document(json.dumps(document))
+
+    def test_resolve_key_naming_two_ids_is_rejected(self):
+        with pytest.raises(ParseError, match="'0'"):
+            resolve_node_keys({"0": "1"}, [0, "0"])
 
     def test_version_defaults(self):
         text = json.dumps({"root": 0, "edges": [], "leaf_mass": [[0, "1"]]})
