@@ -61,6 +61,9 @@ __all__ = [
 
 PINSKER_TOLERANCE = 1e-12
 
+# tail thresholds that tree_pinsker_report enumerates unless given others
+DEFAULT_EPSILONS = (0.01, 0.1, 0.5, 1.0)
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -244,9 +247,7 @@ def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
         ratios = {lab: 1 / m for lab, m in base.items()}
         return leaf_log_sum(tree, [(1, tree.leaf_mass)], ratios)
     return branch_sum(
-        tree,
-        lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), False),
-        False,
+        tree, lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), False)
     )
 
 
@@ -324,7 +325,7 @@ def _branch_distances(
 def tree_pinsker_report(
     p: Tree,
     q_or_spec: "Tree | ProductSpec",
-    epsilons: Iterable[float] = (0.01, 0.1, 0.5, 1.0),
+    epsilons: Iterable[float] = DEFAULT_EPSILONS,
 ) -> PinskerTreeReport:
     """Check the per-branch Pinsker bound and enumerate distance tails.
 
@@ -338,16 +339,13 @@ def tree_pinsker_report(
     ew = normalizer(p)
     distances, divergence = _branch_distances(p, q_or_spec)
 
-    def average(h, exact):
+    def average(h):
         """The P_B-average of h(d_j)."""
-        return branch_sum(p, lambda j, dist: h(distances[j]), exact) / ew
+        return branch_sum(p, lambda j, dist: h(distances[j])) / ew
 
-    # a float reference makes every distance a float, unless it is a bare
-    # root and enters none; the tail indicators of an exact tree are exact
-    exact = p.exact and not any(isinstance(d, float) for d in distances.values())
-    mean_d = average(lambda d: d, exact)
-    mean_sq = average(lambda d: d * d, exact)
-    tail = {eps: float(average(lambda d: d >= eps, p.exact)) for eps in epsilons}
+    mean_d = average(lambda d: d)
+    mean_sq = average(lambda d: d * d)
+    tail = {eps: float(average(lambda d: d >= eps)) for eps in epsilons}
     bound = float(mean_sq) / (2.0 * math.log(2.0))
     nd_float = float(divergence / ew)
     return PinskerTreeReport(
@@ -399,11 +397,12 @@ def entropy_functional(alphabet: Iterable[Label]) -> BoundedFunctional:
     )
 
 
-def _gap(value, target, exact: bool) -> float:
+def _gap(value, target) -> float:
     """|value - target| as a float, rounded once from the exact difference
-    in exact mode, so equal values give exactly 0.0."""
-    diff = value - target if exact else float(value) - float(target)
-    return abs(float(diff))
+    when neither is a float, so equal exact values give exactly 0.0."""
+    if isinstance(value, float) or isinstance(target, float):
+        return abs(float(value) - float(target))
+    return abs(float(value - target))
 
 
 def functional_convergence_gap(
@@ -412,9 +411,10 @@ def functional_convergence_gap(
     """|E_{P_B}[g(P_{S_B})] - g(P_{S*})|, the per-branch feature gap.
 
     Branching distributions are zero-extended to the spec alphabet before
-    evaluation so g sees one fixed domain.  Computed in exact arithmetic
-    when the tree and spec allow it, so a gap of zero is reported as an
-    exact 0.0 rather than rounding noise; otherwise both terms are floats.
+    evaluation so g sees one fixed domain; they are exact when the tree and
+    spec are.  The gap is computed in exact arithmetic when no value of g
+    is a float, so a gap of zero is reported as an exact 0.0 rather than
+    rounding noise; otherwise both terms are floats.
     """
     ew = normalizer(tree)
     _require_alphabet(tree, spec)
@@ -425,14 +425,12 @@ def functional_convergence_gap(
         extended = {lab: dist.get(lab, zero) for lab in spec.alphabet}
         return g.evaluate(FiniteDistribution(extended, exact=exact))
 
-    target = g.evaluate(spec.base)
-    average = branch_sum(tree, inner, exact and not isinstance(target, float)) / ew
-    return _gap(average, target, exact)
+    return _gap(branch_sum(tree, inner) / ew, g.evaluate(spec.base))
 
 
 def entropy_rate_gap(tree: Tree, spec: ProductSpec) -> float:
     """|entropy rate - H(spec)|: the tree's bits/branch against the target's."""
     rate = entropy_rate(tree)
     _require_alphabet(tree, spec)
-    return _gap(rate, spec.base.entropy(), tree.exact and spec.exact)
+    return _gap(rate, spec.base.entropy())
 

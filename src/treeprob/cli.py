@@ -29,8 +29,6 @@ from .tree import Tree, path_lengths
 
 __all__ = ["Report", "main", "run_cli"]
 
-DEFAULT_EPSILONS = (0.01, 0.1, 0.5, 1.0)
-
 
 @dataclass
 class Report:
@@ -49,10 +47,9 @@ class Report:
 
 
 def _json_value(value):
-    x = float(value)
-    if math.isinf(x):
-        return "inf"
-    return x
+    """value as a JSON number, or as "inf", "-inf" or "nan" when it is none."""
+    x = _float_or_inf(value)
+    return x if math.isfinite(x) else str(x)
 
 
 def _exact_string(value):
@@ -71,15 +68,16 @@ def _result(value, unit: str) -> dict:
     return entry
 
 
-def _check_entry(name: str, report: identities.LansitReport) -> dict:
-    tolerance = 0.0 if report.exact else identities.RESIDUAL_REL_TOL
+def _check_entry(
+    name: str, leaf, node, residual, tolerance: float, passed: bool
+) -> dict:
     return {
         "name": name,
-        "leaf_side": _json_value(report.leaf_side),
-        "node_side": _json_value(report.node_side),
-        "residual": _json_value(report.residual),
+        "leaf_side": _json_value(leaf),
+        "node_side": _json_value(node),
+        "residual": _json_value(residual),
         "tolerance": tolerance,
-        "passed": report.holds(),
+        "passed": passed,
     }
 
 
@@ -191,7 +189,7 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
     epsilons = (
         tuple(_parse_threshold(e) for e in args.epsilons.split(","))
         if args.epsilons
-        else DEFAULT_EPSILONS
+        else approximation.DEFAULT_EPSILONS
     )
     if args.treeq is not None:
         reference, q_digest = _load_tree(args.treeq, args.float)
@@ -221,14 +219,14 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
         "unit": "probability",
     }
     report.checks.append(
-        {
-            "name": "pinsker-tree",
-            "leaf_side": _json_value(pinsker.normalized_divergence),
-            "node_side": pinsker.bound,
-            "residual": _json_value(pinsker.normalized_divergence - pinsker.bound),
-            "tolerance": approximation.PINSKER_TOLERANCE,
-            "passed": pinsker.holds,
-        }
+        _check_entry(
+            "pinsker-tree",
+            pinsker.normalized_divergence,
+            pinsker.bound,
+            pinsker.normalized_divergence - pinsker.bound,
+            approximation.PINSKER_TOLERANCE,
+            pinsker.holds,
+        )
     )
     _print_report(report, args.json, out)
     return (0 if report.all_checks_pass() else 1), report
@@ -243,12 +241,14 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
         if node not in tree.children:
             continue
         if isinstance(v, str):
-            values[node] = parse_rational(v)
-            continue
-        x = _float_or_inf(v) if type(v) in (int, float) else math.nan
+            # the sums of a float tree convert the value to a float, so it must fit
+            value = parse_rational(v)
+            x = 0.0 if tree.exact else _float_or_inf(value)
+        else:
+            value = x = _float_or_inf(v) if type(v) in (int, float) else math.nan
         if not math.isfinite(x):
             raise ParseError(f"functional value of node {node!r} is not a finite number")
-        values[node] = x
+        values[node] = value
     return values
 
 
@@ -263,14 +263,14 @@ def _cmd_check(args, out) -> tuple[int, Report]:
         functionals.append(("surprisal", identities.surprisal_functional(tree)))
     for name, f in functionals:
         lansit = identities.lansit_check(tree, f)
-        report.checks.append(_check_entry(f"lansit[{name}]", lansit))
+        sides = [(f"lansit[{name}]", lansit)]
         if tree.branching_nodes:
-            report.checks.append(
-                _check_entry(
-                    f"differential-lansit[{name}]",
-                    lansit.per_branch(tree.mean_length),
-                )
-            )
+            per_branch = lansit.per_branch(tree.mean_length)
+            sides.append((f"differential-lansit[{name}]", per_branch))
+        for check, side in sides:
+            tolerance = 0.0 if side.exact else identities.RESIDUAL_REL_TOL
+            sums = (side.leaf_side, side.node_side, side.residual)
+            report.checks.append(_check_entry(check, *sums, tolerance, side.holds()))
     _print_report(report, args.json, out)
     return (0 if report.all_checks_pass() else 1), report
 
@@ -335,8 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("treep")
     p.add_argument("treeq", nargs="?")
     p.add_argument("--product", help="reference product masses, e.g. 1/2,1/2")
+    defaults = ",".join(f"{eps:g}" for eps in approximation.DEFAULT_EPSILONS)
     p.add_argument(
-        "--epsilons", help="comma-separated tail thresholds (default 0.01,0.1,0.5,1)"
+        "--epsilons", help=f"comma-separated tail thresholds (default {defaults})"
     )
     p.add_argument("--float", action="store_true", help="force float mode")
     p.add_argument("--json", action="store_true", help="emit a JSON report")

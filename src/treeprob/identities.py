@@ -12,16 +12,20 @@ deepest sibling set into its parent, accumulating that node's term, until
 only the root remains.  ``node_increment_sum`` is the independent direct
 summation; the two walk the branching nodes in the same order and perform
 the same elementary operations, so they agree bit for bit even in float
-mode.  Each call decides once whether its sum is exact (an exact tree, and
-no float value in f or in an inner term); any other sum is chained left to
-right as ``total = total + w * v``.
+mode; they differ only in where the node masses come from.
+
+One mode rule (``_exact_sum``) holds for every sum over a tree: it is
+exact when the tree is exact and none of its values (f on the nodes, or
+the inner values of ``branch_sum``) is a float.  Any other sum is chained
+left to right as ``total = total + w * v``.
 
 An exact tree keeps one integer table n with Q_v = n_v / D, D = n_root the
 lcm of the leaf-mass denominators (``Tree.mass_numerators``), and every
-exact sum here weights by n and divides by D once.  Because n_j is the sum
-of its children's n_c, Q_j E[delta_f(S_j)] is the integer combination
-sum over children c of n_c f(c), less n_j f(j), over D: no term divides by
-Q_j, and ``numeric.exact_weighted_sum`` folds the whole node side.
+exact sum here weights by n and passes D to the one fold,
+``numeric.exact_weighted_sum``, which divides by it once.  The leaf side
+weights f(leaf) by n_leaf and f(root) by -D.  Because n_j is the sum of its
+children's n_c, Q_j E[delta_f(S_j)] is the integer combination sum over
+children c of n_c f(c), less n_j f(j), over D: no term divides by Q_j.
 
 Specializing f gives the derived quantities, and for each the node side
 takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
@@ -57,17 +61,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
-from .numeric import (
-    entropy_of,
-    exact_log2_sum,
-    exact_weighted_sum,
-    kl_of,
-    log2_exponents,
-    log2_of,
-)
+from .numeric import entropy_of, exact_weighted_sum, kl_of, log2_exponents, log2_of
 from .tree import (
     Label,
     NodeId,
@@ -145,31 +142,35 @@ def normalizer(tree: Tree) -> object:
     return tree.mean_length
 
 
-def _exact_functional(tree: Tree, f: NodeFunctional) -> bool:
-    """True when the tree is exact and f has no float value on its nodes."""
-    return tree.exact and not any(isinstance(f.get(n), float) for n in tree.nodes)
+def _exact_sum(tree: Tree, values: Iterable) -> bool:
+    """The mode rule: a sum over ``tree`` is exact when the tree is exact
+    and none of its ``values`` is a float."""
+    return tree.exact and not any(isinstance(v, float) for v in values)
 
 
 def branch_sum(
-    tree: Tree,
-    inner: Callable[[NodeId, Mapping[Label, object]], object],
-    exact: bool,
+    tree: Tree, inner: Callable[[NodeId, Mapping[Label, object]], object]
 ) -> object:
     """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}).
 
-    ``exact`` is the caller's promise that the tree is exact and every
-    inner value a rational or an ExactLog2.  The sum then weights inner(j)
-    by the integer n_j of Q_j = n_j / D, folds the terms
-    (``numeric.exact_weighted_sum``) and divides by D once; otherwise it is
+    Each inner value is evaluated once, in preorder; on an exact tree all
+    of them come first, for the mode rule (``_exact_sum``) to read.  An
+    exact sum weights inner(j) by the integer n_j of Q_j = n_j / D and
+    folds the terms over D (``numeric.exact_weighted_sum``); any other is
     the float sum from 0.0, left to right.  A tree without branching nodes
-    yields Fraction(0) or 0.0.
+    yields Fraction(0) on an exact tree and 0.0 on a float one.
     """
-    q = node_probabilities(tree)
     branching = branching_distributions(tree)
-    if exact:
-        n = tree.mass_numerators
-        terms = ((n[j], inner(j, dist)) for j, dist in branching.items())
-        return exact_weighted_sum(terms) / n[tree.root]
+    if tree.exact:
+        values = {j: inner(j, dist) for j, dist in branching.items()}
+        if _exact_sum(tree, values.values()):
+            n = tree.mass_numerators
+            return exact_weighted_sum(
+                ((n[j], v) for j, v in values.items()), n[tree.root]
+            )
+        # the float sum below reads the values already evaluated
+        inner = lambda j, dist: values[j]
+    q = node_probabilities(tree)
     total = 0.0
     for j, dist in branching.items():
         total = total + q[j] * inner(j, dist)
@@ -199,7 +200,7 @@ def leaf_log_sum(
         + sum over labels a of W_a log2 r_a,   W_a = sum of n_v over a-edges,
 
     and each prime's coefficient is an integer sum divided by D once
-    (``numeric.exact_log2_sum``).  Only the R(leaf) and r_a are factored,
+    (``numeric.exact_weighted_sum``).  Only the R(leaf) and r_a are factored,
     never an internal node mass.  A tree without branching nodes gives
     Fraction(0), the zero that ``branch_sum`` starts from.
     """
@@ -216,7 +217,7 @@ def leaf_log_sum(
         for v, (_, a) in tree.parent_edge.items():
             weights[a] += n[v]
         terms += [(w, log2_exponents(label_ratios[a])) for a, w in weights.items()]
-    return exact_log2_sum(terms, n[tree.root])
+    return exact_weighted_sum(terms, n[tree.root])
 
 
 def _merge_order(tree: Tree) -> list[NodeId]:
@@ -233,72 +234,76 @@ def _increments(tree: Tree, f: NodeFunctional, j: NodeId, n, nj) -> Iterator:
     yield -nj, f[j]
 
 
-def _merged_terms(
-    tree: Tree, f: NodeFunctional, exact: bool
-) -> Iterator[tuple[object, object]]:
-    """Yield the node side's (weight, value) terms by the leaf-merging
-    contraction.
+def _contraction(tree: Tree, exact: bool) -> Iterator[tuple[NodeId, dict, object]]:
+    """Yield (j, mass, m_j) per branching node in merge order by the
+    leaf-merging contraction, where mass holds the masses of j's children
+    and m_j is their sum.
 
-    Maintains the current leaf masses of the progressively contracted tree:
-    each step recomputes Q_j from the masses of j's current children (all of
-    which are leaves by the deepest-first order), then replaces the sibling
-    set by j itself carrying mass Q_j.  Float mode yields (Q_j,
-    E[delta_f(S_j)]); exact mode holds the integers n of Q = n / D and
-    yields the ``_increments`` of j.
+    Maintains the current leaf masses of the progressively contracted tree,
+    starting from the leaf entries of Q, or of n in an exact sum: each step
+    sums m_j over j's current children (all of which are leaves by the
+    deepest-first order), then replaces the sibling set by j itself
+    carrying mass m_j.  No internal mass is read from the tree.
     """
-    # leaves only: each internal Q_j, or n_j in exact mode, is rebuilt below
-    n = tree.mass_numerators if exact else tree.leaf_mass
-    mass = {v: n[v] for v in tree.leaf_mass}
+    m = tree.mass_numerators if exact else tree.leaf_mass
+    mass = {v: m[v] for v in tree.leaf_mass}
     for j in _merge_order(tree):
         kids = tree.children[j]
-        qj = mass[kids[0][1]]
+        mj = mass[kids[0][1]]
         for _, child in kids[1:]:
-            qj = qj + mass[child]
-        if exact:
-            yield from _increments(tree, f, j, mass, qj)
-        else:
-            inner = 0
-            for _, child in kids:
-                inner = inner + (mass[child] / qj) * (f[child] - f[j])
-            yield qj, inner
+            mj = mj + mass[child]
+        yield j, mass, mj
         for _, child in kids:
             del mass[child]
-        mass[j] = qj
+        mass[j] = mj
+
+
+def _node_masses(tree: Tree, exact: bool) -> Iterator[tuple[NodeId, dict, object]]:
+    """The (j, mass, m_j) of each branching node in merge order, with mass
+    the tree's own table: n in an exact sum, Q otherwise."""
+    mass = tree.mass_numerators if exact else node_probabilities(tree)
+    return ((j, mass, mass[j]) for j in _merge_order(tree))
+
+
+def _node_side(
+    tree: Tree,
+    f: NodeFunctional,
+    masses: Callable[[Tree, bool], Iterable[tuple[NodeId, dict, object]]],
+) -> object:
+    """Sum over branching j of Q_j E[delta_f(S_j)], with j's masses from
+    ``masses(tree, exact)``.
+
+    An exact sum (``_exact_sum`` over f) folds the ``_increments`` of every
+    j over D.  Otherwise it chains, per j, Q_j times the sum over children
+    c of (Q_c / Q_j) (f(c) - f(j)).
+    """
+    if _exact_sum(tree, map(f.get, tree.nodes)):
+        terms = (t for step in masses(tree, True) for t in _increments(tree, f, *step))
+        return exact_weighted_sum(terms, tree.mass_numerators[tree.root])
+    total = 0
+    for j, mass, qj in masses(tree, False):
+        inner = 0
+        for _, child in tree.children[j]:
+            inner = inner + (mass[child] / qj) * (f[child] - f[j])
+        total = total + qj * inner
+    return total
 
 
 def merged_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     """Node-side sum evaluated by repeated merging of deepest sibling sets."""
-    exact = _exact_functional(tree, f)
-    terms = _merged_terms(tree, f, exact)
-    if exact:
-        return exact_weighted_sum(terms) / tree.mass_numerators[tree.root]
-    total = 0
-    for qj, inner in terms:
-        total = total + qj * inner
-    return total
+    return _node_side(tree, f, _contraction)
 
 
 def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
-    """Direct node-side sum from the tree's node probabilities.
+    """Direct node-side sum from the tree's node masses.
 
     Walks branching nodes in the same order as the merging evaluation and
     performs the same divisions and additions, so the two results are
-    identical, not merely close.  An exact sum reads n_j from the tree's
-    integer table where the contraction sums it.
+    identical, not merely close.  The two differ only in where the masses
+    come from: this sum reads Q_j, or n_j when exact, from the tree's table
+    where the contraction sums it.
     """
-    if _exact_functional(tree, f):
-        n = tree.mass_numerators
-        terms = (t for j in _merge_order(tree) for t in _increments(tree, f, j, n, n[j]))
-        return exact_weighted_sum(terms) / n[tree.root]
-    q = node_probabilities(tree)
-    total = 0
-    for j in _merge_order(tree):
-        qj = q[j]
-        inner = 0
-        for _, child in tree.children[j]:
-            inner = inner + (q[child] / qj) * (f[child] - f[j])
-        total = total + qj * inner
-    return total
+    return _node_side(tree, f, _node_masses)
 
 
 def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
@@ -309,10 +314,12 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
     contraction argument.  Raises FunctionalIncomplete when f lacks a node.
     """
     _require_complete(tree, f)
-    exact = _exact_functional(tree, f)
+    exact = _exact_sum(tree, map(f.get, tree.nodes))
     if exact:
-        terms = [(tree.leaf_mass[leaf], f[leaf]) for leaf in tree.leaves]
-        leaf_side = exact_weighted_sum(terms + [(-1, f[tree.root])])
+        n = tree.mass_numerators
+        d = n[tree.root]
+        terms = [(n[leaf], f[leaf]) for leaf in tree.leaves]
+        leaf_side = exact_weighted_sum(terms + [(-d, f[tree.root])], d)
     else:
         leaf_side = 0
         for leaf in tree.leaves:
@@ -344,7 +351,7 @@ def leaf_entropy(tree: Tree) -> object:
     """
     if tree.exact:
         return leaf_log_sum(tree, [(-1, tree.leaf_mass)])
-    return branch_sum(tree, lambda j, dist: entropy_of(dist.values(), False), False)
+    return branch_sum(tree, lambda j, dist: entropy_of(dist.values(), False))
 
 
 def align_by_paths(p: Tree, q: Tree) -> tuple[dict[NodeId, NodeId], bool]:
@@ -406,7 +413,7 @@ def aligned_divergence(
         ref_j = ref[mapping[j]]
         return kl_of(((m, ref_j[lab]) for lab, m in dist.items()), False)
 
-    return branch_sum(p, inner, False)
+    return branch_sum(p, inner)
 
 
 def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:

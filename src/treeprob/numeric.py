@@ -21,23 +21,22 @@ form: two expressions denote the same real number exactly when their maps
 are equal.  No epsilon enters an exact-mode identity check.
 
 Exact sums are folded, not chained: ``exact_weighted_sum`` adds every
-term's coefficients into one ``{prime: Fraction}`` map and builds a single
-``ExactLog2`` at the end, where ``total = total + term`` would copy the
-running map on each addition.  Where every weight is an integer n over
-one common denominator D and every logarithm is log2 of a rational, the
-fold needs no Fraction at all: ``log2_exponents`` gives the integer
-exponent map of each rational, ``exact_log2_sum`` adds n times those
-integers per prime and divides each total by D once.  An exact tree keeps
-such integers for every node mass, Q_v = n_v / D (``Tree.mass_numerators``).
-The identities module folds leaf entropy and both divergences over the
-leaves with them, so only leaf and product masses are factored, and sums
-the Lansit node side over them.  Since the map is canonical, either fold
-equals the chained sum under ``==``.
+term's coefficients into one ``{prime: coefficient}`` map, divides each
+total by a common denominator once and builds a single ``ExactLog2`` at
+the end, where ``total = total + term`` would copy the running map on each
+addition.  A term's value may be a rational, an ``ExactLog2``, or the
+integer exponent map of a rational (``log2_exponents``), which stands for
+its log2 without building an ``ExactLog2``.  Integer weights on such maps
+keep every coefficient a plain integer until the one division.  An exact
+tree keeps integer node masses, Q_v = n_v / D (``Tree.mass_numerators``),
+so the identities module weights its tree sums by n and passes D as the
+denominator.  Since the map is canonical, the fold equals the chained sum
+under ``==``.
 
-Both folds take exact terms only.  Whether a sum mixing an exact tree with
-float values is exact is decided once by its caller, which otherwise takes
-the float sum.  Float sums keep their left-to-right ``total + term`` order,
-so float results do not depend on any of this.
+The fold takes exact terms only.  A sum over a tree is exact when the tree
+is exact and none of its values is a float (``identities``); any other sum
+is the float sum, which keeps its left-to-right ``total + term`` order, so
+float results do not depend on any of this.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "Scalar",
     "entropy_of",
     "entropy_term",
-    "exact_log2_sum",
     "exact_weighted_sum",
     "kl_of",
     "kl_term",
@@ -311,20 +309,6 @@ def log2_exponents(x: Rational) -> dict[int, int]:
     return exponents
 
 
-def exact_log2_sum(terms: Iterable, denominator: int) -> ExactLog2:
-    """The sum of n * log2(x) over (n, exponents of x) pairs, divided by
-    ``denominator``, with every n an integer.
-
-    Each prime's coefficient is a plain integer sum, made a Fraction over
-    ``denominator`` once at the end, so no Fraction is built per term.
-    """
-    acc: dict[int, int] = {}
-    for n, exponents in terms:
-        for p, e in exponents.items():
-            acc[p] = acc[p] + n * e if p in acc else n * e
-    return ExactLog2({p: Fraction(t, denominator) for p, t in acc.items()})
-
-
 def log2_of(x, exact: bool) -> Scalar:
     """log2 of a positive value in the requested numeric mode."""
     if exact:
@@ -344,7 +328,7 @@ def entropy_term(p, exact: bool) -> Scalar:
 def entropy_of(masses: Iterable, exact: bool) -> Scalar:
     """Shannon entropy in bits of an iterable of probability masses."""
     if exact:
-        return exact_weighted_sum((-p, ExactLog2.log2(p)) for p in masses if p)
+        return exact_weighted_sum((-p, log2_exponents(p)) for p in masses if p)
     return sum(entropy_term(p, exact) for p in masses)
 
 
@@ -385,7 +369,7 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
                 continue
             if not q:
                 return math.inf
-            terms.append((p, ExactLog2.log2(Fraction(p) / q)))
+            terms.append((p, log2_exponents(Fraction(p) / q)))
         return exact_weighted_sum(terms)
     total = 0.0
     for p, q in pairs:
@@ -396,28 +380,33 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
     return total
 
 
-def exact_weighted_sum(pairs: Iterable) -> Fraction | ExactLog2:
-    """The sum of w * v over (w, v) pairs, for rational w and v a rational
-    or an ExactLog2, folded into one coefficient map.
+def exact_weighted_sum(pairs: Iterable, denominator: int = 1) -> Fraction | ExactLog2:
+    """The sum of w * v over (w, v) pairs, divided by ``denominator``, for
+    rational w and v a rational, an ExactLog2, or the exponent map of a
+    rational (``log2_exponents``), which stands for its log2.
 
-    Returns a Fraction when no v is an ExactLog2 (Fraction(0) for no
-    pairs) and an ExactLog2 otherwise, equal under ``==`` to the chained
-    sum ``Fraction(0) + w1 * v1 + w2 * v2 + ...``.  The inputs' coefficient
-    maps are read, never changed or shared.  Every term must be exact: a
-    caller whose terms may be floats takes the chained float sum instead.
+    The terms are folded into one coefficient map, and each prime's total
+    is divided by ``denominator`` once; integer weights on exponent maps
+    stay plain integers until then.  Returns a Fraction when no v is a
+    logarithm (Fraction(0) for no pairs) and an ExactLog2 otherwise, equal
+    under ``==`` to the chained sum ``(Fraction(0) + w1 * v1 + w2 * v2 +
+    ...) / denominator``.  The inputs are read, never changed or shared.
+    Every term must be exact: a sum with a float value is a float sum.
     """
-    rational = Fraction(0)
-    coef: dict[int, Fraction] = {}
+    rational = 0
+    coef: dict[int, Rational] = {}
     has_log = False
     for w, v in pairs:
         if isinstance(v, ExactLog2):
+            v = v._coef
+        if type(v) is dict:
             has_log = True
-            for p, c in v._coef.items():
+            for p, c in v.items():
                 c = w * c
                 coef[p] = coef[p] + c if p in coef else c
         else:
             rational += w * v
     if not has_log:
-        return rational
+        return Fraction(rational, denominator)
     coef[2] = coef.get(2, 0) + rational
-    return ExactLog2(coef)
+    return ExactLog2({p: Fraction(c, denominator) for p, c in coef.items()})

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from treeprob import GeneratorParams, Tree, build_tree, generate_random_tree
+from treeprob.numeric import ExactLog2
 
 MAX_NODES = 200
 MAX_ALPHABET = 4
@@ -25,6 +26,13 @@ def corpus_tree(i: int, exact: bool = True) -> Tree:
         if len(tree.nodes) <= MAX_NODES:
             return tree
     raise AssertionError(f"no tree under {MAX_NODES} nodes for corpus index {i}")
+
+
+def exact_signature(value):
+    """The value with its type and, for an ExactLog2, its coefficient types."""
+    if isinstance(value, ExactLog2):
+        return ExactLog2, {p: (type(c), c) for p, c in value._coef.items()}
+    return type(value), value
 
 
 def edges_of(tree: Tree):

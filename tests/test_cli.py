@@ -449,6 +449,70 @@ class TestCheck:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.fixture
+    def halves(self, tmp_path):
+        """An exact and a float 1/2,1/2 star, and a writer of functional files."""
+        exact, floats = tmp_path / "exact.tree", tmp_path / "float.tree"
+        exact.write_text(
+            json.dumps({"root": 0, "edges": [[0, 0, 1], [0, 1, 2]],
+                        "leaf_mass": [[1, "1/2"], [2, "1/2"]]}),
+            "utf-8",
+        )
+        floats.write_text(float_star([0.5, 0.5]), "utf-8")
+
+        def functional(text):
+            path = tmp_path / "f.json"
+            path.write_text(text, "utf-8")
+            return str(path)
+
+        return str(exact), str(floats), functional
+
+    @staticmethod
+    def strict_json(text):
+        """json.loads that rejects the bare constants NaN and Infinity."""
+
+        def reject(name):
+            raise ValueError(f"bare JSON constant {name}")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_non_finite_sides_print_as_json_strings(self, halves):
+        _, floats, functional = halves
+        path = functional('{"0": 1e308, "1": -1e308, "2": -1e308}')
+        code, _, out, err = invoke(["check", "--json", floats, "--functional", path])
+        assert (code, err) == (1, "")
+        tree = parse_tree(Path(floats).read_text("utf-8"))
+        lansit = identities.lansit_check(tree, {0: 1e308, 1: -1e308, 2: -1e308})
+        assert lansit.leaf_side == lansit.node_side == -math.inf
+        for check in self.strict_json(out)["checks"]:
+            assert [check[k] for k in ("leaf_side", "node_side", "residual")] == [
+                "-inf", "-inf", "nan"
+            ]
+
+    def test_exact_side_past_the_float_range(self, halves):
+        exact, _, functional = halves
+        path = functional('{"0": "1e400", "1": "0", "2": "0"}')
+        code, _, out, err = invoke(["check", "--json", exact, "--functional", path])
+        assert (code, err) == (0, "")
+        for check in self.strict_json(out)["checks"]:
+            assert [check[k] for k in ("leaf_side", "node_side", "residual")] == [
+                "-inf", "-inf", 0.0
+            ]
+        code, _, out, err = invoke(["check", exact, "--functional", path])
+        assert (code, err) == (0, "")
+        assert "leaf_side=-inf node_side=-inf residual=0.0" in out
+
+    @pytest.mark.parametrize("force_float", [False, True], ids=["float-tree", "--float"])
+    def test_rational_value_past_the_float_range_on_a_float_tree(
+        self, halves, force_float
+    ):
+        exact, floats, functional = halves
+        path = functional('{"0": "1e400", "1": "0", "2": "0"}')
+        argv = ["check", "--float", exact] if force_float else ["check", floats]
+        code, _, _, err = invoke(argv + ["--functional", path])
+        assert code == 2
+        assert "ParseError" in err
+
     def test_float_mode_uses_tolerance(self, demo_file):
         code, report, _, _ = invoke(["check", "--float", demo_file])
         assert code == 0

@@ -8,6 +8,7 @@ from corpus import (
     complete_tree,
     corpus_tree,
     edges_of,
+    exact_signature,
     float_functional,
     float_mirror,
     rational_functional,
@@ -348,13 +349,6 @@ class TestFunctionalBuilders:
         assert report.leaf_side == pytest.approx(1.5)
 
 
-def exact_signature(value):
-    """The value with its type and, for an ExactLog2, its coefficient types."""
-    if isinstance(value, ExactLog2):
-        return ExactLog2, {p: (type(c), c) for p, c in value._coef.items()}
-    return type(value), value
-
-
 def mixed_masses(leaves, weights, denominators):
     """Positive rational masses over ``leaves`` with mixed denominators."""
     raw = [Fraction(w, d) for w, d in zip(weights, denominators)]
@@ -391,6 +385,50 @@ def exact_tree_triples(draw):
     dens = draw(st.lists(st.integers(1, 9), min_size=len(labels), max_size=len(labels)))
     spec = ProductSpec(FiniteDistribution(mixed_masses(labels, weights, dens)))
     return p, q, spec
+
+
+class TestBranchSumMode:
+    """branch_sum is exact when the tree is exact and no inner value is a
+    float; any other sum is the float sum from 0.0, left to right."""
+
+    @staticmethod
+    def chained(tree, values):
+        q = tree.node_mass
+        total = 0.0
+        for j, v in zip(tree.branching, values):
+            total = total + q[j] * v
+        return total
+
+    def test_exact_tree_with_rational_values_is_a_fraction(self, demo_tree):
+        value = branch_sum(demo_tree, lambda j, dist: Fraction(1))
+        assert exact_signature(value) == (Fraction, Fraction(5, 2))
+
+    def test_one_float_value_gives_the_chained_float_sum(self):
+        tree = corpus_tree(9)
+        first = tree.branching_nodes[0]
+        values = [0.1 if j == first else Fraction(1, 3) for j in tree.branching]
+        value = branch_sum(tree, lambda j, dist: 0.1 if j == first else Fraction(1, 3))
+        assert type(value) is float
+        assert value.hex() == self.chained(tree, values).hex()
+
+    def test_float_tree_gives_a_float(self):
+        tree = float_mirror(corpus_tree(9))
+        values = [Fraction(1, 3)] * len(tree.branching)
+        value = branch_sum(tree, lambda j, dist: Fraction(1, 3))
+        assert type(value) is float
+        assert value.hex() == self.chained(tree, values).hex()
+
+    def test_bare_exact_root_gives_a_fraction_zero(self):
+        bare = build_tree([], {"r": Fraction(1)})
+        bare_float = build_tree([], {"r": 1.0}, exact=False)
+        spec = ProductSpec(FiniteDistribution({0: 0.5, 1: 0.5}, exact=False))
+        for value in (
+            branch_sum(bare, lambda j, dist: 0.5),
+            tree_divergence(bare, bare_float),
+            product_branch_divergence(bare, spec),
+        ):
+            assert exact_signature(value) == (Fraction, Fraction(0))
+        assert exact_signature(branch_sum(bare_float, lambda j, dist: 1)) == (float, 0.0)
 
 
 class TestMassTable:
@@ -430,7 +468,7 @@ class TestLogIncrementSum:
         references = [
             (
                 leaf_entropy(p),
-                branch_sum(p, lambda j, dist: entropy_of(dist.values(), True), True),
+                branch_sum(p, lambda j, dist: entropy_of(dist.values(), True)),
                 leaf_entropy_oracle(p),
             ),
             (
@@ -440,7 +478,6 @@ class TestLogIncrementSum:
                     lambda j, dist: kl_of(
                         ((m, ref[mapping[j]][lab]) for lab, m in dist.items()), True
                     ),
-                    True,
                 ),
                 divergence_oracle(p, q),
             ),
@@ -449,7 +486,6 @@ class TestLogIncrementSum:
                 branch_sum(
                     p,
                     lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), True),
-                    True,
                 ),
                 divergence_to_product(p, spec),
             ),

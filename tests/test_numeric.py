@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import corpus_tree, float_functional, float_mirror, random_distribution, remass
+from corpus import (
+    corpus_tree,
+    exact_signature,
+    float_functional,
+    float_mirror,
+    random_distribution,
+    remass,
+)
 from treeprob import (
     BoundedFunctional,
     FiniteDistribution,
@@ -14,6 +21,7 @@ from treeprob import (
     functional_convergence_gap,
     grow_matcher_tree,
     lansit_check,
+    path_lengths,
     tree_divergence,
     tree_pinsker_report,
 )
@@ -26,6 +34,7 @@ from treeprob.numeric import (
     exact_weighted_sum,
     kl_of,
     kl_term,
+    log2_exponents,
     log2_of,
     parse_rational,
 )
@@ -235,6 +244,35 @@ class TestExactWeightedSum:
     def test_empty_is_a_fraction_zero(self):
         assert type(exact_weighted_sum([])) is Fraction
         assert exact_weighted_sum([]) == 0
+        assert exact_signature(exact_weighted_sum([], 7)) == (Fraction, 0)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-1000, 1000), rationals),
+                st.one_of(log_values, positive_rationals.map(log2_exponents)),
+            ),
+            max_size=12,
+        ),
+        st.integers(1, 10**6),
+    )
+    def test_exponent_maps_over_a_denominator(self, pairs, denominator):
+        # an exponent map stands for the log2 of its rational
+        snapshots = [dict(v) for _, v in pairs if isinstance(v, dict)]
+        chained = Fraction(0)
+        for w, v in pairs:
+            chained = chained + w * (ExactLog2(v) if isinstance(v, dict) else v)
+        folded = exact_weighted_sum(pairs, denominator)
+        assert exact_signature(folded) == exact_signature(chained / denominator)
+        assert [dict(v) for _, v in pairs if isinstance(v, dict)] == snapshots
+
+    def test_integer_exponents_over_a_denominator(self):
+        # 3 log2(12) - 2 log2(3), over 6: (6 + 3 log2 3 - 2 log2 3) / 6
+        folded = exact_weighted_sum([(3, {2: 2, 3: 1}), (-2, {3: 1})], 6)
+        assert exact_signature(folded) == exact_signature(
+            ExactLog2({2: Fraction(1), 3: Fraction(1, 6)})
+        )
 
 
 
@@ -315,6 +353,67 @@ class TestMixedModeSums:
     )
     def test_float_bits_are_pinned(self, compute, pinned):
         value = compute(TestMixedModeSums)
+        values = value if isinstance(value, list) else [value]
+        assert all(type(v) is float for v in values)
+        assert [v.hex() for v in values] == pinned
+
+
+class TestFloatSums:
+    """Float trees against float references, pinned as float hex: the float
+    sums keep their order and operations, so their bits never move."""
+
+    T = float_mirror(corpus_tree(9))
+    Q = float_mirror(remass(corpus_tree(9), 9))
+    FLOAT_SPEC = TestMixedModeSums.FLOAT_SPEC
+
+    @staticmethod
+    def sides(f):
+        report = lansit_check(TestFloatSums.T, f)
+        return [report.leaf_side, report.node_side]
+
+    @staticmethod
+    def pinsker(reference):
+        report = tree_pinsker_report(TestFloatSums.T, reference)
+        return [report.divergence, report.mean_distance, report.mean_sq_distance,
+                *report.tail.values()]
+
+    @pytest.mark.parametrize(
+        "compute, pinned",
+        [
+            (
+                lambda c: c.sides(float_functional(c.T, 6)),
+                ["-0x1.e818e5148955bp-2", "-0x1.e818e5148955cp-2"],
+            ),
+            (
+                lambda c: c.sides(path_lengths(c.T)),
+                ["0x1.b86c0dd223cf0p+1", "0x1.b86c0dd223cf0p+1"],
+            ),
+            (lambda c: leaf_entropy(c.T), ["0x1.4cf54e646485fp+1"]),
+            (lambda c: tree_divergence(c.T, c.Q), ["0x1.fa3db4e604dabp-2"]),
+            (
+                lambda c: c.pinsker(c.Q),
+                ["0x1.fa3db4e604dabp-2", "0x1.4a21ef9bc29f9p-2", "0x1.74005256c1088p-3",
+                 "0x1.5e0d30fffa284p-1", "0x1.5e0d30fffa284p-1", "0x1.a391a160be9d0p-4",
+                 "0x0.0p+0"],
+            ),
+            (
+                lambda c: c.pinsker(c.FLOAT_SPEC),
+                ["0x1.9681ff861c279p+1", "0x1.d4fe37ee6694ep-1", "0x1.f404fb44f4b3cp-1",
+                 "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d04d0c7be16afp-1",
+                 "0x1.43e59e000baf6p-2"],
+            ),
+        ],
+        ids=[
+            "lansit-float-functional",
+            "lansit-path-length",
+            "leaf-entropy",
+            "divergence",
+            "pinsker-tree",
+            "pinsker-spec",
+        ],
+    )
+    def test_float_bits_are_pinned(self, compute, pinned):
+        value = compute(TestFloatSums)
         values = value if isinstance(value, list) else [value]
         assert all(type(v) is float for v in values)
         assert [v.hex() for v in values] == pinned
