@@ -412,9 +412,11 @@ def functional_convergence_gap(
 
     Branching distributions are zero-extended to the spec alphabet before
     evaluation so g sees one fixed domain; they are exact when the tree and
-    spec are.  The gap is computed in exact arithmetic when no value of g
-    is a float, so a gap of zero is reported as an exact 0.0 rather than
-    rounding noise; otherwise both terms are floats.
+    spec are.  The average follows ``branch_sum``'s mode rule: on an exact
+    tree whose values of g are all non-float it is exact, even against a
+    float spec, and is rounded once.  The gap is taken exactly when neither
+    term is a float, so a gap of zero is reported as an exact 0.0 rather
+    than rounding noise; otherwise both terms are floats.
     """
     ew = normalizer(tree)
     _require_alphabet(tree, spec)

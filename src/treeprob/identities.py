@@ -311,7 +311,10 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
 
     leaf_side is sum of P_L(i) f(i) minus f(root); node_side comes from
     ``merged_increment_sum`` so every call exercises the constructive
-    contraction argument.  Raises FunctionalIncomplete when f lacks a node.
+    contraction argument.  An exact leaf side folds n_l f(l) and -D f(root)
+    over D from the tree's integer mass table, as the node side does, so it
+    checks the identity on that table but not the table against the parsed
+    leaf masses.  Raises FunctionalIncomplete when f lacks a node.
     """
     _require_complete(tree, f)
     exact = _exact_sum(tree, map(f.get, tree.nodes))

@@ -16,6 +16,7 @@ from treeprob import (
     ParamsInvalid,
     ProductSpec,
     UnknownLabel,
+    branching_distributions,
     build_tree,
     divergence_to_product,
     entropy_functional,
@@ -433,6 +434,29 @@ class TestFunctionalConvergenceGap:
         spec = ProductSpec.uniform(["a", "z"])
         with pytest.raises(UnknownLabel):
             entropy_rate_gap(demo_tree, spec)
+
+    @pytest.mark.parametrize(
+        "name, g, pinned",
+        [
+            ("indicator", lambda d: d[0] > Fraction(1, 2), "0x1.0000000000000p+0"),
+            ("rational", lambda d: 1 - d[0], "0x1.fd48ccb768c2cp-3"),
+        ],
+    )
+    def test_exact_tree_float_spec_rational_g_rounds_once(self, name, g, pinned):
+        # every value of g is rational, so the average is the exact sum
+        # rounded once; the float sum chained left to right would give
+        # 0x1.0000000000001p+0 and 0x1.fd48ccb768c2ap-3
+        tree = corpus_tree(48)
+        spec = ProductSpec(FiniteDistribution({0: 0.5, 1: 0.5}, exact=False))
+        branching = branching_distributions(tree)
+        assert all(set(dist) == {0, 1} for dist in branching.values())
+        average = sum(
+            tree.node_mass[j] * g(FiniteDistribution(dist))
+            for j, dist in branching.items()
+        ) / tree.mean_length
+        gap = functional_convergence_gap(tree, spec, BoundedFunctional(g, 1.0))
+        assert gap.hex() == pinned
+        assert gap == abs(float(average) - float(g(spec.base)))
 
     def test_degenerate_tree(self):
         single = build_tree([], {"r": Fraction(1)})

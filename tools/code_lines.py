@@ -6,9 +6,7 @@ it is a string literal).  Blank lines, comment-only lines and docstring
 lines do not count.  Lines are found with ``tokenize`` and docstrings with
 ``ast``.
 
-    python3 tools/code_lines.py [package directory]
-
-The directory defaults to the repository's ``src/treeprob``.
+    python3 tools/code_lines.py
 """
 
 from __future__ import annotations
@@ -61,9 +59,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    default = Path(__file__).resolve().parent.parent / "src" / "treeprob"
-    root = Path(argv[0]) if argv else default
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "treeprob"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path)
@@ -74,4 +71,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
