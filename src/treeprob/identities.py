@@ -109,6 +109,8 @@ class LansitReport:
     def holds(self) -> bool:
         if self.exact:
             return self.residual == 0
+        if self.leaf_side == self.node_side:  # also two infinities of one sign
+            return True
         scale = max(1.0, abs(float(self.leaf_side)))
         return abs(float(self.residual)) <= RESIDUAL_REL_TOL * scale
 

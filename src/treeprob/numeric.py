@@ -103,9 +103,10 @@ class ExactLog2:
 
     Ordering is exact: a float comparison with a rigorous rounding-error
     bound decides well-separated values, and near-ties fall back to comparing
-    the integer powers prod p^(c_p * lcm) directly.  No package code orders
-    these values; ordering serves tests (nonnegativity asserts) and the
-    benchmark's tracer, which wraps the comparisons and ``__abs__`` by name.
+    the integer powers prod p^(c_p * lcm) directly.  Package code orders
+    these values only to sign one past the float range (``cli``); ordering
+    serves tests (nonnegativity asserts) and the benchmark's tracer, which
+    wraps the comparisons and ``__abs__`` by name.
     """
 
     __slots__ = ("_coef",)
@@ -253,7 +254,9 @@ class ExactLog2:
     def _sign(self) -> int:
         if not self._coef:
             return 0
-        terms = [float(c) * math.log2(p) for p, c in self._coef.items()]
+        # scaled by the largest |c| so that no coefficient overflows a float
+        scale = max(map(abs, self._coef.values()))
+        terms = [float(c / scale) * math.log2(p) for p, c in self._coef.items()]
         approx = math.fsum(terms)
         # each term is correct to a few ulps, so this bound is conservative
         err = (len(terms) + 2) * 2.0**-50 * sum(abs(t) for t in terms)

@@ -1,9 +1,12 @@
 """Rooted labeled trees carrying a probability distribution on their leaves.
 
 A tree is built from labeled parent-to-child edges plus a leaf mass map.
-Construction validates the shape, normalization and sign of the input, then
-prunes zero-mass leaves (and any branch whose leaves all carry zero mass) so
-that downstream identities can assume every leaf has positive probability.
+``build_tree`` alone picks the numeric mode and converts the masses.  It
+validates the shape and the sign of the input, then one bottom-up walk sums
+the mass below every node, Q_v.  That one table checks normalization
+(Q_root = 1), prunes every node with Q_v = 0 (zero-mass leaves and branches
+whose leaves all carry zero mass), so that downstream identities can assume
+every leaf has positive probability, and is kept as the tree's Q.
 
 Node ids and edge labels are arbitrary hashable values; labels must be
 unique among siblings.  Children keep the order in which their edges were
@@ -62,12 +65,13 @@ class Tree:
     ``children`` maps every node to its (label, child) pairs; leaves map to
     the empty tuple.  ``nodes`` lists all nodes in preorder.  ``exact`` is
     True when the leaf masses are Fractions and False when they are floats.
+    ``mass_below`` is the table ``build_tree`` summed: the integers n with
+    Q_v = n_v / D and D = n[root] on an exact tree, Q itself on a float one.
 
-    The derived maps ``node_mass`` (Q), ``branching`` (P_{S_j}) and
+    The node tuples ``leaves``, ``branching_nodes`` and ``label_alphabet``,
+    the derived maps ``node_mass`` (Q), ``branching`` (P_{S_j}) and
     ``depths``, and the mean path length ``mean_length`` (E[w(L)]), are
-    computed on first use and then kept; callers must not mutate them.  An
-    exact tree derives Q and E[w(L)] from one integer table,
-    ``mass_numerators``.
+    computed on first use and then kept; callers must not mutate them.
     """
 
     root: NodeId
@@ -75,17 +79,18 @@ class Tree:
     leaf_mass: dict[NodeId, Fraction | float]
     parent_edge: dict[NodeId, tuple[NodeId, Label]] = field(repr=False)
     nodes: tuple[NodeId, ...] = field(repr=False)
+    mass_below: dict[NodeId, int | float] = field(repr=False)
     exact: bool = True
 
-    @property
+    @cached_property
     def leaves(self) -> tuple[NodeId, ...]:
         return tuple(n for n in self.nodes if not self.children[n])
 
-    @property
+    @cached_property
     def branching_nodes(self) -> tuple[NodeId, ...]:
         return tuple(n for n in self.nodes if self.children[n])
 
-    @property
+    @cached_property
     def label_alphabet(self) -> tuple[Label, ...]:
         labels = {lab for kids in self.children.values() for lab, _ in kids}
         return tuple(sorted(labels, key=label_order))
@@ -102,35 +107,19 @@ class Tree:
     def depth_of(self, node: NodeId) -> int:
         return self.depths[node]
 
-    def _sums_below(self, leaf_values: Mapping[NodeId, object]) -> dict[NodeId, object]:
-        """Each node's sum of ``leaf_values`` below it, children in stored order."""
-        sums: dict[NodeId, object] = {}
-        for node in reversed(self.nodes):
-            kids = self.children[node]
-            if kids:
-                total = sums[kids[0][1]]
-                for _, child in kids[1:]:
-                    total = total + sums[child]
-                sums[node] = total
-            else:
-                sums[node] = leaf_values[node]
-        return sums
-
-    @cached_property
+    @property
     def mass_numerators(self) -> dict[NodeId, int]:
         """n, for an exact tree: Q_v = n_v / D with the integer D = n[root],
         the lcm of the leaf-mass denominators."""
-        leaves = self.leaf_mass.items()
-        d = math.lcm(*(m.denominator for _, m in leaves))
-        return self._sums_below({v: m.numerator * d // m.denominator for v, m in leaves})
+        return self.mass_below
 
     @cached_property
     def node_mass(self) -> dict[NodeId, Fraction | float]:
         """Q: leaf mass summed below each node; n_v / D on an exact tree."""
         if self.exact:
-            n = self.mass_numerators
-            return {v: Fraction(m, n[self.root]) for v, m in n.items()}
-        return self._sums_below(self.leaf_mass)
+            d = self.mass_below[self.root]
+            return {v: Fraction(n, d) for v, n in self.mass_below.items()}
+        return self.mass_below
 
     @cached_property
     def branching(self) -> dict[NodeId, dict[Label, Fraction | float]]:
@@ -163,25 +152,6 @@ class Tree:
         return depths
 
 
-def _coerce_masses(
-    leaf_mass: Mapping[NodeId, object], exact: bool | None
-) -> tuple[dict[NodeId, Fraction | float], bool]:
-    has_float = any(isinstance(m, float) for m in leaf_mass.values())
-    if exact is None:
-        exact = not has_float
-    if exact and has_float:
-        raise ParamsInvalid(
-            "exact mode requires integer or Fraction masses, got floats"
-        )
-    coerced: dict[NodeId, Fraction | float] = {}
-    for node, mass in leaf_mass.items():
-        if exact:
-            coerced[node] = Fraction(mass)
-        else:
-            coerced[node] = float(mass)
-    return coerced, exact
-
-
 def build_tree(
     edges: Iterable[tuple[NodeId, Label, NodeId]],
     leaf_mass: Mapping[NodeId, object],
@@ -192,13 +162,14 @@ def build_tree(
     Checks, in order: no node has two parents, sibling labels are unique,
     there is exactly one root and every node is reachable from it (anything
     else indicates a cycle), mass sits only on childless nodes, no mass is
-    NaN, infinite or negative, and the masses sum to one (exactly in exact
-    mode, within 1e-9 in float mode).  Zero-mass leaves are then pruned
-    together with any internal node left without descendants of positive
-    mass.
+    NaN, infinite, past the float range or negative, and the masses sum to
+    one (exactly in exact mode, within 1e-9 in float mode).  Zero-mass
+    leaves are then pruned together with any internal node left without
+    descendants of positive mass.
 
     ``exact`` picks the numeric mode; None infers it from the mass types
-    (any float mass means float mode).
+    (any float mass means float mode).  Exact masses become Fractions and
+    float ones floats.
     """
     edges = list(edges)
     # children by label, in the order their edges came
@@ -247,50 +218,68 @@ def build_tree(
                 f"mass assigned to internal node {node!r}"
             )
 
-    masses, exact_mode = _coerce_masses(leaf_mass, exact)
-    for node, mass in masses.items():
-        if not exact_mode and not math.isfinite(mass):
-            raise NonFiniteMass(f"leaf {node!r} has non-finite mass {mass}")
+    has_float = any(isinstance(m, float) for m in leaf_mass.values())
+    if exact is None:
+        exact = not has_float
+    if exact and has_float:
+        raise ParamsInvalid(
+            "exact mode requires integer or Fraction masses, got floats"
+        )
+    masses: dict[NodeId, Fraction | float] = {}
+    for node, mass in leaf_mass.items():
+        if exact:
+            mass = Fraction(mass)
+        else:
+            try:
+                mass = float(mass)
+            except OverflowError:
+                raise NonFiniteMass(
+                    f"leaf {node!r} has a mass beyond the float range"
+                ) from None
+            if not math.isfinite(mass):
+                raise NonFiniteMass(f"leaf {node!r} has non-finite mass {mass}")
         if mass < 0:
             raise NegativeMass(f"leaf {node!r} has negative mass {mass}")
-    total = sum(masses.values())
-    if exact_mode:
-        if total != 1:
-            raise MassNotNormalized(f"leaf masses sum to {total}, expected 1")
+        masses[node] = mass
+
+    # One walk up the preorder sums the mass below every node: integers n
+    # over D, the lcm of the leaf denominators, on exact input, and floats
+    # in stored child order otherwise (recursion would be bounded only by
+    # tree height).  A zero-mass subtree adds an exact 0 (or 0.0, and
+    # x + 0.0 == x), so the kept nodes' sums are those of the pruned tree.
+    if exact:
+        d = math.lcm(*(m.denominator for m in masses.values()))
+        below = {v: m.numerator * (d // m.denominator) for v, m in masses.items()}
+    else:
+        below = dict(masses)
+    for node in reversed(order):
+        if children[node]:
+            total = 0
+            for child in children[node].values():
+                total += below.get(child, 0)
+            below[node] = total
+    total = below.get(root, 0)
+    if exact:
+        if total != d:
+            raise MassNotNormalized(
+                f"leaf masses sum to {Fraction(total, d)}, expected 1"
+            )
     elif abs(total - 1.0) > MASS_SUM_TOLERANCE:
         raise MassNotNormalized(f"leaf masses sum to {total!r}, expected 1")
 
-    # Prune zero-mass leaves, then every branch that lost all its leaves,
-    # deciding bottom-up over the preorder; recursion would be bounded only
-    # by tree height.
-    keep: set[NodeId] = set()
-    for node in reversed(order):
-        kids = children[node]
-        if kids:
-            if any(child in keep for child in kids.values()):
-                keep.add(node)
-        elif masses.get(node, 0) > 0:
-            keep.add(node)
-
-    preorder = tuple(node for node in order if node in keep)
-    pruned_children = {
-        node: tuple((lab, c) for lab, c in children[node].items() if c in keep)
-        for node in preorder
-    }
-    pruned_parent = {
-        node: parent_edge[node] for node in preorder if node in parent_edge
-    }
-    pruned_mass = {
-        node: mass for node, mass in masses.items() if node in keep
-    }
-
+    # Keep a node exactly when the mass below it is positive.
+    table = {v: below[v] for v in order if below.get(v, 0) > 0}
     return Tree(
         root=root,
-        children=pruned_children,
-        leaf_mass=pruned_mass,
-        parent_edge=pruned_parent,
-        nodes=preorder,
-        exact=exact_mode,
+        children={
+            v: tuple((lab, c) for lab, c in children[v].items() if c in table)
+            for v in table
+        },
+        leaf_mass={v: m for v, m in masses.items() if v in table},
+        parent_edge={v: parent_edge[v] for v in table if v in parent_edge},
+        nodes=tuple(table),
+        mass_below=table,
+        exact=exact,
     )
 
 

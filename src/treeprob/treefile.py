@@ -8,12 +8,12 @@ so each key names the node id whose ``str()`` it is (key "1" names node 1).
 Reports name nodes the same way, so two node ids that print alike, such as
 0 and "0", are rejected.
 
-A mass may be a rational string such as "1/4", "1", or "0.3" (parsed
-exactly), or a JSON number (parsed as a float).  The numeric mode follows
-the masses: all strings means exact mode, any number means float mode, and
-``force_float`` downgrades strings.  Serialization always writes canonical
-reduced fractions in exact mode, so parse(serialize(doc)) returns an equal
-document.
+A mass may be a rational string such as "1/4", "1", or "0.3", parsed once
+into the Fraction that ``TreeDocument.leaf_mass`` holds, or a JSON number,
+held as a float.  ``build_tree`` picks the numeric mode from those values:
+all Fractions means exact mode, any float means float mode, and
+``force_float`` downgrades Fractions.  Serialization writes each Fraction as
+its reduced string, so parse(serialize(doc)) returns an equal document.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ FORMAT_VERSION = "1"
 
 @dataclass(frozen=True)
 class TreeDocument:
-    """Parsed but not yet validated content of a tree file."""
+    """Parsed but not yet validated content of a tree file; each leaf mass
+    is a Fraction (from a rational string) or a float (from a number)."""
 
     root: NodeId
     edges: tuple[tuple[NodeId, Label, NodeId], ...]
-    leaf_mass: tuple[tuple[NodeId, object], ...]
+    leaf_mass: tuple[tuple[NodeId, Fraction | float], ...]
     version: str = FORMAT_VERSION
     metadata: dict = field(default_factory=dict)
 
@@ -81,10 +82,6 @@ def resolve_node_keys(
     """
     names = _ids_by_name(ids)
     return {names.get(key, key): value for key, value in obj.items()}
-
-
-def _beyond_float_range(node: NodeId) -> NonFiniteMass:
-    return NonFiniteMass(f"leaf {node!r} has a mass beyond the float range")
 
 
 def load_json(text: str):
@@ -147,19 +144,20 @@ def parse_document(text: str) -> TreeDocument:
             _ids_by_name(ids)
     else:
         raise ParseError("field 'leaf_mass' must be a list of pairs or an object")
-    leaf_mass: list[tuple[NodeId, object]] = []
+    leaf_mass: list[tuple[NodeId, Fraction | float]] = []
     for node, mass in pairs:
         if isinstance(mass, str):
             try:
-                parse_rational(mass)
+                leaf_mass.append((node, parse_rational(mass)))
             except ValueError as exc:
                 raise ParseError(f"leaf {node!r}: {exc}") from exc
-            leaf_mass.append((node, mass))
         elif isinstance(mass, (int, float)) and not isinstance(mass, bool):
             try:
                 leaf_mass.append((node, float(mass)))
             except OverflowError:
-                raise _beyond_float_range(node) from None
+                raise NonFiniteMass(
+                    f"leaf {node!r} has a mass beyond the float range"
+                ) from None
         else:
             raise ParseError(
                 f"leaf {node!r} mass must be a rational string or number,"
@@ -178,22 +176,14 @@ def parse_document(text: str) -> TreeDocument:
 
 
 def document_to_tree(doc: TreeDocument, force_float: bool = False) -> Tree:
-    """Validate a document into a Tree, picking the numeric mode from masses.
-
-    Exact mode requires every mass to be a rational string; any numeric
-    mass, or ``force_float``, selects float mode.
-    """
-    exact = not force_float and all(isinstance(m, str) for _, m in doc.leaf_mass)
-    mass: dict[NodeId, object] = {}
-    for node, raw in doc.leaf_mass:
+    """Validate a document into a Tree; ``build_tree`` picks the numeric
+    mode from the masses, and ``force_float`` selects float mode."""
+    mass: dict[NodeId, Fraction | float] = {}
+    for node, value in doc.leaf_mass:
         if node in mass:
             raise ParseError(f"leaf {node!r} listed twice in leaf_mass")
-        value = parse_rational(raw) if isinstance(raw, str) else raw
-        try:
-            mass[node] = value if exact else float(value)
-        except OverflowError:
-            raise _beyond_float_range(node) from None
-    tree = build_tree(doc.edges, mass, exact=exact)
+        mass[node] = value
+    tree = build_tree(doc.edges, mass, exact=False if force_float else None)
     if tree.root != doc.root:
         raise ParseError(
             f"declared root {doc.root!r} but edges imply root {tree.root!r}"
@@ -202,32 +192,30 @@ def document_to_tree(doc: TreeDocument, force_float: bool = False) -> Tree:
 
 
 def tree_to_document(tree: Tree, metadata: Mapping | None = None) -> TreeDocument:
-    """Render a tree back into document form with canonical masses."""
+    """Render a tree back into document form, masses as the tree holds them."""
     edges = tuple(
         (node, label, child)
         for node in tree.nodes
         for label, child in tree.children[node]
     )
-    if tree.exact:
-        leaf_mass = tuple(
-            (leaf, str(Fraction(tree.leaf_mass[leaf]))) for leaf in tree.leaves
-        )
-    else:
-        leaf_mass = tuple((leaf, float(tree.leaf_mass[leaf])) for leaf in tree.leaves)
     return TreeDocument(
         root=tree.root,
         edges=edges,
-        leaf_mass=leaf_mass,
+        leaf_mass=tuple((leaf, tree.leaf_mass[leaf]) for leaf in tree.leaves),
         metadata=dict(metadata or {}),
     )
 
 
 def serialize_document(doc: TreeDocument) -> str:
+    """Document text; a Fraction mass is written as its reduced string."""
     payload = {
         "version": doc.version,
         "root": doc.root,
         "edges": [list(edge) for edge in doc.edges],
-        "leaf_mass": [[node, mass] for node, mass in doc.leaf_mass],
+        "leaf_mass": [
+            [node, str(mass) if isinstance(mass, Fraction) else mass]
+            for node, mass in doc.leaf_mass
+        ],
         "metadata": doc.metadata,
     }
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

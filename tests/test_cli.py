@@ -17,13 +17,14 @@ from corpus import corpus_tree, float_mirror
 from treeprob import (
     FiniteDistribution,
     ProductSpec,
-    Tree,
     approximation,
+    build_tree,
     generators,
     identities,
     numeric,
     product_branch_divergence,
     run_cli,
+    treefile,
 )
 from treeprob.treefile import parse_tree, serialize_tree
 
@@ -479,8 +480,8 @@ class TestCheck:
     def test_non_finite_sides_print_as_json_strings(self, halves):
         _, floats, functional = halves
         path = functional('{"0": 1e308, "1": -1e308, "2": -1e308}')
-        _, _, out, err = invoke(["check", "--json", floats, "--functional", path])
-        assert err == ""
+        code, _, out, err = invoke(["check", "--json", floats, "--functional", path])
+        assert (code, err) == (0, "")
         tree = parse_tree(Path(floats).read_text("utf-8"))
         lansit = identities.lansit_check(tree, {0: 1e308, 1: -1e308, 2: -1e308})
         assert lansit.leaf_side == lansit.node_side == -math.inf
@@ -697,20 +698,26 @@ class TestComputeOnce:
         ids=["check", "analyze", "divergence-tree", "divergence-product", "sweep"],
     )
     def test_mass_table_per_tree(self, monkeypatch, demo_file, demo_q_file, argv, trees):
+        """build_tree sums one mass table per input tree, and reading
+        ``mass_numerators`` returns that table without summing again."""
         built = []
-        table = vars(Tree)["mass_numerators"]
-        original = table.func
 
-        def counted(tree):
+        def counted(*args, **kwargs):
+            tree = build_tree(*args, **kwargs)
             built.append(tree)
-            return original(tree)
+            return tree
 
-        monkeypatch.setattr(table, "func", counted)
+        for module in (treefile, generators):
+            monkeypatch.setattr(module, "build_tree", counted)
         paths = {"P": demo_file, "Q": demo_q_file}
         code, _, _, _ = invoke([paths.get(arg, arg) for arg in argv])
         assert code == 0
         # the trees are kept alive in ``built``, so their ids are distinct
         assert len({id(tree) for tree in built}) == len(built) == trees
+        for tree in built:
+            assert tree.exact
+            # the table is the field build_tree filled, not a recomputation
+            assert tree.mass_numerators is vars(tree)["mass_below"]
 
 
 class TestLargePrimeMasses:

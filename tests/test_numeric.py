@@ -25,6 +25,7 @@ from treeprob import (
     tree_divergence,
     tree_pinsker_report,
 )
+from treeprob import cli
 from treeprob.approximation import product_branch_divergence
 from treeprob.identities import leaf_entropy
 from treeprob.numeric import (
@@ -140,6 +141,13 @@ class TestOrdering:
         assert diff._sign_exact() == 1
         assert (-diff)._sign_exact() == -1
         assert ExactLog2()._sign() == 0
+
+    def test_coefficient_past_the_float_range(self):
+        big = ExactLog2({3: Fraction(10**400)})
+        assert big > 0
+        assert -big < 0
+        assert cli._json_value(big) == "inf"
+        assert cli._json_value(-big) == "-inf"
 
     def test_unsupported_operand(self):
         with pytest.raises(TypeError):

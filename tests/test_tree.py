@@ -121,6 +121,12 @@ class TestValidationErrors:
         with pytest.raises(NonFiniteMass):
             build_tree([(0, "a", 1), (0, "b", 2)], {1: bad, 2: 0.3})
 
+    def test_mass_past_the_float_range_in_float_mode(self):
+        with pytest.raises(NonFiniteMass):
+            build_tree(
+                [(0, "a", 1), (0, "b", 2)], {1: Fraction(10**400), 2: half}, exact=False
+            )
+
     def test_unnormalized_exact(self):
         with pytest.raises(MassNotNormalized):
             build_tree([(0, "a", 1), (0, "b", 2)], {1: half, 2: Fraction(1, 3)})
@@ -152,6 +158,54 @@ class TestPruning:
         t = build_tree(edges, {1: Fraction(1)})
         assert set(t.nodes) == {0, 1}
 
+    @staticmethod
+    def padded(at, exact):
+        """Root r over branch b (leaves b0, b1, b2) and leaf c, all positive,
+        with a zero-mass leaf and an all-zero branch inserted at index ``at``
+        among the children of r and of b; labels are the child ids."""
+        edges = []
+        for parent, kids in (("r", ["b", "c"]), ("b", ["b0", "b1", "b2"])):
+            kids[at:at] = [parent + "z", parent + "w"]
+            edges += [(parent, kid, kid) for kid in kids]
+            edges += [(parent + "w", parent + "w" + x, parent + "w" + x) for x in "01"]
+        positive = {"b0": Fraction(1, 10), "b1": Fraction(1, 5), "b2": Fraction(3, 10),
+                    "c": Fraction(2, 5)}
+        zero = dict.fromkeys(["rz", "rw0", "rw1", "bz", "bw0"], Fraction(0))
+        mass = {**positive, **zero}
+        if not exact:
+            mass = {v: float(m) for v, m in mass.items()}
+            mass["bw1"] = -0.0
+        else:
+            mass["bw1"] = Fraction(0)
+        return build_tree(edges, mass, exact=exact), positive
+
+    @pytest.mark.parametrize("at", [0, 1, 9], ids=["first", "between", "last"])
+    def test_sums_are_those_of_the_pruned_tree(self, at):
+        for exact in (True, False):
+            t, positive = self.padded(at, exact)
+            assert set(t.nodes) == {"r", "b", "c", *positive}
+            # recomputed over the pruned children in stored order, as the
+            # old prune-then-sum did
+            expected = {}
+            for v in reversed(t.nodes):
+                kids = [c for _, c in t.children[v]]
+                if not kids:
+                    expected[v] = positive[v] * 10 if exact else float(positive[v])
+                    continue
+                total = expected[kids[0]]
+                for c in kids[1:]:
+                    total = total + expected[c]
+                expected[v] = total
+            if exact:
+                assert t.mass_numerators[t.root] == 10
+                assert {v: (type(n), n) for v, n in t.mass_numerators.items()} == {
+                    v: (int, n) for v, n in expected.items()
+                }
+            else:
+                assert {v: q.hex() for v, q in t.node_mass.items()} == {
+                    v: q.hex() for v, q in expected.items()
+                }
+
     def test_pruning_idempotent(self):
         edges = [(0, "a", 1), (0, "b", 2), (2, "a", 3)]
         t = build_tree(edges, {1: Fraction(1), 3: Fraction(0)})
@@ -182,6 +236,8 @@ class TestNodeProbabilities:
             expected_path_length,
         ):
             assert derive(demo_tree) is derive(demo_tree)
+        for name in ("leaves", "branching_nodes", "label_alphabet"):
+            assert getattr(demo_tree, name) is getattr(demo_tree, name)
 
     def test_mean_length_does_not_build_branching_distributions(self, demo_tree, demo_tree_float):
         for tree in (demo_tree, demo_tree_float):

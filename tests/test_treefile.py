@@ -28,7 +28,7 @@ class TestParseDocument:
         assert doc.version == "1"
         assert doc.root == 0
         assert len(doc.edges) == 5
-        assert dict(doc.leaf_mass) == {2: "1/4", 5: "1/2", 6: "1/4"}
+        assert dict(doc.leaf_mass) == {2: Fraction(1, 4), 5: Fraction(1, 2), 6: Fraction(1, 4)}
         assert doc.metadata == {}
 
     def test_object_form_leaf_mass(self):
@@ -40,7 +40,7 @@ class TestParseDocument:
             }
         )
         doc = parse_document(text)
-        assert dict(doc.leaf_mass) == {"x": "1/2", "y": "1/2"}
+        assert dict(doc.leaf_mass) == {"x": Fraction(1, 2), "y": Fraction(1, 2)}
 
     def test_object_form_keys_name_integer_ids(self):
         text = json.dumps(
@@ -50,7 +50,7 @@ class TestParseDocument:
                 "leaf_mass": {"1": "1/2", "2": "1/2"},
             }
         )
-        assert dict(parse_document(text).leaf_mass) == {1: "1/2", 2: "1/2"}
+        assert dict(parse_document(text).leaf_mass) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
         tree = parse_tree(text)
         assert tree.leaf_mass == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
@@ -298,7 +298,8 @@ class TestRoundTrips:
             {1: Fraction(2, 8), 2: Fraction(6, 8)},
         )
         doc = tree_to_document(tree)
-        assert dict(doc.leaf_mass) == {1: "1/4", 2: "3/4"}
+        assert dict(doc.leaf_mass) == {1: Fraction(1, 4), 2: Fraction(3, 4)}
+        assert json.loads(serialize_document(doc))["leaf_mass"] == [[1, "1/4"], [2, "3/4"]]
 
     def test_serialized_text_is_stable(self):
         tree = corpus_tree(4)
