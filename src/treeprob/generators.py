@@ -10,6 +10,14 @@ power of two and the masses sum to one exactly.  Sweeping the matcher over
 growing leaf budgets demonstrates the decay of normalized divergence and
 of the entropy-rate gap toward the target.
 
+The matcher runs in integers.  Its heap keys are the integers
+K * M^(L - d) for a spec s_a = k_a / M, a depth-d leaf with path product K
+and L a depth no leaf can reach, which is bounded through the budget; the
+quantizer works on those numerators over M^L.  The greedy growth for a
+larger budget extends the one for a smaller budget (as in Tunstall's parse
+trees), so a sweep grows its matcher once, up to its largest budget, and
+only quantizes and builds a tree at each budget on the way.
+
 All randomness comes from ``random.Random`` seeded explicitly; the
 algorithm identifier below names that generator so results can be
 reproduced bit for bit elsewhere.  The matcher itself uses no randomness.
@@ -19,10 +27,12 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Sequence
 
 from .approximation import ProductSpec, require_epsilon, tree_pinsker_report
 from .errors import ParamsInvalid
@@ -121,8 +131,8 @@ def generate_random_tree(params: GeneratorParams, exact: bool = True) -> Tree:
 def dyadic_quantization(
     targets: Sequence[tuple[tuple[Label, ...], Fraction]]
 ) -> dict[tuple[Label, ...], Fraction]:
-    """Round positive rationals summing to 1 down to powers of two, then
-    promote largest remainders until the total is exactly 1 again.
+    """Round positive rationals summing to at most 1 down to powers of two,
+    then promote largest remainders until the total is exactly 1.
 
     Each target p gets the largest power of two not exceeding it.  The
     leftover deficit is returned to the leaves greedily: among leaves whose
@@ -131,39 +141,58 @@ def dyadic_quantization(
     order.  Every mass is a power of two, so the deficit always stays a
     multiple of the smallest mass; while it is positive the smallest-mass
     leaf fits, hence the loop terminates with deficit zero.
+
+    The targets are put over their common denominator and quantized in
+    integers by ``_dyadic_masses``, the matcher's own quantizer.
     """
-    masses: dict[tuple[Label, ...], Fraction] = {}
-    heap: list[tuple[Fraction, tuple[Label, ...]]] = []
-    total = Fraction(0)
+    targets = list(targets)
     for path, p in targets:
         if p <= 0:
             raise ParamsInvalid(f"target mass must be positive, got {p} at {path!r}")
-        # smallest k with 2^k >= 1/p, via integers only
-        t = -((-p.denominator) // p.numerator)
-        level = (t - 1).bit_length()
-        m = Fraction(1, 1 << level)
-        masses[path] = m
-        total += m
-        heap.append((m - p, path))
-    deficit = Fraction(1) - total
+    denominator = math.lcm(*(p.denominator for _, p in targets))
+    masses = _dyadic_masses(
+        [(path, p.numerator * (denominator // p.denominator)) for path, p in targets],
+        denominator,
+    )
+    return {path: m for (path, _), m in zip(targets, masses)}
+
+
+def _dyadic_masses(
+    targets: Sequence[tuple[tuple[Label, ...], int]], denominator: int
+) -> list[Fraction]:
+    """``dyadic_quantization`` of targets t / denominator, in integers.
+
+    Each mass is 2^-k and only its level k is tracked.  With E the largest
+    starting level, the deficit counts units of 2^-E and each remainder
+    units of 1 / (2^E * denominator), so the heap orders exactly as the
+    rationals would.  One Fraction is built per distinct final level.
+    """
+    # largest k with 2^-k <= t / denominator, i.e. smallest 2^k >= den / t
+    levels = [(-(-denominator // t) - 1).bit_length() for _, t in targets]
+    top = max(levels, default=0)
+    deficit = (1 << top) - sum(1 << (top - level) for level in levels)
     if deficit < 0:
         raise ParamsInvalid(
             "quantized masses already exceed 1; targets must sum to at most 1"
         )
+    heap = [
+        ((denominator << (top - level)) - (t << top), path, i)
+        for i, ((path, t), level) in enumerate(zip(targets, levels))
+    ]
     heapq.heapify(heap)
     while deficit > 0:
         if not heap:
             raise AssertionError("dyadic promotion ran out of candidates")
-        neg_remainder, path = heapq.heappop(heap)
-        m = masses[path]
-        if m > deficit:
+        neg_remainder, path, i = heapq.heappop(heap)
+        step = 1 << (top - levels[i])
+        if step > deficit:
             # deficit only shrinks, so this leaf can never fit again
             continue
-        masses[path] = m * 2
-        deficit -= m
-        target = m - neg_remainder
-        heapq.heappush(heap, (masses[path] - target, path))
-    return masses
+        levels[i] -= 1
+        deficit -= step
+        heapq.heappush(heap, (neg_remainder + denominator * step, path, i))
+    unit = {level: Fraction(1, 1 << level) for level in set(levels)}
+    return [unit[level] for level in levels]
 
 
 def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
@@ -175,6 +204,27 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
     lexicographically smallest label path.  Leaf masses are then the dyadic
     quantization of the product probabilities, which keeps the tree exactly
     normalized and the construction fully deterministic.
+
+    The growth runs in integers.  With the spec written as s_a = k_a / M
+    (M the lcm of its denominators), a depth-d leaf whose path multiplies
+    to K = prod k_a has Q+ = K / M^d, and the heap keys it by the integer
+    -K * M^(L - d), which orders as -Q+ does.  An expanded leaf is the
+    largest of fewer than B leaves whose Q+ sum to 1, so its Q+ exceeds
+    1/B, while Q+ <= (k_max / M)^d; L is the first depth with
+    k_max^L * B < M^L, found by an integer loop, so no leaf lies deeper.
+    The keys over M^L are the quantizer's targets.  This is the one-budget
+    case of the growth ``convergence_sweep`` runs.
+    """
+    return next(_matcher_trees(spec, [leaf_budget]))
+
+
+def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
+    """The matcher tree of each budget, in increasing order, from one growth.
+
+    The greedy order does not depend on the budget, so a larger budget's
+    expansion extends a smaller one's: the loop grows once toward the last
+    budget and, at each budget's stop point, quantizes that frontier and
+    builds its tree before growing on.
     """
     if not spec.exact:
         raise ParamsInvalid("matcher requires an exact (rational) target")
@@ -183,34 +233,40 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
     if width < 2:
         # an expansion must add leaves, or the growth never reaches the budget
         raise ParamsInvalid(f"matcher needs at least two labels, got {width}")
-    if leaf_budget < width:
+    if budgets[0] < width:
         raise ParamsInvalid(
-            f"leaf budget {leaf_budget} is below the alphabet size {width}"
+            f"leaf budget {budgets[0]} is below the alphabet size {width}"
         )
+    mass = spec.base.mass
+    m = math.lcm(*(mass[a].denominator for a in labels))
+    weights = [mass[a].numerator * (m // mass[a].denominator) for a in labels]
+    # scale = M^L for the first L with k_max^L * B < M^L
+    k_max = max(weights)
+    power, scale = k_max, m
+    while power * budgets[-1] >= scale:
+        power *= k_max
+        scale *= m
     edges: list[tuple[int, Label, int]] = []
     next_id = 1
-    # heap of current leaves keyed by (-Q+, path); paths are unique
-    heap: list[tuple[Fraction, tuple[Label, ...], int]] = [
-        (Fraction(-1), (), 0)
-    ]
+    # heap of current leaves keyed by (-K * M^(L - d), path); paths are unique
+    heap: list[tuple[int, tuple[Label, ...], int]] = [(-scale, (), 0)]
     count = 1
-    while count + (width - 1) <= leaf_budget:
-        neg_q, path, node = heapq.heappop(heap)
-        for label in labels:
-            child = next_id
-            next_id += 1
-            edges.append((node, label, child))
-            heapq.heappush(
-                heap, (neg_q * spec.base.mass[label], path + (label,), child)
-            )
-        count += width - 1
-    leaf_rows = sorted(
-        ((path, -neg_q, node) for neg_q, path, node in heap),
-        key=lambda row: row[0],
-    )
-    quantized = dyadic_quantization([(path, q) for path, q, _ in leaf_rows])
-    leaf_mass = {node: quantized[path] for path, _, node in leaf_rows}
-    return build_tree(edges, leaf_mass, exact=True)
+    for budget in budgets:
+        while count + (width - 1) <= budget:
+            neg_key, path, node = heapq.heappop(heap)
+            # d < L for an expanded leaf, so its key is a multiple of M
+            neg_key //= m
+            for label, k in zip(labels, weights):
+                edges.append((node, label, next_id))
+                heapq.heappush(heap, (neg_key * k, path + (label,), next_id))
+                next_id += 1
+            count += width - 1
+        leaf_rows = sorted(heap, key=itemgetter(1))
+        masses = _dyadic_masses(
+            [(path, -neg_key) for neg_key, path, _ in leaf_rows], scale
+        )
+        leaf_mass = {node: q for (_, _, node), q in zip(leaf_rows, masses)}
+        yield build_tree(edges, leaf_mass, exact=True)
 
 
 @dataclass(frozen=True)
@@ -228,10 +284,13 @@ class SweepRow:
 def convergence_sweep(
     spec: ProductSpec, budgets: Sequence[int], epsilon: float
 ) -> list[SweepRow]:
-    """Grow one matcher tree per budget and report its per-branch metrics.
+    """Report the per-branch metrics of the matcher tree of each budget.
 
     Budgets must be strictly increasing and must produce strictly
-    increasing leaf counts, so the sweep is a genuine tree sequence.
+    increasing leaf counts, so the sweep is a genuine tree sequence.  The
+    matcher is grown once, up to the last budget; each budget's tree is the
+    one ``grow_matcher_tree`` gives for it, built and reported at that
+    budget's stop point, so one frontier is held at a time.
     ``max_tail`` is the P_B probability of a branch distance of at least
     epsilon.  Each budget evaluates every branch sum once; the entropy
     rate gap is rounded once from the exact difference of the rate and
@@ -246,8 +305,7 @@ def convergence_sweep(
     target_entropy = spec.base.entropy()
     rows: list[SweepRow] = []
     prev_leaves = 0
-    for budget in budgets:
-        tree = grow_matcher_tree(spec, budget)
+    for budget, tree in zip(budgets, _matcher_trees(spec, budgets)):
         leaf_count = len(tree.leaves)
         if leaf_count <= prev_leaves:
             raise ParamsInvalid(

@@ -135,9 +135,13 @@ class Tree:
     def mean_length(self) -> Fraction | float:
         """E[w(L)]: Q summed over branching nodes in preorder.
 
-        Starts from a zero of the tree's mode, so a bare root yields 0.
+        On an exact tree this is (sum of n_j over branching j) / D, one
+        division; a float tree adds Q from 0.0.  A bare root yields 0.
         """
-        total = Fraction(0) if self.exact else 0.0
+        if self.exact:
+            n = self.mass_below
+            return Fraction(sum(n[j] for j in self.branching_nodes), n[self.root])
+        total = 0.0
         for j in self.branching_nodes:
             total = total + self.node_mass[j]
         return total
@@ -168,8 +172,8 @@ def build_tree(
     descendants of positive mass.
 
     ``exact`` picks the numeric mode; None infers it from the mass types
-    (any float mass means float mode).  Exact masses become Fractions and
-    float ones floats.
+    (any float mass means float mode).  Exact masses become Fractions (a
+    Fraction is kept as the caller's object) and float ones floats.
     """
     edges = list(edges)
     # children by label, in the order their edges came
@@ -228,7 +232,8 @@ def build_tree(
     masses: dict[NodeId, Fraction | float] = {}
     for node, mass in leaf_mass.items():
         if exact:
-            mass = Fraction(mass)
+            if type(mass) is not Fraction:
+                mass = Fraction(mass)
         else:
             try:
                 mass = float(mass)

@@ -1,3 +1,4 @@
+import heapq
 import io
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import treeprob.generators as generators
 from treeprob import (
     FiniteDistribution,
     GeneratorParams,
@@ -24,12 +26,80 @@ from treeprob import (
     write_sweep_csv,
 )
 from treeprob.generators import GENERATOR_ALGORITHM
+from treeprob.tree import build_tree
 
 LN2 = math.log(2.0)
 
 TWO_THIRDS_SPEC = ProductSpec(
     FiniteDistribution({"a": Fraction(2, 3), "b": Fraction(1, 3)})
 )
+
+
+# The matcher and quantizer written in plain Fraction arithmetic, as the
+# definition the integer versions in treeprob.generators must reproduce.
+
+
+def reference_dyadic_quantization(targets):
+    masses = {}
+    heap = []
+    total = Fraction(0)
+    for path, p in targets:
+        level = (-((-p.denominator) // p.numerator) - 1).bit_length()
+        m = Fraction(1, 1 << level)
+        masses[path] = m
+        total += m
+        heap.append((m - p, path))
+    deficit = 1 - total
+    heapq.heapify(heap)
+    while deficit > 0:
+        neg_remainder, path = heapq.heappop(heap)
+        m = masses[path]
+        if m > deficit:
+            continue
+        masses[path] = m * 2
+        deficit -= m
+        heapq.heappush(heap, (masses[path] - (m - neg_remainder), path))
+    return masses
+
+
+def reference_matcher_tree(spec, leaf_budget):
+    labels = spec.alphabet
+    width = len(labels)
+    edges = []
+    next_id = 1
+    heap = [(Fraction(-1), (), 0)]
+    count = 1
+    while count + (width - 1) <= leaf_budget:
+        neg_q, path, node = heapq.heappop(heap)
+        for label in labels:
+            edges.append((node, label, next_id))
+            heapq.heappush(
+                heap, (neg_q * spec.base.mass[label], path + (label,), next_id)
+            )
+            next_id += 1
+        count += width - 1
+    rows = sorted((path, -neg_q, node) for neg_q, path, node in heap)
+    quantized = reference_dyadic_quantization([(path, q) for path, q, _ in rows])
+    return build_tree(
+        edges, {node: quantized[path] for path, _, node in rows}, exact=True
+    )
+
+
+@st.composite
+def rational_specs(draw):
+    """Product specs on 2-4 labels whose masses have denominators <= 12."""
+    width = draw(st.integers(2, 4))
+    denominator = draw(st.integers(width, 12))
+    cuts = sorted(
+        draw(st.sets(st.integers(1, denominator - 1), min_size=width - 1,
+                     max_size=width - 1))
+    )
+    bounds = [0, *cuts, denominator]
+    mass = {
+        "abcd"[i]: Fraction(hi - lo, denominator)
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    }
+    return ProductSpec(FiniteDistribution(mass))
 
 
 def is_power_of_two(fraction):
@@ -204,6 +274,78 @@ class TestGrowMatcherTree:
         assert q[tree.root] == 1
         assert sum(tree.leaf_mass.values()) == 1
         assert all(is_power_of_two(m) for m in tree.leaf_mass.values())
+
+
+class TestReferenceMatcher:
+    """The matcher and quantizer equal their Fraction definitions above."""
+
+    @given(rational_specs(), st.integers(0, 300))
+    def test_matcher_equals_reference(self, spec, extra):
+        budget = len(spec.alphabet) + extra
+        tree = grow_matcher_tree(spec, budget)
+        reference = reference_matcher_tree(spec, budget)
+        assert tree == reference
+        # leaves keep the reference's (label path) order too
+        assert list(tree.leaf_mass) == list(reference.leaf_mass)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 1000), max_value=1,
+                         max_denominator=1000),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_quantization_equals_reference(self, values):
+        total = sum(values)
+        targets = [((i,), v / max(total, 1)) for i, v in enumerate(values)]
+        assert dyadic_quantization(targets) == reference_dyadic_quantization(
+            targets
+        )
+
+    @given(rational_specs(), st.lists(st.integers(0, 300), min_size=1,
+                                      max_size=4, unique=True))
+    def test_sweep_trees_equal_standalone_trees(self, spec, extras):
+        width = len(spec.alphabet)
+        # budgets that each add leaves: count = 1 + (width - 1) * expansions
+        budgets = sorted(1 + (width - 1) * (1 + e) for e in extras)
+        seen = []
+        report = generators.tree_pinsker_report
+
+        def record(tree, *args):
+            seen.append(tree)
+            return report(tree, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "tree_pinsker_report", record)
+            convergence_sweep(spec, budgets, 0.1)
+        assert seen == [grow_matcher_tree(spec, b) for b in budgets]
+
+    def test_uniform_labels_tie_break_by_path(self):
+        # every leaf of one depth ties on Q+, so only the path order decides
+        spec = ProductSpec.uniform(["a", "b", "c"])
+        for budget in (5, 7, 15, 23):
+            tree = grow_matcher_tree(spec, budget)
+            assert tree == reference_matcher_tree(spec, budget)
+        paths = sorted(tree.path_of(leaf) for leaf in tree.leaves)
+        assert paths[:3] == [("a", "a", "a"), ("a", "a", "b"), ("a", "a", "c")]
+
+    def test_skewed_spec_stays_within_its_depth_bound(self):
+        spec = ProductSpec(
+            FiniteDistribution({"a": Fraction(1, 7), "b": Fraction(6, 7)})
+        )
+        for budget in (2, 3, 40, 300):
+            tree = grow_matcher_tree(spec, budget)
+            assert tree == reference_matcher_tree(spec, budget)
+        # an expanded node has Q+ > 1/300, and (6/7)^d >= 1/300 holds up
+        # to d = 37, so no leaf lies deeper than 38; the greedy order stops
+        # the all-b path at 32
+        assert max(tree.depths.values()) == 32
+
+    def test_quantization_of_targets_summing_below_one(self):
+        targets = [(("a",), Fraction(1, 3)), (("b",), Fraction(1, 5))]
+        out = dyadic_quantization(targets)
+        assert out == reference_dyadic_quantization(targets)
+        assert out == {("a",): Fraction(1, 2), ("b",): Fraction(1, 2)}
 
 
 class TestConvergenceSweep:

@@ -18,6 +18,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "sweep.csv": ["sweep", "--target", "2/3,1/3", "--budgets", "4,16,64,256,1024"],
+    "sweep-3.csv": [
+        "sweep", "--target", "1/2,1/3,1/6", "--budgets", "3,9,27,81,243,729,2187"
+    ],
+    "sweep-4.csv": [
+        "sweep", "--target", "1/4,1/4,1/4,1/4", "--budgets", "4,16,64,256,1024"
+    ],
+    "sweep-4096.csv": [
+        "sweep", "--target", "2/3,1/3", "--budgets", "4,16,64,256,1024,4096"
+    ],
     "demo-analyze.json": ["analyze", "--json", "demo.tree"],
     "demo-check.json": ["check", "--json", "demo.tree"],
     "demo-divergence.json": ["divergence", "--json", "demo.tree", "demo_q.tree"],

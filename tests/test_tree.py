@@ -80,6 +80,23 @@ class TestBuildTree:
         with pytest.raises(ParamsInvalid):
             build_tree([], {})
 
+    def test_exact_leaf_fractions_are_kept(self):
+        for i in range(20):
+            t = corpus_tree(i)
+            # fresh objects, equal to the corpus tree's masses
+            masses = {
+                v: Fraction(m.numerator, m.denominator)
+                for v, m in t.leaf_mass.items()
+            }
+            rebuilt = build_tree(edges_of(t), masses)
+            assert rebuilt == t
+            for v, m in masses.items():
+                assert rebuilt.leaf_mass[v] is m
+        # other rationals still become Fractions
+        t = build_tree([(0, "x", 1), (0, "y", 2)], {1: 1, 2: 0})
+        assert type(t.leaf_mass[1]) is Fraction
+        assert t.leaf_mass == {1: Fraction(1)}
+
 
 class TestValidationErrors:
     def test_two_parents(self):
@@ -243,6 +260,20 @@ class TestNodeProbabilities:
         for tree in (demo_tree, demo_tree_float):
             assert tree.mean_length == Fraction(5, 2)
             assert "branching" not in vars(tree)
+
+    def test_mean_length_is_the_preorder_sum_of_branching_masses(self):
+        for i in range(120):
+            for t in (corpus_tree(i), float_mirror(corpus_tree(i))):
+                expected = Fraction(0) if t.exact else 0.0
+                for j in t.branching_nodes:
+                    expected = expected + t.node_mass[j]
+                got = t.mean_length
+                assert (type(got), got) == (type(expected), expected)
+
+    def test_bare_root_mean_length(self):
+        for mass in (Fraction(1), 1.0):
+            got = build_tree([], {0: mass}).mean_length
+            assert (type(got), got) == (type(mass), 0)
 
     def test_child_sums_exact(self):
         for i in range(20):
