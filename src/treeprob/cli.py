@@ -198,22 +198,12 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
         reference = _product_spec_for(tree, args.product)
     pinsker = approximation.tree_pinsker_report(tree, reference, epsilons)
     report.results["divergence"] = _result(pinsker.divergence, "bits")
-    report.results["normalized_divergence"] = {
-        "value": _json_value(pinsker.normalized_divergence),
-        "unit": "bits/branch",
-    }
-    report.results["mean_distance"] = {
-        "value": pinsker.mean_distance,
-        "unit": "L1",
-    }
-    report.results["mean_sq_distance"] = {
-        "value": pinsker.mean_sq_distance,
-        "unit": "L1^2",
-    }
-    report.results["pinsker_bound"] = {
-        "value": pinsker.bound,
-        "unit": "bits/branch",
-    }
+    report.results["normalized_divergence"] = _result(
+        pinsker.normalized_divergence, "bits/branch"
+    )
+    report.results["mean_distance"] = _result(pinsker.mean_distance, "L1")
+    report.results["mean_sq_distance"] = _result(pinsker.mean_sq_distance, "L1^2")
+    report.results["pinsker_bound"] = _result(pinsker.bound, "bits/branch")
     report.results["tail_probability"] = {
         "value": {str(eps): tail for eps, tail in pinsker.tail.items()},
         "unit": "probability",
@@ -241,14 +231,15 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
         if node not in tree.children:
             continue
         if isinstance(v, str):
-            # the sums of a float tree convert the value to a float, so it must fit
-            value = parse_rational(v)
-            x = 0.0 if tree.exact else _float_or_inf(value)
+            values[node] = parse_rational(v)
         else:
-            value = x = _float_or_inf(v) if type(v) in (int, float) else math.nan
-        if not math.isfinite(x):
+            values[node] = _float_or_inf(v) if type(v) in (int, float) else math.nan
+    # a float tree or a float value makes the sums float sums, which convert
+    # every value to a float, so each must fit
+    floats = not tree.exact or any(isinstance(v, float) for v in values.values())
+    for node, value in values.items():
+        if floats and not math.isfinite(_float_or_inf(value)):
             raise ParseError(f"functional value of node {node!r} is not a finite number")
-        values[node] = value
     return values
 
 
@@ -289,14 +280,12 @@ def _cmd_sweep(args, out) -> tuple[int, Report]:
     report = Report(command="sweep")
     report.results["rows"] = {"value": len(rows), "unit": "budgets"}
     last = rows[-1]
-    report.results["final_normalized_divergence"] = {
-        "value": last.normalized_divergence,
-        "unit": "bits/branch",
-    }
-    report.results["final_entropy_rate_gap"] = {
-        "value": last.entropy_rate_gap,
-        "unit": "bits/branch",
-    }
+    report.results["final_normalized_divergence"] = _result(
+        last.normalized_divergence, "bits/branch"
+    )
+    report.results["final_entropy_rate_gap"] = _result(
+        last.entropy_rate_gap, "bits/branch"
+    )
     if args.out:
         Path(args.out).write_text(csv_text, "utf-8")
         report.results["csv_path"] = {"value": args.out, "unit": "path"}

@@ -6,13 +6,14 @@ into a weighted sum of per-node increments:
     E[f(L)] - f(root) = sum over branching j of  Q_j * E[delta_f(S_j)]
 
 where delta_f(i) = f(i) - f(parent(i)) and the inner expectation runs over
-the branching distribution at j.  ``lansit_check`` evaluates the node side
-by the constructive argument behind the identity: repeatedly merge a
-deepest sibling set into its parent, accumulating that node's term, until
-only the root remains.  ``node_increment_sum`` is the independent direct
-summation; the two walk the branching nodes in the same order and perform
-the same elementary operations, so they agree bit for bit even in float
-mode; they differ only in where the node masses come from.
+the branching distribution at j.  The paper proves it by contracting the
+tree: merge a deepest sibling set into its parent, adding that parent's
+term, until only the root remains.  Each merge only sums the masses that
+``build_tree`` already summed into the tree's table, so ``lansit_check``
+takes its node side straight from that table (``node_increment_sum``).
+The leaf side is sum over leaves l of Q_l f(l), less Q_root f(root), in
+both modes: the identity holds for the masses as given, also when float
+leaf masses sum to 1 only within ``MASS_SUM_TOLERANCE``.
 
 One mode rule (``_exact_sum``) holds for every sum over a tree: it is
 exact when the tree is exact and none of its values (f on the nodes, or
@@ -61,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
 from .numeric import entropy_of, exact_weighted_sum, kl_of, log2_exponents, log2_of
@@ -85,7 +86,6 @@ __all__ = [
     "lansit_check",
     "leaf_entropy",
     "log_ratio_functional",
-    "merged_increment_sum",
     "node_increment_sum",
     "normalized_divergence",
     "surprisal_functional",
@@ -99,26 +99,34 @@ RESIDUAL_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LansitReport:
-    """Both sides of the interchange identity plus their difference."""
+    """Both sides of the interchange identity plus their difference.
+
+    ``scale`` is the sum of the absolute values of the leaf side's terms,
+    |Q_l f(l)| over leaves l and |Q_root f(root)|, as a float (0.0 when
+    exact).  A float residual is judged against max(1, scale): rounding
+    error grows with the magnitudes summed, which a common offset of f
+    raises while both sides stay small.
+    """
 
     leaf_side: object
     node_side: object
     residual: object
     exact: bool
+    scale: float
 
     def holds(self) -> bool:
         if self.exact:
             return self.residual == 0
         if self.leaf_side == self.node_side:  # also two infinities of one sign
             return True
-        scale = max(1.0, abs(float(self.leaf_side)))
-        return abs(float(self.residual)) <= RESIDUAL_REL_TOL * scale
+        residual = abs(float(self.residual))
+        tolerance = RESIDUAL_REL_TOL * max(1.0, self.scale)
+        return math.isfinite(residual) and residual <= tolerance
 
     def per_branch(self, ew: object) -> "LansitReport":
-        """This report with every side divided by E[w(L)] = ``ew``."""
-        return LansitReport(
-            self.leaf_side / ew, self.node_side / ew, self.residual / ew, self.exact
-        )
+        """This report with every side, and the scale, divided by E[w(L)] = ``ew``."""
+        sides = (self.leaf_side, self.node_side, self.residual)
+        return LansitReport(*(x / ew for x in sides), self.exact, self.scale / ew)
 
 
 @dataclass(frozen=True)
@@ -229,110 +237,68 @@ def _merge_order(tree: Tree) -> list[NodeId]:
     return sorted(tree.branching_nodes, key=lambda j: (-depth[j], index[j]))
 
 
-def _increments(tree: Tree, f: NodeFunctional, j: NodeId, n, nj) -> Iterator:
-    """D Q_j E[delta_f(S_j)] as exact (weight, value) terms: (n_c, f(c)) for
-    each child c of j, then (-n_j, f(j)), since n_j is the sum of the n_c."""
-    yield from ((n[child], f[child]) for _, child in tree.children[j])
-    yield -nj, f[j]
+def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
+    """The node side: sum over branching j of Q_j E[delta_f(S_j)], with
+    every mass read from the tree's one table (``Tree.mass_below``).
 
-
-def _contraction(tree: Tree, exact: bool) -> Iterator[tuple[NodeId, dict, object]]:
-    """Yield (j, mass, m_j) per branching node in merge order by the
-    leaf-merging contraction, where mass holds the masses of j's children
-    and m_j is their sum.
-
-    Maintains the current leaf masses of the progressively contracted tree,
-    starting from the leaf entries of Q, or of n in an exact sum: each step
-    sums m_j over j's current children (all of which are leaves by the
-    deepest-first order), then replaces the sibling set by j itself
-    carrying mass m_j.  No internal mass is read from the tree.
+    The branching nodes are taken deepest first, ties in preorder.  An
+    exact sum (``_exact_sum`` over f) folds, for each j, the integer terms
+    n_c f(c) over j's children c and -n_j f(j) over D, since n_j is the sum
+    of the n_c.  Otherwise it chains, per j, Q_j times the sum over
+    children c of (Q_c / Q_j) (f(c) - f(j)).  Summed, the increments
+    telescope to sum over leaves l of Q_l f(l), less Q_root f(root).
     """
-    m = tree.mass_numerators if exact else tree.leaf_mass
-    mass = {v: m[v] for v in tree.leaf_mass}
-    for j in _merge_order(tree):
-        kids = tree.children[j]
-        mj = mass[kids[0][1]]
-        for _, child in kids[1:]:
-            mj = mj + mass[child]
-        yield j, mass, mj
-        for _, child in kids:
-            del mass[child]
-        mass[j] = mj
-
-
-def _node_masses(tree: Tree, exact: bool) -> Iterator[tuple[NodeId, dict, object]]:
-    """The (j, mass, m_j) of each branching node in merge order, with mass
-    the tree's own table: n in an exact sum, Q otherwise."""
-    mass = tree.mass_numerators if exact else node_probabilities(tree)
-    return ((j, mass, mass[j]) for j in _merge_order(tree))
-
-
-def _node_side(
-    tree: Tree,
-    f: NodeFunctional,
-    masses: Callable[[Tree, bool], Iterable[tuple[NodeId, dict, object]]],
-) -> object:
-    """Sum over branching j of Q_j E[delta_f(S_j)], with j's masses from
-    ``masses(tree, exact)``.
-
-    An exact sum (``_exact_sum`` over f) folds the ``_increments`` of every
-    j over D.  Otherwise it chains, per j, Q_j times the sum over children
-    c of (Q_c / Q_j) (f(c) - f(j)).
-    """
+    order = _merge_order(tree)
     if _exact_sum(tree, map(f.get, tree.nodes)):
-        terms = (t for step in masses(tree, True) for t in _increments(tree, f, *step))
-        return exact_weighted_sum(terms, tree.mass_numerators[tree.root])
+        n = tree.mass_numerators
+        terms = []
+        for j in order:
+            terms += [(n[child], f[child]) for _, child in tree.children[j]]
+            terms.append((-n[j], f[j]))
+        return exact_weighted_sum(terms, n[tree.root])
+    q = node_probabilities(tree)
     total = 0
-    for j, mass, qj in masses(tree, False):
+    for j in order:
         inner = 0
         for _, child in tree.children[j]:
-            inner = inner + (mass[child] / qj) * (f[child] - f[j])
-        total = total + qj * inner
+            inner = inner + (q[child] / q[j]) * (f[child] - f[j])
+        total = total + q[j] * inner
     return total
-
-
-def merged_increment_sum(tree: Tree, f: NodeFunctional) -> object:
-    """Node-side sum evaluated by repeated merging of deepest sibling sets."""
-    return _node_side(tree, f, _contraction)
-
-
-def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
-    """Direct node-side sum from the tree's node masses.
-
-    Walks branching nodes in the same order as the merging evaluation and
-    performs the same divisions and additions, so the two results are
-    identical, not merely close.  The two differ only in where the masses
-    come from: this sum reads Q_j, or n_j when exact, from the tree's table
-    where the contraction sums it.
-    """
-    return _node_side(tree, f, _node_masses)
 
 
 def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
     """Evaluate both sides of the interchange identity for a functional.
 
-    leaf_side is sum of P_L(i) f(i) minus f(root); node_side comes from
-    ``merged_increment_sum`` so every call exercises the constructive
-    contraction argument.  An exact leaf side folds n_l f(l) and -D f(root)
-    over D from the tree's integer mass table, as the node side does, so it
-    checks the identity on that table but not the table against the parsed
-    leaf masses.  Raises FunctionalIncomplete when f lacks a node.
+    The leaf side is sum over leaves l of Q_l f(l), less Q_root f(root),
+    over the tree's masses as given; the node side is
+    ``node_increment_sum``, which telescopes to the same sum.  An exact
+    leaf side folds n_l f(l) and -D f(root) over D from the tree's integer
+    table, as the node side does, so it checks the identity on that table
+    but not the table against the parsed leaf masses.  A float leaf side
+    weights f(root) by Q_root, which is 1 on an exact tree and the summed
+    leaf masses, within ``MASS_SUM_TOLERANCE`` of 1, on a float one; its
+    ``scale`` adds up the absolute values of those terms.  Raises
+    FunctionalIncomplete when f lacks a node.
     """
     _require_complete(tree, f)
     exact = _exact_sum(tree, map(f.get, tree.nodes))
+    root = tree.root
+    scale = 0.0
     if exact:
         n = tree.mass_numerators
-        d = n[tree.root]
         terms = [(n[leaf], f[leaf]) for leaf in tree.leaves]
-        leaf_side = exact_weighted_sum(terms + [(-d, f[tree.root])], d)
+        leaf_side = exact_weighted_sum(terms + [(-n[root], f[root])], n[root])
     else:
         leaf_side = 0
         for leaf in tree.leaves:
-            leaf_side = leaf_side + tree.leaf_mass[leaf] * f[leaf]
-        leaf_side = leaf_side - f[tree.root]
-    node_side = merged_increment_sum(tree, f)
-    residual = leaf_side - node_side
-    return LansitReport(leaf_side, node_side, residual, exact)
+            term = tree.leaf_mass[leaf] * f[leaf]
+            leaf_side = leaf_side + term
+            scale += abs(float(term))
+        term = node_probabilities(tree)[root] * f[root]
+        leaf_side = leaf_side - term
+        scale += abs(float(term))
+    node_side = node_increment_sum(tree, f)
+    return LansitReport(leaf_side, node_side, leaf_side - node_side, exact, scale)
 
 
 def expected_path_length(tree: Tree) -> object:

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from treeprob import GeneratorParams, Tree, build_tree, generate_random_tree
-from treeprob.numeric import ExactLog2
+from treeprob.numeric import ExactLog2, exact_weighted_sum
 
 MAX_NODES = 200
 MAX_ALPHABET = 4
@@ -102,3 +102,40 @@ def complete_tree(alphabet: int, depth: int, seed: int) -> Tree:
     total = sum(weights)
     mass = {leaf: Fraction(w, total) for leaf, w in zip(level, weights)}
     return build_tree(edges, mass, exact=True)
+
+
+def merged_increment_sum(tree: Tree, f: dict) -> object:
+    """The node side of the interchange identity by the paper's contraction.
+
+    Repeatedly merges a deepest sibling set (ties in preorder) into its
+    parent j, which then carries as its leaf mass m_j the sum of its
+    children's current masses, adding j's increment term on the way, until
+    only the root remains.  Only leaf masses are read from the tree: the
+    leaf entries of Q, or of the integer table n in an exact sum.  The terms
+    and their order are those of ``node_increment_sum``, so the two agree
+    bit for bit in both modes.
+    """
+    exact = tree.exact and not any(isinstance(f[v], float) for v in tree.nodes)
+    table = tree.mass_numerators if exact else tree.leaf_mass
+    mass = {v: table[v] for v in tree.leaf_mass}
+    index = {v: i for i, v in enumerate(tree.nodes)}
+    order = sorted(tree.branching_nodes, key=lambda j: (-tree.depths[j], index[j]))
+    terms, total = [], 0
+    for j in order:
+        kids = [child for _, child in tree.children[j]]
+        mj = mass[kids[0]]
+        for child in kids[1:]:
+            mj = mj + mass[child]
+        if exact:
+            terms += [(mass[child], f[child]) for child in kids] + [(-mj, f[j])]
+        else:
+            inner = 0
+            for child in kids:
+                inner = inner + (mass[child] / mj) * (f[child] - f[j])
+            total = total + mj * inner
+        for child in kids:
+            del mass[child]
+        mass[j] = mj
+    if exact:
+        return exact_weighted_sum(terms, tree.mass_numerators[tree.root])
+    return total

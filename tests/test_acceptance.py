@@ -19,6 +19,7 @@ from corpus import (
     edges_of,
     float_functional,
     float_mirror,
+    merged_increment_sum,
     random_distribution,
     rational_functional,
     remass,
@@ -35,7 +36,6 @@ from treeprob import (
     expected_path_length,
     lansit_check,
     leaf_entropy,
-    merged_increment_sum,
     node_increment_sum,
     node_probabilities,
     parse_tree,

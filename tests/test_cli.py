@@ -514,6 +514,39 @@ class TestCheck:
         assert code == 2
         assert "ParseError" in err
 
+    def test_rational_value_past_the_float_range_in_a_float_sum(self, halves):
+        # one JSON number makes the sums on an exact tree float sums
+        exact, _, functional = halves
+        path = functional('{"0": "1e400", "1": 0.5, "2": 0}')
+        code, _, _, err = invoke(["check", exact, "--functional", path])
+        assert code == 2
+        assert "ParseError" in err
+
+    @pytest.mark.parametrize(
+        "masses, functional",
+        [
+            # a common offset of 1e12 cancels between the two sides
+            (
+                [0.1, 0.2, 0.7],
+                '{"0": 1000000000000, "1": 1000000000000.3,'
+                ' "2": 1000000000000.7, "3": 1000000000001.1}',
+            ),
+            # leaf masses that sum to 1 only within the accepted tolerance
+            ([0.5, 0.5000000005], '{"0": 1000000, "1": 1000001, "2": 1000002}'),
+        ],
+        ids=["large-offset", "mass-sum-off-one"],
+    )
+    def test_float_identity_holds_on_large_functional_values(
+        self, tmp_path, masses, functional
+    ):
+        doc = tmp_path / "star.tree"
+        doc.write_text(float_star(masses), "utf-8")
+        path = tmp_path / "f.json"
+        path.write_text(functional, "utf-8")
+        code, report, _, err = invoke(["check", str(doc), "--functional", str(path)])
+        assert (code, err) == (0, "")
+        assert [c["passed"] for c in report.checks] == [True, True]
+
     def test_float_mode_uses_tolerance(self, demo_file):
         code, report, _, _ = invoke(["check", "--float", demo_file])
         assert code == 0

@@ -11,6 +11,7 @@ from corpus import (
     exact_signature,
     float_functional,
     float_mirror,
+    merged_increment_sum,
     rational_functional,
     remass,
 )
@@ -19,6 +20,7 @@ from treeprob import (
     FiniteDistribution,
     FunctionalIncomplete,
     GeneratorParams,
+    LansitReport,
     ProductSpec,
     ShapeMismatch,
     branching_node_distribution,
@@ -32,7 +34,6 @@ from treeprob import (
     lansit_check,
     leaf_entropy,
     log_ratio_functional,
-    merged_increment_sum,
     node_increment_sum,
     normalized_divergence,
     path_lengths,
@@ -92,6 +93,38 @@ class TestLansitCheck:
         report = lansit_check(demo_tree, {n: float(n) for n in demo_tree.nodes})
         assert not report.exact
         assert report.holds()
+
+    def test_float_functional_with_root_value_on_exact_tree(self, demo_tree):
+        # Q_root is 1 on an exact tree, whatever the integer D of its table
+        f = {n: float(n) + 5.0 for n in demo_tree.nodes}
+        report = lansit_check(demo_tree, f)
+        assert not report.exact
+        assert report.leaf_side == report.node_side == 4.5
+        assert report.residual == 0.0 and report.holds()
+
+    def test_float_functionals_with_a_large_offset(self):
+        # a shift of f by c changes neither side; the verdict scales with
+        # the summed terms, of size c, not with the sides, of size 1
+        for i in range(100):
+            t = float_mirror(corpus_tree(i))
+            f = {n: v + 1e12 for n, v in float_functional(t, seed=60_000 + i).items()}
+            report = lansit_check(t, f)
+            assert not report.exact
+            assert report.holds(), (i, report)
+
+    def test_float_masses_off_one_within_the_tolerance(self):
+        for i in range(100):
+            t = corpus_tree(i)
+            mass = {leaf: float(m) * (1 + 5e-10) for leaf, m in t.leaf_mass.items()}
+            ft = build_tree(edges_of(t), mass, exact=False)
+            f = {n: v + 1e6 for n, v in float_functional(ft, seed=61_000 + i).items()}
+            report = lansit_check(ft, f)
+            assert report.holds(), (i, report)
+
+    def test_infinite_residual_fails_whatever_the_scale(self):
+        # terms past the float range must not excuse sides that differ
+        assert not LansitReport(math.inf, 1.0, math.inf, False, math.inf).holds()
+        assert LansitReport(2.0, 2.0 + 1e-7, -1e-7, False, 1e3).holds()
 
     def test_merged_equals_direct_bitwise(self):
         # same elementary operations in the same order, both modes
