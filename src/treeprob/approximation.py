@@ -257,10 +257,13 @@ class PinskerTreeReport:
 
     ``divergence`` is the branch-sum D, exact when both inputs are, and
     +inf when a reference tree lacks a branch of p; ``normalized_divergence``
-    is D / E[w(L)] as a float.  ``tail`` maps each requested epsilon to the
-    exact P_B mass of branching nodes whose branch distance reaches it.
-    ``holds`` records the bound
-    normalized_divergence >= mean_sq_distance / (2 ln 2).
+    is D / E[w(L)] as a float.  ``mean_distance`` and ``mean_sq_distance``
+    are the P_B averages of the branch distance d_j and of d_j^2, rounded
+    once from the exact average when no distance is a float (always when
+    both inputs are exact).  ``tail`` maps each requested epsilon to the
+    P_B mass of the branching nodes with d_j >= epsilon, compared at
+    epsilon's exact value and summed exactly on an exact tree.  ``holds``
+    records the bound normalized_divergence >= mean_sq_distance / (2 ln 2).
     """
 
     divergence: object
@@ -288,30 +291,58 @@ def require_epsilon(epsilon) -> None:
 
 
 def _branch_distances(
-    p: Tree, reference: "Tree | ProductSpec"
-) -> tuple[dict[NodeId, object], object]:
-    """Branch distance d(P_{S_j}, ref_j) per branching node, plus the divergence D.
+    p: Tree, reference: "Tree | ProductSpec", exact: bool
+) -> tuple[list[tuple[int, int, int]] | dict[NodeId, object], object]:
+    """Branch distance d_j = d(P_{S_j}, ref_j) per branching node j of p, in
+    preorder, plus the divergence D.
 
     For a tree reference, nodes align by label paths; structure missing
     from the reference counts as zero mass there (distance then includes
-    the uncovered p mass, and the divergence is +inf).  For a product
+    the uncovered p mass, and the divergence is +inf), and a node j whose
+    aligned node is a leaf, or that has none, has d_j = 1.  For a product
     reference, every node compares against the one spec distribution over
     the full spec alphabet.
+
+    An exact pair (``exact``) gives one integer triple (n_j, S_j, m_j) per
+    j, with d_j = S_j / (m_j n_j), from the tables alone: no P_{S_j} is
+    built.  The reference at j is a weight r_a per label a, summing to m_j:
+    the spec as s_a = r_a / M with M the lcm of its denominators, or the
+    entries n' of the aligned node's children in the reference's table.
+    S_j sums |m_j n_c - r_a n_j| over j's children c (label a, r_a = 0
+    where the reference lacks a) and adds n_j r_a for each reference label
+    a that j lacks.  As the n_c sum to n_j and the r_a to m_j, that is twice
+    the sum of the positive parts of m_j n_c - r_a n_j.  Any other pair
+    gives a map of d_j, summed edge by edge from ``Tree.branching``.
     """
     if isinstance(reference, ProductSpec):
         divergence = product_branch_divergence(p, reference)
-        refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
+        ref = reference.base.mass
+        if exact:
+            lcm = math.lcm(*(s.denominator for s in ref.values()))
+            ref = {a: s.numerator * (lcm // s.denominator) for a, s in ref.items()}
+        refs = dict.fromkeys(p.branching_nodes, ref)
     else:
         mapping, covered = align_by_paths(p, reference)
         divergence = aligned_divergence(p, reference, mapping, covered)
-        ref_dists = reference.branching
-        refs = {
-            j: ref_dists.get(mapping[j], {}) if j in mapping else {}
-            for j in p.branching_nodes
-        }
+        if exact:
+            n_ref = reference.mass_below
+            ref_dists = {v: {a: n_ref[c] for a, c in reference.children[v]}
+                         for v in reference.branching_nodes}
+        else:
+            ref_dists = reference.branching
+        refs = {j: ref_dists.get(q, {}) for j, q in mapping.items()}
+    if exact:
+        n = p.mass_below
+        triples = []
+        for j in p.branching_nodes:
+            ref = refs.get(j, {})
+            nj, m = n[j], sum(ref.values())
+            s = 2 * sum(max(m * n[c] - ref.get(a, 0) * nj, 0) for a, c in p.children[j])
+            triples.append((nj, s, m) if ref else (nj, nj, 1))
+        return triples, divergence
     distances: dict[NodeId, object] = {}
     for j, own in p.branching.items():
-        ref = refs[j]
+        ref = refs.get(j, {})
         d = 0
         for lab, mass in own.items():
             d = d + abs(mass - ref.get(lab, 0))
@@ -320,6 +351,15 @@ def _branch_distances(
                 d = d + abs(mass)
         distances[j] = d
     return distances, divergence
+
+
+def _ratio_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of a / b over (a, b) integer pairs; numerators over one
+    denominator are added first, so each distinct b costs one Fraction."""
+    over: dict[int, int] = {}
+    for a, b in pairs:
+        over[b] = over.get(b, 0) + a
+    return sum(Fraction(a, b) for b, a in over.items())
 
 
 def tree_pinsker_report(
@@ -332,20 +372,41 @@ def tree_pinsker_report(
     Tail probabilities are exact sums over the finite branching set, not
     estimates.  The Markov cross-check E[d]/eps is available from the
     report's ``markov_tail_bound``.
+
+    When the tree and the reference are both exact, every average is a
+    ratio of integers over the triples (n_j, S_j, m_j) of
+    ``_branch_distances``.  With N the sum of n_j over branching j, the
+    mean is the sum of S_j / m_j over N, the mean square the sum of
+    S_j^2 / (m_j^2 n_j) over N, and tail(eps) the sum of n_j over the j
+    with S_j >= eps m_j n_j, over N, with eps at its exact value (a float
+    at its binary value, as ``Fraction >= float`` compares).  Otherwise
+    each average is a ``branch_sum`` of the distances over E[w(L)].  Each
+    float field rounds its exact average once where that average is exact.
     """
     epsilons = list(epsilons)
     for eps in epsilons:
         require_epsilon(eps)
     ew = normalizer(p)
-    distances, divergence = _branch_distances(p, q_or_spec)
+    exact = p.exact and q_or_spec.exact
+    distances, divergence = _branch_distances(p, q_or_spec, exact)
+    if exact:
+        total = sum(nj for nj, _, _ in distances)
+        mean_d = _ratio_sum((s, m) for _, s, m in distances) / total
+        mean_sq = _ratio_sum((s * s, m * m * nj) for nj, s, m in distances) / total
+        tail = {}
+        for eps in epsilons:
+            num, den = Fraction(eps).as_integer_ratio()
+            reached = sum(nj for nj, s, m in distances if s * den >= num * m * nj)
+            tail[eps] = float(Fraction(reached, total))
+    else:
 
-    def average(h):
-        """The P_B-average of h(d_j)."""
-        return branch_sum(p, lambda j, dist: h(distances[j])) / ew
+        def average(h):
+            """The P_B-average of h(d_j)."""
+            return branch_sum(p, lambda j, dist: h(distances[j])) / ew
 
-    mean_d = average(lambda d: d)
-    mean_sq = average(lambda d: d * d)
-    tail = {eps: float(average(lambda d: d >= eps)) for eps in epsilons}
+        mean_d = average(lambda d: d)
+        mean_sq = average(lambda d: d * d)
+        tail = {eps: float(average(lambda d: d >= eps)) for eps in epsilons}
     bound = float(mean_sq) / (2.0 * math.log(2.0))
     nd_float = float(divergence / ew)
     return PinskerTreeReport(

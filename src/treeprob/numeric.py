@@ -63,6 +63,21 @@ Rational = Union[int, Fraction]
 _factor_cache: dict[int, dict[int, int]] = {}
 
 
+def _strip_power(m: int, p: int) -> tuple[int, int]:
+    """(e, m / p^e) for the largest e with p^e dividing m, in O(log e)
+    divisions: the squares p, p^2, p^4, ... that divide m are found, then
+    divided out from the largest down, one for each bit of e."""
+    squares = [p]
+    while m % (squares[-1] * squares[-1]) == 0:
+        squares.append(squares[-1] * squares[-1])
+    e = 0
+    for i in reversed(range(len(squares))):
+        quotient, remainder = divmod(m, squares[i])
+        if not remainder:
+            m, e = quotient, e + (1 << i)
+    return e, m
+
+
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}."""
     if n <= 0:
@@ -70,19 +85,17 @@ def _factorize(n: int) -> dict[int, int]:
     cached = _factor_cache.get(n)
     if cached is not None:
         return cached
-    factors: dict[int, int] = {}
-    m = n
-    for p in (2, 3):
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+    twos = (n & -n).bit_length() - 1  # the trailing zero bits
+    factors = {2: twos} if twos else {}
+    m = n >> twos
+    if m % 3 == 0:
+        factors[3], m = _strip_power(m, 3)
     # remaining factors are of the form 6k +- 1
     d = 5
     step = 2
     while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
+        if m % d == 0:
+            factors[d], m = _strip_power(m, d)
         d += step
         step = 6 - step
     if m > 1:

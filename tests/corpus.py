@@ -4,10 +4,24 @@ Everything here is a pure function of the index argument, so any test can
 regenerate the exact tree another test saw.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from treeprob import GeneratorParams, Tree, build_tree, generate_random_tree
+from treeprob.approximation import (
+    PINSKER_TOLERANCE,
+    PinskerTreeReport,
+    ProductSpec,
+    product_branch_divergence,
+    require_epsilon,
+)
+from treeprob.identities import (
+    align_by_paths,
+    aligned_divergence,
+    branch_sum,
+    normalizer,
+)
 from treeprob.numeric import ExactLog2, exact_weighted_sum
 
 MAX_NODES = 200
@@ -139,3 +153,58 @@ def merged_increment_sum(tree: Tree, f: dict) -> object:
     if exact:
         return exact_weighted_sum(terms, tree.mass_numerators[tree.root])
     return total
+
+
+def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
+    """``tree_pinsker_report`` from one distance per branching node.
+
+    Every branch distance is summed edge by edge from the branching
+    distributions P_{S_j} (``Tree.branching``), Fractions on an exact tree,
+    and each P_B average of a function of the distances is a ``branch_sum``
+    divided by E[w(L)]: the mean, the mean square and, for each epsilon,
+    the mass of the nodes whose distance reaches it.  For a tree reference,
+    nodes align by label paths and a node with no aligned branching node
+    compares against zero mass; a product reference compares every node
+    with the spec over its whole alphabet.
+    """
+    epsilons = list(epsilons)
+    for eps in epsilons:
+        require_epsilon(eps)
+    ew = normalizer(p)
+    if isinstance(reference, ProductSpec):
+        divergence = product_branch_divergence(p, reference)
+        refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
+    else:
+        mapping, covered = align_by_paths(p, reference)
+        divergence = aligned_divergence(p, reference, mapping, covered)
+        ref_dists = reference.branching
+        refs = {
+            j: ref_dists.get(mapping[j], {}) if j in mapping else {}
+            for j in p.branching_nodes
+        }
+    distances = {}
+    for j, own in p.branching.items():
+        ref = refs[j]
+        d = 0
+        for lab, mass in own.items():
+            d = d + abs(mass - ref.get(lab, 0))
+        for lab, mass in ref.items():
+            if lab not in own:
+                d = d + abs(mass)
+        distances[j] = d
+
+    def average(h):
+        return branch_sum(p, lambda j, dist: h(distances[j])) / ew
+
+    mean_sq = average(lambda d: d * d)
+    bound = float(mean_sq) / (2.0 * math.log(2.0))
+    normalized = float(divergence / ew)
+    return PinskerTreeReport(
+        divergence=divergence,
+        normalized_divergence=normalized,
+        mean_distance=float(average(lambda d: d)),
+        mean_sq_distance=float(mean_sq),
+        bound=bound,
+        holds=normalized >= bound - PINSKER_TOLERANCE,
+        tail={eps: float(average(lambda d: d >= eps)) for eps in epsilons},
+    )

@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from corpus import complete_tree, corpus_tree, random_distribution, remass
+from corpus import (
+    complete_tree,
+    corpus_tree,
+    edges_of,
+    exact_signature,
+    float_mirror,
+    pinsker_reference,
+    random_distribution,
+    remass,
+)
 from treeprob import (
     AlphabetMismatch,
     BoundedFunctional,
@@ -15,14 +24,18 @@ from treeprob import (
     NonFiniteMass,
     ParamsInvalid,
     ProductSpec,
+    ShapeMismatch,
     UnknownLabel,
     branching_distributions,
     build_tree,
+    convergence_sweep,
     divergence_to_product,
     entropy_functional,
     entropy_rate,
     entropy_rate_gap,
     functional_convergence_gap,
+    generators,
+    grow_matcher_tree,
     pinsker_check,
     product_branch_divergence,
     product_node_probabilities,
@@ -351,6 +364,164 @@ class TestTreePinskerReport:
         single = build_tree([], {"r": Fraction(1)})
         with pytest.raises(DegenerateTree):
             tree_pinsker_report(single, ProductSpec.uniform(["a", "b"]))
+
+
+EPSILONS = (0.01, 0.1, 0.5, 1.0, 1 / 3, 0.7, Fraction(1, 3), 2)
+
+
+def report_bits(report):
+    """Every field of a Pinsker report: the divergence with its type, each
+    float field as hex, and the tails with their thresholds' types."""
+    floats = (report.normalized_divergence, report.mean_distance,
+              report.mean_sq_distance, report.bound)
+    return (
+        exact_signature(report.divergence),
+        [x.hex() for x in floats],
+        report.holds,
+        [(type(eps), eps, t.hex()) for eps, t in report.tail.items()],
+    )
+
+
+def without_subtree(tree, node, keep_node):
+    """``tree`` less everything below ``node``.  With ``keep_node`` the node
+    stays as a leaf holding that mass; otherwise it goes too and the other
+    leaf masses are rescaled to sum to one."""
+    gone = set() if keep_node else {node}
+    stack = [child for _, child in tree.children[node]]
+    while stack:
+        v = stack.pop()
+        gone.add(v)
+        stack.extend(child for _, child in tree.children[v])
+    mass = {v: m for v, m in tree.leaf_mass.items() if v not in gone}
+    if keep_node:
+        mass[node] = tree.node_mass[node]
+    else:
+        total = sum(mass.values())
+        mass = {v: m / total for v, m in mass.items()}
+    edges = [edge for edge in edges_of(tree) if edge[2] not in gone]
+    return build_tree(edges, mass, exact=tree.exact)
+
+
+def pinsker_references(i):
+    """Each reference the corpus tree i is reported against, by name."""
+    p = corpus_tree(i)
+    spec = random_distribution(p.label_alphabet, 70_000 + i)
+    refs = {
+        "exact-spec": ProductSpec(FiniteDistribution(spec)),
+        "float-spec": ProductSpec(FiniteDistribution(
+            {a: float(m) for a, m in spec.items()}, exact=False)),
+        "remassed": remass(p, 80_000 + i),
+        "itself": corpus_tree(i),
+        "float-mirror": float_mirror(p),
+        "bare-root": build_tree([], {0: Fraction(1)}),
+        "float-bare-root": build_tree([], {0: 1.0}, exact=False),
+    }
+    # a branching node with a sibling, so that the rest of the tree keeps a leaf
+    cut = next((j for j in p.branching_nodes[1:]
+                if len(p.children[p.parent_edge[j][0]]) > 1), None)
+    if cut is not None:
+        refs["subtree-removed"] = without_subtree(p, cut, keep_node=False)
+        refs["subtree-to-leaf"] = without_subtree(p, cut, keep_node=True)
+        refs["float-subtree-removed"] = float_mirror(refs["subtree-removed"])
+    return p, refs
+
+
+class TestPinskerReference:
+    """tree_pinsker_report against the per-node distances and branch_sum
+    averages of ``corpus.pinsker_reference``, field by field and bit for bit."""
+
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_corpus_agrees_bitwise(self, start):
+        for i in range(start, start + 50):
+            exact_p, refs = pinsker_references(i)
+            for p in (exact_p, float_mirror(exact_p)):
+                for name, ref in refs.items():
+                    got = report_bits(tree_pinsker_report(p, ref, EPSILONS))
+                    want = report_bits(pinsker_reference(p, ref, EPSILONS))
+                    assert got == want, (i, p.exact, name)
+
+    def test_subtree_removed_is_infinite_with_unit_distances(self):
+        p, refs = pinsker_references(0)
+        report = tree_pinsker_report(p, refs["subtree-removed"], EPSILONS)
+        assert report.divergence == math.inf
+        assert report.tail[1.0] > 0.0
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            ProductSpec.uniform(["a", "b"]),
+            build_tree([("s", "a", "x"), ("s", "b", "y")],
+                       {"x": Fraction(1, 2), "y": Fraction(1, 2)}),
+        ],
+        ids=["spec", "tree"],
+    )
+    def test_distance_of_exactly_one_tenth(self, reference):
+        # d = |11/20 - 1/2| + |9/20 - 1/2| = 1/10 exactly; the float 0.1 is
+        # slightly above 1/10, so the node is not in that tail
+        p = build_tree([("r", "a", "u"), ("r", "b", "v")],
+                       {"u": Fraction(11, 20), "v": Fraction(9, 20)})
+        epsilons = (0.1, Fraction(1, 10), 0.09999999999999999)
+        report = tree_pinsker_report(p, reference, epsilons)
+        assert report.tail == {
+            0.1: 0.0, Fraction(1, 10): 1.0, 0.09999999999999999: 1.0
+        }
+        want = pinsker_reference(p, reference, epsilons)
+        assert report_bits(report) == report_bits(want)
+
+    @pytest.mark.parametrize(
+        "tree, reference, epsilons, error",
+        [
+            ("single", "bad-spec", (math.nan,), ParamsInvalid),
+            ("single", "bad-spec", (0.5,), DegenerateTree),
+            ("demo", "bad-spec", (0.5,), UnknownLabel),
+            ("demo", "bad-spec", (0.5, -1.0), ParamsInvalid),
+            ("demo", "wider", (0.5,), ShapeMismatch),
+            ("single", "wider", (0.5,), DegenerateTree),
+            ("demo", "wider", (0.0,), ParamsInvalid),
+        ],
+    )
+    def test_errors_and_their_order(self, demo_tree, tree, reference, epsilons, error):
+        trees = {"single": build_tree([], {"r": Fraction(1)}), "demo": demo_tree}
+        references = {
+            "bad-spec": ProductSpec.uniform(["x", "y"]),
+            "wider": complete_tree(3, 2, seed=5),
+        }
+        for report in (tree_pinsker_report, pinsker_reference):
+            with pytest.raises(error):
+                report(trees[tree], references[reference], epsilons)
+
+
+class TestNoBranchingTable:
+    """An exact tree against an exact reference never builds the branching
+    distributions P_{S_j} (``Tree.branching``): the Pinsker report reads the
+    integer table n alone, for single reports and for every sweep budget."""
+
+    SPEC = ProductSpec(
+        FiniteDistribution({0: Fraction(1, 6), 1: Fraction(1, 2), 2: Fraction(1, 3)})
+    )
+
+    @pytest.mark.parametrize("budget", [243, 2187])
+    def test_single_reports(self, budget):
+        tree = grow_matcher_tree(self.SPEC, budget)
+        reference = remass(grow_matcher_tree(self.SPEC, budget), seed=budget)
+        tree_pinsker_report(tree, self.SPEC)
+        tree_pinsker_report(tree, reference)
+        tree_pinsker_report(tree, tree)
+        assert "branching" not in vars(tree)
+        assert "branching" not in vars(reference)
+
+    def test_sweep(self, monkeypatch):
+        built = []
+        original_build_tree = generators.build_tree
+
+        def recording_build_tree(*args, **kwargs):
+            built.append(original_build_tree(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(generators, "build_tree", recording_build_tree)
+        rows = convergence_sweep(self.SPEC, [27, 243, 2187], 0.1)
+        assert [len(tree.leaves) for tree in built] == [row.leaf_count for row in rows]
+        assert all("branching" not in vars(tree) for tree in built)
 
 
 class TestBoundedFunctional:

@@ -848,6 +848,28 @@ class TestLargePrimeMasses:
         assert time.perf_counter() - start < 5.0
 
 
+class TestLargePrimePowers:
+    def test_geometric_caterpillar(self, tmp_path):
+        """Leaf masses 2^d / 3^(d+1) down a 2400-deep spine: each leaf mass
+        holds a power of 3 with a large exponent, which factoring must strip
+        in one go rather than one 3 at a time (the cost would grow with the
+        depth cubed)."""
+        depth = 2400
+        edges, masses = [], []
+        for d in range(depth):
+            edges += [[2 * d, 0, 2 * d + 1], [2 * d, 1, 2 * d + 2]]
+            masses.append([2 * d + 1, f"{2**d}/{3**(d + 1)}"])
+        masses.append([2 * depth, f"{2**depth}/{3**depth}"])
+        path = tmp_path / "geometric.tree"
+        path.write_text(json.dumps({"root": 0, "edges": edges, "leaf_mass": masses}))
+        start = time.perf_counter()
+        code, report, _, err = invoke(["analyze", str(path), "--json"])
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        # E[w(L)] = sum of (2/3)^d over the spine, 3 (1 - (2/3)^depth)
+        assert report.results["mean_length"]["value"] == pytest.approx(3.0)
+
+
 # Documents the mutations start from: exact and float, with and without
 # unary nodes; each is valid as it stands.
 SEED_DOCUMENTS = [

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from treeprob.approximation import product_branch_divergence
 from treeprob.identities import leaf_entropy
 from treeprob.numeric import (
     ExactLog2,
+    _factorize,
     entropy_of,
     entropy_term,
     exact_weighted_sum,
@@ -282,6 +284,24 @@ class TestExactWeightedSum:
             ExactLog2({2: Fraction(1), 3: Fraction(1, 6)})
         )
 
+
+
+class TestFactorize:
+    def test_exponents_and_key_order(self):
+        n = 2**5 * 3**4 * 5**3 * 7**2 * 10007**9 * 1000003
+        assert list(_factorize(n).items()) == [
+            (2, 5), (3, 4), (5, 3), (7, 2), (10007, 9), (1000003, 1)
+        ]
+        assert list(_factorize(3**7 * 2).items()) == [(2, 1), (3, 7)]
+        assert _factorize(1) == {}
+
+    def test_full_power_in_logarithmically_many_divisions(self):
+        # one division per prime factor would take seconds here: the cost
+        # grows with the exponent squared
+        start = time.perf_counter()
+        factors = _factorize(2**40000 * 3**40001 * 5**3000)
+        assert time.perf_counter() - start < 0.5
+        assert list(factors.items()) == [(2, 40000), (3, 40001), (5, 3000)]
 
 
 class TestMixedModeSums:
