@@ -328,8 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilons", help=f"comma-separated tail thresholds (default {defaults})"
     )
-    p.add_argument("--float", action="store_true", help="force float mode")
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    add_common(p, [])
 
     p = sub.add_parser("check", help="run the interchange identity checks")
     add_common(p, ["tree"])

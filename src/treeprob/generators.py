@@ -16,7 +16,10 @@ and L a depth no leaf can reach, which is bounded through the budget; the
 quantizer works on those numerators over M^L.  The greedy growth for a
 larger budget extends the one for a smaller budget (as in Tunstall's parse
 trees), so a sweep grows its matcher once, up to its largest budget, and
-only quantizes and builds a tree at each budget on the way.
+only quantizes and builds a tree at each budget on the way.  Growth holds
+every node of the largest tree, so a budget above ``MAX_LEAF_BUDGET`` is
+rejected before any growth.  A sweep writes one CSV row per budget, with
+the columns in ``SweepRow``'s field order.
 
 All randomness comes from ``random.Random`` seeded explicitly; the
 algorithm identifier below names that generator so results can be
@@ -29,7 +32,7 @@ import csv
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence
@@ -42,6 +45,7 @@ from .tree import Label, Tree, build_tree
 __all__ = [
     "GENERATOR_ALGORITHM",
     "GeneratorParams",
+    "MAX_LEAF_BUDGET",
     "SWEEP_CSV_COLUMNS",
     "SweepRow",
     "convergence_sweep",
@@ -52,6 +56,9 @@ __all__ = [
 ]
 
 GENERATOR_ALGORITHM = "python-random-mt19937"
+
+# the largest matcher leaf budget; growth costs memory in proportion to it
+MAX_LEAF_BUDGET = 2**16
 
 SWEEP_CSV_COLUMNS = (
     "leaf_count",
@@ -213,7 +220,8 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
     1/B, while Q+ <= (k_max / M)^d; L is the first depth with
     k_max^L * B < M^L, found by an integer loop, so no leaf lies deeper.
     The keys over M^L are the quantizer's targets.  This is the one-budget
-    case of the growth ``convergence_sweep`` runs.
+    case of the growth ``convergence_sweep`` runs.  A budget below the
+    alphabet size or above ``MAX_LEAF_BUDGET`` raises ParamsInvalid.
     """
     return next(_matcher_trees(spec, [leaf_budget]))
 
@@ -236,6 +244,10 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     if budgets[0] < width:
         raise ParamsInvalid(
             f"leaf budget {budgets[0]} is below the alphabet size {width}"
+        )
+    if budgets[-1] > MAX_LEAF_BUDGET:
+        raise ParamsInvalid(
+            f"leaf budget {budgets[-1]} is above the limit {MAX_LEAF_BUDGET}"
         )
     mass = spec.base.mass
     m = math.lcm(*(mass[a].denominator for a in labels))
@@ -271,7 +283,10 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One matcher budget's metrics, all in float for reporting."""
+    """One matcher budget's metrics, all in float for reporting.
+
+    The field order is the sweep CSV's column order (``SWEEP_CSV_COLUMNS``).
+    """
 
     leaf_count: int
     mean_length: float
@@ -329,21 +344,13 @@ def convergence_sweep(
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], out: IO[str]) -> None:
-    """Write sweep rows with the fixed column order and round-trip floats.
+    """Write sweep rows as CSV: a ``SWEEP_CSV_COLUMNS`` header, then each
+    row's fields in ``SweepRow``'s field order.
 
-    Floats are rendered as Python's shortest round-trip decimals, so the
-    same rows always produce byte-identical output.
+    The csv writer renders a float with ``str``, Python's shortest
+    round-trip decimal, so the same rows always produce byte-identical
+    output.
     """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.leaf_count,
-                str(row.mean_length),
-                str(row.normalized_divergence),
-                str(row.entropy_rate),
-                str(row.entropy_rate_gap),
-                str(row.max_tail),
-            ]
-        )
+    writer.writerows(map(astuple, rows))

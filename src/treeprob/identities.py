@@ -18,7 +18,9 @@ leaf masses sum to 1 only within ``MASS_SUM_TOLERANCE``.
 One mode rule (``_exact_sum``) holds for every sum over a tree: it is
 exact when the tree is exact and none of its values (f on the nodes, or
 the inner values of ``branch_sum``) is a float.  Any other sum is chained
-left to right as ``total = total + w * v``.
+left to right as ``total = total + w * v``.  ``branch_sum`` evaluates its
+inner values once, in preorder, in both modes, and then folds or chains
+them, so the rule reads values that are never evaluated again.
 
 An exact tree keeps one integer table n with Q_v = n_v / D, D = n_root the
 lcm of the leaf-mass denominators (``Tree.mass_numerators``), and every
@@ -72,6 +74,7 @@ from .tree import (
     Label,
     NodeId,
     Tree,
+    align_by_paths,
     branching_distributions,
     node_probabilities,
     path_lengths,
@@ -165,27 +168,22 @@ def branch_sum(
 ) -> object:
     """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}).
 
-    Each inner value is evaluated once, in preorder; on an exact tree all
-    of them come first, for the mode rule (``_exact_sum``) to read.  An
-    exact sum weights inner(j) by the integer n_j of Q_j = n_j / D and
-    folds the terms over D (``numeric.exact_weighted_sum``); any other is
-    the float sum from 0.0, left to right.  A tree without branching nodes
-    yields Fraction(0) on an exact tree and 0.0 on a float one.
+    Each inner value is evaluated once, in preorder, in both modes, before
+    the mode rule (``_exact_sum``) reads them.  An exact sum weights
+    inner(j) by the integer n_j of Q_j = n_j / D and folds the terms over
+    D (``numeric.exact_weighted_sum``); any other chains Q_j * inner(j)
+    from 0.0, left to right.  A tree without branching nodes yields
+    Fraction(0) on an exact tree and 0.0 on a float one.
     """
     branching = branching_distributions(tree)
-    if tree.exact:
-        values = {j: inner(j, dist) for j, dist in branching.items()}
-        if _exact_sum(tree, values.values()):
-            n = tree.mass_numerators
-            return exact_weighted_sum(
-                ((n[j], v) for j, v in values.items()), n[tree.root]
-            )
-        # the float sum below reads the values already evaluated
-        inner = lambda j, dist: values[j]
+    values = [inner(j, dist) for j, dist in branching.items()]
+    if _exact_sum(tree, values):
+        n = tree.mass_numerators
+        return exact_weighted_sum(zip(map(n.get, branching), values), n[tree.root])
     q = node_probabilities(tree)
     total = 0.0
-    for j, dist in branching.items():
-        total = total + q[j] * inner(j, dist)
+    for j, v in zip(branching, values):
+        total = total + q[j] * v
     return total
 
 
@@ -325,38 +323,6 @@ def leaf_entropy(tree: Tree) -> object:
     if tree.exact:
         return leaf_log_sum(tree, [(-1, tree.leaf_mass)])
     return branch_sum(tree, lambda j, dist: entropy_of(dist.values(), False))
-
-
-def align_by_paths(p: Tree, q: Tree) -> tuple[dict[NodeId, NodeId], bool]:
-    """Match q's nodes onto p's by walking shared label paths.
-
-    Returns (mapping from p node to q node, covered) where covered is False
-    when q is missing structure that p has: a divergence of p from such a q
-    is infinite, since positive p mass sits where q has none.  Structure
-    present in q but absent from p violates the same-shape requirement and
-    raises ShapeMismatch.
-    """
-    mapping = {p.root: q.root}
-    covered = True
-    stack = [(p.root, q.root)]
-    while stack:
-        pn, qn = stack.pop()
-        q_by_label = {lab: c for lab, c in q.children[qn]}
-        p_labels = {lab for lab, _ in p.children[pn]}
-        extra = set(q_by_label) - p_labels
-        if extra:
-            raise ShapeMismatch(
-                f"second tree has extra branch {sorted(map(repr, extra))[0]}"
-                f" under path {p.path_of(pn)!r}"
-            )
-        for lab, pc in p.children[pn]:
-            qc = q_by_label.get(lab)
-            if qc is None:
-                covered = False
-            else:
-                mapping[pc] = qc
-                stack.append((pc, qc))
-    return mapping, covered
 
 
 def tree_divergence(p: Tree, q: Tree) -> object:

@@ -242,7 +242,11 @@ class ExactLog2:
     # -- ordering -----------------------------------------------------------
 
     def _sign_exact(self) -> int:
-        """Sign by comparing the integer powers prod p^(c_p * lcm) to 1."""
+        """Sign by comparing the integer powers prod p^(c_p * lcm) to 1.
+
+        Only ``_sign`` calls this, on a non-empty map, and a non-empty
+        canonical map is never zero, so the two powers always differ.
+        """
         lcm = 1
         for c in self._coef.values():
             lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
@@ -260,8 +264,6 @@ class ExactLog2:
                 num *= p**e
             else:
                 den *= p**-e
-        if num == den:
-            return 0
         return 1 if num > den else -1
 
     def _sign(self) -> int:

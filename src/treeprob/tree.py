@@ -12,6 +12,12 @@ Node ids and edge labels are arbitrary hashable values; labels must be
 unique among siblings.  Children keep the order in which their edges were
 supplied, and all iteration is in preorder, so every float-mode computation
 downstream accumulates in a reproducible order.
+
+Two trees are compared by walking their shared label paths from the roots
+(``align_by_paths``), which ignores node ids and sibling order.  That one
+walk serves ``structurally_equal`` here and, in ``identities`` and
+``approximation``, the divergence of one tree from another and the
+per-branch Pinsker bound between them.
 """
 
 from __future__ import annotations
@@ -32,10 +38,12 @@ from .errors import (
     NegativeMass,
     NonFiniteMass,
     ParamsInvalid,
+    ShapeMismatch,
 )
 
 __all__ = [
     "Tree",
+    "align_by_paths",
     "build_tree",
     "node_probabilities",
     "branching_distributions",
@@ -175,7 +183,6 @@ def build_tree(
     (any float mass means float mode).  Exact masses become Fractions (a
     Fraction is kept as the caller's object) and float ones floats.
     """
-    edges = list(edges)
     # children by label, in the order their edges came
     children: dict[NodeId, dict[Label, NodeId]] = {}
     parent_edge: dict[NodeId, tuple[NodeId, Label]] = {}
@@ -190,13 +197,12 @@ def build_tree(
         children.setdefault(parent, {})[label] = child
         children.setdefault(child, {})
 
-    all_nodes = set(children) | set(leaf_mass)
-    if not all_nodes:
-        raise ParamsInvalid("empty tree: no edges and no leaf masses")
     for node in leaf_mass:
         children.setdefault(node, {})
+    if not children:
+        raise ParamsInvalid("empty tree: no edges and no leaf masses")
 
-    roots = [n for n in all_nodes if n not in parent_edge]
+    roots = [n for n in children if n not in parent_edge]
     if not roots:
         raise CycleDetected("no root: every node has a parent")
     if len(roots) > 1:
@@ -211,9 +217,9 @@ def build_tree(
         node = stack.pop()
         order.append(node)
         stack.extend(reversed(children[node].values()))
-    if len(order) != len(all_nodes):
+    if len(order) != len(children):
         raise CycleDetected(
-            f"{len(all_nodes) - len(order)} node(s) unreachable from root {root!r}"
+            f"{len(children) - len(order)} node(s) unreachable from root {root!r}"
         )
 
     for node in leaf_mass:
@@ -312,21 +318,48 @@ def path_lengths(tree: Tree) -> dict[NodeId, int]:
     return tree.depths
 
 
+def align_by_paths(p: Tree, q: Tree) -> tuple[dict[NodeId, NodeId], bool]:
+    """Match q's nodes onto p's by walking shared label paths.
+
+    Returns (mapping from p node to q node, covered) where covered is False
+    when q is missing structure that p has: a divergence of p from such a q
+    is infinite, since positive p mass sits where q has none.  Structure
+    present in q but absent from p violates the same-shape requirement and
+    raises ShapeMismatch.  The walk is iterative and visits each aligned
+    pair once, so the cost is linear in the number of nodes whatever the
+    depth.
+    """
+    mapping = {p.root: q.root}
+    covered = True
+    stack = [(p.root, q.root)]
+    while stack:
+        pn, qn = stack.pop()
+        q_by_label = dict(q.children[qn])
+        extra = q_by_label.keys() - {lab for lab, _ in p.children[pn]}
+        if extra:
+            raise ShapeMismatch(
+                f"second tree has extra branch {sorted(map(repr, extra))[0]}"
+                f" under path {p.path_of(pn)!r}"
+            )
+        for lab, pc in p.children[pn]:
+            qc = q_by_label.get(lab)
+            if qc is None:
+                covered = False
+            else:
+                mapping[pc] = qc
+                stack.append((pc, qc))
+    return mapping, covered
+
+
 def structurally_equal(a: Tree, b: Tree) -> bool:
     """True when both trees have the same label paths and leaf masses.
 
-    Node ids and sibling order are ignored; the two trees are walked from
-    their roots in step, matching children by label, so the cost is linear
-    in the number of nodes whatever the depth.
+    Node ids and sibling order are ignored: the trees are aligned by label
+    paths (``align_by_paths``), and are equal when neither has a branch the
+    other lacks and every leaf of a carries the mass of its aligned leaf.
     """
-    stack = [(a.root, b.root)]
-    while stack:
-        x, y = stack.pop()
-        a_kids = dict(a.children[x])
-        b_kids = dict(b.children[y])
-        if a_kids.keys() != b_kids.keys():
-            return False
-        if not a_kids and a.leaf_mass[x] != b.leaf_mass[y]:
-            return False
-        stack.extend((a_kids[lab], b_kids[lab]) for lab in a_kids)
-    return True
+    try:
+        mapping, covered = align_by_paths(a, b)
+    except ShapeMismatch:
+        return False
+    return covered and all(b.leaf_mass[mapping[v]] == m for v, m in a.leaf_mass.items())

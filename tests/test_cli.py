@@ -403,6 +403,32 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    def test_functional_file_that_is_no_object_is_rejected(self, demo_file, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('["0", "1"]', "utf-8")
+        code, _, _, err = invoke(["check", demo_file, "--functional", str(path)])
+        assert code == 2
+        assert "functional file must be a JSON object" in err
+
+    def test_functional_file_key_of_a_pruned_node_is_skipped(self, tmp_path):
+        # leaf 3 carries zero mass, so the tree drops it; its value is unused
+        doc = tmp_path / "pruned.tree"
+        doc.write_text(
+            json.dumps(
+                {
+                    "root": 0,
+                    "edges": [[0, "a", 1], [0, "b", 2], [0, "c", 3]],
+                    "leaf_mass": [[1, "1/2"], [2, "1/2"], [3, "0"]],
+                }
+            ),
+            "utf-8",
+        )
+        path = tmp_path / "f.json"
+        path.write_text('{"0": "0", "1": "1", "2": "3", "3": "100"}', "utf-8")
+        code, report, _, err = invoke(["check", str(doc), "--functional", str(path)])
+        assert (code, err) == (0, "")
+        assert report.checks[0]["leaf_side"] == 2.0
+
     def test_functional_file_nested_too_deeply_is_an_input_error(
         self, demo_file, tmp_path
     ):
@@ -630,6 +656,16 @@ class TestSweep:
             ["sweep", "--target", "2/3,1/2", "--budgets", "4,16"]
         )
         assert code == 2
+
+    def test_budget_above_the_limit_is_an_input_error(self):
+        # unbounded, this budget grows the matcher until memory runs out
+        start = time.perf_counter()
+        code, _, out, err = invoke(
+            ["sweep", "--target", "1/2,1/2", "--budgets", "2,1000000000000"]
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (code, out) == (2, "")
+        assert "ParamsInvalid" in err
 
 
 class TestParsing:

@@ -262,6 +262,18 @@ class TestGrowMatcherTree:
         with pytest.raises(ParamsInvalid):
             grow_matcher_tree(ProductSpec.uniform(["a", "b", "c"]), 2)
 
+    def test_rejects_budget_above_the_limit(self, monkeypatch):
+        # no matcher tree may be built: the limit is checked before growth
+        def no_tree(*args, **kwargs):
+            raise AssertionError("matcher grown past the budget limit")
+
+        monkeypatch.setattr(generators, "build_tree", no_tree)
+        assert generators.MAX_LEAF_BUDGET == 2**16
+        with pytest.raises(ParamsInvalid, match="above the limit"):
+            grow_matcher_tree(TWO_THIRDS_SPEC, 2**16 + 1)
+        with pytest.raises(ParamsInvalid, match="above the limit"):
+            convergence_sweep(TWO_THIRDS_SPEC, [4, 2**16 + 1], 0.1)
+
     def test_rejects_one_label_spec(self):
         # with one label an expansion adds no leaf, so the growth never ends
         spec = ProductSpec(FiniteDistribution({"a": Fraction(1)}))

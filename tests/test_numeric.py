@@ -105,6 +105,25 @@ class TestExactLog2:
         with pytest.raises(TypeError):
             ExactLog2.log2(Fraction(3)) * 0.5
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x + 0.5,
+            lambda x: 0.5 + x,
+            lambda x: x - 0.5,
+            lambda x: 0.5 - x,
+            lambda x: x / 0.5,
+        ],
+        ids=["add", "radd", "sub", "rsub", "truediv"],
+    )
+    def test_float_operand_unsupported(self, op):
+        with pytest.raises(TypeError):
+            op(ExactLog2.log2(Fraction(3)))
+
+    def test_never_equals_a_float(self):
+        assert ExactLog2.from_rational(Fraction(1, 2)) != 0.5
+        assert not ExactLog2.from_rational(Fraction(1, 2)) == 0.5
+
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ExactLog2.log2(Fraction(0))
@@ -121,6 +140,13 @@ class TestExactLog2:
 
     def test_hash_agrees_with_rational_equality(self):
         assert hash(ExactLog2.from_rational(Fraction(7, 2))) == hash(Fraction(7, 2))
+
+    def test_hash_agrees_with_irrational_equality(self):
+        direct = ExactLog2.log2(Fraction(6))
+        assembled = ExactLog2.log2(Fraction(2)) + ExactLog2.log2(Fraction(3))
+        assert not direct.is_rational
+        assert hash(direct) == hash(assembled)
+        assert len({direct, assembled}) == 1
 
     def test_immutable(self):
         x = ExactLog2.log2(Fraction(3))
@@ -143,6 +169,12 @@ class TestOrdering:
         assert diff._sign_exact() == 1
         assert (-diff)._sign_exact() == -1
         assert ExactLog2()._sign() == 0
+
+    def test_near_tie_too_large_to_order_exactly(self):
+        # the float of log2(3) lies within float error of it, and its
+        # denominator 2^49 makes the exact powers far too large to build
+        with pytest.raises(ValueError, match="too close to order"):
+            ExactLog2.log2(3) > Fraction(math.log2(3))
 
     def test_coefficient_past_the_float_range(self):
         big = ExactLog2({3: Fraction(10**400)})
@@ -174,6 +206,9 @@ class TestModeHelpers:
     def test_log2_of_modes(self):
         assert log2_of(Fraction(1, 2), exact=True) == -1
         assert log2_of(0.5, exact=False) == -1.0
+
+    def test_log2_exponents_of_a_float(self):
+        assert log2_exponents(0.25) == {2: -2}
 
     def test_entropy_term_zero_convention(self):
         assert entropy_term(Fraction(0), exact=True) == 0
@@ -209,6 +244,13 @@ class TestModeHelpers:
     def test_kl_of_identical_is_zero(self):
         pairs = [(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(2, 3))]
         assert kl_of(pairs, exact=True) == 0
+
+    def test_kl_of_skips_zero_p(self):
+        pairs = [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))]
+        assert kl_of(pairs, exact=True) == 1
+
+    def test_float_kl_of_is_infinite_at_zero_q(self):
+        assert kl_of([(0.5, 1.0), (0.5, 0.0)], exact=False) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -294,6 +336,8 @@ class TestFactorize:
         ]
         assert list(_factorize(3**7 * 2).items()) == [(2, 1), (3, 7)]
         assert _factorize(1) == {}
+        with pytest.raises(ValueError, match="non-positive"):
+            _factorize(0)
 
     def test_full_power_in_logarithmically_many_divisions(self):
         # one division per prime factor would take seconds here: the cost

@@ -385,6 +385,31 @@ class TestStructuralEquality:
             [(0, "a", 1), (0, "b", 2)], {1: Fraction(3, 4), 2: Fraction(1, 4)}
         )
         assert not structurally_equal(demo_tree, other)
+        # the demo tree has structure under "a" that the other lacks
+        assert not structurally_equal(other, demo_tree)
+
+    def test_leaf_against_internal_node(self):
+        # "a" is a leaf in one tree and branches in the other, and "b" the
+        # reverse, so each order meets both a missing and an extra branch
+        a = build_tree([(0, "a", 1), (0, "b", 2), (2, "a", 3)], {1: half, 3: half})
+        b = build_tree([(0, "a", 1), (1, "a", 3), (0, "b", 2)], {3: half, 2: half})
+        assert not structurally_equal(a, b)
+        assert not structurally_equal(b, a)
+
+    def test_bare_root(self):
+        root = build_tree([], {"r": Fraction(1)})
+        assert structurally_equal(root, root)
+        assert structurally_equal(root, build_tree([], {0: 1.0}, exact=False))
+        assert not structurally_equal(root, build_tree(DEMO_EDGES, DEMO_MASS))
+
+    @pytest.mark.parametrize("index, expected", [(None, True), (0, False)])
+    def test_exact_against_float_mirror(self, index, expected):
+        # equal exactly when every exact mass is the float's value: the
+        # demo's dyadic masses are, corpus tree 0's are not
+        t = build_tree(DEMO_EDGES, DEMO_MASS) if index is None else corpus_tree(index)
+        mirror = float_mirror(t)
+        assert structurally_equal(t, mirror) is expected
+        assert structurally_equal(mirror, t) is expected
 
     def test_deep_chain_is_linear(self):
         depth = 5000
