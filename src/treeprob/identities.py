@@ -393,7 +393,7 @@ def normalized_divergence(p: Tree, q: Tree) -> object:
 def surprisal_functional(tree: Tree) -> dict[NodeId, object]:
     """f(j) = -log2 Q_j: its leaf average is H(P_L), its rate the entropy rate."""
     q = node_probabilities(tree)
-    return {n: -log2_of(q[n], tree.exact) for n in tree.nodes}
+    return {n: log2_of(q[n], tree.exact, -1) for n in tree.nodes}
 
 
 def log_ratio_functional(p: Tree, q: Tree) -> dict[NodeId, object]:

@@ -146,9 +146,9 @@ class ExactLog2:
         return cls({2: value} if value else {})
 
     @classmethod
-    def log2(cls, ratio: Rational) -> "ExactLog2":
-        """Exact log2 of a positive rational."""
-        return cls(log2_exponents(ratio))
+    def log2(cls, ratio: Rational, scale: int = 1) -> "ExactLog2":
+        """Exact scale * log2 of a positive rational, for an integer scale."""
+        return cls({p: scale * e for p, e in log2_exponents(ratio).items()})
 
     # -- interrogation ------------------------------------------------------
 
@@ -304,10 +304,24 @@ class ExactLog2:
 Scalar = Union[int, float, Fraction, ExactLog2]
 
 
+# 10**4299 has 4300 digits, the interpreter's default limit on int-string
+# conversion: a value with a larger power of ten could not be printed back
+MAX_DECIMAL_EXPONENT = 4299
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational string such as '3/4', '1', or '0.25' into a Fraction."""
+    """Parse a rational string such as '3/4', '1', '0.25' or '1e-3' into a
+    Fraction; ValueError for any other text, and for a decimal exponent
+    beyond MAX_DECIMAL_EXPONENT in size, which is refused before the power
+    of ten is computed."""
+    stripped = text.strip()
+    num, _, den = stripped.partition("/")
     try:
-        return Fraction(text.strip())
+        if num.isdigit() and den.isdigit() and stripped.isascii() and int(den):
+            return Fraction(int(num), int(den))  # Fraction(text) at half the cost
+        if abs(int(stripped.lower().partition("e")[2] or 0)) > MAX_DECIMAL_EXPONENT:
+            raise ValueError("decimal exponent out of range")
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
@@ -327,11 +341,12 @@ def log2_exponents(x: Rational) -> dict[int, int]:
     return exponents
 
 
-def log2_of(x, exact: bool) -> Scalar:
-    """log2 of a positive value in the requested numeric mode."""
+def log2_of(x, exact: bool, scale: int = 1) -> Scalar:
+    """scale * log2 of a positive value in the requested numeric mode, for
+    an integer scale; an exact value is built once, with scaled exponents."""
     if exact:
-        return ExactLog2.log2(x)
-    return math.log2(x)
+        return ExactLog2.log2(x, scale)
+    return scale * math.log2(x)
 
 
 def entropy_term(p, exact: bool) -> Scalar:
@@ -415,12 +430,13 @@ def exact_weighted_sum(pairs: Iterable, denominator: int = 1) -> Fraction | Exac
     coef: dict[int, Rational] = {}
     has_log = False
     for w, v in pairs:
+        w = w.numerator if w.denominator == 1 else w
         if isinstance(v, ExactLog2):
             v = v._coef
         if type(v) is dict:
             has_log = True
             for p, c in v.items():
-                c = w * c
+                c = w * (c.numerator if c.denominator == 1 else c)
                 coef[p] = coef[p] + c if p in coef else c
         else:
             rational += w * v

@@ -278,16 +278,21 @@ def build_tree(
     elif abs(total - 1.0) > MASS_SUM_TOLERANCE:
         raise MassNotNormalized(f"leaf masses sum to {total!r}, expected 1")
 
-    # Keep a node exactly when the mass below it is positive.
+    # Keep a node exactly when the mass below it is positive, and drop the
+    # others (usually none) from the maps built above.  The root, below
+    # which the masses sum to one, is always kept.
     table = {v: below[v] for v in order if below.get(v, 0) > 0}
+    if len(table) < len(order):
+        for v in order:
+            if v not in table:
+                parent, label = parent_edge.pop(v)
+                del children[parent][label]
+                masses.pop(v, None)
     return Tree(
         root=root,
-        children={
-            v: tuple((lab, c) for lab, c in children[v].items() if c in table)
-            for v in table
-        },
-        leaf_mass={v: m for v, m in masses.items() if v in table},
-        parent_edge={v: parent_edge[v] for v in table if v in parent_edge},
+        children={v: tuple(children[v].items()) for v in table},
+        leaf_mass=masses,
+        parent_edge=parent_edge,
         nodes=tuple(table),
         mass_below=table,
         exact=exact,

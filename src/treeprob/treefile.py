@@ -8,6 +8,12 @@ so each key names the node id whose ``str()`` it is (key "1" names node 1).
 Reports name nodes the same way, so two node ids that print alike, such as
 0 and "0", are rejected.
 
+Node ids and labels must be strings or integers.  ``parse_document``
+checks ``edges`` and list-form ``leaf_mass`` as whole lists: the sets of
+entry types, entry lengths and id types, which JSON gives exactly, must lie
+in the allowed ones.  A per-entry pass runs only when that check fails, to
+phrase the error for the first bad entry.
+
 A mass may be a rational string such as "1/4", "1", or "0.3", parsed once
 into the Fraction that ``TreeDocument.leaf_mass`` holds, or a JSON number,
 held as a float.  ``build_tree`` picks the numeric mode from those values:
@@ -20,8 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
 from fractions import Fraction
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import NonFiniteMass, ParseError
@@ -54,10 +62,41 @@ class TreeDocument:
     metadata: dict = field(default_factory=dict)
 
 
+# JSON yields exact types, so a bool, float, None, list or object id has a
+# type outside this set
+_ID_TYPES = {str, int}
+_leaf_ids = partial(map, itemgetter(0))  # the id column of leaf_mass pairs
+
+
 def _check_id(value, what: str):
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
+    if type(value) not in _ID_TYPES:
         raise ParseError(f"{what} must be a string or integer, got {value!r}")
     return value
+
+
+def _check_rows(rows: list, where: str, fields: tuple[str, ...], ids_of) -> None:
+    """Check that every entry of ``rows`` is a list of ``len(fields)`` items
+    and that every item ``ids_of(rows)`` yields, the entries' id columns,
+    is a string or integer.
+
+    The check takes type sets over the whole list.  Only when it fails does
+    a pass over the entries find the first bad one, to phrase its ParseError.
+    """
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {len(fields)}
+        and set(map(type, ids_of(rows))) <= _ID_TYPES
+    ):
+        return
+    kind = "triple" if len(fields) == 3 else "pair"
+    for i, entry in enumerate(rows):
+        if type(entry) is not list or len(entry) != len(fields):
+            raise ParseError(
+                f"{where} {i} must be a [{', '.join(fields)}] {kind}, got {entry!r}"
+            )
+        for name, value in zip(fields, ids_of([entry])):
+            _check_id(value, f"{where} {i} {name}")
+    raise AssertionError("the whole-list check failed on no entry")
 
 
 def _ids_by_name(ids: Iterable[NodeId]) -> dict[str, NodeId]:
@@ -112,33 +151,15 @@ def parse_document(text: str) -> TreeDocument:
     root = _check_id(raw["root"], "field 'root'")
     if not isinstance(raw["edges"], list):
         raise ParseError("field 'edges' must be a list")
-    edges = []
-    for i, entry in enumerate(raw["edges"]):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(
-                f"edge {i} must be a [parent, label, child] triple, got {entry!r}"
-            )
-        parent, label, child = entry
-        edges.append(
-            (
-                _check_id(parent, f"edge {i} parent"),
-                _check_id(label, f"edge {i} label"),
-                _check_id(child, f"edge {i} child"),
-            )
-        )
-    raw_mass = raw["leaf_mass"]
+    _check_rows(raw["edges"], "edge", ("parent", "label", "child"), chain.from_iterable)
+    edges = tuple(map(tuple, raw["edges"]))
+    pairs = raw["leaf_mass"]
     ids = [root, *map(itemgetter(0), edges), *map(itemgetter(2), edges)]
-    pairs: list[tuple[NodeId, object]] = []
-    if isinstance(raw_mass, dict):
-        pairs = list(resolve_node_keys(raw_mass, ids).items())
-    elif isinstance(raw_mass, list):
-        for i, entry in enumerate(raw_mass):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError(
-                    f"leaf_mass entry {i} must be a [leaf, mass] pair, got {entry!r}"
-                )
-            pairs.append((_check_id(entry[0], f"leaf_mass entry {i} leaf"), entry[1]))
-        ids += map(itemgetter(0), pairs)
+    if isinstance(pairs, dict):
+        pairs = resolve_node_keys(pairs, ids).items()
+    elif isinstance(pairs, list):
+        _check_rows(pairs, "leaf_mass entry", ("leaf", "mass"), _leaf_ids)
+        ids += _leaf_ids(pairs)
         # only an integer and a string id can print alike
         if {int, str} <= set(map(type, ids)):
             _ids_by_name(ids)
@@ -168,7 +189,7 @@ def parse_document(text: str) -> TreeDocument:
         raise ParseError("field 'metadata' must be an object")
     return TreeDocument(
         root=root,
-        edges=tuple(edges),
+        edges=edges,
         leaf_mass=tuple(leaf_mass),
         version=version,
         metadata=metadata,
@@ -178,11 +199,13 @@ def parse_document(text: str) -> TreeDocument:
 def document_to_tree(doc: TreeDocument, force_float: bool = False) -> Tree:
     """Validate a document into a Tree; ``build_tree`` picks the numeric
     mode from the masses, and ``force_float`` selects float mode."""
-    mass: dict[NodeId, Fraction | float] = {}
-    for node, value in doc.leaf_mass:
-        if node in mass:
-            raise ParseError(f"leaf {node!r} listed twice in leaf_mass")
-        mass[node] = value
+    mass = dict(doc.leaf_mass)
+    if len(mass) < len(doc.leaf_mass):
+        seen = set()
+        for node, _ in doc.leaf_mass:
+            if node in seen:
+                raise ParseError(f"leaf {node!r} listed twice in leaf_mass")
+            seen.add(node)
     tree = build_tree(doc.edges, mass, exact=False if force_float else None)
     if tree.root != doc.root:
         raise ParseError(

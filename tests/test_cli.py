@@ -133,6 +133,20 @@ class TestValidate:
         assert "ParseError" in err
 
 
+    @pytest.mark.parametrize("mass", ["1e-10000000", "1e10000000"])
+    def test_unbounded_decimal_exponent_is_an_input_error(self, tmp_path, mass):
+        path = tmp_path / "exponent.tree"
+        path.write_text(
+            json.dumps({"root": 0, "edges": [[0, "a", 1]], "leaf_mass": [[1, mass]]}),
+            "utf-8",
+        )
+        start = time.perf_counter()
+        code, report, out, err = invoke(["validate", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, report, out) == (2, None, "")
+        assert err == f"error: ParseError: leaf 1: not a rational number: {mass!r}\n"
+
+
 class TestAnalyze:
     def test_demo_metrics(self, demo_file):
         code, report, out, _ = invoke(["analyze", demo_file])

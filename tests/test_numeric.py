@@ -28,7 +28,7 @@ from treeprob import (
 )
 from treeprob import cli
 from treeprob.approximation import product_branch_divergence
-from treeprob.identities import leaf_entropy
+from treeprob.identities import leaf_entropy, surprisal_functional
 from treeprob.numeric import (
     ExactLog2,
     _factorize,
@@ -268,6 +268,27 @@ def test_parse_rational_rejects_garbage(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1e-300", "0.25", "3/4", "03/4", "3/04", "0/7", " 12/18 ", "-1/3", "+3/6",
+     "2.5e3", "1E-4299", "\u0663/\u0664"],
+)
+def test_parse_rational_is_the_fraction_of_the_text(text):
+    value = parse_rational(text)
+    assert type(value) is Fraction
+    assert value == Fraction(text.strip())
+
+
+@pytest.mark.parametrize("text", ["1e-10000000", "1e10000000", "1e-4300", "1E+4300"])
+def test_parse_rational_rejects_unbounded_exponents(text):
+    # 10**|e| past the default 4300-digit int-string limit could not be
+    # printed back, and 10**10000000 alone takes seconds to compute
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a rational number"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1.0
+
+
 # a summand value: a rational or the exact log2 of a positive rational
 log_values = st.one_of(
     rationals, positive_rationals.map(ExactLog2.log2), rationals.map(ExactLog2.from_rational)
@@ -499,7 +520,8 @@ class TestExactConstructionCount:
     benchmark's tracer counts them.  Both sums accumulate integer
     coefficients over one denominator, so the count on a 2187-leaf matcher
     for target 1/6, 1/2, 1/3 (B = 1093 branching nodes) is the count on the
-    243-leaf one (B = 121).
+    243-leaf one (B = 121).  The surprisal functional builds one value per
+    node, -log2 Q_j from the negated exponents of Q_j, with no negation pass.
     """
 
     SPEC = ProductSpec(
@@ -512,26 +534,37 @@ class TestExactConstructionCount:
     def trees(self):
         return [grow_matcher_tree(self.SPEC, budget) for budget in (243, 2187)]
 
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """A one-element list counting ExactLog2 constructions; reset it to 0."""
+        count = [0]
+        original_init = ExactLog2.__init__
+
+        def counted_init(obj, *args, **kwargs):
+            count[0] += 1
+            original_init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(ExactLog2, "__init__", counted_init)
+        return count
+
     @pytest.mark.parametrize(
         "compute",
         [leaf_entropy, lambda tree: product_branch_divergence(tree, TestExactConstructionCount.SPEC)],
         ids=["leaf_entropy", "product_branch_divergence"],
     )
-    def test_constructions_per_branch_sum(self, monkeypatch, trees, compute):
+    def test_constructions_per_branch_sum(self, constructions, trees, compute):
         assert [len(tree.branching_nodes) for tree in trees] == [121, 1093]
-        count = 0
-        original_init = ExactLog2.__init__
-
-        def counted_init(obj, *args, **kwargs):
-            nonlocal count
-            count += 1
-            original_init(obj, *args, **kwargs)
-
-        monkeypatch.setattr(ExactLog2, "__init__", counted_init)
         counts = []
         for tree in trees:
             tree.branching  # Q and P_{S_j} are cached before counting
-            count = 0
+            constructions[0] = 0
             compute(tree)
-            counts.append(count)
+            counts.append(constructions[0])
         assert counts[0] == counts[1]
+
+    def test_surprisal_functional_builds_one_value_per_node(self, constructions, trees):
+        for tree in trees:
+            tree.node_mass  # Q is cached before counting
+            constructions[0] = 0
+            f = surprisal_functional(tree)
+            assert constructions[0] == len(f) == len(tree.nodes)

@@ -97,6 +97,36 @@ class TestBuildTree:
         assert type(t.leaf_mass[1]) is Fraction
         assert t.leaf_mass == {1: Fraction(1)}
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_nothing_pruned(self, exact):
+        # edges out of preorder and masses in neither order: the fields keep
+        # preorder keys, edge-order children and the callers' mass order
+        edges = [(1, "x", 3), (0, "a", 1), (0, "b", 2), (1, "y", 4)]
+        masses = {4: Fraction(1, 4), 2: half, 3: Fraction(1, 4)}
+        if not exact:
+            masses = {v: float(m) for v, m in masses.items()}
+        tree = build_tree(edges, masses)
+        assert tree.exact is exact
+        assert tree.root == 0
+        assert tree.nodes == (0, 1, 3, 4, 2)
+        assert list(tree.children.items()) == [
+            (0, (("a", 1), ("b", 2))),
+            (1, (("x", 3), ("y", 4))),
+            (3, ()),
+            (4, ()),
+            (2, ()),
+        ]
+        assert list(tree.leaf_mass.items()) == list(masses.items())
+        assert tree.parent_edge == {1: (0, "a"), 2: (0, "b"), 3: (1, "x"), 4: (1, "y")}
+        below = [4, 2, 1, 1, 2] if exact else [1.0, 0.5, 0.25, 0.25, 0.5]
+        assert list(tree.mass_below.items()) == list(zip(tree.nodes, below))
+        fields = (dict(tree.children), dict(tree.leaf_mass), dict(tree.parent_edge))
+        edges.append((2, "z", 5))
+        masses[5] = masses.pop(4)
+        masses[2] = masses[3]
+        assert (tree.children, tree.leaf_mass, tree.parent_edge) == fields
+        assert tree.nodes == (0, 1, 3, 4, 2)
+
 
 class TestValidationErrors:
     def test_two_parents(self):

@@ -21,6 +21,10 @@ from treeprob import (
 )
 from treeprob.treefile import resolve_node_keys
 
+# a well-formed edge and leaf_mass pair, placed before each malformed entry
+GOOD_EDGE = [0, "a", 1]
+GOOD_PAIR = [1, "1/2"]
+
 
 class TestParseDocument:
     def test_demo_document(self):
@@ -134,37 +138,167 @@ class TestParseDocument:
             parse_document(text)
 
     @pytest.mark.parametrize(
-        "edges",
+        "edges, message",
         [
-            "not-a-list",
-            [[0, "a"]],
-            [[0, "a", 1, 2]],
-            [{"parent": 0}],
-            [[0, None, 1]],
-            [[True, "a", 1]],
+            pytest.param("not-a-list", "field 'edges' must be a list", id="not-a-list"),
+            pytest.param(
+                [GOOD_EDGE, [0, "b"]],
+                "edge 1 must be a [parent, label, child] triple, got [0, 'b']",
+                id="edges1",
+            ),
+            pytest.param(
+                [GOOD_EDGE, [0, "b", 2, 3]],
+                "edge 1 must be a [parent, label, child] triple, got [0, 'b', 2, 3]",
+                id="edges2",
+            ),
+            pytest.param(
+                [GOOD_EDGE, {"parent": 0}],
+                "edge 1 must be a [parent, label, child] triple, got {'parent': 0}",
+                id="edges3",
+            ),
+            pytest.param(
+                [GOOD_EDGE, [0, None, 2]],
+                "edge 1 label must be a string or integer, got None",
+                id="edges4",
+            ),
+            pytest.param(
+                [GOOD_EDGE, [True, "b", 2]],
+                "edge 1 parent must be a string or integer, got True",
+                id="edges5",
+            ),
+            *(
+                pytest.param(
+                    [GOOD_EDGE, [0, "b", 2][:position] + [bad] + [0, "b", 2][position + 1 :]],
+                    f"edge 1 {name} must be a string or integer, got {bad!r}",
+                    id=f"{name}-{type(bad).__name__}",
+                )
+                for position, name in enumerate(["parent", "label", "child"])
+                for bad in [True, 1.5, None, [1], {"x": 1}]
+            ),
+            *(
+                pytest.param(
+                    [GOOD_EDGE, entry],
+                    f"edge 1 must be a [parent, label, child] triple, got {entry!r}",
+                    id=f"entry-{type(entry).__name__}",
+                )
+                for entry in ["x", None, 7, 1.5, True]
+            ),
+            pytest.param(
+                [GOOD_EDGE, [0, "b"], [None, "c", 3]],
+                "edge 1 must be a [parent, label, child] triple, got [0, 'b']",
+                id="first-of-two",
+            ),
+            pytest.param(
+                [GOOD_EDGE, [0, "b", [2]], ["x"]],
+                "edge 1 child must be a string or integer, got [2]",
+                id="id-before-arity",
+            ),
         ],
     )
-    def test_malformed_edges(self, edges):
-        text = json.dumps({"root": 0, "edges": edges, "leaf_mass": [[0, "1"]]})
-        with pytest.raises(ParseError):
+    def test_malformed_edges(self, edges, message):
+        text = json.dumps({"root": 0, "edges": edges, "leaf_mass": [[1, "1"]]})
+        with pytest.raises(ParseError) as info:
             parse_document(text)
+        assert (type(info.value), str(info.value)) == (ParseError, message)
 
     @pytest.mark.parametrize(
-        "leaf_mass",
+        "leaf_mass, message",
         [
-            "not-a-list",
-            [[1]],
-            [[1, "1/2", "extra"]],
-            [[1, "one half"]],
-            [[1, "1/0"]],
-            [[1, None]],
-            [[1, True]],
+            pytest.param(
+                "not-a-list",
+                "field 'leaf_mass' must be a list of pairs or an object",
+                id="not-a-list",
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2]],
+                "leaf_mass entry 1 must be a [leaf, mass] pair, got [2]",
+                id="leaf_mass1",
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, "1/2", "extra"]],
+                "leaf_mass entry 1 must be a [leaf, mass] pair, got [2, '1/2', 'extra']",
+                id="leaf_mass2",
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, "one half"]],
+                "leaf 2: not a rational number: 'one half'",
+                id="leaf_mass3",
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, "1/0"]], "leaf 2: not a rational number: '1/0'", id="leaf_mass4"
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, None]],
+                "leaf 2 mass must be a rational string or number, got None",
+                id="leaf_mass5",
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, True]],
+                "leaf 2 mass must be a rational string or number, got True",
+                id="leaf_mass6",
+            ),
+            *(
+                pytest.param(
+                    [GOOD_PAIR, [bad, "1/2"]],
+                    f"leaf_mass entry 1 leaf must be a string or integer, got {bad!r}",
+                    id=f"leaf-{type(bad).__name__}",
+                )
+                for bad in [True, 1.5, None, [1], {"x": 1}]
+            ),
+            *(
+                pytest.param(
+                    [GOOD_PAIR, entry],
+                    f"leaf_mass entry 1 must be a [leaf, mass] pair, got {entry!r}",
+                    id=f"entry-{type(entry).__name__}",
+                )
+                for entry in ["x", None, 7, 1.5, True, {"leaf": 2}]
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, [1]]],
+                "leaf 2 mass must be a rational string or number, got [1]",
+                id="mass-list",
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, "1/2"], [3]],
+                "leaf_mass entry 2 must be a [leaf, mass] pair, got [3]",
+                id="third-entry",
+            ),
+            pytest.param(
+                [GOOD_PAIR, [2, "x"], [None, "1/2"]],
+                "leaf_mass entry 2 leaf must be a string or integer, got None",
+                id="ids-before-masses",
+            ),
+            pytest.param(
+                {"1": "1/2", "2": None},
+                "leaf 2 mass must be a rational string or number, got None",
+                id="object-mass-none",
+            ),
+            pytest.param(
+                {"1": "1/2", "2": "x/2"},
+                "leaf 2: not a rational number: 'x/2'",
+                id="object-mass-text",
+            ),
+            pytest.param(
+                [GOOD_PAIR, ["2", "1/2"]],
+                "node ids 2 and '2' print alike",
+                id="print-alike",
+            ),
         ],
     )
-    def test_malformed_leaf_mass(self, leaf_mass):
-        text = json.dumps({"root": 0, "edges": [], "leaf_mass": leaf_mass})
-        with pytest.raises(ParseError):
+    def test_malformed_leaf_mass(self, leaf_mass, message):
+        text = json.dumps(
+            {"root": 0, "edges": [GOOD_EDGE, [0, "b", 2]], "leaf_mass": leaf_mass}
+        )
+        with pytest.raises(ParseError) as info:
             parse_document(text)
+        assert (type(info.value), str(info.value)) == (ParseError, message)
+
+    @pytest.mark.parametrize("root", [True, 1.5, None, [0]])
+    def test_malformed_root(self, root):
+        text = json.dumps({"root": root, "edges": [GOOD_EDGE], "leaf_mass": [GOOD_PAIR]})
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == f"field 'root' must be a string or integer, got {root!r}"
 
     def test_negative_mass_parses_but_fails_validation(self):
         # syntax check accepts any rational; sign is a build-time concern
@@ -255,6 +389,18 @@ class TestDocumentToTree:
         )
         with pytest.raises(ParseError, match="twice"):
             document_to_tree(doc)
+
+    def test_first_repeated_leaf_is_named(self):
+        text = json.dumps(
+            {
+                "root": 0,
+                "edges": [[0, "a", 1], [0, "b", 2], [0, "c", 3]],
+                "leaf_mass": [[2, "1/4"], [1, "1/4"], [3, "1/2"], [1, "1/4"], [2, "1/4"]],
+            }
+        )
+        with pytest.raises(ParseError) as info:
+            parse_tree(text)
+        assert str(info.value) == "leaf 1 listed twice in leaf_mass"
 
     def test_declared_root_must_match(self):
         doc = TreeDocument(
