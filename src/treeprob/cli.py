@@ -88,11 +88,17 @@ def _load_tree(path: str, force_float: bool) -> tuple[Tree, str]:
     return tree, digest
 
 
-def _parse_mass_list(text: str) -> list[Fraction]:
-    values = []
-    for part in text.split(","):
-        values.append(parse_rational(part))
-    return values
+def _parse_option(option: str, text: str) -> Fraction:
+    """The rational value of a command-line option; a ParseError naming the
+    option for text that ``parse_rational`` refuses."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ParseError(f"{option}: {exc}") from None
+
+
+def _parse_mass_list(option: str, text: str) -> list[Fraction]:
+    return [_parse_option(option, part) for part in text.split(",")]
 
 
 def _float_or_inf(value) -> float:
@@ -103,14 +109,14 @@ def _float_or_inf(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _parse_threshold(text: str) -> float:
+def _parse_threshold(option: str, text: str) -> float:
     """A rational tail threshold as a float; the tail computations reject
     the non-finite and non-positive ones."""
-    return _float_or_inf(parse_rational(text))
+    return _float_or_inf(_parse_option(option, text))
 
 
 def _product_spec_for(tree: Tree, text: str) -> approximation.ProductSpec:
-    values = _parse_mass_list(text)
+    values = _parse_mass_list("--product", text)
     labels = tree.label_alphabet
     if len(values) != len(labels):
         raise AlphabetMismatch(
@@ -187,7 +193,7 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
     tree, digest = _load_tree(args.treep, args.float)
     report = Report(command="divergence", inputs={args.treep: digest})
     epsilons = (
-        tuple(_parse_threshold(e) for e in args.epsilons.split(","))
+        tuple(_parse_threshold("--epsilons", e) for e in args.epsilons.split(","))
         if args.epsilons
         else approximation.DEFAULT_EPSILONS
     )
@@ -267,13 +273,14 @@ def _cmd_check(args, out) -> tuple[int, Report]:
 
 
 def _cmd_sweep(args, out) -> tuple[int, Report]:
-    values = _parse_mass_list(args.target)
+    values = _parse_mass_list("--target", args.target)
     base = approximation.FiniteDistribution(
         {i: v for i, v in enumerate(values)}, exact=True
     )
     spec = approximation.ProductSpec(base)
     budgets = [int(b) for b in args.budgets.split(",")]
-    rows = generators.convergence_sweep(spec, budgets, _parse_threshold(args.epsilon))
+    epsilon = _parse_threshold("--epsilon", args.epsilon)
+    rows = generators.convergence_sweep(spec, budgets, epsilon)
     buffer = io.StringIO()
     generators.write_sweep_csv(rows, buffer)
     csv_text = buffer.getvalue()

@@ -46,10 +46,13 @@ In exact mode the three log-valued sums are not taken per branch: Q_j
 times the entropy or divergence at j is the increment sum over j's
 children c of Q_c (f(c) - f(j)) for the f above.  Summed over j, the
 increments telescope to the leaf side E[f(L)] - f(root), with f(root) = 0,
-so ``leaf_log_sum`` adds n_l times the prime-exponent map of f at each
-leaf l and divides by D once.  Only leaf masses (and the product's branch
-masses) are factored, never an internal Q_j.  The result equals the
-per-branch sum of ``entropy_of`` or ``kl_of`` terms, type included.
+so ``leaf_log_sum`` weights log2 of each leaf ratio by n_l and divides by D
+once.  It gathers the weights by the integers in those ratios (their
+numerators and denominators), so each distinct integer is factored once,
+not once per leaf: a dyadic matcher tree of thousands of leaves has a
+handful.  Only leaf masses (and the product's branch masses) are factored,
+never an internal Q_j.  The result equals the per-branch sum of
+``entropy_of`` or ``kl_of`` terms, type included.
 
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
@@ -69,7 +72,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
-from .numeric import entropy_of, exact_weighted_sum, kl_of, log2_exponents, log2_of
+from .numeric import entropy_of, exact_weighted_sum, kl_of, log2_of, log2_weighted_sum
 from .tree import (
     Label,
     NodeId,
@@ -210,24 +213,27 @@ def leaf_log_sum(
         + sum over labels a of W_a log2 r_a,   W_a = sum of n_v over a-edges,
 
     and each prime's coefficient is an integer sum divided by D once
-    (``numeric.exact_weighted_sum``).  Only the R(leaf) and r_a are factored,
-    never an internal node mass.  A tree without branching nodes gives
-    Fraction(0), the zero that ``branch_sum`` starts from.
+    (``numeric.exact_weighted_sum``).  A ratio a/b in lowest terms adds its
+    weight to the integer a and subtracts it from b, so the weights gather
+    in one map keyed by plain integers, and each distinct integer is
+    factored once, however many leaves share it.  Only the numerators and
+    denominators of the R(leaf) and r_a are factored, never an internal
+    node mass.  An integer whose weights cancel keeps its term, so a sum
+    that cancels is still an ExactLog2.  A tree without branching nodes
+    gives Fraction(0), the zero that ``branch_sum`` starts from.
     """
     if not tree.children[tree.root]:
         return Fraction(0)
     n = tree.mass_numerators
-    terms = [
-        (sign * n[leaf], log2_exponents(r))
-        for sign, ratios in leaf_ratios
-        for leaf, r in ratios.items()
+    pairs = [
+        (sign * n[leaf], r) for sign, ratios in leaf_ratios for leaf, r in ratios.items()
     ]
     if label_ratios:
-        weights = dict.fromkeys(label_ratios, 0)
+        label_weights = dict.fromkeys(label_ratios, 0)
         for v, (_, a) in tree.parent_edge.items():
-            weights[a] += n[v]
-        terms += [(w, log2_exponents(label_ratios[a])) for a, w in weights.items()]
-    return exact_weighted_sum(terms, n[tree.root])
+            label_weights[a] += n[v]
+        pairs += [(w, label_ratios[a]) for a, w in label_weights.items()]
+    return log2_weighted_sum(((w, *r.as_integer_ratio()) for w, r in pairs), n[tree.root])
 
 
 def _merge_order(tree: Tree) -> list[NodeId]:

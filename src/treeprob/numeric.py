@@ -27,7 +27,10 @@ the end, where ``total = total + term`` would copy the running map on each
 addition.  A term's value may be a rational, an ``ExactLog2``, or the
 integer exponent map of a rational (``log2_exponents``), which stands for
 its log2 without building an ``ExactLog2``.  Integer weights on such maps
-keep every coefficient a plain integer until the one division.  An exact
+keep every coefficient a plain integer until the one division.  A sum of
+weighted logarithms of ratios (``log2_weighted_sum``, behind exact
+divergences and the leaf folds) first gathers the weights by the integers
+in the ratios, so each distinct integer is factored once.  An exact
 tree keeps integer node masses, Q_v = n_v / D (``Tree.mass_numerators``),
 so the identities module weights its tree sums by n and passes D as the
 denominator.  Since the map is canonical, the fold equals the chained sum
@@ -50,11 +53,13 @@ __all__ = [
     "Scalar",
     "entropy_of",
     "entropy_term",
+    "exact_text",
     "exact_weighted_sum",
     "kl_of",
     "kl_term",
     "log2_exponents",
     "log2_of",
+    "log2_weighted_sum",
     "parse_rational",
 ]
 
@@ -326,6 +331,24 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def exact_text(value) -> str:
+    """str(value), or, for a rational with a numerator or denominator too
+    long to print under the interpreter's int-string limit (4300 digits by
+    default; interpreters without the limit print any int), its value
+    rounded to a float and the bit lengths of both parts."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    num, den = value.as_integer_ratio()
+    try:
+        approx = repr(num / den)
+    except OverflowError:
+        approx = "-inf" if num < 0 else "inf"
+    bits = num.bit_length(), den.bit_length()
+    return f"about {approx} ({bits[0]}-bit numerator, {bits[1]}-bit denominator)"
+
+
 def log2_exponents(x: Rational) -> dict[int, int]:
     """The signed prime exponents {p: e_p} of a positive rational x, so that
     log2 x is the sum of e_p * log2(p); a new dict the caller may change."""
@@ -396,14 +419,17 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
     float sum of the individual terms.
     """
     if exact:
-        terms = []
+        ratios = []
         for p, q in pairs:
             if not p:
                 continue
             if not q:
                 return math.inf
-            terms.append((p, log2_exponents(Fraction(p) / q)))
-        return exact_weighted_sum(terms)
+            (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
+            g = math.gcd(a * d, b * c)
+            ratios.append((a, b, a * d // g, b * c // g))
+        lcm = math.lcm(*(b for _, b, _, _ in ratios))
+        return log2_weighted_sum(((a * (lcm // b), x, y) for a, b, x, y in ratios), lcm)
     total = 0.0
     for p, q in pairs:
         term = kl_term(p, q, exact)
@@ -411,6 +437,27 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
             return math.inf
         total = total + term
     return total
+
+
+def log2_weighted_sum(
+    terms: Iterable[tuple[int, int, int]], denominator: int = 1
+) -> Fraction | ExactLog2:
+    """The sum of w * log2(a / b) over (w, a, b) triples of integers, with
+    a and b positive, divided by ``denominator``.
+
+    log2(a / b) is log2 a - log2 b, so the weights gather in one map keyed
+    by the integers a and b, and each distinct integer is factored once,
+    however many terms share it.  The result is the ``exact_weighted_sum``
+    of the terms' exponent maps.  An integer whose weights cancel keeps its
+    term, so a sum that cancels is an empty ExactLog2; only no terms give
+    Fraction(0).
+    """
+    weights: dict[int, int] = {}
+    for w, a, b in terms:
+        weights[a] = weights.get(a, 0) + w
+        weights[b] = weights.get(b, 0) - w
+    pairs = [(w, log2_exponents(k)) for k, w in weights.items()]
+    return exact_weighted_sum(pairs, denominator)
 
 
 def exact_weighted_sum(pairs: Iterable, denominator: int = 1) -> Fraction | ExactLog2:

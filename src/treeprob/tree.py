@@ -40,6 +40,7 @@ from .errors import (
     ParamsInvalid,
     ShapeMismatch,
 )
+from .numeric import exact_text
 
 __all__ = [
     "Tree",
@@ -240,6 +241,7 @@ def build_tree(
         if exact:
             if type(mass) is not Fraction:
                 mass = Fraction(mass)
+            negative = mass.numerator < 0
         else:
             try:
                 mass = float(mass)
@@ -249,8 +251,9 @@ def build_tree(
                 ) from None
             if not math.isfinite(mass):
                 raise NonFiniteMass(f"leaf {node!r} has non-finite mass {mass}")
-        if mass < 0:
-            raise NegativeMass(f"leaf {node!r} has negative mass {mass}")
+            negative = mass < 0
+        if negative:
+            raise NegativeMass(f"leaf {node!r} has negative mass {exact_text(mass)}")
         masses[node] = mass
 
     # One walk up the preorder sums the mass below every node: integers n
@@ -273,7 +276,7 @@ def build_tree(
     if exact:
         if total != d:
             raise MassNotNormalized(
-                f"leaf masses sum to {Fraction(total, d)}, expected 1"
+                f"leaf masses sum to {exact_text(Fraction(total, d))}, expected 1"
             )
     elif abs(total - 1.0) > MASS_SUM_TOLERANCE:
         raise MassNotNormalized(f"leaf masses sum to {total!r}, expected 1")

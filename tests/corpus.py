@@ -22,7 +22,7 @@ from treeprob.identities import (
     branch_sum,
     normalizer,
 )
-from treeprob.numeric import ExactLog2, exact_weighted_sum
+from treeprob.numeric import ExactLog2, exact_weighted_sum, log2_exponents
 
 MAX_NODES = 200
 MAX_ALPHABET = 4
@@ -153,6 +153,31 @@ def merged_increment_sum(tree: Tree, f: dict) -> object:
     if exact:
         return exact_weighted_sum(terms, tree.mass_numerators[tree.root])
     return total
+
+
+def leaf_log_sum_reference(tree: Tree, leaf_ratios, label_ratios=None):
+    """``identities.leaf_log_sum`` term by term: one prime-exponent map per
+    leaf ratio and per label ratio, weighted by the integer table n, all
+    folded over D.
+
+    This is the fold before it grouped leaves by integer, and it factors
+    each ratio as often as it appears; the grouped fold must equal it,
+    coefficient types included.
+    """
+    if not tree.children[tree.root]:
+        return Fraction(0)
+    n = tree.mass_numerators
+    terms = [
+        (sign * n[leaf], log2_exponents(r))
+        for sign, ratios in leaf_ratios
+        for leaf, r in ratios.items()
+    ]
+    if label_ratios:
+        weights = dict.fromkeys(label_ratios, 0)
+        for v, (_, a) in tree.parent_edge.items():
+            weights[a] += n[v]
+        terms += [(w, log2_exponents(label_ratios[a])) for a, w in weights.items()]
+    return exact_weighted_sum(terms, n[tree.root])
 
 
 def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:

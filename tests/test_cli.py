@@ -147,6 +147,55 @@ class TestValidate:
         assert err == f"error: ParseError: leaf 1: not a rational number: {mass!r}\n"
 
 
+    @pytest.mark.parametrize(
+        "leaf_mass, error",
+        [
+            # a 4000-digit mantissa inside the exponent bound, 8300 digits below 1
+            ({"1": "0." + "1" * 4000 + "e-4299"}, "MassNotNormalized"),
+            ({"1": "-0." + "1" * 4000 + "e-4299", "2": "1"}, "NegativeMass"),
+            # each denominator prints, their lcm 77 * 10^4299 does not
+            ({"1": "1e-4299", "2": "1/77"}, "MassNotNormalized"),
+        ],
+        ids=["long-mantissa", "negative-long-mantissa", "lcm"],
+    )
+    def test_mass_past_the_int_string_limit_is_reported(self, tmp_path, leaf_mass, error):
+        path = tmp_path / "long.tree"
+        edges = [[0, lab, int(leaf)] for lab, leaf in zip("ab", leaf_mass)]
+        path.write_text(
+            json.dumps({"root": 0, "edges": edges, "leaf_mass": leaf_mass}), "utf-8"
+        )
+        code, report, out, err = invoke(["validate", str(path)])
+        assert (code, report, out) == (2, None, "")
+        assert err.startswith(f"error: {error}: ")
+        assert "-bit numerator, " in err
+
+
+class TestRationalOptions:
+    """A rational option value that ``parse_rational`` refuses is a
+    ParseError naming the option, like a bad leaf mass."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sweep", "--target", "1/2,1/2", "--budgets", "4,16", "--epsilon=abc"], "--epsilon"),
+            (["sweep", "--target", "1/2,abc", "--budgets", "4,16"], "--target"),
+            (["divergence", "DEMO", "--product", "1/2,abc"], "--product"),
+            (["divergence", "DEMO", "--product", "1/2,1/2", "--epsilons", "0.1,abc"], "--epsilons"),
+        ],
+        ids=["epsilon", "target", "product", "epsilons"],
+    )
+    def test_bad_value_is_a_parse_error(self, demo_file, argv, option):
+        argv = [demo_file if a == "DEMO" else a for a in argv]
+        code, report, out, err = invoke(argv)
+        assert (code, report, out) == (2, None, "")
+        assert err == f"error: ParseError: {option}: not a rational number: 'abc'\n"
+
+    def test_product_masses_past_the_int_string_limit(self, demo_file):
+        code, _, out, err = invoke(["divergence", demo_file, "--product", "1e-4299,1/77"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: MassNotNormalized: masses sum to about 0.0129")
+
+
 class TestAnalyze:
     def test_demo_metrics(self, demo_file):
         code, report, out, _ = invoke(["analyze", demo_file])
@@ -642,8 +691,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "epsilon, error",
         [
-            ("nan", "ValueError"),
-            ("inf", "ValueError"),
+            ("nan", "ParseError"),
+            ("inf", "ParseError"),
             ("1e400", "ParamsInvalid"),
             ("0", "ParamsInvalid"),
             ("-1/10", "ParamsInvalid"),

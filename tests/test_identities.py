@@ -11,6 +11,7 @@ from corpus import (
     exact_signature,
     float_functional,
     float_mirror,
+    leaf_log_sum_reference,
     merged_increment_sum,
     rational_functional,
     remass,
@@ -548,3 +549,58 @@ class TestLogIncrementSum:
         spec = ProductSpec(FiniteDistribution(target))
         p = grow_matcher_tree(spec, budget)
         self.check(p, remass(p, seed=budget), spec)
+
+
+class TestGroupedLeafFold:
+    """``leaf_log_sum`` groups leaves by the integers in their ratios and
+    factors each integer once; every value equals the per-leaf fold
+    (``corpus.leaf_log_sum_reference``), coefficient types included."""
+
+    @staticmethod
+    def check(p, q, spec):
+        mapping, covered = align_by_paths(p, q)
+        assert covered
+        ref = {v: q.leaf_mass[mapping[v]] for v in p.leaf_mass}
+        inverse = {lab: 1 / m for lab, m in spec.base.mass.items()}
+        pairs = [
+            (leaf_entropy(p), leaf_log_sum_reference(p, [(-1, p.leaf_mass)])),
+            (
+                tree_divergence(p, q),
+                leaf_log_sum_reference(p, [(1, p.leaf_mass), (-1, ref)]),
+            ),
+            (
+                product_branch_divergence(p, spec),
+                leaf_log_sum_reference(p, [(1, p.leaf_mass)], inverse),
+            ),
+        ]
+        for value, reference in pairs:
+            assert exact_signature(value) == exact_signature(reference)
+
+    def test_corpus_against_itself_and_remassed(self):
+        for i in range(200):
+            p = corpus_tree(i)
+            spec = ProductSpec.uniform(p.label_alphabet or [0])
+            self.check(p, p, spec)
+            self.check(p, remass(p, seed=70_000 + i), spec)
+            self.check(remass(p, seed=80_000 + i), p, spec)
+
+    @pytest.mark.parametrize("budget", [243, 2187])
+    def test_large_matchers(self, budget):
+        spec = ProductSpec(FiniteDistribution(MATCHER_SPECS[1]))
+        p = grow_matcher_tree(spec, budget)
+        self.check(p, p, spec)
+        self.check(p, remass(p, seed=budget), spec)
+
+    def test_folds_that_cancel_keep_an_empty_log(self):
+        chain = build_tree([("r", "a", "x"), ("x", "b", "y")], {"y": Fraction(1)})
+        uniform = complete_tree(2, 2, seed=0)
+        uniform = build_tree(edges_of(uniform), dict.fromkeys(uniform.leaves, Fraction(1, 4)))
+        spec = ProductSpec.uniform([0, 1])
+        for value in (
+            leaf_entropy(chain),
+            tree_divergence(uniform, uniform),
+            product_branch_divergence(uniform, spec),
+        ):
+            assert exact_signature(value) == (ExactLog2, {})
+        self.check(chain, chain, ProductSpec.uniform(["a", "b"]))
+        self.check(uniform, uniform, spec)

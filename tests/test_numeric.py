@@ -28,12 +28,14 @@ from treeprob import (
 )
 from treeprob import cli
 from treeprob.approximation import product_branch_divergence
+from treeprob.generators import convergence_sweep
 from treeprob.identities import leaf_entropy, surprisal_functional
 from treeprob.numeric import (
     ExactLog2,
     _factorize,
     entropy_of,
     entropy_term,
+    exact_text,
     exact_weighted_sum,
     kl_of,
     kl_term,
@@ -568,3 +570,74 @@ class TestExactConstructionCount:
             constructions[0] = 0
             f = surprisal_functional(tree)
             assert constructions[0] == len(f) == len(tree.nodes)
+
+
+class TestFactorizationCount:
+    """Exact leaf folds factor each distinct integer of the leaf and spec
+    ratios once, so a matcher's count does not grow with its leaves.
+
+    ``log2_exponents`` is wrapped in ``numeric``, where every exact fold
+    calls it.  Dyadic matcher leaves have a handful of distinct masses, so the
+    2187-leaf matcher (1093 branching nodes) costs what the 243-leaf one
+    does, and three sweep ladders of the benchmark's sizes stay at a few
+    hundred calls, where one call per leaf and fold made about 12,000.
+    """
+
+    SPEC = TestExactConstructionCount.SPEC
+    LADDERS = [
+        ({0: Fraction(2, 3), 1: Fraction(1, 3)}, [4**k for k in range(1, 6)]),
+        (SPEC.base.mass, [3**k for k in range(1, 8)]),
+        ({a: Fraction(a + 1, 10) for a in range(4)}, [4**k for k in range(1, 6)]),
+    ]
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        """A one-element list counting log2_exponents calls; reset it to 0."""
+        count = [0]
+
+        def counted(x):
+            count[0] += 1
+            return log2_exponents(x)
+
+        monkeypatch.setattr("treeprob.numeric.log2_exponents", counted)
+        return count
+
+    @pytest.mark.parametrize(
+        "compute",
+        [leaf_entropy, lambda tree: product_branch_divergence(tree, TestFactorizationCount.SPEC)],
+        ids=["leaf_entropy", "product_branch_divergence"],
+    )
+    def test_calls_per_leaf_fold(self, factorizations, compute):
+        counts = []
+        for budget in (243, 2187):
+            tree = grow_matcher_tree(self.SPEC, budget)
+            factorizations[0] = 0
+            compute(tree)
+            counts.append(factorizations[0])
+        assert counts[0] == counts[1] < 20
+
+    def test_sweep_ladders(self, factorizations):
+        for target, budgets in self.LADDERS:
+            convergence_sweep(ProductSpec(FiniteDistribution(target)), budgets, 0.1)
+        assert factorizations[0] < 400
+
+
+class TestExactText:
+    """Messages print exact values with ``exact_text``, which never fails
+    on a part past the int-string limit."""
+
+    def test_printable_values_are_their_str(self):
+        for value in (Fraction(-3, 7), Fraction(10**4299), 0.25, 7, Fraction(1, 10**4299)):
+            assert exact_text(value) == str(value)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Fraction(1, 2**20000), "about 0.0 (1-bit numerator, 20001-bit denominator)"),
+            (Fraction(-(2**15000)), "about -inf (15001-bit numerator, 1-bit denominator)"),
+            (Fraction(2**15000 + 1, 3 * 2**15000),
+             "about 0.3333333333333333 (15001-bit numerator, 15002-bit denominator)"),
+        ],
+    )
+    def test_values_past_the_limit_are_summarized(self, value, text):
+        assert exact_text(value) == text
