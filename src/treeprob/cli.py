@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +43,7 @@ class Report:
         return all(check["passed"] for check in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, ensure_ascii=False)
+        return json.dumps(vars(self), indent=2, ensure_ascii=False)
 
 
 def _json_value(value):
@@ -97,6 +97,13 @@ def _parse_option(option: str, text: str) -> Fraction:
         raise ParseError(f"{option}: {exc}") from None
 
 
+def _parse_budget(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"--budgets: not an integer: {text!r}") from None
+
+
 def _parse_mass_list(option: str, text: str) -> list[Fraction]:
     return [_parse_option(option, part) for part in text.split(",")]
 
@@ -128,26 +135,39 @@ def _product_spec_for(tree: Tree, text: str) -> approximation.ProductSpec:
 
 
 def _print_report(report: Report, as_json: bool, out: io.TextIOBase) -> None:
+    """Write the report; a character that ``out``'s encoding cannot write,
+    such as a lone surrogate from a JSON \\u escape or an undecodable path,
+    is written as an escape: the report's JSON is then ASCII, and a text
+    line gets a backslash escape."""
+    encoding = getattr(out, "encoding", None) or "utf-8"
     if as_json:
-        print(report.to_json(), file=out)
+        text = report.to_json()
+        try:
+            text.encode(encoding)
+        except UnicodeEncodeError:
+            text = json.dumps(vars(report), indent=2)
+        print(text, file=out)
         return
+
+    def write(line: str) -> None:
+        print(line.encode(encoding, "backslashreplace").decode(encoding), file=out)
+
     for name, entry in report.results.items():
         value = entry["value"]
         if isinstance(value, dict):
             for key, sub in value.items():
-                print(f"{name}[{key}] = {sub}", file=out)
+                write(f"{name}[{key}] = {sub}")
             continue
         line = f"{name} = {value} {entry['unit']}"
         if "exact" in entry:
             line += f" (exact {entry['exact']})"
-        print(line, file=out)
+        write(line)
     for check in report.checks:
         verdict = "PASS" if check["passed"] else "FAIL"
-        print(
+        write(
             f"check {check['name']}: leaf_side={check['leaf_side']}"
             f" node_side={check['node_side']} residual={check['residual']}"
-            f" tolerance={check['tolerance']}: {verdict}",
-            file=out,
+            f" tolerance={check['tolerance']}: {verdict}"
         )
 
 
@@ -237,7 +257,7 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
         if node not in tree.children:
             continue
         if isinstance(v, str):
-            values[node] = parse_rational(v)
+            values[node] = _parse_option(f"functional value of node {node!r}", v)
         else:
             values[node] = _float_or_inf(v) if type(v) in (int, float) else math.nan
     # a float tree or a float value makes the sums float sums, which convert
@@ -278,7 +298,7 @@ def _cmd_sweep(args, out) -> tuple[int, Report]:
         {i: v for i, v in enumerate(values)}, exact=True
     )
     spec = approximation.ProductSpec(base)
-    budgets = [int(b) for b in args.budgets.split(",")]
+    budgets = [_parse_budget(b) for b in args.budgets.split(",")]
     epsilon = _parse_threshold("--epsilon", args.epsilon)
     rows = generators.convergence_sweep(spec, budgets, epsilon)
     buffer = io.StringIO()
@@ -377,7 +397,7 @@ def run_cli(argv, out=None, err=None) -> tuple[int, Report | None]:
         return (0 if exc.code in (0, None) else 2), None
     try:
         return _COMMANDS[args.command](args, out)
-    except (TreeProbError, OSError, UnicodeDecodeError, ValueError) as exc:
+    except (TreeProbError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return 2, None
 

@@ -20,6 +20,12 @@ held as a float.  ``build_tree`` picks the numeric mode from those values:
 all Fractions means exact mode, any float means float mode, and
 ``force_float`` downgrades Fractions.  Serialization writes each Fraction as
 its reduced string, so parse(serialize(doc)) returns an equal document.
+
+The written layout is fixed and byte-stable: a 2-space indent, one scalar
+per line, as ``json.dumps(..., indent=2, ensure_ascii=False)`` lays it out.
+It is written directly, each edge and leaf_mass column in one C-encoder
+call.  ``serialize_document`` refuses the ids, labels and masses whose
+types the parser refuses, with the parser's ParseError.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ class TreeDocument:
 # JSON yields exact types, so a bool, float, None, list or object id has a
 # type outside this set
 _ID_TYPES = {str, int}
+# a parsed entry is a list, a TreeDocument's a tuple
+_ROW_TYPES = {list, tuple}
+_MASS_TYPES = {Fraction, str, int, float}
+_EDGE_FIELDS = ("parent", "label", "child")
+_PAIR_FIELDS = ("leaf", "mass")
 _leaf_ids = partial(map, itemgetter(0))  # the id column of leaf_mass pairs
 
 
@@ -74,29 +85,35 @@ def _check_id(value, what: str):
     return value
 
 
-def _check_rows(rows: list, where: str, fields: tuple[str, ...], ids_of) -> None:
-    """Check that every entry of ``rows`` is a list of ``len(fields)`` items
-    and that every item ``ids_of(rows)`` yields, the entries' id columns,
-    is a string or integer.
+def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> None:
+    """Check that every entry of ``rows`` is a list or tuple of
+    ``len(fields)`` items and that every item ``ids_of(rows)`` yields, the
+    entries' id columns, is a string or integer.
 
     The check takes type sets over the whole list.  Only when it fails does
     a pass over the entries find the first bad one, to phrase its ParseError.
     """
     if (
-        set(map(type, rows)) <= {list}
+        set(map(type, rows)) <= _ROW_TYPES
         and set(map(len, rows)) <= {len(fields)}
         and set(map(type, ids_of(rows))) <= _ID_TYPES
     ):
         return
     kind = "triple" if len(fields) == 3 else "pair"
     for i, entry in enumerate(rows):
-        if type(entry) is not list or len(entry) != len(fields):
+        if type(entry) not in _ROW_TYPES or len(entry) != len(fields):
             raise ParseError(
                 f"{where} {i} must be a [{', '.join(fields)}] {kind}, got {entry!r}"
             )
         for name, value in zip(fields, ids_of([entry])):
             _check_id(value, f"{where} {i} {name}")
     raise AssertionError("the whole-list check failed on no entry")
+
+
+def _mass_error(node: NodeId, mass) -> ParseError:
+    return ParseError(
+        f"leaf {node!r} mass must be a rational string or number, got {mass!r}"
+    )
 
 
 def _ids_by_name(ids: Iterable[NodeId]) -> dict[str, NodeId]:
@@ -125,7 +142,8 @@ def resolve_node_keys(
 
 def load_json(text: str):
     """``json.loads``, raising ParseError for text it cannot read, including
-    text nested too deeply for its recursive decoder."""
+    text nested too deeply for its recursive decoder and integers past the
+    interpreter's int-string limit."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -133,6 +151,8 @@ def load_json(text: str):
             f"invalid document syntax at line {exc.lineno}, column {exc.colno}:"
             f" {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise ParseError(f"document holds an unreadable number: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("document nested too deeply to parse") from exc
 
@@ -151,14 +171,14 @@ def parse_document(text: str) -> TreeDocument:
     root = _check_id(raw["root"], "field 'root'")
     if not isinstance(raw["edges"], list):
         raise ParseError("field 'edges' must be a list")
-    _check_rows(raw["edges"], "edge", ("parent", "label", "child"), chain.from_iterable)
+    _check_rows(raw["edges"], "edge", _EDGE_FIELDS, chain.from_iterable)
     edges = tuple(map(tuple, raw["edges"]))
     pairs = raw["leaf_mass"]
     ids = [root, *map(itemgetter(0), edges), *map(itemgetter(2), edges)]
     if isinstance(pairs, dict):
         pairs = resolve_node_keys(pairs, ids).items()
     elif isinstance(pairs, list):
-        _check_rows(pairs, "leaf_mass entry", ("leaf", "mass"), _leaf_ids)
+        _check_rows(pairs, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
         ids += _leaf_ids(pairs)
         # only an integer and a string id can print alike
         if {int, str} <= set(map(type, ids)):
@@ -180,10 +200,7 @@ def parse_document(text: str) -> TreeDocument:
                     f"leaf {node!r} has a mass beyond the float range"
                 ) from None
         else:
-            raise ParseError(
-                f"leaf {node!r} mass must be a rational string or number,"
-                f" got {mass!r}"
-            )
+            raise _mass_error(node, mass)
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("field 'metadata' must be an object")
@@ -217,31 +234,61 @@ def document_to_tree(doc: TreeDocument, force_float: bool = False) -> Tree:
 def tree_to_document(tree: Tree, metadata: Mapping | None = None) -> TreeDocument:
     """Render a tree back into document form, masses as the tree holds them."""
     edges = tuple(
-        (node, label, child)
-        for node in tree.nodes
-        for label, child in tree.children[node]
+        [(node, label, child) for node in tree.nodes for label, child in tree.children[node]]
     )
+    leaves = tree.leaves
     return TreeDocument(
         root=tree.root,
         edges=edges,
-        leaf_mass=tuple((leaf, tree.leaf_mass[leaf]) for leaf in tree.leaves),
+        leaf_mass=tuple(zip(leaves, map(tree.leaf_mass.__getitem__, leaves))),
         metadata=dict(metadata or {}),
     )
 
 
+# one C-encoder call writes a whole column: its items joined by NUL, which
+# JSON writes as \u0000 inside a string, so splitting on NUL is exact
+_encode_column = json.JSONEncoder(ensure_ascii=False, separators=("\x00", ": ")).encode
+_EDGE_ROW = "    [\n      %s,\n      %s,\n      %s\n    ]"
+_PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
+_DOCUMENT = '{\n  "version": %s,\n  "root": %s,\n  "edges": %s,\n  "leaf_mass": %s,\n  "metadata": %s\n}\n'
+
+
+def _indented(value) -> str:
+    """``value`` as the indented JSON that a top-level document field holds."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+
+
+def _column(items: list, row: str, width: int) -> str:
+    """A list of ``width``-item rows, written from its flat items."""
+    if not items:
+        return "[]"
+    rows = ",\n".join([row] * (len(items) // width))
+    return "[\n%s\n  ]" % (rows % tuple(_encode_column(items)[1:-1].split("\x00")))
+
+
 def serialize_document(doc: TreeDocument) -> str:
-    """Document text; a Fraction mass is written as its reduced string."""
-    payload = {
-        "version": doc.version,
-        "root": doc.root,
-        "edges": [list(edge) for edge in doc.edges],
-        "leaf_mass": [
-            [node, str(mass) if isinstance(mass, Fraction) else mass]
-            for node, mass in doc.leaf_mass
-        ],
-        "metadata": doc.metadata,
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """Document text in a fixed layout: 2-space indent, one scalar per line,
+    a Fraction mass as its reduced string.
+
+    Raises the ParseError that ``parse_document`` would raise for a root,
+    edge id, label or leaf id that is not a string or integer, or a mass
+    that is not a Fraction, string, integer or float.
+    """
+    _check_id(doc.root, "field 'root'")
+    _check_rows(doc.edges, "edge", _EDGE_FIELDS, chain.from_iterable)
+    _check_rows(doc.leaf_mass, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
+    pairs = list(chain.from_iterable(doc.leaf_mass))
+    masses = pairs[1::2]
+    if not set(map(type, masses)) <= _MASS_TYPES:
+        raise next(_mass_error(n, m) for n, m in doc.leaf_mass if type(m) not in _MASS_TYPES)
+    pairs[1::2] = [str(m) if type(m) is Fraction else m for m in masses]
+    return _DOCUMENT % (
+        _indented(doc.version),
+        _encode_column(doc.root),
+        _column(list(chain.from_iterable(doc.edges)), _EDGE_ROW, 3),
+        _column(pairs, _PAIR_ROW, 2),
+        _indented(doc.metadata),
+    )
 
 
 def parse_tree(text: str, force_float: bool = False) -> Tree:

@@ -49,6 +49,16 @@ CYCLIC_DOCUMENT = """\
 """
 
 
+# branching nodes whose ids have no UTF-8 form (a lone surrogate, from a
+# JSON \\u escape) and no ASCII form
+UNENCODABLE_DOCUMENT = json.dumps(
+    {"root": "\ud800", "edges": [["\ud800", "a", "é"], ["\ud800", "b", 2],
+                                 ["é", "a", 3], ["é", "b", 4]],
+     "leaf_mass": [[2, "1/2"], [3, "1/4"], [4, "1/4"]]}
+)
+UNENCODABLE_IDS = {"\ud800", "é"}
+
+
 def caterpillar_document(depth):
     """Float caterpillar: each spine node has a leaf on label 0 and goes on
     along label 1; leaf masses are the weights 1..depth+1 over their sum."""
@@ -132,6 +142,16 @@ class TestValidate:
         assert report is None
         assert "ParseError" in err
 
+
+    def test_integer_past_the_int_string_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long-id.tree"
+        path.write_text(
+            '{"root": 0, "edges": [[0, "a", %s]], "leaf_mass": [[1, "1"]]}' % ("9" * 5000),
+            "utf-8",
+        )
+        code, report, out, err = invoke(["validate", str(path)])
+        assert (code, report, out) == (2, None, "")
+        assert err.startswith("error: ParseError: ")
 
     @pytest.mark.parametrize("mass", ["1e-10000000", "1e10000000"])
     def test_unbounded_decimal_exponent_is_an_input_error(self, tmp_path, mass):
@@ -240,6 +260,19 @@ class TestAnalyze:
         code, report, _, err = invoke(["analyze", "--json", str(path)])
         assert (code, report) == (2, None)
         assert "ParseError" in err
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_lone_surrogate_id_is_written_as_its_escape(self, tmp_path, as_json):
+        path = tmp_path / "surrogate.tree"
+        path.write_text(UNENCODABLE_DOCUMENT, "utf-8")
+        code, report, out, err = invoke(["analyze", str(path)] + ["--json"] * as_json)
+        assert (code, err) == (0, "")
+        out.encode("utf-8")
+        if as_json:
+            assert set(json.loads(out)["results"]["branching_node_distribution"]["value"]) == UNENCODABLE_IDS
+        else:
+            assert "branching_node_distribution[\\ud800] = 0.6666666666666666\n" in out
+            assert "branching_node_distribution[é] = 0.3333333333333333\n" in out
 
     def test_single_node_tree_omits_rate(self, tmp_path):
         path = tmp_path / "point.tree"
@@ -465,6 +498,15 @@ class TestCheck:
         code, _, _, err = invoke(["check", demo_file, "--functional", str(path)])
         assert code == 2
         assert "error:" in err
+
+    def test_functional_file_value_that_is_no_rational_is_a_parse_error(
+        self, demo_file, tmp_path
+    ):
+        path = tmp_path / "f.json"
+        path.write_text('{"0": "abc"}', "utf-8")
+        code, report, out, err = invoke(["check", demo_file, "--functional", str(path)])
+        assert (code, report, out) == (2, None, "")
+        assert err == "error: ParseError: functional value of node 0: not a rational number: 'abc'\n"
 
     def test_functional_file_that_is_no_object_is_rejected(self, demo_file, tmp_path):
         path = tmp_path / "f.json"
@@ -714,6 +756,16 @@ class TestSweep:
         assert code == 2
         assert "ParamsInvalid" in err
 
+    @pytest.mark.parametrize(
+        "budget", ["x", "4.0", "", "9" * 5000], ids=["letter", "decimal", "empty", "too-long"]
+    )
+    def test_budget_that_is_no_integer_is_a_parse_error(self, budget):
+        code, report, out, err = invoke(
+            ["sweep", "--target", "1/2,1/2", "--budgets", f"4,{budget}"]
+        )
+        assert (code, report, out) == (2, None, "")
+        assert err == f"error: ParseError: --budgets: not an integer: {budget!r}\n"
+
     def test_invalid_target(self):
         code, _, _, err = invoke(
             ["sweep", "--target", "2/3,1/2", "--budgets", "4,16"]
@@ -762,6 +814,26 @@ class TestModuleEntryPoint:
                 capture_output=True, text=True, env=env, timeout=60,
             )
             assert done.returncode == expected, done.stderr
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_ids_the_stdout_cannot_encode(self, tmp_path, encoding, as_json):
+        tests = Path(__file__).resolve().parent
+        document = tmp_path / "unencodable.tree"
+        document.write_text(UNENCODABLE_DOCUMENT, "utf-8")
+        path = [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        env["PYTHONIOENCODING"] = f"{encoding}:strict"
+        done = subprocess.run(
+            [sys.executable, "-m", "treeprob", "analyze", str(document)] + ["--json"] * as_json,
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        if as_json:
+            distribution = json.loads(done.stdout)["results"]["branching_node_distribution"]
+            assert set(distribution["value"]) == UNENCODABLE_IDS
+        else:
+            assert b"branching_node_distribution[\\ud800] = " in done.stdout
 
 
 class TestComputeOnce:

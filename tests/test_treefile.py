@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from treeprob.treefile import resolve_node_keys
 # a well-formed edge and leaf_mass pair, placed before each malformed entry
 GOOD_EDGE = [0, "a", 1]
 GOOD_PAIR = [1, "1/2"]
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParseDocument:
@@ -456,3 +459,128 @@ class TestRoundTrips:
         tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: 0.5, 2: 0.5})
         text = serialize_tree(tree, metadata={"source": "unit"})
         assert parse_document(text).metadata == {"source": "unit"}
+
+
+def reference_text(doc: TreeDocument) -> str:
+    """The stdlib's indented encoding of a document, the layout that
+    ``serialize_document`` writes directly."""
+    payload = {
+        "version": doc.version,
+        "root": doc.root,
+        "edges": [list(edge) for edge in doc.edges],
+        "leaf_mass": [
+            [node, str(mass) if isinstance(mass, Fraction) else mass]
+            for node, mass in doc.leaf_mass
+        ],
+        "metadata": doc.metadata,
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+# string ids that JSON must escape or that ensure_ascii=False writes raw
+AWKWARD_IDS = ['q"uote', "back\\slash", "new\nline", "nul\x00", "line\u2028sep", "lone\ud800", "\U0001F333", "é"]
+
+
+class TestWrittenBytes:
+    def test_matcher_golden_is_reproduced(self):
+        text = (GOLDEN / "matcher.tree").read_text("utf-8")
+        assert serialize_tree(parse_tree(text)) == text
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["exact", "float"])
+    def test_corpus_matches_the_stdlib_encoding(self, mirror):
+        for i in range(200):
+            tree = float_mirror(corpus_tree(i)) if mirror else corpus_tree(i)
+            doc = tree_to_document(tree)
+            assert serialize_document(doc) == reference_text(doc), i
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(TreeDocument(0, (), ((0, Fraction(1)),)), id="bare-root"),
+            pytest.param(TreeDocument(0, (), ()), id="no-leaf-mass"),
+            pytest.param(
+                TreeDocument(
+                    "r",
+                    tuple(("r", name, name + "!") for name in AWKWARD_IDS),
+                    tuple((name + "!", Fraction(1, len(AWKWARD_IDS))) for name in AWKWARD_IDS),
+                ),
+                id="escaped-strings",
+            ),
+            pytest.param(
+                TreeDocument(-1, ((-1, -2, -(10**3999)), (-1, 10**3999, 7)), ((-(10**3999), 0.5), (7, 0.5))),
+                id="long-and-negative-ints",
+            ),
+            pytest.param(
+                TreeDocument(0, ((0, "a", 1), (0, "b", 2), (0, "c", 3)), ((1, 5e-324), (2, 1e308), (3, 1.0))),
+                id="subnormal-and-huge-floats",
+            ),
+            pytest.param(
+                TreeDocument(0, ((0, "a", 1), (0, "b", 2), (0, "c", 3)), ((1, "1/4"), (2, "0.25"), (3, 0.5))),
+                id="string-masses",
+            ),
+            pytest.param(
+                TreeDocument(
+                    0,
+                    ((0, "a", 1),),
+                    ((1, Fraction(1)),),
+                    metadata={"größe": {"liste": [1, "zwei", {"drei": None}], "leer": {}, "nichts": []}, "n": 1.5},
+                ),
+                id="nested-metadata",
+            ),
+        ],
+    )
+    def test_hand_built_documents_match_the_stdlib_encoding(self, doc):
+        assert serialize_document(doc) == reference_text(doc)
+
+
+class TestSerializerRefusals:
+    """``serialize_document`` refuses the ids, labels and masses that
+    ``parse_document`` refuses, with the parser's ParseError message."""
+
+    @staticmethod
+    def assert_same_refusal(root, edges, leaf_mass):
+        with pytest.raises(ParseError) as parsed:
+            parse_document(json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass}))
+        doc = TreeDocument(root, tuple(map(tuple, edges)), tuple(map(tuple, leaf_mass)))
+        with pytest.raises(ParseError) as written:
+            serialize_document(doc)
+        assert str(written.value) == str(parsed.value)
+
+    BAD_IDS = [True, 1.5, None, [1], {"x": 1}]
+
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=lambda bad: type(bad).__name__)
+    def test_root(self, bad):
+        self.assert_same_refusal(bad, [GOOD_EDGE], [GOOD_PAIR])
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["parent", "label", "child"])
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=lambda bad: type(bad).__name__)
+    def test_edge_ids_and_labels(self, position, bad):
+        edge = [0, "b", 2]
+        edge[position] = bad
+        self.assert_same_refusal(0, [GOOD_EDGE, edge], [GOOD_PAIR, [2, "1/2"]])
+
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=lambda bad: type(bad).__name__)
+    def test_leaf_ids(self, bad):
+        self.assert_same_refusal(0, [GOOD_EDGE, [0, "b", 2]], [GOOD_PAIR, [bad, "1/2"]])
+
+    @pytest.mark.parametrize("bad", [True, None, [1], {"x": 1}], ids=lambda bad: type(bad).__name__)
+    def test_masses(self, bad):
+        self.assert_same_refusal(0, [GOOD_EDGE, [0, "b", 2]], [GOOD_PAIR, [2, bad]])
+
+    def test_first_refusal_in_parse_order(self):
+        self.assert_same_refusal(0, [GOOD_EDGE, [0, None, 2]], [[None, True]])
+
+    def test_tuple_ids_of_a_built_tree(self):
+        tree = build_tree([((0,), "a", (1,)), ((0,), "b", (2,))], {(1,): 0.5, (2,): 0.5})
+        with pytest.raises(ParseError, match=r"field 'root' must be a string or integer, got \(0,\)"):
+            serialize_tree(tree)
+
+    def test_bool_label_of_a_built_tree(self):
+        tree = build_tree([(0, True, 1), (0, False, 2)], {1: 0.5, 2: 0.5})
+        with pytest.raises(ParseError, match="edge 0 label must be a string or integer, got True"):
+            serialize_tree(tree)
+
+    def test_rows_of_the_wrong_length(self):
+        doc = TreeDocument(0, ((0, "a", 1), (0, "b")), ((1, "1/2"), (2, "1/2", "x")))
+        with pytest.raises(ParseError, match=r"edge 1 must be a \[parent, label, child\] triple"):
+            serialize_document(doc)
