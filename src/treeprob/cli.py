@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import approximation, generators, identities, treefile
@@ -325,6 +326,7 @@ def _cmd_sweep(args, out) -> tuple[int, Report]:
     return 0, report
 
 
+@cache  # built on first use, then shared by every run_cli call in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeprob",

@@ -397,9 +397,19 @@ def normalized_divergence(p: Tree, q: Tree) -> object:
 
 
 def surprisal_functional(tree: Tree) -> dict[NodeId, object]:
-    """f(j) = -log2 Q_j: its leaf average is H(P_L), its rate the entropy rate."""
+    """f(j) = -log2 Q_j: its leaf average is H(P_L), its rate the entropy rate.
+
+    On an exact tree, -log2(n / D) is built once per distinct integer n of
+    the mass table (``Tree.mass_numerators``), and every node with that n
+    shares the one value, so ``numeric.exact_weighted_sum`` gathers their
+    terms and expands the value once.
+    """
+    if tree.exact:
+        n = tree.mass_numerators
+        shared = {m: log2_of(Fraction(m, n[tree.root]), True, -1) for m in set(n.values())}
+        return {v: shared[n[v]] for v in tree.nodes}
     q = node_probabilities(tree)
-    return {n: log2_of(q[n], tree.exact, -1) for n in tree.nodes}
+    return {v: log2_of(q[v], False, -1) for v in tree.nodes}
 
 
 def log_ratio_functional(p: Tree, q: Tree) -> dict[NodeId, object]:

@@ -26,8 +26,13 @@ total by a common denominator once and builds a single ``ExactLog2`` at
 the end, where ``total = total + term`` would copy the running map on each
 addition.  A term's value may be a rational, an ``ExactLog2``, or the
 integer exponent map of a rational (``log2_exponents``), which stands for
-its log2 without building an ``ExactLog2``.  Integer weights on such maps
-keep every coefficient a plain integer until the one division.  A sum of
+its log2 without building an ``ExactLog2``.  The fold first gathers the
+terms by value (the same object), summing their weights, and expands each
+distinct value's coefficients once; a value whose weights cancel is never
+expanded.  So a caller that gives one shared value to many terms, as the
+exact surprisal functional does to the nodes of one mass, pays for the
+value once.  Integer weights on exponent maps keep every coefficient a
+plain integer until the one division.  A sum of
 weighted logarithms of ratios (``log2_weighted_sum``, behind exact
 divergences and the leaf folds) first gathers the weights by the integers
 in the ratios, so each distinct integer is factored once.  An exact
@@ -465,26 +470,35 @@ def exact_weighted_sum(pairs: Iterable, denominator: int = 1) -> Fraction | Exac
     rational w and v a rational, an ExactLog2, or the exponent map of a
     rational (``log2_exponents``), which stands for its log2.
 
-    The terms are folded into one coefficient map, and each prime's total
-    is divided by ``denominator`` once; integer weights on exponent maps
-    stay plain integers until then.  Returns a Fraction when no v is a
-    logarithm (Fraction(0) for no pairs) and an ExactLog2 otherwise, equal
-    under ``==`` to the chained sum ``(Fraction(0) + w1 * v1 + w2 * v2 +
-    ...) / denominator``.  The inputs are read, never changed or shared.
-    Every term must be exact: a sum with a float value is a float sum.
+    The weights are first summed per value, by object identity, so a value
+    shared by many terms is expanded once, with its summed weight, and a
+    value whose weights cancel is never expanded.  The expanded terms are
+    folded into one coefficient map, and each prime's total is divided by
+    ``denominator`` once; integer weights on exponent maps stay plain
+    integers until then.  Returns a Fraction when no v is a logarithm
+    (Fraction(0) for no pairs) and an ExactLog2 otherwise, also when every
+    logarithm's weights cancel, equal under ``==`` to the chained sum
+    ``(Fraction(0) + w1 * v1 + w2 * v2 + ...) / denominator``.  The inputs
+    are read, never changed or shared.  Every term must be exact: a sum
+    with a float value is a float sum.
     """
+    # id(v): [summed weight, v]; holding each v keeps the ids unique
+    gathered: dict[int, list] = {}
+    for w, v in pairs:
+        gathered.setdefault(id(v), [0, v])[0] += w
     rational = 0
     coef: dict[int, Rational] = {}
     has_log = False
-    for w, v in pairs:
-        w = w.numerator if w.denominator == 1 else w
+    for w, v in gathered.values():
         if isinstance(v, ExactLog2):
             v = v._coef
         if type(v) is dict:
             has_log = True
-            for p, c in v.items():
-                c = w * (c.numerator if c.denominator == 1 else c)
-                coef[p] = coef[p] + c if p in coef else c
+            if w:
+                w = w.numerator if w.denominator == 1 else w
+                for p, c in v.items():
+                    c = w * (c.numerator if c.denominator == 1 else c)
+                    coef[p] = coef[p] + c if p in coef else c
         else:
             rational += w * v
     if not has_log:

@@ -24,8 +24,9 @@ its reduced string, so parse(serialize(doc)) returns an equal document.
 The written layout is fixed and byte-stable: a 2-space indent, one scalar
 per line, as ``json.dumps(..., indent=2, ensure_ascii=False)`` lays it out.
 It is written directly, each edge and leaf_mass column in one C-encoder
-call.  ``serialize_document`` refuses the ids, labels and masses whose
-types the parser refuses, with the parser's ParseError.
+call.  ``serialize_document`` runs the parser's own checks on the
+version, ids, labels, masses and metadata, and raises the ParseError that
+parsing the written text would raise.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class TreeDocument:
 _ID_TYPES = {str, int}
 # a parsed entry is a list, a TreeDocument's a tuple
 _ROW_TYPES = {list, tuple}
-_MASS_TYPES = {Fraction, str, int, float}
+# the masses that ``serialize_document`` writes without the parser's checks
+_NUMBER_TYPES = {Fraction, int, float}
 _EDGE_FIELDS = ("parent", "label", "child")
 _PAIR_FIELDS = ("leaf", "mass")
 _leaf_ids = partial(map, itemgetter(0))  # the id column of leaf_mass pairs
@@ -110,10 +112,39 @@ def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> None:
     raise AssertionError("the whole-list check failed on no entry")
 
 
-def _mass_error(node: NodeId, mass) -> ParseError:
-    return ParseError(
-        f"leaf {node!r} mass must be a rational string or number, got {mass!r}"
-    )
+def _parsed_masses(pairs: Iterable) -> list[tuple[NodeId, Fraction | float]]:
+    """The (leaf, mass) pairs with each rational string parsed into a
+    Fraction and each JSON number held as a float; ParseError for any other
+    mass, NonFiniteMass for a number past the float range."""
+    leaf_mass: list[tuple[NodeId, Fraction | float]] = []
+    for node, mass in pairs:
+        if isinstance(mass, str):
+            try:
+                leaf_mass.append((node, parse_rational(mass)))
+            except ValueError as exc:
+                raise ParseError(f"leaf {node!r}: {exc}") from exc
+        elif isinstance(mass, (int, float)) and not isinstance(mass, bool):
+            try:
+                leaf_mass.append((node, float(mass)))
+            except OverflowError:
+                raise NonFiniteMass(
+                    f"leaf {node!r} has a mass beyond the float range"
+                ) from None
+        else:
+            raise ParseError(
+                f"leaf {node!r} mass must be a rational string or number, got {mass!r}"
+            )
+    return leaf_mass
+
+
+def _check_version(version) -> None:
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported document version {version!r}")
+
+
+def _check_metadata(metadata) -> None:
+    if not isinstance(metadata, dict):
+        raise ParseError("field 'metadata' must be an object")
 
 
 def _ids_by_name(ids: Iterable[NodeId]) -> dict[str, NodeId]:
@@ -126,6 +157,19 @@ def _ids_by_name(ids: Iterable[NodeId]) -> dict[str, NodeId]:
         if other != node:
             raise ParseError(f"node ids {other!r} and {node!r} print alike")
     return names
+
+
+def _node_ids(root: NodeId, edges) -> list:
+    """The root, the edges' parents and their children, in the order that
+    decides which two ids a print-alike ParseError names."""
+    return [root, *map(itemgetter(0), edges), *map(itemgetter(2), edges)]
+
+
+def _check_names(ids: list) -> None:
+    """``_ids_by_name``'s ParseError for two ids that print alike."""
+    # only an integer and a string id can print alike
+    if {int, str} <= set(map(type, ids)):
+        _ids_by_name(ids)
 
 
 def resolve_node_keys(
@@ -163,8 +207,7 @@ def parse_document(text: str) -> TreeDocument:
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
     version = raw.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported document version {version!r}")
+    _check_version(version)
     for required in ("root", "edges", "leaf_mass"):
         if required not in raw:
             raise ParseError(f"missing required field {required!r}")
@@ -174,36 +217,18 @@ def parse_document(text: str) -> TreeDocument:
     _check_rows(raw["edges"], "edge", _EDGE_FIELDS, chain.from_iterable)
     edges = tuple(map(tuple, raw["edges"]))
     pairs = raw["leaf_mass"]
-    ids = [root, *map(itemgetter(0), edges), *map(itemgetter(2), edges)]
+    ids = _node_ids(root, edges)
     if isinstance(pairs, dict):
         pairs = resolve_node_keys(pairs, ids).items()
     elif isinstance(pairs, list):
         _check_rows(pairs, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
         ids += _leaf_ids(pairs)
-        # only an integer and a string id can print alike
-        if {int, str} <= set(map(type, ids)):
-            _ids_by_name(ids)
+        _check_names(ids)
     else:
         raise ParseError("field 'leaf_mass' must be a list of pairs or an object")
-    leaf_mass: list[tuple[NodeId, Fraction | float]] = []
-    for node, mass in pairs:
-        if isinstance(mass, str):
-            try:
-                leaf_mass.append((node, parse_rational(mass)))
-            except ValueError as exc:
-                raise ParseError(f"leaf {node!r}: {exc}") from exc
-        elif isinstance(mass, (int, float)) and not isinstance(mass, bool):
-            try:
-                leaf_mass.append((node, float(mass)))
-            except OverflowError:
-                raise NonFiniteMass(
-                    f"leaf {node!r} has a mass beyond the float range"
-                ) from None
-        else:
-            raise _mass_error(node, mass)
+    leaf_mass = _parsed_masses(pairs)
     metadata = raw.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ParseError("field 'metadata' must be an object")
+    _check_metadata(metadata)
     return TreeDocument(
         root=root,
         edges=edges,
@@ -270,17 +295,22 @@ def serialize_document(doc: TreeDocument) -> str:
     """Document text in a fixed layout: 2-space indent, one scalar per line,
     a Fraction mass as its reduced string.
 
-    Raises the ParseError that ``parse_document`` would raise for a root,
-    edge id, label or leaf id that is not a string or integer, or a mass
-    that is not a Fraction, string, integer or float.
+    Raises the ParseError that ``parse_document`` would raise on the
+    written text, checked in the parser's order: a version other than "1",
+    a root, edge id, label or leaf id that is not a string or integer, two
+    ids that print alike, a mass that is not a Fraction, rational string,
+    integer or float, or metadata that is not a dict.
     """
+    _check_version(doc.version)
     _check_id(doc.root, "field 'root'")
     _check_rows(doc.edges, "edge", _EDGE_FIELDS, chain.from_iterable)
     _check_rows(doc.leaf_mass, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
+    _check_names(_node_ids(doc.root, doc.edges) + [*_leaf_ids(doc.leaf_mass)])
     pairs = list(chain.from_iterable(doc.leaf_mass))
     masses = pairs[1::2]
-    if not set(map(type, masses)) <= _MASS_TYPES:
-        raise next(_mass_error(n, m) for n, m in doc.leaf_mass if type(m) not in _MASS_TYPES)
+    if not set(map(type, masses)) <= _NUMBER_TYPES:
+        _parsed_masses((n, m) for n, m in doc.leaf_mass if type(m) is not Fraction)
+    _check_metadata(doc.metadata)
     pairs[1::2] = [str(m) if type(m) is Fraction else m for m in masses]
     return _DOCUMENT % (
         _indented(doc.version),

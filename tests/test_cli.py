@@ -19,6 +19,7 @@ from treeprob import (
     ProductSpec,
     approximation,
     build_tree,
+    cli,
     generators,
     identities,
     numeric,
@@ -797,6 +798,42 @@ class TestParsing:
     def test_missing_required_argument(self):
         code, _, _, _ = invoke(["sweep", "--target", "1/2,1/2"])
         assert code == 2
+
+
+class TestParserReuse:
+    """``run_cli`` builds its parser once per process; a call through the
+    shared parser prints and returns what a call through a fresh one does."""
+
+    ARGVS = [
+        ["validate", "demo.tree"],
+        ["analyze", "--json", "demo.tree"],
+        ["divergence", "demo.tree", "demo_q.tree"],
+        ["check", "--json", "demo.tree"],
+        ["sweep", "--target", "1/2,1/2", "--budgets", "4,16"],
+        ["check"],
+        ["sweep", "--target", "1/2,1/2", "--budgets", "4", "--bogus"],
+        ["--help"],
+        ["divergence", "--help"],
+        [],
+    ]
+
+    def run(self, argv, capsys):
+        code, _, out, err = invoke(argv)
+        printed = capsys.readouterr()  # argparse prints usage and help to sys.stdout/stderr
+        return code, out, err, printed.out, printed.err
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert [result[0] for result in fresh] == [0, 0, 0, 0, 0, 2, 2, 0, 0, 2]
+        assert "usage: treeprob" in fresh[7][3] and "usage: treeprob" in fresh[5][4]
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert [self.run(argv, capsys) for argv in self.ARGVS] == fresh
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestModuleEntryPoint:

@@ -349,6 +349,65 @@ class TestExactWeightedSum:
             ExactLog2({2: Fraction(1), 3: Fraction(1, 6)})
         )
 
+    @staticmethod
+    def chained(pairs, denominator=1):
+        total = Fraction(0)
+        for w, v in pairs:
+            total = total + w * (ExactLog2(v) if isinstance(v, dict) else v)
+        return total / denominator
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.one_of(log_values, positive_rationals.map(log2_exponents)), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 3)), max_size=30),
+        st.integers(1, 1000),
+    )
+    def test_values_shared_by_many_terms(self, pool, picks, denominator):
+        # the terms reuse a few value objects, which the fold gathers by identity
+        pairs = [(w, pool[i % len(pool)]) for w, i in picks]
+        folded = exact_weighted_sum(pairs, denominator)
+        assert exact_signature(folded) == exact_signature(self.chained(pairs, denominator))
+
+    def test_one_value_repeated(self):
+        v = ExactLog2.log2(Fraction(3, 10))
+        pairs = [(w, v) for w in range(-5, 40)] + [(2, Fraction(1, 3))] * 3
+        folded = exact_weighted_sum(pairs, 7)
+        assert exact_signature(folded) == exact_signature(self.chained(pairs, 7))
+        assert folded == v * Fraction(765, 7) + Fraction(2, 7)
+
+    def test_weights_that_cancel(self):
+        v, u = ExactLog2.log2(Fraction(5, 6)), log2_exponents(Fraction(7, 3))
+        for pairs in (
+            [(3, v), (-1, v), (-2, v)],
+            [(1, u), (Fraction(1, 2), v), (-1, u), (Fraction(-1, 2), v)],
+            [(1, v), (2, Fraction(1, 3)), (-1, v)],
+            [(4, v), (1, u), (-4, v)],
+        ):
+            folded = exact_weighted_sum(pairs)
+            assert type(folded) is ExactLog2
+            assert folded == self.chained(pairs)
+            assert exact_signature(folded) == exact_signature(self.chained(pairs))
+        assert exact_signature(exact_weighted_sum([(3, v), (-3, v)], 5)) == (ExactLog2, {})
+
+    def test_fraction_weights(self):
+        v, u = ExactLog2.log2(Fraction(9, 20)), log2_exponents(Fraction(11, 4))
+        pairs = [(Fraction(1, 3), v), (Fraction(2, 3), u), (Fraction(5, 6), v), (Fraction(-7, 2), u)]
+        pairs.append((Fraction(4, 5), Fraction(3, 7)))
+        folded = exact_weighted_sum(pairs, 12)
+        assert exact_signature(folded) == exact_signature(self.chained(pairs, 12))
+
+    def test_inputs_are_left_unchanged(self):
+        v, u = ExactLog2.log2(Fraction(15, 4)), log2_exponents(Fraction(14, 9))
+        pairs = [(2, v), (3, u), (-2, v), (1, u), (1, v), (Fraction(1, 2), Fraction(1, 3))]
+        before = [(w, dict(x._coef) if isinstance(x, ExactLog2) else x) for w, x in pairs]
+        snapshot = list(pairs)
+        folded = exact_weighted_sum(iter(pairs), 3)
+        assert pairs == snapshot
+        assert [(w, dict(x._coef) if isinstance(x, ExactLog2) else x) for w, x in pairs] == before
+        assert all(x is y for (_, x), (_, y) in zip(pairs, snapshot))
+        assert folded._coef is not v._coef and folded._coef is not u
+        assert exact_weighted_sum([(1, v)])._coef is not v._coef
+
 
 
 class TestFactorize:
@@ -523,7 +582,9 @@ class TestExactConstructionCount:
     coefficients over one denominator, so the count on a 2187-leaf matcher
     for target 1/6, 1/2, 1/3 (B = 1093 branching nodes) is the count on the
     243-leaf one (B = 121).  The surprisal functional builds one value per
-    node, -log2 Q_j from the negated exponents of Q_j, with no negation pass.
+    distinct integer n_j of the mass table, -log2(n_j / D) from the negated
+    exponents, with no negation pass, and shares it among the nodes with
+    that n_j: 30 values for the 364 nodes of the 243-leaf matcher.
     """
 
     SPEC = ProductSpec(
@@ -564,12 +625,41 @@ class TestExactConstructionCount:
             counts.append(constructions[0])
         assert counts[0] == counts[1]
 
-    def test_surprisal_functional_builds_one_value_per_node(self, constructions, trees):
+    def test_surprisal_functional_builds_one_value_per_distinct_mass(self, constructions, trees):
+        counts = []
         for tree in trees:
-            tree.node_mass  # Q is cached before counting
             constructions[0] = 0
             f = surprisal_functional(tree)
-            assert constructions[0] == len(f) == len(tree.nodes)
+            assert len(f) == len(tree.nodes)
+            assert constructions[0] == len(set(tree.mass_numerators.values()))
+            counts.append((constructions[0], len(f)))
+        assert counts[0] == (30, 364)
+
+
+class TestSharedSurprisalValues:
+    """``surprisal_functional`` shares one value among the nodes of one
+    mass, and the folds gather terms by value.  Every side of the Lansit
+    report equals the report for one value per node, the oracle below,
+    under ``==`` and with the coefficient types of ``exact_signature``."""
+
+    @staticmethod
+    def per_node_surprisal(tree):
+        return {v: log2_of(tree.node_mass[v], True, -1) for v in tree.nodes}
+
+    def check(self, tree):
+        shared = lansit_check(tree, surprisal_functional(tree))
+        oracle = lansit_check(tree, self.per_node_surprisal(tree))
+        assert shared == oracle
+        for side in ("leaf_side", "node_side", "residual"):
+            assert exact_signature(getattr(shared, side)) == exact_signature(getattr(oracle, side))
+
+    def test_corpus(self):
+        for i in range(200):
+            self.check(corpus_tree(i))
+
+    @pytest.mark.parametrize("budget", [243, 2187])
+    def test_matchers(self, budget):
+        self.check(grow_matcher_tree(TestExactConstructionCount.SPEC, budget))
 
 
 class TestFactorizationCount:

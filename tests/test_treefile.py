@@ -538,10 +538,13 @@ class TestSerializerRefusals:
     ``parse_document`` refuses, with the parser's ParseError message."""
 
     @staticmethod
-    def assert_same_refusal(root, edges, leaf_mass):
+    def assert_same_refusal(root, edges, leaf_mass, **fields):
+        """``fields`` are the optional version and metadata, set in both."""
         with pytest.raises(ParseError) as parsed:
-            parse_document(json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass}))
-        doc = TreeDocument(root, tuple(map(tuple, edges)), tuple(map(tuple, leaf_mass)))
+            parse_document(
+                json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass, **fields})
+            )
+        doc = TreeDocument(root, tuple(map(tuple, edges)), tuple(map(tuple, leaf_mass)), **fields)
         with pytest.raises(ParseError) as written:
             serialize_document(doc)
         assert str(written.value) == str(parsed.value)
@@ -566,6 +569,30 @@ class TestSerializerRefusals:
     @pytest.mark.parametrize("bad", [True, None, [1], {"x": 1}], ids=lambda bad: type(bad).__name__)
     def test_masses(self, bad):
         self.assert_same_refusal(0, [GOOD_EDGE, [0, "b", 2]], [GOOD_PAIR, [2, bad]])
+
+    @pytest.mark.parametrize("bad", ["abc", "1/0", "-1/2/3", "1e5000"])
+    def test_string_masses_that_are_no_rational(self, bad):
+        self.assert_same_refusal(0, [GOOD_EDGE, [0, "b", 2]], [GOOD_PAIR, [2, bad]])
+
+    @pytest.mark.parametrize("version", ["2", 1, None], ids=repr)
+    def test_version(self, version):
+        self.assert_same_refusal(0, [GOOD_EDGE], [GOOD_PAIR], version=version)
+
+    @pytest.mark.parametrize("metadata", [[1], "x", None], ids=lambda bad: type(bad).__name__)
+    def test_metadata_that_is_no_object(self, metadata):
+        self.assert_same_refusal(0, [GOOD_EDGE], [GOOD_PAIR], metadata=metadata)
+
+    @pytest.mark.parametrize(
+        "edges, leaf_mass",
+        [
+            ([GOOD_EDGE, [0, "b", "0"]], [GOOD_PAIR, ["0", "1/2"]]),
+            ([GOOD_EDGE, [0, "b", 2]], [["1", "1/2"], [2, "1/2"]]),
+            ([[0, "a", "1"], [1, "b", 2], [0, "b", 3]], [[2, "1/2"], [3, "1/2"]]),
+        ],
+        ids=["edge ids", "leaf id", "child before parent"],
+    )
+    def test_ids_that_print_alike(self, edges, leaf_mass):
+        self.assert_same_refusal(0, edges, leaf_mass)
 
     def test_first_refusal_in_parse_order(self):
         self.assert_same_refusal(0, [GOOD_EDGE, [0, None, 2]], [[None, True]])
