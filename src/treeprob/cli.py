@@ -6,8 +6,14 @@ structured report.  Reports carry the command name, a digest of each input
 document, a map of named metrics with units, and a list of identity checks
 with the tolerance each was judged by.
 
-Exit codes: 0 on success with all checks passing, 1 when a reported check
-fails, 2 on any input or usage error.
+``run_cli`` is the one request path.  It builds the report, calls the
+handler that the command's subparser names, prints the report and derives
+the exit code from the report's checks; a handler only fills the report's
+results and checks.
+
+Exit codes: 0 when every check in the report passes (also when it has
+none), 1 when a reported check fails, 2 on any input or usage error, which
+prints no report.
 """
 
 from __future__ import annotations
@@ -61,8 +67,12 @@ def _exact_string(value):
     return None
 
 
+def _entry(value, unit: str) -> dict:
+    return {"value": value, "unit": unit}
+
+
 def _result(value, unit: str) -> dict:
-    entry = {"value": _json_value(value), "unit": unit}
+    entry = _entry(_json_value(value), unit)
     exact = _exact_string(value)
     if exact is not None:
         entry["exact"] = exact
@@ -82,11 +92,12 @@ def _check_entry(
     }
 
 
-def _load_tree(path: str, force_float: bool) -> tuple[Tree, str]:
+def _load_tree(report: Report, path: str, force_float: bool) -> Tree:
+    """The tree that the document at ``path`` holds; records the document's
+    digest among the report's inputs."""
     data = Path(path).read_bytes()
-    digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    tree = treefile.parse_tree(data.decode("utf-8"), force_float=force_float)
-    return tree, digest
+    report.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    return treefile.parse_tree(data.decode("utf-8"), force_float=force_float)
 
 
 def _parse_option(option: str, text: str) -> Fraction:
@@ -172,25 +183,15 @@ def _print_report(report: Report, as_json: bool, out: io.TextIOBase) -> None:
         )
 
 
-def _cmd_validate(args, out) -> tuple[int, Report]:
-    tree, digest = _load_tree(args.tree, args.float)
-    report = Report(command="validate", inputs={args.tree: digest})
-    report.results["leaf_count"] = {"value": len(tree.leaves), "unit": "leaves"}
-    report.results["branching_count"] = {
-        "value": len(tree.branching_nodes),
-        "unit": "nodes",
-    }
-    report.results["mode"] = {
-        "value": "exact" if tree.exact else "float",
-        "unit": "numeric-mode",
-    }
-    _print_report(report, args.json, out)
-    return 0, report
+def _cmd_validate(args, report: Report) -> None:
+    tree = _load_tree(report, args.tree, args.float)
+    report.results["leaf_count"] = _entry(len(tree.leaves), "leaves")
+    report.results["branching_count"] = _entry(len(tree.branching_nodes), "nodes")
+    report.results["mode"] = _entry("exact" if tree.exact else "float", "numeric-mode")
 
 
-def _cmd_analyze(args, out) -> tuple[int, Report]:
-    tree, digest = _load_tree(args.tree, args.float)
-    report = Report(command="analyze", inputs={args.tree: digest})
+def _cmd_analyze(args, report: Report) -> None:
+    tree = _load_tree(report, args.tree, args.float)
     mean_length = identities.expected_path_length(tree)
     entropy = identities.leaf_entropy(tree)
     report.results["mean_length"] = _result(mean_length, "branches")
@@ -198,29 +199,24 @@ def _cmd_analyze(args, out) -> tuple[int, Report]:
     if tree.branching_nodes:
         report.results["entropy_rate"] = _result(entropy / mean_length, "bits/branch")
         dist = identities.branching_node_distribution(tree)
-        report.results["branching_node_distribution"] = {
-            "value": {str(node): float(mass) for node, mass in dist.mass.items()},
-            "unit": "probability",
-        }
-    _print_report(report, args.json, out)
-    return 0, report
+        report.results["branching_node_distribution"] = _entry(
+            {str(node): float(mass) for node, mass in dist.mass.items()}, "probability"
+        )
 
 
-def _cmd_divergence(args, out) -> tuple[int, Report]:
+def _cmd_divergence(args, report: Report) -> None:
     if (args.treeq is None) == (args.product is None):
         raise AlphabetMismatch(
             "provide exactly one reference: a second tree or --product"
         )
-    tree, digest = _load_tree(args.treep, args.float)
-    report = Report(command="divergence", inputs={args.treep: digest})
+    tree = _load_tree(report, args.treep, args.float)
     epsilons = (
         tuple(_parse_threshold("--epsilons", e) for e in args.epsilons.split(","))
         if args.epsilons
         else approximation.DEFAULT_EPSILONS
     )
     if args.treeq is not None:
-        reference, q_digest = _load_tree(args.treeq, args.float)
-        report.inputs[args.treeq] = q_digest
+        reference = _load_tree(report, args.treeq, args.float)
     else:
         reference = _product_spec_for(tree, args.product)
     pinsker = approximation.tree_pinsker_report(tree, reference, epsilons)
@@ -231,10 +227,9 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
     report.results["mean_distance"] = _result(pinsker.mean_distance, "L1")
     report.results["mean_sq_distance"] = _result(pinsker.mean_sq_distance, "L1^2")
     report.results["pinsker_bound"] = _result(pinsker.bound, "bits/branch")
-    report.results["tail_probability"] = {
-        "value": {str(eps): tail for eps, tail in pinsker.tail.items()},
-        "unit": "probability",
-    }
+    report.results["tail_probability"] = _entry(
+        {str(eps): tail for eps, tail in pinsker.tail.items()}, "probability"
+    )
     report.checks.append(
         _check_entry(
             "pinsker-tree",
@@ -245,8 +240,6 @@ def _cmd_divergence(args, out) -> tuple[int, Report]:
             pinsker.holds,
         )
     )
-    _print_report(report, args.json, out)
-    return (0 if report.all_checks_pass() else 1), report
 
 
 def _functional_from_file(tree: Tree, path: str) -> dict:
@@ -270,9 +263,8 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
     return values
 
 
-def _cmd_check(args, out) -> tuple[int, Report]:
-    tree, digest = _load_tree(args.tree, args.float)
-    report = Report(command="check", inputs={args.tree: digest})
+def _cmd_check(args, report: Report) -> None:
+    tree = _load_tree(report, args.tree, args.float)
     functionals: list[tuple[str, dict]] = []
     if args.functional:
         functionals.append(("file", _functional_from_file(tree, args.functional)))
@@ -289,11 +281,11 @@ def _cmd_check(args, out) -> tuple[int, Report]:
             tolerance = 0.0 if side.exact else identities.RESIDUAL_REL_TOL
             sums = (side.leaf_side, side.node_side, side.residual)
             report.checks.append(_check_entry(check, *sums, tolerance, side.holds()))
-    _print_report(report, args.json, out)
-    return (0 if report.all_checks_pass() else 1), report
 
 
-def _cmd_sweep(args, out) -> tuple[int, Report]:
+def _cmd_sweep(args, report: Report) -> str | None:
+    """Fills the report; returns the CSV text itself when neither --out nor
+    --json is given, which is then printed in place of the report."""
     values = _parse_mass_list("--target", args.target)
     base = approximation.FiniteDistribution(
         {i: v for i, v in enumerate(values)}, exact=True
@@ -305,8 +297,7 @@ def _cmd_sweep(args, out) -> tuple[int, Report]:
     buffer = io.StringIO()
     generators.write_sweep_csv(rows, buffer)
     csv_text = buffer.getvalue()
-    report = Report(command="sweep")
-    report.results["rows"] = {"value": len(rows), "unit": "budgets"}
+    report.results["rows"] = _entry(len(rows), "budgets")
     last = rows[-1]
     report.results["final_normalized_divergence"] = _result(
         last.normalized_divergence, "bits/branch"
@@ -316,14 +307,12 @@ def _cmd_sweep(args, out) -> tuple[int, Report]:
     )
     if args.out:
         Path(args.out).write_text(csv_text, "utf-8")
-        report.results["csv_path"] = {"value": args.out, "unit": "path"}
-        _print_report(report, args.json, out)
+        report.results["csv_path"] = _entry(args.out, "path")
     elif args.json:
-        report.results["csv"] = {"value": csv_text, "unit": "text"}
-        _print_report(report, True, out)
+        report.results["csv"] = _entry(csv_text, "text")
     else:
-        out.write(csv_text)
-    return 0, report
+        return csv_text
+    return None
 
 
 @cache  # built on first use, then shared by every run_cli call in the process
@@ -342,14 +331,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("validate", help="parse and validate a tree document")
+    p.set_defaults(handler=_cmd_validate)
     add_common(p, ["tree"])
 
     p = sub.add_parser("analyze", help="mean length, entropy, entropy rate, P_B")
+    p.set_defaults(handler=_cmd_analyze)
     add_common(p, ["tree"])
 
     p = sub.add_parser(
         "divergence", help="divergence and per-branch Pinsker diagnostics"
     )
+    p.set_defaults(handler=_cmd_divergence)
     p.add_argument("treep")
     p.add_argument("treeq", nargs="?")
     p.add_argument("--product", help="reference product masses, e.g. 1/2,1/2")
@@ -360,6 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, [])
 
     p = sub.add_parser("check", help="run the interchange identity checks")
+    p.set_defaults(handler=_cmd_check)
     add_common(p, ["tree"])
     p.add_argument(
         "--functional",
@@ -368,6 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep", help="matcher convergence sweep to CSV")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--target", required=True, help="target masses, e.g. 2/3,1/3")
     p.add_argument(
         "--budgets", required=True, help="comma-separated increasing leaf budgets"
@@ -378,17 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "analyze": _cmd_analyze,
-    "divergence": _cmd_divergence,
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-}
-
-
 def run_cli(argv, out=None, err=None) -> tuple[int, Report | None]:
-    """Run one CLI invocation; returns (exit code, report when one was built)."""
+    """Run one CLI invocation; returns (exit code, report when one was built).
+
+    The one request path: the command's handler fills a fresh report, which
+    is then printed (a plain sweep prints the CSV text its handler returns),
+    and the exit code follows the report's checks.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -397,11 +387,17 @@ def run_cli(argv, out=None, err=None) -> tuple[int, Report | None]:
     except SystemExit as exc:
         # argparse already printed usage or help
         return (0 if exc.code in (0, None) else 2), None
+    report = Report(command=args.command)
     try:
-        return _COMMANDS[args.command](args, out)
+        csv_text = args.handler(args, report)
+        if csv_text is None:
+            _print_report(report, args.json, out)
+        else:
+            out.write(csv_text)
     except (TreeProbError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return 2, None
+    return (0 if report.all_checks_pass() else 1), report
 
 
 def main() -> None:

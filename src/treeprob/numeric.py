@@ -430,11 +430,13 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
                 continue
             if not q:
                 return math.inf
-            (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
-            g = math.gcd(a * d, b * c)
-            ratios.append((a, b, a * d // g, b * c // g))
+            ratios.append((*p.as_integer_ratio(), *q.as_integer_ratio()))
         lcm = math.lcm(*(b for _, b, _, _ in ratios))
-        return log2_weighted_sum(((a * (lcm // b), x, y) for a, b, x, y in ratios), lcm)
+        # p log2(p / q) is (a / b) (log2(a / b) + log2(d / c)) for p = a/b, q = c/d
+        return log2_weighted_sum(
+            ((a * (lcm // b), x, y) for a, b, c, d in ratios for x, y in ((a, b), (d, c))),
+            lcm,
+        )
     total = 0.0
     for p, q in pairs:
         term = kl_term(p, q, exact)

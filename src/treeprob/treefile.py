@@ -12,7 +12,9 @@ Node ids and labels must be strings or integers.  ``parse_document``
 checks ``edges`` and list-form ``leaf_mass`` as whole lists: the sets of
 entry types, entry lengths and id types, which JSON gives exactly, must lie
 in the allowed ones.  A per-entry pass runs only when that check fails, to
-phrase the error for the first bad entry.
+phrase the error for the first bad entry.  The same type sets gate the
+print-alike check: the ids are listed only when an integer and a string
+occur among the ids and labels.
 
 A mass may be a rational string such as "1/4", "1", or "0.3", parsed once
 into the Fraction that ``TreeDocument.leaf_mass`` holds, or a JSON number,
@@ -87,10 +89,10 @@ def _check_id(value, what: str):
     return value
 
 
-def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> None:
+def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> set[type]:
     """Check that every entry of ``rows`` is a list or tuple of
     ``len(fields)`` items and that every item ``ids_of(rows)`` yields, the
-    entries' id columns, is a string or integer.
+    entries' id columns, is a string or integer; returns those items' types.
 
     The check takes type sets over the whole list.  Only when it fails does
     a pass over the entries find the first bad one, to phrase its ParseError.
@@ -98,9 +100,9 @@ def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> None:
     if (
         set(map(type, rows)) <= _ROW_TYPES
         and set(map(len, rows)) <= {len(fields)}
-        and set(map(type, ids_of(rows))) <= _ID_TYPES
+        and (id_types := set(map(type, ids_of(rows)))) <= _ID_TYPES
     ):
-        return
+        return id_types
     kind = "triple" if len(fields) == 3 else "pair"
     for i, entry in enumerate(rows):
         if type(entry) not in _ROW_TYPES or len(entry) != len(fields):
@@ -165,11 +167,13 @@ def _node_ids(root: NodeId, edges) -> list:
     return [root, *map(itemgetter(0), edges), *map(itemgetter(2), edges)]
 
 
-def _check_names(ids: list) -> None:
-    """``_ids_by_name``'s ParseError for two ids that print alike."""
+def _check_names(id_types: set[type], root: NodeId, edges, pairs) -> None:
+    """``_ids_by_name``'s ParseError for two ids that print alike, among the
+    root, the edges' ids and the leaf ids of ``pairs``.  ``id_types`` holds
+    the types of those ids, and may hold more, such as the labels' types."""
     # only an integer and a string id can print alike
-    if {int, str} <= set(map(type, ids)):
-        _ids_by_name(ids)
+    if {int, str} <= id_types:
+        _ids_by_name(_node_ids(root, edges) + [*_leaf_ids(pairs)])
 
 
 def resolve_node_keys(
@@ -214,16 +218,14 @@ def parse_document(text: str) -> TreeDocument:
     root = _check_id(raw["root"], "field 'root'")
     if not isinstance(raw["edges"], list):
         raise ParseError("field 'edges' must be a list")
-    _check_rows(raw["edges"], "edge", _EDGE_FIELDS, chain.from_iterable)
+    edge_types = _check_rows(raw["edges"], "edge", _EDGE_FIELDS, chain.from_iterable)
     edges = tuple(map(tuple, raw["edges"]))
     pairs = raw["leaf_mass"]
-    ids = _node_ids(root, edges)
     if isinstance(pairs, dict):
-        pairs = resolve_node_keys(pairs, ids).items()
+        pairs = resolve_node_keys(pairs, _node_ids(root, edges)).items()
     elif isinstance(pairs, list):
-        _check_rows(pairs, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
-        ids += _leaf_ids(pairs)
-        _check_names(ids)
+        leaf_types = _check_rows(pairs, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
+        _check_names({type(root)} | edge_types | leaf_types, root, edges, pairs)
     else:
         raise ParseError("field 'leaf_mass' must be a list of pairs or an object")
     leaf_mass = _parsed_masses(pairs)
@@ -303,9 +305,10 @@ def serialize_document(doc: TreeDocument) -> str:
     """
     _check_version(doc.version)
     _check_id(doc.root, "field 'root'")
-    _check_rows(doc.edges, "edge", _EDGE_FIELDS, chain.from_iterable)
-    _check_rows(doc.leaf_mass, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
-    _check_names(_node_ids(doc.root, doc.edges) + [*_leaf_ids(doc.leaf_mass)])
+    edge_types = _check_rows(doc.edges, "edge", _EDGE_FIELDS, chain.from_iterable)
+    leaf_types = _check_rows(doc.leaf_mass, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
+    id_types = {type(doc.root)} | edge_types | leaf_types
+    _check_names(id_types, doc.root, doc.edges, doc.leaf_mass)
     pairs = list(chain.from_iterable(doc.leaf_mass))
     masses = pairs[1::2]
     if not set(map(type, masses)) <= _NUMBER_TYPES:

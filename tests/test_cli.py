@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -834,6 +835,115 @@ class TestParserReuse:
         for _ in range(2):
             assert [self.run(argv, capsys) for argv in self.ARGVS] == fresh
         assert cli._build_parser.cache_info().misses == 1
+
+
+class TestExitCodes:
+    """The exit code follows the report's checks: a failing verdict exits 1
+    and still prints the whole report, a command without checks exits 0,
+    and an input or usage error exits 2 with no report and nothing on
+    stdout."""
+
+    @staticmethod
+    def fail_every_verdict(monkeypatch):
+        """Make every Lansit side and every Pinsker report fail its verdict."""
+        monkeypatch.setattr(identities.LansitReport, "holds", lambda self: False)
+        pinsker_report = approximation.tree_pinsker_report
+        monkeypatch.setattr(
+            approximation,
+            "tree_pinsker_report",
+            lambda *args: dataclasses.replace(pinsker_report(*args), holds=False),
+        )
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        self.fail_every_verdict(monkeypatch)
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "command, failed",
+        [
+            (["check"], 4),
+            (["divergence", "--product", "1/2,1/2"], 1),
+            (["divergence", "demo_q.tree"], 1),
+        ],
+        ids=["check", "divergence-product", "divergence-tree"],
+    )
+    def test_failing_verdict_exits_one(self, monkeypatch, command, failed, as_json):
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        argv = command[:1] + ["demo.tree"] + command[1:] + ["--json"] * as_json
+        code, passing, passing_out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        self.fail_every_verdict(monkeypatch)
+        code, report, out, err = invoke(argv)
+        assert (code, err) == (1, "")
+        assert (report.inputs, report.results) == (passing.inputs, passing.results)
+        assert [check["passed"] for check in report.checks] == [False] * failed
+        if as_json:
+            payload = json.loads(out)
+            assert payload == json.loads(report.to_json())
+            assert [check["passed"] for check in payload["checks"]] == [False] * failed
+            expected = json.loads(passing_out)
+            for check in expected["checks"]:
+                check["passed"] = False
+            assert payload == expected
+        else:
+            assert out.count(": FAIL") == failed
+            assert out == passing_out.replace(": PASS", ": FAIL")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "demo.tree"],
+            ["validate", "--json", "demo.tree"],
+            ["analyze", "demo.tree"],
+            ["analyze", "--json", "demo.tree"],
+            ["sweep", "--target", "1/2,1/2", "--budgets", "4,16"],
+            ["sweep", "--target", "1/2,1/2", "--budgets", "4,16", "--json"],
+            ["sweep", "--target", "1/2,1/2", "--budgets", "4,16", "--out", "{tmp}"],
+        ],
+        ids=["validate", "validate-json", "analyze", "analyze-json",
+             "sweep-csv", "sweep-json", "sweep-out"],
+    )
+    def test_commands_without_checks_exit_zero(self, failing, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        argv = [arg.format(tmp=tmp_path / "sweep.csv") for arg in argv]
+        code, report, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert report.checks == []
+        assert out
+        if "--out" in argv:
+            assert (tmp_path / "sweep.csv").read_text("utf-8").startswith("leaf_count,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "missing.tree"],
+            ["validate", "{cyclic}"],
+            ["analyze", "--json", "{cyclic}"],
+            ["check", "demo.tree", "--functional", "{functional}"],
+            ["check", "--json", "{cyclic}"],
+            ["divergence", "demo.tree", "demo_q.tree", "--product", "1/2,1/2"],
+            ["divergence", "--json", "demo.tree", "--product", "1/2,1/2", "--epsilons", "0"],
+            ["sweep", "--target", "1/2,1/2", "--budgets", "4,x", "--json"],
+            ["sweep", "--target", "1/2,1/2", "--budgets", "4", "--out", "{tmp}/no/sweep.csv"],
+            ["check"],
+            ["frobnicate"],
+        ],
+        ids=["missing-file", "cyclic", "analyze-cyclic", "functional", "check-cyclic",
+             "two-references", "epsilon", "budget", "out-dir", "usage", "unknown-command"],
+    )
+    def test_input_errors_exit_two_with_nothing_on_stdout(
+        self, failing, monkeypatch, tmp_path, cyclic_file, argv
+    ):
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        functional = tmp_path / "f.json"
+        functional.write_text(json.dumps({"0": "abc"}), "utf-8")
+        argv = [
+            arg.format(cyclic=cyclic_file, functional=functional, tmp=tmp_path)
+            for arg in argv
+        ]
+        code, report, out, _ = invoke(argv)
+        assert (code, report, out) == (2, None, "")
 
 
 class TestModuleEntryPoint:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from treeprob.numeric import (
     kl_term,
     log2_exponents,
     log2_of,
+    log2_weighted_sum,
     parse_rational,
 )
 
@@ -408,6 +410,66 @@ class TestExactWeightedSum:
         assert folded._coef is not v._coef and folded._coef is not u
         assert exact_weighted_sum([(1, v)])._coef is not v._coef
 
+
+
+class TestExactKlOf:
+    """Exact ``kl_of`` passes each pair's logarithms log2(a/b) and log2(d/c),
+    for p = a/b and q = c/d, as two terms of one fold.  The oracle is the
+    former form, which reduced the ratio (a*d)/(b*c) by its gcd first."""
+
+    @staticmethod
+    def reduced_ratio_kl_of(pairs):
+        ratios = []
+        for p, q in pairs:
+            if not p:
+                continue
+            if not q:
+                return math.inf
+            (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
+            g = math.gcd(a * d, b * c)
+            ratios.append((a, b, a * d // g, b * c // g))
+        lcm = math.lcm(*(b for _, b, _, _ in ratios))
+        return log2_weighted_sum(((a * (lcm // b), x, y) for a, b, x, y in ratios), lcm)
+
+    @staticmethod
+    def masses(rng, k):
+        """k masses summing to 1, some of them 0."""
+        weights = [rng.randint(0, 12) for _ in range(k)]
+        weights[rng.randrange(k)] += 1
+        return [Fraction(w, sum(weights)) for w in weights]
+
+    def test_equals_the_reduced_ratio_form(self):
+        rng = random.Random(2024)
+        kinds = set()
+        for case in range(3000):
+            k = rng.randint(1, 5)
+            p = self.masses(rng, k)
+            q = p if case % 5 == 0 else self.masses(rng, k)
+            pairs = list(zip(p, q))
+            folded = kl_of(iter(pairs), exact=True)
+            assert exact_signature(folded) == exact_signature(
+                self.reduced_ratio_kl_of(pairs)
+            ), pairs
+            kinds.add(
+                "inf" if folded == math.inf else "zero" if folded == 0 else "positive"
+            )
+        assert kinds == {"inf", "zero", "positive"}
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [],
+            [(Fraction(0), Fraction(1))],
+            [(Fraction(1), Fraction(1))],
+            [(Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 3), Fraction(1, 2))],
+            [(Fraction(3, 4), Fraction(3, 8)), (Fraction(1, 4), Fraction(5, 8))],
+        ],
+        ids=["empty", "zero-p", "one-label", "thirds", "non-dyadic"],
+    )
+    def test_pinned_pairs(self, pairs):
+        assert exact_signature(kl_of(pairs, exact=True)) == exact_signature(
+            self.reduced_ratio_kl_of(pairs)
+        )
 
 
 class TestFactorize:

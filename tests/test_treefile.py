@@ -20,6 +20,7 @@ from treeprob import (
     structurally_equal,
     tree_to_document,
 )
+from treeprob import treefile
 from treeprob.treefile import resolve_node_keys
 
 # a well-formed edge and leaf_mass pair, placed before each malformed entry
@@ -588,11 +589,37 @@ class TestSerializerRefusals:
             ([GOOD_EDGE, [0, "b", "0"]], [GOOD_PAIR, ["0", "1/2"]]),
             ([GOOD_EDGE, [0, "b", 2]], [["1", "1/2"], [2, "1/2"]]),
             ([[0, "a", "1"], [1, "b", 2], [0, "b", 3]], [[2, "1/2"], [3, "1/2"]]),
+            ([[0, 0, 1], [0, 1, "1"]], [[1, "1/2"], ["1", "1/2"]]),
+            ([[0, 0, "0"], [0, 1, 2]], [["0", "1/2"], [2, "1/2"]]),
         ],
-        ids=["edge ids", "leaf id", "child before parent"],
+        ids=["edge ids", "leaf id", "child before parent", "integer labels", "root"],
     )
     def test_ids_that_print_alike(self, edges, leaf_mass):
         self.assert_same_refusal(0, edges, leaf_mass)
+
+    @pytest.mark.parametrize(
+        "root, edges, leaf_mass, built",
+        [
+            (0, [[0, 0, 1], [0, 1, 2]], [[1, "1/2"], [2, "1/2"]], 0),
+            ("r", [["r", "a", "x"], ["r", "b", "y"]], [["x", "1/2"], ["y", "1/2"]], 0),
+            (0, [[0, 0, 1], [0, 1, "y"]], [[1, "1/2"], ["y", "1/2"]], 1),
+        ],
+        ids=["integers", "strings", "mixed ids"],
+    )
+    def test_id_list_only_for_ids_of_both_types(self, monkeypatch, root, edges, leaf_mass, built):
+        """The print-alike check builds the ordered id list only when the row
+        checks saw both an integer and a string among the ids and labels."""
+        calls = []
+        node_ids = treefile._node_ids
+
+        def counted(*args):
+            calls.append(args)
+            return node_ids(*args)
+
+        monkeypatch.setattr(treefile, "_node_ids", counted)
+        doc = parse_document(json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass}))
+        serialize_document(doc)
+        assert len(calls) == 2 * built
 
     def test_first_refusal_in_parse_order(self):
         self.assert_same_refusal(0, [GOOD_EDGE, [0, None, 2]], [[None, True]])
