@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -287,9 +288,7 @@ def _cmd_sweep(args, report: Report) -> str | None:
     """Fills the report; returns the CSV text itself when neither --out nor
     --json is given, which is then printed in place of the report."""
     values = _parse_mass_list("--target", args.target)
-    base = approximation.FiniteDistribution(
-        {i: v for i, v in enumerate(values)}, exact=True
-    )
+    base = approximation.FiniteDistribution(dict(enumerate(values)), exact=True)
     spec = approximation.ProductSpec(base)
     budgets = [_parse_budget(b) for b in args.budgets.split(",")]
     epsilon = _parse_threshold("--epsilon", args.epsilon)
@@ -377,13 +376,17 @@ def run_cli(argv, out=None, err=None) -> tuple[int, Report | None]:
 
     The one request path: the command's handler fills a fresh report, which
     is then printed (a plain sweep prints the CSV text its handler returns),
-    and the exit code follows the report's checks.
+    and the exit code follows the report's checks.  Everything goes to
+    ``out`` and ``err``, sys.stdout and sys.stderr by default, argparse's
+    help and usage errors included.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints help and usage errors to the process's streams
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage or help
         return (0 if exc.code in (0, None) else 2), None

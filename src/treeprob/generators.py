@@ -13,13 +13,17 @@ of the entropy-rate gap toward the target.
 The matcher runs in integers.  Its heap keys are the integers
 K * M^(L - d) for a spec s_a = k_a / M, a depth-d leaf with path product K
 and L a depth no leaf can reach, which is bounded through the budget; the
-quantizer works on those numerators over M^L.  The greedy growth for a
-larger budget extends the one for a smaller budget (as in Tunstall's parse
-trees), so a sweep grows its matcher once, up to its largest budget, and
-only quantizes and builds a tree at each budget on the way.  Growth holds
-every node of the largest tree, so a budget above ``MAX_LEAF_BUDGET`` is
-rejected before any growth.  A sweep writes one CSV row per budget, with
-the columns in ``SweepRow``'s field order.
+quantizer works on those numerators over M^L and returns each leaf's
+level k, its mass being 2^-k.  The greedy growth for a larger budget
+extends the one for a smaller budget (as in Tunstall's parse trees), so a
+sweep grows its matcher once, up to its largest budget, and only quantizes
+and builds a tree at each budget on the way.  A matcher tree is valid by
+construction, so it is built from the growth's own tables by the table
+builder that ``build_tree`` ends in, without ``build_tree``'s checks;
+random trees go through ``build_tree``.  Growth holds every node of the
+largest tree, so a budget above ``MAX_LEAF_BUDGET`` is rejected before any
+growth.  A sweep writes one CSV row per budget, with the columns in
+``SweepRow``'s field order.
 
 All randomness comes from ``random.Random`` seeded explicitly; the
 algorithm identifier below names that generator so results can be
@@ -34,13 +38,12 @@ import math
 import random
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence
 
 from .approximation import ProductSpec, require_epsilon, tree_pinsker_report
 from .errors import ParamsInvalid
 from .identities import leaf_entropy
-from .tree import Label, Tree, build_tree
+from .tree import Label, Tree, _preorder, _tree_from_tables, build_tree, label_order
 
 __all__ = [
     "GENERATOR_ALGORITHM",
@@ -106,7 +109,6 @@ def generate_random_tree(params: GeneratorParams, exact: bool = True) -> Tree:
     rng = random.Random(params.seed)
     edges: list[tuple[int, Label, int]] = []
     leaves: list[int] = []
-    next_id = 1
     stack: list[tuple[int, int]] = [(0, 0)]
     while stack:
         node, depth = stack.pop()
@@ -120,8 +122,7 @@ def generate_random_tree(params: GeneratorParams, exact: bool = True) -> Tree:
         width = rng.randint(1, params.alphabet_size)
         labels = sorted(rng.sample(range(params.alphabet_size), width))
         for label in labels:
-            child = next_id
-            next_id += 1
+            child = len(edges) + 1
             edges.append((node, label, child))
             stack.append((child, depth + 1))
     if exact:
@@ -149,33 +150,33 @@ def dyadic_quantization(
     multiple of the smallest mass; while it is positive the smallest-mass
     leaf fits, hence the loop terminates with deficit zero.
 
-    The targets are put over their common denominator and quantized in
-    integers by ``_dyadic_masses``, the matcher's own quantizer.
+    The targets are sorted by path (labels compared as ``label_order``
+    does), put over their common denominator and quantized in integers by
+    ``_dyadic_levels``, the matcher's own quantizer, whose ties go to the
+    earlier position.  The result is keyed in that path order.
     """
     targets = list(targets)
     for path, p in targets:
         if p <= 0:
             raise ParamsInvalid(f"target mass must be positive, got {p} at {path!r}")
+    ranked = sorted(targets, key=lambda target: [label_order(a) for a in target[0]])
     denominator = math.lcm(*(p.denominator for _, p in targets))
-    masses = _dyadic_masses(
-        [(path, p.numerator * (denominator // p.denominator)) for path, p in targets],
-        denominator,
+    levels = _dyadic_levels(
+        [p.numerator * (denominator // p.denominator) for _, p in ranked], denominator
     )
-    return {path: m for (path, _), m in zip(targets, masses)}
+    return {path: Fraction(1, 1 << level) for (path, _), level in zip(ranked, levels)}
 
 
-def _dyadic_masses(
-    targets: Sequence[tuple[tuple[Label, ...], int]], denominator: int
-) -> list[Fraction]:
-    """``dyadic_quantization`` of targets t / denominator, in integers.
+def _dyadic_levels(targets: Sequence[int], denominator: int) -> list[int]:
+    """``dyadic_quantization`` of targets t / denominator, in integers: the
+    level k of each final mass 2^-k, ties broken by position.
 
-    Each mass is 2^-k and only its level k is tracked.  With E the largest
-    starting level, the deficit counts units of 2^-E and each remainder
-    units of 1 / (2^E * denominator), so the heap orders exactly as the
-    rationals would.  One Fraction is built per distinct final level.
+    With E the largest starting level, the deficit counts units of 2^-E and
+    each remainder units of 1 / (2^E * denominator), so the heap orders
+    exactly as the rationals would.
     """
     # largest k with 2^-k <= t / denominator, i.e. smallest 2^k >= den / t
-    levels = [(-(-denominator // t) - 1).bit_length() for _, t in targets]
+    levels = [(-(-denominator // t) - 1).bit_length() for t in targets]
     top = max(levels, default=0)
     deficit = (1 << top) - sum(1 << (top - level) for level in levels)
     if deficit < 0:
@@ -183,23 +184,22 @@ def _dyadic_masses(
             "quantized masses already exceed 1; targets must sum to at most 1"
         )
     heap = [
-        ((denominator << (top - level)) - (t << top), path, i)
-        for i, ((path, t), level) in enumerate(zip(targets, levels))
+        ((denominator << (top - level)) - (t << top), i)
+        for i, (t, level) in enumerate(zip(targets, levels))
     ]
     heapq.heapify(heap)
     while deficit > 0:
         if not heap:
             raise AssertionError("dyadic promotion ran out of candidates")
-        neg_remainder, path, i = heapq.heappop(heap)
+        neg_remainder, i = heapq.heappop(heap)
         step = 1 << (top - levels[i])
         if step > deficit:
             # deficit only shrinks, so this leaf can never fit again
             continue
         levels[i] -= 1
         deficit -= step
-        heapq.heappush(heap, (neg_remainder + denominator * step, path, i))
-    unit = {level: Fraction(1, 1 << level) for level in set(levels)}
-    return [unit[level] for level in levels]
+        heapq.heappush(heap, (neg_remainder + denominator * step, i))
+    return levels
 
 
 def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
@@ -232,7 +232,19 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     The greedy order does not depend on the budget, so a larger budget's
     expansion extends a smaller one's: the loop grows once toward the last
     budget and, at each budget's stop point, quantizes that frontier and
-    builds its tree before growing on.
+    builds its tree before growing on.  A budget that would add no leaf
+    repeats the previous tree's leaf count and raises ParamsInvalid.
+
+    Growth keeps the tree's own tables: each node's label -> child dict and
+    the parent edges, while the heap holds each leaf's integer key.  A
+    matcher tree is valid by construction, so it goes straight to
+    ``tree._tree_from_tables`` without ``build_tree``'s checks.  Children
+    follow ``spec.alphabet``, so the preorder walk lists the leaves in label
+    path order, the order in which the quantizer breaks ties, and needs no
+    sort.  The leaf levels k give the table n = 2^(E - k) over D = 2^E, E
+    the largest k, with one Fraction per distinct level.  Each tree gets
+    its own copy of the parent edges, since growth goes on after the yield;
+    its other maps are built fresh.
     """
     if not spec.exact:
         raise ParamsInvalid("matcher requires an exact (rational) target")
@@ -258,27 +270,38 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     while power * budgets[-1] >= scale:
         power *= k_max
         scale *= m
-    edges: list[tuple[int, Label, int]] = []
-    next_id = 1
+    # the growth's own tables: each node's children by label, and the
+    # parent edges in the order the nodes were made
+    children: dict[int, dict[Label, int]] = {0: {}}
+    parent_edge: dict[int, tuple[int, Label]] = {}
     # heap of current leaves keyed by (-K * M^(L - d), path); paths are unique
     heap: list[tuple[int, tuple[Label, ...], int]] = [(-scale, (), 0)]
-    count = 1
     for budget in budgets:
-        while count + (width - 1) <= budget:
+        # the first budget always grows, since it is at least the width
+        if len(heap) + (width - 1) > budget:
+            raise ParamsInvalid(
+                f"budget {budget} repeats the previous leaf count {len(heap)};"
+                f" spread the budgets further apart"
+            )
+        while len(heap) + (width - 1) <= budget:
             neg_key, path, node = heapq.heappop(heap)
             # d < L for an expanded leaf, so its key is a multiple of M
             neg_key //= m
             for label, k in zip(labels, weights):
-                edges.append((node, label, next_id))
-                heapq.heappush(heap, (neg_key * k, path + (label,), next_id))
-                next_id += 1
-            count += width - 1
-        leaf_rows = sorted(heap, key=itemgetter(1))
-        masses = _dyadic_masses(
-            [(path, -neg_key) for neg_key, path, _ in leaf_rows], scale
-        )
-        leaf_mass = {node: q for (_, _, node), q in zip(leaf_rows, masses)}
-        yield build_tree(edges, leaf_mass, exact=True)
+                child = len(children)
+                children[node][label] = child
+                children[child] = {}
+                parent_edge[child] = (node, label)
+                heapq.heappush(heap, (neg_key * k, path + (label,), child))
+        key = {node: -neg_key for neg_key, _, node in heap}
+        order = _preorder(0, children)
+        leaves = [v for v in order if not children[v]]
+        levels = _dyadic_levels([key[v] for v in leaves], scale)
+        top = max(levels)
+        unit = {level: Fraction(1, 1 << level) for level in set(levels)}
+        masses = {v: unit[level] for v, level in zip(leaves, levels)}
+        below = {v: 1 << (top - level) for v, level in zip(leaves, levels)}
+        yield _tree_from_tables(0, children, dict(parent_edge), order, masses, below, 1 << top)
 
 
 @dataclass(frozen=True)
@@ -319,20 +342,12 @@ def convergence_sweep(
     require_epsilon(epsilon)
     target_entropy = spec.base.entropy()
     rows: list[SweepRow] = []
-    prev_leaves = 0
-    for budget, tree in zip(budgets, _matcher_trees(spec, budgets)):
-        leaf_count = len(tree.leaves)
-        if leaf_count <= prev_leaves:
-            raise ParamsInvalid(
-                f"budget {budget} repeats the previous leaf count {prev_leaves};"
-                f" spread the budgets further apart"
-            )
-        prev_leaves = leaf_count
+    for tree in _matcher_trees(spec, budgets):
         report = tree_pinsker_report(tree, spec, [epsilon])
         rate = leaf_entropy(tree) / tree.mean_length
         rows.append(
             SweepRow(
-                leaf_count=leaf_count,
+                leaf_count=len(tree.leaves),
                 mean_length=float(tree.mean_length),
                 normalized_divergence=report.normalized_divergence,
                 entropy_rate=float(rate),

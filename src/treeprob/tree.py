@@ -2,11 +2,14 @@
 
 A tree is built from labeled parent-to-child edges plus a leaf mass map.
 ``build_tree`` alone picks the numeric mode and converts the masses.  It
-validates the shape and the sign of the input, then one bottom-up walk sums
-the mass below every node, Q_v.  That one table checks normalization
+validates the shape and the sign of the input, then hands its tables to
+one private builder, ``_tree_from_tables``: one bottom-up walk sums the
+mass below every node, Q_v.  That one table checks normalization
 (Q_root = 1), prunes every node with Q_v = 0 (zero-mass leaves and branches
 whose leaves all carry zero mass), so that downstream identities can assume
-every leaf has positive probability, and is kept as the tree's Q.
+every leaf has positive probability, and is kept as the tree's Q.  The
+matcher in ``generators``, whose trees are valid by construction, calls
+the builder directly with the tables its growth keeps.
 
 Node ids and edge labels are arbitrary hashable values; labels must be
 unique among siblings.  Children keep the order in which their edges were
@@ -182,7 +185,9 @@ def build_tree(
 
     ``exact`` picks the numeric mode; None infers it from the mass types
     (any float mass means float mode).  Exact masses become Fractions (a
-    Fraction is kept as the caller's object) and float ones floats.
+    Fraction is kept as the caller's object) and float ones floats.  The
+    checks up to the signs run here; ``_tree_from_tables`` then sums the
+    mass table, checks normalization, prunes and assembles the Tree.
     """
     # children by label, in the order their edges came
     children: dict[NodeId, dict[Label, NodeId]] = {}
@@ -210,14 +215,9 @@ def build_tree(
         raise MultipleRoots(f"multiple roots: {sorted(map(repr, roots))}")
     root = roots[0]
 
-    # One walk from the root lists the whole tree in preorder.  It cannot
-    # loop: with one parent per node, no cycle is reachable from the root.
-    order: list[NodeId] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(reversed(children[node].values()))
+    # the walk cannot loop: with one parent per node, no cycle is reachable
+    # from the root
+    order = _preorder(root, children)
     if len(order) != len(children):
         raise CycleDetected(
             f"{len(children) - len(order)} node(s) unreachable from root {root!r}"
@@ -256,16 +256,45 @@ def build_tree(
             raise NegativeMass(f"leaf {node!r} has negative mass {exact_text(mass)}")
         masses[node] = mass
 
-    # One walk up the preorder sums the mass below every node: integers n
-    # over D, the lcm of the leaf denominators, on exact input, and floats
-    # in stored child order otherwise (recursion would be bounded only by
-    # tree height).  A zero-mass subtree adds an exact 0 (or 0.0, and
-    # x + 0.0 == x), so the kept nodes' sums are those of the pruned tree.
+    # each leaf's entry of the mass table: integers n over D, the lcm of
+    # the leaf denominators, on exact input, and the floats otherwise
     if exact:
         d = math.lcm(*(m.denominator for m in masses.values()))
         below = {v: m.numerator * (d // m.denominator) for v, m in masses.items()}
     else:
-        below = dict(masses)
+        d, below = None, dict(masses)
+    return _tree_from_tables(root, children, parent_edge, order, masses, below, d)
+
+
+def _preorder(root: NodeId, children: Mapping[NodeId, dict[Label, NodeId]]) -> list[NodeId]:
+    """The nodes reachable from ``root`` in preorder, each node's children
+    in their stored order; ``children`` maps every node to its label ->
+    child dict."""
+    order: list[NodeId] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(children[node].values()))
+    return order
+
+
+def _tree_from_tables(root, children, parent_edge, order, masses, below, d) -> Tree:
+    """The Tree of a valid shape, from its tables and each leaf's entry of
+    the mass table.
+
+    ``children`` maps every node to its label -> child dict, ``parent_edge``
+    every other node to its (parent, label), ``order`` lists the nodes in
+    preorder and ``masses`` maps leaves to masses.  ``below`` maps leaves to
+    integers n over ``d`` on an exact tree, to their float masses (``d``
+    None) on a float one.  One walk up the preorder sums the table into
+    every internal node, the root's sum must be one, and nodes with nothing
+    below them are pruned.  The Tree takes ``masses`` and ``parent_edge`` as
+    its own; ``children`` is copied into tuples.
+    """
+    # Sums run in stored child order (recursion would be bounded only by
+    # tree height).  A zero-mass subtree adds an exact 0 (or 0.0, and
+    # x + 0.0 == x), so the kept nodes' sums are those of the pruned tree.
     for node in reversed(order):
         if children[node]:
             total = 0
@@ -273,7 +302,7 @@ def build_tree(
                 total += below.get(child, 0)
             below[node] = total
     total = below.get(root, 0)
-    if exact:
+    if d is not None:
         if total != d:
             raise MassNotNormalized(
                 f"leaf masses sum to {exact_text(Fraction(total, d))}, expected 1"
@@ -298,7 +327,7 @@ def build_tree(
         parent_edge=parent_edge,
         nodes=tuple(table),
         mass_below=table,
-        exact=exact,
+        exact=d is not None,
     )
 
 

@@ -13,8 +13,9 @@ checks ``edges`` and list-form ``leaf_mass`` as whole lists: the sets of
 entry types, entry lengths and id types, which JSON gives exactly, must lie
 in the allowed ones.  A per-entry pass runs only when that check fails, to
 phrase the error for the first bad entry.  The same type sets gate the
-print-alike check: the ids are listed only when an integer and a string
-occur among the ids and labels.
+print-alike check: only when an integer and a string occur among the ids
+and labels are the id columns typed apart from the labels, and the ids are
+listed only when an integer and a string occur among the ids themselves.
 
 A mass may be a rational string such as "1/4", "1", or "0.3", parsed once
 into the Fraction that ``TreeDocument.leaf_mass`` holds, or a JSON number,
@@ -170,9 +171,11 @@ def _node_ids(root: NodeId, edges) -> list:
 def _check_names(id_types: set[type], root: NodeId, edges, pairs) -> None:
     """``_ids_by_name``'s ParseError for two ids that print alike, among the
     root, the edges' ids and the leaf ids of ``pairs``.  ``id_types`` holds
-    the types of those ids, and may hold more, such as the labels' types."""
+    the types of those ids and of the edges' labels; when it has both an
+    integer and a string, the id columns are typed apart from the labels."""
     # only an integer and a string id can print alike
-    if {int, str} <= id_types:
+    ids = chain(map(itemgetter(0), edges), map(itemgetter(2), edges), _leaf_ids(pairs))
+    if {int, str} <= id_types and {int, str} <= {type(root), *map(type, ids)}:
         _ids_by_name(_node_ids(root, edges) + [*_leaf_ids(pairs)])
 
 

@@ -511,14 +511,15 @@ class TestNoBranchingTable:
         assert "branching" not in vars(reference)
 
     def test_sweep(self, monkeypatch):
+        # every sweep tree comes from the matcher's table builder
         built = []
-        original_build_tree = generators.build_tree
+        original_builder = generators._tree_from_tables
 
-        def recording_build_tree(*args, **kwargs):
-            built.append(original_build_tree(*args, **kwargs))
+        def recording_builder(*args):
+            built.append(original_builder(*args))
             return built[-1]
 
-        monkeypatch.setattr(generators, "build_tree", recording_build_tree)
+        monkeypatch.setattr(generators, "_tree_from_tables", recording_builder)
         rows = convergence_sweep(self.SPEC, [27, 243, 2187], 0.1)
         assert [len(tree.leaves) for tree in built] == [row.leaf_count for row in rows]
         assert all("branching" not in vars(tree) for tree in built)

@@ -820,7 +820,7 @@ class TestParserReuse:
 
     def run(self, argv, capsys):
         code, _, out, err = invoke(argv)
-        printed = capsys.readouterr()  # argparse prints usage and help to sys.stdout/stderr
+        printed = capsys.readouterr()  # anything that bypassed out and err
         return code, out, err, printed.out, printed.err
 
     def test_repeated_calls_match_a_fresh_parser(self, capsys, monkeypatch):
@@ -830,11 +830,44 @@ class TestParserReuse:
             cli._build_parser.cache_clear()
             fresh.append(self.run(argv, capsys))
         assert [result[0] for result in fresh] == [0, 0, 0, 0, 0, 2, 2, 0, 0, 2]
-        assert "usage: treeprob" in fresh[7][3] and "usage: treeprob" in fresh[5][4]
+        assert "usage: treeprob" in fresh[7][1] and "usage: treeprob" in fresh[5][2]
         cli._build_parser.cache_clear()
         for _ in range(2):
             assert [self.run(argv, capsys) for argv in self.ARGVS] == fresh
         assert cli._build_parser.cache_info().misses == 1
+
+
+class TestGivenStreams:
+    """argparse's help and usage errors go to the ``out`` and ``err`` that
+    ``run_cli`` was given, and nothing reaches the process's own streams;
+    without given streams they go to sys.stdout and sys.stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, code, stream",
+        [
+            (["--help"], 0, "out"),
+            (["divergence", "--help"], 0, "out"),
+            (["check"], 2, "err"),
+            ([], 2, "err"),
+            (["bogus"], 2, "err"),
+            (["sweep", "--target", "1/2,1/2", "--budgets", "4", "--bogus"], 2, "err"),
+        ],
+    )
+    def test_given_streams(self, capsys, argv, code, stream):
+        result, report, out, err = invoke(argv)
+        printed = capsys.readouterr()
+        assert (printed.out, printed.err) == ("", "")
+        assert (result, report) == (code, None)
+        written = {"out": out, "err": err}
+        assert written.pop(stream).startswith("usage: treeprob")
+        assert list(written.values()) == [""]
+
+    def test_process_streams_by_default(self, capsys):
+        assert run_cli(["--help"]) == (0, None)
+        assert run_cli(["check"]) == (2, None)
+        printed = capsys.readouterr()
+        assert printed.out.startswith("usage: treeprob")
+        assert printed.err.startswith("usage: treeprob")
 
 
 class TestExitCodes:
@@ -1049,17 +1082,23 @@ class TestComputeOnce:
         ids=["check", "analyze", "divergence-tree", "divergence-product", "sweep"],
     )
     def test_mass_table_per_tree(self, monkeypatch, demo_file, demo_q_file, argv, trees):
-        """build_tree sums one mass table per input tree, and reading
-        ``mass_numerators`` returns that table without summing again."""
+        """build_tree, or the table builder for a sweep's matcher trees,
+        sums one mass table per tree, and reading ``mass_numerators``
+        returns that table without summing again."""
         built = []
+        builders = {
+            (treefile, "build_tree"): build_tree,
+            (generators, "build_tree"): build_tree,
+            (generators, "_tree_from_tables"): generators._tree_from_tables,
+        }
+        for (module, name), builder in builders.items():
 
-        def counted(*args, **kwargs):
-            tree = build_tree(*args, **kwargs)
-            built.append(tree)
-            return tree
+            def counted(*args, _builder=builder, **kwargs):
+                tree = _builder(*args, **kwargs)
+                built.append(tree)
+                return tree
 
-        for module in (treefile, generators):
-            monkeypatch.setattr(module, "build_tree", counted)
+            monkeypatch.setattr(module, name, counted)
         paths = {"P": demo_file, "Q": demo_q_file}
         code, _, _, _ = invoke([paths.get(arg, arg) for arg in argv])
         assert code == 0

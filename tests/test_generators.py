@@ -1,7 +1,9 @@
 import heapq
 import io
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -267,7 +269,9 @@ class TestGrowMatcherTree:
         def no_tree(*args, **kwargs):
             raise AssertionError("matcher grown past the budget limit")
 
+        # sweeps build their trees with the table builder, not build_tree
         monkeypatch.setattr(generators, "build_tree", no_tree)
+        monkeypatch.setattr(generators, "_tree_from_tables", no_tree)
         assert generators.MAX_LEAF_BUDGET == 2**16
         with pytest.raises(ParamsInvalid, match="above the limit"):
             grow_matcher_tree(TWO_THIRDS_SPEC, 2**16 + 1)
@@ -305,14 +309,17 @@ class TestReferenceMatcher:
             st.fractions(min_value=Fraction(1, 1000), max_value=1,
                          max_denominator=1000),
             min_size=1, max_size=12,
-        )
+        ),
+        st.randoms(use_true_random=False),
     )
-    def test_quantization_equals_reference(self, values):
+    def test_quantization_equals_reference(self, values, rng):
         total = sum(values)
         targets = [((i,), v / max(total, 1)) for i, v in enumerate(values)]
-        assert dyadic_quantization(targets) == reference_dyadic_quantization(
-            targets
-        )
+        # the quantizer sorts by path itself, whatever the order given
+        rng.shuffle(targets)
+        out = dyadic_quantization(targets)
+        assert out == reference_dyadic_quantization(targets)
+        assert list(out) == sorted(path for path, _ in targets)
 
     @given(rational_specs(), st.lists(st.integers(0, 300), min_size=1,
                                       max_size=4, unique=True))
@@ -358,6 +365,60 @@ class TestReferenceMatcher:
         out = dyadic_quantization(targets)
         assert out == reference_dyadic_quantization(targets)
         assert out == {("a",): Fraction(1, 2), ("b",): Fraction(1, 2)}
+
+
+def golden_ladders():
+    """pytest params (target, budgets) of every sweep case in
+    tests/golden/cases.json, named by the golden file."""
+    cases = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text("utf-8"))
+    ladders = []
+    for name, argv in sorted(cases.items()):
+        if argv[0] == "sweep":
+            target = argv[argv.index("--target") + 1].split(",")
+            budgets = argv[argv.index("--budgets") + 1].split(",")
+            ladders.append(pytest.param(
+                list(map(Fraction, target)), list(map(int, budgets)), id=name
+            ))
+    return ladders
+
+
+class TestTableBuilder:
+    """Each matcher tree of a sweep, built from the growth's own tables, is
+    the tree ``build_tree`` validates from its own edges and leaf masses,
+    down to the key order of every map.  The trees are compared only once
+    the sweep has ended, so a map shared with the growth would show."""
+
+    @staticmethod
+    def assert_built_alike(trees):
+        for tree in trees:
+            edges = [(parent, label, child) for child, (parent, label) in tree.parent_edge.items()]
+            built = build_tree(edges, tree.leaf_mass, exact=True)
+            assert tree == built
+            assert tree.nodes == built.nodes
+            for name in ("children", "leaf_mass", "parent_edge", "mass_below"):
+                assert list(getattr(tree, name)) == list(getattr(built, name)), name
+
+    @given(rational_specs(), st.lists(st.integers(0, 300), min_size=1,
+                                      max_size=4, unique=True))
+    def test_random_specs(self, spec, extras):
+        width = len(spec.alphabet)
+        budgets = sorted(1 + (width - 1) * (1 + e) for e in extras)
+        self.assert_built_alike(list(generators._matcher_trees(spec, budgets)))
+
+    @pytest.mark.parametrize("target, budgets", golden_ladders())
+    def test_golden_ladders(self, target, budgets):
+        spec = ProductSpec(FiniteDistribution(dict(enumerate(target))))
+        trees = list(generators._matcher_trees(spec, budgets))
+        assert [len(tree.leaves) for tree in trees] == budgets
+        self.assert_built_alike(trees)
+
+    def test_skewed_spec_to_300_leaves(self):
+        spec = ProductSpec(
+            FiniteDistribution({"a": Fraction(1, 7), "b": Fraction(6, 7)})
+        )
+        trees = list(generators._matcher_trees(spec, range(2, 301)))
+        assert [len(tree.leaves) for tree in trees] == list(range(2, 301))
+        self.assert_built_alike(trees)
 
 
 class TestConvergenceSweep:

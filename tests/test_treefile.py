@@ -603,12 +603,15 @@ class TestSerializerRefusals:
             (0, [[0, 0, 1], [0, 1, 2]], [[1, "1/2"], [2, "1/2"]], 0),
             ("r", [["r", "a", "x"], ["r", "b", "y"]], [["x", "1/2"], ["y", "1/2"]], 0),
             (0, [[0, 0, 1], [0, 1, "y"]], [[1, "1/2"], ["y", "1/2"]], 1),
+            (0, [[0, "a", 1], [0, "b", 2]], [[1, "1/2"], [2, "1/2"]], 0),
+            ("r", [["r", 0, "x"], ["r", 1, "y"]], [["x", "1/2"], ["y", "1/2"]], 0),
         ],
-        ids=["integers", "strings", "mixed ids"],
+        ids=["integers", "strings", "mixed ids", "integer ids", "string ids"],
     )
     def test_id_list_only_for_ids_of_both_types(self, monkeypatch, root, edges, leaf_mass, built):
-        """The print-alike check builds the ordered id list only when the row
-        checks saw both an integer and a string among the ids and labels."""
+        """The print-alike check builds the ordered id list only when both an
+        integer and a string occur among the ids; the labels' types do not
+        count."""
         calls = []
         node_ids = treefile._node_ids
 
