@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -221,13 +222,15 @@ class ProductSpec:
 
 
 def _require_alphabet(tree: Tree, spec: ProductSpec) -> None:
-    """Raise UnknownLabel unless every edge label of the tree is in the spec."""
-    for node in tree.nodes:
-        for label, _ in tree.children[node]:
-            if label not in spec.base.mass:
-                raise UnknownLabel(
-                    f"edge label {label!r} not in product alphabet {spec.alphabet!r}"
-                )
+    """Raise UnknownLabel unless every edge label of the tree is in the spec.
+
+    The tree's cached ``label_alphabet`` decides; only a tree that fails
+    is walked, in preorder, so the message names its first unknown label.
+    """
+    known = spec.base.mass
+    if not known.keys() >= set(tree.label_alphabet):
+        label = next(a for v in tree.nodes for a, _ in tree.children[v] if a not in known)
+        raise UnknownLabel(f"edge label {label!r} not in product alphabet {spec.alphabet!r}")
 
 
 def product_node_probabilities(shape: Tree, spec: ProductSpec) -> dict[NodeId, object]:
@@ -322,66 +325,98 @@ def require_epsilon(epsilon) -> None:
 
 
 def _branch_distances(
-    p: Tree, reference: "Tree | ProductSpec", exact: bool
-) -> tuple[list[tuple[int, int, int]] | dict[NodeId, object], object]:
-    """Branch distance d_j = d(P_{S_j}, ref_j) per branching node j of p, in
-    preorder, plus the divergence D.
+    p: Tree, reference: "Tree | ProductSpec"
+) -> tuple[list[tuple[int, int, int]], object]:
+    """Branch distance d_j = d(P_{S_j}, ref_j) per branching node j of an
+    exact p against an exact reference, in preorder, plus the divergence D.
 
-    For a tree reference, nodes align by label paths; structure missing
-    from the reference counts as zero mass there (distance then includes
-    the uncovered p mass, and the divergence is +inf), and a node j whose
-    aligned node is a leaf, or that has none, has d_j = 1.  For a product
-    reference, every node compares against the one spec distribution over
-    the full spec alphabet.
-
-    An exact pair (``exact``) gives one integer triple (n_j, S_j, m_j) per
-    j, with d_j = S_j / (m_j n_j), from the tables alone: no P_{S_j} is
-    built.  The reference at j is a weight r_a per label a, summing to m_j:
-    the spec as s_a = r_a / M with M the lcm of its denominators, or the
-    entries n' of the aligned node's children in the reference's table.
-    S_j sums |m_j n_c - r_a n_j| over j's children c (label a, r_a = 0
-    where the reference lacks a) and adds n_j r_a for each reference label
-    a that j lacks.  As the n_c sum to n_j and the r_a to m_j, that is twice
-    the sum of the positive parts of m_j n_c - r_a n_j.  Any other pair
-    gives a map of d_j, summed edge by edge from ``Tree.branching``.
+    Each j gives one integer triple (n_j, S_j, m_j), with d_j = S_j /
+    (m_j n_j), from the tables alone: no P_{S_j} is built.  The reference
+    at j is a weight r_a per label a, summing to m_j: the spec as s_a =
+    r_a / M with M the lcm of its denominators, or the entries n' of the
+    aligned node's children in the reference's table (nodes align by label
+    paths).  S_j sums |m_j n_c - r_a n_j| over j's children c (label a,
+    r_a = 0 where the reference lacks a) and adds n_j r_a for each
+    reference label a that j lacks.  As the n_c sum to n_j and the r_a to
+    m_j, that is twice the sum of the positive parts of m_j n_c - r_a n_j.
+    A node j whose aligned node is a leaf, or that has none, has d_j = 1;
+    D is then +inf.
     """
     if isinstance(reference, ProductSpec):
         divergence = product_branch_divergence(p, reference)
         ref = reference.base.mass
-        if exact:
-            lcm = math.lcm(*(s.denominator for s in ref.values()))
-            ref = {a: s.numerator * (lcm // s.denominator) for a, s in ref.items()}
+        lcm = math.lcm(*(s.denominator for s in ref.values()))
+        ref = {a: s.numerator * (lcm // s.denominator) for a, s in ref.items()}
         refs = dict.fromkeys(p.branching_nodes, ref)
     else:
         mapping, covered = align_by_paths(p, reference)
         divergence = aligned_divergence(p, reference, mapping, covered)
-        if exact:
-            n_ref = reference.mass_below
-            ref_dists = {v: {a: n_ref[c] for a, c in reference.children[v]}
-                         for v in reference.branching_nodes}
-        else:
-            ref_dists = reference.branching
+        n_ref = reference.mass_below
+        ref_dists = {v: {a: n_ref[c] for a, c in reference.children[v]}
+                     for v in reference.branching_nodes}
         refs = {j: ref_dists.get(q, {}) for j, q in mapping.items()}
-    if exact:
-        n = p.mass_below
-        triples = []
-        for j in p.branching_nodes:
-            ref = refs.get(j, {})
-            nj, m = n[j], sum(ref.values())
-            s = 2 * sum(max(m * n[c] - ref.get(a, 0) * nj, 0) for a, c in p.children[j])
-            triples.append((nj, s, m) if ref else (nj, nj, 1))
-        return triples, divergence
-    distances: dict[NodeId, object] = {}
-    for j, own in p.branching.items():
+    n = p.mass_below
+    triples = []
+    for j in p.branching_nodes:
         ref = refs.get(j, {})
-        d = 0
-        for lab, mass in own.items():
-            d = d + abs(mass - ref.get(lab, 0))
-        for lab, mass in ref.items():
-            if lab not in own:
-                d = d + abs(mass)
-        distances[j] = d
-    return distances, divergence
+        nj, m = n[j], sum(ref.values())
+        s = 2 * sum(max(m * n[c] - ref.get(a, 0) * nj, 0) for a, c in p.children[j])
+        triples.append((nj, s, m) if ref else (nj, nj, 1))
+    return triples, divergence
+
+
+def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tuple:
+    """D and the P_B averages of d_j, d_j^2 and, per epsilon, of
+    [d_j >= eps] for a pair that is not both exact, in one preorder pass
+    over p's branching distributions P_{S_j}.
+
+    At each branching node j, KL_j (``kl_term`` per label) and d_j are
+    taken against ref_j: the spec, or the aligned node's distribution in
+    the reference tree (empty when that node is a leaf or missing).  A
+    label that ref_j lacks makes KL_j, and so D, +inf, as an uncovered
+    reference does.  Q_j KL_j, Q_j d_j, Q_j d_j^2 and Q_j [d_j >= eps] are
+    chained from zero in preorder, as ``branch_sum`` chains them, and
+    divided by E[w(L)] = ``ew``.  The spec's masses are converted to
+    floats once.  p's masses stay as they are, so on an exact p the sums
+    keep ``branch_sum``'s mode rule: the tails are exact, and so are the
+    means when every d_j is (each is then exactly 1, against a bare root).
+    """
+    if isinstance(reference, ProductSpec):
+        _require_alphabet(p, reference)
+        # a float meeting a Fraction rounds it first, so floats give the
+        # Fraction arithmetic's bits; against a normal float a branch mass in
+        # (0, 1] has a finite quotient, and a spec mass below the normal
+        # range stays exact, for kl_term's exact ratio
+        refs = {}
+        default = {a: f if (f := float(s)) >= sys.float_info.min else s
+                   for a, s in reference.base.mass.items()}
+    else:
+        mapping, _ = align_by_paths(p, reference)
+        dists = reference.branching
+        refs, default = {j: dists[v] for j, v in mapping.items() if v in dists}, {}
+    q = p.node_mass
+    divergence = mean = mean_sq = 0
+    reached = dict.fromkeys(epsilons, 0)
+    for j, own in p.branching.items():
+        ref = refs.get(j, default)
+        d, kl = 0, 0.0
+        for a, m in own.items():
+            r = ref.get(a, 0)
+            d = d + abs(m - r)
+            kl = kl + kl_term(m, r, False)
+        if len(own) < len(ref):  # spec labels that j lacks
+            for a, r in ref.items():
+                if a not in own:
+                    d = d + r
+        qj = q[j]
+        divergence = divergence + qj * kl
+        mean = mean + qj * d
+        mean_sq = mean_sq + qj * (d * d)
+        for eps in reached:
+            if d >= eps:
+                reached[eps] = reached[eps] + qj
+    tail = {eps: float(r / ew) for eps, r in reached.items()}
+    return divergence, mean / ew, mean_sq / ew, tail
 
 
 def _ratio_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
@@ -411,16 +446,20 @@ def tree_pinsker_report(
     S_j^2 / (m_j^2 n_j) over N, and tail(eps) the sum of n_j over the j
     with S_j >= eps m_j n_j, over N, with eps at its exact value (a float
     at its binary value, as ``Fraction >= float`` compares).  Otherwise
-    each average is a ``branch_sum`` of the distances over E[w(L)].  Each
-    float field rounds its exact average once where that average is exact.
+    one preorder pass over p's branching nodes (``_branch_fold``) gives D
+    and each average: per node, KL_j and d_j against the spec (its masses
+    converted to floats once) or the aligned reference node, and each
+    Q_j-weighted term chained as ``branch_sum`` chains it, over E[w(L)].
+    The float fields have the bits of one ``branch_sum`` per average.
+    Each float field rounds its exact average once where that average is
+    exact.
     """
     epsilons = list(epsilons)
     for eps in epsilons:
         require_epsilon(eps)
     ew = normalizer(p)
-    exact = p.exact and q_or_spec.exact
-    distances, divergence = _branch_distances(p, q_or_spec, exact)
-    if exact:
+    if p.exact and q_or_spec.exact:
+        distances, divergence = _branch_distances(p, q_or_spec)
         total = sum(nj for nj, _, _ in distances)
         mean_d = _ratio_sum((s, m) for _, s, m in distances) / total
         mean_sq = _ratio_sum((s * s, m * m * nj) for nj, s, m in distances) / total
@@ -430,14 +469,7 @@ def tree_pinsker_report(
             reached = sum(nj for nj, s, m in distances if s * den >= num * m * nj)
             tail[eps] = float(Fraction(reached, total))
     else:
-
-        def average(h):
-            """The P_B-average of h(d_j)."""
-            return branch_sum(p, lambda j, dist: h(distances[j])) / ew
-
-        mean_d = average(lambda d: d)
-        mean_sq = average(lambda d: d * d)
-        tail = {eps: float(average(lambda d: d >= eps)) for eps in epsilons}
+        divergence, mean_d, mean_sq, tail = _branch_fold(p, q_or_spec, epsilons, ew)
     bound = float(mean_sq) / (2.0 * math.log(2.0))
     nd_float = float(divergence / ew)
     return PinskerTreeReport(

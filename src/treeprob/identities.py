@@ -58,10 +58,12 @@ Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
 nodes; a caller that already holds an unnormalized value gets its
 per-branch form with one division.  ``approximation`` averages a bounded
-functional g the same way, with inner = g(P_{S_j}), and so the branch
-distances when the tree or its reference is a float.  When both are
-exact, its Pinsker averages are ratios of integers over the tables n of
-both sides, without ``branch_sum`` and without any P_{S_j}.
+functional g the same way, with inner = g(P_{S_j}).  Its Pinsker report
+takes D, the branch distances and their averages in one preorder pass
+when the tree or its reference is a float, chaining each Q_j-weighted
+term as ``branch_sum`` does.  When both are exact, its Pinsker averages
+are ratios of integers over the tables n of both sides, without
+``branch_sum`` and without any P_{S_j}.
 """
 
 from __future__ import annotations

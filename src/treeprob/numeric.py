@@ -386,11 +386,21 @@ def entropy_term(p, exact: bool) -> Scalar:
     return -(p * math.log2(p))
 
 
+def _chained(terms: Iterable[float]) -> float:
+    """The float sum of ``terms`` added left to right from 0.0, as
+    ``total = total + term``; builtin ``sum`` compensates float sums from
+    Python 3.12, so its bits depend on the Python version."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def entropy_of(masses: Iterable, exact: bool) -> Scalar:
     """Shannon entropy in bits of an iterable of probability masses."""
     if exact:
         return exact_weighted_sum((-p, log2_exponents(p)) for p in masses if p)
-    return sum(entropy_term(p, exact) for p in masses)
+    return _chained(entropy_term(p, exact) for p in masses)
 
 
 def kl_term(p, q, exact: bool) -> Scalar:
@@ -420,8 +430,8 @@ def kl_term(p, q, exact: bool) -> Scalar:
 def kl_of(pairs: Iterable, exact: bool) -> Scalar:
     """Informational divergence in bits from (p, q) mass pairs.
 
-    Returns +inf as soon as some p > 0 faces q = 0; otherwise the exact or
-    float sum of the individual terms.
+    Returns +inf when some p > 0 faces q = 0; otherwise the exact or the
+    chained float sum of the individual terms.
     """
     if exact:
         ratios = []
@@ -437,13 +447,7 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
             ((a * (lcm // b), x, y) for a, b, c, d in ratios for x, y in ((a, b), (d, c))),
             lcm,
         )
-    total = 0.0
-    for p, q in pairs:
-        term = kl_term(p, q, exact)
-        if term == math.inf:
-            return math.inf
-        total = total + term
-    return total
+    return _chained(kl_term(p, q, exact) for p, q in pairs)
 
 
 def log2_weighted_sum(

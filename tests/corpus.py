@@ -181,9 +181,12 @@ def leaf_log_sum_reference(tree: Tree, leaf_ratios, label_ratios=None):
 
 
 def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
-    """``tree_pinsker_report`` from one distance per branching node.
+    """``tree_pinsker_report`` from one distance per branching node, in
+    several passes: the library's former float path, which the one-pass
+    float fold and the exact integer path must both equal bit for bit.
 
-    Every branch distance is summed edge by edge from the branching
+    D is ``product_branch_divergence`` or ``aligned_divergence``.  Every
+    branch distance is summed edge by edge from the branching
     distributions P_{S_j} (``Tree.branching``), Fractions on an exact tree,
     and each P_B average of a function of the distances is a ``branch_sum``
     divided by E[w(L)]: the mean, the mean square and, for each epsilon,

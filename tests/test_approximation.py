@@ -36,12 +36,17 @@ from treeprob import (
     functional_convergence_gap,
     generators,
     grow_matcher_tree,
+    parse_tree,
     pinsker_check,
     product_branch_divergence,
     product_node_probabilities,
+    serialize_tree,
+    tree_divergence,
     tree_pinsker_report,
     variational_distance,
 )
+from treeprob import approximation, identities
+from treeprob.approximation import DEFAULT_EPSILONS
 from treeprob.numeric import ExactLog2
 
 LN2 = math.log(2.0)
@@ -235,6 +240,25 @@ class TestProductNodeProbabilities:
         spec = ProductSpec.uniform(["a", "x"])
         with pytest.raises(UnknownLabel):
             product_node_probabilities(demo_tree, spec)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_names_the_first_unknown_label_in_preorder(self, exact):
+        # "z" comes first in preorder, "y" first in the sorted label_alphabet
+        one = Fraction(1, 4) if exact else 0.25
+        tree = build_tree(
+            [("r", "a", "u"), ("r", "b", "v"), ("u", "z", "w"), ("u", "a", "x"),
+             ("v", "y", "s"), ("v", "b", "t")],
+            {leaf: one for leaf in "wxst"}, exact=exact,
+        )
+        assert tree.label_alphabet == ("a", "b", "y", "z")
+        spec = ProductSpec.uniform(["a", "b"])
+        message = "edge label 'z' not in product alphabet ('a', 'b')"
+        for compute in (product_node_probabilities, product_branch_divergence,
+                        divergence_to_product, tree_pinsker_report,
+                        entropy_rate_gap):
+            with pytest.raises(UnknownLabel) as error:
+                compute(tree, spec)
+            assert str(error.value) == message
 
 
 class TestDivergenceToProduct:
@@ -489,6 +513,108 @@ class TestPinskerReference:
         for report in (tree_pinsker_report, pinsker_reference):
             with pytest.raises(error):
                 report(trees[tree], references[reference], epsilons)
+
+
+def float_trees(i):
+    """The float trees reported against corpus i's references: the float
+    corpus tree and the ``--float`` mirror of the exact one (the serialized
+    tree parsed back with ``force_float``), both of corpus i's shape."""
+    exact_p = corpus_tree(i)
+    mirror = parse_tree(serialize_tree(exact_p), force_float=True)
+    return [corpus_tree(i, exact=False), mirror]
+
+
+def reference_divergence(p, reference):
+    """D as the library computes it outside the Pinsker report."""
+    if isinstance(reference, ProductSpec):
+        return product_branch_divergence(p, reference)
+    return tree_divergence(p, reference)
+
+
+class TestFloatFold:
+    """The float Pinsker report, one fold over ``Tree.branching``, against
+    the multi-pass ``corpus.pinsker_reference``, field by field and bit for
+    bit, and its D against ``product_branch_divergence`` and
+    ``tree_divergence``."""
+
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_float_corpus_agrees_bitwise(self, start):
+        # an exact p against these references is TestPinskerReference's
+        for i in range(start, start + 50):
+            _, refs = pinsker_references(i)
+            for p in float_trees(i):
+                assert not p.exact and p.branching_nodes
+                for name, ref in refs.items():
+                    report = tree_pinsker_report(p, ref, EPSILONS)
+                    want = pinsker_reference(p, ref, EPSILONS)
+                    assert report_bits(report) == report_bits(want), (i, name)
+                    assert report.divergence == reference_divergence(p, ref), (i, name)
+
+    def test_uncovered_and_leaf_aligned_references(self):
+        # corpus 0 has a branching node with a sibling to cut
+        _, refs = pinsker_references(0)
+        for p in float_trees(0):
+            removed = tree_pinsker_report(p, refs["float-subtree-removed"], EPSILONS)
+            assert removed.divergence == math.inf
+            to_leaf = tree_pinsker_report(p, refs["subtree-to-leaf"], (1 - 1e-9,))
+            assert to_leaf.divergence == math.inf
+            # the cut node faces a leaf, so its d_j is the sum of its own
+            # branch masses, 1 up to rounding
+            assert to_leaf.tail[1 - 1e-9] > 0.0
+            bare = tree_pinsker_report(p, refs["float-bare-root"], EPSILONS)
+            assert bare.divergence == math.inf
+            assert bare.mean_distance == pytest.approx(1.0, rel=1e-12)
+
+    def test_exact_p_against_a_float_bare_root_is_exact(self):
+        # every d_j is exactly 1, so the P_B averages are exact: 1.0 itself
+        p = corpus_tree(4)
+        report = tree_pinsker_report(p, build_tree([], {0: 1.0}, exact=False))
+        assert (report.mean_distance, report.mean_sq_distance) == (1.0, 1.0)
+        assert set(report.tail.values()) == {1.0}
+
+    @pytest.mark.parametrize("exponent", [400, 320])
+    def test_spec_mass_below_the_float_range(self, exponent):
+        # float(1/10^400) is 0.0, and float(1/10^320) is a subnormal with
+        # about 11 significant bits, past which 0.5 / float(1/10^320)
+        # overflows: both terms come from the exact spec mass, so D stays
+        # finite and exact to rounding
+        tiny = Fraction(1, 10**exponent)
+        spec = ProductSpec(FiniteDistribution({"a": 1 - tiny, "b": tiny}))
+        p = build_tree([("r", "a", "u"), ("r", "b", "v"), ("v", "a", "x"), ("v", "b", "y")],
+                       {"u": 0.5, "x": 0.25, "y": 0.25}, exact=False)
+        report = tree_pinsker_report(p, spec)
+        assert report_bits(report) == report_bits(pinsker_reference(p, spec, DEFAULT_EPSILONS))
+        # each node's KL is log2(0.5^2 / (1 - tiny) / tiny) / 2, with Q 1 and 1/2
+        kl = (exponent * math.log2(10) - 2) / 2
+        assert report.divergence == pytest.approx(1.5 * kl, rel=1e-14)
+        assert report.divergence == product_branch_divergence(p, spec)
+
+    def test_float_report_does_no_fraction_arithmetic(self, monkeypatch):
+        # the spec's masses are Fractions; the fold reads them as floats
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__abs__"):
+            original = getattr(Fraction, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        p = float_mirror(grow_matcher_tree(TestNoBranchingTable.SPEC, 243))
+        tree_pinsker_report(p, TestNoBranchingTable.SPEC)
+        assert calls == []
+
+    def test_float_reports_run_no_branch_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("branch_sum called")
+
+        monkeypatch.setattr(approximation, "branch_sum", refuse)
+        monkeypatch.setattr(identities, "branch_sum", refuse)
+        p = float_trees(11)[0]
+        _, refs = pinsker_references(11)
+        for ref in refs.values():
+            tree_pinsker_report(p, ref)
 
 
 class TestNoBranchingTable:

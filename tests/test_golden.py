@@ -1,13 +1,14 @@
 """Byte-exact CLI outputs pinned against files in tests/golden/.
 
 Each case of tests/golden/cases.json maps a stored file to the arguments
-of one exact-mode command; CI's standard-library runtime step reads the
-same list.  The command runs from inside tests/golden, so input paths (and
-hence report keys) are the bare file names, and its stdout is compared
-with the stored file byte for byte.  The stored outputs were written by
+of one command, in exact mode or with ``--float``; CI's standard-library
+runtime step reads the same list, on every Python version it tests.  The
+command runs from inside tests/golden, so input paths (and hence report
+keys) are the bare file names, and its stdout is compared with the
+stored file byte for byte.  The stored outputs were written by
 running the same arguments with ``python3 -m treeprob`` in that directory.
-Any change to an exact result, a float rendering or the report layout
-shows up here as a diff.
+Any change to an exact result, a float result's bits, a float rendering or
+the report layout shows up here as a diff.
 """
 
 import json

@@ -634,6 +634,17 @@ class TestFloatSums:
         assert all(type(v) is float for v in values)
         assert [v.hex() for v in values] == pinned
 
+    def test_entropy_adds_left_to_right(self):
+        # the chained sum of these terms is one ulp above the correctly
+        # rounded sum, which the builtin sum returns from Python 3.12
+        masses = [w / 343 for w in (80, 33, 95, 46, 89)]
+        terms = [entropy_term(p, False) for p in masses]
+        chained = 0.0
+        for term in terms:
+            chained = chained + term
+        assert chained != math.fsum(terms)
+        assert entropy_of(masses, False).hex() == chained.hex() == "0x1.1c5b745d234e0p+1"
+
 
 class TestExactConstructionCount:
     """Exact leaf entropy and product divergence build a fixed number of
