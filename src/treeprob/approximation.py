@@ -40,7 +40,7 @@ from .identities import (
     leaf_log_sum,
     normalizer,
 )
-from .numeric import entropy_of, exact_text, kl_of, kl_term
+from .numeric import _chained, entropy_of, exact_text, kl_of, kl_term
 from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, label_order
 
 __all__ = [
@@ -365,6 +365,24 @@ def _branch_distances(
     return triples, divergence
 
 
+def _float_ratios(ratios: Iterable[tuple[Label, int, int]]) -> dict[Label, float | Fraction]:
+    """Each label's mass a / b, from (label, a, b) integer triples, as a
+    float, or as the Fraction a / b where the float lies below the normal
+    range.
+
+    A float meeting a Fraction rounds it first, and a / b rounds as
+    ``float(Fraction(a, b))`` does, so the floats give the Fraction
+    arithmetic's bits.  Against a normal float a branch mass in (0, 1] has
+    a finite quotient; a mass below the normal range stays exact, for
+    ``kl_term``'s exact ratio.
+    """
+    masses = {}
+    for label, a, b in ratios:
+        f = a / b
+        masses[label] = f if f >= sys.float_info.min else Fraction(a, b)
+    return masses
+
+
 def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tuple:
     """D and the P_B averages of d_j, d_j^2 and, per epsilon, of
     [d_j >= eps] for a pair that is not both exact, in one preorder pass
@@ -376,24 +394,34 @@ def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tupl
     label that ref_j lacks makes KL_j, and so D, +inf, as an uncovered
     reference does.  Q_j KL_j, Q_j d_j, Q_j d_j^2 and Q_j [d_j >= eps] are
     chained from zero in preorder, as ``branch_sum`` chains them, and
-    divided by E[w(L)] = ``ew``.  The spec's masses are converted to
-    floats once.  p's masses stay as they are, so on an exact p the sums
-    keep ``branch_sum``'s mode rule: the tails are exact, and so are the
-    means when every d_j is (each is then exactly 1, against a bare root).
+    divided by E[w(L)] = ``ew``.  Reference masses are floats, converted
+    once: an exact spec's, and an exact reference tree's aligned
+    distributions, read from its integer table n as n_c / n_v, by
+    ``_float_ratios``, and a float spec's by ``float``; a float tree's
+    distributions are used as they are.  p's masses stay as they are, so on
+    an exact p the sums keep ``branch_sum``'s mode rule: the tails are
+    exact, and so are the means when every d_j is (each is then exactly 1,
+    against a bare root).
     """
     if isinstance(reference, ProductSpec):
         _require_alphabet(p, reference)
-        # a float meeting a Fraction rounds it first, so floats give the
-        # Fraction arithmetic's bits; against a normal float a branch mass in
-        # (0, 1] has a finite quotient, and a spec mass below the normal
-        # range stays exact, for kl_term's exact ratio
-        refs = {}
-        default = {a: f if (f := float(s)) >= sys.float_info.min else s
-                   for a, s in reference.base.mass.items()}
+        refs, mass = {}, reference.base.mass
+        if reference.exact:
+            default = _float_ratios((a, s.numerator, s.denominator) for a, s in mass.items())
+        else:
+            # below the normal range a float spec's mass stays as it is
+            default = {a: f if (f := float(s)) >= sys.float_info.min else s
+                       for a, s in mass.items()}
     else:
         mapping, _ = align_by_paths(p, reference)
-        dists = reference.branching
-        refs, default = {j: dists[v] for j, v in mapping.items() if v in dists}, {}
+        if reference.exact:
+            n, kids = reference.mass_below, reference.children
+            refs = {j: _float_ratios((a, n[c], n[v]) for a, c in kids[v])
+                    for j, v in mapping.items() if kids[v]}
+        else:
+            dists = reference.branching
+            refs = {j: dists[v] for j, v in mapping.items() if v in dists}
+        default = {}
     q = p.node_mass
     divergence = mean = mean_sq = 0
     reached = dict.fromkeys(epsilons, 0)
@@ -501,7 +529,8 @@ class BoundedFunctional:
         labels = spec.alphabet
         for _ in range(SPOT_CHECK_SAMPLES):
             raw = [rng.random() for _ in labels]
-            total = sum(raw)
+            # added left to right, so every Python version draws the same
+            total = _chained(raw)
             mass = {lab: x / total for lab, x in zip(labels, raw)}
             dist = FiniteDistribution(mass, exact=False)
             if abs(float(self.evaluate(dist)) - center) > self.bound + 1e-9:

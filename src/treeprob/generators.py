@@ -43,6 +43,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .approximation import ProductSpec, require_epsilon, tree_pinsker_report
 from .errors import ParamsInvalid
 from .identities import leaf_entropy
+from .numeric import _chained
 from .tree import Label, Tree, _preorder, _tree_from_tables, build_tree, label_order
 
 __all__ = [
@@ -103,8 +104,10 @@ def generate_random_tree(params: GeneratorParams, exact: bool = True) -> Tree:
     probability until the depth cap.  Each branching node draws a random
     nonempty subset of the alphabet as child labels.  Leaf masses are an
     exchangeable random point on the simplex: integer weights in exact
-    mode, exponential draws in float mode, normalized either way.  All
-    masses are positive, so validation prunes nothing.
+    mode, exponential draws in float mode, normalized either way.  The
+    float draws are added left to right (``numeric._chained``), so a seed
+    gives the same float tree on every Python version.  All masses are
+    positive, so validation prunes nothing.
     """
     rng = random.Random(params.seed)
     edges: list[tuple[int, Label, int]] = []
@@ -131,7 +134,7 @@ def generate_random_tree(params: GeneratorParams, exact: bool = True) -> Tree:
         mass = {leaf: Fraction(w, total) for leaf, w in zip(leaves, weights)}
     else:
         draws = [rng.expovariate(1.0) for _ in leaves]
-        total = sum(draws)
+        total = _chained(draws)
         mass = {leaf: x / total for leaf, x in zip(leaves, draws)}
     return build_tree(edges, mass, exact=exact)
 
@@ -235,8 +238,9 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     builds its tree before growing on.  A budget that would add no leaf
     repeats the previous tree's leaf count and raises ParamsInvalid.
 
-    Growth keeps the tree's own tables: each node's label -> child dict and
-    the parent edges, while the heap holds each leaf's integer key.  A
+    Growth keeps the tree's own tables, those ``build_tree`` collects: each
+    expanded node's (label, child) pairs and the parent edges, while the
+    heap holds each leaf's integer key.  A
     matcher tree is valid by construction, so it goes straight to
     ``tree._tree_from_tables`` without ``build_tree``'s checks.  Children
     follow ``spec.alphabet``, so the preorder walk lists the leaves in label
@@ -270,9 +274,9 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     while power * budgets[-1] >= scale:
         power *= k_max
         scale *= m
-    # the growth's own tables: each node's children by label, and the
-    # parent edges in the order the nodes were made
-    children: dict[int, dict[Label, int]] = {0: {}}
+    # the growth's own tables: each expanded node's (label, child) pairs,
+    # and the parent edges in the order the nodes were made
+    children: dict[int, list[tuple[Label, int]]] = {}
     parent_edge: dict[int, tuple[int, Label]] = {}
     # heap of current leaves keyed by (-K * M^(L - d), path); paths are unique
     heap: list[tuple[int, tuple[Label, ...], int]] = [(-scale, (), 0)]
@@ -287,15 +291,15 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
             neg_key, path, node = heapq.heappop(heap)
             # d < L for an expanded leaf, so its key is a multiple of M
             neg_key //= m
+            pairs = children[node] = []
             for label, k in zip(labels, weights):
-                child = len(children)
-                children[node][label] = child
-                children[child] = {}
+                child = len(parent_edge) + 1
+                pairs.append((label, child))
                 parent_edge[child] = (node, label)
                 heapq.heappush(heap, (neg_key * k, path + (label,), child))
         key = {node: -neg_key for neg_key, _, node in heap}
         order = _preorder(0, children)
-        leaves = [v for v in order if not children[v]]
+        leaves = [v for v in order if v not in children]
         levels = _dyadic_levels([key[v] for v in leaves], scale)
         top = max(levels)
         unit = {level: Fraction(1, 1 << level) for level in set(levels)}

@@ -1,15 +1,18 @@
 """Rooted labeled trees carrying a probability distribution on their leaves.
 
 A tree is built from labeled parent-to-child edges plus a leaf mass map.
-``build_tree`` alone picks the numeric mode and converts the masses.  It
-validates the shape and the sign of the input, then hands its tables to
-one private builder, ``_tree_from_tables``: one bottom-up walk sums the
-mass below every node, Q_v.  That one table checks normalization
-(Q_root = 1), prunes every node with Q_v = 0 (zero-mass leaves and branches
-whose leaves all carry zero mass), so that downstream identities can assume
-every leaf has positive probability, and is kept as the tree's Q.  The
-matcher in ``generators``, whose trees are valid by construction, calls
-the builder directly with the tables its growth keeps.
+``build_tree`` alone picks the numeric mode and converts the masses.  One
+pass over the edges collects each parent's (label, child) pairs and each
+child's parent edge; the shape checks compare the sizes of those tables
+and walk the edges again only to name a bad one.  Each distinct mass
+object is converted and checked once.  The tables then go to one private
+builder, ``_tree_from_tables``: one bottom-up walk sums the mass below
+every node, Q_v.  That one table checks normalization (Q_root = 1), prunes
+every node with Q_v = 0 (zero-mass leaves and branches whose leaves all
+carry zero mass), so that downstream identities can assume every leaf has
+positive probability, and is kept as the tree's Q.  The matcher in
+``generators``, whose trees are valid by construction, calls the builder
+directly with the (label, child) pair lists its growth keeps.
 
 Node ids and edge labels are arbitrary hashable values; labels must be
 unique among siblings.  Children keep the order in which their edges were
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Hashable, Iterable, Mapping
 
 from .errors import (
@@ -183,61 +187,72 @@ def build_tree(
     leaves are then pruned together with any internal node left without
     descendants of positive mass.
 
+    One pass over the edges collects each parent's (label, child) pairs and
+    each child's (parent, label).  The first two checks compare sizes: every
+    child has one parent and sibling labels are unique exactly when the
+    children's (parent, label) pairs are as many, and as distinct, as the
+    edges.  Only when they fall short does ``_first_bad_edge`` walk the
+    edges again, to name the first bad one in edge order.  The roots and
+    the unreachable count come from the key sets.
+
     ``exact`` picks the numeric mode; None infers it from the mass types
     (any float mass means float mode).  Exact masses become Fractions (a
     Fraction is kept as the caller's object) and float ones floats.  The
     checks up to the signs run here; ``_tree_from_tables`` then sums the
     mass table, checks normalization, prunes and assembles the Tree.
     """
-    # children by label, in the order their edges came
-    children: dict[NodeId, dict[Label, NodeId]] = {}
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+    # each parent's (label, child) pairs, in the order their edges came
+    children: dict[NodeId, list[tuple[Label, NodeId]]] = {}
     parent_edge: dict[NodeId, tuple[NodeId, Label]] = {}
     for parent, label, child in edges:
-        if child in parent_edge:
-            raise MultipleParents(f"node {child!r} has more than one parent")
-        if label in children.get(parent, ()):
-            raise DuplicateSiblingLabel(
-                f"node {parent!r} has two children labeled {label!r}"
-            )
         parent_edge[child] = (parent, label)
-        children.setdefault(parent, {})[label] = child
-        children.setdefault(child, {})
+        if parent in children:
+            children[parent].append((label, child))
+        else:
+            children[parent] = [(label, child)]
+    # a repeated child leaves fewer parent edges than edges, and a repeated
+    # sibling label fewer distinct (parent, label) pairs than parent edges
+    if len(set(parent_edge.values())) < len(edges):
+        _first_bad_edge(edges)
 
-    for node in leaf_mass:
-        children.setdefault(node, {})
-    if not children:
-        raise ParamsInvalid("empty tree: no edges and no leaf masses")
-
-    roots = [n for n in children if n not in parent_edge]
+    roots = children.keys() - parent_edge.keys()
+    roots |= leaf_mass.keys() - parent_edge.keys()
     if not roots:
+        if not edges:
+            raise ParamsInvalid("empty tree: no edges and no leaf masses")
         raise CycleDetected("no root: every node has a parent")
     if len(roots) > 1:
         raise MultipleRoots(f"multiple roots: {sorted(map(repr, roots))}")
-    root = roots[0]
+    (root,) = roots
 
     # the walk cannot loop: with one parent per node, no cycle is reachable
-    # from the root
+    # from the root; every node but the root has a parent edge
     order = _preorder(root, children)
-    if len(order) != len(children):
+    if len(order) != len(parent_edge) + 1:
         raise CycleDetected(
-            f"{len(children) - len(order)} node(s) unreachable from root {root!r}"
+            f"{len(parent_edge) + 1 - len(order)} node(s) unreachable from root {root!r}"
         )
 
-    for node in leaf_mass:
-        if children[node]:
-            raise LeafMassMismatch(
-                f"mass assigned to internal node {node!r}"
-            )
+    if not children.keys().isdisjoint(leaf_mass):
+        node = next(node for node in leaf_mass if node in children)
+        raise LeafMassMismatch(f"mass assigned to internal node {node!r}")
 
-    has_float = any(isinstance(m, float) for m in leaf_mass.values())
+    # Each distinct mass object is converted and checked once, in the order
+    # the leaves first name it: the leaves of a parsed document share the
+    # Fraction of their mass string.  An error names the first such leaf.
+    distinct = {id(m): m for m in leaf_mass.values()}
+    types = set(map(type, distinct.values()))
+    has_float = any(issubclass(t, float) for t in types)
     if exact is None:
         exact = not has_float
     if exact and has_float:
         raise ParamsInvalid(
             "exact mode requires integer or Fraction masses, got floats"
         )
-    masses: dict[NodeId, Fraction | float] = {}
-    for node, mass in leaf_mass.items():
+    converted: dict[int, Fraction | float] = {}
+    for key, mass in distinct.items():
         if exact:
             if type(mass) is not Fraction:
                 mass = Fraction(mass)
@@ -247,35 +262,73 @@ def build_tree(
                 mass = float(mass)
             except OverflowError:
                 raise NonFiniteMass(
-                    f"leaf {node!r} has a mass beyond the float range"
+                    f"leaf {_leaf_of(leaf_mass, key)!r} has a mass beyond the float range"
                 ) from None
             if not math.isfinite(mass):
-                raise NonFiniteMass(f"leaf {node!r} has non-finite mass {mass}")
+                raise NonFiniteMass(
+                    f"leaf {_leaf_of(leaf_mass, key)!r} has non-finite mass {mass}"
+                )
             negative = mass < 0
         if negative:
-            raise NegativeMass(f"leaf {node!r} has negative mass {exact_text(mass)}")
-        masses[node] = mass
+            raise NegativeMass(
+                f"leaf {_leaf_of(leaf_mass, key)!r} has negative mass {exact_text(mass)}"
+            )
+        converted[key] = mass
+    # conversion keeps a Fraction, and a float in float mode, as it is
+    if types <= {Fraction if exact else float}:
+        masses = dict(leaf_mass)
+    else:
+        masses = {v: converted[id(m)] for v, m in leaf_mass.items()}
 
     # each leaf's entry of the mass table: integers n over D, the lcm of
     # the leaf denominators, on exact input, and the floats otherwise
     if exact:
-        d = math.lcm(*(m.denominator for m in masses.values()))
-        below = {v: m.numerator * (d // m.denominator) for v, m in masses.items()}
+        ratios = {key: m.as_integer_ratio() for key, m in converted.items()}
+        d = math.lcm(*(b for _, b in ratios.values()))
+        scaled = {key: a * (d // b) for key, (a, b) in ratios.items()}
+        below = {v: scaled[id(m)] for v, m in leaf_mass.items()}
     else:
         d, below = None, dict(masses)
     return _tree_from_tables(root, children, parent_edge, order, masses, below, d)
 
 
-def _preorder(root: NodeId, children: Mapping[NodeId, dict[Label, NodeId]]) -> list[NodeId]:
+def _leaf_of(leaf_mass: Mapping[NodeId, object], key: int) -> NodeId:
+    """The first leaf whose mass is the object of id ``key``."""
+    return next(v for v, m in leaf_mass.items() if id(m) == key)
+
+
+def _first_bad_edge(edges: Iterable[tuple[NodeId, Label, NodeId]]) -> None:
+    """Raise the error of the first edge, in edge order, whose child
+    already has a parent (MultipleParents) or whose label its parent
+    already gives another child (DuplicateSiblingLabel)."""
+    parents: set[NodeId] = set()
+    labels: set[tuple[NodeId, Label]] = set()
+    for parent, label, child in edges:
+        if child in parents:
+            raise MultipleParents(f"node {child!r} has more than one parent")
+        if (parent, label) in labels:
+            raise DuplicateSiblingLabel(
+                f"node {parent!r} has two children labeled {label!r}"
+            )
+        parents.add(child)
+        labels.add((parent, label))
+    raise AssertionError("the size check failed on no edge")
+
+
+def _preorder(
+    root: NodeId, children: Mapping[NodeId, list[tuple[Label, NodeId]]]
+) -> list[NodeId]:
     """The nodes reachable from ``root`` in preorder, each node's children
-    in their stored order; ``children`` maps every node to its label ->
-    child dict."""
-    order: list[NodeId] = []
-    stack = [root]
+    in their stored order; ``children`` maps every internal node to its
+    (label, child) pairs, and a leaf to nothing."""
+    # the stack holds (label, child) pairs, as the children store them
+    order = [root]
+    stack = list(reversed(children.get(root, ())))
     while stack:
-        node = stack.pop()
+        node = stack.pop()[1]
         order.append(node)
-        stack.extend(reversed(children[node].values()))
+        if node in children:
+            stack.extend(reversed(children[node]))
     return order
 
 
@@ -283,22 +336,23 @@ def _tree_from_tables(root, children, parent_edge, order, masses, below, d) -> T
     """The Tree of a valid shape, from its tables and each leaf's entry of
     the mass table.
 
-    ``children`` maps every node to its label -> child dict, ``parent_edge``
-    every other node to its (parent, label), ``order`` lists the nodes in
-    preorder and ``masses`` maps leaves to masses.  ``below`` maps leaves to
-    integers n over ``d`` on an exact tree, to their float masses (``d``
-    None) on a float one.  One walk up the preorder sums the table into
-    every internal node, the root's sum must be one, and nodes with nothing
-    below them are pruned.  The Tree takes ``masses`` and ``parent_edge`` as
-    its own; ``children`` is copied into tuples.
+    ``children`` maps every internal node to its (label, child) pairs and
+    no leaf, ``parent_edge`` every other node to its (parent, label),
+    ``order`` lists the nodes in preorder and ``masses`` maps leaves to
+    masses.  ``below`` maps leaves to integers n over ``d`` on an exact
+    tree, to their float masses (``d`` None) on a float one.  One walk up
+    the preorder sums the table into every internal node, the root's sum
+    must be one, and nodes with nothing below them are pruned.  The Tree
+    takes ``masses`` and ``parent_edge`` as its own; ``children`` is copied
+    into tuples.
     """
     # Sums run in stored child order (recursion would be bounded only by
     # tree height).  A zero-mass subtree adds an exact 0 (or 0.0, and
     # x + 0.0 == x), so the kept nodes' sums are those of the pruned tree.
     for node in reversed(order):
-        if children[node]:
+        if node in children:
             total = 0
-            for child in children[node].values():
+            for _, child in children[node]:
                 total += below.get(child, 0)
             below[node] = total
     total = below.get(root, 0)
@@ -313,16 +367,24 @@ def _tree_from_tables(root, children, parent_edge, order, masses, below, d) -> T
     # Keep a node exactly when the mass below it is positive, and drop the
     # others (usually none) from the maps built above.  The root, below
     # which the masses sum to one, is always kept.
-    table = {v: below[v] for v in order if below.get(v, 0) > 0}
-    if len(table) < len(order):
+    table = dict(zip(order, map(below.get, order, repeat(0))))
+    if 0 in table.values():
+        table = {v: n for v, n in table.items() if n > 0}
         for v in order:
             if v not in table:
-                parent, label = parent_edge.pop(v)
-                del children[parent][label]
+                del parent_edge[v]
                 masses.pop(v, None)
+        children = {
+            v: [pair for pair in pairs if pair[1] in table]
+            for v, pairs in children.items()
+            if v in table
+        }
+    kids = dict.fromkeys(table, ())
+    for v, pairs in children.items():
+        kids[v] = tuple(pairs)
     return Tree(
         root=root,
-        children={v: tuple(children[v].items()) for v in table},
+        children=kids,
         leaf_mass=masses,
         parent_edge=parent_edge,
         nodes=tuple(table),

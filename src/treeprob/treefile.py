@@ -18,8 +18,8 @@ and labels are the id columns typed apart from the labels, and the ids are
 listed only when an integer and a string occur among the ids themselves.
 
 A mass may be a rational string such as "1/4", "1", or "0.3", parsed once
-into the Fraction that ``TreeDocument.leaf_mass`` holds, or a JSON number,
-held as a float.  ``build_tree`` picks the numeric mode from those values:
+per distinct string into the Fraction that ``TreeDocument.leaf_mass`` holds
+for every leaf that gives that string, or a JSON number, held as a float.  ``build_tree`` picks the numeric mode from those values:
 all Fractions means exact mode, any float means float mode, and
 ``force_float`` downgrades Fractions.  Serialization writes each Fraction as
 its reduced string, so parse(serialize(doc)) returns an equal document.
@@ -118,14 +118,23 @@ def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> set[type]:
 def _parsed_masses(pairs: Iterable) -> list[tuple[NodeId, Fraction | float]]:
     """The (leaf, mass) pairs with each rational string parsed into a
     Fraction and each JSON number held as a float; ParseError for any other
-    mass, NonFiniteMass for a number past the float range."""
+    mass, NonFiniteMass for a number past the float range.
+
+    Each distinct string is parsed once, and the leaves that share it share
+    its Fraction: the masses of a dyadic matcher's document take a handful
+    of values however many leaves it has.
+    """
     leaf_mass: list[tuple[NodeId, Fraction | float]] = []
+    parsed: dict[str, Fraction] = {}
     for node, mass in pairs:
         if isinstance(mass, str):
-            try:
-                leaf_mass.append((node, parse_rational(mass)))
-            except ValueError as exc:
-                raise ParseError(f"leaf {node!r}: {exc}") from exc
+            value = parsed.get(mass)
+            if value is None:
+                try:
+                    value = parsed[mass] = parse_rational(mass)
+                except ValueError as exc:
+                    raise ParseError(f"leaf {node!r}: {exc}") from exc
+            leaf_mass.append((node, value))
         elif isinstance(mass, (int, float)) and not isinstance(mass, bool):
             try:
                 leaf_mass.append((node, float(mass)))

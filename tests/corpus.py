@@ -8,7 +8,21 @@ import math
 import random
 from fractions import Fraction
 
-from treeprob import GeneratorParams, Tree, build_tree, generate_random_tree
+from treeprob import (
+    CycleDetected,
+    DuplicateSiblingLabel,
+    GeneratorParams,
+    LeafMassMismatch,
+    MassNotNormalized,
+    MultipleParents,
+    MultipleRoots,
+    NegativeMass,
+    NonFiniteMass,
+    ParamsInvalid,
+    Tree,
+    build_tree,
+    generate_random_tree,
+)
 from treeprob.approximation import (
     PINSKER_TOLERANCE,
     PinskerTreeReport,
@@ -22,7 +36,8 @@ from treeprob.identities import (
     branch_sum,
     normalizer,
 )
-from treeprob.numeric import ExactLog2, exact_weighted_sum, log2_exponents
+from treeprob.numeric import ExactLog2, exact_text, exact_weighted_sum, log2_exponents
+from treeprob.tree import MASS_SUM_TOLERANCE
 
 MAX_NODES = 200
 MAX_ALPHABET = 4
@@ -235,4 +250,125 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
         bound=bound,
         holds=normalized >= bound - PINSKER_TOLERANCE,
         tail={eps: float(average(lambda d: d >= eps)) for eps in epsilons},
+    )
+
+
+def build_tree_reference(edges, leaf_mass, exact=None) -> Tree:
+    """``build_tree`` as one per-edge loop: each edge is checked for a
+    second parent and a repeated sibling label as it comes, every node gets
+    a label -> child dict, and the sums, the normalization check and the
+    pruning follow in the same order.  It was the library's builder; the
+    one-pass builder must give the same fields, in value and in key order,
+    and raise the same errors with the same messages."""
+    children, parent_edge = {}, {}
+    for parent, label, child in edges:
+        if child in parent_edge:
+            raise MultipleParents(f"node {child!r} has more than one parent")
+        if label in children.get(parent, ()):
+            raise DuplicateSiblingLabel(
+                f"node {parent!r} has two children labeled {label!r}"
+            )
+        parent_edge[child] = (parent, label)
+        children.setdefault(parent, {})[label] = child
+        children.setdefault(child, {})
+    for node in leaf_mass:
+        children.setdefault(node, {})
+    if not children:
+        raise ParamsInvalid("empty tree: no edges and no leaf masses")
+    roots = [n for n in children if n not in parent_edge]
+    if not roots:
+        raise CycleDetected("no root: every node has a parent")
+    if len(roots) > 1:
+        raise MultipleRoots(f"multiple roots: {sorted(map(repr, roots))}")
+    root = roots[0]
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(children[node].values()))
+    if len(order) != len(children):
+        raise CycleDetected(
+            f"{len(children) - len(order)} node(s) unreachable from root {root!r}"
+        )
+    for node in leaf_mass:
+        if children[node]:
+            raise LeafMassMismatch(f"mass assigned to internal node {node!r}")
+
+    has_float = any(isinstance(m, float) for m in leaf_mass.values())
+    if exact is None:
+        exact = not has_float
+    if exact and has_float:
+        raise ParamsInvalid("exact mode requires integer or Fraction masses, got floats")
+    masses = {}
+    for node, mass in leaf_mass.items():
+        if exact:
+            if type(mass) is not Fraction:
+                mass = Fraction(mass)
+            negative = mass.numerator < 0
+        else:
+            try:
+                mass = float(mass)
+            except OverflowError:
+                raise NonFiniteMass(
+                    f"leaf {node!r} has a mass beyond the float range"
+                ) from None
+            if not math.isfinite(mass):
+                raise NonFiniteMass(f"leaf {node!r} has non-finite mass {mass}")
+            negative = mass < 0
+        if negative:
+            raise NegativeMass(f"leaf {node!r} has negative mass {exact_text(mass)}")
+        masses[node] = mass
+    if exact:
+        d = math.lcm(*(m.denominator for m in masses.values()))
+        below = {v: m.numerator * (d // m.denominator) for v, m in masses.items()}
+    else:
+        d, below = None, dict(masses)
+
+    for node in reversed(order):
+        if children[node]:
+            total = 0
+            for child in children[node].values():
+                total += below.get(child, 0)
+            below[node] = total
+    total = below.get(root, 0)
+    if d is not None:
+        if total != d:
+            raise MassNotNormalized(
+                f"leaf masses sum to {exact_text(Fraction(total, d))}, expected 1"
+            )
+    elif abs(total - 1.0) > MASS_SUM_TOLERANCE:
+        raise MassNotNormalized(f"leaf masses sum to {total!r}, expected 1")
+    table = {v: below[v] for v in order if below.get(v, 0) > 0}
+    if len(table) < len(order):
+        for v in order:
+            if v not in table:
+                parent, label = parent_edge.pop(v)
+                del children[parent][label]
+                masses.pop(v, None)
+    return Tree(
+        root=root,
+        children={v: tuple(children[v].items()) for v in table},
+        leaf_mass=masses,
+        parent_edge=parent_edge,
+        nodes=tuple(table),
+        mass_below=table,
+        exact=d is not None,
+    )
+
+
+def tree_tables(tree: Tree) -> tuple:
+    """A tree's fields as item lists, so that two trees compare equal only
+    when their maps hold the same entries, of the same types, in the same
+    key order."""
+    def items(table):
+        return [(k, type(v), v) for k, v in table.items()]
+
+    return (
+        tree.root,
+        tree.exact,
+        tree.nodes,
+        items(tree.children),
+        items(tree.leaf_mass),
+        items(tree.parent_edge),
+        items(tree.mass_below),
     )

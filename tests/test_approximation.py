@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -605,6 +606,28 @@ class TestFloatFold:
         tree_pinsker_report(p, TestNoBranchingTable.SPEC)
         assert calls == []
 
+    def test_float_report_against_an_exact_tree_does_no_fraction_arithmetic(
+        self, monkeypatch
+    ):
+        # the reference's aligned distributions are read from its integer
+        # table as floats: its Fraction distributions are never built
+        exact = grow_matcher_tree(TestNoBranchingTable.SPEC, 243)
+        reference = remass(exact, seed=243)
+        p = float_mirror(exact)
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__abs__"):
+            original = getattr(Fraction, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        tree_pinsker_report(p, reference)
+        assert calls == []
+        assert "branching" not in vars(reference)
+
     def test_float_reports_run_no_branch_sum(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("branch_sum called")
@@ -671,6 +694,21 @@ class TestBoundedFunctional:
             FiniteDistribution({"a": Fraction(99, 100), "b": Fraction(1, 100)})
         )
         assert not tight.spot_check(spec)
+
+    def test_spot_check_draws_the_same_on_every_python(self):
+        # the draws are normalized by a left-to-right sum, as in
+        # generate_random_tree, so no Python version compensates them
+        seen = []
+
+        def record(dist):
+            seen.append(" ".join(float(m).hex() for m in dist.mass.values()))
+            return 0.0
+
+        BoundedFunctional(evaluate=record, bound=1.0).spot_check(
+            ProductSpec.uniform(["a", "b", "c", "d", "e"])
+        )
+        digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+        assert digest == "eda74e3c0f48edf049d1b0bb199cd8f706acb7eeb01535254e47985b5c392a15"
 
 
 class TestFunctionalConvergenceGap:

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import io
 import json
@@ -164,6 +165,16 @@ class TestGenerateRandomTree:
         )
         assert not tree.exact
         assert sum(tree.leaf_mass.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_float_masses_are_the_same_on_every_python(self):
+        # the draws are normalized by a left-to-right sum; builtin sum
+        # compensates float sums from Python 3.12, and gave another hash there
+        lines = []
+        for i in range(50):
+            tree = generate_random_tree(GeneratorParams(3, 4, 0.6, seed=i), exact=False)
+            lines.append(" ".join(m.hex() for m in sorted(tree.leaf_mass.values())))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "c095cabcdb5312ca7be031b2e3186b9f35523255141c521845738cb0bac2d3d8"
 
     def test_labels_within_alphabet(self):
         tree = generate_random_tree(GeneratorParams(3, 6, 0.8, seed=5))

@@ -2,14 +2,16 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import corpus_tree, edges_of, float_mirror
+from corpus import build_tree_reference, corpus_tree, edges_of, float_mirror, tree_tables
 from treeprob import (
     CycleDetected,
     DuplicateSiblingLabel,
+    FiniteDistribution,
     LeafMassMismatch,
     MassNotNormalized,
     MultipleParents,
@@ -17,9 +19,12 @@ from treeprob import (
     NegativeMass,
     NonFiniteMass,
     ParamsInvalid,
+    ProductSpec,
+    TreeProbError,
     branching_distributions,
     build_tree,
     expected_path_length,
+    grow_matcher_tree,
     node_probabilities,
     path_lengths,
     structurally_equal,
@@ -27,6 +32,17 @@ from treeprob import (
 from conftest import DEMO_EDGES, DEMO_MASS
 
 half = Fraction(1, 2)
+
+# each error case runs on the edge containers callers pass
+EDGE_SHAPES = {"list": list, "tuple": tuple, "generator": lambda edges: (e for e in edges)}
+edge_shapes = pytest.mark.parametrize("shape", EDGE_SHAPES.values(), ids=EDGE_SHAPES.keys())
+
+
+def raised(build, edges, mass) -> tuple[type, str]:
+    """The type and message of the TreeProbError that ``build`` raises."""
+    with pytest.raises(TreeProbError) as info:
+        build(edges, mass)
+    return type(info.value), str(info.value)
 
 
 class TestBuildTree:
@@ -154,6 +170,77 @@ class TestValidationErrors:
         with pytest.raises(CycleDetected):
             build_tree(edges, {1: Fraction(1)})
 
+    # Each case below runs on the given edges as a list, a tuple and a
+    # generator, and the builder must raise what the per-edge reference
+    # builder raises, with the same message.
+    CASES = {
+        "repeated-label-first": (
+            [(0, "a", 1), (0, "b", 2), (0, "a", 3), (2, "x", 1)],
+            {1: half, 3: half},
+            DuplicateSiblingLabel, "node 0 has two children labeled 'a'",
+        ),
+        "second-parent-first": (
+            [(0, "a", 1), (0, "b", 2), (2, "x", 1), (0, "a", 3)],
+            {1: half, 3: half},
+            MultipleParents, "node 1 has more than one parent",
+        ),
+        "repeated-edge": (
+            [(0, "a", 1), (0, "b", 2), (0, "a", 1)],
+            {1: half, 2: half},
+            MultipleParents, "node 1 has more than one parent",
+        ),
+        "repeated-label-same-child-elsewhere": (
+            [(0, "a", 1), (1, "a", 2), (0, "a", 2)],
+            {2: Fraction(1)},
+            MultipleParents, "node 2 has more than one parent",
+        ),
+        "two-roots": (
+            [(9, "a", 2), (0, "a", 1)],
+            {1: half, 2: half},
+            MultipleRoots, "multiple roots: ['0', '9']",
+        ),
+        "leaf-mass-root": (
+            [(0, "a", 1)],
+            {1: Fraction(1), "x": Fraction(0)},
+            MultipleRoots, "multiple roots: [\"'x'\", '0']",
+        ),
+        "no-root": (
+            [(0, "a", 1), (1, "a", 0)],
+            {0: Fraction(1)},
+            CycleDetected, "no root: every node has a parent",
+        ),
+        "unreachable": (
+            [(0, "a", 1), (2, "a", 3), (3, "a", 2), (3, "b", 4)],
+            {1: Fraction(1), 4: Fraction(0)},
+            CycleDetected, "3 node(s) unreachable from root 0",
+        ),
+        "mass-on-internal-nodes": (
+            [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "a", 4)],
+            {4: half, 3: Fraction(0), 1: half},
+            LeafMassMismatch, "mass assigned to internal node 3",
+        ),
+        "empty": ([], {}, ParamsInvalid, "empty tree: no edges and no leaf masses"),
+    }
+
+    @edge_shapes
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_error_and_message(self, case, shape):
+        edges, mass, error, message = case
+        assert raised(build_tree, shape(edges), mass) == (error, message)
+        assert raised(build_tree_reference, shape(edges), mass) == (error, message)
+
+    @pytest.mark.parametrize("exact", [True, None, False])
+    @pytest.mark.parametrize("bad", [-half, -0.5, math.nan, math.inf, Fraction(10**400)])
+    def test_a_shared_bad_mass_names_its_first_leaf(self, bad, exact):
+        # the masses are checked once per distinct object, and the leaves
+        # 3 and 2 share the bad one
+        edges = [(0, "a", 1), (0, "b", 2), (0, "c", 3)]
+        mass = {1: half, 3: bad, 2: bad}
+        want = raised(partial(build_tree_reference, exact=exact), edges, mass)
+        assert raised(partial(build_tree, exact=exact), edges, mass) == want
+        # a float in exact mode, or a valid huge Fraction, fails elsewhere
+        assert "leaf 3 " in want[1] or want[0] in (ParamsInvalid, MassNotNormalized)
+
     def test_mass_on_internal_node(self):
         edges = [(0, "a", 1), (1, "a", 2), (1, "b", 3)]
         with pytest.raises(LeafMassMismatch):
@@ -265,6 +352,83 @@ class TestPruning:
         t = corpus_tree(i % 64)
         again = build_tree(edges_of(t), dict(t.leaf_mass))
         assert structurally_equal(t, again)
+
+
+def caterpillar_input(depth: int, exact: bool):
+    """A spine 0, 1, ..., depth with a leaf on label 0 at every spine node
+    and the spine going on under label 1; leaf masses 2^-(k+1) and 2^-depth
+    for the last spine node."""
+    edges, mass = [], {}
+    for k in range(depth):
+        edges += [(k, 0, f"leaf{k}"), (k, 1, k + 1)]
+        mass[f"leaf{k}"] = Fraction(1, 2 ** (k + 1))
+    mass[depth] = Fraction(1, 2**depth)
+    if not exact:
+        mass = {v: float(m) for v, m in mass.items()}
+    return edges, mass
+
+
+def padded_input(tree):
+    """The tree's edges, shuffled, plus a zero-mass leaf and an all-zero
+    branch under every branching node, for the builder to prune."""
+    edges = edges_of(tree)
+    mass = dict(tree.leaf_mass)
+    zero = 0.0 if not tree.exact else Fraction(0)
+    for j in tree.branching_nodes:
+        edges += [(j, "z", ("z", j)), (j, "w", ("w", j)), (("w", j), "x", ("x", j))]
+        mass[("z", j)] = mass[("x", j)] = zero
+    random.Random(len(edges)).shuffle(edges)
+    return edges, mass
+
+
+class TestReferenceBuilder:
+    """``build_tree`` and the matcher's builder against
+    ``corpus.build_tree_reference``, the per-edge builder: every field in
+    value, type and key order."""
+
+    @staticmethod
+    def assert_same(edges, mass, exact=None):
+        want = tree_tables(build_tree_reference(edges, mass, exact))
+        for shape in EDGE_SHAPES.values():
+            assert tree_tables(build_tree(shape(edges), mass, exact)) == want
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_corpus(self, exact):
+        for i in range(200):
+            tree = corpus_tree(i, exact=exact)
+            edges = edges_of(tree)
+            self.assert_same(edges, dict(tree.leaf_mass))
+            random.Random(i).shuffle(edges)
+            self.assert_same(edges, dict(tree.leaf_mass))
+            if exact:
+                self.assert_same(edges, dict(tree.leaf_mass), exact=False)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_pruned(self, exact):
+        for i in range(0, 200, 4):
+            edges, mass = padded_input(corpus_tree(i, exact=exact))
+            self.assert_same(edges, mass)
+
+    @pytest.mark.parametrize("target", ["1/3,2/3", "1/6,1/3,1/2", "1/10,1/5,3/10,2/5"])
+    def test_matcher(self, target):
+        masses = [Fraction(part) for part in target.split(",")]
+        spec = ProductSpec(FiniteDistribution(dict(enumerate(masses))))
+        for budget in (len(masses), 64, 1024):
+            tree = grow_matcher_tree(spec, budget)
+            # growth numbers the nodes as it makes them, and makes their
+            # parent edges in that order
+            made = sorted(edges_of(tree), key=lambda edge: edge[2])
+            mass = dict(tree.leaf_mass)
+            assert tree_tables(tree) == tree_tables(build_tree_reference(made, mass))
+            edges = edges_of(tree)
+            self.assert_same(edges, mass)
+            self.assert_same(edges, {v: float(m) for v, m in mass.items()})
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_caterpillar(self, exact):
+        edges, mass = caterpillar_input(1000, exact)
+        self.assert_same(edges, mass)
+        self.assert_same(edges[::-1], mass)
 
 
 class TestNodeProbabilities:

@@ -21,6 +21,7 @@ from treeprob import (
     tree_to_document,
 )
 from treeprob import treefile
+from treeprob.numeric import parse_rational
 from treeprob.treefile import resolve_node_keys
 
 # a well-formed edge and leaf_mass pair, placed before each malformed entry
@@ -333,6 +334,32 @@ class TestDocumentToTree:
         assert tree.exact
         assert set(tree.leaves) == {2, 5, 6}
         assert tree.leaf_mass[5] == Fraction(1, 2)
+
+    def test_each_distinct_mass_string_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_rational(text)
+
+        monkeypatch.setattr(treefile, "parse_rational", counted)
+        edges = [[0, "a", 1], [0, "b", 2], [0, "c", 3], [0, "d", 4]]
+        masses = ["1/4", "0.25", "1/4", "1/4"]
+        text = json.dumps({"root": 0, "edges": edges,
+                           "leaf_mass": [[i + 1, m] for i, m in enumerate(masses)]})
+        doc = parse_document(text)
+        assert parsed == ["1/4", "0.25"]
+        ones = [m for leaf, m in doc.leaf_mass if leaf != 2]
+        assert all(m is ones[0] for m in ones) and doc.leaf_mass[1][1] is not ones[0]
+        tree = document_to_tree(doc)
+        assert tree.leaf_mass == dict.fromkeys([1, 2, 3, 4], Fraction(1, 4))
+        assert tree.mass_numerators == {0: 4, 1: 1, 2: 1, 3: 1, 4: 1}
+
+    def test_a_repeated_bad_mass_string_names_its_first_leaf(self):
+        text = json.dumps({"root": 0, "edges": [[0, "a", 1], [0, "b", 2], [0, "c", 3]],
+                           "leaf_mass": [[1, "1/2"], [3, "x/2"], [2, "x/2"]]})
+        with pytest.raises(ParseError, match="^leaf 3: not a rational number: 'x/2'$"):
+            parse_document(text)
 
     def test_decimal_strings_parse_exactly(self):
         text = json.dumps(
