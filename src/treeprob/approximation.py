@@ -368,14 +368,8 @@ def _branch_distances(
 def _float_ratios(ratios: Iterable[tuple[Label, int, int]]) -> dict[Label, float | Fraction]:
     """Each label's mass a / b, from (label, a, b) integer triples, as a
     float, or as the Fraction a / b where the float lies below the normal
-    range.
-
-    A float meeting a Fraction rounds it first, and a / b rounds as
-    ``float(Fraction(a, b))`` does, so the floats give the Fraction
-    arithmetic's bits.  Against a normal float a branch mass in (0, 1] has
-    a finite quotient; a mass below the normal range stays exact, for
-    ``kl_term``'s exact ratio.
-    """
+    range: the rule ``_branch_fold`` applies to a spec's masses, since a / b
+    rounds as ``float(Fraction(a, b))`` does."""
     masses = {}
     for label, a, b in ratios:
         f = a / b
@@ -394,24 +388,23 @@ def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tupl
     label that ref_j lacks makes KL_j, and so D, +inf, as an uncovered
     reference does.  Q_j KL_j, Q_j d_j, Q_j d_j^2 and Q_j [d_j >= eps] are
     chained from zero in preorder, as ``branch_sum`` chains them, and
-    divided by E[w(L)] = ``ew``.  Reference masses are floats, converted
-    once: an exact spec's, and an exact reference tree's aligned
-    distributions, read from its integer table n as n_c / n_v, by
-    ``_float_ratios``, and a float spec's by ``float``; a float tree's
-    distributions are used as they are.  p's masses stay as they are, so on
-    an exact p the sums keep ``branch_sum``'s mode rule: the tails are
-    exact, and so are the means when every d_j is (each is then exactly 1,
-    against a bare root).
+    divided by E[w(L)] = ``ew``.  The spec's masses are converted to
+    floats once, and so are an exact reference tree's aligned
+    distributions, read from its integer table n as n_c / n_v by
+    ``_float_ratios``; a float tree's are used as they are.  p's masses
+    stay as they are, so on an exact p the sums keep ``branch_sum``'s mode
+    rule: the tails are exact, and so are the means when every d_j is
+    (each is then exactly 1, against a bare root).
     """
     if isinstance(reference, ProductSpec):
         _require_alphabet(p, reference)
-        refs, mass = {}, reference.base.mass
-        if reference.exact:
-            default = _float_ratios((a, s.numerator, s.denominator) for a, s in mass.items())
-        else:
-            # below the normal range a float spec's mass stays as it is
-            default = {a: f if (f := float(s)) >= sys.float_info.min else s
-                       for a, s in mass.items()}
+        # a float meeting a Fraction rounds it first, so floats give the
+        # Fraction arithmetic's bits; against a normal float a branch mass in
+        # (0, 1] has a finite quotient, and a spec mass below the normal
+        # range stays exact, for kl_term's exact ratio
+        refs = {}
+        default = {a: f if (f := float(s)) >= sys.float_info.min else s
+                   for a, s in reference.base.mass.items()}
     else:
         mapping, _ = align_by_paths(p, reference)
         if reference.exact:

@@ -4,15 +4,15 @@ A tree is built from labeled parent-to-child edges plus a leaf mass map.
 ``build_tree`` alone picks the numeric mode and converts the masses.  One
 pass over the edges collects each parent's (label, child) pairs and each
 child's parent edge; the shape checks compare the sizes of those tables
-and walk the edges again only to name a bad one.  Each distinct mass
-object is converted and checked once.  The tables then go to one private
-builder, ``_tree_from_tables``: one bottom-up walk sums the mass below
-every node, Q_v.  That one table checks normalization (Q_root = 1), prunes
-every node with Q_v = 0 (zero-mass leaves and branches whose leaves all
-carry zero mass), so that downstream identities can assume every leaf has
-positive probability, and is kept as the tree's Q.  The matcher in
-``generators``, whose trees are valid by construction, calls the builder
-directly with the (label, child) pair lists its growth keeps.
+and walk the edges again only to name a bad one.  The tables then go to
+one private builder, ``_tree_from_tables``: one bottom-up walk sums the
+mass below every node, Q_v.  That one table checks normalization
+(Q_root = 1), prunes every node with Q_v = 0 (zero-mass leaves and
+branches whose leaves all carry zero mass), so that downstream identities
+can assume every leaf has positive probability, and is kept as the tree's
+Q.  The matcher in ``generators``, whose trees are valid by construction,
+calls the builder directly with the (label, child) pair lists its growth
+keeps.
 
 Node ids and edge labels are arbitrary hashable values; labels must be
 unique among siblings.  Children keep the order in which their edges were
@@ -239,20 +239,15 @@ def build_tree(
         node = next(node for node in leaf_mass if node in children)
         raise LeafMassMismatch(f"mass assigned to internal node {node!r}")
 
-    # Each distinct mass object is converted and checked once, in the order
-    # the leaves first name it: the leaves of a parsed document share the
-    # Fraction of their mass string.  An error names the first such leaf.
-    distinct = {id(m): m for m in leaf_mass.values()}
-    types = set(map(type, distinct.values()))
-    has_float = any(issubclass(t, float) for t in types)
+    has_float = any(isinstance(m, float) for m in leaf_mass.values())
     if exact is None:
         exact = not has_float
     if exact and has_float:
         raise ParamsInvalid(
             "exact mode requires integer or Fraction masses, got floats"
         )
-    converted: dict[int, Fraction | float] = {}
-    for key, mass in distinct.items():
+    masses: dict[NodeId, Fraction | float] = {}
+    for node, mass in leaf_mass.items():
         if exact:
             if type(mass) is not Fraction:
                 mass = Fraction(mass)
@@ -262,39 +257,23 @@ def build_tree(
                 mass = float(mass)
             except OverflowError:
                 raise NonFiniteMass(
-                    f"leaf {_leaf_of(leaf_mass, key)!r} has a mass beyond the float range"
+                    f"leaf {node!r} has a mass beyond the float range"
                 ) from None
             if not math.isfinite(mass):
-                raise NonFiniteMass(
-                    f"leaf {_leaf_of(leaf_mass, key)!r} has non-finite mass {mass}"
-                )
+                raise NonFiniteMass(f"leaf {node!r} has non-finite mass {mass}")
             negative = mass < 0
         if negative:
-            raise NegativeMass(
-                f"leaf {_leaf_of(leaf_mass, key)!r} has negative mass {exact_text(mass)}"
-            )
-        converted[key] = mass
-    # conversion keeps a Fraction, and a float in float mode, as it is
-    if types <= {Fraction if exact else float}:
-        masses = dict(leaf_mass)
-    else:
-        masses = {v: converted[id(m)] for v, m in leaf_mass.items()}
+            raise NegativeMass(f"leaf {node!r} has negative mass {exact_text(mass)}")
+        masses[node] = mass
 
     # each leaf's entry of the mass table: integers n over D, the lcm of
     # the leaf denominators, on exact input, and the floats otherwise
     if exact:
-        ratios = {key: m.as_integer_ratio() for key, m in converted.items()}
-        d = math.lcm(*(b for _, b in ratios.values()))
-        scaled = {key: a * (d // b) for key, (a, b) in ratios.items()}
-        below = {v: scaled[id(m)] for v, m in leaf_mass.items()}
+        d = math.lcm(*(m.denominator for m in masses.values()))
+        below = {v: m.numerator * (d // m.denominator) for v, m in masses.items()}
     else:
         d, below = None, dict(masses)
     return _tree_from_tables(root, children, parent_edge, order, masses, below, d)
-
-
-def _leaf_of(leaf_mass: Mapping[NodeId, object], key: int) -> NodeId:
-    """The first leaf whose mass is the object of id ``key``."""
-    return next(v for v, m in leaf_mass.items() if id(m) == key)
 
 
 def _first_bad_edge(edges: Iterable[tuple[NodeId, Label, NodeId]]) -> None:

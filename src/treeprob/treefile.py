@@ -18,11 +18,12 @@ and labels are the id columns typed apart from the labels, and the ids are
 listed only when an integer and a string occur among the ids themselves.
 
 A mass may be a rational string such as "1/4", "1", or "0.3", parsed once
-per distinct string into the Fraction that ``TreeDocument.leaf_mass`` holds
-for every leaf that gives that string, or a JSON number, held as a float.  ``build_tree`` picks the numeric mode from those values:
-all Fractions means exact mode, any float means float mode, and
-``force_float`` downgrades Fractions.  Serialization writes each Fraction as
-its reduced string, so parse(serialize(doc)) returns an equal document.
+per distinct string into the Fraction that ``TreeDocument.leaf_mass``
+holds for every leaf that gives that string, or a JSON number, held as a
+float.  ``build_tree`` picks the numeric mode from those values: all
+Fractions means exact mode, any float means float mode, and
+``force_float`` downgrades Fractions.  Serialization writes each Fraction
+as its reduced string, so parse(serialize(doc)) returns an equal document.
 
 The written layout is fixed and byte-stable: a 2-space indent, one scalar
 per line, as ``json.dumps(..., indent=2, ensure_ascii=False)`` lays it out.

@@ -232,8 +232,8 @@ class TestValidationErrors:
     @pytest.mark.parametrize("exact", [True, None, False])
     @pytest.mark.parametrize("bad", [-half, -0.5, math.nan, math.inf, Fraction(10**400)])
     def test_a_shared_bad_mass_names_its_first_leaf(self, bad, exact):
-        # the masses are checked once per distinct object, and the leaves
-        # 3 and 2 share the bad one
+        # the leaves 3 and 2 share the bad mass object; the first leaf in
+        # the mass map's order is named
         edges = [(0, "a", 1), (0, "b", 2), (0, "c", 3)]
         mass = {1: half, 3: bad, 2: bad}
         want = raised(partial(build_tree_reference, exact=exact), edges, mass)
