@@ -39,6 +39,7 @@ from .identities import (
     entropy_rate,
     leaf_log_sum,
     normalizer,
+    one_mode,
 )
 from .numeric import _chained, entropy_of, exact_text, kl_of, kl_term
 from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, label_order
@@ -153,7 +154,9 @@ def _shared_alphabet(p: FiniteDistribution, q: FiniteDistribution) -> tuple[Labe
 def _l1(p: FiniteDistribution, q: FiniteDistribution, alphabet) -> object:
     """The sum of |p(a) - q(a)| over ``alphabet``: over the lcm of the
     denominators in integers, one Fraction, when both are exact, and added
-    in alphabet order otherwise."""
+    in alphabet order otherwise.  A pair of distributions is not converted
+    to one mode: a Fraction meeting a float is rounded to a float first, so
+    a mixed pair already computes as the float pair would."""
     if p.exact and q.exact:
         pairs = [(p.mass[a].as_integer_ratio(), q.mass[a].as_integer_ratio())
                  for a in alphabet]
@@ -220,6 +223,15 @@ class ProductSpec:
     def exact(self) -> bool:
         return self.base.exact
 
+    def as_float(self) -> "ProductSpec":
+        """This exact spec in float mode, each mass rounded by ``float``
+        once.  A mass whose float lies below the normal range stays its
+        Fraction: against it, a branch mass in (0, 1] could have no finite
+        quotient, and ``kl_term`` takes the exact ratio."""
+        mass = {a: f if (f := float(s)) >= sys.float_info.min else s
+                for a, s in self.base.mass.items()}
+        return ProductSpec(FiniteDistribution(mass, exact=False))
+
 
 def _require_alphabet(tree: Tree, spec: ProductSpec) -> None:
     """Raise UnknownLabel unless every edge label of the tree is in the spec.
@@ -241,6 +253,8 @@ def product_node_probabilities(shape: Tree, spec: ProductSpec) -> dict[NodeId, o
     non-complete shapes they sum to less than one and are left as is.
     """
     _require_alphabet(shape, spec)
+    # the spec's mode alone, not a pair's: an exact spec keeps P+ exact,
+    # which divergence_to_product needs on deep float trees
     one = Fraction(1) if spec.exact else 1.0
     qplus: dict[NodeId, object] = {shape.root: one}
     for node in shape.nodes:
@@ -257,7 +271,9 @@ def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
     leaf-side oracle.  With a float spec the product masses P+ of deep
     leaves underflow (to subnormals, then to 0.0), so this sum loses
     precision and then turns infinite where the branch-sum form, which never
-    forms P+, stays accurate; the CLI reports the branch-sum form.
+    forms P+, stays accurate; the CLI reports the branch-sum form.  As the
+    oracle it takes the pair as given, not in one mode: an exact spec keeps
+    P+ exact, which keeps a deep float tree's sum finite.
     """
     qplus = product_node_probabilities(tree, spec)
     exact = tree.exact and spec.exact
@@ -273,11 +289,13 @@ def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
     Exact mode folds the telescoped sum over leaves in integers
     (``identities.leaf_log_sum``): f = log2(Q / Q+) is log2 Q_l less the
     log2 s_a of each edge on the leaf's path, and the s_a terms gather into
-    one weight per label.  Only leaf and spec masses are factored.
+    one weight per label.  Only leaf and spec masses are factored.  The
+    pair runs in one mode (``identities.one_mode``).
     """
+    tree, spec = one_mode(tree, spec)
     _require_alphabet(tree, spec)
     base = spec.base.mass
-    if tree.exact and spec.exact:
+    if tree.exact:
         ratios = {lab: 1 / m for lab, m in base.items()}
         return leaf_log_sum(tree, [(1, tree.leaf_mass)], ratios)
     return branch_sum(
@@ -293,11 +311,13 @@ class PinskerTreeReport:
     +inf when a reference tree lacks a branch of p; ``normalized_divergence``
     is D / E[w(L)] as a float.  ``mean_distance`` and ``mean_sq_distance``
     are the P_B averages of the branch distance d_j and of d_j^2, rounded
-    once from the exact average when no distance is a float (always when
-    both inputs are exact).  ``tail`` maps each requested epsilon to the
-    P_B mass of the branching nodes with d_j >= epsilon, compared at
-    epsilon's exact value and summed exactly on an exact tree.  ``holds``
-    records the bound normalized_divergence >= mean_sq_distance / (2 ln 2).
+    once from the exact average when both inputs are exact, and float sums
+    otherwise.  ``tail`` maps each requested epsilon to the P_B mass of the
+    branching nodes with d_j >= epsilon, compared at epsilon's exact value
+    and summed exactly when both inputs are exact.  ``holds`` records the
+    bound normalized_divergence >= mean_sq_distance / (2 ln 2).  A pair
+    that is not both exact is reported as its float pair
+    (``identities.one_mode``).
     """
 
     divergence: object
@@ -365,22 +385,10 @@ def _branch_distances(
     return triples, divergence
 
 
-def _float_ratios(ratios: Iterable[tuple[Label, int, int]]) -> dict[Label, float | Fraction]:
-    """Each label's mass a / b, from (label, a, b) integer triples, as a
-    float, or as the Fraction a / b where the float lies below the normal
-    range: the rule ``_branch_fold`` applies to a spec's masses, since a / b
-    rounds as ``float(Fraction(a, b))`` does."""
-    masses = {}
-    for label, a, b in ratios:
-        f = a / b
-        masses[label] = f if f >= sys.float_info.min else Fraction(a, b)
-    return masses
-
-
 def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tuple:
     """D and the P_B averages of d_j, d_j^2 and, per epsilon, of
-    [d_j >= eps] for a pair that is not both exact, in one preorder pass
-    over p's branching distributions P_{S_j}.
+    [d_j >= eps] for a float pair, in one preorder pass over p's branching
+    distributions P_{S_j}.
 
     At each branching node j, KL_j (``kl_term`` per label) and d_j are
     taken against ref_j: the spec, or the aligned node's distribution in
@@ -388,33 +396,17 @@ def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tupl
     label that ref_j lacks makes KL_j, and so D, +inf, as an uncovered
     reference does.  Q_j KL_j, Q_j d_j, Q_j d_j^2 and Q_j [d_j >= eps] are
     chained from zero in preorder, as ``branch_sum`` chains them, and
-    divided by E[w(L)] = ``ew``.  The spec's masses are converted to
-    floats once, and so are an exact reference tree's aligned
-    distributions, read from its integer table n as n_c / n_v by
-    ``_float_ratios``; a float tree's are used as they are.  p's masses
-    stay as they are, so on an exact p the sums keep ``branch_sum``'s mode
-    rule: the tails are exact, and so are the means when every d_j is
-    (each is then exactly 1, against a bare root).
+    divided by E[w(L)] = ``ew``.  The spec's masses are floats, but for one
+    below the normal range (``ProductSpec.as_float``).
     """
+    refs, default = {}, {}
     if isinstance(reference, ProductSpec):
         _require_alphabet(p, reference)
-        # a float meeting a Fraction rounds it first, so floats give the
-        # Fraction arithmetic's bits; against a normal float a branch mass in
-        # (0, 1] has a finite quotient, and a spec mass below the normal
-        # range stays exact, for kl_term's exact ratio
-        refs = {}
-        default = {a: f if (f := float(s)) >= sys.float_info.min else s
-                   for a, s in reference.base.mass.items()}
+        default = reference.base.mass
     else:
         mapping, _ = align_by_paths(p, reference)
-        if reference.exact:
-            n, kids = reference.mass_below, reference.children
-            refs = {j: _float_ratios((a, n[c], n[v]) for a, c in kids[v])
-                    for j, v in mapping.items() if kids[v]}
-        else:
-            dists = reference.branching
-            refs = {j: dists[v] for j, v in mapping.items() if v in dists}
-        default = {}
+        dists = reference.branching
+        refs = {j: dists[v] for j, v in mapping.items() if v in dists}
     q = p.node_mass
     divergence = mean = mean_sq = 0
     reached = dict.fromkeys(epsilons, 0)
@@ -460,27 +452,28 @@ def tree_pinsker_report(
     estimates.  The Markov cross-check E[d]/eps is available from the
     report's ``markov_tail_bound``.
 
-    When the tree and the reference are both exact, every average is a
-    ratio of integers over the triples (n_j, S_j, m_j) of
+    The pair runs in one mode (``identities.one_mode``): exact only when
+    the tree and the reference are both exact, and float otherwise.  On an
+    exact pair, every average is a ratio of integers over the triples
+    (n_j, S_j, m_j) of
     ``_branch_distances``.  With N the sum of n_j over branching j, the
     mean is the sum of S_j / m_j over N, the mean square the sum of
     S_j^2 / (m_j^2 n_j) over N, and tail(eps) the sum of n_j over the j
     with S_j >= eps m_j n_j, over N, with eps at its exact value (a float
-    at its binary value, as ``Fraction >= float`` compares).  Otherwise
-    one preorder pass over p's branching nodes (``_branch_fold``) gives D
-    and each average: per node, KL_j and d_j against the spec (its masses
-    converted to floats once) or the aligned reference node, and each
-    Q_j-weighted term chained as ``branch_sum`` chains it, over E[w(L)].
-    The float fields have the bits of one ``branch_sum`` per average.
-    Each float field rounds its exact average once where that average is
-    exact.
+    at its binary value, as ``Fraction >= float`` compares).  On a float
+    pair one preorder pass over p's branching nodes (``_branch_fold``)
+    gives D and each average: per node, KL_j and d_j against the spec or
+    the aligned reference node, and each Q_j-weighted term chained as
+    ``branch_sum`` chains it, over E[w(L)].  The float fields have the bits
+    of one ``branch_sum`` per average.
     """
     epsilons = list(epsilons)
     for eps in epsilons:
         require_epsilon(eps)
+    p, reference = one_mode(p, q_or_spec)
     ew = normalizer(p)
-    if p.exact and q_or_spec.exact:
-        distances, divergence = _branch_distances(p, q_or_spec)
+    if p.exact:
+        distances, divergence = _branch_distances(p, reference)
         total = sum(nj for nj, _, _ in distances)
         mean_d = _ratio_sum((s, m) for _, s, m in distances) / total
         mean_sq = _ratio_sum((s * s, m * m * nj) for nj, s, m in distances) / total
@@ -490,7 +483,7 @@ def tree_pinsker_report(
             reached = sum(nj for nj, s, m in distances if s * den >= num * m * nj)
             tail[eps] = float(Fraction(reached, total))
     else:
-        divergence, mean_d, mean_sq, tail = _branch_fold(p, q_or_spec, epsilons, ew)
+        divergence, mean_d, mean_sq, tail = _branch_fold(p, reference, epsilons, ew)
     bound = float(mean_sq) / (2.0 * math.log(2.0))
     nd_float = float(divergence / ew)
     return PinskerTreeReport(
@@ -541,42 +534,36 @@ def entropy_functional(alphabet: Iterable[Label]) -> BoundedFunctional:
     )
 
 
-def _gap(value, target) -> float:
-    """|value - target| as a float, rounded once from the exact difference
-    when neither is a float, so equal exact values give exactly 0.0."""
-    if isinstance(value, float) or isinstance(target, float):
-        return abs(float(value) - float(target))
-    return abs(float(value - target))
-
-
 def functional_convergence_gap(
     tree: Tree, spec: ProductSpec, g: BoundedFunctional
 ) -> float:
     """|E_{P_B}[g(P_{S_B})] - g(P_{S*})|, the per-branch feature gap.
 
-    Branching distributions are zero-extended to the spec alphabet before
-    evaluation so g sees one fixed domain; they are exact when the tree and
-    spec are.  The average follows ``branch_sum``'s mode rule: on an exact
-    tree whose values of g are all non-float it is exact, even against a
-    float spec, and is rounded once.  The gap is taken exactly when neither
-    term is a float, so a gap of zero is reported as an exact 0.0 rather
-    than rounding noise; otherwise both terms are floats.
+    The pair runs in one mode (``identities.one_mode``).  Branching
+    distributions are zero-extended to the spec alphabet before evaluation
+    so g sees one fixed domain.  The average follows ``branch_sum``'s mode
+    rule: on an exact pair whose values of g are all non-float it is exact.
+    The gap is the difference rounded once, so on an exact pair a gap of
+    zero is an exact 0.0 rather than rounding noise; where g returns
+    floats, both terms are floats already.
     """
+    tree, spec = one_mode(tree, spec)
     ew = normalizer(tree)
     _require_alphabet(tree, spec)
-    exact = tree.exact and spec.exact
-    zero = Fraction(0) if exact else 0.0
+    zero = Fraction(0) if tree.exact else 0.0
 
     def inner(j, dist):
         extended = {lab: dist.get(lab, zero) for lab in spec.alphabet}
-        return g.evaluate(FiniteDistribution(extended, exact=exact))
+        return g.evaluate(FiniteDistribution(extended, exact=tree.exact))
 
-    return _gap(branch_sum(tree, inner) / ew, g.evaluate(spec.base))
+    return abs(float(branch_sum(tree, inner) / ew - g.evaluate(spec.base)))
 
 
 def entropy_rate_gap(tree: Tree, spec: ProductSpec) -> float:
-    """|entropy rate - H(spec)|: the tree's bits/branch against the target's."""
+    """|entropy rate - H(spec)|: the tree's bits/branch against the target's,
+    for the pair in one mode (``identities.one_mode``), rounded once."""
+    tree, spec = one_mode(tree, spec)
     rate = entropy_rate(tree)
     _require_alphabet(tree, spec)
-    return _gap(rate, spec.base.entropy())
+    return abs(float(rate - spec.base.entropy()))
 

@@ -15,12 +15,18 @@ The leaf side is sum over leaves l of Q_l f(l), less Q_root f(root), in
 both modes: the identity holds for the masses as given, also when float
 leaf masses sum to 1 only within ``MASS_SUM_TOLERANCE``.
 
-One mode rule (``_exact_sum``) holds for every sum over a tree: it is
-exact when the tree is exact and none of its values (f on the nodes, or
-the inner values of ``branch_sum``) is a float.  Any other sum is chained
-left to right as ``total = total + w * v``.  ``branch_sum`` evaluates its
-inner values once, in preorder, in both modes, and then folds or chains
-them, so the rule reads values that are never evaluated again.
+A pair of trees, or a tree and a product spec, runs in one numeric mode,
+decided once where the pair enters (``one_mode``): it is exact only when
+both sides are exact, and otherwise each exact side is converted once to
+float, as ``--float`` loads it.  So no sum meets an exact side and a
+float side of a pair.  One mode rule (``_exact_sum``) then holds for every
+sum over a tree: it is exact when the tree is exact and none of its
+values (f on the nodes, or the inner values of ``branch_sum``) is a
+float, which a caller's functional or g may return.  Any other sum is
+chained left to right as ``total = total + w * v``.  ``branch_sum``
+evaluates its inner values once, in preorder, in both modes, and then
+folds or chains them, so the rule reads values that are never evaluated
+again.
 
 An exact tree keeps one integer table n with Q_v = n_v / D, D = n_root the
 lcm of the leaf-mass denominators (``Tree.mass_numerators``), and every
@@ -60,10 +66,9 @@ nodes; a caller that already holds an unnormalized value gets its
 per-branch form with one division.  ``approximation`` averages a bounded
 functional g the same way, with inner = g(P_{S_j}).  Its Pinsker report
 takes D, the branch distances and their averages in one preorder pass
-when the tree or its reference is a float, chaining each Q_j-weighted
-term as ``branch_sum`` does.  When both are exact, its Pinsker averages
-are ratios of integers over the tables n of both sides, without
-``branch_sum`` and without any P_{S_j}.
+on a float pair, chaining each Q_j-weighted term as ``branch_sum`` does.
+On an exact pair, its Pinsker averages are ratios of integers over the
+tables n of both sides, without ``branch_sum`` and without any P_{S_j}.
 """
 
 from __future__ import annotations
@@ -98,6 +103,7 @@ __all__ = [
     "log_ratio_functional",
     "node_increment_sum",
     "normalized_divergence",
+    "one_mode",
     "surprisal_functional",
     "tree_divergence",
 ]
@@ -162,9 +168,21 @@ def normalizer(tree: Tree) -> object:
     return tree.mean_length
 
 
+def one_mode(p, reference):
+    """The pair (p, reference) in one numeric mode: as given when both are
+    exact or both are float, and otherwise with its exact side converted
+    once to float (``as_float``).  ``reference`` is a Tree or a product
+    spec."""
+    if p.exact == reference.exact:
+        return p, reference
+    return tuple(x.as_float() if x.exact else x for x in (p, reference))
+
+
 def _exact_sum(tree: Tree, values: Iterable) -> bool:
     """The mode rule: a sum over ``tree`` is exact when the tree is exact
-    and none of its ``values`` is a float."""
+    and none of its ``values`` is a float.  It serves a caller's functional
+    and g values, which may be floats on an exact tree; a pair's second
+    side is in the tree's mode already (``one_mode``)."""
     return tree.exact and not any(isinstance(v, float) for v in values)
 
 
@@ -338,18 +356,21 @@ def tree_divergence(p: Tree, q: Tree) -> object:
 
     Trees are aligned by label paths.  Returns +inf when q lacks a branch
     that carries positive p mass; raises ShapeMismatch when q has branches
-    p does not.  Equals the leaf-side sum of P_L log2(P_L/P_L').
+    p does not.  Equals the leaf-side sum of P_L log2(P_L/P_L').  The pair
+    runs in one mode (``one_mode``).
     """
+    p, q = one_mode(p, q)
     return aligned_divergence(p, q, *align_by_paths(p, q))
 
 
 def aligned_divergence(
     p: Tree, q: Tree, mapping: Mapping[NodeId, NodeId], covered: bool
 ) -> object:
-    """``tree_divergence`` for an alignment ``align_by_paths`` already made."""
+    """``tree_divergence`` for a pair in one mode that ``align_by_paths``
+    already aligned."""
     if not covered:
         return math.inf
-    if p.exact and q.exact:
+    if p.exact:
         # f = log2(Q / Q') at p's leaves; each aligns with a leaf of q, since
         # q has no branch that p lacks
         ref = {v: q.leaf_mass[mapping[v]] for v in p.leaf_mass}
@@ -393,7 +414,9 @@ def normalized_divergence(p: Tree, q: Tree) -> object:
 
     This is the P_B-average of per-node divergences, with P_B from p, the
     first argument; +inf propagates when q fails to cover p's support.
+    The pair runs in one mode (``one_mode``), p's E[w(L)] included.
     """
+    p, q = one_mode(p, q)
     ew = normalizer(p)
     return tree_divergence(p, q) / ew
 
@@ -419,16 +442,11 @@ def log_ratio_functional(p: Tree, q: Tree) -> dict[NodeId, object]:
 
     Its leaf average is D(P_L || P_L').  Raises ShapeMismatch when the two
     shapes differ in either direction, since a missing q node would make f
-    infinite.
+    infinite.  The pair runs in one mode (``one_mode``).
     """
+    p, q = one_mode(p, q)
     mapping, covered = align_by_paths(p, q)
     if not covered:
         raise ShapeMismatch("second tree does not cover the first; f would be infinite")
-    qp = node_probabilities(p)
-    qq = node_probabilities(q)
-    exact = p.exact and q.exact
-    out: dict[NodeId, object] = {}
-    for n in p.nodes:
-        ratio = qp[n] / qq[mapping[n]]
-        out[n] = log2_of(Fraction(ratio), True) if exact else math.log2(ratio)
-    return out
+    qp, qq = node_probabilities(p), node_probabilities(q)
+    return {n: log2_of(qp[n] / qq[mapping[n]], p.exact) for n in p.nodes}

@@ -41,10 +41,13 @@ so the identities module weights its tree sums by n and passes D as the
 denominator.  Since the map is canonical, the fold equals the chained sum
 under ``==``.
 
-The fold takes exact terms only.  A sum over a tree is exact when the tree
-is exact and none of its values is a float (``identities``); any other sum
-is the float sum, which keeps its left-to-right ``total + term`` order, so
-float results do not depend on any of this.
+The fold takes exact terms only.  A pair, two trees or a tree and a
+product spec, is exact only when both sides are; otherwise its exact side
+is converted once to float, so no sum mixes the two (``identities.one_mode``).
+A sum over a tree is then exact when the tree is exact and none of its
+values, which a caller's functional may give, is a float (``identities``);
+any other sum is the float sum, which keeps its left-to-right ``total +
+term`` order, so float results do not depend on any of this.
 """
 
 from __future__ import annotations
@@ -378,12 +381,19 @@ def log2_of(x, exact: bool, scale: int = 1) -> Scalar:
 
 
 def entropy_term(p, exact: bool) -> Scalar:
-    """The summand -p*log2(p), with the convention that it vanishes at p = 0."""
+    """The summand -p*log2(p), with the convention that it vanishes at p = 0.
+
+    A float summand of a positive Fraction p whose float is 0.0, a mass
+    that a float spec keeps exact, is 0.0: the float of the true summand.
+    """
     if not p:
         return Fraction(0) if exact else 0.0
     if exact:
         return ExactLog2.log2(p) * -Fraction(p)
-    return -(p * math.log2(p))
+    try:
+        return -(p * math.log2(p))
+    except ValueError:  # math.log2 of a Fraction reads its float, 0.0
+        return 0.0
 
 
 def _chained(terms: Iterable[float]) -> float:

@@ -123,6 +123,13 @@ class Tree:
     def depth_of(self, node: NodeId) -> int:
         return self.depths[node]
 
+    def as_float(self) -> "Tree":
+        """This exact tree in float mode, built as ``--float`` builds its
+        document: the same edges in preorder and each leaf mass rounded by
+        ``float``, so a leaf whose float is 0.0 is pruned."""
+        edges = [(v, a, c) for v in self.nodes for a, c in self.children[v]]
+        return build_tree(edges, {v: self.leaf_mass[v] for v in self.leaves}, exact=False)
+
     @property
     def mass_numerators(self) -> dict[NodeId, int]:
         """n, for an exact tree: Q_v = n_v / D with the integer D = n[root],

@@ -73,9 +73,9 @@ def edges_of(tree: Tree):
 
 
 def float_mirror(tree: Tree) -> Tree:
-    """Same shape and node ids, masses converted to floats."""
-    mass = {leaf: float(tree.leaf_mass[leaf]) for leaf in tree.leaves}
-    return build_tree(edges_of(tree), mass, exact=False)
+    """Same shape and node ids, masses converted to floats: the library's
+    conversion, ``Tree.as_float``."""
+    return tree.as_float()
 
 
 def remass(tree: Tree, seed: int) -> Tree:

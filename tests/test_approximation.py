@@ -27,7 +27,6 @@ from treeprob import (
     ProductSpec,
     ShapeMismatch,
     UnknownLabel,
-    branching_distributions,
     build_tree,
     convergence_sweep,
     divergence_to_product,
@@ -48,6 +47,7 @@ from treeprob import (
 )
 from treeprob import approximation, identities
 from treeprob.approximation import DEFAULT_EPSILONS
+from treeprob.identities import one_mode
 from treeprob.numeric import ExactLog2
 
 LN2 = math.log(2.0)
@@ -453,7 +453,9 @@ def pinsker_references(i):
 
 class TestPinskerReference:
     """tree_pinsker_report against the per-node distances and branch_sum
-    averages of ``corpus.pinsker_reference``, field by field and bit for bit."""
+    averages of ``corpus.pinsker_reference``, field by field and bit for bit.
+    A pair that is not both exact is reported as its float pair, so the
+    reference gets the pair converted (``one_mode``)."""
 
     @pytest.mark.parametrize("start", range(0, 200, 50))
     def test_corpus_agrees_bitwise(self, start):
@@ -462,7 +464,7 @@ class TestPinskerReference:
             for p in (exact_p, float_mirror(exact_p)):
                 for name, ref in refs.items():
                     got = report_bits(tree_pinsker_report(p, ref, EPSILONS))
-                    want = report_bits(pinsker_reference(p, ref, EPSILONS))
+                    want = report_bits(pinsker_reference(*one_mode(p, ref), EPSILONS))
                     assert got == want, (i, p.exact, name)
 
     def test_subtree_removed_is_infinite_with_unit_distances(self):
@@ -547,7 +549,7 @@ class TestFloatFold:
                 assert not p.exact and p.branching_nodes
                 for name, ref in refs.items():
                     report = tree_pinsker_report(p, ref, EPSILONS)
-                    want = pinsker_reference(p, ref, EPSILONS)
+                    want = pinsker_reference(*one_mode(p, ref), EPSILONS)
                     assert report_bits(report) == report_bits(want), (i, name)
                     assert report.divergence == reference_divergence(p, ref), (i, name)
 
@@ -566,10 +568,14 @@ class TestFloatFold:
             assert bare.divergence == math.inf
             assert bare.mean_distance == pytest.approx(1.0, rel=1e-12)
 
-    def test_exact_p_against_a_float_bare_root_is_exact(self):
-        # every d_j is exactly 1, so the P_B averages are exact: 1.0 itself
+    def test_exact_p_against_a_float_bare_root_runs_as_float(self):
+        # the pair is not both exact, so p runs as its float tree: the report
+        # is the converted pair's, bit for bit; on corpus 4 every float d_j,
+        # the sum of p's float branch masses, is 1.0
         p = corpus_tree(4)
-        report = tree_pinsker_report(p, build_tree([], {0: 1.0}, exact=False))
+        bare = build_tree([], {0: 1.0}, exact=False)
+        report = tree_pinsker_report(p, bare)
+        assert report_bits(report) == report_bits(tree_pinsker_report(p.as_float(), bare))
         assert (report.mean_distance, report.mean_sq_distance) == (1.0, 1.0)
         assert set(report.tail.values()) == {1.0}
 
@@ -609,8 +615,8 @@ class TestFloatFold:
     def test_float_report_against_an_exact_tree_does_no_fraction_arithmetic(
         self, monkeypatch
     ):
-        # the reference's aligned distributions are read from its integer
-        # table as floats: its Fraction distributions are never built
+        # the exact reference runs as its float tree, built from its leaf
+        # masses' floats: its Fraction distributions are never built
         exact = grow_matcher_tree(TestNoBranchingTable.SPEC, 243)
         reference = remass(exact, seed=243)
         p = float_mirror(exact)
@@ -772,27 +778,42 @@ class TestFunctionalConvergenceGap:
             entropy_rate_gap(demo_tree, spec)
 
     @pytest.mark.parametrize(
-        "name, g, pinned",
+        "g, pinned",
         [
-            ("indicator", lambda d: d[0] > Fraction(1, 2), "0x1.0000000000000p+0"),
-            ("rational", lambda d: 1 - d[0], "0x1.fd48ccb768c2cp-3"),
+            (lambda d: d[0] > Fraction(1, 2), "0x1.0000000000000p+0"),
+            (lambda d: 1 - d[0], "0x1.fd48ccb768c2ap-3"),
         ],
+        ids=["indicator", "rational"],
     )
-    def test_exact_tree_float_spec_rational_g_rounds_once(self, name, g, pinned):
-        # every value of g is rational, so the average is the exact sum
-        # rounded once; the float sum chained left to right would give
-        # 0x1.0000000000001p+0 and 0x1.fd48ccb768c2ap-3
+    def test_exact_tree_float_spec_runs_as_float_pair(self, g, pinned):
+        # the pair is not both exact, so the tree runs as its float tree and
+        # the average is the float sum chained left to right; the exact sum
+        # rounded once would give 0x1.fd48ccb768c2cp-3 for the rational g
         tree = corpus_tree(48)
         spec = ProductSpec(FiniteDistribution({0: 0.5, 1: 0.5}, exact=False))
-        branching = branching_distributions(tree)
+        float_tree = tree.as_float()
+        branching = float_tree.branching
         assert all(set(dist) == {0, 1} for dist in branching.values())
-        average = sum(
-            tree.node_mass[j] * g(FiniteDistribution(dist))
-            for j, dist in branching.items()
-        ) / tree.mean_length
+        average = 0.0
+        for j, dist in branching.items():
+            value = g(FiniteDistribution(dist, exact=False))
+            average = average + float_tree.node_mass[j] * value
         gap = functional_convergence_gap(tree, spec, BoundedFunctional(g, 1.0))
         assert gap.hex() == pinned
-        assert gap == abs(float(average) - float(g(spec.base)))
+        assert gap == abs(average / float_tree.mean_length - g(spec.base))
+        converted = functional_convergence_gap(float_tree, spec, BoundedFunctional(g, 1.0))
+        assert gap.hex() == converted.hex()
+
+    def test_float_tree_against_a_spec_mass_below_the_float_range(self):
+        # the exact spec runs as a float spec that keeps the mass 1/10^400,
+        # whose float is 0.0, exact; its float entropy term is 0.0, the
+        # float of the true term, about 1e-397
+        tiny = Fraction(1, 10**400)
+        spec = ProductSpec(FiniteDistribution({"a": 1 - tiny, "b": tiny}))
+        p = build_tree([("r", "a", "u"), ("r", "b", "v")], {"u": 0.5, "v": 0.5},
+                       exact=False)
+        assert entropy_rate_gap(p, spec) == 1.0
+        assert functional_convergence_gap(p, spec, entropy_functional("ab")) == 1.0
 
     def test_degenerate_tree(self):
         single = build_tree([], {"r": Fraction(1)})

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DEMO_DOCUMENT
-from corpus import corpus_tree, float_mirror
+from corpus import corpus_tree, float_mirror, remass
 from treeprob import (
     FiniteDistribution,
     ProductSpec,
@@ -378,6 +378,52 @@ class TestDivergence:
         assert (code, err) == (0, "")
         value = report.results["divergence"]["value"]
         assert value == pytest.approx(663.3856189774724, rel=1e-12)
+
+    def test_a_mixed_pair_reports_as_float(self, tmp_path):
+        # random.tree against its remass: an exact tree against a JSON-number
+        # one, either way round, runs as the float pair that --float loads
+        golden = Path(__file__).parent / "golden" / "random.tree"
+        p = parse_tree(golden.read_text("utf-8"))
+        paths = {}
+        for name, tree in (("p", p), ("q", remass(p, 7))):
+            for suffix, text in (("", serialize_tree(tree)),
+                                 ("_float", serialize_tree(float_mirror(tree)))):
+                paths[name + suffix] = tmp_path / f"{name}{suffix}.tree"
+                paths[name + suffix].write_text(text, "utf-8")
+        runs = [
+            ["divergence", "--json", str(paths["p"]), str(paths["q_float"])],
+            ["divergence", "--json", str(paths["p_float"]), str(paths["q"])],
+            ["divergence", "--json", "--float", str(paths["p"]), str(paths["q"])],
+        ]
+        reports = []
+        for argv in runs:
+            code, _, out, err = invoke(argv)
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        sides = [(r["results"], r["checks"]) for r in reports]
+        assert sides[0] == sides[1] == sides[2]
+        assert sides[0][0]["divergence"] == {"value": 0.6111769526960777, "unit": "bits"}
+
+    def test_reference_leaf_below_the_float_range(self, halves_file, tmp_path):
+        # the exact reference leaf of mass 1/10^400 meets a float p, so the
+        # reference runs as its float tree, as with --float: the leaf's
+        # float is 0.0 and is pruned, which leaves p's branch to it
+        # uncovered.  As a --product spec mass it stays exact.
+        big = 10**400
+        path = tmp_path / "tiny.tree"
+        path.write_text(json.dumps({
+            "root": 0, "edges": [[0, 0, 1], [0, 1, 2]],
+            "leaf_mass": [[1, f"1/{big}"], [2, f"{big - 1}/{big}"]],
+        }), "utf-8")
+        for flags in ([], ["--float"]):
+            code, report, _, err = invoke(["divergence", halves_file, str(path), *flags])
+            assert (code, err) == (0, "")
+            assert report.results["divergence"]["value"] == "inf"
+        code, report, _, err = invoke(
+            ["divergence", halves_file, "--product", f"1/{big},{big - 1}/{big}"]
+        )
+        assert (code, err) == (0, "")
+        assert report.results["divergence"]["value"] == 663.3856189774725
 
     def test_requires_exactly_one_reference(self, demo_file, demo_q_file):
         code, _, _, err = invoke(["divergence", demo_file])

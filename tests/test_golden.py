@@ -29,3 +29,16 @@ def test_output_matches_golden(name, monkeypatch):
     code, _, out, err = invoke(CASES[name])
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text("utf-8")
+
+
+def test_mixed_documents_report_as_float(monkeypatch):
+    # an exact tree against a JSON-number tree runs as the float pair that
+    # --float loads, so the mixed golden holds --float's results and checks
+    monkeypatch.chdir(GOLDEN)
+    name = "random-divergence-mixed.json"
+    command, *argv = CASES[name]
+    code, _, out, err = invoke([command, "--float", *argv])
+    assert (code, err) == (0, "")
+    stored = json.loads((GOLDEN / name).read_text("utf-8"))
+    forced = json.loads(out)
+    assert (stored["results"], stored["checks"]) == (forced["results"], forced["checks"])

@@ -456,13 +456,14 @@ class TestBranchSumMode:
         bare = build_tree([], {"r": Fraction(1)})
         bare_float = build_tree([], {"r": 1.0}, exact=False)
         spec = ProductSpec(FiniteDistribution({0: 0.5, 1: 0.5}, exact=False))
-        for value in (
-            branch_sum(bare, lambda j, dist: 0.5),
-            tree_divergence(bare, bare_float),
-            product_branch_divergence(bare, spec),
-        ):
-            assert exact_signature(value) == (Fraction, Fraction(0))
+        value = branch_sum(bare, lambda j, dist: 0.5)
+        assert exact_signature(value) == (Fraction, Fraction(0))
         assert exact_signature(branch_sum(bare_float, lambda j, dist: 1)) == (float, 0.0)
+        # against a float reference the exact root runs as its float tree,
+        # as the converted pair does
+        for p in (bare, bare.as_float()):
+            for value in (tree_divergence(p, bare_float), product_branch_divergence(p, spec)):
+                assert exact_signature(value) == (float, 0.0)
 
 
 class TestMassTable:

@@ -494,65 +494,78 @@ class TestFactorize:
 
 class TestMixedModeSums:
     """Library calls that mix an exact tree with a float tree, a float spec,
-    a float functional or a float-valued g.  Each caller decides once
-    whether its sum is exact; the results are pinned as float hex, so a
-    change of summation mode or order shows."""
+    a float functional or a float-valued g, pinned as float hex, so a
+    change of summation mode or order shows.  A pair that is not both
+    exact runs as its float pair, converted once, so each such call (marked
+    mixed) gives, bit for bit, the same call with P's float tree in place
+    of P; where ``TestFloatSums`` makes that call, these are its pins."""
 
     P = corpus_tree(9)
+    P_FLOAT = float_mirror(P)
     Q = float_mirror(remass(P, 9))
     LABELS = P.label_alphabet
     SPEC = ProductSpec(FiniteDistribution(random_distribution(LABELS, 11)))
     FLOAT_SPEC = ProductSpec(
         FiniteDistribution(random_distribution(LABELS, 11, exact=False), exact=False)
     )
+    BARE = build_tree([], {0: 1.0}, exact=False)
 
     @staticmethod
-    def pinsker(reference):
-        report = tree_pinsker_report(TestMixedModeSums.P, reference)
+    def pinsker(p, reference):
+        report = tree_pinsker_report(p, reference)
         return [report.divergence, report.mean_distance, report.mean_sq_distance,
                 *report.tail.values()]
 
     @pytest.mark.parametrize(
-        "compute, pinned",
+        "compute, pinned, mixed",
         [
-            (lambda c: tree_divergence(c.P, c.Q), ["0x1.fa3db4e604da7p-2"]),
-            (lambda c: tree_divergence(c.Q, c.P), ["0x1.5fb5e30a500a7p-2"]),
+            (lambda c, p: tree_divergence(p, c.Q), ["0x1.fa3db4e604dabp-2"], True),
+            (lambda c, p: tree_divergence(c.Q, p), ["0x1.5fb5e30a500a8p-2"], True),
             (
-                lambda c: c.pinsker(c.Q),
-                ["0x1.fa3db4e604da7p-2", "0x1.4a21ef9bc29fap-2", "0x1.74005256c1087p-3",
-                 "0x1.5e0d30fffa285p-1", "0x1.5e0d30fffa285p-1", "0x1.a391a160be9d1p-4",
+                lambda c, p: c.pinsker(p, c.Q),
+                ["0x1.fa3db4e604dabp-2", "0x1.4a21ef9bc29f9p-2", "0x1.74005256c1088p-3",
+                 "0x1.5e0d30fffa284p-1", "0x1.5e0d30fffa284p-1", "0x1.a391a160be9d0p-4",
                  "0x0.0p+0"],
+                True,
             ),
-            # a bare float root enters no distance, so the averages stay exact
+            # p's float branch masses need not sum to exactly 1, so not every
+            # distance to a bare root reaches 1.0
             (
-                lambda c: c.pinsker(build_tree([], {0: 1.0}, exact=False)),
-                ["inf"] + ["0x1.0000000000000p+0"] * 6,
+                lambda c, p: c.pinsker(p, c.BARE),
+                ["inf", "0x1.0000000000000p+0", "0x1.ffffffffffffep-1"]
+                + ["0x1.0000000000000p+0"] * 3 + ["0x1.6b3281960ed5ap-1"],
+                True,
             ),
             (
-                lambda c: product_branch_divergence(c.P, c.FLOAT_SPEC),
-                ["0x1.9681ff861c276p+1"],
+                lambda c, p: product_branch_divergence(p, c.FLOAT_SPEC),
+                ["0x1.9681ff861c279p+1"],
+                True,
             ),
             (
-                lambda c: c.pinsker(c.FLOAT_SPEC),
-                ["0x1.9681ff861c276p+1", "0x1.d4fe37ee6694fp-1", "0x1.f404fb44f4b3cp-1",
-                 "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d04d0c7be16b0p-1",
+                lambda c, p: c.pinsker(p, c.FLOAT_SPEC),
+                ["0x1.9681ff861c279p+1", "0x1.d4fe37ee6694ep-1", "0x1.f404fb44f4b3cp-1",
+                 "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d04d0c7be16afp-1",
                  "0x1.43e59e000baf6p-2"],
+                True,
             ),
             (
-                lambda c: functional_convergence_gap(
-                    c.P, c.SPEC, BoundedFunctional(lambda d: float(d.entropy()), 2.0)
+                lambda c, p: functional_convergence_gap(
+                    p, c.SPEC, BoundedFunctional(lambda d: float(d.entropy()), 2.0)
                 ),
                 ["0x1.8c7e9617f3fc5p-1"],
+                False,
             ),
             (
-                lambda c: functional_convergence_gap(
-                    c.P, c.FLOAT_SPEC, entropy_functional(c.LABELS)
+                lambda c, p: functional_convergence_gap(
+                    p, c.FLOAT_SPEC, entropy_functional(c.LABELS)
                 ),
                 ["0x1.8c7e9617f3fc7p-1"],
+                True,
             ),
             (
-                lambda c: lansit_check(c.P, float_functional(c.P, 6)).node_side,
+                lambda c, p: lansit_check(p, float_functional(p, 6)).node_side,
                 ["-0x1.e818e5148955ap-2"],
+                False,
             ),
         ],
         ids=[
@@ -567,11 +580,12 @@ class TestMixedModeSums:
             "lansit-float-functional",
         ],
     )
-    def test_float_bits_are_pinned(self, compute, pinned):
-        value = compute(TestMixedModeSums)
-        values = value if isinstance(value, list) else [value]
-        assert all(type(v) is float for v in values)
-        assert [v.hex() for v in values] == pinned
+    def test_float_bits_are_pinned(self, compute, pinned, mixed):
+        for p in (self.P, self.P_FLOAT) if mixed else (self.P,):
+            value = compute(TestMixedModeSums, p)
+            values = value if isinstance(value, list) else [value]
+            assert all(type(v) is float for v in values)
+            assert [v.hex() for v in values] == pinned
 
 
 class TestFloatSums:

@@ -469,6 +469,19 @@ class TestRoundTrips:
             assert structurally_equal(tree, back)
             assert back.leaf_mass == tree.leaf_mass
 
+    def test_float_conversion_is_the_forced_float_document(self):
+        # Tree.as_float, which a pair that is not both exact runs through,
+        # builds the tree that --float loads from the tree's document
+        for i in range(200):
+            tree = corpus_tree(i)
+            converted = tree.as_float()
+            forced = parse_tree(serialize_tree(tree), force_float=True)
+            assert converted.nodes == forced.nodes, i
+            assert list(converted.leaf_mass.items()) == list(forced.leaf_mass.items()), i
+            assert [converted.node_mass[v].hex() for v in converted.nodes] == [
+                forced.node_mass[v].hex() for v in forced.nodes
+            ], i
+
     def test_canonical_fraction_strings(self):
         tree = build_tree(
             [(0, "a", 1), (0, "b", 2)],
