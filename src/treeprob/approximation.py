@@ -394,7 +394,9 @@ def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tupl
     taken against ref_j: the spec, or the aligned node's distribution in
     the reference tree (empty when that node is a leaf or missing).  A
     label that ref_j lacks makes KL_j, and so D, +inf, as an uncovered
-    reference does.  Q_j KL_j, Q_j d_j, Q_j d_j^2 and Q_j [d_j >= eps] are
+    reference does.  Against an empty ref_j, d_j is 1.0, as on the exact
+    path, not the sum of p's float branch masses, which may fall short of
+    1.0 by rounding.  Q_j KL_j, Q_j d_j, Q_j d_j^2 and Q_j [d_j >= eps] are
     chained from zero in preorder, as ``branch_sum`` chains them, and
     divided by E[w(L)] = ``ew``.  The spec's masses are floats, but for one
     below the normal range (``ProductSpec.as_float``).
@@ -417,7 +419,9 @@ def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tupl
             r = ref.get(a, 0)
             d = d + abs(m - r)
             kl = kl + kl_term(m, r, False)
-        if len(own) < len(ref):  # spec labels that j lacks
+        if not ref:
+            d = 1.0
+        elif len(own) < len(ref):  # spec labels that j lacks
             for a, r in ref.items():
                 if a not in own:
                     d = d + r

@@ -4,7 +4,9 @@ Every command reads tree documents (see treefile), runs library
 operations, and emits either a human-readable listing or, with --json, a
 structured report.  Reports carry the command name, a digest of each input
 document, a map of named metrics with units, and a list of identity checks
-with the tolerance each was judged by.
+with the tolerance each was judged by.  A --json report has the layout of
+``json.dumps(report, indent=2)`` and is written as tree documents are
+(``treefile.indented_json``): each column of scalars in one C-encoder call.
 
 ``run_cli`` is the one request path.  It builds the report, calls the
 handler that the command's subparser names, prints the report and derives
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
-import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -50,8 +51,12 @@ class Report:
     def all_checks_pass(self) -> bool:
         return all(check["passed"] for check in self.checks)
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, ensure_ascii=False)
+    def to_json(self, ensure_ascii: bool = False) -> str:
+        """``json.dumps(vars(self), indent=2, ensure_ascii=ensure_ascii)``,
+        byte for byte, written as tree documents are written: each column
+        of scalars, such as P_B's map, in one C-encoder call
+        (``treefile.indented_json``)."""
+        return treefile.indented_json(vars(self), ensure_ascii)
 
 
 def _json_value(value):
@@ -158,7 +163,7 @@ def _print_report(report: Report, as_json: bool, out: io.TextIOBase) -> None:
         try:
             text.encode(encoding)
         except UnicodeEncodeError:
-            text = json.dumps(vars(report), indent=2)
+            text = report.to_json(ensure_ascii=True)
         print(text, file=out)
         return
 

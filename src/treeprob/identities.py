@@ -385,10 +385,20 @@ def aligned_divergence(
 
 
 def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:
-    """The length-biased distribution P_B(j) = Q_j / E[w(L)] over branching nodes."""
+    """The length-biased distribution P_B over branching nodes, and E[w(L)].
+
+    P_B(j) is n_j / N on an exact tree, a Fraction from the integer table
+    (``Tree.mass_numerators``) with N the sum of n_j over branching j, so
+    no Q is built.  A float tree divides Q_j by E[w(L)].
+    """
     ew = normalizer(tree)
-    q = node_probabilities(tree)
-    mass = {j: q[j] / ew for j in tree.branching_nodes}
+    if tree.exact:
+        n = tree.mass_numerators
+        total = sum(map(n.__getitem__, tree.branching_nodes))
+        mass = {j: Fraction(n[j], total) for j in tree.branching_nodes}
+    else:
+        q = node_probabilities(tree)
+        mass = {j: q[j] / ew for j in tree.branching_nodes}
     return BranchingNodeDistribution(mass=mass, mean_length=ew)
 
 

@@ -28,9 +28,10 @@ as its reduced string, so parse(serialize(doc)) returns an equal document.
 The written layout is fixed and byte-stable: a 2-space indent, one scalar
 per line, as ``json.dumps(..., indent=2, ensure_ascii=False)`` lays it out.
 It is written directly, each edge and leaf_mass column in one C-encoder
-call.  ``serialize_document`` runs the parser's own checks on the
-version, ids, labels, masses and metadata, and raises the ParseError that
-parsing the written text would raise.
+call; ``indented_json`` writes the metadata, and the CLI's reports, in
+that layout the same way.  ``serialize_document`` runs the parser's own
+checks on the version, ids, labels, masses and metadata, and raises the
+ParseError that parsing the written text would raise.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -287,15 +288,42 @@ def tree_to_document(tree: Tree, metadata: Mapping | None = None) -> TreeDocumen
 
 # one C-encoder call writes a whole column: its items joined by NUL, which
 # JSON writes as \u0000 inside a string, so splitting on NUL is exact
-_encode_column = json.JSONEncoder(ensure_ascii=False, separators=("\x00", ": ")).encode
+_COLUMN_ENCODERS = {
+    escape: json.JSONEncoder(ensure_ascii=escape, separators=("\x00", ": ")).encode
+    for escape in (False, True)
+}
+_encode_column = _COLUMN_ENCODERS[False]
+_CONTAINERS = (dict, list, tuple)
 _EDGE_ROW = "    [\n      %s,\n      %s,\n      %s\n    ]"
 _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 _DOCUMENT = '{\n  "version": %s,\n  "root": %s,\n  "edges": %s,\n  "leaf_mass": %s,\n  "metadata": %s\n}\n'
 
 
-def _indented(value) -> str:
-    """``value`` as the indented JSON that a top-level document field holds."""
-    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+def indented_json(value, ensure_ascii: bool = False, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=ensure_ascii)``, byte for
+    byte, with ``newline`` opening each line after the first.
+
+    Each dict or list (or tuple) none of whose items is one is written in
+    one C-encoder call, split into its items on NUL.  The keys of any other
+    dict are written in one call as well, so they are converted as
+    ``json.dumps`` converts them.  A report's only long containers are
+    such columns of scalars.
+    """
+    encode = _COLUMN_ENCODERS[ensure_ascii]
+    if not isinstance(value, _CONTAINERS) or not value:
+        return encode(value)
+    inner = newline + "  "
+    is_dict = isinstance(value, dict)
+    values = value.values() if is_dict else value
+    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+        items = encode(value)[1:-1].split("\x00")
+    else:
+        items = [indented_json(v, ensure_ascii, inner) for v in values]
+        if is_dict:  # each key as '"key": 0', less its 0
+            keys = encode(dict.fromkeys(value, 0))[1:-1].split("\x00")
+            items = [k[:-1] + item for k, item in zip(keys, items)]
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 def _column(items: list, row: str, width: int) -> str:
@@ -329,11 +357,11 @@ def serialize_document(doc: TreeDocument) -> str:
     _check_metadata(doc.metadata)
     pairs[1::2] = [str(m) if type(m) is Fraction else m for m in masses]
     return _DOCUMENT % (
-        _indented(doc.version),
+        _encode_column(doc.version),
         _encode_column(doc.root),
         _column(list(chain.from_iterable(doc.edges)), _EDGE_ROW, 3),
         _column(pairs, _PAIR_ROW, 2),
-        _indented(doc.metadata),
+        indented_json(doc.metadata, newline="\n  "),
     )
 
 

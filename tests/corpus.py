@@ -207,8 +207,8 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
     divided by E[w(L)]: the mean, the mean square and, for each epsilon,
     the mass of the nodes whose distance reaches it.  For a tree reference,
     nodes align by label paths and a node with no aligned branching node
-    compares against zero mass; a product reference compares every node
-    with the spec over its whole alphabet.
+    compares against zero mass, at distance 1; a product reference
+    compares every node with the spec over its whole alphabet.
     """
     epsilons = list(epsilons)
     for eps in epsilons:
@@ -234,7 +234,9 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
         for lab, mass in ref.items():
             if lab not in own:
                 d = d + abs(mass)
-        distances[j] = d
+        # against zero mass the distance is 1, also where a float tree's
+        # branch masses add up to less
+        distances[j] = d if ref else 1
 
     def average(h):
         return branch_sum(p, lambda j, dist: h(distances[j])) / ew

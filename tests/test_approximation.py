@@ -561,12 +561,24 @@ class TestFloatFold:
             assert removed.divergence == math.inf
             to_leaf = tree_pinsker_report(p, refs["subtree-to-leaf"], (1 - 1e-9,))
             assert to_leaf.divergence == math.inf
-            # the cut node faces a leaf, so its d_j is the sum of its own
-            # branch masses, 1 up to rounding
+            # the cut node faces a leaf, so its d_j is 1
             assert to_leaf.tail[1 - 1e-9] > 0.0
             bare = tree_pinsker_report(p, refs["float-bare-root"], EPSILONS)
             assert bare.divergence == math.inf
-            assert bare.mean_distance == pytest.approx(1.0, rel=1e-12)
+            assert bare.mean_distance == 1.0
+
+    def test_distance_to_an_empty_reference_is_exactly_one(self):
+        # a float d_j against no aligned branching node is 1.0, as on the
+        # exact path, not the chained sum of p's branch masses: on corpus 9
+        # that sum is 1 - 2^-53 at some nodes, which tail(1.0) dropped
+        bare = build_tree([], {0: 1.0}, exact=False)
+        for i in (9, *range(0, 200, 7)):
+            for p in float_trees(i):
+                if not p.branching_nodes:
+                    continue
+                report = tree_pinsker_report(p, bare, (0.5, 1.0))
+                assert (report.mean_distance, report.mean_sq_distance) == (1.0, 1.0), i
+                assert report.tail == {0.5: 1.0, 1.0: 1.0}, i
 
     def test_exact_p_against_a_float_bare_root_runs_as_float(self):
         # the pair is not both exact, so p runs as its float tree: the report

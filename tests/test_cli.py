@@ -1366,3 +1366,54 @@ class TestAnyDocument:
         ):
             code, _, _, _ = invoke(argv + flags + ["--json"])
             assert code in (0, 1, 2), argv
+
+
+# strings with NUL, which the writer splits on, lone surrogates and
+# non-ASCII text
+report_text = st.text(
+    st.characters() | st.sampled_from(["\x00", "\ud800", "\udfff", "é", "日"]), max_size=5
+)
+report_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-310])
+    | report_text
+)
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(report_text, inner, max_size=3),
+    max_leaves=8,
+)
+reports = st.builds(
+    cli.Report,
+    command=report_text,
+    inputs=st.dictionaries(report_text, report_text, max_size=2),
+    results=st.dictionaries(
+        report_text, st.dictionaries(report_text, report_values, max_size=3), max_size=3
+    ),
+    checks=st.lists(st.dictionaries(report_text, report_scalars, max_size=6), max_size=2),
+)
+
+
+class TestReportJson:
+    """``Report.to_json`` lays a report out as the indented encoder does."""
+
+    @given(reports)
+    def test_layout_is_json_dumps_indent_2(self, report):
+        for ensure_ascii in (False, True):
+            want = json.dumps(vars(report), indent=2, ensure_ascii=ensure_ascii)
+            assert report.to_json(ensure_ascii) == want
+
+    def test_every_golden_report_is_its_own_layout(self, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        cases = json.loads(Path("cases.json").read_text("utf-8"))
+        for name, argv in cases.items():
+            if "--json" in argv:
+                _, report, out, _ = invoke(argv)
+                for ensure_ascii in (False, True):
+                    want = json.dumps(vars(report), indent=2, ensure_ascii=ensure_ascii)
+                    assert report.to_json(ensure_ascii) == want, name
+                assert out == report.to_json() + "\n", name

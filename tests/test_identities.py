@@ -259,6 +259,25 @@ class TestBranchingNodeDistribution:
             dist = branching_node_distribution(corpus_tree(i))
             assert sum(dist.mass.values()) == 1
 
+    def test_exact_mass_from_the_integer_table(self):
+        # P_B(j) = n_j / N builds no Q: the tree's node_mass is never made
+        for i in range(200):
+            t = corpus_tree(i)
+            if not t.branching_nodes:
+                continue
+            mass = branching_node_distribution(t).mass
+            assert "node_mass" not in vars(t), i
+            assert {type(m) for m in mass.values()} == {Fraction}, i
+            assert mass == {j: t.node_mass[j] / t.mean_length for j in t.branching_nodes}, i
+
+    def test_float_mass_is_q_over_mean_length(self):
+        for i in range(0, 200, 10):
+            t = float_mirror(corpus_tree(i))
+            if t.branching_nodes:
+                got = branching_node_distribution(t).mass
+                want = {j: t.node_mass[j] / t.mean_length for j in t.branching_nodes}
+                assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
+
     def test_degenerate_tree_rejected(self):
         t = build_tree([], {0: Fraction(1)})
         with pytest.raises(DegenerateTree):

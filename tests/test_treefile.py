@@ -568,6 +568,15 @@ class TestWrittenBytes:
                 ),
                 id="nested-metadata",
             ),
+            pytest.param(
+                TreeDocument(
+                    0,
+                    ((0, "a", 1),),
+                    ((1, Fraction(1)),),
+                    metadata={1: {"x": ["nul\x00", (2, -0.0)]}, None: [True], 2.5: "\ud800", "é": {7: {}}},
+                ),
+                id="metadata-keys-json-converts",
+            ),
         ],
     )
     def test_hand_built_documents_match_the_stdlib_encoding(self, doc):

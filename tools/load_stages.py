@@ -2,13 +2,14 @@
 
 Each shape is written once as exact-string text (rational mass strings)
 and once as JSON-number text (float masses), and each text is loaded with
-``parse_tree`` and written back with ``serialize_tree``.  The stages are
-timed by wrapping the functions the load calls:
+``parse_tree`` and written back with ``serialize_tree``.  The load stages
+are timed by wrapping the functions the load calls:
 
     json       ``load_json``, the JSON decoder
     parse      the rest of ``parse_document``: the row checks and the masses
     build      ``build_tree``
     serialize  ``serialize_tree`` of the loaded tree
+    report     ``Report.to_json`` of the text's ``analyze --json`` report
 
 The shapes are the benchmark's document shapes: matchers on 2, 3 and 4
 labels (targets the weights 1..k over their sum) at 256, 512 and 1024
@@ -22,7 +23,9 @@ numbers and gates nothing.
 
 from __future__ import annotations
 
+import io
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +37,7 @@ from treeprob import (  # noqa: E402
     GeneratorParams,
     ProductSpec,
     build_tree,
+    cli,
     generate_random_tree,
     grow_matcher_tree,
     parse_tree,
@@ -41,7 +45,7 @@ from treeprob import (  # noqa: E402
     treefile,
 )
 
-STAGES = ("json", "parse", "build", "serialize")
+STAGES = ("json", "parse", "build", "serialize", "report")
 RANDOM_NODES = 900
 CATERPILLAR_DEPTH = 1000
 
@@ -97,8 +101,18 @@ def timed(times: dict[str, float], stage: str, fn):
     return wrapper
 
 
-def stage_times(text: str) -> dict[str, float]:
-    """Seconds per stage of one load and one write of ``text``."""
+def analyze_report(text: str) -> cli.Report:
+    """The report of ``analyze --json`` on a document holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tree.json"
+        path.write_text(text, "utf-8")
+        _, report = cli.run_cli(["analyze", "--json", str(path)], out=io.StringIO())
+    return report
+
+
+def stage_times(text: str, report: cli.Report) -> dict[str, float]:
+    """Seconds per stage of one load and one write of ``text``, and of one
+    write of its ``report``."""
     times = dict.fromkeys(STAGES, 0.0)
     names = ("load_json", "parse_document", "build_tree")
     originals = {name: getattr(treefile, name) for name in names}
@@ -113,6 +127,9 @@ def stage_times(text: str) -> dict[str, float]:
     start = time.perf_counter()
     serialize_tree(tree)
     times["serialize"] = time.perf_counter() - start
+    start = time.perf_counter()
+    report.to_json()
+    times["report"] = time.perf_counter() - start
     return times
 
 
@@ -124,7 +141,8 @@ def main(argv: list[str]) -> int:
         exact_text = serialize_tree(tree)
         texts = {"exact": exact_text, "float": serialize_tree(parse_tree(exact_text, force_float=True))}
         for mode, text in texts.items():
-            runs = [stage_times(text) for _ in range(repeats)]
+            report = analyze_report(text)
+            runs = [stage_times(text, report) for _ in range(repeats)]
             best = {stage: min(run[stage] for run in runs) for stage in STAGES}
             for stage in STAGES:
                 totals[stage] += best[stage]
