@@ -35,7 +35,9 @@ from .errors import (
 from .identities import (
     align_by_paths,
     aligned_divergence,
+    branch_references,
     branch_sum,
+    comparison_sums,
     entropy_rate,
     leaf_log_sum,
     normalizer,
@@ -66,9 +68,11 @@ PINSKER_TOLERANCE = 1e-12
 # tail thresholds that tree_pinsker_report enumerates unless given others
 DEFAULT_EPSILONS = (0.01, 0.1, 0.5, 1.0)
 
-# the random distributions BoundedFunctional.spot_check draws, and their seed
+# the random distributions BoundedFunctional.spot_check draws, their seed,
+# and the slack it allows past the declared bound for float rounding
 SPOT_CHECK_SAMPLES = 200
 SPOT_CHECK_SEED = 0
+SPOT_CHECK_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -289,30 +293,32 @@ def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
     Exact mode folds the telescoped sum over leaves in integers
     (``identities.leaf_log_sum``): f = log2(Q / Q+) is log2 Q_l less the
     log2 s_a of each edge on the leaf's path, and the s_a terms gather into
-    one weight per label.  Only leaf and spec masses are factored.  The
-    pair runs in one mode (``identities.one_mode``).
+    one weight per label.  Only leaf and spec masses are factored.  Float
+    mode takes the D of the one comparison pass against the spec at every
+    branching node (``identities.comparison_sums``), the sum over j of
+    Q_j KL(P_{S_j} || spec) chained in preorder.  The pair runs in one mode
+    (``identities.one_mode``).
     """
     tree, spec = one_mode(tree, spec)
     _require_alphabet(tree, spec)
-    base = spec.base.mass
     if tree.exact:
-        ratios = {lab: 1 / m for lab, m in base.items()}
+        ratios = {lab: 1 / m for lab, m in spec.base.mass.items()}
         return leaf_log_sum(tree, [(1, tree.leaf_mass)], ratios)
-    return branch_sum(
-        tree, lambda j, dist: kl_of(((m, base[lab]) for lab, m in dist.items()), False)
-    )
+    return comparison_sums(tree, *branch_references(tree, spec, None), ())[0]
 
 
 @dataclass(frozen=True)
 class PinskerTreeReport:
     """Per-branch Pinsker diagnostics for a tree against a reference.
 
-    ``divergence`` is the branch-sum D, exact when both inputs are, and
-    +inf when a reference tree lacks a branch of p; ``normalized_divergence``
-    is D / E[w(L)] as a float.  ``mean_distance`` and ``mean_sq_distance``
-    are the P_B averages of the branch distance d_j and of d_j^2, rounded
-    once from the exact average when both inputs are exact, and float sums
-    otherwise.  ``tail`` maps each requested epsilon to the P_B mass of the
+    ``divergence`` is D, exact (the leaf fold) when both inputs are, the
+    comparison pass's float sum (``identities.comparison_sums``) otherwise,
+    and +inf when a reference tree lacks a branch of p;
+    ``normalized_divergence`` is D / E[w(L)] as a float.  ``mean_distance``
+    and ``mean_sq_distance`` are the P_B averages of the branch distance
+    d_j and of d_j^2, rounded once from the exact average when both inputs
+    are exact, and otherwise the comparison pass's float sums over E[w(L)].
+    ``tail`` maps each requested epsilon to the P_B mass of the
     branching nodes with d_j >= epsilon, compared at epsilon's exact value
     and summed exactly when both inputs are exact.  ``holds`` records the
     bound normalized_divergence >= mean_sq_distance / (2 ln 2).  A pair
@@ -344,96 +350,27 @@ def require_epsilon(epsilon) -> None:
         raise ParamsInvalid(f"epsilon must be finite and positive, got {epsilon}")
 
 
-def _branch_distances(
-    p: Tree, reference: "Tree | ProductSpec"
-) -> tuple[list[tuple[int, int, int]], object]:
+def _branch_distances(p: Tree, refs, default) -> list[tuple[int, int, int]]:
     """Branch distance d_j = d(P_{S_j}, ref_j) per branching node j of an
-    exact p against an exact reference, in preorder, plus the divergence D.
+    exact p against the integer references ``refs`` and ``default`` of an
+    exact pair (``identities.branch_references``), in preorder.
 
     Each j gives one integer triple (n_j, S_j, m_j), with d_j = S_j /
-    (m_j n_j), from the tables alone: no P_{S_j} is built.  The reference
-    at j is a weight r_a per label a, summing to m_j: the spec as s_a =
-    r_a / M with M the lcm of its denominators, or the entries n' of the
-    aligned node's children in the reference's table (nodes align by label
-    paths).  S_j sums |m_j n_c - r_a n_j| over j's children c (label a,
-    r_a = 0 where the reference lacks a) and adds n_j r_a for each
-    reference label a that j lacks.  As the n_c sum to n_j and the r_a to
-    m_j, that is twice the sum of the positive parts of m_j n_c - r_a n_j.
-    A node j whose aligned node is a leaf, or that has none, has d_j = 1;
-    D is then +inf.
+    (m_j n_j), from the tables alone: no P_{S_j} is built.  ref_j is a
+    weight r_a per label a, summing to m_j.  S_j sums |m_j n_c - r_a n_j|
+    over j's children c (label a, r_a = 0 where ref_j lacks a) and adds
+    n_j r_a for each reference label a that j lacks.  As the n_c sum to n_j
+    and the r_a to m_j, that is twice the sum of the positive parts of
+    m_j n_c - r_a n_j.  A j with an empty ref_j has d_j = 1.
     """
-    if isinstance(reference, ProductSpec):
-        divergence = product_branch_divergence(p, reference)
-        ref = reference.base.mass
-        lcm = math.lcm(*(s.denominator for s in ref.values()))
-        ref = {a: s.numerator * (lcm // s.denominator) for a, s in ref.items()}
-        refs = dict.fromkeys(p.branching_nodes, ref)
-    else:
-        mapping, covered = align_by_paths(p, reference)
-        divergence = aligned_divergence(p, reference, mapping, covered)
-        n_ref = reference.mass_below
-        ref_dists = {v: {a: n_ref[c] for a, c in reference.children[v]}
-                     for v in reference.branching_nodes}
-        refs = {j: ref_dists.get(q, {}) for j, q in mapping.items()}
     n = p.mass_below
     triples = []
     for j in p.branching_nodes:
-        ref = refs.get(j, {})
+        ref = refs.get(j, default)
         nj, m = n[j], sum(ref.values())
         s = 2 * sum(max(m * n[c] - ref.get(a, 0) * nj, 0) for a, c in p.children[j])
         triples.append((nj, s, m) if ref else (nj, nj, 1))
-    return triples, divergence
-
-
-def _branch_fold(p: Tree, reference: "Tree | ProductSpec", epsilons, ew) -> tuple:
-    """D and the P_B averages of d_j, d_j^2 and, per epsilon, of
-    [d_j >= eps] for a float pair, in one preorder pass over p's branching
-    distributions P_{S_j}.
-
-    At each branching node j, KL_j (``kl_term`` per label) and d_j are
-    taken against ref_j: the spec, or the aligned node's distribution in
-    the reference tree (empty when that node is a leaf or missing).  A
-    label that ref_j lacks makes KL_j, and so D, +inf, as an uncovered
-    reference does.  Against an empty ref_j, d_j is 1.0, as on the exact
-    path, not the sum of p's float branch masses, which may fall short of
-    1.0 by rounding.  Q_j KL_j, Q_j d_j, Q_j d_j^2 and Q_j [d_j >= eps] are
-    chained from zero in preorder, as ``branch_sum`` chains them, and
-    divided by E[w(L)] = ``ew``.  The spec's masses are floats, but for one
-    below the normal range (``ProductSpec.as_float``).
-    """
-    refs, default = {}, {}
-    if isinstance(reference, ProductSpec):
-        _require_alphabet(p, reference)
-        default = reference.base.mass
-    else:
-        mapping, _ = align_by_paths(p, reference)
-        dists = reference.branching
-        refs = {j: dists[v] for j, v in mapping.items() if v in dists}
-    q = p.node_mass
-    divergence = mean = mean_sq = 0
-    reached = dict.fromkeys(epsilons, 0)
-    for j, own in p.branching.items():
-        ref = refs.get(j, default)
-        d, kl = 0, 0.0
-        for a, m in own.items():
-            r = ref.get(a, 0)
-            d = d + abs(m - r)
-            kl = kl + kl_term(m, r, False)
-        if not ref:
-            d = 1.0
-        elif len(own) < len(ref):  # spec labels that j lacks
-            for a, r in ref.items():
-                if a not in own:
-                    d = d + r
-        qj = q[j]
-        divergence = divergence + qj * kl
-        mean = mean + qj * d
-        mean_sq = mean_sq + qj * (d * d)
-        for eps in reached:
-            if d >= eps:
-                reached[eps] = reached[eps] + qj
-    tail = {eps: float(r / ew) for eps, r in reached.items()}
-    return divergence, mean / ew, mean_sq / ew, tail
+    return triples
 
 
 def _ratio_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
@@ -457,27 +394,36 @@ def tree_pinsker_report(
     report's ``markov_tail_bound``.
 
     The pair runs in one mode (``identities.one_mode``): exact only when
-    the tree and the reference are both exact, and float otherwise.  On an
+    the tree and the reference are both exact, and float otherwise.  The
+    reference at each branching node, the spec or the aligned node of the
+    reference tree, comes from ``identities.branch_references``.  On an
     exact pair, every average is a ratio of integers over the triples
-    (n_j, S_j, m_j) of
-    ``_branch_distances``.  With N the sum of n_j over branching j, the
-    mean is the sum of S_j / m_j over N, the mean square the sum of
-    S_j^2 / (m_j^2 n_j) over N, and tail(eps) the sum of n_j over the j
-    with S_j >= eps m_j n_j, over N, with eps at its exact value (a float
-    at its binary value, as ``Fraction >= float`` compares).  On a float
-    pair one preorder pass over p's branching nodes (``_branch_fold``)
-    gives D and each average: per node, KL_j and d_j against the spec or
-    the aligned reference node, and each Q_j-weighted term chained as
-    ``branch_sum`` chains it, over E[w(L)].  The float fields have the bits
-    of one ``branch_sum`` per average.
+    (n_j, S_j, m_j) of ``_branch_distances``.  With N the sum of n_j over
+    branching j, the mean is the sum of S_j / m_j over N, the mean square
+    the sum of S_j^2 / (m_j^2 n_j) over N, and tail(eps) the sum of n_j
+    over the j with S_j >= eps m_j n_j, over N, with eps at its exact value
+    (a float at its binary value, as ``Fraction >= float`` compares); D is
+    the leaf fold of ``product_branch_divergence`` or
+    ``identities.aligned_divergence``.  On a float pair the one comparison
+    pass (``identities.comparison_sums``) gives D and the Q_j-weighted sums
+    of d_j, d_j^2 and the tails, each chained as ``branch_sum`` chains it,
+    and each average is its sum over E[w(L)].
     """
     epsilons = list(epsilons)
     for eps in epsilons:
         require_epsilon(eps)
     p, reference = one_mode(p, q_or_spec)
     ew = normalizer(p)
+    if isinstance(reference, ProductSpec):
+        _require_alphabet(p, reference)
+        mapping = None
+    else:
+        mapping, covered = align_by_paths(p, reference)
+    refs, default = branch_references(p, reference, mapping)
     if p.exact:
-        distances, divergence = _branch_distances(p, reference)
+        divergence = (product_branch_divergence(p, reference) if mapping is None
+                      else aligned_divergence(p, reference, mapping, covered))
+        distances = _branch_distances(p, refs, default)
         total = sum(nj for nj, _, _ in distances)
         mean_d = _ratio_sum((s, m) for _, s, m in distances) / total
         mean_sq = _ratio_sum((s * s, m * m * nj) for nj, s, m in distances) / total
@@ -487,7 +433,9 @@ def tree_pinsker_report(
             reached = sum(nj for nj, s, m in distances if s * den >= num * m * nj)
             tail[eps] = float(Fraction(reached, total))
     else:
-        divergence, mean_d, mean_sq, tail = _branch_fold(p, reference, epsilons, ew)
+        divergence, sum_d, sum_sq, reached = comparison_sums(p, refs, default, epsilons)
+        mean_d, mean_sq = sum_d / ew, sum_sq / ew
+        tail = {eps: float(r / ew) for eps, r in reached.items()}
     bound = float(mean_sq) / (2.0 * math.log(2.0))
     nd_float = float(divergence / ew)
     return PinskerTreeReport(
@@ -523,7 +471,7 @@ class BoundedFunctional:
             total = _chained(raw)
             mass = {lab: x / total for lab, x in zip(labels, raw)}
             dist = FiniteDistribution(mass, exact=False)
-            if abs(float(self.evaluate(dist)) - center) > self.bound + 1e-9:
+            if abs(float(self.evaluate(dist)) - center) > self.bound + SPOT_CHECK_SLACK:
                 return False
         return True
 
@@ -555,9 +503,10 @@ def functional_convergence_gap(
     ew = normalizer(tree)
     _require_alphabet(tree, spec)
     zero = Fraction(0) if tree.exact else 0.0
+    alphabet = spec.alphabet
 
     def inner(j, dist):
-        extended = {lab: dist.get(lab, zero) for lab in spec.alphabet}
+        extended = {lab: dist.get(lab, zero) for lab in alphabet}
         return g.evaluate(FiniteDistribution(extended, exact=tree.exact))
 
     return abs(float(branch_sum(tree, inner) / ew - g.evaluate(spec.base)))

@@ -48,6 +48,15 @@ takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
 * f = log2(Q/Q+) for a product reference (``approximation``): inner is the
   divergence of P_{S_j} from the product's one branching distribution.
 
+A float divergence is not taken by ``branch_sum`` but by the one comparison
+pass (``comparison_sums``), which also serves the Pinsker report: at each
+branching j of p it compares P_{S_j} with the reference there
+(``branch_references``: the product's distribution, or the branching
+distribution of the node that a second tree aligns with j) and chains
+Q_j KL_j, Q_j d_j, Q_j d_j^2 and the tail masses from 0.0 in preorder, as
+``branch_sum`` chains its terms.  Its D has the bits of ``branch_sum`` over
+per-node ``kl_of``.
+
 In exact mode the three log-valued sums are not taken per branch: Q_j
 times the entropy or divergence at j is the increment sum over j's
 children c of Q_c (f(c) - f(j)) for the f above.  Summed over j, the
@@ -65,10 +74,10 @@ E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
 nodes; a caller that already holds an unnormalized value gets its
 per-branch form with one division.  ``approximation`` averages a bounded
 functional g the same way, with inner = g(P_{S_j}).  Its Pinsker report
-takes D, the branch distances and their averages in one preorder pass
-on a float pair, chaining each Q_j-weighted term as ``branch_sum`` does.
-On an exact pair, its Pinsker averages are ratios of integers over the
-tables n of both sides, without ``branch_sum`` and without any P_{S_j}.
+divides the sums of the comparison pass by E[w(L)] on a float pair.  On
+an exact pair, its Pinsker averages are ratios of integers over the
+tables n of both sides (the integer references of ``branch_references``),
+without ``branch_sum`` and without any P_{S_j}.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
-from .numeric import entropy_of, exact_weighted_sum, kl_of, log2_of, log2_weighted_sum
+from .numeric import entropy_of, exact_weighted_sum, kl_term, log2_of, log2_weighted_sum
 from .tree import (
     Label,
     NodeId,
@@ -367,7 +376,8 @@ def aligned_divergence(
     p: Tree, q: Tree, mapping: Mapping[NodeId, NodeId], covered: bool
 ) -> object:
     """``tree_divergence`` for a pair in one mode that ``align_by_paths``
-    already aligned."""
+    already aligned: the leaf fold on an exact pair, and the D of the
+    comparison pass (``comparison_sums``) on a float one."""
     if not covered:
         return math.inf
     if p.exact:
@@ -375,13 +385,80 @@ def aligned_divergence(
         # q has no branch that p lacks
         ref = {v: q.leaf_mass[mapping[v]] for v in p.leaf_mass}
         return leaf_log_sum(p, [(1, p.leaf_mass), (-1, ref)])
-    ref = branching_distributions(q)
+    return comparison_sums(p, *branch_references(p, q, mapping), ())[0]
 
-    def inner(j, dist):
-        ref_j = ref[mapping[j]]
-        return kl_of(((m, ref_j[lab]) for lab, m in dist.items()), False)
 
-    return branch_sum(p, inner)
+def branch_references(p: Tree, reference, mapping: Mapping | None) -> tuple[dict, Mapping]:
+    """The reference ref_j, label -> weight, at each branching node j of p
+    for a pair in one mode (``one_mode``): a map j -> ref_j, and the ref_j
+    of every j that the map lacks.
+
+    ``mapping`` is p's alignment onto a tree reference (``align_by_paths``),
+    and None when the reference is a product spec.  The spec is ref_j at
+    every j, so the map is empty and the spec is the default: its masses
+    s_a on a float pair, and on an exact one the integers r_a = M s_a over
+    the lcm M of its denominators.  Against a tree, j maps to the node v
+    that ``mapping`` aligns with it, when v branches: P_{S_v} on a float
+    pair, and on an exact one the entries n' of v's children in the
+    reference's table (``Tree.mass_below``).  A j whose aligned node is a
+    leaf, or that has none, gets the empty default.
+    """
+    if mapping is None:
+        mass = reference.base.mass
+        if p.exact:
+            lcm = math.lcm(*(s.denominator for s in mass.values()))
+            mass = {a: s.numerator * (lcm // s.denominator) for a, s in mass.items()}
+        return {}, mass
+    if p.exact:
+        n = reference.mass_below
+        dists = {v: {a: n[c] for a, c in reference.children[v]}
+                 for v in reference.branching_nodes}
+    else:
+        dists = reference.branching
+    return {j: dists[v] for j, v in mapping.items() if v in dists}, {}
+
+
+def comparison_sums(p: Tree, refs: Mapping, default: Mapping, epsilons: Iterable) -> tuple:
+    """The one comparison pass of a float p against its references
+    ``refs`` and ``default`` (``branch_references``), in preorder over p's
+    branching distributions P_{S_j}: D, the sums over branching j of
+    Q_j d_j and Q_j d_j^2, and per epsilon the sum of Q_j over the j with
+    d_j >= epsilon, before any division by E[w(L)].
+
+    At each j, KL_j (``kl_term`` per label) and the L1 distance d_j are
+    taken against ref_j.  A label that ref_j lacks makes KL_j, and so D,
+    +inf, as an uncovered reference does.  A j with an empty ref_j (an
+    aligned leaf, or no aligned node) has d_j = 1.0, as on an exact pair,
+    not the sum of p's float branch masses, which may fall short of 1.0 by
+    rounding; spec labels that j lacks add their masses to d_j.  Each
+    Q_j-weighted term is chained from 0.0 in preorder, as ``branch_sum``
+    chains it, so D has the bits of the ``branch_sum`` of per-node
+    ``kl_of``, and a bare root gives 0.0 throughout.
+    """
+    q = p.node_mass
+    divergence = mean = mean_sq = 0.0
+    reached = dict.fromkeys(epsilons, 0.0)
+    for j, own in p.branching.items():
+        ref = refs.get(j, default)
+        d, kl = 0, 0.0
+        for a, m in own.items():
+            r = ref.get(a, 0)
+            d = d + abs(m - r)
+            kl = kl + kl_term(m, r, False)
+        if not ref:
+            d = 1.0
+        elif len(own) < len(ref):  # spec labels that j lacks
+            for a, r in ref.items():
+                if a not in own:
+                    d = d + r
+        qj = q[j]
+        divergence = divergence + qj * kl
+        mean = mean + qj * d
+        mean_sq = mean_sq + qj * (d * d)
+        for eps in reached:
+            if d >= eps:
+                reached[eps] = reached[eps] + qj
+    return divergence, mean, mean_sq, reached
 
 
 def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:

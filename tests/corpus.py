@@ -27,6 +27,7 @@ from treeprob.approximation import (
     PINSKER_TOLERANCE,
     PinskerTreeReport,
     ProductSpec,
+    _require_alphabet,
     product_branch_divergence,
     require_epsilon,
 )
@@ -36,7 +37,7 @@ from treeprob.identities import (
     branch_sum,
     normalizer,
 )
-from treeprob.numeric import ExactLog2, exact_text, exact_weighted_sum, log2_exponents
+from treeprob.numeric import ExactLog2, exact_text, exact_weighted_sum, kl_of, log2_exponents
 from treeprob.tree import MASS_SUM_TOLERANCE
 
 MAX_NODES = 200
@@ -197,10 +198,13 @@ def leaf_log_sum_reference(tree: Tree, leaf_ratios, label_ratios=None):
 
 def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
     """``tree_pinsker_report`` from one distance per branching node, in
-    several passes: the library's former float path, which the one-pass
-    float fold and the exact integer path must both equal bit for bit.
+    several passes: the library's former float path, which the one float
+    comparison pass and the exact integer path must both equal bit for bit.
 
-    D is ``product_branch_divergence`` or ``aligned_divergence``.  Every
+    D is, on an exact pair, ``product_branch_divergence`` or
+    ``aligned_divergence``, and on a float pair the ``branch_sum`` of a
+    per-node ``kl_of`` against the same references, separate code from
+    the library's one float comparison pass.  Every
     branch distance is summed edge by edge from the branching
     distributions P_{S_j} (``Tree.branching``), Fractions on an exact tree,
     and each P_B average of a function of the distances is a ``branch_sum``
@@ -215,16 +219,23 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
         require_epsilon(eps)
     ew = normalizer(p)
     if isinstance(reference, ProductSpec):
-        divergence = product_branch_divergence(p, reference)
+        _require_alphabet(p, reference)
         refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
     else:
         mapping, covered = align_by_paths(p, reference)
-        divergence = aligned_divergence(p, reference, mapping, covered)
         ref_dists = reference.branching
         refs = {
             j: ref_dists.get(mapping[j], {}) if j in mapping else {}
             for j in p.branching_nodes
         }
+    if not p.exact:
+        # a label that ref_j lacks faces mass 0, which makes D +inf
+        divergence = branch_sum(p, lambda j, dist: kl_of(
+            ((m, refs[j].get(a, 0)) for a, m in dist.items()), False))
+    elif isinstance(reference, ProductSpec):
+        divergence = product_branch_divergence(p, reference)
+    else:
+        divergence = aligned_divergence(p, reference, mapping, covered)
     distances = {}
     for j, own in p.branching.items():
         ref = refs[j]

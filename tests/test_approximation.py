@@ -85,6 +85,8 @@ class TestFiniteDistribution:
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
             FiniteDistribution({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+        with pytest.raises(NegativeMass, match="label 'a' has negative mass"):
+            FiniteDistribution({"a": -0.5, "b": 1.5}, exact=False)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_mass(self, bad):
@@ -535,10 +537,12 @@ def reference_divergence(p, reference):
 
 
 class TestFloatFold:
-    """The float Pinsker report, one fold over ``Tree.branching``, against
-    the multi-pass ``corpus.pinsker_reference``, field by field and bit for
-    bit, and its D against ``product_branch_divergence`` and
-    ``tree_divergence``."""
+    """The float Pinsker report, one comparison pass over ``Tree.branching``
+    (``identities.comparison_sums``), against the multi-pass
+    ``corpus.pinsker_reference``, field by field and bit for bit: its D
+    against a separate ``branch_sum`` of per-node ``kl_of``, and against
+    ``product_branch_divergence`` and ``tree_divergence``, which read the
+    same pass."""
 
     @pytest.mark.parametrize("start", range(0, 200, 50))
     def test_float_corpus_agrees_bitwise(self, start):
@@ -788,6 +792,23 @@ class TestFunctionalConvergenceGap:
         spec = ProductSpec.uniform(["a", "z"])
         with pytest.raises(UnknownLabel):
             entropy_rate_gap(demo_tree, spec)
+
+    def test_spec_alphabet_sorted_once_per_call(self, monkeypatch):
+        # the zero-extension reads one sorted alphabet, not one per node
+        tree = grow_matcher_tree(TestNoBranchingTable.SPEC, 243)
+        spec = TestNoBranchingTable.SPEC
+        g = BoundedFunctional(lambda dist: dist[0], 1.0)
+        want = functional_convergence_gap(tree, spec, g)
+        reads = []
+        original = ProductSpec.alphabet
+
+        def counted(self):
+            reads.append(self)
+            return original.fget(self)
+
+        monkeypatch.setattr(ProductSpec, "alphabet", property(counted))
+        assert functional_convergence_gap(tree, spec, g) == want
+        assert len(reads) == 1
 
     @pytest.mark.parametrize(
         "g, pinned",

@@ -1086,6 +1086,10 @@ class TestComputeOnce:
                 ["leaf_entropy"],
                 3,
             ),
+            (["divergence", "P", "--float", "--product", "1/2,1/2"], ["comparison_sums"], 1),
+            (["divergence", "P", "--float", "--product", "1/2,1/2"], ["branch_sum"], 0),
+            (["divergence", "P", "Q", "--float"], ["align_by_paths"], 1),
+            (["divergence", "P", "Q", "--float"], ["comparison_sums"], 1),
         ],
         ids=[
             "check",
@@ -1094,6 +1098,10 @@ class TestComputeOnce:
             "divergence-align",
             "divergence-product",
             "sweep",
+            "divergence-product-float",
+            "divergence-product-float-no-branch-sum",
+            "divergence-align-float",
+            "divergence-tree-float",
         ],
     )
     def test_branch_sums_per_request(

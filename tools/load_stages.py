@@ -10,10 +10,15 @@ are timed by wrapping the functions the load calls:
     build      ``build_tree``
     serialize  ``serialize_tree`` of the loaded tree
     report     ``Report.to_json`` of the text's ``analyze --json`` report
+    pinsker    ``tree_pinsker_report`` of the loaded tree against the
+               shape's spec, as ``divergence --product`` runs it
 
 The shapes are the benchmark's document shapes: matchers on 2, 3 and 4
 labels (targets the weights 1..k over their sum) at 256, 512 and 1024
 leaves, a random tree of about 900 nodes and a 1000-deep caterpillar.
+Each shape's spec is the weights 1..k over its k labels: the matcher's
+own target, and for the other two shapes the same weights over their
+label alphabets.
 Each stage prints its best time over the repeats, in milliseconds.  Only
 the standard library and the checkout's ``src/`` are used; it prints
 numbers and gates nothing.
@@ -42,10 +47,11 @@ from treeprob import (  # noqa: E402
     grow_matcher_tree,
     parse_tree,
     serialize_tree,
+    tree_pinsker_report,
     treefile,
 )
 
-STAGES = ("json", "parse", "build", "serialize", "report")
+STAGES = ("json", "parse", "build", "serialize", "report", "pinsker")
 RANDOM_NODES = 900
 CATERPILLAR_DEPTH = 1000
 
@@ -78,13 +84,21 @@ def caterpillar():
     return build_tree(edges, dict(zip(leaves, weights(len(leaves)))))
 
 
-def shapes() -> dict[str, object]:
+def spec_over(labels) -> ProductSpec:
+    """The product spec of the weights 1..k over the k ``labels``."""
+    labels = list(labels)
+    return ProductSpec(FiniteDistribution(dict(zip(labels, weights(len(labels))))))
+
+
+def shapes() -> dict[str, tuple[object, ProductSpec]]:
+    """Each shape's tree and spec, by name."""
     trees = {}
     for labels, budget in ((2, 256), (3, 512), (4, 1024)):
-        spec = ProductSpec(FiniteDistribution(dict(enumerate(weights(labels)))))
-        trees[f"matcher-{labels}x{budget}"] = grow_matcher_tree(spec, budget)
-    trees[f"random-{RANDOM_NODES}"] = random_tree()
-    trees[f"caterpillar-{CATERPILLAR_DEPTH}"] = caterpillar()
+        spec = spec_over(range(labels))
+        trees[f"matcher-{labels}x{budget}"] = grow_matcher_tree(spec, budget), spec
+    for name, tree in ((f"random-{RANDOM_NODES}", random_tree()),
+                       (f"caterpillar-{CATERPILLAR_DEPTH}", caterpillar())):
+        trees[name] = tree, spec_over(tree.label_alphabet)
     return trees
 
 
@@ -110,9 +124,10 @@ def analyze_report(text: str) -> cli.Report:
     return report
 
 
-def stage_times(text: str, report: cli.Report) -> dict[str, float]:
-    """Seconds per stage of one load and one write of ``text``, and of one
-    write of its ``report``."""
+def stage_times(text: str, report: cli.Report, spec: ProductSpec) -> dict[str, float]:
+    """Seconds per stage of one load and one write of ``text``, of one
+    write of its ``report`` and of one Pinsker report of the loaded tree
+    against ``spec``."""
     times = dict.fromkeys(STAGES, 0.0)
     names = ("load_json", "parse_document", "build_tree")
     originals = {name: getattr(treefile, name) for name in names}
@@ -130,6 +145,9 @@ def stage_times(text: str, report: cli.Report) -> dict[str, float]:
     start = time.perf_counter()
     report.to_json()
     times["report"] = time.perf_counter() - start
+    start = time.perf_counter()
+    tree_pinsker_report(tree, spec)
+    times["pinsker"] = time.perf_counter() - start
     return times
 
 
@@ -137,12 +155,12 @@ def main(argv: list[str]) -> int:
     repeats = int(argv[0]) if argv else 15
     print(f"best of {repeats}, ms         " + "".join(f"{stage:>10}" for stage in STAGES) + f"{'total':>10}")
     totals = dict.fromkeys(STAGES, 0.0)
-    for name, tree in shapes().items():
+    for name, (tree, spec) in shapes().items():
         exact_text = serialize_tree(tree)
         texts = {"exact": exact_text, "float": serialize_tree(parse_tree(exact_text, force_float=True))}
         for mode, text in texts.items():
             report = analyze_report(text)
-            runs = [stage_times(text, report) for _ in range(repeats)]
+            runs = [stage_times(text, report, spec) for _ in range(repeats)]
             best = {stage: min(run[stage] for run in runs) for stage in STAGES}
             for stage in STAGES:
                 totals[stage] += best[stage]
