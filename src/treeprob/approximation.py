@@ -357,29 +357,45 @@ def _branch_distances(p: Tree, refs, default) -> list[tuple[int, int, int]]:
 
     Each j gives one integer triple (n_j, S_j, m_j), with d_j = S_j /
     (m_j n_j), from the tables alone: no P_{S_j} is built.  ref_j is a
-    weight r_a per label a, summing to m_j.  S_j sums |m_j n_c - r_a n_j|
-    over j's children c (label a, r_a = 0 where ref_j lacks a) and adds
-    n_j r_a for each reference label a that j lacks.  As the n_c sum to n_j
-    and the r_a to m_j, that is twice the sum of the positive parts of
-    m_j n_c - r_a n_j.  A j with an empty ref_j has d_j = 1.
+    weight r_a per label a, summing to m_j; each reference is summed once,
+    the default (a spec's weights) once for all the j that take it.  S_j
+    sums |m_j n_c - r_a n_j| over j's children c (label a, r_a = 0 where
+    ref_j lacks a) and adds n_j r_a for each reference label a that j
+    lacks.  As the n_c sum to n_j and the r_a to m_j, that is twice the sum
+    of the positive parts of m_j n_c - r_a n_j.  A j with an empty ref_j
+    has d_j = 1.
     """
     n = p.mass_below
+    default_m = sum(default.values())
     triples = []
     for j in p.branching_nodes:
         ref = refs.get(j, default)
-        nj, m = n[j], sum(ref.values())
+        nj, m = n[j], default_m if ref is default else sum(ref.values())
         s = 2 * sum(max(m * n[c] - ref.get(a, 0) * nj, 0) for a, c in p.children[j])
         triples.append((nj, s, m) if ref else (nj, nj, 1))
     return triples
 
 
-def _ratio_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """The sum of a / b over (a, b) integer pairs; numerators over one
-    denominator are added first, so each distinct b costs one Fraction."""
+def _ratio_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of a / b over (a, b) integer pairs, as one unreduced integer
+    pair (numerator, denominator).
+
+    Numerators over one denominator are added first.  The groups are then
+    added pairwise in a balanced tree, a/b + c/d = (a d + c b) / (b d),
+    with no gcd, so each level multiplies operands of about equal size and
+    the sum costs no more than a few products of its final size, where a
+    running ``Fraction`` total takes a gcd on a growing lcm per group.  No
+    pairs give (0, 1).
+    """
     over: dict[int, int] = {}
     for a, b in pairs:
         over[b] = over.get(b, 0) + a
-    return sum(Fraction(a, b) for b, a in over.items())
+    terms = [(a, b) for b, a in over.items()] or [(0, 1)]
+    while len(terms) > 1:
+        odd = terms[len(terms) // 2 * 2:]
+        terms = [(a * d + c * b, b * d)
+                 for (a, b), (c, d) in zip(terms[::2], terms[1::2])] + odd
+    return terms[0]
 
 
 def tree_pinsker_report(
@@ -402,8 +418,11 @@ def tree_pinsker_report(
     branching j, the mean is the sum of S_j / m_j over N, the mean square
     the sum of S_j^2 / (m_j^2 n_j) over N, and tail(eps) the sum of n_j
     over the j with S_j >= eps m_j n_j, over N, with eps at its exact value
-    (a float at its binary value, as ``Fraction >= float`` compares); D is
-    the leaf fold of ``product_branch_divergence`` or
+    (a float at its binary value, as ``Fraction >= float`` compares).  Each
+    is one integer quotient, the sums as the unreduced pairs (a, b) of
+    ``_ratio_sum``: a / (b N) and reached / N, rounded once by the
+    correctly rounded ``int / int``, so each float is ``float`` of the
+    exact average.  D is the leaf fold of ``product_branch_divergence`` or
     ``identities.aligned_divergence``.  On a float pair the one comparison
     pass (``identities.comparison_sums``) gives D and the Q_j-weighted sums
     of d_j, d_j^2 and the tails, each chained as ``branch_sum`` chains it,
@@ -425,13 +444,16 @@ def tree_pinsker_report(
                       else aligned_divergence(p, reference, mapping, covered))
         distances = _branch_distances(p, refs, default)
         total = sum(nj for nj, _, _ in distances)
-        mean_d = _ratio_sum((s, m) for _, s, m in distances) / total
-        mean_sq = _ratio_sum((s * s, m * m * nj) for nj, s, m in distances) / total
+        # each average is one integer quotient, which int / int rounds once
+        a, b = _ratio_sum((s, m) for _, s, m in distances)
+        mean_d = a / (b * total)
+        a, b = _ratio_sum((s * s, m * m * nj) for nj, s, m in distances)
+        mean_sq = a / (b * total)
         tail = {}
         for eps in epsilons:
             num, den = Fraction(eps).as_integer_ratio()
             reached = sum(nj for nj, s, m in distances if s * den >= num * m * nj)
-            tail[eps] = float(Fraction(reached, total))
+            tail[eps] = reached / total
     else:
         divergence, sum_d, sum_sq, reached = comparison_sums(p, refs, default, epsilons)
         mean_d, mean_sq = sum_d / ew, sum_sq / ew

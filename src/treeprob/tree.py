@@ -410,29 +410,43 @@ def align_by_paths(p: Tree, q: Tree) -> tuple[dict[NodeId, NodeId], bool]:
     when q is missing structure that p has: a divergence of p from such a q
     is infinite, since positive p mass sits where q has none.  Structure
     present in q but absent from p violates the same-shape requirement and
-    raises ShapeMismatch.  The walk is iterative and visits each aligned
+    raises ShapeMismatch, naming the first extra label in sorted-repr order
+    and p's path to it.  The walk is iterative and visits each aligned
     pair once, so the cost is linear in the number of nodes whatever the
     depth.
+
+    A leaf of q needs no lookup: covered turns False there exactly when p
+    branches.  At a branching node of q the walk builds one label -> child
+    dict and counts p's labels found in it; q has an extra branch exactly
+    when fewer were found than q has children, and only then are the extra
+    labels and the path computed, for the message.
     """
     mapping = {p.root: q.root}
     covered = True
     stack = [(p.root, q.root)]
     while stack:
         pn, qn = stack.pop()
-        q_by_label = dict(q.children[qn])
-        extra = q_by_label.keys() - {lab for lab, _ in p.children[pn]}
-        if extra:
-            raise ShapeMismatch(
-                f"second tree has extra branch {sorted(map(repr, extra))[0]}"
-                f" under path {p.path_of(pn)!r}"
-            )
+        q_pairs = q.children[qn]
+        if not q_pairs:
+            if p.children[pn]:
+                covered = False
+            continue
+        q_by_label = dict(q_pairs)
+        found = 0
         for lab, pc in p.children[pn]:
             qc = q_by_label.get(lab)
             if qc is None:
                 covered = False
             else:
+                found += 1
                 mapping[pc] = qc
                 stack.append((pc, qc))
+        if found < len(q_pairs):
+            extra = q_by_label.keys() - {lab for lab, _ in p.children[pn]}
+            raise ShapeMismatch(
+                f"second tree has extra branch {sorted(map(repr, extra))[0]}"
+                f" under path {p.path_of(pn)!r}"
+            )
     return mapping, covered
 
 

@@ -19,6 +19,7 @@ from treeprob import (
     NegativeMass,
     NonFiniteMass,
     ParamsInvalid,
+    ShapeMismatch,
     Tree,
     build_tree,
     generate_random_tree,
@@ -31,12 +32,7 @@ from treeprob.approximation import (
     product_branch_divergence,
     require_epsilon,
 )
-from treeprob.identities import (
-    align_by_paths,
-    aligned_divergence,
-    branch_sum,
-    normalizer,
-)
+from treeprob.identities import aligned_divergence, branch_sum, normalizer
 from treeprob.numeric import ExactLog2, exact_text, exact_weighted_sum, kl_of, log2_exponents
 from treeprob.tree import MASS_SUM_TOLERANCE
 
@@ -56,6 +52,39 @@ def corpus_tree(i: int, exact: bool = True) -> Tree:
         if len(tree.nodes) <= MAX_NODES:
             return tree
     raise AssertionError(f"no tree under {MAX_NODES} nodes for corpus index {i}")
+
+
+def informative_tree(i: int, exact: bool = True) -> Tree:
+    """The i-th informative corpus tree: drawn as ``corpus_tree`` draws,
+    from its own seeds, but with at least two leaves, so that some node has
+    two or more children (``corpus_tree`` is a single leaf at about a
+    quarter of its indices)."""
+    knobs = random.Random(950_000 + i)
+    alphabet = knobs.randint(2, MAX_ALPHABET)
+    depth = knobs.randint(1, 6)
+    prob = knobs.uniform(0.3, 0.9)
+    for attempt in range(64):
+        params = GeneratorParams(alphabet, depth, prob, seed=10**9 + 1_000_000 * attempt + i)
+        tree = generate_random_tree(params, exact=exact)
+        if len(tree.leaves) >= 2 and len(tree.nodes) <= MAX_NODES:
+            return tree
+    raise AssertionError(f"no informative tree under {MAX_NODES} nodes for index {i}")
+
+
+def caterpillar(depth: int, seed: int) -> Tree:
+    """A spine of ``depth`` branching nodes, each with a leaf on label 0 and
+    the spine going on under label 1, with random rational leaf masses over
+    one denominator, so that the mass below differs at every spine node."""
+    rng = random.Random(seed)
+    edges, leaves = [], []
+    for level in range(depth):
+        spine, leaf, child = 2 * level, 2 * level + 1, 2 * level + 2
+        edges += [(spine, 0, leaf), (spine, 1, child)]
+        leaves.append(leaf)
+    leaves.append(2 * depth)
+    weights = [rng.randint(1, 1000) for _ in leaves]
+    total = sum(weights)
+    return build_tree(edges, {leaf: Fraction(w, total) for leaf, w in zip(leaves, weights)})
 
 
 def exact_signature(value):
@@ -87,6 +116,55 @@ def remass(tree: Tree, seed: int) -> Tree:
     total = sum(weights)
     mass = {leaf: Fraction(w, total) for leaf, w in zip(leaves, weights)}
     return build_tree(edges_of(tree), mass, exact=True)
+
+
+def without_subtree(tree: Tree, node, keep_node: bool) -> Tree:
+    """``tree`` less everything below ``node``.  With ``keep_node`` the node
+    stays as a leaf holding that mass; otherwise it goes too and the other
+    leaf masses are rescaled to sum to one."""
+    gone = set() if keep_node else {node}
+    stack = [child for _, child in tree.children[node]]
+    while stack:
+        v = stack.pop()
+        gone.add(v)
+        stack.extend(child for _, child in tree.children[v])
+    mass = {v: m for v, m in tree.leaf_mass.items() if v not in gone}
+    if keep_node:
+        mass[node] = tree.node_mass[node]
+    else:
+        total = sum(mass.values())
+        mass = {v: m / total for v, m in mass.items()}
+    edges = [edge for edge in edges_of(tree) if edge[2] not in gone]
+    return build_tree(edges, mass, exact=tree.exact)
+
+
+def aligned_references(family, i: int) -> tuple[Tree, dict[str, Tree]]:
+    """Tree i of ``family`` (``corpus_tree`` or ``informative_tree``) and,
+    by name, the exact trees of its shape or less that it is aligned with:
+    a second copy of itself, a remass and, where some branching node has a
+    sibling (so that the rest keeps a leaf), the tree less that node's
+    subtree and the tree with that node turned into a leaf."""
+    p = family(i)
+    refs = {"remassed": remass(p, 80_000 + i), "itself": family(i)}
+    cut = next((j for j in p.branching_nodes[1:]
+                if len(p.children[p.parent_edge[j][0]]) > 1), None)
+    if cut is not None:
+        refs["subtree-removed"] = without_subtree(p, cut, keep_node=False)
+        refs["subtree-to-leaf"] = without_subtree(p, cut, keep_node=True)
+    return p, refs
+
+
+def path_alignment(p: Tree, q: Tree) -> tuple[dict, bool]:
+    """``align_by_paths`` from path dictionaries: each node of p maps to the
+    node of q with the same label path from the root (``Tree.path_of``).
+    A path of q that p lacks raises ShapeMismatch, and q covers p when
+    every path of p is q's.  The mapping is in p's preorder."""
+    by_path = {q.path_of(v): v for v in q.nodes}
+    paths = {p.path_of(v): v for v in p.nodes}
+    if not by_path.keys() <= paths.keys():
+        raise ShapeMismatch("second tree has a branch that the first lacks")
+    mapping = {v: by_path[path] for path, v in paths.items() if path in by_path}
+    return mapping, len(mapping) == len(paths)
 
 
 def rational_functional(tree: Tree, seed: int) -> dict:
@@ -212,7 +290,9 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
     the mass of the nodes whose distance reaches it.  For a tree reference,
     nodes align by label paths and a node with no aligned branching node
     compares against zero mass, at distance 1; a product reference
-    compares every node with the spec over its whole alphabet.
+    compares every node with the spec over its whole alphabet.  Trees are
+    aligned by their path dictionaries (``path_alignment``), not by the
+    library's walk.
     """
     epsilons = list(epsilons)
     for eps in epsilons:
@@ -222,7 +302,7 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
         _require_alphabet(p, reference)
         refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
     else:
-        mapping, covered = align_by_paths(p, reference)
+        mapping, covered = path_alignment(p, reference)
         ref_dists = reference.branching
         refs = {
             j: ref_dists.get(mapping[j], {}) if j in mapping else {}

@@ -1,16 +1,19 @@
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from corpus import (
+    aligned_references,
+    caterpillar,
     complete_tree,
     corpus_tree,
-    edges_of,
     exact_signature,
     float_mirror,
+    informative_tree,
     pinsker_reference,
     random_distribution,
     remass,
@@ -409,46 +412,21 @@ def report_bits(report):
     )
 
 
-def without_subtree(tree, node, keep_node):
-    """``tree`` less everything below ``node``.  With ``keep_node`` the node
-    stays as a leaf holding that mass; otherwise it goes too and the other
-    leaf masses are rescaled to sum to one."""
-    gone = set() if keep_node else {node}
-    stack = [child for _, child in tree.children[node]]
-    while stack:
-        v = stack.pop()
-        gone.add(v)
-        stack.extend(child for _, child in tree.children[v])
-    mass = {v: m for v, m in tree.leaf_mass.items() if v not in gone}
-    if keep_node:
-        mass[node] = tree.node_mass[node]
-    else:
-        total = sum(mass.values())
-        mass = {v: m / total for v, m in mass.items()}
-    edges = [edge for edge in edges_of(tree) if edge[2] not in gone]
-    return build_tree(edges, mass, exact=tree.exact)
-
-
-def pinsker_references(i):
-    """Each reference the corpus tree i is reported against, by name."""
-    p = corpus_tree(i)
+def pinsker_references(i, family=corpus_tree):
+    """Tree i of ``family`` and each reference it is reported against, by
+    name."""
+    p, trees = aligned_references(family, i)
     spec = random_distribution(p.label_alphabet, 70_000 + i)
     refs = {
         "exact-spec": ProductSpec(FiniteDistribution(spec)),
         "float-spec": ProductSpec(FiniteDistribution(
             {a: float(m) for a, m in spec.items()}, exact=False)),
-        "remassed": remass(p, 80_000 + i),
-        "itself": corpus_tree(i),
+        **trees,
         "float-mirror": float_mirror(p),
         "bare-root": build_tree([], {0: Fraction(1)}),
         "float-bare-root": build_tree([], {0: 1.0}, exact=False),
     }
-    # a branching node with a sibling, so that the rest of the tree keeps a leaf
-    cut = next((j for j in p.branching_nodes[1:]
-                if len(p.children[p.parent_edge[j][0]]) > 1), None)
-    if cut is not None:
-        refs["subtree-removed"] = without_subtree(p, cut, keep_node=False)
-        refs["subtree-to-leaf"] = without_subtree(p, cut, keep_node=True)
+    if "subtree-removed" in refs:
         refs["float-subtree-removed"] = float_mirror(refs["subtree-removed"])
     return p, refs
 
@@ -459,15 +437,51 @@ class TestPinskerReference:
     A pair that is not both exact is reported as its float pair, so the
     reference gets the pair converted (``one_mode``)."""
 
-    @pytest.mark.parametrize("start", range(0, 200, 50))
-    def test_corpus_agrees_bitwise(self, start):
+    @staticmethod
+    def assert_family_agrees(family, start):
         for i in range(start, start + 50):
-            exact_p, refs = pinsker_references(i)
+            exact_p, refs = pinsker_references(i, family)
             for p in (exact_p, float_mirror(exact_p)):
                 for name, ref in refs.items():
                     got = report_bits(tree_pinsker_report(p, ref, EPSILONS))
                     want = report_bits(pinsker_reference(*one_mode(p, ref), EPSILONS))
                     assert got == want, (i, p.exact, name)
+
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_corpus_agrees_bitwise(self, start):
+        self.assert_family_agrees(corpus_tree, start)
+
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_informative_agrees_bitwise(self, start):
+        self.assert_family_agrees(informative_tree, start)
+
+    @pytest.mark.parametrize("shape", ["caterpillar-spec", "caterpillar-remass", "matcher-remass"])
+    def test_many_distinct_denominators(self, shape):
+        # n_j, and against a remass m_j, differ at nearly every branching
+        # node, so the exact averages add hundreds of distinct denominators
+        if shape.startswith("caterpillar"):
+            p = caterpillar(400, seed=1)
+        else:
+            weights = {a: Fraction(a + 1, 10) for a in range(4)}
+            p = grow_matcher_tree(ProductSpec(FiniteDistribution(weights)), 1024)
+            assert len(p.leaves) == 1024
+        if shape.endswith("spec"):
+            reference = ProductSpec(FiniteDistribution({0: Fraction(1, 3), 1: Fraction(2, 3)}))
+        else:
+            reference = remass(p, seed=400)
+        got = tree_pinsker_report(p, reference, EPSILONS)
+        assert report_bits(got) == report_bits(pinsker_reference(p, reference, EPSILONS))
+
+    def test_deep_exact_report_is_not_quadratic(self):
+        # a running Fraction sum of the averages, a gcd on a growing lcm per
+        # distinct denominator, took 1.8-2.2 s on this pair (Python 3.11.7,
+        # 2 idle vCPUs); the balanced integer sum takes about 0.15 s
+        p = caterpillar(8000, seed=1)
+        reference = remass(p, seed=2)
+        start = time.perf_counter()
+        report = tree_pinsker_report(p, reference)
+        assert time.perf_counter() - start < 1.5
+        assert 0 < report.mean_sq_distance < report.mean_distance < 1
 
     def test_subtree_removed_is_infinite_with_unit_distances(self):
         p, refs = pinsker_references(0)

@@ -7,7 +7,16 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import build_tree_reference, corpus_tree, edges_of, float_mirror, tree_tables
+from corpus import (
+    aligned_references,
+    build_tree_reference,
+    corpus_tree,
+    edges_of,
+    float_mirror,
+    informative_tree,
+    path_alignment,
+    tree_tables,
+)
 from treeprob import (
     CycleDetected,
     DuplicateSiblingLabel,
@@ -20,6 +29,7 @@ from treeprob import (
     NonFiniteMass,
     ParamsInvalid,
     ProductSpec,
+    ShapeMismatch,
     TreeProbError,
     branching_distributions,
     build_tree,
@@ -29,6 +39,7 @@ from treeprob import (
     path_lengths,
     structurally_equal,
 )
+from treeprob.tree import align_by_paths
 from conftest import DEMO_EDGES, DEMO_MASS
 
 half = Fraction(1, 2)
@@ -615,3 +626,68 @@ class TestStructuralEquality:
         assert [a.depth_of(n) for n in a.nodes] == list(range(depth + 1))
         # a comparison costing nodes times depth takes several seconds here
         assert time.perf_counter() - start < 1.0
+
+
+def edge_orders(edges):
+    """The edges as given and with every node's children reversed."""
+    return [edges, list(reversed(edges))]
+
+
+class TestAlignByPaths:
+    @pytest.mark.parametrize("extra, first", [
+        ((9, 10), "10"),
+        ((10, 9), "10"),
+        (("z", 9, 10), "'z'"),
+        ((10, "z"), "'z'"),
+    ])
+    def test_extra_branch_message(self, extra, first):
+        # the extra branches hang two levels down, under the path a, b; the
+        # message names the first extra label in sorted-repr order
+        edges = [("r", "a", "x"), ("r", "e", "z"), ("x", "b", "y"),
+                 ("y", "c", "l1"), ("y", "d", "l2")]
+        mass = {"z": Fraction(1, 2), "l1": Fraction(1, 4), "l2": Fraction(1, 4)}
+        p = build_tree(edges, mass)
+        wide_edges = edges + [("y", label, f"extra{label}") for label in extra]
+        wide_mass = {**mass, "l2": Fraction(1, 8)}
+        wide_mass.update((f"extra{label}", Fraction(1, 8 * len(extra))) for label in extra)
+        for order in edge_orders(wide_edges):
+            q = build_tree(order, wide_mass)
+            with pytest.raises(ShapeMismatch) as info:
+                align_by_paths(p, q)
+            assert str(info.value) == (
+                f"second tree has extra branch {first} under path ('a', 'b')"
+            )
+
+    @pytest.mark.parametrize("p_edges, p_leaves, path", [
+        # q has a leaf where p branches under a
+        ([("r", "a", "x"), ("x", "b", "y"), ("x", "c", "w"), ("r", "d", "z")],
+         ("y", "w"), ("a",)),
+        # q lacks p's label b under the root
+        ([("r", "a", "x"), ("r", "b", "y"), ("r", "d", "z")], ("x", "y"), ()),
+    ], ids=["leaf-of-q-under-a-branch-of-p", "missing-label"])
+    def test_uncovered(self, p_edges, p_leaves, path):
+        p_mass = {**dict.fromkeys(p_leaves, Fraction(1, 4)), "z": Fraction(1, 2)}
+        q_edges = [("R", "a", "X"), ("R", "d", "Z")]
+        q_mass = {"X": Fraction(1, 2), "Z": Fraction(1, 2)}
+        for p_order in edge_orders(p_edges):
+            for q_order in edge_orders(q_edges):
+                p, q = build_tree(p_order, p_mass), build_tree(q_order, q_mass)
+                assert align_by_paths(p, q) == ({"r": "R", "x": "X", "z": "Z"}, False)
+                with pytest.raises(ShapeMismatch) as info:
+                    align_by_paths(q, p)
+                assert str(info.value) == f"second tree has extra branch 'b' under path {path!r}"
+
+    @pytest.mark.parametrize("family", [corpus_tree, informative_tree])
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_mapping_is_the_path_dictionary(self, family, start):
+        for i in range(start, start + 50):
+            p, refs = aligned_references(family, i)
+            for name, q in refs.items():
+                assert align_by_paths(p, q) == path_alignment(p, q), (i, name)
+                try:
+                    want = path_alignment(q, p)
+                except ShapeMismatch:
+                    with pytest.raises(ShapeMismatch):
+                        align_by_paths(q, p)
+                else:
+                    assert align_by_paths(q, p) == want, (i, name)

@@ -12,6 +12,9 @@ are timed by wrapping the functions the load calls:
     report     ``Report.to_json`` of the text's ``analyze --json`` report
     pinsker    ``tree_pinsker_report`` of the loaded tree against the
                shape's spec, as ``divergence --product`` runs it
+    align      ``align_by_paths`` of the loaded tree against a second load
+               of the same text, as ``divergence P Q`` and ``roundtrip``
+               run it
 
 The shapes are the benchmark's document shapes: matchers on 2, 3 and 4
 labels (targets the weights 1..k over their sum) at 256, 512 and 1024
@@ -50,8 +53,9 @@ from treeprob import (  # noqa: E402
     tree_pinsker_report,
     treefile,
 )
+from treeprob.tree import align_by_paths  # noqa: E402
 
-STAGES = ("json", "parse", "build", "serialize", "report", "pinsker")
+STAGES = ("json", "parse", "build", "serialize", "report", "pinsker", "align")
 RANDOM_NODES = 900
 CATERPILLAR_DEPTH = 1000
 
@@ -124,10 +128,11 @@ def analyze_report(text: str) -> cli.Report:
     return report
 
 
-def stage_times(text: str, report: cli.Report, spec: ProductSpec) -> dict[str, float]:
+def stage_times(text: str, report: cli.Report, spec: ProductSpec, twin) -> dict[str, float]:
     """Seconds per stage of one load and one write of ``text``, of one
-    write of its ``report`` and of one Pinsker report of the loaded tree
-    against ``spec``."""
+    write of its ``report``, of one Pinsker report of the loaded tree
+    against ``spec`` and of one alignment of it with ``twin``, a tree of
+    the same shape."""
     times = dict.fromkeys(STAGES, 0.0)
     names = ("load_json", "parse_document", "build_tree")
     originals = {name: getattr(treefile, name) for name in names}
@@ -148,6 +153,9 @@ def stage_times(text: str, report: cli.Report, spec: ProductSpec) -> dict[str, f
     start = time.perf_counter()
     tree_pinsker_report(tree, spec)
     times["pinsker"] = time.perf_counter() - start
+    start = time.perf_counter()
+    align_by_paths(tree, twin)
+    times["align"] = time.perf_counter() - start
     return times
 
 
@@ -159,8 +167,8 @@ def main(argv: list[str]) -> int:
         exact_text = serialize_tree(tree)
         texts = {"exact": exact_text, "float": serialize_tree(parse_tree(exact_text, force_float=True))}
         for mode, text in texts.items():
-            report = analyze_report(text)
-            runs = [stage_times(text, report, spec) for _ in range(repeats)]
+            report, twin = analyze_report(text), parse_tree(text)
+            runs = [stage_times(text, report, spec, twin) for _ in range(repeats)]
             best = {stage: min(run[stage] for run in runs) for stage in STAGES}
             for stage in STAGES:
                 totals[stage] += best[stage]
