@@ -4,9 +4,10 @@ The package models rooted trees whose leaves carry a probability
 distribution, derives node probabilities and branching distributions, and
 evaluates the leaf-average/node-sum interchange identity together with its
 consequences: expected path length, entropy, informational divergence, and
-their per-branch (rate) forms.  A second layer adds variational distance,
-Pinsker-style lower bounds on trees, and product-distribution
-approximation with a greedy matcher for convergence experiments.
+their per-branch (rate) forms.  A second layer adds per-branch
+variational distances and the Pinsker bound on trees, and
+product-distribution approximation with a greedy matcher for convergence
+experiments.
 
 Everything runs in either exact rational arithmetic (identities hold with
 ==) or 64-bit floats (identities hold to documented tolerances).
@@ -43,12 +44,10 @@ from .identities import (
     BranchingNodeDistribution,
     LansitReport,
     branching_node_distribution,
-    differential_lansit_check,
     entropy_rate,
     expected_path_length,
     lansit_check,
     leaf_entropy,
-    log_ratio_functional,
     node_increment_sum,
     normalized_divergence,
     surprisal_functional,
@@ -57,18 +56,13 @@ from .identities import (
 from .approximation import (
     BoundedFunctional,
     FiniteDistribution,
-    PinskerCheck,
     PinskerTreeReport,
     ProductSpec,
-    divergence_to_product,
     entropy_functional,
     entropy_rate_gap,
     functional_convergence_gap,
-    pinsker_check,
     product_branch_divergence,
-    product_node_probabilities,
     tree_pinsker_report,
-    variational_distance,
 )
 from .generators import (
     GENERATOR_ALGORITHM,
@@ -115,7 +109,6 @@ __all__ = [
     "NonFiniteMass",
     "ParamsInvalid",
     "ParseError",
-    "PinskerCheck",
     "PinskerTreeReport",
     "ProductSpec",
     "Report",
@@ -130,8 +123,6 @@ __all__ = [
     "branching_node_distribution",
     "build_tree",
     "convergence_sweep",
-    "differential_lansit_check",
-    "divergence_to_product",
     "document_to_tree",
     "dyadic_quantization",
     "entropy_functional",
@@ -143,7 +134,6 @@ __all__ = [
     "grow_matcher_tree",
     "lansit_check",
     "leaf_entropy",
-    "log_ratio_functional",
     "main",
     "node_increment_sum",
     "node_probabilities",
@@ -152,9 +142,7 @@ __all__ = [
     "parse_rational",
     "parse_tree",
     "path_lengths",
-    "pinsker_check",
     "product_branch_divergence",
-    "product_node_probabilities",
     "run_cli",
     "serialize_document",
     "serialize_tree",
@@ -163,6 +151,5 @@ __all__ = [
     "tree_divergence",
     "tree_pinsker_report",
     "tree_to_document",
-    "variational_distance",
     "write_sweep_csv",
 ]

@@ -1,18 +1,12 @@
-"""Distribution distance, Pinsker bounds, and product-distribution matching.
+"""Pinsker bounds on trees and product-distribution matching.
 
-Covers three layers.  Plain finite distributions get variational (L1)
-distance and the classical bound D >= d^2 / (2 ln 2).  A product
-assignment places one branching distribution at every internal node of a
-shape, giving product node probabilities and a divergence from a tree's
-actual leaf distribution to that product.  The per-branch Pinsker bound
-then relates a tree pair's normalized divergence to the P_B-average of
-squared branch distances, with exactly enumerated tail probabilities and
-the Markov bound E[d]/eps as a cross-check.
-
-Divergence to a product follows its definition as a plain leaf sum.  On
-shapes that are not complete the product leaf values sum to less than one
-and no normalization is applied, so the reported "divergence" can exceed
-what a normalized reference distribution would give.
+Covers two layers.  A product assignment places one branching
+distribution at every internal node of a shape, and a tree's divergence to
+that product is a Q-weighted sum of per-node divergences to the one
+distribution.  The per-branch Pinsker bound then relates a tree pair's
+normalized divergence to the P_B-average of squared branch distances,
+with exactly enumerated tail probabilities.  The classical bound
+D >= d^2 / (2 ln 2) is its one-branching-node case.
 """
 
 from __future__ import annotations
@@ -22,10 +16,9 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable
 
 from .errors import (
-    AlphabetMismatch,
     MassNotNormalized,
     NegativeMass,
     NonFiniteMass,
@@ -43,24 +36,19 @@ from .identities import (
     normalizer,
     one_mode,
 )
-from .numeric import _chained, entropy_of, exact_text, kl_of, kl_term
-from .tree import MASS_SUM_TOLERANCE, Label, NodeId, Tree, label_order
+from .numeric import _chained, entropy_of, exact_text
+from .tree import MASS_SUM_TOLERANCE, Label, Tree, label_order
 
 __all__ = [
     "BoundedFunctional",
     "FiniteDistribution",
-    "PinskerCheck",
     "PinskerTreeReport",
     "ProductSpec",
-    "divergence_to_product",
     "entropy_functional",
     "entropy_rate_gap",
     "functional_convergence_gap",
-    "pinsker_check",
     "product_branch_divergence",
-    "product_node_probabilities",
     "tree_pinsker_report",
-    "variational_distance",
 ]
 
 PINSKER_TOLERANCE = 1e-12
@@ -79,8 +67,7 @@ SPOT_CHECK_SLACK = 1e-9
 class FiniteDistribution:
     """A probability mass function on a finite label set.
 
-    Unlike tree leaves, zero masses are kept; distances and divergences
-    between distributions with differing supports are meaningful.
+    Unlike tree leaves, zero masses are kept.
     """
 
     mass: dict[Label, object]
@@ -116,11 +103,6 @@ class FiniteDistribution:
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise MassNotNormalized(f"masses sum to {total!r}, expected 1")
 
-    @classmethod
-    def from_mass(cls, mass: Mapping[Label, object]) -> "FiniteDistribution":
-        exact = not any(isinstance(m, float) for m in mass.values())
-        return cls(dict(mass), exact=exact)
-
     @property
     def alphabet(self) -> tuple[Label, ...]:
         return tuple(sorted(self.mass, key=label_order))
@@ -133,72 +115,6 @@ class FiniteDistribution:
         return entropy_of(
             (self.mass[a] for a in self.alphabet), self.exact
         )
-
-    def with_alphabet(self, labels: Iterable[Label]) -> "FiniteDistribution":
-        """Zero-extend onto a superset alphabet (for union comparisons)."""
-        extended = {lab: self.mass.get(lab, Fraction(0) if self.exact else 0.0)
-                    for lab in labels}
-        missing = set(self.mass) - set(extended)
-        if missing:
-            raise AlphabetMismatch(
-                f"target alphabet drops labels {sorted(map(repr, missing))}"
-            )
-        return FiniteDistribution(extended, exact=self.exact)
-
-
-def _shared_alphabet(p: FiniteDistribution, q: FiniteDistribution) -> tuple[Label, ...]:
-    """The sorted alphabet of p; AlphabetMismatch unless q has the same one."""
-    if p.mass.keys() != q.mass.keys():
-        raise AlphabetMismatch(
-            f"alphabets differ: {p.alphabet!r} vs {q.alphabet!r}"
-        )
-    return p.alphabet
-
-
-def _l1(p: FiniteDistribution, q: FiniteDistribution, alphabet) -> object:
-    """The sum of |p(a) - q(a)| over ``alphabet``: over the lcm of the
-    denominators in integers, one Fraction, when both are exact, and added
-    in alphabet order otherwise.  A pair of distributions is not converted
-    to one mode: a Fraction meeting a float is rounded to a float first, so
-    a mixed pair already computes as the float pair would."""
-    if p.exact and q.exact:
-        pairs = [(p.mass[a].as_integer_ratio(), q.mass[a].as_integer_ratio())
-                 for a in alphabet]
-        d = math.lcm(*(den for pair in pairs for _, den in pair))
-        total = sum(abs(a * (d // b) - x * (d // y)) for (a, b), (x, y) in pairs)
-        return Fraction(total, d)
-    total = 0
-    for label in alphabet:
-        total = total + abs(p.mass[label] - q.mass[label])
-    return total
-
-
-def variational_distance(p: FiniteDistribution, q: FiniteDistribution) -> object:
-    """L1 distance between mass functions; 0 iff equal, 2 iff disjoint supports."""
-    return _l1(p, q, _shared_alphabet(p, q))
-
-
-class PinskerCheck(NamedTuple):
-    divergence: object
-    distance: object
-    bound: float
-    holds: bool
-
-
-def pinsker_check(p: FiniteDistribution, q: FiniteDistribution) -> PinskerCheck:
-    """Divergence, distance, and the lower bound d^2/(2 ln 2) with verdict.
-
-    The bound is a theorem, so holds is True for every valid input; a False
-    verdict signals an arithmetic bug, not a property of the data.  The
-    alphabet is sorted once, for both sums.
-    """
-    alphabet = _shared_alphabet(p, q)
-    distance = _l1(p, q, alphabet)
-    exact = p.exact and q.exact
-    divergence = kl_of(((p.mass[lab], q.mass[lab]) for lab in alphabet), exact)
-    bound = float(distance) ** 2 / (2.0 * math.log(2.0))
-    holds = float(divergence) >= bound - PINSKER_TOLERANCE
-    return PinskerCheck(divergence, distance, bound, holds)
 
 
 @dataclass(frozen=True)
@@ -249,47 +165,14 @@ def _require_alphabet(tree: Tree, spec: ProductSpec) -> None:
         raise UnknownLabel(f"edge label {label!r} not in product alphabet {spec.alphabet!r}")
 
 
-def product_node_probabilities(shape: Tree, spec: ProductSpec) -> dict[NodeId, object]:
-    """Node probabilities when every internal node branches per the spec.
-
-    The root gets 1 and each child multiplies by the spec mass of its edge
-    label.  On complete shapes the leaf values form a distribution; on
-    non-complete shapes they sum to less than one and are left as is.
-    """
-    _require_alphabet(shape, spec)
-    # the spec's mode alone, not a pair's: an exact spec keeps P+ exact,
-    # which divergence_to_product needs on deep float trees
-    one = Fraction(1) if spec.exact else 1.0
-    qplus: dict[NodeId, object] = {shape.root: one}
-    for node in shape.nodes:
-        for label, child in shape.children[node]:
-            qplus[child] = qplus[node] * spec.base.mass[label]
-    return qplus
-
-
-def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
-    """D(P_L || P+) in bits, the definition's plain sum over leaves.
-
-    P+ is not normalized on non-complete shapes.  Agrees with the
-    branch-sum form ``product_branch_divergence``, and stays as its
-    leaf-side oracle.  With a float spec the product masses P+ of deep
-    leaves underflow (to subnormals, then to 0.0), so this sum loses
-    precision and then turns infinite where the branch-sum form, which never
-    forms P+, stays accurate; the CLI reports the branch-sum form.  As the
-    oracle it takes the pair as given, not in one mode: an exact spec keeps
-    P+ exact, which keeps a deep float tree's sum finite.
-    """
-    qplus = product_node_probabilities(tree, spec)
-    exact = tree.exact and spec.exact
-    total = Fraction(0) if exact else 0.0
-    for leaf in tree.leaves:
-        total = total + kl_term(tree.leaf_mass[leaf], qplus[leaf], exact)
-    return total
-
-
 def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
-    """Same divergence as a Q-weighted sum of per-node divergences to the spec.
+    """D(P_L || P+) in bits, as a Q-weighted sum of per-node divergences
+    to the spec.
 
+    P+ gives each leaf the product of the spec masses on its path; on
+    shapes that are not complete it sums to less than one and is not
+    normalized, so D can exceed what a normalized reference would give.
+    The form never builds P+, whose float values underflow on deep leaves.
     Exact mode folds the telescoped sum over leaves in integers
     (``identities.leaf_log_sum``): f = log2(Q / Q+) is log2 Q_l less the
     log2 s_a of each edge on the leaf's path, and the s_a terms gather into
@@ -333,11 +216,6 @@ class PinskerTreeReport:
     bound: float
     holds: bool
     tail: dict[float, float] = field(default_factory=dict)
-
-    def markov_tail_bound(self, epsilon: float) -> float:
-        """E[d]/epsilon, an upper bound on tail(epsilon) by Markov."""
-        require_epsilon(epsilon)
-        return self.mean_distance / epsilon
 
 
 def require_epsilon(epsilon) -> None:
@@ -406,8 +284,8 @@ def tree_pinsker_report(
     """Check the per-branch Pinsker bound and enumerate distance tails.
 
     Tail probabilities are exact sums over the finite branching set, not
-    estimates.  The Markov cross-check E[d]/eps is available from the
-    report's ``markov_tail_bound``.
+    estimates.  Their Markov bound E[d]/eps is the report's
+    ``mean_distance`` over eps.
 
     The pair runs in one mode (``identities.one_mode``): exact only when
     the tree and the reference are both exact, and float otherwise.  The

@@ -54,8 +54,8 @@ branching j of p it compares P_{S_j} with the reference there
 (``branch_references``: the product's distribution, or the branching
 distribution of the node that a second tree aligns with j) and chains
 Q_j KL_j, Q_j d_j, Q_j d_j^2 and the tail masses from 0.0 in preorder, as
-``branch_sum`` chains its terms.  Its D has the bits of ``branch_sum`` over
-per-node ``kl_of``.
+``branch_sum`` chains its terms.  Its D has the bits of a ``branch_sum``
+whose inner value at j chains ``kl_term`` over j's labels.
 
 In exact mode the three log-valued sums are not taken per branch: Q_j
 times the entropy or divergence at j is the increment sum over j's
@@ -67,7 +67,7 @@ numerators and denominators), so each distinct integer is factored once,
 not once per leaf: a dyadic matcher tree of thousands of leaves has a
 handful.  Only leaf masses (and the product's branch masses) are factored,
 never an internal Q_j.  The result equals the per-branch sum of
-``entropy_of`` or ``kl_of`` terms, type included.
+``entropy_of`` terms, or of exact per-node divergences, type included.
 
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DegenerateTree, FunctionalIncomplete, ShapeMismatch
+from .errors import DegenerateTree, FunctionalIncomplete
 from .numeric import entropy_of, exact_weighted_sum, kl_term, log2_of, log2_weighted_sum
 from .tree import (
     Label,
@@ -104,12 +104,10 @@ __all__ = [
     "LansitReport",
     "align_by_paths",
     "branching_node_distribution",
-    "differential_lansit_check",
     "entropy_rate",
     "expected_path_length",
     "lansit_check",
     "leaf_entropy",
-    "log_ratio_functional",
     "node_increment_sum",
     "normalized_divergence",
     "one_mode",
@@ -432,8 +430,8 @@ def comparison_sums(p: Tree, refs: Mapping, default: Mapping, epsilons: Iterable
     not the sum of p's float branch masses, which may fall short of 1.0 by
     rounding; spec labels that j lacks add their masses to d_j.  Each
     Q_j-weighted term is chained from 0.0 in preorder, as ``branch_sum``
-    chains it, so D has the bits of the ``branch_sum`` of per-node
-    ``kl_of``, and a bare root gives 0.0 throughout.
+    chains it, so D has the bits of a ``branch_sum`` whose inner value at j
+    chains ``kl_term`` over j's labels, and a bare root gives 0.0 throughout.
     """
     q = p.node_mass
     divergence = mean = mean_sq = 0.0
@@ -479,17 +477,6 @@ def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:
     return BranchingNodeDistribution(mass=mass, mean_length=ew)
 
 
-def differential_lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
-    """Per-branch form of the interchange identity.
-
-    ``lansit_check`` with every side divided by E[w(L)]: leaf_side is
-    (E[f(L)] - f(root)) / E[w(L)] and node_side the P_B-average of the
-    per-node increments.  With f = path length both sides are 1.  A caller
-    that already holds the ``lansit_check`` report uses its ``per_branch``.
-    """
-    return lansit_check(tree, f).per_branch(normalizer(tree))
-
-
 def entropy_rate(tree: Tree) -> object:
     """Bits per branch: H(P_L) / E[w(L)], the P_B-average of node entropies."""
     ew = normalizer(tree)
@@ -523,17 +510,3 @@ def surprisal_functional(tree: Tree) -> dict[NodeId, object]:
     q = node_probabilities(tree)
     return {v: log2_of(q[v], False, -1) for v in tree.nodes}
 
-
-def log_ratio_functional(p: Tree, q: Tree) -> dict[NodeId, object]:
-    """f(j) = log2(Q_j / Q'_j) on p's nodes, aligning q by label paths.
-
-    Its leaf average is D(P_L || P_L').  Raises ShapeMismatch when the two
-    shapes differ in either direction, since a missing q node would make f
-    infinite.  The pair runs in one mode (``one_mode``).
-    """
-    p, q = one_mode(p, q)
-    mapping, covered = align_by_paths(p, q)
-    if not covered:
-        raise ShapeMismatch("second tree does not cover the first; f would be infinite")
-    qp, qq = node_probabilities(p), node_probabilities(q)
-    return {n: log2_of(qp[n] / qq[mapping[n]], p.exact) for n in p.nodes}

@@ -33,8 +33,8 @@ expanded.  So a caller that gives one shared value to many terms, as the
 exact surprisal functional does to the nodes of one mass, pays for the
 value once.  Integer weights on exponent maps keep every coefficient a
 plain integer until the one division.  A sum of
-weighted logarithms of ratios (``log2_weighted_sum``, behind exact
-divergences and the leaf folds) first gathers the weights by the integers
+weighted logarithms of ratios (``log2_weighted_sum``, behind the leaf
+folds of exact entropies and divergences) first gathers the weights by the integers
 in the ratios, so each distinct integer is factored once.  An exact
 tree keeps integer node masses, Q_v = n_v / D (``Tree.mass_numerators``),
 so the identities module weights its tree sums by n and passes D as the
@@ -63,7 +63,6 @@ __all__ = [
     "entropy_term",
     "exact_text",
     "exact_weighted_sum",
-    "kl_of",
     "kl_term",
     "log2_exponents",
     "log2_of",
@@ -435,29 +434,6 @@ def kl_term(p, q, exact: bool) -> Scalar:
         pass
     (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
     return p * (math.log2(a * d) - math.log2(b * c))
-
-
-def kl_of(pairs: Iterable, exact: bool) -> Scalar:
-    """Informational divergence in bits from (p, q) mass pairs.
-
-    Returns +inf when some p > 0 faces q = 0; otherwise the exact or the
-    chained float sum of the individual terms.
-    """
-    if exact:
-        ratios = []
-        for p, q in pairs:
-            if not p:
-                continue
-            if not q:
-                return math.inf
-            ratios.append((*p.as_integer_ratio(), *q.as_integer_ratio()))
-        lcm = math.lcm(*(b for _, b, _, _ in ratios))
-        # p log2(p / q) is (a / b) (log2(a / b) + log2(d / c)) for p = a/b, q = c/d
-        return log2_weighted_sum(
-            ((a * (lcm // b), x, y) for a, b, c, d in ratios for x, y in ((a, b), (d, c))),
-            lcm,
-        )
-    return _chained(kl_term(p, q, exact) for p, q in pairs)
 
 
 def log2_weighted_sum(

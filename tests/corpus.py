@@ -1,17 +1,25 @@
-"""Deterministic random-tree corpora shared by the property suites.
+"""Deterministic random-tree corpora and oracles shared by the property suites.
 
-Everything here is a pure function of the index argument, so any test can
-regenerate the exact tree another test saw.
+Every corpus is a pure function of the index argument, so any test can
+regenerate the exact tree another test saw.  The oracles are second,
+independent forms of the package's quantities, which the tests compare
+the package against: the classical Pinsker check on plain distributions,
+the leaf-sum divergence to a product, per-node divergences, the
+contraction order of the interchange identity and others.
 """
 
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from treeprob import (
+    AlphabetMismatch,
     CycleDetected,
     DuplicateSiblingLabel,
+    FiniteDistribution,
     GeneratorParams,
+    LansitReport,
     LeafMassMismatch,
     MassNotNormalized,
     MultipleParents,
@@ -23,6 +31,8 @@ from treeprob import (
     Tree,
     build_tree,
     generate_random_tree,
+    lansit_check,
+    node_probabilities,
 )
 from treeprob.approximation import (
     PINSKER_TOLERANCE,
@@ -32,9 +42,19 @@ from treeprob.approximation import (
     product_branch_divergence,
     require_epsilon,
 )
-from treeprob.identities import aligned_divergence, branch_sum, normalizer
-from treeprob.numeric import ExactLog2, exact_text, exact_weighted_sum, kl_of, log2_exponents
-from treeprob.tree import MASS_SUM_TOLERANCE
+from treeprob.identities import align_by_paths, aligned_divergence, branch_sum, normalizer, one_mode
+from treeprob.numeric import (
+    ExactLog2,
+    Scalar,
+    _chained,
+    exact_text,
+    exact_weighted_sum,
+    kl_term,
+    log2_exponents,
+    log2_of,
+    log2_weighted_sum,
+)
+from treeprob.tree import MASS_SUM_TOLERANCE, Label, NodeId
 
 MAX_NODES = 200
 MAX_ALPHABET = 4
@@ -344,6 +364,146 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
         holds=normalized >= bound - PINSKER_TOLERANCE,
         tail={eps: float(average(lambda d: d >= eps)) for eps in epsilons},
     )
+
+
+def kl_of(pairs: Iterable, exact: bool) -> Scalar:
+    """Informational divergence in bits from (p, q) mass pairs: the
+    per-node divergence whose ``branch_sum`` the library's leaf folds and
+    comparison pass must equal.
+
+    Returns +inf when some p > 0 faces q = 0; otherwise the exact or the
+    chained float sum of the individual terms.
+    """
+    if exact:
+        ratios = []
+        for p, q in pairs:
+            if not p:
+                continue
+            if not q:
+                return math.inf
+            ratios.append((*p.as_integer_ratio(), *q.as_integer_ratio()))
+        lcm = math.lcm(*(b for _, b, _, _ in ratios))
+        # p log2(p / q) is (a / b) (log2(a / b) + log2(d / c)) for p = a/b, q = c/d
+        return log2_weighted_sum(
+            ((a * (lcm // b), x, y) for a, b, c, d in ratios for x, y in ((a, b), (d, c))),
+            lcm,
+        )
+    return _chained(kl_term(p, q, exact) for p, q in pairs)
+
+
+def _shared_alphabet(p: FiniteDistribution, q: FiniteDistribution) -> tuple[Label, ...]:
+    """The sorted alphabet of p; AlphabetMismatch unless q has the same one."""
+    if p.mass.keys() != q.mass.keys():
+        raise AlphabetMismatch(
+            f"alphabets differ: {p.alphabet!r} vs {q.alphabet!r}"
+        )
+    return p.alphabet
+
+
+def _l1(p: FiniteDistribution, q: FiniteDistribution, alphabet) -> object:
+    """The sum of |p(a) - q(a)| over ``alphabet``: over the lcm of the
+    denominators in integers, one Fraction, when both are exact, and added
+    in alphabet order otherwise.  A pair of distributions is not converted
+    to one mode: a Fraction meeting a float is rounded to a float first, so
+    a mixed pair already computes as the float pair would."""
+    if p.exact and q.exact:
+        pairs = [(p.mass[a].as_integer_ratio(), q.mass[a].as_integer_ratio())
+                 for a in alphabet]
+        d = math.lcm(*(den for pair in pairs for _, den in pair))
+        total = sum(abs(a * (d // b) - x * (d // y)) for (a, b), (x, y) in pairs)
+        return Fraction(total, d)
+    total = 0
+    for label in alphabet:
+        total = total + abs(p.mass[label] - q.mass[label])
+    return total
+
+
+def variational_distance(p: FiniteDistribution, q: FiniteDistribution) -> object:
+    """L1 distance between mass functions; 0 iff equal, 2 iff disjoint supports."""
+    return _l1(p, q, _shared_alphabet(p, q))
+
+
+class PinskerCheck(NamedTuple):
+    divergence: object
+    distance: object
+    bound: float
+    holds: bool
+
+
+def pinsker_check(p: FiniteDistribution, q: FiniteDistribution) -> PinskerCheck:
+    """Divergence, distance, and the lower bound d^2/(2 ln 2) with verdict:
+    the classical Pinsker inequality, the one-branching-node case of
+    ``tree_pinsker_report``.
+
+    The bound is a theorem, so holds is True for every valid input; a False
+    verdict signals an arithmetic bug, not a property of the data.  The
+    alphabet is sorted once, for both sums.
+    """
+    alphabet = _shared_alphabet(p, q)
+    distance = _l1(p, q, alphabet)
+    exact = p.exact and q.exact
+    divergence = kl_of(((p.mass[lab], q.mass[lab]) for lab in alphabet), exact)
+    bound = float(distance) ** 2 / (2.0 * math.log(2.0))
+    holds = float(divergence) >= bound - PINSKER_TOLERANCE
+    return PinskerCheck(divergence, distance, bound, holds)
+
+
+def product_node_probabilities(shape: Tree, spec: ProductSpec) -> dict[NodeId, object]:
+    """Node probabilities when every internal node branches per the spec.
+
+    The root gets 1 and each child multiplies by the spec mass of its edge
+    label.  On complete shapes the leaf values form a distribution; on
+    non-complete shapes they sum to less than one and are left as is.
+    """
+    _require_alphabet(shape, spec)
+    # the spec's mode alone, not a pair's: an exact spec keeps P+ exact,
+    # which divergence_to_product needs on deep float trees
+    one = Fraction(1) if spec.exact else 1.0
+    qplus: dict[NodeId, object] = {shape.root: one}
+    for node in shape.nodes:
+        for label, child in shape.children[node]:
+            qplus[child] = qplus[node] * spec.base.mass[label]
+    return qplus
+
+
+def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
+    """D(P_L || P+) in bits, the definition's plain sum over leaves.
+
+    P+ is not normalized on non-complete shapes.  The leaf-side oracle of
+    the branch-sum form ``product_branch_divergence``.  With a float spec
+    the product masses P+ of deep leaves underflow (to subnormals, then to
+    0.0), so this sum loses precision and then turns infinite where the
+    branch-sum form, which never forms P+, stays accurate.  As the oracle it
+    takes the pair as given, not in one mode: an exact spec keeps P+ exact,
+    which keeps a deep float tree's sum finite.
+    """
+    qplus = product_node_probabilities(tree, spec)
+    exact = tree.exact and spec.exact
+    total = Fraction(0) if exact else 0.0
+    for leaf in tree.leaves:
+        total = total + kl_term(tree.leaf_mass[leaf], qplus[leaf], exact)
+    return total
+
+
+def differential_lansit_check(tree: Tree, f: dict) -> LansitReport:
+    """``lansit_check`` with every side divided by E[w(L)], as ``check``
+    reports it; with f = path length both sides are 1."""
+    return lansit_check(tree, f).per_branch(normalizer(tree))
+
+
+def log_ratio_functional(p: Tree, q: Tree) -> dict[NodeId, object]:
+    """f(j) = log2(Q_j / Q'_j) on p's nodes, aligning q by label paths.
+
+    Its leaf average is D(P_L || P_L').  Raises ShapeMismatch when the two
+    shapes differ in either direction, since a missing q node would make f
+    infinite.  The pair runs in one mode (``one_mode``).
+    """
+    p, q = one_mode(p, q)
+    mapping, covered = align_by_paths(p, q)
+    if not covered:
+        raise ShapeMismatch("second tree does not cover the first; f would be infinite")
+    qp, qq = node_probabilities(p), node_probabilities(q)
+    return {n: log2_of(qp[n] / qq[mapping[n]], p.exact) for n in p.nodes}
 
 
 def build_tree_reference(edges, leaf_mass, exact=None) -> Tree:

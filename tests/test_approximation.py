@@ -11,12 +11,16 @@ from corpus import (
     caterpillar,
     complete_tree,
     corpus_tree,
+    divergence_to_product,
     exact_signature,
     float_mirror,
     informative_tree,
+    pinsker_check,
     pinsker_reference,
+    product_node_probabilities,
     random_distribution,
     remass,
+    variational_distance,
 )
 from treeprob import (
     AlphabetMismatch,
@@ -32,7 +36,6 @@ from treeprob import (
     UnknownLabel,
     build_tree,
     convergence_sweep,
-    divergence_to_product,
     entropy_functional,
     entropy_rate,
     entropy_rate_gap,
@@ -40,13 +43,10 @@ from treeprob import (
     generators,
     grow_matcher_tree,
     parse_tree,
-    pinsker_check,
     product_branch_divergence,
-    product_node_probabilities,
     serialize_tree,
     tree_divergence,
     tree_pinsker_report,
-    variational_distance,
 )
 from treeprob import approximation, identities
 from treeprob.approximation import DEFAULT_EPSILONS
@@ -101,10 +101,6 @@ class TestFiniteDistribution:
         assert d["b"] == 0
         assert d.alphabet == ("a", "b")
 
-    def test_from_mass_infers_mode(self):
-        assert FiniteDistribution.from_mass({"a": Fraction(1)}).exact
-        assert not FiniteDistribution.from_mass({"a": 1.0}).exact
-
     def test_entropy_exact(self):
         d = FiniteDistribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
         assert d.entropy() == 1
@@ -114,17 +110,6 @@ class TestFiniteDistribution:
     def test_entropy_float(self):
         d = FiniteDistribution({"a": 2 / 3, "b": 1 / 3}, exact=False)
         assert float(d.entropy()) == pytest.approx(0.9182958340544896, rel=1e-12)
-
-    def test_with_alphabet_zero_extends(self):
-        d = FiniteDistribution({"a": Fraction(1)})
-        wide = d.with_alphabet(["a", "b", "c"])
-        assert wide.mass == {"a": 1, "b": 0, "c": 0}
-        assert wide.exact
-
-    def test_with_alphabet_cannot_drop(self):
-        d = FiniteDistribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
-        with pytest.raises(AlphabetMismatch):
-            d.with_alphabet(["a"])
 
 
 class TestVariationalDistance:
@@ -305,20 +290,22 @@ class TestDivergenceToProduct:
             assert divergence_to_product(tree, spec) >= 0
 
     def test_branch_form_agrees_exact(self):
-        for i in range(30):
-            tree = corpus_tree(i)
-            spec = ProductSpec.uniform(tree.label_alphabet)
-            assert divergence_to_product(tree, spec) == product_branch_divergence(
-                tree, spec
-            )
+        for family in (corpus_tree, informative_tree):
+            for i in range(30):
+                tree = family(i)
+                spec = ProductSpec.uniform(tree.label_alphabet)
+                assert divergence_to_product(tree, spec) == product_branch_divergence(
+                    tree, spec
+                )
 
     def test_branch_form_agrees_float(self):
-        for i in range(30):
-            tree = corpus_tree(i, exact=False)
-            spec = ProductSpec.uniform(tree.label_alphabet)
-            plain = divergence_to_product(tree, spec)
-            branched = product_branch_divergence(tree, spec)
-            assert float(branched) == pytest.approx(float(plain), rel=1e-9)
+        for family in (corpus_tree, informative_tree):
+            for i in range(30):
+                tree = family(i, exact=False)
+                spec = ProductSpec.uniform(tree.label_alphabet)
+                plain = divergence_to_product(tree, spec)
+                branched = product_branch_divergence(tree, spec)
+                assert float(branched) == pytest.approx(float(plain), rel=1e-9)
 
     def test_unknown_label(self, demo_tree):
         spec = ProductSpec.uniform(["a", "c"])
@@ -371,13 +358,7 @@ class TestTreePinskerReport:
             spec = ProductSpec.uniform(p.label_alphabet)
             report = tree_pinsker_report(p, spec)
             for eps, mass in report.tail.items():
-                assert mass <= report.markov_tail_bound(eps) + 1e-12
-
-    def test_markov_rejects_bad_epsilon(self):
-        report = tree_pinsker_report(corpus_tree(0), corpus_tree(0))
-        for epsilon in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ParamsInvalid):
-                report.markov_tail_bound(epsilon)
+                assert mass <= report.mean_distance / eps + 1e-12
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, Fraction(-1, 2), math.nan, math.inf])
     def test_tails_reject_bad_epsilon(self, demo_tree, epsilon):

@@ -1078,7 +1078,7 @@ class TestComputeOnce:
             (["divergence", "P", "Q"], ["align_by_paths"], 1),
             (
                 ["divergence", "P", "--product", "1/2,1/2"],
-                ["product_branch_divergence", "divergence_to_product"],
+                ["product_branch_divergence"],
                 1,
             ),
             (

@@ -501,7 +501,7 @@ class TestConvergenceSweep:
             tree = grow_matcher_tree(TWO_THIRDS_SPEC, budget)
             report = tree_pinsker_report(tree, TWO_THIRDS_SPEC, [eps])
             assert row.max_tail == report.tail[eps]
-            assert row.max_tail <= report.markov_tail_bound(eps) + 1e-12
+            assert row.max_tail <= report.mean_distance / eps + 1e-12
             assert (
                 row.max_tail
                 <= 2 * LN2 * row.normalized_divergence / eps**2 + 1e-12

@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 from corpus import (
     complete_tree,
     corpus_tree,
+    differential_lansit_check,
+    divergence_to_product,
     edges_of,
     exact_signature,
     float_functional,
     float_mirror,
+    informative_tree,
+    kl_of,
     leaf_log_sum_reference,
+    log_ratio_functional,
     merged_increment_sum,
     rational_functional,
     remass,
@@ -26,15 +31,12 @@ from treeprob import (
     ShapeMismatch,
     branching_node_distribution,
     build_tree,
-    differential_lansit_check,
-    divergence_to_product,
     entropy_rate,
     expected_path_length,
     generate_random_tree,
     grow_matcher_tree,
     lansit_check,
     leaf_entropy,
-    log_ratio_functional,
     node_increment_sum,
     normalized_divergence,
     path_lengths,
@@ -43,7 +45,7 @@ from treeprob import (
     tree_divergence,
 )
 from treeprob.identities import align_by_paths, branch_sum
-from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_of, kl_term
+from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_term
 
 
 def leaf_entropy_oracle(tree):
@@ -303,12 +305,13 @@ class TestDifferentialLansit:
         assert report.residual == 0
 
     def test_residual_zero_on_corpus(self):
-        for i in range(60):
-            t = corpus_tree(i)
-            report = differential_lansit_check(
-                t, rational_functional(t, seed=95_000 + i)
-            )
-            assert report.residual == 0
+        for family in (corpus_tree, informative_tree):
+            for i in range(60):
+                t = family(i)
+                report = differential_lansit_check(
+                    t, rational_functional(t, seed=95_000 + i)
+                )
+                assert report.residual == 0
 
     def test_degenerate_tree_rejected(self):
         t = build_tree([], {0: Fraction(1)})

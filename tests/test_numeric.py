@@ -11,6 +11,7 @@ from corpus import (
     exact_signature,
     float_functional,
     float_mirror,
+    kl_of,
     random_distribution,
     remass,
 )
@@ -38,7 +39,6 @@ from treeprob.numeric import (
     entropy_term,
     exact_text,
     exact_weighted_sum,
-    kl_of,
     kl_term,
     log2_exponents,
     log2_of,

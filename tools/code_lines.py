@@ -1,10 +1,12 @@
-"""Count the code lines of the treeprob package, per module and in total.
+"""Count the code lines of the treeprob package, per module and in total,
+and the public names the package exports.
 
 A code line holds at least one token that is not a comment and not part of
 a docstring (the first statement of a module, class or function body, when
 it is a string literal).  Blank lines, comment-only lines and docstring
 lines do not count.  Lines are found with ``tokenize`` and docstrings with
-``ast``.
+``ast``.  The name count is the length of the ``__all__`` list in the
+package's ``__init__.py``, read with ``ast`` without importing it.
 
     python3 tools/code_lines.py
 """
@@ -59,6 +61,17 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
+def public_names(init: Path) -> int:
+    """The number of names in the ``__all__`` list of ``init``."""
+    for node in ast.parse(init.read_text("utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return len(ast.literal_eval(node.value))
+    raise ValueError(f"no __all__ in {init}")
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "treeprob"
     total = 0
@@ -67,6 +80,7 @@ def main() -> int:
         total += count
         print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  total")
+    print(f"{public_names(root / '__init__.py'):6d}  names in treeprob.__all__")
     return 0
 
 
