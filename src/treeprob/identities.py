@@ -281,8 +281,14 @@ def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     children c of (Q_c / Q_j) (f(c) - f(j)).  Summed, the increments
     telescope to sum over leaves l of Q_l f(l), less Q_root f(root).
     """
+    return _node_increment_sum(tree, f, _exact_sum(tree, map(f.get, tree.nodes)))
+
+
+def _node_increment_sum(tree: Tree, f: NodeFunctional, exact: bool) -> object:
+    """``node_increment_sum`` in the mode that ``exact`` gives, decided by
+    the caller from f once."""
     order = _merge_order(tree)
-    if _exact_sum(tree, map(f.get, tree.nodes)):
+    if exact:
         n = tree.mass_numerators
         terms = []
         for j in order:
@@ -330,7 +336,7 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
         term = node_probabilities(tree)[root] * f[root]
         leaf_side = leaf_side - term
         scale += abs(float(term))
-    node_side = node_increment_sum(tree, f)
+    node_side = _node_increment_sum(tree, f, exact)
     return LansitReport(leaf_side, node_side, leaf_side - node_side, exact, scale)
 
 

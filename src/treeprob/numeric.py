@@ -11,7 +11,11 @@ Every computation in the package runs in one of two numeric modes:
 
     x = sum over primes p of  c_p * log2(p),    c_p rational,
 
-as the sparse coefficient map ``{p: c_p}``.  The family is closed under
+as the sparse coefficient map ``{p: c_p}``.  A coefficient is stored as
+an ``int`` when it is an integer and as a ``Fraction`` only when it is
+not, whichever type it was given in: logarithms of rationals, and folds
+over denominator 1 with integer weights, hold plain integers, and equal
+values have equal maps, types included.  The family is closed under
 addition and under scaling by rationals.  It contains every rational r
 (as ``r * log2(2)``) and the base-2 logarithm of every positive rational,
 so entropies and informational divergences of rational distributions never
@@ -32,7 +36,8 @@ distinct value's coefficients once; a value whose weights cancel is never
 expanded.  So a caller that gives one shared value to many terms, as the
 exact surprisal functional does to the nodes of one mass, pays for the
 value once.  Integer weights on exponent maps keep every coefficient a
-plain integer until the one division.  A sum of
+plain integer until the one division, which a denominator of 1 skips.
+A sum of
 weighted logarithms of ratios (``log2_weighted_sum``, behind the leaf
 folds of exact entropies and divergences) first gathers the weights by the integers
 in the ratios, so each distinct integer is factored once.  An exact
@@ -126,6 +131,12 @@ class ExactLog2:
     Products of two logarithmic values are deliberately unsupported; nothing
     in the package needs them.
 
+    Each coefficient of ``_coef`` is an ``int`` when it is integral and a
+    ``Fraction`` with a denominator above 1 otherwise; the constructor
+    reduces an integral ``Fraction`` to its numerator and converts any
+    other rational once.  A rational value hashes as its ``Fraction``, and
+    ``as_fraction`` always returns a ``Fraction``.
+
     Ordering is exact: a float comparison with a rigorous rounding-error
     bound decides well-separated values, and near-ties fall back to comparing
     the integer powers prod p^(c_p * lcm) directly.  Package code orders
@@ -136,12 +147,17 @@ class ExactLog2:
 
     __slots__ = ("_coef",)
 
-    def __init__(self, coef: Mapping[int, Fraction] | None = None):
+    def __init__(self, coef: Mapping[int, Rational] | None = None):
         cleaned = {}
         if coef:
             for p, c in coef.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    if type(c) is not Fraction:
+                        c = Fraction(c)
+                    if c.denominator != 1:
+                        cleaned[p] = c  # not integral, so not zero
+                        continue
+                    c = c.numerator
                 if c:
                     cleaned[p] = c
         object.__setattr__(self, "_coef", cleaned)
@@ -154,8 +170,7 @@ class ExactLog2:
     @classmethod
     def from_rational(cls, value: Rational) -> "ExactLog2":
         """Embed a rational r as r * log2(2)."""
-        value = Fraction(value)
-        return cls({2: value} if value else {})
+        return cls({2: value})
 
     @classmethod
     def log2(cls, ratio: Rational, scale: int = 1) -> "ExactLog2":
@@ -173,7 +188,7 @@ class ExactLog2:
         """The value as a Fraction; raises ValueError if it is irrational."""
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return self._coef.get(2, Fraction(0))
+        return Fraction(self._coef.get(2, 0))
 
     def __float__(self) -> float:
         return math.fsum(float(c) * math.log2(p) for p, c in self._coef.items())
@@ -228,7 +243,6 @@ class ExactLog2:
     def __mul__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        other = Fraction(other)
         if not other:
             return ExactLog2()
         return ExactLog2({p: c * other for p, c in self._coef.items()})
@@ -248,7 +262,7 @@ class ExactLog2:
 
     def __hash__(self):
         if self.is_rational:
-            return hash(self._coef.get(2, Fraction(0)))
+            return hash(self._coef.get(2, 0))  # an int hashes as its Fraction
         return hash(frozenset(self._coef.items()))
 
     # -- ordering -----------------------------------------------------------
@@ -467,7 +481,8 @@ def exact_weighted_sum(pairs: Iterable, denominator: int = 1) -> Fraction | Exac
     value whose weights cancel is never expanded.  The expanded terms are
     folded into one coefficient map, and each prime's total is divided by
     ``denominator`` once; integer weights on exponent maps stay plain
-    integers until then.  Returns a Fraction when no v is a logarithm
+    integers until then, and over denominator 1 they are the result's
+    coefficients.  Returns a Fraction when no v is a logarithm
     (Fraction(0) for no pairs) and an ExactLog2 otherwise, also when every
     logarithm's weights cancel, equal under ``==`` to the chained sum
     ``(Fraction(0) + w1 * v1 + w2 * v2 + ...) / denominator``.  The inputs
@@ -489,11 +504,13 @@ def exact_weighted_sum(pairs: Iterable, denominator: int = 1) -> Fraction | Exac
             if w:
                 w = w.numerator if w.denominator == 1 else w
                 for p, c in v.items():
-                    c = w * (c.numerator if c.denominator == 1 else c)
+                    c = w * c
                     coef[p] = coef[p] + c if p in coef else c
         else:
             rational += w * v
     if not has_log:
         return Fraction(rational, denominator)
     coef[2] = coef.get(2, 0) + rational
-    return ExactLog2({p: Fraction(c, denominator) for p, c in coef.items()})
+    if denominator != 1:
+        coef = {p: Fraction(c, denominator) for p, c in coef.items()}
+    return ExactLog2(coef)

@@ -108,7 +108,10 @@ def caterpillar(depth: int, seed: int) -> Tree:
 
 
 def exact_signature(value):
-    """The value with its type and, for an ExactLog2, its coefficient types."""
+    """The value with its type and, for an ExactLog2, its coefficient types:
+    ``int`` where a coefficient is integral, ``Fraction`` where it is not,
+    so a fold and a chained sum agree only when they store each
+    coefficient alike."""
     if isinstance(value, ExactLog2):
         return ExactLog2, {p: (type(c), c) for p, c in value._coef.items()}
     return type(value), value

@@ -6,7 +6,6 @@ lines always reach the terminal.
 """
 
 import io
-import json
 import random
 import time
 from fractions import Fraction
@@ -18,7 +17,6 @@ from corpus import (
     corpus_tree,
     differential_lansit_check,
     divergence_to_product,
-    edges_of,
     float_functional,
     float_mirror,
     merged_increment_sum,

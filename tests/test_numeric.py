@@ -158,6 +158,76 @@ class TestExactLog2:
             x._coef = {}
 
 
+class TestIntegerCoefficients:
+    """An integral coefficient is stored as an ``int`` and a non-integral
+    one as a ``Fraction``, whichever type it was given in, so values built
+    either way compare, hash, convert and print alike."""
+
+    @staticmethod
+    def types(value):
+        return {p: type(c) for p, c in value._coef.items()}
+
+    def test_log2_holds_ints(self):
+        assert self.types(ExactLog2.log2(Fraction(3, 8))) == {2: int, 3: int}
+        assert self.types(ExactLog2.log2(Fraction(5, 9), -2)) == {5: int, 3: int}
+
+    def test_integer_fold_over_denominator_one_holds_ints(self):
+        log3 = ExactLog2.log2(3)
+        folded = exact_weighted_sum([(3, {2: 2, 3: 1}), (Fraction(-2), log3), (1, Fraction(4))])
+        assert folded._coef == {2: 10, 3: 1}
+        assert self.types(folded) == {2: int, 3: int}
+
+    def test_fold_over_a_denominator_holds_ints_where_integral(self):
+        folded = exact_weighted_sum([(6, {3: 1, 5: 1}), (1, {5: 1})], 3)
+        assert folded._coef == {3: 2, 5: Fraction(7, 3)}
+        assert self.types(folded) == {3: int, 5: Fraction}
+
+    def test_integral_fraction_is_stored_as_int(self):
+        from_fraction, from_int = ExactLog2({2: Fraction(6, 2)}), ExactLog2({2: 3})
+        assert from_fraction == from_int
+        assert hash(from_fraction) == hash(from_int)
+        assert self.types(from_fraction) == {2: int}
+        irrational = ExactLog2({3: Fraction(4, 2), 5: Fraction(1, 2)})
+        assert irrational == ExactLog2({3: 2, 5: Fraction(1, 2)})
+        assert hash(irrational) == hash(ExactLog2({3: 2, 5: Fraction(1, 2)}))
+        assert self.types(irrational) == {3: int, 5: Fraction}
+
+    def test_sums_and_products_stay_canonical(self):
+        half = ExactLog2({3: Fraction(1, 2)})
+        assert self.types(half + half) == {3: int}
+        assert self.types(half * 4) == {3: int}
+        assert self.types(ExactLog2.log2(3) / 2) == {3: Fraction}
+        assert self.types(ExactLog2.log2(3) * Fraction(4, 2)) == {3: int}
+
+    def test_rational_hash_is_the_fraction_hash(self):
+        assert hash(ExactLog2.from_rational(3)) == hash(Fraction(3))
+        assert hash(ExactLog2.from_rational(Fraction(-8, 2))) == hash(Fraction(-4))
+        assert hash(ExactLog2()) == hash(Fraction(0))
+
+    @pytest.mark.parametrize(
+        "value",
+        [ExactLog2(), ExactLog2.from_rational(3), ExactLog2.log2(8),
+         ExactLog2.from_rational(Fraction(1, 2)), ExactLog2({2: Fraction(-6, 3)})],
+    )
+    def test_as_fraction_is_always_a_fraction(self, value):
+        assert type(value.as_fraction()) is Fraction
+        assert value.as_fraction() == value
+
+    def test_exact_string_of_an_integral_result(self):
+        for value, text in ((ExactLog2.log2(8), "3"), (ExactLog2.log2(Fraction(1, 4)), "-2"),
+                            (ExactLog2.from_rational(Fraction(6, 2)), "3"), (ExactLog2(), "0")):
+            assert cli._exact_string(value) == text == str(Fraction(value.as_fraction()))
+
+    def test_float_and_sign_read_both_types(self):
+        mixed = ExactLog2({3: 10**20 + 1, 5: Fraction(-7, 3)})
+        expected = math.fsum(float(Fraction(c)) * math.log2(p) for p, c in mixed._coef.items())
+        assert float(mixed).hex() == expected.hex()
+        # 3^12 = 531441 > 524288 = 2^19, with integer coefficients
+        diff = ExactLog2.log2(3) * 12 - 19
+        assert self.types(diff) == {2: int, 3: int}
+        assert diff._sign_exact() == 1 and diff > 0 and -diff < 0
+
+
 class TestOrdering:
     def test_against_rationals(self):
         log2_3 = ExactLog2.log2(3)

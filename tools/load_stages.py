@@ -15,6 +15,10 @@ are timed by wrapping the functions the load calls:
     align      ``align_by_paths`` of the loaded tree against a second load
                of the same text, as ``divergence P Q`` and ``roundtrip``
                run it
+    check      ``check``'s identity work on a fresh load of the text:
+               ``surprisal_functional``, then ``lansit_check`` and
+               ``per_branch`` for the path-length and surprisal
+               functionals, as ``check`` runs them
 
 The shapes are the benchmark's document shapes: matchers on 2, 3 and 4
 labels (targets the weights 1..k over their sum) at 256, 512 and 1024
@@ -48,14 +52,16 @@ from treeprob import (  # noqa: E402
     cli,
     generate_random_tree,
     grow_matcher_tree,
+    identities,
     parse_tree,
+    path_lengths,
     serialize_tree,
     tree_pinsker_report,
     treefile,
 )
 from treeprob.tree import align_by_paths  # noqa: E402
 
-STAGES = ("json", "parse", "build", "serialize", "report", "pinsker", "align")
+STAGES = ("json", "parse", "build", "serialize", "report", "pinsker", "align", "check")
 RANDOM_NODES = 900
 CATERPILLAR_DEPTH = 1000
 
@@ -131,8 +137,8 @@ def analyze_report(text: str) -> cli.Report:
 def stage_times(text: str, report: cli.Report, spec: ProductSpec, twin) -> dict[str, float]:
     """Seconds per stage of one load and one write of ``text``, of one
     write of its ``report``, of one Pinsker report of the loaded tree
-    against ``spec`` and of one alignment of it with ``twin``, a tree of
-    the same shape."""
+    against ``spec``, of one alignment of it with ``twin``, a tree of the
+    same shape, and of one ``check`` of a second load of ``text``."""
     times = dict.fromkeys(STAGES, 0.0)
     names = ("load_json", "parse_document", "build_tree")
     originals = {name: getattr(treefile, name) for name in names}
@@ -156,6 +162,11 @@ def stage_times(text: str, report: cli.Report, spec: ProductSpec, twin) -> dict[
     start = time.perf_counter()
     align_by_paths(tree, twin)
     times["align"] = time.perf_counter() - start
+    fresh = treefile.parse_tree(text)  # no cache of the stages above
+    start = time.perf_counter()
+    for f in (path_lengths(fresh), identities.surprisal_functional(fresh)):
+        identities.lansit_check(fresh, f).per_branch(fresh.mean_length)
+    times["check"] = time.perf_counter() - start
     return times
 
 
