@@ -10,7 +10,10 @@ the branching distribution at j.  The paper proves it by contracting the
 tree: merge a deepest sibling set into its parent, adding that parent's
 term, until only the root remains.  Each merge only sums the masses that
 ``build_tree`` already summed into the tree's table, so ``lansit_check``
-takes its node side straight from that table (``node_increment_sum``).
+takes its node side straight from that table (``node_increment_sum``):
+as one fold over the table in exact mode, where the order of the terms
+cannot matter, and in the paper's merge order in float mode, where it
+sets the bits.
 The leaf side is sum over leaves l of Q_l f(l), less Q_root f(root), in
 both modes: the identity holds for the masses as given, also when float
 leaf masses sum to 1 only within ``MASS_SUM_TOLERANCE``.
@@ -29,12 +32,16 @@ folds or chains them, so the rule reads values that are never evaluated
 again.
 
 An exact tree keeps one integer table n with Q_v = n_v / D, D = n_root the
-lcm of the leaf-mass denominators (``Tree.mass_numerators``), and every
+lcm of the leaf-mass denominators (``Tree.mass_below``), and every
 exact sum here weights by n and passes D to the one fold,
 ``numeric.exact_weighted_sum``, which divides by it once.  The leaf side
 weights f(leaf) by n_leaf and f(root) by -D.  Because n_j is the sum of its
 children's n_c, Q_j E[delta_f(S_j)] is the integer combination sum over
 children c of n_c f(c), less n_j f(j), over D: no term divides by Q_j.
+Every non-root node is the child of one branching node, so the node side
+is the fold of n_v f(v) over non-root v and -n_j f(j) over branching j,
+the same terms as the per-j increments, read from the table in no
+particular order.
 
 Specializing f gives the derived quantities, and for each the node side
 takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
@@ -88,7 +95,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateTree, FunctionalIncomplete
-from .numeric import entropy_of, exact_weighted_sum, kl_term, log2_of, log2_weighted_sum
+from .numeric import ExactLog2, entropy_of, exact_weighted_sum, kl_term, log2_weighted_sum
 from .tree import (
     Label,
     NodeId,
@@ -208,7 +215,7 @@ def branch_sum(
     branching = branching_distributions(tree)
     values = [inner(j, dist) for j, dist in branching.items()]
     if _exact_sum(tree, values):
-        n = tree.mass_numerators
+        n = tree.mass_below
         return exact_weighted_sum(zip(map(n.get, branching), values), n[tree.root])
     q = node_probabilities(tree)
     total = 0.0
@@ -233,7 +240,7 @@ def leaf_log_sum(
     path.
 
     The increments telescope to the leaf side E[f(L)] - f(root).  With the
-    tree's integer table Q_v = n_v / D (``Tree.mass_numerators``), that is
+    tree's integer table Q_v = n_v / D (``Tree.mass_below``), that is
     (1/D) times the integer combination
 
         sum over leaves l of n_l f(l)
@@ -251,7 +258,7 @@ def leaf_log_sum(
     """
     if not tree.children[tree.root]:
         return Fraction(0)
-    n = tree.mass_numerators
+    n = tree.mass_below
     pairs = [
         (sign * n[leaf], r) for sign, ratios in leaf_ratios for leaf, r in ratios.items()
     ]
@@ -274,30 +281,38 @@ def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     """The node side: sum over branching j of Q_j E[delta_f(S_j)], with
     every mass read from the tree's one table (``Tree.mass_below``).
 
-    The branching nodes are taken deepest first, ties in preorder.  An
-    exact sum (``_exact_sum`` over f) folds, for each j, the integer terms
-    n_c f(c) over j's children c and -n_j f(j) over D, since n_j is the sum
-    of the n_c.  Otherwise it chains, per j, Q_j times the sum over
-    children c of (Q_c / Q_j) (f(c) - f(j)).  Summed, the increments
-    telescope to sum over leaves l of Q_l f(l), less Q_root f(root).
+    Exact when ``_exact_sum`` over f says so, and float otherwise
+    (``_node_increment_sum``).  Summed, the increments telescope to sum
+    over leaves l of Q_l f(l), less Q_root f(root).  Raises
+    FunctionalIncomplete when f lacks a node.
     """
+    _require_complete(tree, f)
     return _node_increment_sum(tree, f, _exact_sum(tree, map(f.get, tree.nodes)))
 
 
 def _node_increment_sum(tree: Tree, f: NodeFunctional, exact: bool) -> object:
     """``node_increment_sum`` in the mode that ``exact`` gives, decided by
-    the caller from f once."""
-    order = _merge_order(tree)
+    the caller from f once.
+
+    An exact sum is one fold over D, in no particular order: since n_j is
+    the sum of its children's n_c, the increment at j is the integer terms
+    n_c f(c) over j's children c and -n_j f(j), and every non-root node is
+    the child of one branching node, so the fold takes n_v f(v) for each
+    non-root v of the table and -n_j f(j) for each branching j.  A float
+    sum chains, per j, Q_j times the sum over children c of
+    (Q_c / Q_j) (f(c) - f(j)), with the branching nodes deepest first, ties
+    in preorder, as the paper contracts the tree; its bits depend on that
+    order (``_merge_order``).
+    """
     if exact:
-        n = tree.mass_numerators
-        terms = []
-        for j in order:
-            terms += [(n[child], f[child]) for _, child in tree.children[j]]
-            terms.append((-n[j], f[j]))
-        return exact_weighted_sum(terms, n[tree.root])
+        n = tree.mass_below
+        root = tree.root
+        terms = [(m, f[v]) for v, m in n.items() if v != root]
+        terms += [(-n[j], f[j]) for j in tree.branching_nodes]
+        return exact_weighted_sum(terms, n[root])
     q = node_probabilities(tree)
     total = 0
-    for j in order:
+    for j in _merge_order(tree):
         inner = 0
         for _, child in tree.children[j]:
             inner = inner + (q[child] / q[j]) * (f[child] - f[j])
@@ -324,7 +339,7 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
     root = tree.root
     scale = 0.0
     if exact:
-        n = tree.mass_numerators
+        n = tree.mass_below
         terms = [(n[leaf], f[leaf]) for leaf in tree.leaves]
         leaf_side = exact_weighted_sum(terms + [(-n[root], f[root])], n[root])
     else:
@@ -448,7 +463,7 @@ def comparison_sums(p: Tree, refs: Mapping, default: Mapping, epsilons: Iterable
         for a, m in own.items():
             r = ref.get(a, 0)
             d = d + abs(m - r)
-            kl = kl + kl_term(m, r, False)
+            kl = kl + kl_term(m, r)
         if not ref:
             d = 1.0
         elif len(own) < len(ref):  # spec labels that j lacks
@@ -469,12 +484,12 @@ def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:
     """The length-biased distribution P_B over branching nodes, and E[w(L)].
 
     P_B(j) is n_j / N on an exact tree, a Fraction from the integer table
-    (``Tree.mass_numerators``) with N the sum of n_j over branching j, so
+    (``Tree.mass_below``) with N the sum of n_j over branching j, so
     no Q is built.  A float tree divides Q_j by E[w(L)].
     """
     ew = normalizer(tree)
     if tree.exact:
-        n = tree.mass_numerators
+        n = tree.mass_below
         total = sum(map(n.__getitem__, tree.branching_nodes))
         mass = {j: Fraction(n[j], total) for j in tree.branching_nodes}
     else:
@@ -504,15 +519,16 @@ def normalized_divergence(p: Tree, q: Tree) -> object:
 def surprisal_functional(tree: Tree) -> dict[NodeId, object]:
     """f(j) = -log2 Q_j: its leaf average is H(P_L), its rate the entropy rate.
 
-    On an exact tree, -log2(n / D) is built once per distinct integer n of
-    the mass table (``Tree.mass_numerators``), and every node with that n
-    shares the one value, so ``numeric.exact_weighted_sum`` gathers their
-    terms and expands the value once.
+    On an exact tree, -log2(n / D), as log2(D / n), is built once per
+    distinct integer n of the mass table (``Tree.mass_below``), and every
+    node with that n shares the one value, so
+    ``numeric.exact_weighted_sum`` gathers their terms and expands the
+    value once.
     """
     if tree.exact:
-        n = tree.mass_numerators
-        shared = {m: log2_of(Fraction(m, n[tree.root]), True, -1) for m in set(n.values())}
+        n = tree.mass_below
+        shared = {m: ExactLog2.log2(Fraction(n[tree.root], m)) for m in set(n.values())}
         return {v: shared[n[v]] for v in tree.nodes}
     q = node_probabilities(tree)
-    return {v: log2_of(q[v], False, -1) for v in tree.nodes}
+    return {v: -math.log2(q[v]) for v in tree.nodes}
 

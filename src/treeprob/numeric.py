@@ -37,14 +37,13 @@ expanded.  So a caller that gives one shared value to many terms, as the
 exact surprisal functional does to the nodes of one mass, pays for the
 value once.  Integer weights on exponent maps keep every coefficient a
 plain integer until the one division, which a denominator of 1 skips.
-A sum of
-weighted logarithms of ratios (``log2_weighted_sum``, behind the leaf
-folds of exact entropies and divergences) first gathers the weights by the integers
-in the ratios, so each distinct integer is factored once.  An exact
-tree keeps integer node masses, Q_v = n_v / D (``Tree.mass_numerators``),
-so the identities module weights its tree sums by n and passes D as the
-denominator.  Since the map is canonical, the fold equals the chained sum
-under ``==``.
+A sum of weighted logarithms of ratios (``log2_weighted_sum``, behind the
+leaf folds of exact entropies and divergences) first gathers the weights
+by the integers in the ratios, so each distinct integer is factored once.
+An exact tree keeps integer node masses, Q_v = n_v / D
+(``Tree.mass_below``), so the identities module weights its tree sums by
+n and passes D as the denominator.  Since the map is canonical, the fold
+equals the chained sum under ``==``, in whatever order its terms come.
 
 The fold takes exact terms only.  A pair, two trees or a tree and a
 product spec, is exact only when both sides are; otherwise its exact side
@@ -52,7 +51,10 @@ is converted once to float, so no sum mixes the two (``identities.one_mode``).
 A sum over a tree is then exact when the tree is exact and none of its
 values, which a caller's functional may give, is a float (``identities``);
 any other sum is the float sum, which keeps its left-to-right ``total +
-term`` order, so float results do not depend on any of this.
+term`` order, so float results do not depend on any of this.  The mode is
+decided there, once per tree or pair: the per-term helpers
+``entropy_term`` and ``kl_term`` are float summands, and ``entropy_of``
+alone takes a mode, for callers of both.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ __all__ = [
     "exact_weighted_sum",
     "kl_term",
     "log2_exponents",
-    "log2_of",
     "log2_weighted_sum",
     "parse_rational",
 ]
@@ -173,9 +174,9 @@ class ExactLog2:
         return cls({2: value})
 
     @classmethod
-    def log2(cls, ratio: Rational, scale: int = 1) -> "ExactLog2":
-        """Exact scale * log2 of a positive rational, for an integer scale."""
-        return cls({p: scale * e for p, e in log2_exponents(ratio).items()})
+    def log2(cls, ratio: Rational) -> "ExactLog2":
+        """Exact log2 of a positive rational."""
+        return cls(log2_exponents(ratio))
 
     # -- interrogation ------------------------------------------------------
 
@@ -385,24 +386,15 @@ def log2_exponents(x: Rational) -> dict[int, int]:
     return exponents
 
 
-def log2_of(x, exact: bool, scale: int = 1) -> Scalar:
-    """scale * log2 of a positive value in the requested numeric mode, for
-    an integer scale; an exact value is built once, with scaled exponents."""
-    if exact:
-        return ExactLog2.log2(x, scale)
-    return scale * math.log2(x)
+def entropy_term(p) -> float:
+    """The float summand -p*log2(p), with the convention that it vanishes
+    at p = 0.
 
-
-def entropy_term(p, exact: bool) -> Scalar:
-    """The summand -p*log2(p), with the convention that it vanishes at p = 0.
-
-    A float summand of a positive Fraction p whose float is 0.0, a mass
-    that a float spec keeps exact, is 0.0: the float of the true summand.
+    The summand of a positive Fraction p whose float is 0.0, a mass that a
+    float spec keeps exact, is 0.0: the float of the true summand.
     """
     if not p:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        return ExactLog2.log2(p) * -Fraction(p)
+        return 0.0
     try:
         return -(p * math.log2(p))
     except ValueError:  # math.log2 of a Fraction reads its float, 0.0
@@ -423,11 +415,12 @@ def entropy_of(masses: Iterable, exact: bool) -> Scalar:
     """Shannon entropy in bits of an iterable of probability masses."""
     if exact:
         return exact_weighted_sum((-p, log2_exponents(p)) for p in masses if p)
-    return _chained(entropy_term(p, exact) for p in masses)
+    return _chained(map(entropy_term, masses))
 
 
-def kl_term(p, q, exact: bool) -> Scalar:
-    """The summand p*log2(p/q); zero when p = 0, +inf when p > 0 and q = 0.
+def kl_term(p, q) -> float:
+    """The float summand p*log2(p/q); zero when p = 0, +inf when p > 0 and
+    q = 0.
 
     A float quotient p/q past the float range (inf, 0.0, or a division by
     a Fraction q that rounds to 0.0) gives no logarithm.  The summand is
@@ -435,11 +428,9 @@ def kl_term(p, q, exact: bool) -> Scalar:
     and q = c/d as log2(a d) - log2(b c), which stays finite.
     """
     if not p:
-        return Fraction(0) if exact else 0.0
+        return 0.0
     if not q:
         return math.inf
-    if exact:
-        return ExactLog2.log2(Fraction(p) / Fraction(q)) * Fraction(p)
     try:
         term = p * math.log2(p / q)
         if term != math.inf:

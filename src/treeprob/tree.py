@@ -82,7 +82,8 @@ class Tree:
     the empty tuple.  ``nodes`` lists all nodes in preorder.  ``exact`` is
     True when the leaf masses are Fractions and False when they are floats.
     ``mass_below`` is the table ``build_tree`` summed: the integers n with
-    Q_v = n_v / D and D = n[root] on an exact tree, Q itself on a float one.
+    Q_v = n_v / D and D = n[root], the lcm of the leaf-mass denominators,
+    on an exact tree, and Q itself on a float one.
 
     The node tuples ``leaves``, ``branching_nodes`` and ``label_alphabet``,
     the derived maps ``node_mass`` (Q), ``branching`` (P_{S_j}) and
@@ -129,12 +130,6 @@ class Tree:
         ``float``, so a leaf whose float is 0.0 is pruned."""
         edges = [(v, a, c) for v in self.nodes for a, c in self.children[v]]
         return build_tree(edges, {v: self.leaf_mass[v] for v in self.leaves}, exact=False)
-
-    @property
-    def mass_numerators(self) -> dict[NodeId, int]:
-        """n, for an exact tree: Q_v = n_v / D with the integer D = n[root],
-        the lcm of the leaf-mass denominators."""
-        return self.mass_below
 
     @cached_property
     def node_mass(self) -> dict[NodeId, Fraction | float]:

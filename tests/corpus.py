@@ -51,7 +51,6 @@ from treeprob.numeric import (
     exact_weighted_sum,
     kl_term,
     log2_exponents,
-    log2_of,
     log2_weighted_sum,
 )
 from treeprob.tree import MASS_SUM_TOLERANCE, Label, NodeId
@@ -242,12 +241,14 @@ def merged_increment_sum(tree: Tree, f: dict) -> object:
     parent j, which then carries as its leaf mass m_j the sum of its
     children's current masses, adding j's increment term on the way, until
     only the root remains.  Only leaf masses are read from the tree: the
-    leaf entries of Q, or of the integer table n in an exact sum.  The terms
-    and their order are those of ``node_increment_sum``, so the two agree
-    bit for bit in both modes.
+    leaf entries of Q, or of the integer table n in an exact sum.  A float
+    sum takes the terms of ``node_increment_sum`` in its order, so the two
+    agree bit for bit.  An exact sum folds the same terms, which
+    ``node_increment_sum`` takes in table order, so the two agree under
+    ``==`` and in coefficient types (``exact_signature``).
     """
     exact = tree.exact and not any(isinstance(f[v], float) for v in tree.nodes)
-    table = tree.mass_numerators if exact else tree.leaf_mass
+    table = tree.mass_below if exact else tree.leaf_mass
     mass = {v: table[v] for v in tree.leaf_mass}
     index = {v: i for i, v in enumerate(tree.nodes)}
     order = sorted(tree.branching_nodes, key=lambda j: (-tree.depths[j], index[j]))
@@ -268,7 +269,7 @@ def merged_increment_sum(tree: Tree, f: dict) -> object:
             del mass[child]
         mass[j] = mj
     if exact:
-        return exact_weighted_sum(terms, tree.mass_numerators[tree.root])
+        return exact_weighted_sum(terms, tree.mass_below[tree.root])
     return total
 
 
@@ -283,7 +284,7 @@ def leaf_log_sum_reference(tree: Tree, leaf_ratios, label_ratios=None):
     """
     if not tree.children[tree.root]:
         return Fraction(0)
-    n = tree.mass_numerators
+    n = tree.mass_below
     terms = [
         (sign * n[leaf], log2_exponents(r))
         for sign, ratios in leaf_ratios
@@ -391,7 +392,25 @@ def kl_of(pairs: Iterable, exact: bool) -> Scalar:
             ((a * (lcm // b), x, y) for a, b, c, d in ratios for x, y in ((a, b), (d, c))),
             lcm,
         )
-    return _chained(kl_term(p, q, exact) for p, q in pairs)
+    return _chained(kl_term(p, q) for p, q in pairs)
+
+
+def exact_entropy_term(p) -> Scalar:
+    """The exact summand -p*log2(p) of a rational p, zero at p = 0: the
+    per-term form whose sums the exact leaf folds must equal."""
+    if not p:
+        return Fraction(0)
+    return ExactLog2.log2(p) * -Fraction(p)
+
+
+def exact_kl_term(p, q) -> Scalar:
+    """The exact summand p*log2(p/q) of rationals p and q; zero when p = 0,
+    +inf when p > 0 and q = 0."""
+    if not p:
+        return Fraction(0)
+    if not q:
+        return math.inf
+    return ExactLog2.log2(Fraction(p) / Fraction(q)) * Fraction(p)
 
 
 def _shared_alphabet(p: FiniteDistribution, q: FiniteDistribution) -> tuple[Label, ...]:
@@ -483,8 +502,9 @@ def divergence_to_product(tree: Tree, spec: ProductSpec) -> object:
     qplus = product_node_probabilities(tree, spec)
     exact = tree.exact and spec.exact
     total = Fraction(0) if exact else 0.0
+    term = exact_kl_term if exact else kl_term
     for leaf in tree.leaves:
-        total = total + kl_term(tree.leaf_mass[leaf], qplus[leaf], exact)
+        total = total + term(tree.leaf_mass[leaf], qplus[leaf])
     return total
 
 
@@ -506,7 +526,8 @@ def log_ratio_functional(p: Tree, q: Tree) -> dict[NodeId, object]:
     if not covered:
         raise ShapeMismatch("second tree does not cover the first; f would be infinite")
     qp, qq = node_probabilities(p), node_probabilities(q)
-    return {n: log2_of(qp[n] / qq[mapping[n]], p.exact) for n in p.nodes}
+    log2 = ExactLog2.log2 if p.exact else math.log2
+    return {n: log2(qp[n] / qq[mapping[n]]) for n in p.nodes}
 
 
 def build_tree_reference(edges, leaf_mass, exact=None) -> Tree:

@@ -1137,8 +1137,8 @@ class TestComputeOnce:
     )
     def test_mass_table_per_tree(self, monkeypatch, demo_file, demo_q_file, argv, trees):
         """build_tree, or the table builder for a sweep's matcher trees,
-        sums one mass table per tree, and reading ``mass_numerators``
-        returns that table without summing again."""
+        sums one mass table per tree, ``mass_below``, which holds an
+        integer for every node of the tree, in preorder."""
         built = []
         builders = {
             (treefile, "build_tree"): build_tree,
@@ -1160,8 +1160,9 @@ class TestComputeOnce:
         assert len({id(tree) for tree in built}) == len(built) == trees
         for tree in built:
             assert tree.exact
-            # the table is the field build_tree filled, not a recomputation
-            assert tree.mass_numerators is vars(tree)["mass_below"]
+            table = tree.mass_below
+            assert tuple(table) == tree.nodes
+            assert all(type(n) is int for n in table.values())
 
 
 class TestLargePrimeMasses:

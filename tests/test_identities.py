@@ -10,6 +10,8 @@ from corpus import (
     differential_lansit_check,
     divergence_to_product,
     edges_of,
+    exact_entropy_term,
+    exact_kl_term,
     exact_signature,
     float_functional,
     float_mirror,
@@ -44,20 +46,19 @@ from treeprob import (
     surprisal_functional,
     tree_divergence,
 )
+from treeprob import identities
 from treeprob.identities import align_by_paths, branch_sum
 from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_term
 
 
 def leaf_entropy_oracle(tree):
-    return sum(entropy_term(m, tree.exact) for m in
-               (tree.leaf_mass[leaf] for leaf in tree.leaves))
+    term = exact_entropy_term if tree.exact else entropy_term
+    return sum(term(m) for m in (tree.leaf_mass[leaf] for leaf in tree.leaves))
 
 
 def divergence_oracle(p, q):
-    exact = p.exact and q.exact
-    return sum(
-        kl_term(p.leaf_mass[leaf], q.leaf_mass[leaf], exact) for leaf in p.leaves
-    )
+    term = exact_kl_term if p.exact and q.exact else kl_term
+    return sum(term(p.leaf_mass[leaf], q.leaf_mass[leaf]) for leaf in p.leaves)
 
 
 class TestLansitCheck:
@@ -77,20 +78,43 @@ class TestLansitCheck:
         f = {n: 0 for n in demo_tree.nodes if n != 3}
         with pytest.raises(FunctionalIncomplete):
             lansit_check(demo_tree, f)
+        tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: Fraction(1, 2), 2: Fraction(1, 2)})
+        for t in (tree, tree.as_float()):
+            for side in (lansit_check, node_increment_sum):
+                with pytest.raises(FunctionalIncomplete):
+                    side(t, {0: 0, 1: 1})
+
+    def test_exact_node_side_takes_no_merge_order(self, monkeypatch):
+        # an exact fold is order-free; only the float chain sorts its nodes
+        def no_sort(tree):
+            raise AssertionError("exact node side sorted its branching nodes")
+
+        monkeypatch.setattr(identities, "_merge_order", no_sort)
+        for i in range(20):
+            t = informative_tree(i)
+            f = rational_functional(t, seed=53_000 + i)
+            assert lansit_check(t, f).residual == 0
+            assert node_increment_sum(t, f) == merged_increment_sum(t, f)
+            g = {v: float(x) for v, x in f.items()}
+            for side in (lansit_check, node_increment_sum):
+                with pytest.raises(AssertionError, match="sorted"):
+                    side(t, g)
 
     def test_random_functionals_exact(self):
-        for i in range(100):
-            t = corpus_tree(i)
-            report = lansit_check(t, rational_functional(t, seed=50_000 + i))
-            assert report.exact
-            assert report.residual == 0
+        for family, seed in ((corpus_tree, 50_000), (informative_tree, 52_000)):
+            for i in range(100):
+                t = family(i)
+                report = lansit_check(t, rational_functional(t, seed=seed + i))
+                assert report.exact
+                assert report.residual == 0
 
     def test_random_functionals_float(self):
-        for i in range(100):
-            t = float_mirror(corpus_tree(i))
-            report = lansit_check(t, float_functional(t, seed=60_000 + i))
-            assert not report.exact
-            assert report.holds()
+        for family, seed in ((corpus_tree, 60_000), (informative_tree, 62_000)):
+            for i in range(100):
+                t = float_mirror(family(i))
+                report = lansit_check(t, float_functional(t, seed=seed + i))
+                assert not report.exact
+                assert report.holds()
 
     def test_float_functional_on_exact_tree_downgrades(self, demo_tree):
         report = lansit_check(demo_tree, {n: float(n) for n in demo_tree.nodes})
@@ -130,16 +154,22 @@ class TestLansitCheck:
         assert LansitReport(2.0, 2.0 + 1e-7, -1e-7, False, 1e3).holds()
 
     def test_merged_equals_direct_bitwise(self):
-        # same elementary operations in the same order, both modes
-        for i in range(60):
-            t = corpus_tree(i)
-            f = rational_functional(t, seed=70_000 + i)
-            assert merged_increment_sum(t, f) == node_increment_sum(t, f)
-            ft = float_mirror(t)
-            g = float_functional(ft, seed=80_000 + i)
-            merged = merged_increment_sum(ft, g)
-            direct = node_increment_sum(ft, g)
-            assert merged == direct  # bit-identical floats, not approx
+        # float: the same elementary operations in the same order; exact:
+        # the same terms in another grouping, so the same canonical value
+        # with the same coefficient types
+        families = ((corpus_tree, 70_000, 80_000), (informative_tree, 72_000, 82_000))
+        for family, exact_seed, float_seed in families:
+            for i in range(60):
+                t = family(i)
+                for f in (rational_functional(t, seed=exact_seed + i), surprisal_functional(t)):
+                    merged, direct = merged_increment_sum(t, f), node_increment_sum(t, f)
+                    assert merged == direct
+                    assert exact_signature(merged) == exact_signature(direct)
+                ft = float_mirror(t)
+                g = float_functional(ft, seed=float_seed + i)
+                merged = merged_increment_sum(ft, g)
+                direct = node_increment_sum(ft, g)
+                assert merged == direct  # bit-identical floats, not approx
 
 
 class TestExpectedPathLength:
@@ -493,7 +523,7 @@ class TestMassTable:
     @given(exact_tree_triples())
     def test_integer_table_gives_the_node_masses(self, triple):
         for tree in triple[:2]:
-            n = tree.mass_numerators
+            n = tree.mass_below
             d = n[tree.root]
             assert d == math.lcm(*(m.denominator for m in tree.leaf_mass.values()))
             for v in tree.nodes:

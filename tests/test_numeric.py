@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import (
     corpus_tree,
+    exact_entropy_term,
+    exact_kl_term,
     exact_signature,
     float_functional,
     float_mirror,
@@ -41,7 +43,6 @@ from treeprob.numeric import (
     exact_weighted_sum,
     kl_term,
     log2_exponents,
-    log2_of,
     log2_weighted_sum,
     parse_rational,
 )
@@ -169,7 +170,7 @@ class TestIntegerCoefficients:
 
     def test_log2_holds_ints(self):
         assert self.types(ExactLog2.log2(Fraction(3, 8))) == {2: int, 3: int}
-        assert self.types(ExactLog2.log2(Fraction(5, 9), -2)) == {5: int, 3: int}
+        assert self.types(ExactLog2.log2(Fraction(5, 9)) * -2) == {5: int, 3: int}
 
     def test_integer_fold_over_denominator_one_holds_ints(self):
         log3 = ExactLog2.log2(3)
@@ -277,25 +278,38 @@ class TestOrdering:
 
 
 class TestModeHelpers:
-    def test_log2_of_modes(self):
-        assert log2_of(Fraction(1, 2), exact=True) == -1
-        assert log2_of(0.5, exact=False) == -1.0
+    def test_surprisal_in_both_modes(self):
+        # -log2 Q: exactly log2(D / n), with integer coefficients, and in
+        # float the bits of -1 * log2(Q), -0.0 at the root included
+        tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: Fraction(1, 4), 2: Fraction(3, 4)})
+        f = surprisal_functional(tree)
+        assert f == {0: 0, 1: 2, 2: 2 - ExactLog2.log2(3)}
+        assert {v: exact_signature(x) for v, x in f.items()} == {
+            0: (ExactLog2, {}),
+            1: (ExactLog2, {2: (int, 2)}),
+            2: (ExactLog2, {2: (int, 2), 3: (int, -1)}),
+        }
+        g = surprisal_functional(tree.as_float())
+        assert [g[v].hex() for v in (0, 1, 2)] == [
+            (-1 * math.log2(q)).hex() for q in (1.0, 0.25, 0.75)
+        ]
+        assert g[0].hex() == "-0x0.0p+0"
 
     def test_log2_exponents_of_a_float(self):
         assert log2_exponents(0.25) == {2: -2}
 
     def test_entropy_term_zero_convention(self):
-        assert entropy_term(Fraction(0), exact=True) == 0
-        assert entropy_term(0.0, exact=False) == 0.0
+        assert exact_entropy_term(Fraction(0)) == 0
+        assert entropy_term(0.0) == 0.0
 
     def test_entropy_of_uniform(self):
         assert entropy_of([Fraction(1, 4)] * 4, exact=True) == 2
         assert entropy_of([0.25] * 4, exact=False) == pytest.approx(2.0)
 
     def test_kl_term_conventions(self):
-        assert kl_term(Fraction(0), Fraction(0), exact=True) == 0
-        assert kl_term(Fraction(1, 2), Fraction(0), exact=True) == math.inf
-        assert kl_term(0.0, 0.5, exact=False) == 0.0
+        assert exact_kl_term(Fraction(0), Fraction(0)) == 0
+        assert exact_kl_term(Fraction(1, 2), Fraction(0)) == math.inf
+        assert kl_term(0.0, 0.5) == 0.0
 
     @pytest.mark.parametrize(
         "p, q",
@@ -307,7 +321,7 @@ class TestModeHelpers:
     )
     def test_kl_term_past_the_float_range(self, p, q):
         log_q = math.log2(q) if isinstance(q, float) else -400 * math.log2(10)
-        assert kl_term(p, q, exact=False) == pytest.approx(
+        assert kl_term(p, q) == pytest.approx(
             p * (math.log2(p) - log_q), rel=1e-12
         )
 
@@ -721,7 +735,7 @@ class TestFloatSums:
         # the chained sum of these terms is one ulp above the correctly
         # rounded sum, which the builtin sum returns from Python 3.12
         masses = [w / 343 for w in (80, 33, 95, 46, 89)]
-        terms = [entropy_term(p, False) for p in masses]
+        terms = [entropy_term(p) for p in masses]
         chained = 0.0
         for term in terms:
             chained = chained + term
@@ -787,7 +801,7 @@ class TestExactConstructionCount:
             constructions[0] = 0
             f = surprisal_functional(tree)
             assert len(f) == len(tree.nodes)
-            assert constructions[0] == len(set(tree.mass_numerators.values()))
+            assert constructions[0] == len(set(tree.mass_below.values()))
             counts.append((constructions[0], len(f)))
         assert counts[0] == (30, 364)
 
@@ -800,7 +814,7 @@ class TestSharedSurprisalValues:
 
     @staticmethod
     def per_node_surprisal(tree):
-        return {v: log2_of(tree.node_mass[v], True, -1) for v in tree.nodes}
+        return {v: ExactLog2.log2(tree.node_mass[v]) * -1 for v in tree.nodes}
 
     def check(self, tree):
         shared = lansit_check(tree, surprisal_functional(tree))

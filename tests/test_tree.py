@@ -342,8 +342,8 @@ class TestPruning:
                     total = total + expected[c]
                 expected[v] = total
             if exact:
-                assert t.mass_numerators[t.root] == 10
-                assert {v: (type(n), n) for v, n in t.mass_numerators.items()} == {
+                assert t.mass_below[t.root] == 10
+                assert {v: (type(n), n) for v, n in t.mass_below.items()} == {
                     v: (int, n) for v, n in expected.items()
                 }
             else:

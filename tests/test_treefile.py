@@ -353,7 +353,7 @@ class TestDocumentToTree:
         assert all(m is ones[0] for m in ones) and doc.leaf_mass[1][1] is not ones[0]
         tree = document_to_tree(doc)
         assert tree.leaf_mass == dict.fromkeys([1, 2, 3, 4], Fraction(1, 4))
-        assert tree.mass_numerators == {0: 4, 1: 1, 2: 1, 3: 1, 4: 1}
+        assert tree.mass_below == {0: 4, 1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_a_repeated_bad_mass_string_names_its_first_leaf(self):
         text = json.dumps({"root": 0, "edges": [[0, "a", 1], [0, "b", 2], [0, "c", 3]],
