@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import approximation, generators, identities, treefile
 from .errors import AlphabetMismatch, ParseError, TreeProbError
-from .numeric import ExactLog2, parse_rational
+from .numeric import ExactLog2, exact_text, parse_rational
 from .tree import Tree, path_lengths
 
 __all__ = ["Report", "main", "run_cli"]
@@ -66,10 +66,11 @@ def _json_value(value):
 
 
 def _exact_string(value):
-    if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
+    """A rational result as ``numeric.exact_text`` prints it, else None."""
     if isinstance(value, ExactLog2) and value.is_rational:
-        return str(value.as_fraction())
+        value = value.as_fraction()
+    if isinstance(value, (int, Fraction)):
+        return exact_text(Fraction(value))
     return None
 
 

@@ -211,7 +211,8 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
     Starting from a bare root, repeatedly replace the leaf of largest
     product probability with a full set of children (one per spec label)
     while the leaf count stays within budget; ties go to the
-    lexicographically smallest label path.  Leaf masses are then the dyadic
+    lexicographically smallest label path, labels compared as
+    ``label_order`` does.  Leaf masses are then the dyadic
     quantization of the product probabilities, which keeps the tree exactly
     normalized and the construction fully deterministic.
 
@@ -278,8 +279,10 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     # and the parent edges in the order the nodes were made
     children: dict[int, list[tuple[Label, int]]] = {}
     parent_edge: dict[int, tuple[int, Label]] = {}
-    # heap of current leaves keyed by (-K * M^(L - d), path); paths are unique
-    heap: list[tuple[int, tuple[Label, ...], int]] = [(-scale, (), 0)]
+    # heap of current leaves keyed by (-K * M^(L - d), path), a path being
+    # its labels' positions in ``labels``: unique, and comparable whatever
+    # the labels' types
+    heap: list[tuple[int, tuple[int, ...], int]] = [(-scale, (), 0)]
     for budget in budgets:
         # the first budget always grows, since it is at least the width
         if len(heap) + (width - 1) > budget:
@@ -292,11 +295,11 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
             # d < L for an expanded leaf, so its key is a multiple of M
             neg_key //= m
             pairs = children[node] = []
-            for label, k in zip(labels, weights):
+            for j, (label, k) in enumerate(zip(labels, weights)):
                 child = len(parent_edge) + 1
                 pairs.append((label, child))
                 parent_edge[child] = (node, label)
-                heapq.heappush(heap, (neg_key * k, path + (label,), child))
+                heapq.heappush(heap, (neg_key * k, path + (j,), child))
         key = {node: -neg_key for neg_key, _, node in heap}
         order = _preorder(0, children)
         leaves = [v for v in order if v not in children]

@@ -24,6 +24,13 @@ independent over the rationals, which makes the coefficient map a canonical
 form: two expressions denote the same real number exactly when their maps
 are equal.  No epsilon enters an exact-mode identity check.
 
+Ordering is exact too, and refuses no value.  ``ExactLog2._sign`` takes
+the sum of c_p * ln(p) in ``decimal`` at 20, 40, 80, ... digits and
+returns the sign of the first sum that lies outside its rounding bound.
+Two distinct integer powers differ by at least 1, so a precision that
+grows with the coefficients' bit lengths decides every value that is not
+0.  The argument needs only pairwise-coprime keys, not primes.
+
 Exact sums are folded, not chained: ``exact_weighted_sum`` adds every
 term's coefficients into one ``{prime: coefficient}`` map, divides each
 total by a common denominator once and builds a single ``ExactLog2`` at
@@ -60,6 +67,7 @@ alone takes a mode, for callers of both.
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -138,9 +146,9 @@ class ExactLog2:
     other rational once.  A rational value hashes as its ``Fraction``, and
     ``as_fraction`` always returns a ``Fraction``.
 
-    Ordering is exact: a float comparison with a rigorous rounding-error
-    bound decides well-separated values, and near-ties fall back to comparing
-    the integer powers prod p^(c_p * lcm) directly.  Package code orders
+    Ordering is exact: ``_sign`` sums the terms in ``decimal`` at rising
+    precision until the sum lies outside its rounding bound, which
+    decides every value over pairwise-coprime keys.  Package code orders
     these values only to sign one past the float range (``cli``); ordering
     serves tests (nonnegativity asserts) and the benchmark's tracer, which
     wraps the comparisons and ``__abs__`` by name.
@@ -268,43 +276,40 @@ class ExactLog2:
 
     # -- ordering -----------------------------------------------------------
 
-    def _sign_exact(self) -> int:
-        """Sign by comparing the integer powers prod p^(c_p * lcm) to 1.
-
-        Only ``_sign`` calls this, on a non-empty map, and a non-empty
-        canonical map is never zero, so the two powers always differ.
-        """
-        lcm = 1
-        for c in self._coef.values():
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        bits = 0.0
-        for p, c in self._coef.items():
-            bits += abs(float(c * lcm)) * math.log2(p)
-        if bits > 5e7:
-            raise ValueError(
-                "values too close to order by float and too large to order exactly"
-            )
-        num = den = 1
-        for p, c in self._coef.items():
-            e = int(c * lcm)
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p**-e
-        return 1 if num > den else -1
-
     def _sign(self) -> int:
-        if not self._coef:
-            return 0
-        # scaled by the largest |c| so that no coefficient overflows a float
-        scale = max(map(abs, self._coef.values()))
-        terms = [float(c / scale) * math.log2(p) for p, c in self._coef.items()]
-        approx = math.fsum(terms)
-        # each term is correct to a few ulps, so this bound is conservative
-        err = (len(terms) + 2) * 2.0**-50 * sum(abs(t) for t in terms)
-        if abs(approx) > err:
-            return 1 if approx > 0 else -1
-        return self._sign_exact()
+        """The sign of the value: -1, 0 or 1.
+
+        The sum of c_p * ln(p) is taken in ``decimal`` at 20, 40, 80, ...
+        significant digits, with the exponent range at its extremes, so no
+        coefficient overflows.  ``Decimal.ln`` is correctly rounded, a term
+        takes two more roundings and each addition one, so a sum of k terms
+        is off by less than (k + 3) * 10^(1 - digits) times the sum of the
+        |terms|: the first sum outside that bound has the value's sign.
+        With L the lcm of the coefficients' denominators, L times the value
+        is the log of a ratio of two integer powers of B bits in all,
+        B = sum of |c_p * L| * bitlen(p); two distinct integers differ by at
+        least 1, so a value that is not 0 is at least 2^-(B + 1) / B times
+        the sum of the |terms|, and once 3 * digits exceeds B + 64 a sum
+        inside its bound can only be 0.  Over pairwise-coprime keys, such as
+        primes, a non-empty map is never 0, so the loop always returns a
+        sign before that; only keys that share a factor can reach the 0.
+        """
+        coef = self._coef
+        lcm = math.lcm(*(c.denominator for c in coef.values()))
+        bits = sum(
+            abs(c.numerator) * (lcm // c.denominator) * p.bit_length() for p, c in coef.items()
+        )
+        digits = 20
+        while True:
+            with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+                terms = [c.numerator * Decimal(p).ln() / c.denominator for p, c in coef.items()]
+                total = sum(terms)
+                bound = Decimal(len(terms) + 3).scaleb(1 - digits) * sum(map(abs, terms))
+                if abs(total) > bound:
+                    return 1 if total > 0 else -1
+            if 3 * digits > bits + 64:
+                return 0
+            digits *= 2
 
     def _compare(self, other, op) -> bool:
         coerced = self._coerce(other)

@@ -413,6 +413,25 @@ def exact_kl_term(p, q) -> Scalar:
     return ExactLog2.log2(Fraction(p) / Fraction(q)) * Fraction(p)
 
 
+def power_sign(value: ExactLog2) -> int:
+    """The sign of an ExactLog2 sum c_p * log2(p), from integer powers: with
+    L the lcm of the coefficients' denominators, the sign of
+    prod p^(c_p * L) - 1, taken as the product of the positive powers
+    against that of the negative ones.  Exact over any keys, at a cost that
+    grows with the powers' bit lengths, so for small maps only: the oracle
+    of ``ExactLog2._sign``."""
+    coef = value._coef
+    lcm = math.lcm(*(c.denominator for c in coef.values()))
+    num = den = 1
+    for p, c in coef.items():
+        e = c.numerator * (lcm // c.denominator)
+        if e > 0:
+            num *= p**e
+        else:
+            den *= p**-e
+    return (num > den) - (num < den)
+
+
 def _shared_alphabet(p: FiniteDistribution, q: FiniteDistribution) -> tuple[Label, ...]:
     """The sorted alphabet of p; AlphabetMismatch unless q has the same one."""
     if p.mass.keys() != q.mass.keys():

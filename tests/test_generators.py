@@ -295,6 +295,24 @@ class TestGrowMatcherTree:
         with pytest.raises(ParamsInvalid):
             grow_matcher_tree(spec, 4)
 
+    @pytest.mark.parametrize(
+        "masses", [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))]
+    )
+    def test_mixed_label_types_grow_the_integer_shape(self, masses):
+        # ties between paths must not compare a str label with an int one;
+        # "a" sorts after 0 as 1 does, so the growth is the same
+        mixed = ProductSpec(FiniteDistribution(dict(zip((0, "a"), masses))))
+        ints = ProductSpec(FiniteDistribution(dict(zip((0, 1), masses))))
+        relabel = {0: 0, "a": 1}
+        for budget in (2, 5, 8, 33):
+            got, want = grow_matcher_tree(mixed, budget), grow_matcher_tree(ints, budget)
+            assert {v: [(relabel[a], c) for a, c in pairs] for v, pairs in got.children.items()} == {
+                v: list(pairs) for v, pairs in want.children.items()
+            }
+            assert got.leaf_mass == want.leaf_mass
+        budgets = [2, 5, 8, 33]
+        assert convergence_sweep(mixed, budgets, 0.1) == convergence_sweep(ints, budgets, 0.1)
+
     def test_masses_consistent_with_probabilities(self):
         tree = grow_matcher_tree(TWO_THIRDS_SPEC, 25)
         q = node_probabilities(tree)

@@ -177,11 +177,12 @@ class TestExpectedPathLength:
         assert expected_path_length(demo_tree) == Fraction(5, 2)
 
     def test_equals_leaf_average(self):
-        for i in range(40):
-            t = corpus_tree(i)
-            w = path_lengths(t)
-            leaf_avg = sum(t.leaf_mass[leaf] * w[leaf] for leaf in t.leaves)
-            assert expected_path_length(t) == leaf_avg
+        for family in (corpus_tree, informative_tree):
+            for i in range(40):
+                t = family(i)
+                w = path_lengths(t)
+                leaf_avg = sum(t.leaf_mass[leaf] * w[leaf] for leaf in t.leaves)
+                assert expected_path_length(t) == leaf_avg
 
     def test_complete_tree_is_depth(self):
         t = complete_tree(2, 3, seed=1)
@@ -197,16 +198,18 @@ class TestLeafEntropy:
         assert leaf_entropy(demo_tree) == Fraction(3, 2)
 
     def test_equals_leaf_side_exact(self):
-        for i in range(40):
-            t = corpus_tree(i)
-            assert leaf_entropy(t) == leaf_entropy_oracle(t)
+        for family in (corpus_tree, informative_tree):
+            for i in range(40):
+                t = family(i)
+                assert leaf_entropy(t) == leaf_entropy_oracle(t)
 
     def test_equals_leaf_side_float(self):
-        for i in range(40):
-            t = float_mirror(corpus_tree(i))
-            branch = leaf_entropy(t)
-            oracle = leaf_entropy_oracle(t)
-            assert abs(branch - oracle) <= 1e-9 * max(1.0, abs(oracle))
+        for family in (corpus_tree, informative_tree):
+            for i in range(40):
+                t = float_mirror(family(i))
+                branch = leaf_entropy(t)
+                oracle = leaf_entropy_oracle(t)
+                assert abs(branch - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
     def test_deterministic_path_has_zero_entropy(self):
         t = build_tree([(0, "a", 1), (1, "a", 2)], {2: Fraction(1)})
@@ -356,9 +359,10 @@ class TestEntropyRate:
         assert float(rate) == 0.6
 
     def test_equals_entropy_over_length(self):
-        for i in range(40):
-            t = corpus_tree(i)
-            assert entropy_rate(t) == leaf_entropy(t) / expected_path_length(t)
+        for family in (corpus_tree, informative_tree):
+            for i in range(40):
+                t = family(i)
+                assert entropy_rate(t) == leaf_entropy(t) / expected_path_length(t)
 
     def test_iid_uniform_bits_rate_one(self):
         edges = [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4), (2, 0, 5), (2, 1, 6)]
@@ -380,20 +384,22 @@ class TestNormalizedDivergence:
         assert nd == Fraction(1, 10)
 
     def test_equality_on_corpus(self):
-        for i in range(40):
-            p = corpus_tree(i)
-            q = remass(p, seed=96_000 + i)
-            assert normalized_divergence(p, q) == (
-                tree_divergence(p, q) / expected_path_length(p)
-            )
+        for family, seed in ((corpus_tree, 96_000), (informative_tree, 98_000)):
+            for i in range(40):
+                p = family(i)
+                q = remass(p, seed=seed + i)
+                assert normalized_divergence(p, q) == (
+                    tree_divergence(p, q) / expected_path_length(p)
+                )
 
     def test_zero_iff_branching_dists_match(self):
-        for i in range(20):
-            p = corpus_tree(i)
-            assert normalized_divergence(p, p) == 0
-            q = remass(p, seed=97_000 + i)
-            if any(q.leaf_mass[leaf] != p.leaf_mass[leaf] for leaf in p.leaves):
-                assert normalized_divergence(p, q) > 0
+        for family, seed in ((corpus_tree, 97_000), (informative_tree, 99_000)):
+            for i in range(20):
+                p = family(i)
+                assert normalized_divergence(p, p) == 0
+                q = remass(p, seed=seed + i)
+                if any(q.leaf_mass[leaf] != p.leaf_mass[leaf] for leaf in p.leaves):
+                    assert normalized_divergence(p, q) > 0
 
     def test_infinite_when_uncovered(self, demo_tree):
         slim = build_tree(

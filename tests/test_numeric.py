@@ -14,6 +14,7 @@ from corpus import (
     float_functional,
     float_mirror,
     kl_of,
+    power_sign,
     random_distribution,
     remass,
 )
@@ -54,6 +55,11 @@ positive_rationals = st.fractions(
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000
 )
+# small enough that the integer powers of power_sign stay cheap
+small_primes = st.sampled_from([2, 3, 5, 7, 11, 13])
+small_coefficients = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+# log2(3) to 40 significant digits
+LOG2_3 = Fraction("1.584962500721156181453738943947816508760")
 
 
 class TestExactLog2:
@@ -226,7 +232,7 @@ class TestIntegerCoefficients:
         # 3^12 = 531441 > 524288 = 2^19, with integer coefficients
         diff = ExactLog2.log2(3) * 12 - 19
         assert self.types(diff) == {2: int, 3: int}
-        assert diff._sign_exact() == 1 and diff > 0 and -diff < 0
+        assert diff._sign() == 1 and diff > 0 and -diff < 0
 
 
 class TestOrdering:
@@ -241,15 +247,67 @@ class TestOrdering:
     def test_near_tie_falls_back_to_exact(self):
         # 3^12 = 531441 > 524288 = 2^19, so log2(3) exceeds 19/12
         diff = ExactLog2.log2(3) - Fraction(19, 12)
-        assert diff._sign_exact() == 1
-        assert (-diff)._sign_exact() == -1
+        assert diff._sign() == 1 == power_sign(diff)
+        assert (-diff)._sign() == -1 == power_sign(-diff)
         assert ExactLog2()._sign() == 0
 
     def test_near_tie_too_large_to_order_exactly(self):
         # the float of log2(3) lies within float error of it, and its
-        # denominator 2^49 makes the exact powers far too large to build
-        with pytest.raises(ValueError, match="too close to order"):
-            ExactLog2.log2(3) > Fraction(math.log2(3))
+        # denominator 2^49 makes the integer powers far too large to build
+        below = Fraction(math.log2(3))
+        assert below < LOG2_3 - Fraction(1, 10**39)
+        assert ExactLog2.log2(3) > below
+        assert not ExactLog2.log2(3) <= below
+        assert (below - ExactLog2.log2(3))._sign() == -1
+
+    @pytest.mark.parametrize("offset, sign", [(0, 1), (1, -1)])
+    def test_gap_below_twenty_digits(self, offset, sign):
+        # log2(3) - r for r a 30-decimal rounding of it: a gap of about
+        # 5e-31 that a 20-digit sum cannot resolve
+        r = Fraction(math.floor(LOG2_3 * 10**30) + offset, 10**30)
+        assert 0 < abs(LOG2_3 - r) < Fraction(1, 10**30)
+        assert (LOG2_3 - r > 0) == (sign > 0)
+        diff = ExactLog2.log2(3) - r
+        assert diff._sign() == sign
+        assert (-diff)._sign() == -sign
+        assert (ExactLog2.log2(3) > r) == (sign > 0)
+
+    def test_denominator_two_to_the_sixty(self):
+        c = Fraction(round(LOG2_3 * 2**60), 2**60)
+        assert abs(LOG2_3 - c) > Fraction(1, 10**30)
+        start = time.perf_counter()
+        diff = ExactLog2({3: 1, 2: -c})
+        assert diff._sign() == (1 if LOG2_3 > c else -1)
+        assert (ExactLog2.log2(3) < c) == (LOG2_3 < c)
+        assert time.perf_counter() - start < 1.0
+
+    def test_coprime_composite_base(self):
+        # 6 < 35, and 6^2 = 36 > 35
+        for coef, sign in (({6: 1, 35: -1}, -1), ({6: 2, 35: -1}, 1),
+                           ({6: Fraction(1, 2), 35: Fraction(-1, 4)}, 1)):
+            value = ExactLog2(coef)
+            assert value._sign() == sign == power_sign(value)
+            assert (-value)._sign() == -sign
+
+    def test_shared_factors_can_sum_to_zero(self):
+        # log2 6 - log2 2 - log2 3 is 0, though the map is not empty
+        assert ExactLog2({6: 1, 2: -1, 3: -1})._sign() == 0
+        assert ExactLog2({4: Fraction(3, 2), 2: -3})._sign() == 0
+        assert ExactLog2({6: 1, 2: -1, 3: -1}) >= 0
+
+    @given(st.dictionaries(small_primes, small_coefficients, max_size=4))
+    def test_sign_matches_integer_powers(self, coef):
+        value = ExactLog2(coef)
+        assert value._sign() == power_sign(value)
+
+    @given(small_primes, small_coefficients, st.integers(1, 200))
+    def test_sign_matches_integer_powers_near_ties(self, p, c, den):
+        # c log2(p) - r for r the closest fraction of denominator at most
+        # den, and the closest of denominator den
+        x = c * math.log2(p)
+        for r in (Fraction(x).limit_denominator(den), Fraction(round(x * den), den)):
+            value = ExactLog2.log2(p) * c - r
+            assert value._sign() == power_sign(value)
 
     def test_coefficient_past_the_float_range(self):
         big = ExactLog2({3: Fraction(10**400)})
@@ -901,3 +959,19 @@ class TestExactText:
     )
     def test_values_past_the_limit_are_summarized(self, value, text):
         assert exact_text(value) == text
+
+    @pytest.mark.parametrize(
+        "value, fraction",
+        [
+            (Fraction(10**5000, 3), Fraction(10**5000, 3)),
+            (ExactLog2.from_rational(Fraction(10**5000, 3)), Fraction(10**5000, 3)),
+            (ExactLog2.from_rational(Fraction(-1, 3**10000)), Fraction(-1, 3**10000)),
+        ],
+    )
+    def test_cli_results_print_long_values(self, value, fraction):
+        # the "exact" field of a result past the int-string limit is its
+        # summary, as in messages
+        entry = cli._result(value, "bits")
+        assert entry["exact"] == exact_text(fraction)
+        assert entry["exact"].startswith("about ")
+        assert entry["value"] == ("inf" if fraction > 1 else 0.0)
