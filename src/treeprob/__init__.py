@@ -54,13 +54,10 @@ from .identities import (
     tree_divergence,
 )
 from .approximation import (
-    BoundedFunctional,
     FiniteDistribution,
     PinskerTreeReport,
     ProductSpec,
-    entropy_functional,
     entropy_rate_gap,
-    functional_convergence_gap,
     product_branch_divergence,
     tree_pinsker_report,
 )
@@ -90,7 +87,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatch",
-    "BoundedFunctional",
     "BranchingNodeDistribution",
     "CycleDetected",
     "DegenerateTree",
@@ -125,11 +121,9 @@ __all__ = [
     "convergence_sweep",
     "document_to_tree",
     "dyadic_quantization",
-    "entropy_functional",
     "entropy_rate",
     "entropy_rate_gap",
     "expected_path_length",
-    "functional_convergence_gap",
     "generate_random_tree",
     "grow_matcher_tree",
     "lansit_check",

@@ -12,11 +12,10 @@ D >= d^2 / (2 ln 2) is its one-branching-node case.
 from __future__ import annotations
 
 import math
-import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     MassNotNormalized,
@@ -29,24 +28,20 @@ from .identities import (
     align_by_paths,
     aligned_divergence,
     branch_references,
-    branch_sum,
     comparison_sums,
     entropy_rate,
     leaf_log_sum,
     normalizer,
     one_mode,
 )
-from .numeric import _chained, entropy_of, exact_text
+from .numeric import entropy_of, exact_text
 from .tree import MASS_SUM_TOLERANCE, Label, Tree, label_order
 
 __all__ = [
-    "BoundedFunctional",
     "FiniteDistribution",
     "PinskerTreeReport",
     "ProductSpec",
-    "entropy_functional",
     "entropy_rate_gap",
-    "functional_convergence_gap",
     "product_branch_divergence",
     "tree_pinsker_report",
 ]
@@ -55,12 +50,6 @@ PINSKER_TOLERANCE = 1e-12
 
 # tail thresholds that tree_pinsker_report enumerates unless given others
 DEFAULT_EPSILONS = (0.01, 0.1, 0.5, 1.0)
-
-# the random distributions BoundedFunctional.spot_check draws, their seed,
-# and the slack it allows past the declared bound for float rounding
-SPOT_CHECK_SAMPLES = 200
-SPOT_CHECK_SEED = 0
-SPOT_CHECK_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -347,69 +336,6 @@ def tree_pinsker_report(
         holds=nd_float >= bound - PINSKER_TOLERANCE,
         tail=tail,
     )
-
-
-@dataclass(frozen=True)
-class BoundedFunctional:
-    """A real feature of branching distributions with a declared range bound.
-
-    ``bound`` must dominate |evaluate(P) - evaluate(reference)| over the
-    alphabet's simplex; it is declared, not derived, and ``spot_check``
-    samples random distributions to catch gross misdeclarations.
-    """
-
-    evaluate: Callable[[FiniteDistribution], object]
-    bound: float
-
-    def spot_check(self, spec: ProductSpec) -> bool:
-        rng = random.Random(SPOT_CHECK_SEED)
-        center = float(self.evaluate(spec.base))
-        labels = spec.alphabet
-        for _ in range(SPOT_CHECK_SAMPLES):
-            raw = [rng.random() for _ in labels]
-            # added left to right, so every Python version draws the same
-            total = _chained(raw)
-            mass = {lab: x / total for lab, x in zip(labels, raw)}
-            dist = FiniteDistribution(mass, exact=False)
-            if abs(float(self.evaluate(dist)) - center) > self.bound + SPOT_CHECK_SLACK:
-                return False
-        return True
-
-
-def entropy_functional(alphabet: Iterable[Label]) -> BoundedFunctional:
-    """g = Shannon entropy with the built-in bound log2 of alphabet size."""
-    size = len(list(alphabet))
-    if size < 1:
-        raise ParamsInvalid("entropy functional needs a nonempty alphabet")
-    return BoundedFunctional(
-        evaluate=lambda dist: dist.entropy(), bound=math.log2(size) if size > 1 else 0.0
-    )
-
-
-def functional_convergence_gap(
-    tree: Tree, spec: ProductSpec, g: BoundedFunctional
-) -> float:
-    """|E_{P_B}[g(P_{S_B})] - g(P_{S*})|, the per-branch feature gap.
-
-    The pair runs in one mode (``identities.one_mode``).  Branching
-    distributions are zero-extended to the spec alphabet before evaluation
-    so g sees one fixed domain.  The average follows ``branch_sum``'s mode
-    rule: on an exact pair whose values of g are all non-float it is exact.
-    The gap is the difference rounded once, so on an exact pair a gap of
-    zero is an exact 0.0 rather than rounding noise; where g returns
-    floats, both terms are floats already.
-    """
-    tree, spec = one_mode(tree, spec)
-    ew = normalizer(tree)
-    _require_alphabet(tree, spec)
-    zero = Fraction(0) if tree.exact else 0.0
-    alphabet = spec.alphabet
-
-    def inner(j, dist):
-        extended = {lab: dist.get(lab, zero) for lab in alphabet}
-        return g.evaluate(FiniteDistribution(extended, exact=tree.exact))
-
-    return abs(float(branch_sum(tree, inner) / ew - g.evaluate(spec.base)))
 
 
 def entropy_rate_gap(tree: Tree, spec: ProductSpec) -> float:

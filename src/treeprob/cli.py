@@ -249,7 +249,9 @@ def _cmd_divergence(args, report: Report) -> None:
     )
 
 
-def _functional_from_file(tree: Tree, path: str) -> dict:
+def _functional_from_file(tree: Tree, path: str) -> tuple[Tree, dict]:
+    """The functional of the file at ``path`` on the nodes of ``tree``, and
+    the tree its sums run on (``identities.functional_mode``)."""
     raw = treefile.load_json(Path(path).read_text("utf-8"))
     if not isinstance(raw, dict):
         raise TreeProbError("functional file must be a JSON object of node: value")
@@ -261,20 +263,21 @@ def _functional_from_file(tree: Tree, path: str) -> dict:
             values[node] = _parse_option(f"functional value of node {node!r}", v)
         else:
             values[node] = _float_or_inf(v) if type(v) in (int, float) else math.nan
-    # a float tree or a float value makes the sums float sums, which convert
-    # every value to a float, so each must fit
-    floats = not tree.exact or any(isinstance(v, float) for v in values.values())
+    # sums on a float tree convert every value to a float, so each must fit
+    tree = identities.functional_mode(tree, values)
     for node, value in values.items():
-        if floats and not math.isfinite(_float_or_inf(value)):
+        if not tree.exact and not math.isfinite(_float_or_inf(value)):
             raise ParseError(f"functional value of node {node!r} is not a finite number")
-    return values
+    return tree, values
 
 
 def _cmd_check(args, report: Report) -> None:
     tree = _load_tree(report, args.tree, args.float)
     functionals: list[tuple[str, dict]] = []
     if args.functional:
-        functionals.append(("file", _functional_from_file(tree, args.functional)))
+        # the per-branch sides divide by E[w(L)] of the tree the sums ran on
+        tree, f = _functional_from_file(tree, args.functional)
+        functionals.append(("file", f))
     else:
         functionals.append(("path-length", path_lengths(tree)))
         functionals.append(("surprisal", identities.surprisal_functional(tree)))

@@ -43,7 +43,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .approximation import ProductSpec, require_epsilon, tree_pinsker_report
 from .errors import ParamsInvalid
 from .identities import leaf_entropy
-from .numeric import _chained
+from .numeric import _chained, exact_text
 from .tree import Label, Tree, _preorder, _tree_from_tables, build_tree, label_order
 
 __all__ = [
@@ -156,17 +156,23 @@ def dyadic_quantization(
     The targets are sorted by path (labels compared as ``label_order``
     does), put over their common denominator and quantized in integers by
     ``_dyadic_levels``, the matcher's own quantizer, whose ties go to the
-    earlier position.  The result is keyed in that path order.
+    earlier position.  The result is keyed in that path order.  Raises
+    ParamsInvalid for no targets, for a target that is not positive, and
+    for targets whose one integer sum over that denominator exceeds it.
     """
     targets = list(targets)
+    if not targets:
+        raise ParamsInvalid("dyadic quantization needs at least one target")
     for path, p in targets:
         if p <= 0:
             raise ParamsInvalid(f"target mass must be positive, got {p} at {path!r}")
     ranked = sorted(targets, key=lambda target: [label_order(a) for a in target[0]])
     denominator = math.lcm(*(p.denominator for _, p in targets))
-    levels = _dyadic_levels(
-        [p.numerator * (denominator // p.denominator) for _, p in ranked], denominator
-    )
+    numerators = [p.numerator * (denominator // p.denominator) for _, p in ranked]
+    if (total := sum(numerators)) > denominator:
+        text = exact_text(Fraction(total, denominator))
+        raise ParamsInvalid(f"targets sum to {text}, more than 1")
+    levels = _dyadic_levels(numerators, denominator)
     return {path: Fraction(1, 1 << level) for (path, _), level in zip(ranked, levels)}
 
 

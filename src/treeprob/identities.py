@@ -21,15 +21,12 @@ leaf masses sum to 1 only within ``MASS_SUM_TOLERANCE``.
 A pair of trees, or a tree and a product spec, runs in one numeric mode,
 decided once where the pair enters (``one_mode``): it is exact only when
 both sides are exact, and otherwise each exact side is converted once to
-float, as ``--float`` loads it.  So no sum meets an exact side and a
-float side of a pair.  One mode rule (``_exact_sum``) then holds for every
-sum over a tree: it is exact when the tree is exact and none of its
-values (f on the nodes, or the inner values of ``branch_sum``) is a
-float, which a caller's functional or g may return.  Any other sum is
-chained left to right as ``total = total + w * v``.  ``branch_sum``
-evaluates its inner values once, in preorder, in both modes, and then
-folds or chains them, so the rule reads values that are never evaluated
-again.
+float, as ``--float`` loads it.  A tree and a caller's node functional f
+are decided the same way (``functional_mode``): an exact tree with a
+float in f runs as its float tree.  So every sum over a tree runs in the
+tree's mode, and no sum meets an exact side and a float side.  An exact
+sum is one fold; a float sum is chained left to right as
+``total = total + w * v``.
 
 An exact tree keeps one integer table n with Q_v = n_v / D, D = n_root the
 lcm of the leaf-mass denominators (``Tree.mass_below``), and every
@@ -79,12 +76,11 @@ never an internal Q_j.  The result equals the per-branch sum of
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
 nodes; a caller that already holds an unnormalized value gets its
-per-branch form with one division.  ``approximation`` averages a bounded
-functional g the same way, with inner = g(P_{S_j}).  Its Pinsker report
-divides the sums of the comparison pass by E[w(L)] on a float pair.  On
-an exact pair, its Pinsker averages are ratios of integers over the
-tables n of both sides (the integer references of ``branch_references``),
-without ``branch_sum`` and without any P_{S_j}.
+per-branch form with one division.  The Pinsker report of
+``approximation`` divides the sums of the comparison pass by E[w(L)] on a
+float pair.  On an exact pair, its Pinsker averages are ratios of
+integers over the tables n of both sides (the integer references of
+``branch_references``), without ``branch_sum`` and without any P_{S_j}.
 """
 
 from __future__ import annotations
@@ -192,29 +188,32 @@ def one_mode(p, reference):
     return tuple(x.as_float() if x.exact else x for x in (p, reference))
 
 
-def _exact_sum(tree: Tree, values: Iterable) -> bool:
-    """The mode rule: a sum over ``tree`` is exact when the tree is exact
-    and none of its ``values`` is a float.  It serves a caller's functional
-    and g values, which may be floats on an exact tree; a pair's second
-    side is in the tree's mode already (``one_mode``)."""
-    return tree.exact and not any(isinstance(v, float) for v in values)
+def functional_mode(tree: Tree, f: NodeFunctional) -> Tree:
+    """The tree that sums of the node functional f run on: the float tree
+    of an exact ``tree`` (``as_float``) when f holds a float at one of its
+    nodes, as ``one_mode`` converts a mixed pair, and ``tree`` otherwise."""
+    if tree.exact and any(isinstance(f.get(v), float) for v in tree.nodes):
+        return tree.as_float()
+    return tree
 
 
 def branch_sum(
     tree: Tree, inner: Callable[[NodeId, Mapping[Label, object]], object]
 ) -> object:
-    """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}).
+    """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}), in
+    the tree's mode.
 
-    Each inner value is evaluated once, in preorder, in both modes, before
-    the mode rule (``_exact_sum``) reads them.  An exact sum weights
-    inner(j) by the integer n_j of Q_j = n_j / D and folds the terms over
-    D (``numeric.exact_weighted_sum``); any other chains Q_j * inner(j)
-    from 0.0, left to right.  A tree without branching nodes yields
-    Fraction(0) on an exact tree and 0.0 on a float one.
+    Each inner value is evaluated once, in preorder.  On an exact tree the
+    sum weights inner(j) by the integer n_j of Q_j = n_j / D and folds the
+    terms over D (``numeric.exact_weighted_sum``), so every inner value
+    must be exact: its callers, float ``leaf_entropy`` and the test
+    oracles, give exact values on exact trees.  On a float tree it chains
+    Q_j * inner(j) from 0.0, left to right.  A tree without branching nodes
+    yields Fraction(0) on an exact tree and 0.0 on a float one.
     """
     branching = branching_distributions(tree)
     values = [inner(j, dist) for j, dist in branching.items()]
-    if _exact_sum(tree, values):
+    if tree.exact:
         n = tree.mass_below
         return exact_weighted_sum(zip(map(n.get, branching), values), n[tree.root])
     q = node_probabilities(tree)
@@ -281,18 +280,17 @@ def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     """The node side: sum over branching j of Q_j E[delta_f(S_j)], with
     every mass read from the tree's one table (``Tree.mass_below``).
 
-    Exact when ``_exact_sum`` over f says so, and float otherwise
-    (``_node_increment_sum``).  Summed, the increments telescope to sum
-    over leaves l of Q_l f(l), less Q_root f(root).  Raises
-    FunctionalIncomplete when f lacks a node.
+    The sum runs on ``functional_mode(tree, f)``: exact on an exact tree,
+    and on its float tree when f holds a float (``_node_increment_sum``).
+    Summed, the increments telescope to sum over leaves l of Q_l f(l),
+    less Q_root f(root).  Raises FunctionalIncomplete when f lacks a node.
     """
     _require_complete(tree, f)
-    return _node_increment_sum(tree, f, _exact_sum(tree, map(f.get, tree.nodes)))
+    return _node_increment_sum(functional_mode(tree, f), f)
 
 
-def _node_increment_sum(tree: Tree, f: NodeFunctional, exact: bool) -> object:
-    """``node_increment_sum`` in the mode that ``exact`` gives, decided by
-    the caller from f once.
+def _node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
+    """``node_increment_sum`` on the tree that ``functional_mode`` gives.
 
     An exact sum is one fold over D, in no particular order: since n_j is
     the sum of its children's n_c, the increment at j is the integer terms
@@ -304,7 +302,7 @@ def _node_increment_sum(tree: Tree, f: NodeFunctional, exact: bool) -> object:
     in preorder, as the paper contracts the tree; its bits depend on that
     order (``_merge_order``).
     """
-    if exact:
+    if tree.exact:
         n = tree.mass_below
         root = tree.root
         terms = [(m, f[v]) for v, m in n.items() if v != root]
@@ -325,20 +323,21 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
 
     The leaf side is sum over leaves l of Q_l f(l), less Q_root f(root),
     over the tree's masses as given; the node side is
-    ``node_increment_sum``, which telescopes to the same sum.  An exact
-    leaf side folds n_l f(l) and -D f(root) over D from the tree's integer
-    table, as the node side does, so it checks the identity on that table
-    but not the table against the parsed leaf masses.  A float leaf side
-    weights f(root) by Q_root, which is 1 on an exact tree and the summed
-    leaf masses, within ``MASS_SUM_TOLERANCE`` of 1, on a float one; its
+    ``node_increment_sum``, which telescopes to the same sum.  Both sides
+    run on ``functional_mode(tree, f)``, so an exact tree with a float in f
+    reports what its float tree reports.  An exact leaf side folds n_l f(l)
+    and -D f(root) over D from the tree's integer table, as the node side
+    does, so it checks the identity on that table but not the table
+    against the parsed leaf masses.  A float leaf side weights f(root) by
+    Q_root, the summed leaf masses, within ``MASS_SUM_TOLERANCE`` of 1; its
     ``scale`` adds up the absolute values of those terms.  Raises
     FunctionalIncomplete when f lacks a node.
     """
     _require_complete(tree, f)
-    exact = _exact_sum(tree, map(f.get, tree.nodes))
+    tree = functional_mode(tree, f)
     root = tree.root
     scale = 0.0
-    if exact:
+    if tree.exact:
         n = tree.mass_below
         terms = [(n[leaf], f[leaf]) for leaf in tree.leaves]
         leaf_side = exact_weighted_sum(terms + [(-n[root], f[root])], n[root])
@@ -351,8 +350,8 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
         term = node_probabilities(tree)[root] * f[root]
         leaf_side = leaf_side - term
         scale += abs(float(term))
-    node_side = _node_increment_sum(tree, f, exact)
-    return LansitReport(leaf_side, node_side, leaf_side - node_side, exact, scale)
+    node_side = _node_increment_sum(tree, f)
+    return LansitReport(leaf_side, node_side, leaf_side - node_side, tree.exact, scale)
 
 
 def expected_path_length(tree: Tree) -> object:

@@ -55,9 +55,10 @@ equals the chained sum under ``==``, in whatever order its terms come.
 The fold takes exact terms only.  A pair, two trees or a tree and a
 product spec, is exact only when both sides are; otherwise its exact side
 is converted once to float, so no sum mixes the two (``identities.one_mode``).
-A sum over a tree is then exact when the tree is exact and none of its
-values, which a caller's functional may give, is a float (``identities``);
-any other sum is the float sum, which keeps its left-to-right ``total +
+A tree and a caller's node functional are such a pair: an exact tree with
+a float value runs as its float tree (``identities.functional_mode``).  A
+sum over a tree then runs in the tree's mode: the fold on an exact tree,
+and on a float tree the float sum, which keeps its left-to-right ``total +
 term`` order, so float results do not depend on any of this.  The mode is
 decided there, once per tree or pair: the per-term helpers
 ``entropy_term`` and ``kl_term`` are float summands, and ``entropy_of``

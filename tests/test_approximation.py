@@ -1,4 +1,3 @@
-import hashlib
 import math
 import time
 from fractions import Fraction
@@ -24,7 +23,6 @@ from corpus import (
 )
 from treeprob import (
     AlphabetMismatch,
-    BoundedFunctional,
     DegenerateTree,
     FiniteDistribution,
     MassNotNormalized,
@@ -36,10 +34,8 @@ from treeprob import (
     UnknownLabel,
     build_tree,
     convergence_sweep,
-    entropy_functional,
     entropy_rate,
     entropy_rate_gap,
-    functional_convergence_gap,
     generators,
     grow_matcher_tree,
     parse_tree,
@@ -48,7 +44,7 @@ from treeprob import (
     tree_divergence,
     tree_pinsker_report,
 )
-from treeprob import approximation, identities
+from treeprob import identities
 from treeprob.approximation import DEFAULT_EPSILONS
 from treeprob.identities import one_mode
 from treeprob.numeric import ExactLog2
@@ -337,28 +333,31 @@ class TestTreePinskerReport:
         assert report.tail == {0.01: 1.0, 0.1: 1.0, 0.5: 0.7, 1.0: 0.3}
 
     def test_holds_on_same_shape_pairs(self):
-        for i in range(60):
-            p = corpus_tree(i)
-            q = remass(p, seed=50_000 + i)
-            report = tree_pinsker_report(p, q)
-            assert report.holds
-            assert report.normalized_divergence >= report.mean_sq_distance / (
-                2 * LN2
-            ) - 1e-12
+        for family, seed in ((corpus_tree, 50_000), (informative_tree, 51_000)):
+            for i in range(60):
+                p = family(i)
+                q = remass(p, seed=seed + i)
+                report = tree_pinsker_report(p, q)
+                assert report.holds
+                assert report.normalized_divergence >= report.mean_sq_distance / (
+                    2 * LN2
+                ) - 1e-12
 
     def test_holds_against_specs(self):
-        for i in range(60):
-            p = corpus_tree(i)
-            spec = ProductSpec.uniform(p.label_alphabet)
-            assert tree_pinsker_report(p, spec).holds
+        for family in (corpus_tree, informative_tree):
+            for i in range(60):
+                p = family(i)
+                spec = ProductSpec.uniform(p.label_alphabet)
+                assert tree_pinsker_report(p, spec).holds
 
     def test_markov_dominates_tail(self):
-        for i in range(40):
-            p = corpus_tree(i)
-            spec = ProductSpec.uniform(p.label_alphabet)
-            report = tree_pinsker_report(p, spec)
-            for eps, mass in report.tail.items():
-                assert mass <= report.mean_distance / eps + 1e-12
+        for family in (corpus_tree, informative_tree):
+            for i in range(40):
+                p = family(i)
+                spec = ProductSpec.uniform(p.label_alphabet)
+                report = tree_pinsker_report(p, spec)
+                for eps, mass in report.tail.items():
+                    assert mass <= report.mean_distance / eps + 1e-12
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, Fraction(-1, 2), math.nan, math.inf])
     def test_tails_reject_bad_epsilon(self, demo_tree, epsilon):
@@ -649,7 +648,6 @@ class TestFloatFold:
         def refuse(*args):
             raise AssertionError("branch_sum called")
 
-        monkeypatch.setattr(approximation, "branch_sum", refuse)
         monkeypatch.setattr(identities, "branch_sum", refuse)
         p = float_trees(11)[0]
         _, refs = pinsker_references(11)
@@ -691,44 +689,7 @@ class TestNoBranchingTable:
         assert all("branching" not in vars(tree) for tree in built)
 
 
-class TestBoundedFunctional:
-    def test_entropy_functional_bound(self):
-        g = entropy_functional(["a", "b", "c", "d"])
-        assert g.bound == 2.0
-        assert entropy_functional(["a"]).bound == 0.0
-        with pytest.raises(ParamsInvalid):
-            entropy_functional([])
-
-    def test_spot_check_passes_honest_bound(self):
-        g = entropy_functional(["a", "b"])
-        assert g.spot_check(ProductSpec.uniform(["a", "b"]))
-
-    def test_spot_check_catches_overclaimed_bound(self):
-        tight = BoundedFunctional(
-            evaluate=lambda dist: dist.entropy(), bound=0.05
-        )
-        spec = ProductSpec(
-            FiniteDistribution({"a": Fraction(99, 100), "b": Fraction(1, 100)})
-        )
-        assert not tight.spot_check(spec)
-
-    def test_spot_check_draws_the_same_on_every_python(self):
-        # the draws are normalized by a left-to-right sum, as in
-        # generate_random_tree, so no Python version compensates them
-        seen = []
-
-        def record(dist):
-            seen.append(" ".join(float(m).hex() for m in dist.mass.values()))
-            return 0.0
-
-        BoundedFunctional(evaluate=record, bound=1.0).spot_check(
-            ProductSpec.uniform(["a", "b", "c", "d", "e"])
-        )
-        digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
-        assert digest == "eda74e3c0f48edf049d1b0bb199cd8f706acb7eeb01535254e47985b5c392a15"
-
-
-class TestFunctionalConvergenceGap:
+class TestEntropyRateGap:
     def test_demo_entropy_gap(self, demo_tree):
         spec = ProductSpec(
             FiniteDistribution({"a": Fraction(2, 3), "b": Fraction(1, 3)})
@@ -745,10 +706,6 @@ class TestFunctionalConvergenceGap:
         assert entropy_rate_gap(demo_tree_float, spec) == pytest.approx(
             expected, rel=1e-12
         )
-        g = entropy_functional(spec.alphabet)
-        assert functional_convergence_gap(
-            demo_tree_float, spec, g
-        ) == pytest.approx(expected, rel=1e-12)
 
     def test_matched_tree_gap_is_exact_zero(self):
         spec = ProductSpec(
@@ -776,61 +733,29 @@ class TestFunctionalConvergenceGap:
             )
             assert gap == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
-    def test_bounded_by_declared_bound(self):
-        for i in range(30):
-            tree = corpus_tree(i)
-            spec = ProductSpec.uniform(tree.label_alphabet)
-            g = entropy_functional(spec.alphabet)
-            assert functional_convergence_gap(tree, spec, g) <= g.bound + 1e-12
+    def test_bounded_by_log2_alphabet_size(self):
+        # a branching node has at most k children, so the rate lies in
+        # [0, log2 k], as does H of the uniform spec
+        for family in (corpus_tree, informative_tree):
+            for i in range(30):
+                tree = family(i)
+                spec = ProductSpec.uniform(tree.label_alphabet)
+                bound = math.log2(len(spec.alphabet))
+                assert entropy_rate_gap(tree, spec) <= bound + 1e-12, (family, i)
 
     def test_unknown_label(self, demo_tree):
         spec = ProductSpec.uniform(["a", "z"])
         with pytest.raises(UnknownLabel):
             entropy_rate_gap(demo_tree, spec)
 
-    def test_spec_alphabet_sorted_once_per_call(self, monkeypatch):
-        # the zero-extension reads one sorted alphabet, not one per node
-        tree = grow_matcher_tree(TestNoBranchingTable.SPEC, 243)
-        spec = TestNoBranchingTable.SPEC
-        g = BoundedFunctional(lambda dist: dist[0], 1.0)
-        want = functional_convergence_gap(tree, spec, g)
-        reads = []
-        original = ProductSpec.alphabet
-
-        def counted(self):
-            reads.append(self)
-            return original.fget(self)
-
-        monkeypatch.setattr(ProductSpec, "alphabet", property(counted))
-        assert functional_convergence_gap(tree, spec, g) == want
-        assert len(reads) == 1
-
-    @pytest.mark.parametrize(
-        "g, pinned",
-        [
-            (lambda d: d[0] > Fraction(1, 2), "0x1.0000000000000p+0"),
-            (lambda d: 1 - d[0], "0x1.fd48ccb768c2ap-3"),
-        ],
-        ids=["indicator", "rational"],
-    )
-    def test_exact_tree_float_spec_runs_as_float_pair(self, g, pinned):
-        # the pair is not both exact, so the tree runs as its float tree and
-        # the average is the float sum chained left to right; the exact sum
-        # rounded once would give 0x1.fd48ccb768c2cp-3 for the rational g
+    def test_exact_tree_float_spec_runs_as_float_pair(self):
+        # the pair is not both exact, so the tree runs as its float tree
         tree = corpus_tree(48)
         spec = ProductSpec(FiniteDistribution({0: 0.5, 1: 0.5}, exact=False))
         float_tree = tree.as_float()
-        branching = float_tree.branching
-        assert all(set(dist) == {0, 1} for dist in branching.values())
-        average = 0.0
-        for j, dist in branching.items():
-            value = g(FiniteDistribution(dist, exact=False))
-            average = average + float_tree.node_mass[j] * value
-        gap = functional_convergence_gap(tree, spec, BoundedFunctional(g, 1.0))
-        assert gap.hex() == pinned
-        assert gap == abs(average / float_tree.mean_length - g(spec.base))
-        converted = functional_convergence_gap(float_tree, spec, BoundedFunctional(g, 1.0))
-        assert gap.hex() == converted.hex()
+        gap = entropy_rate_gap(tree, spec)
+        assert gap.hex() == entropy_rate_gap(float_tree, spec).hex()
+        assert gap == abs(entropy_rate(float_tree) - spec.base.entropy())
 
     def test_float_tree_against_a_spec_mass_below_the_float_range(self):
         # the exact spec runs as a float spec that keeps the mass 1/10^400,
@@ -841,7 +766,6 @@ class TestFunctionalConvergenceGap:
         p = build_tree([("r", "a", "u"), ("r", "b", "v")], {"u": 0.5, "v": 0.5},
                        exact=False)
         assert entropy_rate_gap(p, spec) == 1.0
-        assert functional_convergence_gap(p, spec, entropy_functional("ab")) == 1.0
 
     def test_degenerate_tree(self):
         single = build_tree([], {"r": Fraction(1)})

@@ -701,6 +701,20 @@ class TestCheck:
         assert code == 2
         assert "ParseError" in err
 
+    def test_one_json_number_reports_as_float(self, tmp_path):
+        # rational texts with one JSON number on an exact document print what
+        # --float prints: the sums and E[w(L)] are the float tree's
+        golden = Path(__file__).parent / "golden"
+        doc = str(golden / "random.tree")
+        values = {str(v): f"{v}/7" for v in range(22)}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({**values, "3": 0.35}), "utf-8")
+        runs = [invoke(["check", "--json", *force, doc, "--functional", str(path)])
+                for force in ([], ["--float"])]
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[0][2] == runs[1][2]
+        assert [c["tolerance"] for c in runs[0][1].checks] == [1e-9, 1e-9]
+
     @pytest.mark.parametrize(
         "masses, functional",
         [

@@ -219,6 +219,30 @@ class TestDyadicQuantization:
                  (("c",), Fraction(1, 2))]
             )
 
+    def test_rejects_no_targets(self):
+        with pytest.raises(ParamsInvalid, match="at least one target"):
+            dyadic_quantization([])
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            [Fraction(3, 4), Fraction(3, 4)],
+            [Fraction(1, 2), Fraction(1, 2), Fraction(1, 10**9)],
+            [Fraction(2, 3), Fraction(2, 3)],
+        ],
+        ids=["powers-fit", "just-past-one", "thirds"],
+    )
+    def test_rejects_targets_summing_past_one(self, masses):
+        # 3/4, 3/4 and 2/3, 2/3 floor to powers of two that sum to 1, which
+        # the quantizer alone accepts
+        targets = [((i,), m) for i, m in enumerate(masses)]
+        with pytest.raises(ParamsInvalid, match="more than 1"):
+            dyadic_quantization(targets)
+
+    def test_accepts_targets_summing_below_one(self):
+        out = dyadic_quantization([(("a",), Fraction(1, 3)), (("b",), Fraction(1, 3))])
+        assert out == {("a",): Fraction(1, 2), ("b",): Fraction(1, 2)}
+
     @given(st.lists(st.integers(1, 100), min_size=1, max_size=12))
     def test_masses_are_dyadic_and_normalized(self, weights):
         total = sum(weights)

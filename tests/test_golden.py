@@ -31,11 +31,12 @@ def test_output_matches_golden(name, monkeypatch):
     assert out == (GOLDEN / name).read_text("utf-8")
 
 
-def test_mixed_documents_report_as_float(monkeypatch):
+@pytest.mark.parametrize("name", ["random-divergence-mixed.json", "random-check-functional.json"])
+def test_mixed_documents_report_as_float(name, monkeypatch):
     # an exact tree against a JSON-number tree runs as the float pair that
-    # --float loads, so the mixed golden holds --float's results and checks
+    # --float loads, and an exact tree with a JSON-number functional as the
+    # float tree, so each golden holds --float's results and checks
     monkeypatch.chdir(GOLDEN)
-    name = "random-divergence-mixed.json"
     command, *argv = CASES[name]
     code, _, out, err = invoke([command, "--float", *argv])
     assert (code, err) == (0, "")

@@ -120,9 +120,34 @@ class TestLansitCheck:
         report = lansit_check(demo_tree, {n: float(n) for n in demo_tree.nodes})
         assert not report.exact
         assert report.holds()
+        # an exact tree with a float functional runs as its float tree, bit
+        # for bit, also when only one value is a float
+        def bits(report):
+            fields = (report.leaf_side, report.node_side, report.residual, report.scale)
+            return report.exact, [(type(x), float(x).hex()) for x in fields]
+
+        for family, seed in ((corpus_tree, 54_000), (informative_tree, 55_000)):
+            for i in range(100):
+                t = family(i)
+                floats = float_functional(t, seed=seed + i)
+                one_float = {**rational_functional(t, seed=seed + i), t.root: 0.5}
+                for f in (floats, one_float):
+                    float_tree = t.as_float()
+                    assert bits(lansit_check(t, f)) == bits(lansit_check(float_tree, f))
+                    side, want = node_increment_sum(t, f), node_increment_sum(float_tree, f)
+                    assert (type(side), float(side).hex()) == (type(want), float(want).hex())
+
+    def test_functional_mode(self, demo_tree):
+        # a float value anywhere in f gives the exact tree's float tree
+        rational = {n: Fraction(n, 3) for n in demo_tree.nodes}
+        assert identities.functional_mode(demo_tree, rational) is demo_tree
+        float_tree = identities.functional_mode(demo_tree, {**rational, 6: 0.5})
+        assert not float_tree.exact
+        assert float_tree.leaf_mass == demo_tree.as_float().leaf_mass
+        assert identities.functional_mode(float_tree, rational) is float_tree
 
     def test_float_functional_with_root_value_on_exact_tree(self, demo_tree):
-        # Q_root is 1 on an exact tree, whatever the integer D of its table
+        # the float tree's Q_root is the float sum of its leaf masses, here 1.0
         f = {n: float(n) + 5.0 for n in demo_tree.nodes}
         report = lansit_check(demo_tree, f)
         assert not report.exact
@@ -231,19 +256,21 @@ class TestTreeDivergence:
         assert d == divergence_oracle(demo_tree, demo_q_tree)
 
     def test_branch_form_equals_leaf_form_exact(self):
-        for i in range(40):
-            p = corpus_tree(i)
-            q = remass(p, seed=90_000 + i)
-            assert tree_divergence(p, q) == divergence_oracle(p, q)
+        for family, seed in ((corpus_tree, 90_000), (informative_tree, 93_000)):
+            for i in range(40):
+                p = family(i)
+                q = remass(p, seed=seed + i)
+                assert tree_divergence(p, q) == divergence_oracle(p, q)
 
     def test_branch_form_equals_leaf_form_float(self):
-        for i in range(40):
-            p0 = corpus_tree(i)
-            p = float_mirror(p0)
-            q = float_mirror(remass(p0, seed=91_000 + i))
-            branch = tree_divergence(p, q)
-            oracle = divergence_oracle(p, q)
-            assert abs(branch - oracle) <= 1e-9 * max(1.0, abs(oracle))
+        for family, seed in ((corpus_tree, 91_000), (informative_tree, 94_000)):
+            for i in range(40):
+                p0 = family(i)
+                p = float_mirror(p0)
+                q = float_mirror(remass(p0, seed=seed + i))
+                branch = tree_divergence(p, q)
+                oracle = divergence_oracle(p, q)
+                assert abs(branch - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
     def test_missing_branch_in_reference_is_infinite(self, demo_tree):
         # reference lacks the whole subtree under label path a, a
@@ -264,10 +291,11 @@ class TestTreeDivergence:
             tree_divergence(demo_tree, wide)
 
     def test_nonnegative_on_random_pairs(self):
-        for i in range(40):
-            p = corpus_tree(i)
-            q = remass(p, seed=92_000 + i)
-            assert tree_divergence(p, q) >= 0
+        for family, seed in ((corpus_tree, 92_000), (informative_tree, 57_000)):
+            for i in range(40):
+                p = family(i)
+                q = remass(p, seed=seed + i)
+                assert tree_divergence(p, q) >= 0
 
 
 class TestBranchingNodeDistribution:
@@ -480,8 +508,8 @@ def exact_tree_triples(draw):
 
 
 class TestBranchSumMode:
-    """branch_sum is exact when the tree is exact and no inner value is a
-    float; any other sum is the float sum from 0.0, left to right."""
+    """branch_sum runs in the tree's mode: the exact fold on an exact tree,
+    and the float sum from 0.0, left to right, on a float one."""
 
     @staticmethod
     def chained(tree, values):
@@ -494,14 +522,6 @@ class TestBranchSumMode:
     def test_exact_tree_with_rational_values_is_a_fraction(self, demo_tree):
         value = branch_sum(demo_tree, lambda j, dist: Fraction(1))
         assert exact_signature(value) == (Fraction, Fraction(5, 2))
-
-    def test_one_float_value_gives_the_chained_float_sum(self):
-        tree = corpus_tree(9)
-        first = tree.branching_nodes[0]
-        values = [0.1 if j == first else Fraction(1, 3) for j in tree.branching]
-        value = branch_sum(tree, lambda j, dist: 0.1 if j == first else Fraction(1, 3))
-        assert type(value) is float
-        assert value.hex() == self.chained(tree, values).hex()
 
     def test_float_tree_gives_a_float(self):
         tree = float_mirror(corpus_tree(9))
