@@ -34,22 +34,18 @@ from .errors import (
 from .numeric import ExactLog2, parse_rational
 from .tree import (
     Tree,
-    branching_distributions,
     build_tree,
     node_probabilities,
     path_lengths,
     structurally_equal,
 )
 from .identities import (
-    BranchingNodeDistribution,
     LansitReport,
     branching_node_distribution,
     entropy_rate,
     expected_path_length,
     lansit_check,
     leaf_entropy,
-    node_increment_sum,
-    normalized_divergence,
     surprisal_functional,
     tree_divergence,
 )
@@ -62,7 +58,6 @@ from .approximation import (
     tree_pinsker_report,
 )
 from .generators import (
-    GENERATOR_ALGORITHM,
     GeneratorParams,
     SWEEP_CSV_COLUMNS,
     SweepRow,
@@ -87,14 +82,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatch",
-    "BranchingNodeDistribution",
     "CycleDetected",
     "DegenerateTree",
     "DuplicateSiblingLabel",
     "ExactLog2",
     "FiniteDistribution",
     "FunctionalIncomplete",
-    "GENERATOR_ALGORITHM",
     "GeneratorParams",
     "LansitReport",
     "LeafMassMismatch",
@@ -115,7 +108,6 @@ __all__ = [
     "TreeDocument",
     "TreeProbError",
     "UnknownLabel",
-    "branching_distributions",
     "branching_node_distribution",
     "build_tree",
     "convergence_sweep",
@@ -129,9 +121,7 @@ __all__ = [
     "lansit_check",
     "leaf_entropy",
     "main",
-    "node_increment_sum",
     "node_probabilities",
-    "normalized_divergence",
     "parse_document",
     "parse_rational",
     "parse_tree",

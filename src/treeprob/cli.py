@@ -207,7 +207,7 @@ def _cmd_analyze(args, report: Report) -> None:
         report.results["entropy_rate"] = _result(entropy / mean_length, "bits/branch")
         dist = identities.branching_node_distribution(tree)
         report.results["branching_node_distribution"] = _entry(
-            {str(node): float(mass) for node, mass in dist.mass.items()}, "probability"
+            {str(node): float(mass) for node, mass in dist.items()}, "probability"
         )
 
 

@@ -25,9 +25,9 @@ largest tree, so a budget above ``MAX_LEAF_BUDGET`` is rejected before any
 growth.  A sweep writes one CSV row per budget, with the columns in
 ``SweepRow``'s field order.
 
-All randomness comes from ``random.Random`` seeded explicitly; the
-algorithm identifier below names that generator so results can be
-reproduced bit for bit elsewhere.  The matcher itself uses no randomness.
+All randomness comes from ``random.Random``, Python's Mersenne Twister
+(MT19937), seeded explicitly, so results can be reproduced bit for bit
+elsewhere.  The matcher itself uses no randomness.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .numeric import _chained, exact_text
 from .tree import Label, Tree, _preorder, _tree_from_tables, build_tree, label_order
 
 __all__ = [
-    "GENERATOR_ALGORITHM",
     "GeneratorParams",
     "MAX_LEAF_BUDGET",
     "SWEEP_CSV_COLUMNS",
@@ -58,8 +57,6 @@ __all__ = [
     "grow_matcher_tree",
     "write_sweep_csv",
 ]
-
-GENERATOR_ALGORITHM = "python-random-mt19937"
 
 # the largest matcher leaf budget; growth costs memory in proportion to it
 MAX_LEAF_BUDGET = 2**16
@@ -183,23 +180,26 @@ def _dyadic_levels(targets: Sequence[int], denominator: int) -> list[int]:
     With E the largest starting level, the deficit counts units of 2^-E and
     each remainder units of 1 / (2^E * denominator), so the heap orders
     exactly as the rationals would.
+
+    The caller passes at least one target, and the targets sum to at most
+    1.  Each 2^-k is at most its target, so the deficit starts at 0 or
+    more.  The steps 2^(E - k) and the total 2^E are powers of two no
+    smaller than the smallest step, so the deficit 2^E less the sum of the
+    steps stays a multiple of it.  So while the deficit is positive, the
+    leaf with the smallest step fits; it was never dropped, since a leaf is
+    dropped only when its step exceeds the deficit, which only shrinks; and
+    the heap cannot run empty.
     """
     # largest k with 2^-k <= t / denominator, i.e. smallest 2^k >= den / t
     levels = [(-(-denominator // t) - 1).bit_length() for t in targets]
-    top = max(levels, default=0)
+    top = max(levels)
     deficit = (1 << top) - sum(1 << (top - level) for level in levels)
-    if deficit < 0:
-        raise ParamsInvalid(
-            "quantized masses already exceed 1; targets must sum to at most 1"
-        )
     heap = [
         ((denominator << (top - level)) - (t << top), i)
         for i, (t, level) in enumerate(zip(targets, levels))
     ]
     heapq.heapify(heap)
     while deficit > 0:
-        if not heap:
-            raise AssertionError("dyadic promotion ran out of candidates")
         neg_remainder, i = heapq.heappop(heap)
         step = 1 << (top - levels[i])
         if step > deficit:

@@ -10,7 +10,7 @@ the branching distribution at j.  The paper proves it by contracting the
 tree: merge a deepest sibling set into its parent, adding that parent's
 term, until only the root remains.  Each merge only sums the masses that
 ``build_tree`` already summed into the tree's table, so ``lansit_check``
-takes its node side straight from that table (``node_increment_sum``):
+takes its node side straight from that table (``_node_increment_sum``):
 as one fold over the table in exact mode, where the order of the terms
 cannot matter, and in the paper's merge order in float mode, where it
 sets the bits.
@@ -97,13 +97,11 @@ from .tree import (
     NodeId,
     Tree,
     align_by_paths,
-    branching_distributions,
     node_probabilities,
     path_lengths,
 )
 
 __all__ = [
-    "BranchingNodeDistribution",
     "LansitReport",
     "align_by_paths",
     "branching_node_distribution",
@@ -111,8 +109,6 @@ __all__ = [
     "expected_path_length",
     "lansit_check",
     "leaf_entropy",
-    "node_increment_sum",
-    "normalized_divergence",
     "one_mode",
     "surprisal_functional",
     "tree_divergence",
@@ -153,14 +149,6 @@ class LansitReport:
         """This report with every side, and the scale, divided by E[w(L)] = ``ew``."""
         sides = (self.leaf_side, self.node_side, self.residual)
         return LansitReport(*(x / ew for x in sides), self.exact, self.scale / ew)
-
-
-@dataclass(frozen=True)
-class BranchingNodeDistribution:
-    """P_B(j) = Q_j / E[w(L)] over branching nodes, plus E[w(L)] itself."""
-
-    mass: dict[NodeId, object]
-    mean_length: object
 
 
 def _require_complete(tree: Tree, f: NodeFunctional) -> None:
@@ -211,7 +199,7 @@ def branch_sum(
     Q_j * inner(j) from 0.0, left to right.  A tree without branching nodes
     yields Fraction(0) on an exact tree and 0.0 on a float one.
     """
-    branching = branching_distributions(tree)
+    branching = tree.branching
     values = [inner(j, dist) for j, dist in branching.items()]
     if tree.exact:
         n = tree.mass_below
@@ -276,21 +264,12 @@ def _merge_order(tree: Tree) -> list[NodeId]:
     return sorted(tree.branching_nodes, key=lambda j: (-depth[j], index[j]))
 
 
-def node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
-    """The node side: sum over branching j of Q_j E[delta_f(S_j)], with
-    every mass read from the tree's one table (``Tree.mass_below``).
-
-    The sum runs on ``functional_mode(tree, f)``: exact on an exact tree,
-    and on its float tree when f holds a float (``_node_increment_sum``).
-    Summed, the increments telescope to sum over leaves l of Q_l f(l),
-    less Q_root f(root).  Raises FunctionalIncomplete when f lacks a node.
-    """
-    _require_complete(tree, f)
-    return _node_increment_sum(functional_mode(tree, f), f)
-
-
 def _node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
-    """``node_increment_sum`` on the tree that ``functional_mode`` gives.
+    """The node side: sum over branching j of Q_j E[delta_f(S_j)], with
+    every mass read from the tree's one table (``Tree.mass_below``), on
+    the tree that ``functional_mode`` gives and for an f that
+    ``_require_complete`` accepted.  Summed, the increments telescope to
+    sum over leaves l of Q_l f(l), less Q_root f(root).
 
     An exact sum is one fold over D, in no particular order: since n_j is
     the sum of its children's n_c, the increment at j is the integer terms
@@ -300,7 +279,8 @@ def _node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
     sum chains, per j, Q_j times the sum over children c of
     (Q_c / Q_j) (f(c) - f(j)), with the branching nodes deepest first, ties
     in preorder, as the paper contracts the tree; its bits depend on that
-    order (``_merge_order``).
+    order (``_merge_order``).  Both float chains start from 0.0, so a tree
+    without branching nodes gives 0.0, as its float leaf side does.
     """
     if tree.exact:
         n = tree.mass_below
@@ -309,9 +289,9 @@ def _node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
         terms += [(-n[j], f[j]) for j in tree.branching_nodes]
         return exact_weighted_sum(terms, n[root])
     q = node_probabilities(tree)
-    total = 0
+    total = 0.0
     for j in _merge_order(tree):
-        inner = 0
+        inner = 0.0
         for _, child in tree.children[j]:
             inner = inner + (q[child] / q[j]) * (f[child] - f[j])
         total = total + q[j] * inner
@@ -323,7 +303,7 @@ def lansit_check(tree: Tree, f: NodeFunctional) -> LansitReport:
 
     The leaf side is sum over leaves l of Q_l f(l), less Q_root f(root),
     over the tree's masses as given; the node side is
-    ``node_increment_sum``, which telescopes to the same sum.  Both sides
+    ``_node_increment_sum``, which telescopes to the same sum.  Both sides
     run on ``functional_mode(tree, f)``, so an exact tree with a float in f
     reports what its float tree reports.  An exact leaf side folds n_l f(l)
     and -D f(root) over D from the tree's integer table, as the node side
@@ -479,40 +459,28 @@ def comparison_sums(p: Tree, refs: Mapping, default: Mapping, epsilons: Iterable
     return divergence, mean, mean_sq, reached
 
 
-def branching_node_distribution(tree: Tree) -> BranchingNodeDistribution:
-    """The length-biased distribution P_B over branching nodes, and E[w(L)].
+def branching_node_distribution(tree: Tree) -> dict[NodeId, object]:
+    """The length-biased distribution P_B over branching nodes, as a map
+    j -> P_B(j) = Q_j / E[w(L)] in preorder; raises DegenerateTree on a
+    bare root.
 
     P_B(j) is n_j / N on an exact tree, a Fraction from the integer table
     (``Tree.mass_below``) with N the sum of n_j over branching j, so
-    no Q is built.  A float tree divides Q_j by E[w(L)].
+    no Q is built.  A float tree divides Q_j by E[w(L)] (``Tree.mean_length``).
     """
     ew = normalizer(tree)
     if tree.exact:
         n = tree.mass_below
         total = sum(map(n.__getitem__, tree.branching_nodes))
-        mass = {j: Fraction(n[j], total) for j in tree.branching_nodes}
-    else:
-        q = node_probabilities(tree)
-        mass = {j: q[j] / ew for j in tree.branching_nodes}
-    return BranchingNodeDistribution(mass=mass, mean_length=ew)
+        return {j: Fraction(n[j], total) for j in tree.branching_nodes}
+    q = node_probabilities(tree)
+    return {j: q[j] / ew for j in tree.branching_nodes}
 
 
 def entropy_rate(tree: Tree) -> object:
     """Bits per branch: H(P_L) / E[w(L)], the P_B-average of node entropies."""
     ew = normalizer(tree)
     return leaf_entropy(tree) / ew
-
-
-def normalized_divergence(p: Tree, q: Tree) -> object:
-    """Bits per branch: tree_divergence(p, q) over p's expected path length.
-
-    This is the P_B-average of per-node divergences, with P_B from p, the
-    first argument; +inf propagates when q fails to cover p's support.
-    The pair runs in one mode (``one_mode``), p's E[w(L)] included.
-    """
-    p, q = one_mode(p, q)
-    ew = normalizer(p)
-    return tree_divergence(p, q) / ew
 
 
 def surprisal_functional(tree: Tree) -> dict[NodeId, object]:

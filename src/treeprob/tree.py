@@ -54,7 +54,6 @@ __all__ = [
     "align_by_paths",
     "build_tree",
     "node_probabilities",
-    "branching_distributions",
     "path_lengths",
     "structurally_equal",
 ]
@@ -120,9 +119,6 @@ class Tree:
             path.append(label)
         path.reverse()
         return tuple(path)
-
-    def depth_of(self, node: NodeId) -> int:
-        return self.depths[node]
 
     def as_float(self) -> "Tree":
         """This exact tree in float mode, built as ``--float`` builds its
@@ -382,15 +378,6 @@ def node_probabilities(tree: Tree) -> dict[NodeId, Fraction | float]:
     are reproducible.
     """
     return tree.node_mass
-
-
-def branching_distributions(tree: Tree) -> dict[NodeId, dict[Label, Fraction | float]]:
-    """Per-branching-node label distribution: child probability over own.
-
-    Only nodes with children appear in the result, in preorder.  Returns
-    the tree's cached map.
-    """
-    return tree.branching
 
 
 def path_lengths(tree: Tree) -> dict[NodeId, int]:

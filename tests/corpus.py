@@ -242,9 +242,9 @@ def merged_increment_sum(tree: Tree, f: dict) -> object:
     children's current masses, adding j's increment term on the way, until
     only the root remains.  Only leaf masses are read from the tree: the
     leaf entries of Q, or of the integer table n in an exact sum.  A float
-    sum takes the terms of ``node_increment_sum`` in its order, so the two
-    agree bit for bit.  An exact sum folds the same terms, which
-    ``node_increment_sum`` takes in table order, so the two agree under
+    sum takes the terms of ``lansit_check``'s node side in its order, so the
+    two agree bit for bit.  An exact sum folds the same terms, which that
+    node side takes in table order, so the two agree under
     ``==`` and in coefficient types (``exact_signature``).
     """
     exact = tree.exact and not any(isinstance(f[v], float) for v in tree.nodes)

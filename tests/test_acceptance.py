@@ -37,7 +37,6 @@ from treeprob import (
     expected_path_length,
     lansit_check,
     leaf_entropy,
-    node_increment_sum,
     node_probabilities,
     parse_tree,
     path_lengths,
@@ -108,7 +107,7 @@ def test_criterion_1_worked_example(capsys, demo_tree):
         failures.append(f"H(P_L) = {leaf_entropy(demo_tree)!r}")
     if entropy_rate(demo_tree) != Fraction(3, 5):
         failures.append(f"rate = {entropy_rate(demo_tree)!r}")
-    pb = branching_node_distribution(demo_tree).mass
+    pb = branching_node_distribution(demo_tree)
     expected_pb = {0: Fraction(2, 5), 1: Fraction(3, 10), 3: Fraction(3, 10)}
     if pb != expected_pb:
         failures.append(f"P_B = {pb}")
@@ -150,7 +149,7 @@ def test_criterion_3_lemma_equivalences(capsys, corpus_exact, corpus_float):
     failures = []
     for i, tree in enumerate(corpus_exact):
         w_leaf = sum(
-            tree.leaf_mass[leaf] * tree.depth_of(leaf) for leaf in tree.leaves
+            tree.leaf_mass[leaf] * tree.depths[leaf] for leaf in tree.leaves
         )
         if expected_path_length(tree) != w_leaf:
             failures.append(f"exact tree {i}: path length branch != leaf")
@@ -167,11 +166,11 @@ def test_criterion_3_lemma_equivalences(capsys, corpus_exact, corpus_float):
         if tree_divergence(tree, other) != d_leaf:
             failures.append(f"exact tree {i}: divergence branch != leaf")
         f = rational_functional(tree, seed=31_000 + i)
-        if merged_increment_sum(tree, f) != node_increment_sum(tree, f):
+        if merged_increment_sum(tree, f) != lansit_check(tree, f).node_side:
             failures.append(f"exact tree {i}: merge order != direct order")
     for i, tree in enumerate(corpus_float):
         w_leaf = sum(
-            tree.leaf_mass[leaf] * tree.depth_of(leaf) for leaf in tree.leaves
+            tree.leaf_mass[leaf] * tree.depths[leaf] for leaf in tree.leaves
         )
         if not within_rel(expected_path_length(tree), w_leaf):
             failures.append(f"float tree {i}: path length branch != leaf")
@@ -188,7 +187,7 @@ def test_criterion_3_lemma_equivalences(capsys, corpus_exact, corpus_float):
         if not within_rel(tree_divergence(tree, other), d_leaf):
             failures.append(f"float tree {i}: divergence branch != leaf")
         f = float_functional(tree, seed=31_000 + i)
-        if merged_increment_sum(tree, f) != node_increment_sum(tree, f):
+        if merged_increment_sum(tree, f) != lansit_check(tree, f).node_side:
             failures.append(f"float tree {i}: merge order != direct order")
     conclude(
         capsys,

@@ -180,11 +180,22 @@ class TestPinskerCheck:
             assert check.holds
 
     def test_random_suite_never_violates(self):
+        # the classical bound is the tree report's one-branching-node case:
+        # on the star tree whose root's children carry p, against q as a
+        # product spec, the report gives the oracle's values
         for i in range(200):
             labels = list(range(2 + i % 5))
             p = simplex(labels, seed=40_000 + i)
             q = simplex(labels, seed=41_000 + i)
-            assert pinsker_check(p, q).holds
+            check = pinsker_check(p, q)
+            assert check.holds
+            star = build_tree([(0, a, a + 1) for a in labels],
+                              {a + 1: m for a, m in p.mass.items()})
+            report = tree_pinsker_report(star, ProductSpec(q))
+            assert report.divergence == check.divergence
+            assert report.mean_distance == float(check.distance)
+            assert report.mean_sq_distance == float(check.distance ** 2)
+            assert report.bound == pytest.approx(check.bound, rel=1e-15, abs=0)
 
     def test_alphabet_mismatch(self):
         p = FiniteDistribution({"a": Fraction(1)})

@@ -3,10 +3,14 @@
 The benchmark's tracer (``bench/tracing.py``) calls ``getattr`` on each
 entry of the ``__all__`` of the modules it traces, so an entry that names
 nothing would fail every traced run, and one listed twice would be wrapped
-twice.
+twice.  The benchmark and the tools also read names from the package by
+import or as module attributes, and each of those must resolve too.
 """
 
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,67 @@ def test_every_export_resolves_once(module):
     names = namespace.__all__
     assert [name for name in names if not hasattr(namespace, name)] == []
     assert sorted(name for name in set(names) if names.count(name) > 1) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bound_names(tree: ast.AST) -> list[str]:
+    """Every name a parsed file binds: assignment, loop, ``with`` and
+    ``except`` targets, parameters, definitions and imports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.append(node.id)
+        elif isinstance(node, ast.arg):
+            names.append(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+    return names
+
+
+def _package_references(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for each name a file imports from treeprob, and for
+    each ``<alias>.<name>`` it reads on a treeprob module alias that the
+    file binds once, by its import."""
+    tree = ast.parse(path.read_text("utf-8"))
+    refs, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "treeprob":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                refs.append((node.module, alias.name))
+                if inspect.ismodule(getattr(module, alias.name, None)):
+                    aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "treeprob":
+                    aliases[alias.asname or alias.name] = alias.name if alias.asname else "treeprob"
+    bound = _bound_names(tree)
+    aliases = {name: module for name, module in aliases.items() if bound.count(name) == 1}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            refs.append((aliases[node.value.id], node.attr))
+    return refs
+
+
+def test_bench_and_tools_references_resolve():
+    # a name that bench/ or tools/ reads and the package lacks would fail
+    # every benchmark run, or the tool, at its first use
+    paths = sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("tools/*.py")])
+    refs = {(path.relative_to(ROOT).as_posix(), *ref)
+            for path in paths for ref in _package_references(path)}
+    assert refs, "no treeprob references found"
+    missing = [
+        (path, module, name) for path, module, name in sorted(refs)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

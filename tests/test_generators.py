@@ -28,7 +28,6 @@ from treeprob import (
     tree_pinsker_report,
     write_sweep_csv,
 )
-from treeprob.generators import GENERATOR_ALGORITHM
 from treeprob.tree import build_tree
 
 LN2 = math.log(2.0)
@@ -121,9 +120,6 @@ class TestGeneratorParams:
         with pytest.raises(ParamsInvalid):
             GeneratorParams(2, 3, -0.1, seed=0)
 
-    def test_algorithm_identifier(self):
-        assert GENERATOR_ALGORITHM == "python-random-mt19937"
-
 
 class TestGenerateRandomTree:
     def test_deterministic(self):
@@ -151,7 +147,7 @@ class TestGenerateRandomTree:
     def test_depth_cap(self):
         for seed in range(10):
             tree = generate_random_tree(GeneratorParams(4, 3, 1.0, seed=seed))
-            assert max(tree.depth_of(leaf) for leaf in tree.leaves) <= 3
+            assert max(tree.depths[leaf] for leaf in tree.leaves) <= 3
 
     def test_exact_masses_sum_to_one(self):
         tree = generate_random_tree(GeneratorParams(4, 5, 0.6, seed=77))
@@ -264,7 +260,7 @@ class TestGrowMatcherTree:
         spec = ProductSpec.uniform(["a", "b"])
         tree = grow_matcher_tree(spec, 8)
         assert len(tree.leaves) == 8
-        assert all(tree.depth_of(leaf) == 3 for leaf in tree.leaves)
+        assert all(tree.depths[leaf] == 3 for leaf in tree.leaves)
         assert all(m == Fraction(1, 8) for m in tree.leaf_mass.values())
         report = tree_pinsker_report(tree, spec, [0.1])
         assert report.normalized_divergence == 0.0
@@ -287,7 +283,7 @@ class TestGrowMatcherTree:
     def test_expands_most_probable_leaf_first(self):
         # with target (2/3, 1/3) the 'aa' subtree outweighs 'b'
         tree = grow_matcher_tree(TWO_THIRDS_SPEC, 4)
-        depths = sorted(tree.depth_of(leaf) for leaf in tree.leaves)
+        depths = sorted(tree.depths[leaf] for leaf in tree.leaves)
         assert depths == [1, 2, 3, 3]
 
     def test_rejects_float_spec(self):

@@ -39,12 +39,11 @@ from treeprob import (
     grow_matcher_tree,
     lansit_check,
     leaf_entropy,
-    node_increment_sum,
-    normalized_divergence,
     path_lengths,
     product_branch_divergence,
     surprisal_functional,
     tree_divergence,
+    tree_pinsker_report,
 )
 from treeprob import identities
 from treeprob.identities import align_by_paths, branch_sum
@@ -80,9 +79,8 @@ class TestLansitCheck:
             lansit_check(demo_tree, f)
         tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: Fraction(1, 2), 2: Fraction(1, 2)})
         for t in (tree, tree.as_float()):
-            for side in (lansit_check, node_increment_sum):
-                with pytest.raises(FunctionalIncomplete):
-                    side(t, {0: 0, 1: 1})
+            with pytest.raises(FunctionalIncomplete):
+                lansit_check(t, {0: 0, 1: 1})
 
     def test_exact_node_side_takes_no_merge_order(self, monkeypatch):
         # an exact fold is order-free; only the float chain sorts its nodes
@@ -93,12 +91,12 @@ class TestLansitCheck:
         for i in range(20):
             t = informative_tree(i)
             f = rational_functional(t, seed=53_000 + i)
-            assert lansit_check(t, f).residual == 0
-            assert node_increment_sum(t, f) == merged_increment_sum(t, f)
+            report = lansit_check(t, f)
+            assert report.residual == 0
+            assert report.node_side == merged_increment_sum(t, f)
             g = {v: float(x) for v, x in f.items()}
-            for side in (lansit_check, node_increment_sum):
-                with pytest.raises(AssertionError, match="sorted"):
-                    side(t, g)
+            with pytest.raises(AssertionError, match="sorted"):
+                lansit_check(t, g)
 
     def test_random_functionals_exact(self):
         for family, seed in ((corpus_tree, 50_000), (informative_tree, 52_000)):
@@ -134,8 +132,6 @@ class TestLansitCheck:
                 for f in (floats, one_float):
                     float_tree = t.as_float()
                     assert bits(lansit_check(t, f)) == bits(lansit_check(float_tree, f))
-                    side, want = node_increment_sum(t, f), node_increment_sum(float_tree, f)
-                    assert (type(side), float(side).hex()) == (type(want), float(want).hex())
 
     def test_functional_mode(self, demo_tree):
         # a float value anywhere in f gives the exact tree's float tree
@@ -173,6 +169,28 @@ class TestLansitCheck:
             report = lansit_check(ft, f)
             assert report.holds(), (i, report)
 
+    def test_float_sides_of_a_bare_root_are_floats(self):
+        # a tree without branching nodes: both float sides are 0.0, in the
+        # tree's mode, and the exact sides are exact zeros
+        report = lansit_check(build_tree([], {0: 1.0}, exact=False), {0: 0.5})
+        sides = (report.leaf_side, report.node_side, report.residual)
+        assert [(type(x), x) for x in sides] == [(float, 0.0)] * 3
+        assert report.holds()
+        report = lansit_check(build_tree([], {0: Fraction(1)}), {0: Fraction(1, 2)})
+        assert report.leaf_side == report.node_side == report.residual == 0
+        assert report.exact and report.holds()
+
+    def test_float_verdict_scales_its_tolerance_from_one(self):
+        # |residual| <= 1e-9 * max(1, scale): at scale 1.0 the tolerance is
+        # 1e-9, at scale 1e3 it is 1e-6; each is probed just above and below
+        def holds(residual, scale):
+            return LansitReport(1.0 + residual, 1.0, residual, False, scale).holds()
+
+        assert not holds(2e-9, 1.0)
+        assert holds(5e-10, 1.0)
+        assert not holds(2e-6, 1e3)
+        assert holds(5e-7, 1e3)
+
     def test_infinite_residual_fails_whatever_the_scale(self):
         # terms past the float range must not excuse sides that differ
         assert not LansitReport(math.inf, 1.0, math.inf, False, math.inf).holds()
@@ -187,13 +205,13 @@ class TestLansitCheck:
             for i in range(60):
                 t = family(i)
                 for f in (rational_functional(t, seed=exact_seed + i), surprisal_functional(t)):
-                    merged, direct = merged_increment_sum(t, f), node_increment_sum(t, f)
+                    merged, direct = merged_increment_sum(t, f), lansit_check(t, f).node_side
                     assert merged == direct
                     assert exact_signature(merged) == exact_signature(direct)
                 ft = float_mirror(t)
                 g = float_functional(ft, seed=float_seed + i)
                 merged = merged_increment_sum(ft, g)
-                direct = node_increment_sum(ft, g)
+                direct = lansit_check(ft, g).node_side
                 assert merged == direct  # bit-identical floats, not approx
 
 
@@ -301,45 +319,46 @@ class TestTreeDivergence:
 class TestBranchingNodeDistribution:
     def test_demo(self, demo_tree):
         dist = branching_node_distribution(demo_tree)
-        assert dist.mass == {0: Fraction(2, 5), 1: Fraction(3, 10),
-                             3: Fraction(3, 10)}
-        assert dist.mean_length == Fraction(5, 2)
+        assert dist == {0: Fraction(2, 5), 1: Fraction(3, 10), 3: Fraction(3, 10)}
+        assert demo_tree.mean_length == Fraction(5, 2)
 
     def test_star_tree(self):
         t = build_tree([(0, "a", 1), (0, "b", 2)],
                        {1: Fraction(1, 3), 2: Fraction(2, 3)})
-        assert branching_node_distribution(t).mass == {0: Fraction(1)}
+        assert branching_node_distribution(t) == {0: Fraction(1)}
 
     def test_uniform_depth_two(self):
         edges = [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4), (2, 0, 5), (2, 1, 6)]
         mass = {n: Fraction(1, 4) for n in (3, 4, 5, 6)}
         dist = branching_node_distribution(build_tree(edges, mass))
-        assert dist.mass == {0: Fraction(1, 2), 1: Fraction(1, 4),
-                             2: Fraction(1, 4)}
+        assert dist == {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
 
     def test_sums_to_one_exactly(self):
-        for i in range(40):
-            dist = branching_node_distribution(corpus_tree(i))
-            assert sum(dist.mass.values()) == 1
+        for family in (corpus_tree, informative_tree):
+            for i in range(40):
+                dist = branching_node_distribution(family(i))
+                assert sum(dist.values()) == 1
 
     def test_exact_mass_from_the_integer_table(self):
         # P_B(j) = n_j / N builds no Q: the tree's node_mass is never made
-        for i in range(200):
-            t = corpus_tree(i)
-            if not t.branching_nodes:
-                continue
-            mass = branching_node_distribution(t).mass
-            assert "node_mass" not in vars(t), i
-            assert {type(m) for m in mass.values()} == {Fraction}, i
-            assert mass == {j: t.node_mass[j] / t.mean_length for j in t.branching_nodes}, i
+        for family in (corpus_tree, informative_tree):
+            for i in range(200):
+                t = family(i)
+                if not t.branching_nodes:
+                    continue
+                mass = branching_node_distribution(t)
+                assert "node_mass" not in vars(t), i
+                assert {type(m) for m in mass.values()} == {Fraction}, i
+                assert mass == {j: t.node_mass[j] / t.mean_length for j in t.branching_nodes}, i
 
     def test_float_mass_is_q_over_mean_length(self):
-        for i in range(0, 200, 10):
-            t = float_mirror(corpus_tree(i))
-            if t.branching_nodes:
-                got = branching_node_distribution(t).mass
-                want = {j: t.node_mass[j] / t.mean_length for j in t.branching_nodes}
-                assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
+        for family in (corpus_tree, informative_tree):
+            for i in range(0, 200, 10):
+                t = float_mirror(family(i))
+                if t.branching_nodes:
+                    got = branching_node_distribution(t)
+                    want = {j: t.node_mass[j] / t.mean_length for j in t.branching_nodes}
+                    assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
 
     def test_degenerate_tree_rejected(self):
         t = build_tree([], {0: Fraction(1)})
@@ -403,20 +422,26 @@ class TestEntropyRate:
 
 
 class TestNormalizedDivergence:
+    """Bits per branch: D(P_L || P_L') over p's E[w(L)], the P_B-average of
+    per-node divergences.  Its exact value is ``tree_divergence(p, q) /
+    p.mean_length``; the Pinsker report carries it as a float."""
+
     def test_self_is_zero(self, demo_tree):
-        assert normalized_divergence(demo_tree, demo_tree) == 0
+        assert tree_divergence(demo_tree, demo_tree) / demo_tree.mean_length == 0
+        assert tree_pinsker_report(demo_tree, demo_tree).normalized_divergence == 0
 
     def test_equals_divergence_over_length(self, demo_tree, demo_q_tree):
-        nd = normalized_divergence(demo_tree, demo_q_tree)
+        nd = tree_divergence(demo_tree, demo_q_tree) / demo_tree.mean_length
         assert nd == tree_divergence(demo_tree, demo_q_tree) / Fraction(5, 2)
         assert nd == Fraction(1, 10)
+        assert tree_pinsker_report(demo_tree, demo_q_tree).normalized_divergence == 0.1
 
     def test_equality_on_corpus(self):
         for family, seed in ((corpus_tree, 96_000), (informative_tree, 98_000)):
             for i in range(40):
                 p = family(i)
                 q = remass(p, seed=seed + i)
-                assert normalized_divergence(p, q) == (
+                assert tree_pinsker_report(p, q).normalized_divergence == float(
                     tree_divergence(p, q) / expected_path_length(p)
                 )
 
@@ -424,22 +449,22 @@ class TestNormalizedDivergence:
         for family, seed in ((corpus_tree, 97_000), (informative_tree, 99_000)):
             for i in range(20):
                 p = family(i)
-                assert normalized_divergence(p, p) == 0
+                assert tree_divergence(p, p) / p.mean_length == 0
                 q = remass(p, seed=seed + i)
                 if any(q.leaf_mass[leaf] != p.leaf_mass[leaf] for leaf in p.leaves):
-                    assert normalized_divergence(p, q) > 0
+                    assert tree_divergence(p, q) / p.mean_length > 0
 
     def test_infinite_when_uncovered(self, demo_tree):
         slim = build_tree(
             [(0, "a", 1), (0, "b", 2), (1, "a", 3)],
             {2: Fraction(1, 4), 3: Fraction(3, 4)},
         )
-        assert normalized_divergence(demo_tree, slim) == math.inf
+        assert tree_pinsker_report(demo_tree, slim).normalized_divergence == math.inf
 
     def test_degenerate_tree_rejected(self):
         t = build_tree([], {0: Fraction(1)})
         with pytest.raises(DegenerateTree):
-            normalized_divergence(t, t)
+            tree_pinsker_report(t, t)
 
 
 class TestFunctionalBuilders:

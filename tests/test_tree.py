@@ -31,7 +31,6 @@ from treeprob import (
     ProductSpec,
     ShapeMismatch,
     TreeProbError,
-    branching_distributions,
     build_tree,
     expected_path_length,
     grow_matcher_tree,
@@ -66,7 +65,7 @@ class TestBuildTree:
     def test_demo_paths(self, demo_tree):
         assert demo_tree.path_of(6) == ("a", "a", "b")
         assert demo_tree.path_of(0) == ()
-        assert demo_tree.depth_of(5) == 3
+        assert demo_tree.depths[5] == 3
         assert demo_tree.label_alphabet == ("a", "b")
 
     def test_preorder_starts_at_root_and_counts_all(self, demo_tree):
@@ -451,14 +450,9 @@ class TestNodeProbabilities:
         assert q[2] == Fraction(1, 4)
 
     def test_derived_maps_are_cached_on_the_tree(self, demo_tree):
-        for derive in (
-            node_probabilities,
-            branching_distributions,
-            path_lengths,
-            expected_path_length,
-        ):
+        for derive in (node_probabilities, path_lengths, expected_path_length):
             assert derive(demo_tree) is derive(demo_tree)
-        for name in ("leaves", "branching_nodes", "label_alphabet"):
+        for name in ("leaves", "branching_nodes", "label_alphabet", "branching"):
             assert getattr(demo_tree, name) is getattr(demo_tree, name)
 
     def test_mean_length_does_not_build_branching_distributions(self, demo_tree, demo_tree_float):
@@ -507,20 +501,21 @@ class TestNodeProbabilities:
 
     def test_reconstruction_from_branching_distributions(self):
         # products of branching masses along each root-to-leaf path
-        for i in range(20):
-            t = corpus_tree(i)
-            dists = branching_distributions(t)
-            for leaf in t.leaves:
-                prob = Fraction(1)
-                node = leaf
-                chain = []
-                while node != t.root:
-                    parent, label = t.parent_edge[node]
-                    chain.append((parent, label))
-                    node = parent
-                for parent, label in chain:
-                    prob *= dists[parent][label]
-                assert prob == t.leaf_mass[leaf]
+        for family in (corpus_tree, informative_tree):
+            for i in range(20):
+                t = family(i)
+                dists = t.branching
+                for leaf in t.leaves:
+                    prob = Fraction(1)
+                    node = leaf
+                    chain = []
+                    while node != t.root:
+                        parent, label = t.parent_edge[node]
+                        chain.append((parent, label))
+                        node = parent
+                    for parent, label in chain:
+                        prob *= dists[parent][label]
+                    assert prob == t.leaf_mass[leaf]
 
     def test_shuffled_edge_order_same_quantities_exact(self, demo_tree):
         rng = random.Random(5)
@@ -546,18 +541,18 @@ class TestNodeProbabilities:
 
 class TestBranchingDistributions:
     def test_demo_values(self, demo_tree):
-        dists = branching_distributions(demo_tree)
+        dists = demo_tree.branching
         assert dists[3] == {"a": Fraction(2, 3), "b": Fraction(1, 3)}
         assert dists[1] == {"a": Fraction(1)}
         assert dists[0] == {"a": Fraction(3, 4), "b": Fraction(1, 4)}
         assert set(dists) == {0, 1, 3}
 
     def test_each_sums_to_one(self):
-        for i in range(20):
-            t = corpus_tree(i)
-            for dist in branching_distributions(t).values():
-                assert sum(dist.values()) == 1
-                assert all(m > 0 for m in dist.values())
+        for family in (corpus_tree, informative_tree):
+            for i in range(20):
+                for dist in family(i).branching.values():
+                    assert sum(dist.values()) == 1
+                    assert all(m > 0 for m in dist.values())
 
 
 class TestPathLengths:
@@ -568,11 +563,11 @@ class TestPathLengths:
         assert w[5] == 3 and w[6] == 3
 
     def test_increment_is_one_per_edge(self):
-        t = corpus_tree(11)
-        w = path_lengths(t)
-        for node in t.nodes:
-            for _, child in t.children[node]:
-                assert w[child] - w[node] == 1
+        for t in (corpus_tree(11), informative_tree(11)):
+            w = path_lengths(t)
+            for node in t.nodes:
+                for _, child in t.children[node]:
+                    assert w[child] - w[node] == 1
 
 
 class TestStructuralEquality:
@@ -623,7 +618,7 @@ class TestStructuralEquality:
         b = build_tree([(-p, lab, -c) for p, lab, c in edges], {-depth: Fraction(1)})
         start = time.perf_counter()
         assert structurally_equal(a, b)
-        assert [a.depth_of(n) for n in a.nodes] == list(range(depth + 1))
+        assert [a.depths[n] for n in a.nodes] == list(range(depth + 1))
         # a comparison costing nodes times depth takes several seconds here
         assert time.perf_counter() - start < 1.0
 
