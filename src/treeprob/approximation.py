@@ -7,6 +7,11 @@ distribution.  The per-branch Pinsker bound then relates a tree pair's
 normalized divergence to the P_B-average of squared branch distances,
 with exactly enumerated tail probabilities.  The classical bound
 D >= d^2 / (2 ln 2) is its one-branching-node case.
+
+A product spec is a ``FiniteDistribution``; an exact one keeps the
+integer table its check sums (``integer_mass``), from which the matcher,
+the exact Pinsker report and the spec's exact entropy read their weights,
+so no spec is put over the lcm of its denominators twice.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .identities import (
     normalizer,
     one_mode,
 )
-from .numeric import entropy_of, exact_text
+from .numeric import entropy_of, exact_text, log2_weighted_sum
 from .tree import MASS_SUM_TOLERANCE, Label, Tree, label_order
 
 __all__ = [
@@ -56,11 +61,18 @@ DEFAULT_EPSILONS = (0.01, 0.1, 0.5, 1.0)
 class FiniteDistribution:
     """A probability mass function on a finite label set.
 
-    Unlike tree leaves, zero masses are kept.
+    Unlike tree leaves, zero masses are kept.  An exact distribution keeps
+    the integer table its check sums, ``integer_mass``: label -> k_a with
+    s_a = k_a / M, M the lcm of the mass denominators and the sum of the
+    k_a.  It is set by the check, as ``Tree.mass_below`` is by the build,
+    and is None on a float distribution.
     """
 
     mass: dict[Label, object]
     exact: bool = True
+    integer_mass: dict[Label, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         masses = self.mass.values()
@@ -72,13 +84,15 @@ class FiniteDistribution:
                     text = exact_text(self.mass[label])
                     raise NegativeMass(f"label {label!r} has negative mass {text}")
             d = math.lcm(*(b for _, b in ratios))
-            total = sum(a * (d // b) for a, b in ratios)
+            table = {k: a * (d // b) for k, (a, b) in zip(self.mass, ratios)}
+            total = sum(table.values())
             if total != d:
                 text = exact_text(Fraction(total, d))
                 raise MassNotNormalized(f"masses sum to {text}, expected 1")
             mass = {k: m if type(m) is Fraction else Fraction(m)
                     for k, m in self.mass.items()}
             object.__setattr__(self, "mass", mass)
+            object.__setattr__(self, "integer_mass", table)
             return
         total = 0
         for label, m in self.mass.items():
@@ -100,10 +114,22 @@ class FiniteDistribution:
         return self.mass[label]
 
     def entropy(self) -> object:
-        """Shannon entropy in bits, exact when the masses are."""
-        return entropy_of(
-            (self.mass[a] for a in self.alphabet), self.exact
-        )
+        """Shannon entropy in bits, exact when the masses are.
+
+        The exact entropy is one fold over the integer table: the sum of
+        -k_a log2(a / b) over M, for each s_a = a / b in lowest terms that
+        is not 0 (``numeric.log2_weighted_sum``), so only the numerators
+        and denominators of the masses are factored, never M.  A float
+        entropy chains the summands in alphabet order
+        (``numeric.entropy_of``).
+        """
+        if self.exact:
+            k = self.integer_mass
+            return log2_weighted_sum(
+                ((-k[a], *s.as_integer_ratio()) for a, s in self.mass.items() if s),
+                sum(k.values()),
+            )
+        return entropy_of(self.mass[a] for a in self.alphabet)
 
 
 @dataclass(frozen=True)
@@ -292,8 +318,8 @@ def tree_pinsker_report(
     exact average.  D is the leaf fold of ``product_branch_divergence`` or
     ``identities.aligned_divergence``.  On a float pair the one comparison
     pass (``identities.comparison_sums``) gives D and the Q_j-weighted sums
-    of d_j, d_j^2 and the tails, each chained as ``branch_sum`` chains it,
-    and each average is its sum over E[w(L)].
+    of d_j, d_j^2 and the tails, each chained from 0.0 in preorder, and
+    each average is its sum over E[w(L)].
     """
     epsilons = list(epsilons)
     for eps in epsilons:

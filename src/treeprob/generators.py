@@ -223,12 +223,13 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
     normalized and the construction fully deterministic.
 
     The growth runs in integers.  With the spec written as s_a = k_a / M
-    (M the lcm of its denominators), a depth-d leaf whose path multiplies
-    to K = prod k_a has Q+ = K / M^d, and the heap keys it by the integer
-    -K * M^(L - d), which orders as -Q+ does.  An expanded leaf is the
-    largest of fewer than B leaves whose Q+ sum to 1, so its Q+ exceeds
-    1/B, while Q+ <= (k_max / M)^d; L is the first depth with
-    k_max^L * B < M^L, found by an integer loop, so no leaf lies deeper.
+    (its integer table, ``FiniteDistribution.integer_mass``), a depth-d
+    leaf whose path multiplies to K = prod k_a has Q+ = K / M^d, and the
+    heap keys it by the integer -K * M^(L - d), which orders as -Q+ does.
+    An expanded leaf is the largest of fewer than B leaves whose Q+ sum to
+    1, so its Q+ exceeds 1/B, while Q+ <= (k_max / M)^d; L is the first
+    depth with k_max^L * B < M^L, found by an integer loop, so no leaf lies
+    deeper.
     The keys over M^L are the quantizer's targets.  This is the one-budget
     case of the growth ``convergence_sweep`` runs.  A budget below the
     alphabet size or above ``MAX_LEAF_BUDGET`` raises ParamsInvalid.
@@ -272,9 +273,9 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
         raise ParamsInvalid(
             f"leaf budget {budgets[-1]} is above the limit {MAX_LEAF_BUDGET}"
         )
-    mass = spec.base.mass
-    m = math.lcm(*(mass[a].denominator for a in labels))
-    weights = [mass[a].numerator * (m // mass[a].denominator) for a in labels]
+    table = spec.base.integer_mass
+    weights = [table[a] for a in labels]
+    m = sum(weights)
     # scale = M^L for the first L with k_max^L * B < M^L
     k_max = max(weights)
     power, scale = k_max, m

@@ -41,8 +41,7 @@ the same terms as the per-j increments, read from the table in no
 particular order.
 
 Specializing f gives the derived quantities, and for each the node side
-takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
-``branch_sum`` evaluates once for all of them:
+takes the form sum over branching j of Q_j * inner(j, P_{S_j}):
 
 * f = path length: inner = 1, giving the expected parse length E[w(L)],
   which the tree sums itself and keeps (``Tree.mean_length``);
@@ -52,14 +51,16 @@ takes the form sum over branching j of Q_j * inner(j, P_{S_j}), which
 * f = log2(Q/Q+) for a product reference (``approximation``): inner is the
   divergence of P_{S_j} from the product's one branching distribution.
 
-A float divergence is not taken by ``branch_sum`` but by the one comparison
-pass (``comparison_sums``), which also serves the Pinsker report: at each
+In float mode each of these is chained from 0.0 in preorder over the
+branching nodes, Q_j * inner(j) after Q_j * inner(j') for each j' before
+j: ``Tree.mean_length`` and ``leaf_entropy`` chain their terms
+(``numeric._chained``), and the one comparison pass (``comparison_sums``)
+chains the divergence.  That pass also serves the Pinsker report: at each
 branching j of p it compares P_{S_j} with the reference there
 (``branch_references``: the product's distribution, or the branching
 distribution of the node that a second tree aligns with j) and chains
-Q_j KL_j, Q_j d_j, Q_j d_j^2 and the tail masses from 0.0 in preorder, as
-``branch_sum`` chains its terms.  Its D has the bits of a ``branch_sum``
-whose inner value at j chains ``kl_term`` over j's labels.
+Q_j KL_j, Q_j d_j, Q_j d_j^2 and the tail masses, with KL_j chained from
+``kl_term`` over j's labels.
 
 In exact mode the three log-valued sums are not taken per branch: Q_j
 times the entropy or divergence at j is the increment sum over j's
@@ -70,8 +71,9 @@ once.  It gathers the weights by the integers in those ratios (their
 numerators and denominators), so each distinct integer is factored once,
 not once per leaf: a dyadic matcher tree of thousands of leaves has a
 handful.  Only leaf masses (and the product's branch masses) are factored,
-never an internal Q_j.  The result equals the per-branch sum of
-``entropy_of`` terms, or of exact per-node divergences, type included.
+never an internal Q_j.  The result equals the per-branch sum of exact
+entropies or divergences, type included; the tests hold that sum as an
+oracle.
 
 Each normalized, per-branch form is its unnormalized value divided by
 E[w(L)], i.e. the average under P_B(j) = Q_j / E[w(L)] over branching
@@ -80,7 +82,7 @@ per-branch form with one division.  The Pinsker report of
 ``approximation`` divides the sums of the comparison pass by E[w(L)] on a
 float pair.  On an exact pair, its Pinsker averages are ratios of
 integers over the tables n of both sides (the integer references of
-``branch_references``), without ``branch_sum`` and without any P_{S_j}.
+``branch_references``), without any P_{S_j}.
 """
 
 from __future__ import annotations
@@ -88,18 +90,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateTree, FunctionalIncomplete
-from .numeric import ExactLog2, entropy_of, exact_weighted_sum, kl_term, log2_weighted_sum
-from .tree import (
-    Label,
-    NodeId,
-    Tree,
-    align_by_paths,
-    node_probabilities,
-    path_lengths,
+from .numeric import (
+    ExactLog2,
+    _chained,
+    entropy_of,
+    exact_weighted_sum,
+    kl_term,
+    log2_weighted_sum,
 )
+from .tree import Label, NodeId, Tree, align_by_paths, node_probabilities
 
 __all__ = [
     "LansitReport",
@@ -185,32 +187,6 @@ def functional_mode(tree: Tree, f: NodeFunctional) -> Tree:
     return tree
 
 
-def branch_sum(
-    tree: Tree, inner: Callable[[NodeId, Mapping[Label, object]], object]
-) -> object:
-    """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}), in
-    the tree's mode.
-
-    Each inner value is evaluated once, in preorder.  On an exact tree the
-    sum weights inner(j) by the integer n_j of Q_j = n_j / D and folds the
-    terms over D (``numeric.exact_weighted_sum``), so every inner value
-    must be exact: its callers, float ``leaf_entropy`` and the test
-    oracles, give exact values on exact trees.  On a float tree it chains
-    Q_j * inner(j) from 0.0, left to right.  A tree without branching nodes
-    yields Fraction(0) on an exact tree and 0.0 on a float one.
-    """
-    branching = tree.branching
-    values = [inner(j, dist) for j, dist in branching.items()]
-    if tree.exact:
-        n = tree.mass_below
-        return exact_weighted_sum(zip(map(n.get, branching), values), n[tree.root])
-    q = node_probabilities(tree)
-    total = 0.0
-    for j, v in zip(branching, values):
-        total = total + q[j] * v
-    return total
-
-
 def leaf_log_sum(
     tree: Tree,
     leaf_ratios: Sequence[tuple[int, Mapping[NodeId, Fraction]]],
@@ -241,7 +217,7 @@ def leaf_log_sum(
     denominators of the R(leaf) and r_a are factored, never an internal
     node mass.  An integer whose weights cancel keeps its term, so a sum
     that cancels is still an ExactLog2.  A tree without branching nodes
-    gives Fraction(0), the zero that ``branch_sum`` starts from.
+    gives Fraction(0), the exact sum of no terms.
     """
     if not tree.children[tree.root]:
         return Fraction(0)
@@ -258,10 +234,9 @@ def leaf_log_sum(
 
 
 def _merge_order(tree: Tree) -> list[NodeId]:
-    """Branching nodes deepest first; ties by preorder position."""
-    depth = path_lengths(tree)
-    index = {n: i for i, n in enumerate(tree.nodes)}
-    return sorted(tree.branching_nodes, key=lambda j: (-depth[j], index[j]))
+    """Branching nodes deepest first; ties in preorder, the order of
+    ``Tree.branching_nodes``, which the stable sort keeps."""
+    return sorted(tree.branching_nodes, key=tree.depths.__getitem__, reverse=True)
 
 
 def _node_increment_sum(tree: Tree, f: NodeFunctional) -> object:
@@ -346,16 +321,19 @@ def expected_path_length(tree: Tree) -> object:
 
 
 def leaf_entropy(tree: Tree) -> object:
-    """H(P_L) in bits via the branch-sum: sum of Q_j H(P_{S_j}).
+    """H(P_L) in bits as the node sum: sum over branching j of Q_j H(P_{S_j}).
 
     Equals the direct leaf-side entropy -sum of P_L log2 P_L; exact mode
     returns an ExactLog2 value for which that equality is literal.  Exact
     mode folds that leaf side, f = -log2 Q, since Q_j H(P_{S_j}) is the
-    sum over children c of Q_c (log2 Q_j - log2 Q_c).
+    sum over children c of Q_c (log2 Q_j - log2 Q_c).  Float mode chains
+    Q_j H(P_{S_j}) from 0.0 in preorder (``numeric._chained``), each
+    H(P_{S_j}) chained over j's labels (``numeric.entropy_of``).
     """
     if tree.exact:
         return leaf_log_sum(tree, [(-1, tree.leaf_mass)])
-    return branch_sum(tree, lambda j, dist: entropy_of(dist.values(), False))
+    q = tree.node_mass
+    return _chained(q[j] * entropy_of(p.values()) for j, p in tree.branching.items())
 
 
 def tree_divergence(p: Tree, q: Tree) -> object:
@@ -394,19 +372,16 @@ def branch_references(p: Tree, reference, mapping: Mapping | None) -> tuple[dict
     ``mapping`` is p's alignment onto a tree reference (``align_by_paths``),
     and None when the reference is a product spec.  The spec is ref_j at
     every j, so the map is empty and the spec is the default: its masses
-    s_a on a float pair, and on an exact one the integers r_a = M s_a over
-    the lcm M of its denominators.  Against a tree, j maps to the node v
-    that ``mapping`` aligns with it, when v branches: P_{S_v} on a float
-    pair, and on an exact one the entries n' of v's children in the
+    s_a on a float pair, and on an exact one its integer table r_a = M s_a
+    (``FiniteDistribution.integer_mass``).  Against a tree, j maps to the
+    node v that ``mapping`` aligns with it, when v branches: P_{S_v} on a
+    float pair, and on an exact one the entries n' of v's children in the
     reference's table (``Tree.mass_below``).  A j whose aligned node is a
     leaf, or that has none, gets the empty default.
     """
     if mapping is None:
-        mass = reference.base.mass
-        if p.exact:
-            lcm = math.lcm(*(s.denominator for s in mass.values()))
-            mass = {a: s.numerator * (lcm // s.denominator) for a, s in mass.items()}
-        return {}, mass
+        base = reference.base
+        return {}, base.integer_mass if p.exact else base.mass
     if p.exact:
         n = reference.mass_below
         dists = {v: {a: n[c] for a, c in reference.children[v]}
@@ -429,9 +404,8 @@ def comparison_sums(p: Tree, refs: Mapping, default: Mapping, epsilons: Iterable
     aligned leaf, or no aligned node) has d_j = 1.0, as on an exact pair,
     not the sum of p's float branch masses, which may fall short of 1.0 by
     rounding; spec labels that j lacks add their masses to d_j.  Each
-    Q_j-weighted term is chained from 0.0 in preorder, as ``branch_sum``
-    chains it, so D has the bits of a ``branch_sum`` whose inner value at j
-    chains ``kl_term`` over j's labels, and a bare root gives 0.0 throughout.
+    Q_j-weighted term is chained from 0.0 in preorder, KL_j itself chained
+    over j's labels, and a bare root gives 0.0 throughout.
     """
     q = p.node_mass
     divergence = mean = mean_sq = 0.0

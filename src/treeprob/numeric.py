@@ -45,8 +45,9 @@ exact surprisal functional does to the nodes of one mass, pays for the
 value once.  Integer weights on exponent maps keep every coefficient a
 plain integer until the one division, which a denominator of 1 skips.
 A sum of weighted logarithms of ratios (``log2_weighted_sum``, behind the
-leaf folds of exact entropies and divergences) first gathers the weights
-by the integers in the ratios, so each distinct integer is factored once.
+leaf folds of exact entropies and divergences and the exact entropy of a
+``FiniteDistribution``) first gathers the weights by the integers in the
+ratios, so each distinct integer is factored once.
 An exact tree keeps integer node masses, Q_v = n_v / D
 (``Tree.mass_below``), so the identities module weights its tree sums by
 n and passes D as the denominator.  Since the map is canonical, the fold
@@ -60,9 +61,9 @@ a float value runs as its float tree (``identities.functional_mode``).  A
 sum over a tree then runs in the tree's mode: the fold on an exact tree,
 and on a float tree the float sum, which keeps its left-to-right ``total +
 term`` order, so float results do not depend on any of this.  The mode is
-decided there, once per tree or pair: the per-term helpers
-``entropy_term`` and ``kl_term`` are float summands, and ``entropy_of``
-alone takes a mode, for callers of both.
+decided there, once per tree or pair, so no scalar helper takes a mode:
+``entropy_term`` and ``kl_term`` are float summands, ``entropy_of`` their
+float sum, and every exact entropy is a fold (``log2_weighted_sum``).
 """
 
 from __future__ import annotations
@@ -417,10 +418,9 @@ def _chained(terms: Iterable[float]) -> float:
     return total
 
 
-def entropy_of(masses: Iterable, exact: bool) -> Scalar:
-    """Shannon entropy in bits of an iterable of probability masses."""
-    if exact:
-        return exact_weighted_sum((-p, log2_exponents(p)) for p in masses if p)
+def entropy_of(masses: Iterable) -> float:
+    """Shannon entropy in bits of an iterable of probability masses, as the
+    float ``entropy_term`` summands chained left to right."""
     return _chained(map(entropy_term, masses))
 
 

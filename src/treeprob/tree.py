@@ -47,7 +47,7 @@ from .errors import (
     ParamsInvalid,
     ShapeMismatch,
 )
-from .numeric import exact_text
+from .numeric import _chained, exact_text
 
 __all__ = [
     "Tree",
@@ -150,15 +150,13 @@ class Tree:
         """E[w(L)]: Q summed over branching nodes in preorder.
 
         On an exact tree this is (sum of n_j over branching j) / D, one
-        division; a float tree adds Q from 0.0.  A bare root yields 0.
+        division; a float tree chains Q from 0.0 (``numeric._chained``).
+        A bare root yields 0.
         """
         if self.exact:
             n = self.mass_below
             return Fraction(sum(n[j] for j in self.branching_nodes), n[self.root])
-        total = 0.0
-        for j in self.branching_nodes:
-            total = total + self.node_mass[j]
-        return total
+        return _chained(map(self.mass_below.__getitem__, self.branching_nodes))
 
     @cached_property
     def depths(self) -> dict[NodeId, int]:

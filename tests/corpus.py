@@ -33,6 +33,7 @@ from treeprob import (
     generate_random_tree,
     lansit_check,
     node_probabilities,
+    tree_pinsker_report,
 )
 from treeprob.approximation import (
     PINSKER_TOLERANCE,
@@ -42,7 +43,7 @@ from treeprob.approximation import (
     product_branch_divergence,
     require_epsilon,
 )
-from treeprob.identities import align_by_paths, aligned_divergence, branch_sum, normalizer, one_mode
+from treeprob.identities import align_by_paths, aligned_divergence, normalizer, one_mode
 from treeprob.numeric import (
     ExactLog2,
     Scalar,
@@ -273,6 +274,41 @@ def merged_increment_sum(tree: Tree, f: dict) -> object:
     return total
 
 
+def branch_sum(tree: Tree, inner) -> object:
+    """Sum over branching j, in preorder, of Q_j * inner(j, P_{S_j}), in
+    the tree's mode: the per-branch form of a node sum, which the library's
+    leaf folds, chains and comparison pass must equal.
+
+    Each inner value is evaluated once, in preorder.  On an exact tree the
+    sum weights inner(j) by the integer n_j of Q_j = n_j / D and folds the
+    terms over D (``numeric.exact_weighted_sum``), so every inner value
+    must be exact.  On a float tree it chains Q_j * inner(j) from 0.0, left
+    to right.  A tree without branching nodes yields Fraction(0) on an
+    exact tree and 0.0 on a float one.  It was the library's branch-sum
+    kernel.
+    """
+    branching = tree.branching
+    values = [inner(j, dist) for j, dist in branching.items()]
+    if tree.exact:
+        n = tree.mass_below
+        return exact_weighted_sum(zip(map(n.get, branching), values), n[tree.root])
+    q = tree.node_mass
+    total = 0.0
+    for j, v in zip(branching, values):
+        total = total + q[j] * v
+    return total
+
+
+def exact_entropy_of(masses: Iterable) -> Scalar:
+    """The exact Shannon entropy in bits of rational masses: -p log2 p per
+    mass p that is not 0, from p's own exponent map, folded once
+    (``numeric.exact_weighted_sum``).  It was the exact mode of
+    ``numeric.entropy_of``; the exact leaf folds and
+    ``FiniteDistribution.entropy`` must equal it, coefficient types
+    included."""
+    return exact_weighted_sum((-p, log2_exponents(p)) for p in masses if p)
+
+
 def leaf_log_sum_reference(tree: Tree, leaf_ratios, label_ratios=None):
     """``identities.leaf_log_sum`` term by term: one prime-exponent map per
     leaf ratio and per label ratio, weighted by the integer table n, all
@@ -487,6 +523,31 @@ def pinsker_check(p: FiniteDistribution, q: FiniteDistribution) -> PinskerCheck:
     bound = float(distance) ** 2 / (2.0 * math.log(2.0))
     holds = float(divergence) >= bound - PINSKER_TOLERANCE
     return PinskerCheck(divergence, distance, bound, holds)
+
+
+def star_tree(masses: dict, exact: bool = True) -> Tree:
+    """The tree with one branching node, the root, whose child on label a
+    is a leaf of mass ``masses[a]``: the tree form of one distribution.
+    ``build_tree`` prunes the leaves of mass 0."""
+    edges = [("root", a, ("leaf", a)) for a in masses]
+    return build_tree(edges, {("leaf", a): m for a, m in masses.items()}, exact=exact)
+
+
+def star_report(p: FiniteDistribution, q: FiniteDistribution) -> PinskerTreeReport | None:
+    """The package's ``tree_pinsker_report`` of p's star tree against q: the
+    one-branching-node case, whose D is D(p || q) and whose mean distance
+    is the L1 distance of p and q, the values ``pinsker_check`` gives.
+
+    q is the reference as a product spec when its masses are all positive,
+    and otherwise as its own star tree, which lacks q's labels of mass 0.
+    The package takes no reference tree with a branch that p lacks, so a
+    pair in which p has mass 0 on a label where q has mass gets None."""
+    star = star_tree(p.mass, p.exact)
+    if all(q.mass.values()):
+        return tree_pinsker_report(star, ProductSpec(q))
+    if all(p.mass[a] for a, m in q.mass.items() if m):
+        return tree_pinsker_report(star, star_tree(q.mass, q.exact))
+    return None
 
 
 def product_node_probabilities(shape: Tree, spec: ProductSpec) -> dict[NodeId, object]:

@@ -17,6 +17,8 @@ from corpus import (
     corpus_tree,
     differential_lansit_check,
     divergence_to_product,
+    exact_entropy_of,
+    exact_entropy_term,
     exact_kl_term,
     float_functional,
     float_mirror,
@@ -154,7 +156,7 @@ def test_criterion_3_lemma_equivalences(capsys, corpus_exact, corpus_float):
         if expected_path_length(tree) != w_leaf:
             failures.append(f"exact tree {i}: path length branch != leaf")
         h_leaf = sum(
-            entropy_of([tree.leaf_mass[leaf]], True) for leaf in tree.leaves
+            exact_entropy_term(tree.leaf_mass[leaf]) for leaf in tree.leaves
         )
         if leaf_entropy(tree) != h_leaf:
             failures.append(f"exact tree {i}: entropy branch != leaf")
@@ -175,7 +177,7 @@ def test_criterion_3_lemma_equivalences(capsys, corpus_exact, corpus_float):
         if not within_rel(expected_path_length(tree), w_leaf):
             failures.append(f"float tree {i}: path length branch != leaf")
         h_leaf = sum(
-            entropy_of([tree.leaf_mass[leaf]], False) for leaf in tree.leaves
+            entropy_of([tree.leaf_mass[leaf]]) for leaf in tree.leaves
         )
         if not within_rel(leaf_entropy(tree), h_leaf):
             failures.append(f"float tree {i}: entropy branch != leaf")
@@ -225,7 +227,7 @@ def test_criterion_4_normalized_length_is_one(
 
 def chain_rule_entropy(tree, depth: int):
     """Entropy from prefix marginals: sum over k of E[H(symbol k | prefix)]."""
-    exact = tree.exact
+    entropy = exact_entropy_of if tree.exact else entropy_of
     joint = {tree.path_of(leaf): tree.leaf_mass[leaf] for leaf in tree.leaves}
     total = 0
     for k in range(depth):
@@ -238,7 +240,7 @@ def chain_rule_entropy(tree, depth: int):
             conditional = [
                 symbols[a] / prefix_mass for a in sorted(symbols)
             ]
-            total = total + prefix_mass * entropy_of(conditional, exact)
+            total = total + prefix_mass * entropy(conditional)
     return total
 
 

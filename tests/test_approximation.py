@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from corpus import (
     complete_tree,
     corpus_tree,
     divergence_to_product,
+    exact_entropy_of,
     exact_signature,
     float_mirror,
     informative_tree,
@@ -19,6 +21,8 @@ from corpus import (
     product_node_probabilities,
     random_distribution,
     remass,
+    star_report,
+    star_tree,
     variational_distance,
 )
 from treeprob import (
@@ -44,7 +48,7 @@ from treeprob import (
     tree_divergence,
     tree_pinsker_report,
 )
-from treeprob import identities
+from treeprob import approximation, identities, numeric
 from treeprob.approximation import DEFAULT_EPSILONS
 from treeprob.identities import one_mode
 from treeprob.numeric import ExactLog2
@@ -107,27 +111,100 @@ class TestFiniteDistribution:
         d = FiniteDistribution({"a": 2 / 3, "b": 1 / 3}, exact=False)
         assert float(d.entropy()) == pytest.approx(0.9182958340544896, rel=1e-12)
 
+    @staticmethod
+    def random_masses(rng):
+        """Rational masses over 1 to 6 labels, some of them 0, with
+        denominators that share factors and some that do not."""
+        weights = [rng.choice([0, 0, 1, 2, 3, 7, 10, 97]) for _ in range(rng.randint(1, 6))]
+        weights[rng.randrange(len(weights))] += 1
+        raw = [Fraction(w, rng.choice([1, 2, 3, 5, 12, 1024, 999983])) for w in weights]
+        total = sum(raw)
+        return {a: m / total for a, m in enumerate(raw)}
+
+    def test_integer_table_over_the_lcm(self):
+        # the table the check sums: k_a = M s_a over the lcm M of the
+        # denominators, the weights the matcher and the exact Pinsker
+        # report formerly computed from the masses themselves
+        rng = random.Random(31)
+        for _ in range(400):
+            masses = self.random_masses(rng)
+            d = FiniteDistribution(masses)
+            lcm = math.lcm(*(m.denominator for m in masses.values()))
+            assert d.integer_mass == {a: m.numerator * (lcm // m.denominator)
+                                      for a, m in masses.items()}
+            assert sum(d.integer_mass.values()) == lcm
+            assert all(type(k) is int for k in d.integer_mass.values())
+            if all(masses.values()):
+                refs = identities.branch_references(star_tree(masses), ProductSpec(d), None)
+                assert refs == ({}, d.integer_mass)
+        ints = FiniteDistribution({"a": 1, "b": 0})
+        assert ints.integer_mass == {"a": 1, "b": 0}
+        assert FiniteDistribution({"a": 0.5, "b": 0.5}, exact=False).integer_mass is None
+        with pytest.raises(TypeError):
+            FiniteDistribution({"a": Fraction(1)}, integer_mass={"a": 1})
+
+    def test_exact_entropy_is_the_per_mass_fold(self):
+        rng = random.Random(32)
+        for _ in range(400):
+            masses = self.random_masses(rng)
+            value = FiniteDistribution(masses).entropy()
+            assert exact_signature(value) == exact_signature(exact_entropy_of(masses.values()))
+
+    def test_exact_entropy_never_factors_the_lcm(self, monkeypatch):
+        # M = 2pq for primes p and q near 10^9: trial division of M would
+        # take minutes, while each reduced mass holds p or q alone
+        p, q = 1000000007, 998244353
+        masses = [Fraction(1, 2 * p), Fraction(p - 1, 2 * p),
+                  Fraction(1, 2 * q), Fraction(q - 1, 2 * q)]
+        d = FiniteDistribution(dict(enumerate(masses)))
+        assert sum(d.integer_mass.values()) == 2 * p * q
+        factorize = numeric._factorize
+
+        def guarded(n):
+            assert n % (p * q), f"factoring {n}, a multiple of pq"
+            return factorize(n)
+
+        monkeypatch.setattr(numeric, "_factorize", guarded)
+        start = time.perf_counter()
+        value = d.entropy()
+        assert time.perf_counter() - start < 5.0
+        assert exact_signature(value) == exact_signature(exact_entropy_of(masses))
+
 
 class TestVariationalDistance:
+    """The oracle ``variational_distance`` against the package: the mean
+    distance of the tree Pinsker report on p's star tree
+    (``corpus.star_report``), whose one branch distance is the L1 distance."""
+
     def test_identical(self):
         d = simplex(["a", "b", "c"], seed=1)
         assert variational_distance(d, d) == 0
+        assert star_report(d, d).mean_distance == 0.0
 
     def test_disjoint_supports(self):
+        """An oracle self-check: the package takes no reference tree with a
+        branch that p lacks, and no product spec with a mass of 0, so it has
+        no form of this pair (``corpus.star_report`` gives None)."""
         p = FiniteDistribution({"a": Fraction(1), "b": Fraction(0)})
         q = FiniteDistribution({"a": Fraction(0), "b": Fraction(1)})
         assert variational_distance(p, q) == 2
+        assert star_report(p, q) is None
 
     def test_known_value(self):
         p = FiniteDistribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
         q = FiniteDistribution({"a": Fraction(1, 4), "b": Fraction(3, 4)})
         assert variational_distance(p, q) == Fraction(1, 2)
+        assert star_report(p, q).mean_distance == 0.5
+        assert star_report(q, p).mean_distance == 0.5
 
     def test_alphabet_mismatch(self):
         p = FiniteDistribution({"a": Fraction(1)})
         q = FiniteDistribution({"b": Fraction(1)})
         with pytest.raises(AlphabetMismatch):
             variational_distance(p, q)
+        # the package's form: p's label is not in q's alphabet
+        with pytest.raises(UnknownLabel):
+            star_report(p, q)
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     def test_bounds_and_symmetry(self, i, j):
@@ -137,9 +214,14 @@ class TestVariationalDistance:
         d = variational_distance(p, q)
         assert 0 <= d <= 2
         assert d == variational_distance(q, p)
+        assert star_report(p, q).mean_distance == star_report(q, p).mean_distance == float(d)
 
 
 class TestPinskerCheck:
+    """The oracle ``pinsker_check`` against the package: the tree Pinsker
+    report on p's star tree (``corpus.star_report``), whose D, mean
+    distance and bound are the classical check's."""
+
     def test_equal_distributions(self):
         d = simplex(["a", "b"], seed=7)
         check = pinsker_check(d, d)
@@ -147,6 +229,9 @@ class TestPinskerCheck:
         assert check.distance == 0
         assert check.bound == 0.0
         assert check.holds
+        report = star_report(d, d)
+        assert exact_signature(report.divergence) == exact_signature(check.divergence)
+        assert (report.mean_distance, report.bound, report.holds) == (0.0, 0.0, True)
 
     def test_known_pair(self):
         p = FiniteDistribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
@@ -159,14 +244,30 @@ class TestPinskerCheck:
         assert check.distance == Fraction(1, 2)
         assert check.bound == pytest.approx(0.18033688011112042, rel=1e-12)
         assert check.holds
+        report = star_report(p, q)
+        assert exact_signature(report.divergence) == exact_signature(check.divergence)
+        assert report.mean_distance == float(check.distance)
+        assert report.bound == check.bound
+        assert report.holds
 
     def test_infinite_divergence_still_holds(self):
+        """An oracle self-check on disjoint supports, which the package
+        cannot take (``TestVariationalDistance.test_disjoint_supports``);
+        the infinite D is compared on the star of p = (1/2, 1/2) against
+        q = (1, 0), which it can."""
         p = FiniteDistribution({"a": Fraction(1), "b": Fraction(0)})
         q = FiniteDistribution({"a": Fraction(0), "b": Fraction(1)})
         check = pinsker_check(p, q)
         assert check.divergence == math.inf
         assert check.distance == 2
         assert check.holds
+        assert star_report(p, q) is None
+        p = FiniteDistribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        q = FiniteDistribution({"a": Fraction(1), "b": Fraction(0)})
+        check, report = pinsker_check(p, q), star_report(p, q)
+        assert check.divergence == report.divergence == math.inf
+        assert report.mean_distance == float(check.distance) == 1.0
+        assert check.holds and report.holds
 
     def test_float_mass_ratio_past_the_float_range(self):
         p = FiniteDistribution({"a": 0.5, "b": 0.5}, exact=False)
@@ -178,6 +279,10 @@ class TestPinskerCheck:
             check = pinsker_check(p, q)
             assert math.isfinite(check.divergence)
             assert check.holds
+            report = star_report(p, q)
+            assert report.divergence == check.divergence
+            assert report.mean_distance == float(check.distance)
+            assert report.holds
 
     def test_random_suite_never_violates(self):
         # the classical bound is the tree report's one-branching-node case:
@@ -189,9 +294,7 @@ class TestPinskerCheck:
             q = simplex(labels, seed=41_000 + i)
             check = pinsker_check(p, q)
             assert check.holds
-            star = build_tree([(0, a, a + 1) for a in labels],
-                              {a + 1: m for a, m in p.mass.items()})
-            report = tree_pinsker_report(star, ProductSpec(q))
+            report = tree_pinsker_report(star_tree(p.mass), ProductSpec(q))
             assert report.divergence == check.divergence
             assert report.mean_distance == float(check.distance)
             assert report.mean_sq_distance == float(check.distance ** 2)
@@ -202,6 +305,8 @@ class TestPinskerCheck:
         q = FiniteDistribution({"b": Fraction(1)})
         with pytest.raises(AlphabetMismatch):
             pinsker_check(p, q)
+        with pytest.raises(UnknownLabel):
+            star_report(p, q)
 
 
 class TestProductSpec:
@@ -423,8 +528,8 @@ def pinsker_references(i, family=corpus_tree):
 
 
 class TestPinskerReference:
-    """tree_pinsker_report against the per-node distances and branch_sum
-    averages of ``corpus.pinsker_reference``, field by field and bit for bit.
+    """tree_pinsker_report against the per-node distances and
+    ``corpus.branch_sum`` averages of ``corpus.pinsker_reference``, field by field and bit for bit.
     A pair that is not both exact is reported as its float pair, so the
     reference gets the pair converted (``one_mode``)."""
 
@@ -545,7 +650,7 @@ class TestFloatFold:
     """The float Pinsker report, one comparison pass over ``Tree.branching``
     (``identities.comparison_sums``), against the multi-pass
     ``corpus.pinsker_reference``, field by field and bit for bit: its D
-    against a separate ``branch_sum`` of per-node ``kl_of``, and against
+    against a separate ``corpus.branch_sum`` of per-node ``kl_of``, and against
     ``product_branch_divergence`` and ``tree_divergence``, which read the
     same pass."""
 
@@ -655,11 +760,14 @@ class TestFloatFold:
         assert calls == []
         assert "branching" not in vars(reference)
 
-    def test_float_reports_run_no_branch_sum(self, monkeypatch):
+    def test_float_reports_take_no_entropy(self, monkeypatch):
+        # the one comparison pass makes no separate per-branch entropy pass
         def refuse(*args):
-            raise AssertionError("branch_sum called")
+            raise AssertionError("entropy taken")
 
-        monkeypatch.setattr(identities, "branch_sum", refuse)
+        for module, name in ((identities, "leaf_entropy"), (identities, "entropy_of"),
+                             (approximation, "entropy_of")):
+            monkeypatch.setattr(module, name, refuse)
         p = float_trees(11)[0]
         _, refs = pinsker_references(11)
         for ref in refs.values():

@@ -1101,7 +1101,11 @@ class TestComputeOnce:
                 3,
             ),
             (["divergence", "P", "--float", "--product", "1/2,1/2"], ["comparison_sums"], 1),
-            (["divergence", "P", "--float", "--product", "1/2,1/2"], ["branch_sum"], 0),
+            (
+                ["divergence", "P", "--float", "--product", "1/2,1/2"],
+                ["leaf_entropy", "entropy_of"],
+                0,
+            ),
             (["divergence", "P", "Q", "--float"], ["align_by_paths"], 1),
             (["divergence", "P", "Q", "--float"], ["comparison_sums"], 1),
         ],
@@ -1113,7 +1117,7 @@ class TestComputeOnce:
             "divergence-product",
             "sweep",
             "divergence-product-float",
-            "divergence-product-float-no-branch-sum",
+            "divergence-product-float-no-entropy",
             "divergence-align-float",
             "divergence-tree-float",
         ],

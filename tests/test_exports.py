@@ -4,12 +4,15 @@ The benchmark's tracer (``bench/tracing.py``) calls ``getattr`` on each
 entry of the ``__all__`` of the modules it traces, so an entry that names
 nothing would fail every traced run, and one listed twice would be wrapped
 twice.  The benchmark and the tools also read names from the package by
-import or as module attributes, and each of those must resolve too.
+import or as module attributes, and each of those must resolve too, as
+must the functions that the benchmark's per-layer metrics and the
+tracer's ``ExactLog2`` method list name.
 """
 
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,53 @@ def test_bench_and_tools_references_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+# per-layer metrics that name a function the package no longer has; they
+# read 0 until the benchmark drops them
+DEAD_METRIC_FUNCTIONS = {
+    "numeric.log2_of",
+    "identities.differential_lansit_check",
+    "identities.normalized_divergence",
+    "approximation.divergence_to_product",
+}
+
+
+def _tracing_constant(name: str):
+    """The literal value of a module-level constant of bench/tracing.py,
+    read with ``ast`` without importing the file."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text("utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/tracing.py binds no {name}")
+
+
+def test_per_layer_metrics_name_traced_functions():
+    # the tracer times a function only when its module's __all__ lists it,
+    # so a <layer>.<function>.{s,calls,self_s} metric of any other name
+    # reads 0 whatever the function costs
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["per_layer"]
+    layers = _tracing_constant("LAYERS")
+    named = []
+    for metric in metrics:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in ("s", "calls", "self_s"):
+            named.append((parts[0], parts[1]))
+    assert named, "no per-function metrics found"
+    untraced = [
+        f"{layer}.{name}" for layer, name in named
+        if layer not in layers
+        or name not in importlib.import_module(f"treeprob.{layer}").__all__
+    ]
+    assert sorted(set(untraced) - DEAD_METRIC_FUNCTIONS) == []
+
+
+def test_traced_exactlog2_methods_exist():
+    # the tracer indexes vars(ExactLog2) by each name, so a missing one
+    # would raise KeyError in every traced run
+    from treeprob.numeric import ExactLog2
+
+    methods = _tracing_constant("EXACTLOG2_METHODS")
+    assert methods
+    assert [name for name in methods if name not in vars(ExactLog2)] == []

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
+    branch_sum,
     complete_tree,
     corpus_tree,
     differential_lansit_check,
     divergence_to_product,
     edges_of,
+    exact_entropy_of,
     exact_entropy_term,
     exact_kl_term,
     exact_signature,
@@ -46,7 +48,7 @@ from treeprob import (
     tree_pinsker_report,
 )
 from treeprob import identities
-from treeprob.identities import align_by_paths, branch_sum
+from treeprob.identities import align_by_paths
 from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_term
 
 
@@ -97,6 +99,17 @@ class TestLansitCheck:
             g = {v: float(x) for v, x in f.items()}
             with pytest.raises(AssertionError, match="sorted"):
                 lansit_check(t, g)
+
+    def test_merge_order_is_deepest_first_then_preorder(self):
+        # the stable sort of the preorder branching nodes by depth alone
+        # gives the order of the (-depth, preorder index) key
+        for family in (corpus_tree, informative_tree):
+            for i in range(100):
+                exact = family(i)
+                for t in (exact, exact.as_float()):
+                    index = {v: k for k, v in enumerate(t.nodes)}
+                    want = sorted(t.branching_nodes, key=lambda j: (-t.depths[j], index[j]))
+                    assert identities._merge_order(t) == want
 
     def test_random_functionals_exact(self):
         for family, seed in ((corpus_tree, 50_000), (informative_tree, 52_000)):
@@ -533,8 +546,11 @@ def exact_tree_triples(draw):
 
 
 class TestBranchSumMode:
-    """branch_sum runs in the tree's mode: the exact fold on an exact tree,
-    and the float sum from 0.0, left to right, on a float one."""
+    """Sums over the branching nodes run in the tree's mode: the exact fold
+    on an exact tree, and the float sum from 0.0, left to right, on a float
+    one.  The per-branch form is the oracle ``corpus.branch_sum``; the
+    tree's mean length (inner value 1) and the leaf entropy (inner value
+    H(P_{S_j})) must equal it, type and float bits included."""
 
     @staticmethod
     def chained(tree, values):
@@ -547,6 +563,7 @@ class TestBranchSumMode:
     def test_exact_tree_with_rational_values_is_a_fraction(self, demo_tree):
         value = branch_sum(demo_tree, lambda j, dist: Fraction(1))
         assert exact_signature(value) == (Fraction, Fraction(5, 2))
+        assert exact_signature(demo_tree.mean_length) == exact_signature(value)
 
     def test_float_tree_gives_a_float(self):
         tree = float_mirror(corpus_tree(9))
@@ -555,6 +572,17 @@ class TestBranchSumMode:
         assert type(value) is float
         assert value.hex() == self.chained(tree, values).hex()
 
+    def test_float_chains_are_the_branch_sums(self):
+        for family in (corpus_tree, informative_tree):
+            for i in range(100):
+                tree = float_mirror(family(i))
+                for value, inner in (
+                    (tree.mean_length, lambda j, dist: 1.0),
+                    (leaf_entropy(tree), lambda j, dist: entropy_of(dist.values())),
+                ):
+                    assert type(value) is float
+                    assert value.hex() == branch_sum(tree, inner).hex()
+
     def test_bare_exact_root_gives_a_fraction_zero(self):
         bare = build_tree([], {"r": Fraction(1)})
         bare_float = build_tree([], {"r": 1.0}, exact=False)
@@ -562,6 +590,8 @@ class TestBranchSumMode:
         value = branch_sum(bare, lambda j, dist: 0.5)
         assert exact_signature(value) == (Fraction, Fraction(0))
         assert exact_signature(branch_sum(bare_float, lambda j, dist: 1)) == (float, 0.0)
+        for value in (leaf_entropy(bare_float), bare_float.mean_length):
+            assert exact_signature(value) == (float, 0.0)
         # against a float reference the exact root runs as its float tree,
         # as the converted pair does
         for p in (bare, bare.as_float()):
@@ -594,7 +624,8 @@ MATCHER_SPECS = [
 class TestLogIncrementSum:
     """Exact leaf entropy and both divergences, folded over the leaves in
     integers over one denominator (the telescoped increment sums), are the
-    per-branch sums of entropy_of and kl_of, value and type alike, and equal
+    per-branch sums (``corpus.branch_sum``) of exact_entropy_of and kl_of,
+    value and type alike, and equal
     their leaf-side oracles."""
 
     @staticmethod
@@ -606,7 +637,7 @@ class TestLogIncrementSum:
         references = [
             (
                 leaf_entropy(p),
-                branch_sum(p, lambda j, dist: entropy_of(dist.values(), True)),
+                branch_sum(p, lambda j, dist: exact_entropy_of(dist.values())),
                 leaf_entropy_oracle(p),
             ),
             (

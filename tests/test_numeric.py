@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import (
     corpus_tree,
+    exact_entropy_of,
     exact_entropy_term,
     exact_kl_term,
     exact_signature,
@@ -17,6 +18,7 @@ from corpus import (
     power_sign,
     random_distribution,
     remass,
+    star_report,
 )
 from treeprob import (
     FiniteDistribution,
@@ -358,8 +360,9 @@ class TestModeHelpers:
         assert entropy_term(0.0) == 0.0
 
     def test_entropy_of_uniform(self):
-        assert entropy_of([Fraction(1, 4)] * 4, exact=True) == 2
-        assert entropy_of([0.25] * 4, exact=False) == pytest.approx(2.0)
+        assert exact_entropy_of([Fraction(1, 4)] * 4) == 2
+        assert FiniteDistribution(dict.fromkeys(range(4), Fraction(1, 4))).entropy() == 2
+        assert entropy_of([0.25] * 4) == pytest.approx(2.0)
 
     def test_kl_term_conventions(self):
         assert exact_kl_term(Fraction(0), Fraction(0)) == 0
@@ -383,17 +386,39 @@ class TestModeHelpers:
     def test_kl_of_short_circuits_on_infinity(self):
         pairs = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))]
         assert kl_of(pairs, exact=True) == math.inf
+        # the package: the star of p against a reference that lacks its
+        # second label (the pair's q does not sum to 1, so a q of the same
+        # zero stands in)
+        p = FiniteDistribution({0: Fraction(1, 2), 1: Fraction(1, 2)})
+        q = FiniteDistribution({0: Fraction(1), 1: Fraction(0)})
+        assert kl_of(zip(p.mass.values(), q.mass.values()), exact=True) == math.inf
+        assert star_report(p, q).divergence == math.inf
 
     def test_kl_of_identical_is_zero(self):
         pairs = [(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(2, 3))]
         assert kl_of(pairs, exact=True) == 0
+        assert star_kl_signature(pairs) == exact_signature(kl_of(pairs, exact=True))
 
     def test_kl_of_skips_zero_p(self):
         pairs = [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))]
         assert kl_of(pairs, exact=True) == 1
+        assert star_kl_signature(pairs) == exact_signature(kl_of(pairs, exact=True))
 
     def test_float_kl_of_is_infinite_at_zero_q(self):
-        assert kl_of([(0.5, 1.0), (0.5, 0.0)], exact=False) == math.inf
+        pairs = [(0.5, 1.0), (0.5, 0.0)]
+        assert kl_of(pairs, exact=False) == math.inf
+        assert star_kl_signature(pairs) == (float, math.inf)
+
+
+def star_kl_signature(pairs):
+    """The ``exact_signature`` of the package's D(p || q) for (p, q) mass
+    pairs that form two distributions: the D of the tree Pinsker report on
+    p's star tree (``corpus.star_report``), or None when the package has no
+    form of the pair."""
+    exact = all(isinstance(m, Fraction) for pair in pairs for m in pair)
+    p, q = (FiniteDistribution(dict(enumerate(side)), exact=exact) for side in zip(*pairs))
+    report = star_report(p, q)
+    return None if report is None else exact_signature(report.divergence)
 
 
 @pytest.mark.parametrize(
@@ -554,7 +579,11 @@ class TestExactWeightedSum:
 class TestExactKlOf:
     """Exact ``kl_of`` passes each pair's logarithms log2(a/b) and log2(d/c),
     for p = a/b and q = c/d, as two terms of one fold.  The oracle is the
-    former form, which reduced the ratio (a*d)/(b*c) by its gcd first."""
+    former form, which reduced the ratio (a*d)/(b*c) by its gcd first.
+    Where the pairs form two distributions that the package can take, its
+    D on p's star tree (``star_kl_signature``) must equal both, coefficient
+    types included; the pinned pairs that do not form two distributions
+    (no pairs, and p = 0) are oracle self-checks."""
 
     @staticmethod
     def reduced_ratio_kl_of(pairs):
@@ -579,7 +608,7 @@ class TestExactKlOf:
 
     def test_equals_the_reduced_ratio_form(self):
         rng = random.Random(2024)
-        kinds = set()
+        kinds, compared = set(), set()
         for case in range(3000):
             k = rng.randint(1, 5)
             p = self.masses(rng, k)
@@ -589,10 +618,13 @@ class TestExactKlOf:
             assert exact_signature(folded) == exact_signature(
                 self.reduced_ratio_kl_of(pairs)
             ), pairs
-            kinds.add(
-                "inf" if folded == math.inf else "zero" if folded == 0 else "positive"
-            )
-        assert kinds == {"inf", "zero", "positive"}
+            kind = "inf" if folded == math.inf else "zero" if folded == 0 else "positive"
+            kinds.add(kind)
+            package = star_kl_signature(pairs)
+            if package is not None:
+                assert package == exact_signature(folded), pairs
+                compared.add(kind)
+        assert kinds == compared == {"inf", "zero", "positive"}
 
     @pytest.mark.parametrize(
         "pairs",
@@ -609,6 +641,8 @@ class TestExactKlOf:
         assert exact_signature(kl_of(pairs, exact=True)) == exact_signature(
             self.reduced_ratio_kl_of(pairs)
         )
+        if pairs and sum(p for p, _ in pairs) == 1:
+            assert star_kl_signature(pairs) == exact_signature(kl_of(pairs, exact=True))
 
 
 class TestFactorize:
@@ -780,7 +814,7 @@ class TestFloatSums:
         for term in terms:
             chained = chained + term
         assert chained != math.fsum(terms)
-        assert entropy_of(masses, False).hex() == chained.hex() == "0x1.1c5b745d234e0p+1"
+        assert entropy_of(masses).hex() == chained.hex() == "0x1.1c5b745d234e0p+1"
 
 
 class TestExactConstructionCount:

@@ -107,8 +107,7 @@ class TestBuildTree:
             build_tree([], {})
 
     def test_exact_leaf_fractions_are_kept(self):
-        for i in range(20):
-            t = corpus_tree(i)
+        for t in (family(i) for family in (corpus_tree, informative_tree) for i in range(20)):
             # fresh objects, equal to the corpus tree's masses
             masses = {
                 v: Fraction(m.numerator, m.denominator)
@@ -359,9 +358,9 @@ class TestPruning:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10_000))
     def test_rebuild_of_generated_tree_is_identity(self, i):
-        t = corpus_tree(i % 64)
-        again = build_tree(edges_of(t), dict(t.leaf_mass))
-        assert structurally_equal(t, again)
+        for t in (corpus_tree(i % 64), informative_tree(i % 64)):
+            again = build_tree(edges_of(t), dict(t.leaf_mass))
+            assert structurally_equal(t, again)
 
 
 def caterpillar_input(depth: int, exact: bool):
@@ -404,20 +403,22 @@ class TestReferenceBuilder:
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_corpus(self, exact):
-        for i in range(200):
-            tree = corpus_tree(i, exact=exact)
-            edges = edges_of(tree)
-            self.assert_same(edges, dict(tree.leaf_mass))
-            random.Random(i).shuffle(edges)
-            self.assert_same(edges, dict(tree.leaf_mass))
-            if exact:
-                self.assert_same(edges, dict(tree.leaf_mass), exact=False)
+        for family in (corpus_tree, informative_tree):
+            for i in range(200):
+                tree = family(i, exact=exact)
+                edges = edges_of(tree)
+                self.assert_same(edges, dict(tree.leaf_mass))
+                random.Random(i).shuffle(edges)
+                self.assert_same(edges, dict(tree.leaf_mass))
+                if exact:
+                    self.assert_same(edges, dict(tree.leaf_mass), exact=False)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_pruned(self, exact):
-        for i in range(0, 200, 4):
-            edges, mass = padded_input(corpus_tree(i, exact=exact))
-            self.assert_same(edges, mass)
+        for family in (corpus_tree, informative_tree):
+            for i in range(0, 200, 4):
+                edges, mass = padded_input(family(i, exact=exact))
+                self.assert_same(edges, mass)
 
     @pytest.mark.parametrize("target", ["1/3,2/3", "1/6,1/3,1/2", "1/10,1/5,3/10,2/5"])
     def test_matcher(self, target):
@@ -461,8 +462,8 @@ class TestNodeProbabilities:
             assert "branching" not in vars(tree)
 
     def test_mean_length_is_the_preorder_sum_of_branching_masses(self):
-        for i in range(120):
-            for t in (corpus_tree(i), float_mirror(corpus_tree(i))):
+        for t in (f(i) for f in (corpus_tree, informative_tree) for i in range(120)):
+            for t in (t, float_mirror(t)):
                 expected = Fraction(0) if t.exact else 0.0
                 for j in t.branching_nodes:
                     expected = expected + t.node_mass[j]
@@ -475,15 +476,13 @@ class TestNodeProbabilities:
             assert (type(got), got) == (type(mass), 0)
 
     def test_child_sums_exact(self):
-        for i in range(20):
-            t = corpus_tree(i)
+        for t in (f(i) for f in (corpus_tree, informative_tree) for i in range(20)):
             q = node_probabilities(t)
             for j in t.branching_nodes:
                 assert sum(q[c] for _, c in t.children[j]) == q[j]
 
     def test_child_sums_float(self):
-        for i in range(20):
-            t = float_mirror(corpus_tree(i))
+        for t in (float_mirror(f(i)) for f in (corpus_tree, informative_tree) for i in range(20)):
             q = node_probabilities(t)
             for j in t.branching_nodes:
                 total = 0.0
@@ -492,8 +491,7 @@ class TestNodeProbabilities:
                 assert abs(total - q[j]) <= 1e-12 * max(1.0, abs(q[j]))
 
     def test_monotone_along_edges(self):
-        for i in range(20):
-            t = corpus_tree(i)
+        for t in (f(i) for f in (corpus_tree, informative_tree) for i in range(20)):
             q = node_probabilities(t)
             for node in t.nodes:
                 for _, child in t.children[node]:
@@ -526,17 +524,17 @@ class TestNodeProbabilities:
             assert node_probabilities(t) == node_probabilities(demo_tree)
 
     def test_shuffled_edge_order_same_quantities_float(self):
-        base = corpus_tree(3)
-        t = float_mirror(base)
-        rng = random.Random(7)
-        edges = edges_of(t)
-        q_ref = node_probabilities(t)
-        for _ in range(5):
-            rng.shuffle(edges)
-            shuffled = build_tree(edges, dict(t.leaf_mass), exact=False)
-            q = node_probabilities(shuffled)
-            for node, value in q_ref.items():
-                assert abs(q[node] - value) <= 1e-12 * max(1.0, abs(value))
+        for base in (corpus_tree(3), informative_tree(3)):
+            t = float_mirror(base)
+            rng = random.Random(7)
+            edges = edges_of(t)
+            q_ref = node_probabilities(t)
+            for _ in range(5):
+                rng.shuffle(edges)
+                shuffled = build_tree(edges, dict(t.leaf_mass), exact=False)
+                q = node_probabilities(shuffled)
+                for node, value in q_ref.items():
+                    assert abs(q[node] - value) <= 1e-12 * max(1.0, abs(value))
 
 
 class TestBranchingDistributions:
@@ -605,11 +603,15 @@ class TestStructuralEquality:
     @pytest.mark.parametrize("index, expected", [(None, True), (0, False)])
     def test_exact_against_float_mirror(self, index, expected):
         # equal exactly when every exact mass is the float's value: the
-        # demo's dyadic masses are, corpus tree 0's are not
-        t = build_tree(DEMO_EDGES, DEMO_MASS) if index is None else corpus_tree(index)
-        mirror = float_mirror(t)
-        assert structurally_equal(t, mirror) is expected
-        assert structurally_equal(mirror, t) is expected
+        # demo's dyadic masses are, corpus and informative tree 0's are not
+        if index is None:
+            trees = [build_tree(DEMO_EDGES, DEMO_MASS)]
+        else:
+            trees = [corpus_tree(index), informative_tree(index)]
+        for t in trees:
+            mirror = float_mirror(t)
+            assert structurally_equal(t, mirror) is expected
+            assert structurally_equal(mirror, t) is expected
 
     def test_deep_chain_is_linear(self):
         depth = 5000

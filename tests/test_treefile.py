@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DEMO_DOCUMENT
-from corpus import corpus_tree, float_mirror
+from corpus import corpus_tree, float_mirror, informative_tree
 from treeprob import (
     MassNotNormalized,
     NonFiniteMass,
@@ -454,16 +454,14 @@ class TestRoundTrips:
         assert parse_document(serialize_document(doc)) == doc
 
     def test_tree_round_trip_preserves_structure_and_mode(self):
-        for i in range(25):
-            tree = corpus_tree(i)
+        for tree in (f(i) for f in (corpus_tree, informative_tree) for i in range(25)):
             back = parse_tree(serialize_tree(tree))
             assert back.exact
             assert structurally_equal(tree, back)
             assert back.leaf_mass == tree.leaf_mass
 
     def test_tree_round_trip_float(self):
-        for i in range(10):
-            tree = float_mirror(corpus_tree(i))
+        for tree in (float_mirror(f(i)) for f in (corpus_tree, informative_tree) for i in range(10)):
             back = parse_tree(serialize_tree(tree))
             assert not back.exact
             assert structurally_equal(tree, back)
@@ -472,15 +470,16 @@ class TestRoundTrips:
     def test_float_conversion_is_the_forced_float_document(self):
         # Tree.as_float, which a pair that is not both exact runs through,
         # builds the tree that --float loads from the tree's document
-        for i in range(200):
-            tree = corpus_tree(i)
-            converted = tree.as_float()
-            forced = parse_tree(serialize_tree(tree), force_float=True)
-            assert converted.nodes == forced.nodes, i
-            assert list(converted.leaf_mass.items()) == list(forced.leaf_mass.items()), i
-            assert [converted.node_mass[v].hex() for v in converted.nodes] == [
-                forced.node_mass[v].hex() for v in forced.nodes
-            ], i
+        for family in (corpus_tree, informative_tree):
+            for i in range(200):
+                tree = family(i)
+                converted = tree.as_float()
+                forced = parse_tree(serialize_tree(tree), force_float=True)
+                assert converted.nodes == forced.nodes, i
+                assert list(converted.leaf_mass.items()) == list(forced.leaf_mass.items()), i
+                assert [converted.node_mass[v].hex() for v in converted.nodes] == [
+                    forced.node_mass[v].hex() for v in forced.nodes
+                ], i
 
     def test_canonical_fraction_strings(self):
         tree = build_tree(
@@ -492,9 +491,9 @@ class TestRoundTrips:
         assert json.loads(serialize_document(doc))["leaf_mass"] == [[1, "1/4"], [2, "3/4"]]
 
     def test_serialized_text_is_stable(self):
-        tree = corpus_tree(4)
-        assert serialize_tree(tree) == serialize_tree(tree)
-        assert serialize_tree(tree).endswith("\n")
+        for tree in (corpus_tree(4), informative_tree(4)):
+            assert serialize_tree(tree) == serialize_tree(tree)
+            assert serialize_tree(tree).endswith("\n")
 
     def test_metadata_survives(self):
         tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: 0.5, 2: 0.5})
@@ -529,10 +528,11 @@ class TestWrittenBytes:
 
     @pytest.mark.parametrize("mirror", [False, True], ids=["exact", "float"])
     def test_corpus_matches_the_stdlib_encoding(self, mirror):
-        for i in range(200):
-            tree = float_mirror(corpus_tree(i)) if mirror else corpus_tree(i)
-            doc = tree_to_document(tree)
-            assert serialize_document(doc) == reference_text(doc), i
+        for family in (corpus_tree, informative_tree):
+            for i in range(200):
+                tree = float_mirror(family(i)) if mirror else family(i)
+                doc = tree_to_document(tree)
+                assert serialize_document(doc) == reference_text(doc), i
 
     @pytest.mark.parametrize(
         "doc",
