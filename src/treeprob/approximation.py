@@ -252,20 +252,31 @@ def _branch_distances(p: Tree, refs, default) -> list[tuple[int, int, int]]:
     (m_j n_j), from the tables alone: no P_{S_j} is built.  ref_j is a
     weight r_a per label a, summing to m_j; each reference is summed once,
     the default (a spec's weights) once for all the j that take it.  S_j
-    sums |m_j n_c - r_a n_j| over j's children c (label a, r_a = 0 where
-    ref_j lacks a) and adds n_j r_a for each reference label a that j
-    lacks.  As the n_c sum to n_j and the r_a to m_j, that is twice the sum
-    of the positive parts of m_j n_c - r_a n_j.  A j with an empty ref_j
-    has d_j = 1.
+    is the sum of |m_j n_c - r_a n_j| over j's children c (label a, r_a = 0
+    where ref_j lacks a) plus n_j r_a for each reference label a that j
+    lacks.  As the n_c sum to n_j and the r_a to m_j, the positive and the
+    negative parts of that sum are equal, so S_j is twice the sum of the
+    positive parts of m_j n_c - r_a n_j, added in one plain loop over j's
+    children.  A j with an empty ref_j has d_j = 1, the triple (n_j, n_j,
+    1), and is settled before that loop.
     """
     n = p.mass_below
+    children = p.children
     default_m = sum(default.values())
     triples = []
     for j in p.branching_nodes:
         ref = refs.get(j, default)
-        nj, m = n[j], default_m if ref is default else sum(ref.values())
-        s = 2 * sum(max(m * n[c] - ref.get(a, 0) * nj, 0) for a, c in p.children[j])
-        triples.append((nj, s, m) if ref else (nj, nj, 1))
+        nj = n[j]
+        if not ref:
+            triples.append((nj, nj, 1))
+            continue
+        m = default_m if ref is default else sum(ref.values())
+        s = 0
+        for a, c in children[j]:
+            x = m * n[c] - ref.get(a, 0) * nj
+            if x > 0:
+                s += x
+        triples.append((nj, 2 * s, m))
     return triples
 
 

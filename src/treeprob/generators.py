@@ -14,13 +14,18 @@ The matcher runs in integers.  Its heap keys are the integers
 K * M^(L - d) for a spec s_a = k_a / M, a depth-d leaf with path product K
 and L a depth no leaf can reach, which is bounded through the budget; the
 quantizer works on those numerators over M^L and returns each leaf's
-level k, its mass being 2^-k.  The greedy growth for a larger budget
-extends the one for a smaller budget (as in Tunstall's parse trees), so a
-sweep grows its matcher once, up to its largest budget, and only quantizes
-and builds a tree at each budget on the way.  A matcher tree is valid by
-construction, so it is built from the growth's own tables by the table
-builder that ``build_tree`` ends in, without ``build_tree``'s checks;
-random trees go through ``build_tree``.  Growth holds every node of the
+level k, its mass being 2^-k.  Equal keys go to the smaller label path,
+which the heap holds as an integer rank: the path's label positions as
+base-w digits, w the alphabet size, padded to L digits.  The leaves form a
+prefix-free set of paths, so their ranks order as their paths do.  The
+greedy growth for a larger budget extends the one for a smaller budget (as
+in Tunstall's parse trees), so a sweep grows its matcher once, up to its
+largest budget, and only quantizes and builds a tree at each budget on the
+way.  Growth keeps the preorder as a successor list, which each expansion
+splices, so a budget's preorder is one walk of that list.  A matcher tree
+is valid by construction, so it is built from the growth's own tables by
+the table builder that ``build_tree`` ends in, without ``build_tree``'s
+checks; random trees go through ``build_tree``.  Growth holds every node of the
 largest tree, so a budget above ``MAX_LEAF_BUDGET`` is rejected before any
 growth.  A sweep writes one CSV row per budget, with the columns in
 ``SweepRow``'s field order.
@@ -44,7 +49,7 @@ from .approximation import ProductSpec, require_epsilon, tree_pinsker_report
 from .errors import ParamsInvalid
 from .identities import leaf_entropy
 from .numeric import _chained, exact_text
-from .tree import Label, Tree, _preorder, _tree_from_tables, build_tree, label_order
+from .tree import Label, Tree, _tree_from_tables, build_tree, label_order
 
 __all__ = [
     "GeneratorParams",
@@ -225,7 +230,8 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
     The growth runs in integers.  With the spec written as s_a = k_a / M
     (its integer table, ``FiniteDistribution.integer_mass``), a depth-d
     leaf whose path multiplies to K = prod k_a has Q+ = K / M^d, and the
-    heap keys it by the integer -K * M^(L - d), which orders as -Q+ does.
+    heap keys it by the integer -K * M^(L - d), which orders as -Q+ does,
+    and then by its path's integer rank, which orders as the path does.
     An expanded leaf is the largest of fewer than B leaves whose Q+ sum to
     1, so its Q+ exceeds 1/B, while Q+ <= (k_max / M)^d; L is the first
     depth with k_max^L * B < M^L, found by an integer loop, so no leaf lies
@@ -247,16 +253,24 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     repeats the previous tree's leaf count and raises ParamsInvalid.
 
     Growth keeps the tree's own tables, those ``build_tree`` collects: each
-    expanded node's (label, child) pairs and the parent edges, while the
-    heap holds each leaf's integer key.  A
+    expanded node's (label, child) pairs and the parent edges.  The heap
+    holds each leaf as (-K * M^(L - d), rank, node).  The rank of a path
+    j_1 .. j_d of label positions is the sum of j_i * w^(L - i): its digits
+    in base w, padded to L digits.  A child's rank is its parent's plus j
+    times the parent's step w^(L - 1 - d), kept per node.  Two leaves never
+    share a rank, and as no leaf's path is a prefix of another's, ranks
+    order as the paths do: ties on the key go to the smaller path, and the
+    node is never compared.  A successor list keeps the preorder:
+    expanding v splices v -> c_0 .. c_(w-1) -> v's old successor, so each
+    budget's preorder is one walk of the list.  Children follow
+    ``spec.alphabet``, so that walk lists the leaves in label path order,
+    the order in which the quantizer breaks ties, and needs no sort.  A
     matcher tree is valid by construction, so it goes straight to
-    ``tree._tree_from_tables`` without ``build_tree``'s checks.  Children
-    follow ``spec.alphabet``, so the preorder walk lists the leaves in label
-    path order, the order in which the quantizer breaks ties, and needs no
-    sort.  The leaf levels k give the table n = 2^(E - k) over D = 2^E, E
-    the largest k, with one Fraction per distinct level.  Each tree gets
-    its own copy of the parent edges, since growth goes on after the yield;
-    its other maps are built fresh.
+    ``tree._tree_from_tables`` without ``build_tree``'s checks.  The leaf
+    levels k give the table n = 2^(E - k) over D = 2^E, E the largest k,
+    with one Fraction per distinct level.  Each tree gets its own copy of
+    the parent edges, since growth goes on after the yield; its other maps
+    are built fresh.
     """
     if not spec.exact:
         raise ParamsInvalid("matcher requires an exact (rational) target")
@@ -276,20 +290,23 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     table = spec.base.integer_mass
     weights = [table[a] for a in labels]
     m = sum(weights)
-    # scale = M^L for the first L with k_max^L * B < M^L
+    # scale = M^L and place = w^(L - 1) for the first L with k_max^L * B < M^L
     k_max = max(weights)
-    power, scale = k_max, m
+    power, scale, place = k_max, m, 1
     while power * budgets[-1] >= scale:
         power *= k_max
         scale *= m
+        place *= width
     # the growth's own tables: each expanded node's (label, child) pairs,
     # and the parent edges in the order the nodes were made
     children: dict[int, list[tuple[Label, int]]] = {}
     parent_edge: dict[int, tuple[int, Label]] = {}
-    # heap of current leaves keyed by (-K * M^(L - d), path), a path being
-    # its labels' positions in ``labels``: unique, and comparable whatever
-    # the labels' types
-    heap: list[tuple[int, tuple[int, ...], int]] = [(-scale, (), 0)]
+    # places[v] = w^(L - 1 - d) for v at depth d, the rank step of its
+    # children; following[v] is the node after v in preorder, 0 for none
+    places = [place]
+    following = [0]
+    # heap of current leaves keyed by (-K * M^(L - d), rank), unique
+    heap: list[tuple[int, int, int]] = [(-scale, 0, 0)]
     for budget in budgets:
         # the first budget always grows, since it is at least the width
         if len(heap) + (width - 1) > budget:
@@ -298,18 +315,31 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
                 f" spread the budgets further apart"
             )
         while len(heap) + (width - 1) <= budget:
-            neg_key, path, node = heapq.heappop(heap)
+            neg_key, rank, node = heapq.heappop(heap)
             # d < L for an expanded leaf, so its key is a multiple of M
             neg_key //= m
+            step = places[node]
             pairs = children[node] = []
+            # splice node -> its children -> node's old successor; each id
+            # is one int object in the successor list and the tables alike,
+            # which the tables' dict lookups then match by identity
+            after = following[node]
+            following[node] = child = len(places)
             for j, (label, k) in enumerate(zip(labels, weights)):
-                child = len(parent_edge) + 1
                 pairs.append((label, child))
                 parent_edge[child] = (node, label)
-                heapq.heappush(heap, (neg_key * k, path + (j,), child))
+                places.append(step // width)
+                heapq.heappush(heap, (neg_key * k, rank + j * step, child))
+                child += 1
+                following.append(child)
+            following[-1] = after
+        order = [0]
+        v = following[0]
+        while v:
+            order.append(v)
+            v = following[v]
         key = {node: -neg_key for neg_key, _, node in heap}
-        order = _preorder(0, children)
-        leaves = [v for v in order if v not in children]
+        leaves = [v for v in order if v in key]
         levels = _dyadic_levels([key[v] for v in leaves], scale)
         top = max(levels)
         unit = {level: Fraction(1, 1 << level) for level in set(levels)}

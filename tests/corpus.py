@@ -360,14 +360,10 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
     ew = normalizer(p)
     if isinstance(reference, ProductSpec):
         _require_alphabet(p, reference)
-        refs = dict.fromkeys(p.branching_nodes, reference.base.mass)
+        mapping = None
     else:
         mapping, covered = path_alignment(p, reference)
-        ref_dists = reference.branching
-        refs = {
-            j: ref_dists.get(mapping[j], {}) if j in mapping else {}
-            for j in p.branching_nodes
-        }
+    refs = reference_branches(p, reference, mapping)
     if not p.exact:
         # a label that ref_j lacks faces mass 0, which makes D +inf
         divergence = branch_sum(p, lambda j, dist: kl_of(
@@ -376,18 +372,7 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
         divergence = product_branch_divergence(p, reference)
     else:
         divergence = aligned_divergence(p, reference, mapping, covered)
-    distances = {}
-    for j, own in p.branching.items():
-        ref = refs[j]
-        d = 0
-        for lab, mass in own.items():
-            d = d + abs(mass - ref.get(lab, 0))
-        for lab, mass in ref.items():
-            if lab not in own:
-                d = d + abs(mass)
-        # against zero mass the distance is 1, also where a float tree's
-        # branch masses add up to less
-        distances[j] = d if ref else 1
+    distances = branch_distances(p, refs)
 
     def average(h):
         return branch_sum(p, lambda j, dist: h(distances[j])) / ew
@@ -404,6 +389,39 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
         holds=normalized >= bound - PINSKER_TOLERANCE,
         tail={eps: float(average(lambda d: d >= eps)) for eps in epsilons},
     )
+
+
+def reference_branches(p: Tree, reference, mapping: dict | None) -> dict:
+    """ref_j, label -> mass, at each branching node j of p, in preorder:
+    the spec's masses at every j when ``mapping`` is None, and otherwise
+    the branching distribution (``Tree.branching``) of the node of the
+    reference tree that ``mapping`` (``path_alignment``) gives j, or {}
+    where that node is a leaf or there is none."""
+    if mapping is None:
+        return dict.fromkeys(p.branching_nodes, reference.base.mass)
+    dists = reference.branching
+    return {j: dists.get(mapping[j], {}) if j in mapping else {}
+            for j in p.branching_nodes}
+
+
+def branch_distances(p: Tree, refs: dict) -> dict[NodeId, object]:
+    """The branch distance d_j, the sum over labels a of |P_{S_j}(a) -
+    ref_j(a)|, at each branching node j of p, in preorder: summed label by
+    label from P_{S_j} (``Tree.branching``, Fractions on an exact tree)
+    against ``refs[j]`` (``reference_branches``), over the labels of both.
+    Against an empty ref_j, no mass, d_j is 1, also where a float tree's
+    branch masses add up to less."""
+    distances = {}
+    for j, own in p.branching.items():
+        ref = refs[j]
+        d = 0
+        for lab, mass in own.items():
+            d = d + abs(mass - ref.get(lab, 0))
+        for lab, mass in ref.items():
+            if lab not in own:
+                d = d + abs(mass)
+        distances[j] = d if ref else 1
+    return distances
 
 
 def kl_of(pairs: Iterable, exact: bool) -> Scalar:

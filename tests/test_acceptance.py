@@ -28,6 +28,7 @@ from corpus import (
     random_distribution,
     rational_functional,
     remass,
+    star_report,
 )
 from treeprob import (
     FiniteDistribution,
@@ -268,8 +269,16 @@ def test_criterion_6_pinsker_suites(capsys, corpus_exact):
         labels = list(range(2 + i % 7))
         p = FiniteDistribution(random_distribution(labels, seed=2 * i))
         q = FiniteDistribution(random_distribution(labels, seed=2 * i + 1))
-        if not pinsker_check(p, q).holds:
+        holds = pinsker_check(p, q).holds
+        if not holds:
             failures.append(f"classical pair {i}")
+        # the package's report on p's star tree against q must agree
+        report = star_report(p, q)
+        if report.holds != holds:
+            failures.append(f"classical pair {i}: star report verdict differs")
+        for eps in (0.01, 0.1, 0.5, 1.0):
+            if report.tail[eps] > report.mean_distance / eps + 1e-12:
+                failures.append(f"classical pair {i}: tail({eps}) above Markov")
     reports = []
     for i in range(500):
         tree = corpus_exact[i]
@@ -287,7 +296,8 @@ def test_criterion_6_pinsker_suites(capsys, corpus_exact):
     conclude(
         capsys,
         6,
-        "classical Pinsker on 10^4 pairs, per-branch bound on 500 tree pairs"
+        "classical Pinsker on 10^4 pairs, with the package's star-tree report"
+        " on each, per-branch bound on 500 tree pairs"
         " and 500 product references, Markov tail bound at four epsilons,"
         " zero violations",
         failures,

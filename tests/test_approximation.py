@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from corpus import (
     aligned_references,
+    branch_distances,
     caterpillar,
     complete_tree,
     corpus_tree,
@@ -16,10 +17,12 @@ from corpus import (
     exact_signature,
     float_mirror,
     informative_tree,
+    path_alignment,
     pinsker_check,
     pinsker_reference,
     product_node_probabilities,
     random_distribution,
+    reference_branches,
     remass,
     star_report,
     star_tree,
@@ -50,7 +53,7 @@ from treeprob import (
 )
 from treeprob import approximation, identities, numeric
 from treeprob.approximation import DEFAULT_EPSILONS
-from treeprob.identities import one_mode
+from treeprob.identities import align_by_paths, one_mode
 from treeprob.numeric import ExactLog2
 
 LN2 = math.log(2.0)
@@ -628,6 +631,86 @@ class TestPinskerReference:
         for report in (tree_pinsker_report, pinsker_reference):
             with pytest.raises(error):
                 report(trees[tree], references[reference], epsilons)
+
+
+class TestBranchDistances:
+    """``approximation._branch_distances``, the exact kernel of the Pinsker
+    report, against the per-branch Fraction oracle
+    ``corpus.branch_distances``: each triple (n_j, S_j, m_j) gives n_j, the
+    entry of j in p's table, and d_j = S_j / (m_j n_j) exactly."""
+
+    @staticmethod
+    def kernel_agrees(p, reference):
+        """Assert the kernel equals the oracle on the exact pair (p,
+        reference); return the oracle's ref_j per branching node j."""
+        if isinstance(reference, ProductSpec):
+            mapping = oracle_mapping = None
+        else:
+            mapping = align_by_paths(p, reference)[0]
+            oracle_mapping = path_alignment(p, reference)[0]
+        triples = approximation._branch_distances(
+            p, *identities.branch_references(p, reference, mapping))
+        refs = reference_branches(p, reference, oracle_mapping)
+        want = branch_distances(p, refs)
+        assert [nj for nj, _, _ in triples] == [p.mass_below[j] for j in want]
+        assert [Fraction(s, m * nj) for nj, s, m in triples] == list(want.values())
+        return refs
+
+    @pytest.mark.parametrize("family", [corpus_tree, informative_tree])
+    def test_families(self, family):
+        seen = set()
+        for i in range(100):
+            p, trees = aligned_references(family, i)
+            spec = ProductSpec(FiniteDistribution(
+                random_distribution(p.label_alphabet, 70_000 + i)))
+            for reference in (spec, *trees.values()):
+                refs = self.kernel_agrees(p, reference)
+                for j, own in p.branching.items():
+                    ref = refs[j]
+                    if not ref:
+                        seen.add("empty reference")
+                    elif ref.keys() - own.keys():
+                        seen.add("label missing in p")
+                    if ref and own.keys() - ref.keys():
+                        seen.add("label missing in the reference")
+                    if any(m == ref.get(a) for a, m in own.items()):
+                        seen.add("child at difference 0")
+        assert seen == {"empty reference", "label missing in p",
+                        "label missing in the reference", "child at difference 0"}
+
+    def test_some_children_at_difference_zero(self):
+        # against the spec, child a is at difference 0 and b and c are not;
+        # against q, the root's children all are, and under v child x is at
+        # 1/2 against 1 and label y is missing from q
+        p = build_tree(
+            [("r", "a", "u"), ("r", "b", "v"), ("r", "c", "w"),
+             ("v", "x", "vx"), ("v", "y", "vy")],
+            {"u": Fraction(1, 2), "vx": Fraction(1, 8), "vy": Fraction(1, 8),
+             "w": Fraction(1, 4)},
+        )
+        spec = ProductSpec(FiniteDistribution(
+            {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(1, 12),
+             "x": Fraction(1, 24), "y": Fraction(1, 24)}))
+        q = build_tree(
+            [("r", "a", "u"), ("r", "b", "v"), ("r", "c", "w"), ("v", "x", "vx")],
+            {"u": Fraction(1, 2), "vx": Fraction(1, 4), "w": Fraction(1, 4)},
+        )
+        for reference, want in ((spec, [Fraction(1, 3), Fraction(11, 6)]), (q, [0, 1])):
+            self.kernel_agrees(p, reference)
+            mapping = None if reference is spec else align_by_paths(p, q)[0]
+            triples = approximation._branch_distances(
+                p, *identities.branch_references(p, reference, mapping))
+            assert [Fraction(s, m * nj) for nj, s, m in triples] == want
+
+    def test_deep_and_matcher_trees(self):
+        p = caterpillar(300, seed=5)
+        for reference in (remass(p, seed=6), ProductSpec.uniform([0, 1])):
+            self.kernel_agrees(p, reference)
+        weights = {a: Fraction(a + 1, 10) for a in range(4)}
+        spec = ProductSpec(FiniteDistribution(weights))
+        p = grow_matcher_tree(spec, 256)
+        for reference in (spec, remass(p, seed=7), ProductSpec.uniform(range(4))):
+            self.kernel_agrees(p, reference)
 
 
 def float_trees(i):

@@ -28,7 +28,7 @@ from treeprob import (
     tree_pinsker_report,
     write_sweep_csv,
 )
-from treeprob.tree import build_tree
+from treeprob.tree import build_tree, label_order
 
 LN2 = math.log(2.0)
 
@@ -75,8 +75,11 @@ def reference_matcher_tree(spec, leaf_budget):
         neg_q, path, node = heapq.heappop(heap)
         for label in labels:
             edges.append((node, label, next_id))
+            # paths compare as label_order does, so mixed labels never
+            # compare a str with an int
             heapq.heappush(
-                heap, (neg_q * spec.base.mass[label], path + (label,), next_id)
+                heap,
+                (neg_q * spec.base.mass[label], path + (label_order(label),), next_id),
             )
             next_id += 1
         count += width - 1
@@ -396,6 +399,36 @@ class TestReferenceMatcher:
             assert tree == reference_matcher_tree(spec, budget)
         paths = sorted(tree.path_of(leaf) for leaf in tree.leaves)
         assert paths[:3] == [("a", "a", "a"), ("a", "a", "b"), ("a", "a", "c")]
+
+    @pytest.mark.parametrize("spec", [
+        *(ProductSpec.uniform("abcde"[:width]) for width in range(2, 6)),
+        ProductSpec(FiniteDistribution(
+            {"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 4)}
+        )),
+        ProductSpec.uniform([0, 1, "a", "b"]),
+    ], ids=["uniform-2", "uniform-3", "uniform-4", "uniform-5", "half-quarters", "mixed-4"])
+    def test_tie_heavy_specs_equal_reference(self, spec):
+        # whole depths tie on Q+, so the path order decides most expansions;
+        # Tree == compares node ids too, which record the expansion order
+        width = len(spec.alphabet)
+        counts = list(range(width, 251, width - 1))
+        for budget in counts[::7] + counts[-1:]:
+            assert grow_matcher_tree(spec, budget) == reference_matcher_tree(spec, budget)
+        # every tree of a ladder through all leaf counts, compared once the
+        # growth has ended
+        trees = list(generators._matcher_trees(spec, counts))
+        for budget, tree in zip(counts, trees):
+            reference = reference_matcher_tree(spec, budget)
+            assert tree == reference
+            assert list(tree.leaf_mass) == list(reference.leaf_mass)
+
+    @given(rational_specs(), st.lists(st.integers(0, 300), min_size=1,
+                                      max_size=4, unique=True))
+    def test_ladder_trees_equal_reference(self, spec, extras):
+        width = len(spec.alphabet)
+        budgets = sorted(1 + (width - 1) * (1 + e) for e in extras)
+        trees = list(generators._matcher_trees(spec, budgets))
+        assert trees == [reference_matcher_tree(spec, b) for b in budgets]
 
     def test_skewed_spec_stays_within_its_depth_bound(self):
         spec = ProductSpec(

@@ -5,11 +5,14 @@ targets (weights 1..k over their sum on k = 2, 3 and 4 labels, ladders
 ending at 1024, 2187 and 1024 leaves), then ``write_sweep_csv``.  The
 stages are timed by wrapping the functions the sweep calls:
 
-    build    growth, quantization and tree building (``_matcher_trees``)
-    pinsker  ``tree_pinsker_report``
-    entropy  ``leaf_entropy``
-    rows     the rest of ``convergence_sweep`` (row assembly)
-    csv      ``write_sweep_csv``
+    grow      growth and each budget's preorder, leaves and maps: the
+              rest of ``_matcher_trees``
+    quantize  ``_dyadic_levels``
+    tables    ``_tree_from_tables``
+    pinsker   ``tree_pinsker_report``
+    entropy   ``leaf_entropy``
+    rows      the rest of ``convergence_sweep`` (row assembly)
+    csv       ``write_sweep_csv``
 
 Each stage prints its best time over the repeats, in milliseconds, and
 the last line sums the ladders.  Only the standard library and the
@@ -35,7 +38,14 @@ LADDERS = {
     "1/6,1/3,1/2": [3, 9, 27, 81, 243, 729, 2187],
     "1/10,1/5,3/10,2/5": [4, 16, 64, 256, 1024],
 }
-STAGES = ("build", "pinsker", "entropy", "rows", "csv")
+STAGES = ("grow", "quantize", "tables", "pinsker", "entropy", "rows", "csv")
+# the functions timed by wrapping them in the generators namespace, by stage
+WRAPPED = {
+    "quantize": "_dyadic_levels",
+    "tables": "_tree_from_tables",
+    "pinsker": "tree_pinsker_report",
+    "entropy": "leaf_entropy",
+}
 EPSILON = 0.1
 
 
@@ -54,14 +64,15 @@ def timed(times: dict[str, float], stage: str, fn):
 
 def timed_trees(times: dict[str, float], trees_of):
     """``_matcher_trees`` with the time spent producing each tree added to
-    ``times["build"]``."""
+    ``times["grow"]``; the quantize and tables stages, timed inside it, are
+    taken out again."""
 
     def wrapper(*args):
         trees = trees_of(*args)
         while True:
             start = time.perf_counter()
             tree = next(trees, None)
-            times["build"] += time.perf_counter() - start
+            times["grow"] += time.perf_counter() - start
             if tree is None:
                 return
             yield tree
@@ -72,20 +83,18 @@ def timed_trees(times: dict[str, float], trees_of):
 def stage_times(spec: ProductSpec, budgets: list[int]) -> dict[str, float]:
     """Seconds per stage of one sweep of ``spec`` over ``budgets``."""
     times = dict.fromkeys(STAGES, 0.0)
-    originals = {
-        name: getattr(generators, name)
-        for name in ("_matcher_trees", "tree_pinsker_report", "leaf_entropy")
-    }
+    originals = {name: getattr(generators, name) for name in ("_matcher_trees", *WRAPPED.values())}
     generators._matcher_trees = timed_trees(times, originals["_matcher_trees"])
-    generators.tree_pinsker_report = timed(times, "pinsker", originals["tree_pinsker_report"])
-    generators.leaf_entropy = timed(times, "entropy", originals["leaf_entropy"])
+    for stage, name in WRAPPED.items():
+        setattr(generators, name, timed(times, stage, originals[name]))
     try:
         start = time.perf_counter()
         rows = generators.convergence_sweep(spec, budgets, EPSILON)
-        times["rows"] = time.perf_counter() - start - times["build"] - times["pinsker"] - times["entropy"]
+        times["rows"] = time.perf_counter() - start - times["grow"] - times["pinsker"] - times["entropy"]
     finally:
         for name, fn in originals.items():
             setattr(generators, name, fn)
+    times["grow"] -= times["quantize"] + times["tables"]
     start = time.perf_counter()
     generators.write_sweep_csv(rows, io.StringIO())
     times["csv"] = time.perf_counter() - start
