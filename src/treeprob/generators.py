@@ -159,15 +159,20 @@ def dyadic_quantization(
     does), put over their common denominator and quantized in integers by
     ``_dyadic_levels``, the matcher's own quantizer, whose ties go to the
     earlier position.  The result is keyed in that path order.  Raises
-    ParamsInvalid for no targets, for a target that is not positive, and
-    for targets whose one integer sum over that denominator exceeds it.
+    ParamsInvalid for no targets, for a target that is not positive, for
+    a path given twice (the result has one mass per path), and for targets
+    whose one integer sum over that denominator exceeds it.
     """
     targets = list(targets)
     if not targets:
         raise ParamsInvalid("dyadic quantization needs at least one target")
+    paths = set()
     for path, p in targets:
         if p <= 0:
             raise ParamsInvalid(f"target mass must be positive, got {p} at {path!r}")
+        if path in paths:
+            raise ParamsInvalid(f"target path {path!r} is repeated")
+        paths.add(path)
     ranked = sorted(targets, key=lambda target: [label_order(a) for a in target[0]])
     denominator = math.lcm(*(p.denominator for _, p in targets))
     numerators = [p.numerator * (denominator // p.denominator) for _, p in ranked]
@@ -376,7 +381,9 @@ def convergence_sweep(
     ``max_tail`` is the P_B probability of a branch distance of at least
     epsilon.  Each budget evaluates every branch sum once; the entropy
     rate gap is rounded once from the exact difference of the rate and
-    H(spec), as ``entropy_rate_gap`` does.
+    H(spec), as ``entropy_rate_gap`` does.  The leaf count is the size of
+    the tree's leaf-mass map, which holds every leaf of a matcher tree, so
+    no row builds the tree's ``leaves`` tuple.
     """
     budgets = list(budgets)
     if not budgets:
@@ -391,7 +398,7 @@ def convergence_sweep(
         rate = leaf_entropy(tree) / tree.mean_length
         rows.append(
             SweepRow(
-                leaf_count=len(tree.leaves),
+                leaf_count=len(tree.leaf_mass),
                 mean_length=float(tree.mean_length),
                 normalized_divergence=report.normalized_divergence,
                 entropy_rate=float(rate),

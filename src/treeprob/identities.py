@@ -67,11 +67,14 @@ times the entropy or divergence at j is the increment sum over j's
 children c of Q_c (f(c) - f(j)) for the f above.  Summed over j, the
 increments telescope to the leaf side E[f(L)] - f(root), with f(root) = 0,
 so ``leaf_log_sum`` weights log2 of each leaf ratio by n_l and divides by D
-once.  It gathers the weights by the integers in those ratios (their
-numerators and denominators), so each distinct integer is factored once,
-not once per leaf: a dyadic matcher tree of thousands of leaves has a
-handful.  Only leaf masses (and the product's branch masses) are factored,
-never an internal Q_j.  The result equals the per-branch sum of exact
+once.  It first sums the weights n_l per ratio object, so leaves that share
+one mass object cost one term: the matcher shares one Fraction per level,
+and a parsed document one per distinct mass string.  It then gathers
+those terms by the integers in their ratios (the numerators and
+denominators), so each distinct integer is factored once, not once per
+leaf: a dyadic matcher tree of thousands of leaves has a handful.  Only
+leaf masses (and the product's branch masses) are factored, never an
+internal Q_j.  The result equals the per-branch sum of exact
 entropies or divergences, type included; the tests hold that sum as an
 oracle.
 
@@ -210,7 +213,12 @@ def leaf_log_sum(
         + sum over labels a of W_a log2 r_a,   W_a = sum of n_v over a-edges,
 
     and each prime's coefficient is an integer sum divided by D once
-    (``numeric.exact_weighted_sum``).  A ratio a/b in lowest terms adds its
+    (``numeric.exact_weighted_sum``).  Within each R, the weights n_l are
+    first summed per ratio object, by identity (hashing a Fraction takes a
+    modular inverse), and each group passes one (w, a, b) triple to
+    ``numeric.log2_weighted_sum``, so the fold costs one step per distinct
+    mass object, not one per leaf; equal ratios held by different objects
+    stay separate groups.  There a ratio a/b in lowest terms adds its
     weight to the integer a and subtracts it from b, so the weights gather
     in one map keyed by plain integers, and each distinct integer is
     factored once, however many leaves share it.  Only the numerators and
@@ -222,15 +230,23 @@ def leaf_log_sum(
     if not tree.children[tree.root]:
         return Fraction(0)
     n = tree.mass_below
-    pairs = [
-        (sign * n[leaf], r) for sign, ratios in leaf_ratios for leaf, r in ratios.items()
-    ]
+    triples = []
+    for sign, ratios in leaf_ratios:
+        # id(r): [summed n_l, r]; holding each r keeps the ids unique
+        gathered: dict[int, list] = {}
+        for leaf, r in ratios.items():
+            group = gathered.get(id(r))
+            if group is None:
+                gathered[id(r)] = [n[leaf], r]
+            else:
+                group[0] += n[leaf]
+        triples += [(sign * w, *r.as_integer_ratio()) for w, r in gathered.values()]
     if label_ratios:
         label_weights = dict.fromkeys(label_ratios, 0)
         for v, (_, a) in tree.parent_edge.items():
             label_weights[a] += n[v]
-        pairs += [(w, label_ratios[a]) for a, w in label_weights.items()]
-    return log2_weighted_sum(((w, *r.as_integer_ratio()) for w, r in pairs), n[tree.root])
+        triples += [(w, *label_ratios[a].as_integer_ratio()) for a, w in label_weights.items()]
+    return log2_weighted_sum(triples, n[tree.root])
 
 
 def _merge_order(tree: Tree) -> list[NodeId]:

@@ -399,8 +399,8 @@ class TestDivergenceToProduct:
         assert product_branch_divergence(tree, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative(self):
-        for i in range(30):
-            tree = corpus_tree(i)
+        trees = [corpus_tree(i) for i in range(30)] + [informative_tree(i) for i in range(200)]
+        for tree in trees:
             spec = ProductSpec.uniform(tree.label_alphabet)
             assert divergence_to_product(tree, spec) >= 0
 
@@ -432,13 +432,13 @@ class TestDivergenceToProduct:
 
 class TestTreePinskerReport:
     def test_self_comparison_is_all_zero(self):
-        tree = corpus_tree(3)
-        report = tree_pinsker_report(tree, tree)
-        assert report.normalized_divergence == 0.0
-        assert report.mean_distance == 0.0
-        assert report.mean_sq_distance == 0.0
-        assert report.holds
-        assert all(t == 0.0 for t in report.tail.values())
+        for tree in [corpus_tree(3)] + [informative_tree(i) for i in range(200)]:
+            report = tree_pinsker_report(tree, tree)
+            assert report.normalized_divergence == 0.0
+            assert report.mean_distance == 0.0
+            assert report.mean_sq_distance == 0.0
+            assert report.holds
+            assert all(t == 0.0 for t in report.tail.values())
 
     def test_demo_against_uniform_spec(self, demo_tree):
         spec = ProductSpec.uniform(["a", "b"])
@@ -926,8 +926,8 @@ class TestEntropyRateGap:
         assert entropy_rate_gap(matched, spec) == 0.0
 
     def test_matches_entropy_rate_difference(self):
-        for i in range(30):
-            tree = corpus_tree(i)
+        trees = [corpus_tree(i) for i in range(30)] + [informative_tree(i) for i in range(200)]
+        for tree in trees:
             spec = ProductSpec.uniform(tree.label_alphabet)
             gap = entropy_rate_gap(tree, spec)
             oracle = abs(

@@ -3,6 +3,7 @@ import heapq
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -221,6 +222,21 @@ class TestDyadicQuantization:
     def test_rejects_no_targets(self):
         with pytest.raises(ParamsInvalid, match="at least one target"):
             dyadic_quantization([])
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [(("a",), Fraction(1, 2)), (("a",), Fraction(1, 2))],
+            [(("b", 0), Fraction(1, 4)), (("a",), Fraction(1, 2)), (("b", 0), Fraction(1, 8))],
+        ],
+        ids=["same-mass", "other-mass"],
+    )
+    def test_rejects_repeated_path(self, targets):
+        # the result has one entry per path, so a repeated path would merge
+        # two targets and the masses would sum to less than 1
+        repeated = targets[-1][0]
+        with pytest.raises(ParamsInvalid, match=re.escape(f"{repeated!r} is repeated")):
+            dyadic_quantization(targets)
 
     @pytest.mark.parametrize(
         "masses",

@@ -41,15 +41,17 @@ from treeprob import (
     grow_matcher_tree,
     lansit_check,
     leaf_entropy,
+    parse_tree,
     path_lengths,
     product_branch_divergence,
+    serialize_tree,
     surprisal_functional,
     tree_divergence,
     tree_pinsker_report,
 )
 from treeprob import identities
 from treeprob.identities import align_by_paths
-from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_term
+from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_term, log2_weighted_sum
 
 
 def leaf_entropy_oracle(tree):
@@ -687,9 +689,10 @@ class TestLogIncrementSum:
 
 
 class TestGroupedLeafFold:
-    """``leaf_log_sum`` groups leaves by the integers in their ratios and
-    factors each integer once; every value equals the per-leaf fold
-    (``corpus.leaf_log_sum_reference``), coefficient types included."""
+    """``leaf_log_sum`` groups leaves by their ratio objects, passes one
+    triple per group, and factors each integer of those ratios once; every
+    value equals the per-leaf fold (``corpus.leaf_log_sum_reference``),
+    coefficient types included."""
 
     @staticmethod
     def check(p, q, spec):
@@ -712,12 +715,14 @@ class TestGroupedLeafFold:
             assert exact_signature(value) == exact_signature(reference)
 
     def test_corpus_against_itself_and_remassed(self):
-        for i in range(200):
-            p = corpus_tree(i)
-            spec = ProductSpec.uniform(p.label_alphabet or [0])
-            self.check(p, p, spec)
-            self.check(p, remass(p, seed=70_000 + i), spec)
-            self.check(remass(p, seed=80_000 + i), p, spec)
+        families = ((corpus_tree, 70_000, 80_000), (informative_tree, 74_000, 84_000))
+        for family, seed, other_seed in families:
+            for i in range(200):
+                p = family(i)
+                spec = ProductSpec.uniform(p.label_alphabet or [0])
+                self.check(p, p, spec)
+                self.check(p, remass(p, seed=seed + i), spec)
+                self.check(remass(p, seed=other_seed + i), p, spec)
 
     @pytest.mark.parametrize("budget", [243, 2187])
     def test_large_matchers(self, budget):
@@ -725,6 +730,51 @@ class TestGroupedLeafFold:
         p = grow_matcher_tree(spec, budget)
         self.check(p, p, spec)
         self.check(p, remass(p, seed=budget), spec)
+
+    @pytest.fixture
+    def triple_counts(self, monkeypatch):
+        """The number of triples each ``log2_weighted_sum`` call receives
+        from the leaf fold."""
+        counts = []
+
+        def counted(terms, denominator=1):
+            terms = list(terms)
+            counts.append(len(terms))
+            return log2_weighted_sum(terms, denominator)
+
+        monkeypatch.setattr(identities, "log2_weighted_sum", counted)
+        return counts
+
+    def test_one_triple_per_mass_object(self, triple_counts):
+        # the matcher shares one Fraction per level among its leaves, and
+        # parsing shares one per distinct mass string
+        spec = ProductSpec(FiniteDistribution(MATCHER_SPECS[1]))
+        matcher = grow_matcher_tree(spec, 2187)
+        parsed = parse_tree(serialize_tree(matcher))
+        for tree in (matcher, parsed):
+            objects = len({id(m) for m in tree.leaf_mass.values()})
+            assert objects < 20 < len(tree.leaf_mass)
+            triple_counts.clear()
+            leaf_entropy(tree)
+            product_branch_divergence(tree, spec)
+            assert len(triple_counts) == 2
+            assert max(triple_counts) <= objects + len(spec.alphabet)
+
+    def test_fresh_mass_objects_fold_alike(self):
+        # one Fraction per leaf: equal values, no shared objects, so every
+        # leaf is its own group and only the integer map merges them
+        spec = ProductSpec(FiniteDistribution(MATCHER_SPECS[1]))
+        matcher = grow_matcher_tree(spec, 2187)
+        copies = {v: Fraction(m.numerator, m.denominator) for v, m in matcher.leaf_mass.items()}
+        fresh = build_tree(edges_of(matcher), copies)
+        assert len({id(m) for m in fresh.leaf_mass.values()}) == len(fresh.leaf_mass)
+        for value, reference in (
+            (leaf_entropy(fresh), leaf_entropy(matcher)),
+            (product_branch_divergence(fresh, spec), product_branch_divergence(matcher, spec)),
+            (tree_divergence(fresh, matcher), tree_divergence(matcher, matcher)),
+            (tree_divergence(matcher, fresh), tree_divergence(matcher, matcher)),
+        ):
+            assert exact_signature(value) == exact_signature(reference)
 
     def test_folds_that_cancel_keep_an_empty_log(self):
         chain = build_tree([("r", "a", "x"), ("x", "b", "y")], {"y": Fraction(1)})

@@ -14,6 +14,7 @@ from corpus import (
     exact_signature,
     float_functional,
     float_mirror,
+    informative_tree,
     kl_of,
     power_sign,
     random_distribution,
@@ -898,8 +899,9 @@ class TestSharedSurprisalValues:
             assert exact_signature(getattr(shared, side)) == exact_signature(getattr(oracle, side))
 
     def test_corpus(self):
-        for i in range(200):
-            self.check(corpus_tree(i))
+        for family in (corpus_tree, informative_tree):
+            for i in range(200):
+                self.check(family(i))
 
     @pytest.mark.parametrize("budget", [243, 2187])
     def test_matchers(self, budget):

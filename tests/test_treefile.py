@@ -355,6 +355,20 @@ class TestDocumentToTree:
         assert tree.leaf_mass == dict.fromkeys([1, 2, 3, 4], Fraction(1, 4))
         assert tree.mass_below == {0: 4, 1: 1, 2: 1, 3: 1, 4: 1}
 
+    def test_matcher_golden_has_one_mass_object_per_string(self):
+        # the exact leaf fold passes one term per distinct mass object
+        text = (GOLDEN / "matcher.tree").read_text("utf-8")
+        strings = {m for _, m in json.loads(text)["leaf_mass"]}
+        tree = parse_tree(text)
+        objects = {id(m) for m in tree.leaf_mass.values()}
+        assert len(objects) == len(strings) < len(tree.leaf_mass)
+
+    def test_build_tree_keeps_the_callers_fractions(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        edges = [(0, "a", 1), (0, "b", 2), (0, "c", 3)]
+        tree = build_tree(edges, {1: half, 2: quarter, 3: quarter})
+        assert all(tree.leaf_mass[v] is m for v, m in ((1, half), (2, quarter), (3, quarter)))
+
     def test_a_repeated_bad_mass_string_names_its_first_leaf(self):
         text = json.dumps({"root": 0, "edges": [[0, "a", 1], [0, "b", 2], [0, "c", 3]],
                            "leaf_mass": [[1, "1/2"], [3, "x/2"], [2, "x/2"]]})

@@ -5,14 +5,17 @@ targets (weights 1..k over their sum on k = 2, 3 and 4 labels, ladders
 ending at 1024, 2187 and 1024 leaves), then ``write_sweep_csv``.  The
 stages are timed by wrapping the functions the sweep calls:
 
-    grow      growth and each budget's preorder, leaves and maps: the
-              rest of ``_matcher_trees``
-    quantize  ``_dyadic_levels``
-    tables    ``_tree_from_tables``
-    pinsker   ``tree_pinsker_report``
-    entropy   ``leaf_entropy``
-    rows      the rest of ``convergence_sweep`` (row assembly)
-    csv       ``write_sweep_csv``
+    grow        growth and each budget's preorder, leaves and maps: the
+                rest of ``_matcher_trees``
+    quantize    ``_dyadic_levels``
+    tables      ``_tree_from_tables``
+    pinsker     the rest of ``tree_pinsker_report``: the branch distances,
+                tails and averages
+    divergence  ``product_branch_divergence``, the exact leaf fold of D
+                that ``tree_pinsker_report`` calls
+    entropy     ``leaf_entropy``
+    rows        the rest of ``convergence_sweep`` (row assembly)
+    csv         ``write_sweep_csv``
 
 Each stage prints its best time over the repeats, in milliseconds, and
 the last line sums the ladders.  Only the standard library and the
@@ -31,20 +34,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from treeprob import FiniteDistribution, ProductSpec, generators  # noqa: E402
+from treeprob import FiniteDistribution, ProductSpec, approximation, generators  # noqa: E402
 
 LADDERS = {
     "1/3,2/3": [4, 16, 64, 256, 1024],
     "1/6,1/3,1/2": [3, 9, 27, 81, 243, 729, 2187],
     "1/10,1/5,3/10,2/5": [4, 16, 64, 256, 1024],
 }
-STAGES = ("grow", "quantize", "tables", "pinsker", "entropy", "rows", "csv")
-# the functions timed by wrapping them in the generators namespace, by stage
+STAGES = ("grow", "quantize", "tables", "pinsker", "divergence", "entropy", "rows", "csv")
+# the functions timed by wrapping them in their callers' namespaces, by stage
 WRAPPED = {
-    "quantize": "_dyadic_levels",
-    "tables": "_tree_from_tables",
-    "pinsker": "tree_pinsker_report",
-    "entropy": "leaf_entropy",
+    "quantize": (generators, "_dyadic_levels"),
+    "tables": (generators, "_tree_from_tables"),
+    "pinsker": (generators, "tree_pinsker_report"),
+    "divergence": (approximation, "product_branch_divergence"),
+    "entropy": (generators, "leaf_entropy"),
 }
 EPSILON = 0.1
 
@@ -83,18 +87,21 @@ def timed_trees(times: dict[str, float], trees_of):
 def stage_times(spec: ProductSpec, budgets: list[int]) -> dict[str, float]:
     """Seconds per stage of one sweep of ``spec`` over ``budgets``."""
     times = dict.fromkeys(STAGES, 0.0)
-    originals = {name: getattr(generators, name) for name in ("_matcher_trees", *WRAPPED.values())}
-    generators._matcher_trees = timed_trees(times, originals["_matcher_trees"])
-    for stage, name in WRAPPED.items():
-        setattr(generators, name, timed(times, stage, originals[name]))
+    targets = [(generators, "_matcher_trees"), *WRAPPED.values()]
+    originals = {target: getattr(*target) for target in targets}
+    generators._matcher_trees = timed_trees(times, originals[generators, "_matcher_trees"])
+    for stage, target in WRAPPED.items():
+        setattr(*target, timed(times, stage, originals[target]))
     try:
         start = time.perf_counter()
         rows = generators.convergence_sweep(spec, budgets, EPSILON)
         times["rows"] = time.perf_counter() - start - times["grow"] - times["pinsker"] - times["entropy"]
     finally:
-        for name, fn in originals.items():
-            setattr(generators, name, fn)
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
+    # the nested stages, timed inside their callers, are taken out of them
     times["grow"] -= times["quantize"] + times["tables"]
+    times["pinsker"] -= times["divergence"]
     start = time.perf_counter()
     generators.write_sweep_csv(rows, io.StringIO())
     times["csv"] = time.perf_counter() - start
@@ -103,7 +110,7 @@ def stage_times(spec: ProductSpec, budgets: list[int]) -> dict[str, float]:
 
 def main(argv: list[str]) -> int:
     repeats = int(argv[0]) if argv else 15
-    print(f"best of {repeats}, ms  " + "".join(f"{stage:>9}" for stage in STAGES) + f"{'total':>9}")
+    print(f"{f'best of {repeats}, ms':>17}  " + "".join(f"{stage:>11}" for stage in STAGES) + f"{'total':>11}")
     totals = dict.fromkeys(STAGES, 0.0)
     for target, budgets in LADDERS.items():
         masses = [Fraction(part) for part in target.split(",")]
@@ -112,10 +119,10 @@ def main(argv: list[str]) -> int:
         best = {stage: min(run[stage] for run in runs) for stage in STAGES}
         for stage in STAGES:
             totals[stage] += best[stage]
-        cells = "".join(f"{best[stage] * 1e3:9.2f}" for stage in STAGES)
-        print(f"{target:>17}  {cells}{sum(best.values()) * 1e3:9.2f}")
-    cells = "".join(f"{totals[stage] * 1e3:9.2f}" for stage in STAGES)
-    print(f"{'all ladders':>17}  {cells}{sum(totals.values()) * 1e3:9.2f}")
+        cells = "".join(f"{best[stage] * 1e3:11.2f}" for stage in STAGES)
+        print(f"{target:>17}  {cells}{sum(best.values()) * 1e3:11.2f}")
+    cells = "".join(f"{totals[stage] * 1e3:11.2f}" for stage in STAGES)
+    print(f"{'all ladders':>17}  {cells}{sum(totals.values()) * 1e3:11.2f}")
     return 0
 
 
