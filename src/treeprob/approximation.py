@@ -30,17 +30,15 @@ from .errors import (
     UnknownLabel,
 )
 from .identities import (
-    align_by_paths,
-    aligned_divergence,
     branch_references,
     comparison_sums,
     entropy_rate,
-    leaf_log_sum,
     normalizer,
     one_mode,
+    pair_divergence,
 )
 from .numeric import entropy_of, exact_text, log2_weighted_sum
-from .tree import MASS_SUM_TOLERANCE, Label, Tree, label_order
+from .tree import MASS_SUM_TOLERANCE, Label, Tree, align_by_paths, label_order
 
 __all__ = [
     "FiniteDistribution",
@@ -61,11 +59,13 @@ DEFAULT_EPSILONS = (0.01, 0.1, 0.5, 1.0)
 class FiniteDistribution:
     """A probability mass function on a finite label set.
 
-    Unlike tree leaves, zero masses are kept.  An exact distribution keeps
-    the integer table its check sums, ``integer_mass``: label -> k_a with
-    s_a = k_a / M, M the lcm of the mass denominators and the sum of the
-    k_a.  It is set by the check, as ``Tree.mass_below`` is by the build,
-    and is None on a float distribution.
+    Unlike tree leaves, zero masses are kept.  A mass is an int or a
+    Fraction, or a float in a float distribution; any other value is a
+    ParamsInvalid.  An exact distribution keeps the integer table its check
+    sums, ``integer_mass``: label -> k_a with s_a = k_a / M, M the lcm of
+    the mass denominators and the sum of the k_a.  It is set by the check,
+    as ``Tree.mass_below`` is by the build, and is None on a float
+    distribution.
     """
 
     mass: dict[Label, object]
@@ -76,7 +76,7 @@ class FiniteDistribution:
 
     def __post_init__(self):
         masses = self.mass.values()
-        if self.exact and not any(isinstance(m, float) for m in masses):
+        if self.exact and all(isinstance(m, (int, Fraction)) for m in masses):
             # rational masses are checked and summed as integer ratios
             ratios = [m.as_integer_ratio() for m in masses]
             for label, (a, _) in zip(self.mass, ratios):
@@ -96,6 +96,8 @@ class FiniteDistribution:
             return
         total = 0
         for label, m in self.mass.items():
+            if not isinstance(m, (int, Fraction, float)):
+                raise ParamsInvalid(f"label {label!r} has mass {m!r}, which is not a number")
             if isinstance(m, float) and not math.isfinite(m):
                 raise NonFiniteMass(f"label {label!r} has non-finite mass {m}")
             if m < 0:
@@ -188,29 +190,23 @@ def product_branch_divergence(tree: Tree, spec: ProductSpec) -> object:
     shapes that are not complete it sums to less than one and is not
     normalized, so D can exceed what a normalized reference would give.
     The form never builds P+, whose float values underflow on deep leaves.
-    Exact mode folds the telescoped sum over leaves in integers
-    (``identities.leaf_log_sum``): f = log2(Q / Q+) is log2 Q_l less the
-    log2 s_a of each edge on the leaf's path, and the s_a terms gather into
-    one weight per label.  Only leaf and spec masses are factored.  Float
-    mode takes the D of the one comparison pass against the spec at every
-    branching node (``identities.comparison_sums``), the sum over j of
-    Q_j KL(P_{S_j} || spec) chained in preorder.  The pair runs in one mode
-    (``identities.one_mode``).
+    The pair runs in one mode (``identities.one_mode``), its labels checked
+    against the spec's alphabet, and D is ``identities.pair_divergence``
+    with no mapping: the exact leaf fold, in which only leaf and spec
+    masses are factored, or the D of the float comparison pass, the sum
+    over j of Q_j KL(P_{S_j} || spec) chained in preorder.
     """
     tree, spec = one_mode(tree, spec)
     _require_alphabet(tree, spec)
-    if tree.exact:
-        ratios = {lab: 1 / m for lab, m in spec.base.mass.items()}
-        return leaf_log_sum(tree, [(1, tree.leaf_mass)], ratios)
-    return comparison_sums(tree, *branch_references(tree, spec, None), ())[0]
+    return pair_divergence(tree, spec, None, True)
 
 
 @dataclass(frozen=True)
 class PinskerTreeReport:
     """Per-branch Pinsker diagnostics for a tree against a reference.
 
-    ``divergence`` is D, exact (the leaf fold) when both inputs are, the
-    comparison pass's float sum (``identities.comparison_sums``) otherwise,
+    ``divergence`` is D (``identities.pair_divergence``): exact, the leaf
+    fold, when both inputs are, the comparison pass's float sum otherwise,
     and +inf when a reference tree lacks a branch of p;
     ``normalized_divergence`` is D / E[w(L)] as a float.  ``mean_distance``
     and ``mean_sq_distance`` are the P_B averages of the branch distance
@@ -243,10 +239,11 @@ def require_epsilon(epsilon) -> None:
         raise ParamsInvalid(f"epsilon must be finite and positive, got {epsilon}")
 
 
-def _branch_distances(p: Tree, refs, default) -> list[tuple[int, int, int]]:
+def _branch_distances(p: Tree, reference, mapping) -> list[tuple[int, int, int]]:
     """Branch distance d_j = d(P_{S_j}, ref_j) per branching node j of an
-    exact p against the integer references ``refs`` and ``default`` of an
-    exact pair (``identities.branch_references``), in preorder.
+    exact p against ``reference``, a tree that ``mapping`` aligns or a spec
+    with ``mapping`` None, in preorder; ref_j is the integer reference of
+    the exact pair at j (``identities.branch_references``).
 
     Each j gives one integer triple (n_j, S_j, m_j), with d_j = S_j /
     (m_j n_j), from the tables alone: no P_{S_j} is built.  ref_j is a
@@ -260,6 +257,7 @@ def _branch_distances(p: Tree, refs, default) -> list[tuple[int, int, int]]:
     children.  A j with an empty ref_j has d_j = 1, the triple (n_j, n_j,
     1), and is settled before that loop.
     """
+    refs, default = branch_references(p, reference, mapping)
     n = p.mass_below
     children = p.children
     default_m = sum(default.values())
@@ -314,10 +312,14 @@ def tree_pinsker_report(
     ``mean_distance`` over eps.
 
     The pair runs in one mode (``identities.one_mode``): exact only when
-    the tree and the reference are both exact, and float otherwise.  The
-    reference at each branching node, the spec or the aligned node of the
-    reference tree, comes from ``identities.branch_references``.  On an
-    exact pair, every average is a ratio of integers over the triples
+    the tree and the reference are both exact, and float otherwise.  It is
+    set up once: p's labels are checked against a spec's alphabet, or p is
+    aligned with a reference tree (``align_by_paths``).  Both per-branch
+    kernels take that pair and read the reference at each branching node,
+    the spec or the aligned node of the reference tree, from
+    ``identities.branch_references``.  On an exact pair, D is
+    ``identities.pair_divergence`` of the pair, the leaf fold, and every
+    average is a ratio of integers over the triples
     (n_j, S_j, m_j) of ``_branch_distances``.  With N the sum of n_j over
     branching j, the mean is the sum of S_j / m_j over N, the mean square
     the sum of S_j^2 / (m_j^2 n_j) over N, and tail(eps) the sum of n_j
@@ -326,11 +328,10 @@ def tree_pinsker_report(
     is one integer quotient, the sums as the unreduced pairs (a, b) of
     ``_ratio_sum``: a / (b N) and reached / N, rounded once by the
     correctly rounded ``int / int``, so each float is ``float`` of the
-    exact average.  D is the leaf fold of ``product_branch_divergence`` or
-    ``identities.aligned_divergence``.  On a float pair the one comparison
-    pass (``identities.comparison_sums``) gives D and the Q_j-weighted sums
-    of d_j, d_j^2 and the tails, each chained from 0.0 in preorder, and
-    each average is its sum over E[w(L)].
+    exact average.  On a float pair the one comparison pass
+    (``identities.comparison_sums``) gives D and the Q_j-weighted sums of
+    d_j, d_j^2 and the tails, each chained from 0.0 in preorder, and each
+    average is its sum over E[w(L)].
     """
     epsilons = list(epsilons)
     for eps in epsilons:
@@ -339,14 +340,12 @@ def tree_pinsker_report(
     ew = normalizer(p)
     if isinstance(reference, ProductSpec):
         _require_alphabet(p, reference)
-        mapping = None
+        mapping, covered = None, True
     else:
         mapping, covered = align_by_paths(p, reference)
-    refs, default = branch_references(p, reference, mapping)
     if p.exact:
-        divergence = (product_branch_divergence(p, reference) if mapping is None
-                      else aligned_divergence(p, reference, mapping, covered))
-        distances = _branch_distances(p, refs, default)
+        divergence = pair_divergence(p, reference, mapping, covered)
+        distances = _branch_distances(p, reference, mapping)
         total = sum(nj for nj, _, _ in distances)
         # each average is one integer quotient, which int / int rounds once
         a, b = _ratio_sum((s, m) for _, s, m in distances)
@@ -359,7 +358,7 @@ def tree_pinsker_report(
             reached = sum(nj for nj, s, m in distances if s * den >= num * m * nj)
             tail[eps] = reached / total
     else:
-        divergence, sum_d, sum_sq, reached = comparison_sums(p, refs, default, epsilons)
+        divergence, sum_d, sum_sq, reached = comparison_sums(p, reference, mapping, epsilons)
         mean_d, mean_sq = sum_d / ew, sum_sq / ew
         tail = {eps: float(r / ew) for eps, r in reached.items()}
     bound = float(mean_sq) / (2.0 * math.log(2.0))

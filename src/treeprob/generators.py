@@ -159,7 +159,8 @@ def dyadic_quantization(
     does), put over their common denominator and quantized in integers by
     ``_dyadic_levels``, the matcher's own quantizer, whose ties go to the
     earlier position.  The result is keyed in that path order.  Raises
-    ParamsInvalid for no targets, for a target that is not positive, for
+    ParamsInvalid for no targets, for a target that is not an int or a
+    Fraction, for a target that is not positive, for
     a path given twice (the result has one mass per path), and for targets
     whose one integer sum over that denominator exceeds it.
     """
@@ -168,6 +169,8 @@ def dyadic_quantization(
         raise ParamsInvalid("dyadic quantization needs at least one target")
     paths = set()
     for path, p in targets:
+        if not isinstance(p, (int, Fraction)):
+            raise ParamsInvalid(f"target mass {p!r} at {path!r} is not an int or a Fraction")
         if p <= 0:
             raise ParamsInvalid(f"target mass must be positive, got {p} at {path!r}")
         if path in paths:

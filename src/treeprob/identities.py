@@ -51,6 +51,14 @@ takes the form sum over branching j of Q_j * inner(j, P_{S_j}):
 * f = log2(Q/Q+) for a product reference (``approximation``): inner is the
   divergence of P_{S_j} from the product's one branching distribution.
 
+A product distribution is itself a tree with probabilities, one whose
+branching distributions all equal the spec, so the last two are one
+specialization, and one function, ``pair_divergence``, computes D for
+either reference: a tree that p is aligned with (``align_by_paths``), or
+a spec, given with no alignment.  It holds the three bodies of D for a
+pair in one mode: the exact leaf fold against a tree, the exact leaf fold
+against a spec, and the float comparison pass.
+
 In float mode each of these is chained from 0.0 in preorder over the
 branching nodes, Q_j * inner(j) after Q_j * inner(j') for each j' before
 j: ``Tree.mean_length`` and ``leaf_entropy`` chain their terms
@@ -67,9 +75,10 @@ times the entropy or divergence at j is the increment sum over j's
 children c of Q_c (f(c) - f(j)) for the f above.  Summed over j, the
 increments telescope to the leaf side E[f(L)] - f(root), with f(root) = 0,
 so ``leaf_log_sum`` weights log2 of each leaf ratio by n_l and divides by D
-once.  It first sums the weights n_l per ratio object, so leaves that share
-one mass object cost one term: the matcher shares one Fraction per level,
-and a parsed document one per distinct mass string.  It then gathers
+once; against a spec, log2(1/s_a) is weighted by the sum of n_v over the
+a-edges.  It first sums the weights n_l per ratio object, so leaves that
+share one mass object cost one term: the matcher shares one Fraction per
+level, and a parsed document one per distinct mass string.  It then gathers
 those terms by the integers in their ratios (the numerators and
 denominators), so each distinct integer is factored once, not once per
 leaf: a dyadic matcher tree of thousands of leaves has a handful.  Only
@@ -108,7 +117,6 @@ from .tree import Label, NodeId, Tree, align_by_paths, node_probabilities
 
 __all__ = [
     "LansitReport",
-    "align_by_paths",
     "branching_node_distribution",
     "entropy_rate",
     "expected_path_length",
@@ -361,23 +369,32 @@ def tree_divergence(p: Tree, q: Tree) -> object:
     runs in one mode (``one_mode``).
     """
     p, q = one_mode(p, q)
-    return aligned_divergence(p, q, *align_by_paths(p, q))
+    return pair_divergence(p, q, *align_by_paths(p, q))
 
 
-def aligned_divergence(
-    p: Tree, q: Tree, mapping: Mapping[NodeId, NodeId], covered: bool
-) -> object:
-    """``tree_divergence`` for a pair in one mode that ``align_by_paths``
-    already aligned: the leaf fold on an exact pair, and the D of the
-    comparison pass (``comparison_sums``) on a float one."""
+def pair_divergence(p: Tree, reference, mapping: Mapping | None, covered: bool) -> object:
+    """D(P_L || reference) in bits for a pair in one mode (``one_mode``)
+    that is already checked: ``mapping`` and ``covered`` are p's alignment
+    onto a tree reference (``align_by_paths``), and a product spec, whose
+    alphabet holds p's labels, comes with None and True.
+
+    An uncovered pair gives +inf.  An exact pair folds f = log2(Q / Q_ref)
+    over p's leaves (``leaf_log_sum``): against a tree, log2 of each leaf
+    mass over that of the aligned leaf, which exists since the reference
+    has no branch that p lacks; against a spec, log2 Q_l less log2 s_a for
+    each a-edge on the leaf's path, which gathers into one 1/s_a ratio per
+    label.  A float pair takes the D of the comparison pass
+    (``comparison_sums``).
+    """
     if not covered:
         return math.inf
-    if p.exact:
-        # f = log2(Q / Q') at p's leaves; each aligns with a leaf of q, since
-        # q has no branch that p lacks
-        ref = {v: q.leaf_mass[mapping[v]] for v in p.leaf_mass}
-        return leaf_log_sum(p, [(1, p.leaf_mass), (-1, ref)])
-    return comparison_sums(p, *branch_references(p, q, mapping), ())[0]
+    if not p.exact:
+        return comparison_sums(p, reference, mapping, ())[0]
+    if mapping is None:
+        ratios = {a: 1 / s for a, s in reference.base.mass.items()}
+        return leaf_log_sum(p, [(1, p.leaf_mass)], ratios)
+    ref = {v: reference.leaf_mass[mapping[v]] for v in p.leaf_mass}
+    return leaf_log_sum(p, [(1, p.leaf_mass), (-1, ref)])
 
 
 def branch_references(p: Tree, reference, mapping: Mapping | None) -> tuple[dict, Mapping]:
@@ -407,22 +424,24 @@ def branch_references(p: Tree, reference, mapping: Mapping | None) -> tuple[dict
     return {j: dists[v] for j, v in mapping.items() if v in dists}, {}
 
 
-def comparison_sums(p: Tree, refs: Mapping, default: Mapping, epsilons: Iterable) -> tuple:
-    """The one comparison pass of a float p against its references
-    ``refs`` and ``default`` (``branch_references``), in preorder over p's
-    branching distributions P_{S_j}: D, the sums over branching j of
-    Q_j d_j and Q_j d_j^2, and per epsilon the sum of Q_j over the j with
-    d_j >= epsilon, before any division by E[w(L)].
+def comparison_sums(p: Tree, reference, mapping: Mapping | None, epsilons: Iterable) -> tuple:
+    """The one comparison pass of a float p against ``reference``, a tree
+    that ``mapping`` aligns or a spec with ``mapping`` None, in preorder
+    over p's branching distributions P_{S_j}: D, the sums over branching j
+    of Q_j d_j and Q_j d_j^2, and per epsilon the sum of Q_j over the j
+    with d_j >= epsilon, before any division by E[w(L)].
 
     At each j, KL_j (``kl_term`` per label) and the L1 distance d_j are
-    taken against ref_j.  A label that ref_j lacks makes KL_j, and so D,
-    +inf, as an uncovered reference does.  A j with an empty ref_j (an
-    aligned leaf, or no aligned node) has d_j = 1.0, as on an exact pair,
-    not the sum of p's float branch masses, which may fall short of 1.0 by
-    rounding; spec labels that j lacks add their masses to d_j.  Each
-    Q_j-weighted term is chained from 0.0 in preorder, KL_j itself chained
-    over j's labels, and a bare root gives 0.0 throughout.
+    taken against ref_j (``branch_references``).  A label that ref_j lacks
+    makes KL_j, and so D, +inf, as an uncovered reference does.  A j with
+    an empty ref_j (an aligned leaf, or no aligned node) has d_j = 1.0, as
+    on an exact pair, not the sum of p's float branch masses, which may
+    fall short of 1.0 by rounding; spec labels that j lacks add their
+    masses to d_j.  Each Q_j-weighted term is chained from 0.0 in preorder,
+    KL_j itself chained over j's labels, and a bare root gives 0.0
+    throughout.
     """
+    refs, default = branch_references(p, reference, mapping)
     q = p.node_mass
     divergence = mean = mean_sq = 0.0
     reached = dict.fromkeys(epsilons, 0.0)

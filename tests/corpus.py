@@ -40,10 +40,9 @@ from treeprob.approximation import (
     PinskerTreeReport,
     ProductSpec,
     _require_alphabet,
-    product_branch_divergence,
     require_epsilon,
 )
-from treeprob.identities import align_by_paths, aligned_divergence, normalizer, one_mode
+from treeprob.identities import normalizer, one_mode
 from treeprob.numeric import (
     ExactLog2,
     Scalar,
@@ -54,7 +53,7 @@ from treeprob.numeric import (
     log2_exponents,
     log2_weighted_sum,
 )
-from treeprob.tree import MASS_SUM_TOLERANCE, Label, NodeId
+from treeprob.tree import MASS_SUM_TOLERANCE, Label, NodeId, align_by_paths
 
 MAX_NODES = 200
 MAX_ALPHABET = 4
@@ -339,15 +338,15 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
     several passes: the library's former float path, which the one float
     comparison pass and the exact integer path must both equal bit for bit.
 
-    D is, on an exact pair, ``product_branch_divergence`` or
-    ``aligned_divergence``, and on a float pair the ``branch_sum`` of a
-    per-node ``kl_of`` against the same references, separate code from
-    the library's one float comparison pass.  Every
-    branch distance is summed edge by edge from the branching
-    distributions P_{S_j} (``Tree.branching``), Fractions on an exact tree,
-    and each P_B average of a function of the distances is a ``branch_sum``
-    divided by E[w(L)]: the mean, the mean square and, for each epsilon,
-    the mass of the nodes whose distance reaches it.  For a tree reference,
+    D is the ``branch_sum`` of a per-node ``kl_of`` against the same
+    references, in the pair's mode, and +inf on an exact pair that the
+    reference tree does not cover: separate code from the library's leaf
+    folds and its one float comparison pass.  Every branch distance is
+    summed edge by edge from the branching distributions P_{S_j}
+    (``Tree.branching``), Fractions on an exact tree, and each P_B average
+    of a function of the distances is a ``branch_sum`` divided by E[w(L)]:
+    the mean, the mean square and, for each epsilon, the mass of the nodes
+    whose distance reaches it.  For a tree reference,
     nodes align by label paths and a node with no aligned branching node
     compares against zero mass, at distance 1; a product reference
     compares every node with the spec over its whole alphabet.  Trees are
@@ -360,18 +359,16 @@ def pinsker_reference(p: Tree, reference, epsilons) -> PinskerTreeReport:
     ew = normalizer(p)
     if isinstance(reference, ProductSpec):
         _require_alphabet(p, reference)
-        mapping = None
+        mapping, covered = None, True
     else:
         mapping, covered = path_alignment(p, reference)
     refs = reference_branches(p, reference, mapping)
-    if not p.exact:
-        # a label that ref_j lacks faces mass 0, which makes D +inf
-        divergence = branch_sum(p, lambda j, dist: kl_of(
-            ((m, refs[j].get(a, 0)) for a, m in dist.items()), False))
-    elif isinstance(reference, ProductSpec):
-        divergence = product_branch_divergence(p, reference)
+    if p.exact and not covered:
+        divergence = math.inf
     else:
-        divergence = aligned_divergence(p, reference, mapping, covered)
+        # a float label that ref_j lacks faces mass 0, which makes D +inf
+        divergence = branch_sum(p, lambda j, dist: kl_of(
+            ((m, refs[j].get(a, 0)) for a, m in dist.items()), p.exact))
     distances = branch_distances(p, refs)
 
     def average(h):

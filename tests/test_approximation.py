@@ -53,8 +53,9 @@ from treeprob import (
 )
 from treeprob import approximation, identities, numeric
 from treeprob.approximation import DEFAULT_EPSILONS
-from treeprob.identities import align_by_paths, one_mode
+from treeprob.identities import one_mode
 from treeprob.numeric import ExactLog2
+from treeprob.tree import align_by_paths
 
 LN2 = math.log(2.0)
 
@@ -82,6 +83,15 @@ class TestFiniteDistribution:
     def test_exact_rejects_floats(self):
         with pytest.raises(ParamsInvalid):
             FiniteDistribution({"a": 0.5, "b": 0.5}, exact=True)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("mass", ["1/2", None, [1, 2]], ids=["str", "none", "list"])
+    def test_rejects_a_mass_that_is_not_a_number(self, exact, mass):
+        # a mass is an int or a Fraction, or in a float distribution a
+        # float; anything else is named with its label, not met by an
+        # AttributeError or a TypeError
+        with pytest.raises(ParamsInvalid, match="label 'b'"):
+            FiniteDistribution({"a": Fraction(1, 2), "b": mass}, exact=exact)
 
     def test_float_mode_tolerance(self):
         FiniteDistribution({"a": 0.5, "b": 0.5 + 4e-10}, exact=False)
@@ -648,8 +658,7 @@ class TestBranchDistances:
         else:
             mapping = align_by_paths(p, reference)[0]
             oracle_mapping = path_alignment(p, reference)[0]
-        triples = approximation._branch_distances(
-            p, *identities.branch_references(p, reference, mapping))
+        triples = approximation._branch_distances(p, reference, mapping)
         refs = reference_branches(p, reference, oracle_mapping)
         want = branch_distances(p, refs)
         assert [nj for nj, _, _ in triples] == [p.mass_below[j] for j in want]
@@ -698,8 +707,7 @@ class TestBranchDistances:
         for reference, want in ((spec, [Fraction(1, 3), Fraction(11, 6)]), (q, [0, 1])):
             self.kernel_agrees(p, reference)
             mapping = None if reference is spec else align_by_paths(p, q)[0]
-            triples = approximation._branch_distances(
-                p, *identities.branch_references(p, reference, mapping))
+            triples = approximation._branch_distances(p, reference, mapping)
             assert [Fraction(s, m * nj) for nj, s, m in triples] == want
 
     def test_deep_and_matcher_trees(self):
@@ -779,14 +787,15 @@ class TestFloatFold:
 
     def test_exact_p_against_a_float_bare_root_runs_as_float(self):
         # the pair is not both exact, so p runs as its float tree: the report
-        # is the converted pair's, bit for bit; on corpus 4 every float d_j,
-        # the sum of p's float branch masses, is 1.0
-        p = corpus_tree(4)
+        # is the converted pair's, bit for bit; against no aligned branching
+        # node every float d_j is 1.0
         bare = build_tree([], {0: 1.0}, exact=False)
-        report = tree_pinsker_report(p, bare)
-        assert report_bits(report) == report_bits(tree_pinsker_report(p.as_float(), bare))
-        assert (report.mean_distance, report.mean_sq_distance) == (1.0, 1.0)
-        assert set(report.tail.values()) == {1.0}
+        for family in (corpus_tree, informative_tree):
+            p = family(4)
+            report = tree_pinsker_report(p, bare)
+            assert report_bits(report) == report_bits(tree_pinsker_report(p.as_float(), bare))
+            assert (report.mean_distance, report.mean_sq_distance) == (1.0, 1.0)
+            assert set(report.tail.values()) == {1.0}
 
     @pytest.mark.parametrize("exponent", [400, 320])
     def test_spec_mass_below_the_float_range(self, exponent):
@@ -952,12 +961,13 @@ class TestEntropyRateGap:
 
     def test_exact_tree_float_spec_runs_as_float_pair(self):
         # the pair is not both exact, so the tree runs as its float tree
-        tree = corpus_tree(48)
         spec = ProductSpec(FiniteDistribution({0: 0.5, 1: 0.5}, exact=False))
-        float_tree = tree.as_float()
-        gap = entropy_rate_gap(tree, spec)
-        assert gap.hex() == entropy_rate_gap(float_tree, spec).hex()
-        assert gap == abs(entropy_rate(float_tree) - spec.base.entropy())
+        for family in (corpus_tree, informative_tree):
+            tree = family(48)
+            float_tree = tree.as_float()
+            gap = entropy_rate_gap(tree, spec)
+            assert gap.hex() == entropy_rate_gap(float_tree, spec).hex()
+            assert gap == abs(entropy_rate(float_tree) - spec.base.entropy())
 
     def test_float_tree_against_a_spec_mass_below_the_float_range(self):
         # the exact spec runs as a float spec that keeps the mass 1/10^400,

@@ -1088,11 +1088,11 @@ class TestComputeOnce:
         [
             (["check", "P"], ["lansit_check"], 2),
             (["analyze", "P"], ["leaf_entropy"], 1),
-            (["divergence", "P", "Q"], ["tree_divergence", "aligned_divergence"], 1),
+            (["divergence", "P", "Q"], ["tree_divergence", "pair_divergence"], 1),
             (["divergence", "P", "Q"], ["align_by_paths"], 1),
             (
                 ["divergence", "P", "--product", "1/2,1/2"],
-                ["product_branch_divergence"],
+                ["product_branch_divergence", "pair_divergence"],
                 1,
             ),
             (

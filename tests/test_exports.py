@@ -6,7 +6,8 @@ nothing would fail every traced run, and one listed twice would be wrapped
 twice.  The benchmark and the tools also read names from the package by
 import or as module attributes, and each of those must resolve too, as
 must the functions that the benchmark's per-layer metrics and the
-tracer's ``ExactLog2`` method list name.
+tracer's ``ExactLog2`` method list name.  Each function and class that a
+traced module exports is defined in that module.
 """
 
 import ast
@@ -27,6 +28,19 @@ def test_every_export_resolves_once(module):
     names = namespace.__all__
     assert [name for name in names if not hasattr(namespace, name)] == []
     assert sorted(name for name in set(names) if names.count(name) > 1) == []
+
+
+@pytest.mark.parametrize("module", TRACED)
+def test_traced_exports_are_defined_in_their_module(module):
+    # each function and class has one public home: a traced module lists
+    # only its own, so the tracer books every call to the module that
+    # defines the function
+    namespace = importlib.import_module(f"treeprob.{module}")
+    objects = [getattr(namespace, name) for name in namespace.__all__]
+    homes = {obj.__qualname__: obj.__module__ for obj in objects
+             if inspect.isfunction(obj) or inspect.isclass(obj)}
+    assert homes
+    assert {name: home for name, home in homes.items() if home != namespace.__name__} == {}
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -223,6 +223,14 @@ class TestDyadicQuantization:
         with pytest.raises(ParamsInvalid, match="at least one target"):
             dyadic_quantization([])
 
+    @pytest.mark.parametrize("mass", [0.5, "1/2", None], ids=["float", "str", "none"])
+    def test_rejects_a_target_that_is_not_rational(self, mass):
+        # a target is an int or a Fraction; anything else is named with
+        # its path, not met by an AttributeError on its denominator
+        targets = [(("a",), Fraction(1, 2)), (("b",), mass)]
+        with pytest.raises(ParamsInvalid, match=re.escape("at ('b',)")):
+            dyadic_quantization(targets)
+
     @pytest.mark.parametrize(
         "targets",
         [

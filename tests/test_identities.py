@@ -50,8 +50,8 @@ from treeprob import (
     tree_pinsker_report,
 )
 from treeprob import identities
-from treeprob.identities import align_by_paths
 from treeprob.numeric import ExactLog2, entropy_of, entropy_term, kl_term, log2_weighted_sum
+from treeprob.tree import align_by_paths
 
 
 def leaf_entropy_oracle(tree):
@@ -168,21 +168,43 @@ class TestLansitCheck:
     def test_float_functionals_with_a_large_offset(self):
         # a shift of f by c changes neither side; the verdict scales with
         # the summed terms, of size c, not with the sides, of size 1
-        for i in range(100):
-            t = float_mirror(corpus_tree(i))
-            f = {n: v + 1e12 for n, v in float_functional(t, seed=60_000 + i).items()}
-            report = lansit_check(t, f)
-            assert not report.exact
-            assert report.holds(), (i, report)
+        for family, seed in ((corpus_tree, 60_000), (informative_tree, 64_000)):
+            for i in range(100):
+                t = float_mirror(family(i))
+                f = {n: v + 1e12 for n, v in float_functional(t, seed=seed + i).items()}
+                report = lansit_check(t, f)
+                assert not report.exact
+                assert report.holds(), (family, i, report)
 
     def test_float_masses_off_one_within_the_tolerance(self):
-        for i in range(100):
-            t = corpus_tree(i)
-            mass = {leaf: float(m) * (1 + 5e-10) for leaf, m in t.leaf_mass.items()}
-            ft = build_tree(edges_of(t), mass, exact=False)
-            f = {n: v + 1e6 for n, v in float_functional(ft, seed=61_000 + i).items()}
-            report = lansit_check(ft, f)
-            assert report.holds(), (i, report)
+        for family, seed in ((corpus_tree, 61_000), (informative_tree, 65_000)):
+            for i in range(100):
+                t = family(i)
+                mass = {leaf: float(m) * (1 + 5e-10) for leaf, m in t.leaf_mass.items()}
+                ft = build_tree(edges_of(t), mass, exact=False)
+                f = {n: v + 1e6 for n, v in float_functional(ft, seed=seed + i).items()}
+                report = lansit_check(ft, f)
+                assert report.holds(), (family, i, report)
+
+    def test_float_node_side_is_within_rounding_of_the_exact_one(self):
+        # a 60-deep caterpillar whose spine keeps 1/3 of the mass at each
+        # level, so Q_j = 3^-depth(j), with f = path length: the float node
+        # side lies within n u scale (2.0e-14 here) of the exact one, where
+        # a node side that skipped the increments with Q_j < 1e-10 would be
+        # off by 1.43e-10 and still pass the verdict's 1e-9 tolerance
+        depth = 60
+        edges, mass = [], {2 * depth: Fraction(1, 3**depth)}
+        for d in range(depth):
+            edges += [(2 * d, 0, 2 * d + 1), (2 * d, 1, 2 * d + 2)]
+            mass[2 * d + 1] = Fraction(2, 3 ** (d + 1))
+        tree = build_tree(edges, mass)
+        assert len(tree.nodes) == 121
+        exact = lansit_check(tree, path_lengths(tree))
+        float_tree = tree.as_float()
+        report = lansit_check(float_tree, path_lengths(float_tree))
+        bound = len(tree.nodes) * 2.0**-53 * report.scale
+        assert abs(report.node_side - float(exact.node_side)) <= bound
+        assert report.holds()
 
     def test_float_sides_of_a_bare_root_are_floats(self):
         # a tree without branching nodes: both float sides are 0.0, in the
@@ -568,11 +590,12 @@ class TestBranchSumMode:
         assert exact_signature(demo_tree.mean_length) == exact_signature(value)
 
     def test_float_tree_gives_a_float(self):
-        tree = float_mirror(corpus_tree(9))
-        values = [Fraction(1, 3)] * len(tree.branching)
-        value = branch_sum(tree, lambda j, dist: Fraction(1, 3))
-        assert type(value) is float
-        assert value.hex() == self.chained(tree, values).hex()
+        for family in (corpus_tree, informative_tree):
+            tree = float_mirror(family(9))
+            values = [Fraction(1, 3)] * len(tree.branching)
+            value = branch_sum(tree, lambda j, dist: Fraction(1, 3))
+            assert type(value) is float
+            assert value.hex() == self.chained(tree, values).hex()
 
     def test_float_chains_are_the_branch_sums(self):
         for family in (corpus_tree, informative_tree):

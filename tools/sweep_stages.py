@@ -11,8 +11,8 @@ stages are timed by wrapping the functions the sweep calls:
     tables      ``_tree_from_tables``
     pinsker     the rest of ``tree_pinsker_report``: the branch distances,
                 tails and averages
-    divergence  ``product_branch_divergence``, the exact leaf fold of D
-                that ``tree_pinsker_report`` calls
+    divergence  ``pair_divergence``, the exact leaf fold of D that
+                ``tree_pinsker_report`` calls
     entropy     ``leaf_entropy``
     rows        the rest of ``convergence_sweep`` (row assembly)
     csv         ``write_sweep_csv``
@@ -47,7 +47,7 @@ WRAPPED = {
     "quantize": (generators, "_dyadic_levels"),
     "tables": (generators, "_tree_from_tables"),
     "pinsker": (generators, "tree_pinsker_report"),
-    "divergence": (approximation, "product_branch_divergence"),
+    "divergence": (approximation, "pair_divergence"),
     "entropy": (generators, "leaf_entropy"),
 }
 EPSILON = 0.1
