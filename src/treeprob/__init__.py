@@ -67,15 +67,7 @@ from .generators import (
     grow_matcher_tree,
     write_sweep_csv,
 )
-from .treefile import (
-    TreeDocument,
-    document_to_tree,
-    parse_document,
-    parse_tree,
-    serialize_document,
-    serialize_tree,
-    tree_to_document,
-)
+from .treefile import parse_tree, serialize_tree
 from .cli import Report, main, run_cli
 
 __version__ = "0.1.0"
@@ -105,13 +97,11 @@ __all__ = [
     "ShapeMismatch",
     "SweepRow",
     "Tree",
-    "TreeDocument",
     "TreeProbError",
     "UnknownLabel",
     "branching_node_distribution",
     "build_tree",
     "convergence_sweep",
-    "document_to_tree",
     "dyadic_quantization",
     "entropy_rate",
     "entropy_rate_gap",
@@ -122,18 +112,15 @@ __all__ = [
     "leaf_entropy",
     "main",
     "node_probabilities",
-    "parse_document",
     "parse_rational",
     "parse_tree",
     "path_lengths",
     "product_branch_divergence",
     "run_cli",
-    "serialize_document",
     "serialize_tree",
     "structurally_equal",
     "surprisal_functional",
     "tree_divergence",
     "tree_pinsker_report",
-    "tree_to_document",
     "write_sweep_csv",
 ]

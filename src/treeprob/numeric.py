@@ -347,12 +347,18 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational string such as '3/4', '1', '0.25' or '1e-3' into a
     Fraction; ValueError for any other text, and for a decimal exponent
     beyond MAX_DECIMAL_EXPONENT in size, which is refused before the power
-    of ten is computed."""
+    of ten is computed.
+
+    The grammar is ``Fraction``'s on Python 3.10 on every version: an
+    underscore or whitespace inside the text, which ``Fraction`` accepts
+    from 3.11 or 3.12 on, is refused."""
     stripped = text.strip()
     num, _, den = stripped.partition("/")
     try:
         if num.isdigit() and den.isdigit() and stripped.isascii() and int(den):
             return Fraction(int(num), int(den))  # Fraction(text) at half the cost
+        if "_" in stripped or len(stripped.split()) > 1:
+            raise ValueError("underscore or inner whitespace")
         if abs(int(stripped.lower().partition("e")[2] or 0)) > MAX_DECIMAL_EXPONENT:
             raise ValueError("decimal exponent out of range")
         return Fraction(stripped)

@@ -8,36 +8,43 @@ so each key names the node id whose ``str()`` it is (key "1" names node 1).
 Reports name nodes the same way, so two node ids that print alike, such as
 0 and "0", are rejected.
 
-Node ids and labels must be strings or integers.  ``parse_document``
-checks ``edges`` and list-form ``leaf_mass`` as whole lists: the sets of
-entry types, entry lengths and id types, which JSON gives exactly, must lie
-in the allowed ones.  A per-entry pass runs only when that check fails, to
+Two functions are the only path between text and ``Tree``: ``parse_tree``
+reads a document into a validated tree, and ``serialize_tree`` writes a
+tree back.  Neither keeps an intermediate document form; the metadata is
+checked on input and otherwise dropped, since nothing reads it.
+
+Node ids and labels must be strings or integers.  ``parse_tree`` checks
+``edges`` and list-form ``leaf_mass`` as whole lists: the sets of entry
+types, entry lengths and id types, which JSON gives exactly, must lie in
+the allowed ones.  A per-entry pass runs only when that check fails, to
 phrase the error for the first bad entry.  The same type sets gate the
 print-alike check: only when an integer and a string occur among the ids
 and labels are the id columns typed apart from the labels, and the ids are
 listed only when an integer and a string occur among the ids themselves.
+The decoded edge list then goes to ``build_tree`` as it is.
 
 A mass may be a rational string such as "1/4", "1", or "0.3", parsed once
-per distinct string into the Fraction that ``TreeDocument.leaf_mass``
-holds for every leaf that gives that string, or a JSON number, held as a
-float.  ``build_tree`` picks the numeric mode from those values: all
-Fractions means exact mode, any float means float mode, and
-``force_float`` downgrades Fractions.  Serialization writes each Fraction
-as its reduced string, so parse(serialize(doc)) returns an equal document.
+per distinct string into one Fraction that every leaf giving that string
+shares, or a JSON number, held as a float.  ``build_tree`` picks the
+numeric mode from those values: all Fractions means exact mode, any float
+means float mode, and ``force_float`` downgrades Fractions.  Serialization
+writes each Fraction as its reduced string, so parse(serialize(tree))
+returns an equal tree.
 
 The written layout is fixed and byte-stable: a 2-space indent, one scalar
 per line, as ``json.dumps(..., indent=2, ensure_ascii=False)`` lays it out.
-It is written directly, each edge and leaf_mass column in one C-encoder
-call; ``indented_json`` writes the metadata, and the CLI's reports, in
-that layout the same way.  ``serialize_document`` runs the parser's own
-checks on the version, ids, labels, masses and metadata, and raises the
-ParseError that parsing the written text would raise.
+It is written directly from the tree's preorder tables, each edge and
+leaf_mass column in one C-encoder call, with one string per distinct mass
+object; ``indented_json`` writes the metadata, and the CLI's reports, in
+that layout the same way.  ``serialize_tree`` checks what a built tree can
+get wrong, ids and labels that are not strings or integers, two ids that
+print alike, and metadata that is not a dict, and raises the ParseError
+that parsing the written text would raise.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
@@ -45,42 +52,16 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import NonFiniteMass, ParseError
-from .numeric import parse_rational
-from .tree import Label, NodeId, Tree, build_tree
+from .numeric import exact_text, parse_rational
+from .tree import NodeId, Tree, build_tree
 
-__all__ = [
-    "TreeDocument",
-    "document_to_tree",
-    "parse_document",
-    "parse_tree",
-    "resolve_node_keys",
-    "serialize_document",
-    "serialize_tree",
-    "tree_to_document",
-]
+__all__ = ["parse_tree", "resolve_node_keys", "serialize_tree"]
 
 FORMAT_VERSION = "1"
-
-
-@dataclass(frozen=True)
-class TreeDocument:
-    """Parsed but not yet validated content of a tree file; each leaf mass
-    is a Fraction (from a rational string) or a float (from a number)."""
-
-    root: NodeId
-    edges: tuple[tuple[NodeId, Label, NodeId], ...]
-    leaf_mass: tuple[tuple[NodeId, Fraction | float], ...]
-    version: str = FORMAT_VERSION
-    metadata: dict = field(default_factory=dict)
-
 
 # JSON yields exact types, so a bool, float, None, list or object id has a
 # type outside this set
 _ID_TYPES = {str, int}
-# a parsed entry is a list, a TreeDocument's a tuple
-_ROW_TYPES = {list, tuple}
-# the masses that ``serialize_document`` writes without the parser's checks
-_NUMBER_TYPES = {Fraction, int, float}
 _EDGE_FIELDS = ("parent", "label", "child")
 _PAIR_FIELDS = ("leaf", "mass")
 _leaf_ids = partial(map, itemgetter(0))  # the id column of leaf_mass pairs
@@ -93,22 +74,22 @@ def _check_id(value, what: str):
 
 
 def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> set[type]:
-    """Check that every entry of ``rows`` is a list or tuple of
-    ``len(fields)`` items and that every item ``ids_of(rows)`` yields, the
-    entries' id columns, is a string or integer; returns those items' types.
+    """Check that every entry of ``rows`` is a list of ``len(fields)``
+    items and that every item ``ids_of(rows)`` yields, the entries' id
+    columns, is a string or integer; returns those items' types.
 
     The check takes type sets over the whole list.  Only when it fails does
     a pass over the entries find the first bad one, to phrase its ParseError.
     """
     if (
-        set(map(type, rows)) <= _ROW_TYPES
+        set(map(type, rows)) <= {list}
         and set(map(len, rows)) <= {len(fields)}
         and (id_types := set(map(type, ids_of(rows)))) <= _ID_TYPES
     ):
         return id_types
     kind = "triple" if len(fields) == 3 else "pair"
     for i, entry in enumerate(rows):
-        if type(entry) not in _ROW_TYPES or len(entry) != len(fields):
+        if type(entry) is not list or len(entry) != len(fields):
             raise ParseError(
                 f"{where} {i} must be a [{', '.join(fields)}] {kind}, got {entry!r}"
             )
@@ -117,16 +98,17 @@ def _check_rows(rows, where: str, fields: tuple[str, ...], ids_of) -> set[type]:
     raise AssertionError("the whole-list check failed on no entry")
 
 
-def _parsed_masses(pairs: Iterable) -> list[tuple[NodeId, Fraction | float]]:
-    """The (leaf, mass) pairs with each rational string parsed into a
-    Fraction and each JSON number held as a float; ParseError for any other
-    mass, NonFiniteMass for a number past the float range.
+def _parsed_masses(pairs: Iterable) -> dict[NodeId, Fraction | float]:
+    """Each leaf's mass, a rational string parsed into a Fraction and a
+    JSON number held as a float; ParseError for any other mass,
+    NonFiniteMass for a number past the float range.  A leaf listed twice
+    keeps one entry, so the map is shorter than ``pairs``.
 
     Each distinct string is parsed once, and the leaves that share it share
     its Fraction: the masses of a dyadic matcher's document take a handful
     of values however many leaves it has.
     """
-    leaf_mass: list[tuple[NodeId, Fraction | float]] = []
+    leaf_mass: dict[NodeId, Fraction | float] = {}
     parsed: dict[str, Fraction] = {}
     for node, mass in pairs:
         if isinstance(mass, str):
@@ -136,10 +118,10 @@ def _parsed_masses(pairs: Iterable) -> list[tuple[NodeId, Fraction | float]]:
                     value = parsed[mass] = parse_rational(mass)
                 except ValueError as exc:
                     raise ParseError(f"leaf {node!r}: {exc}") from exc
-            leaf_mass.append((node, value))
+            leaf_mass[node] = value
         elif isinstance(mass, (int, float)) and not isinstance(mass, bool):
             try:
-                leaf_mass.append((node, float(mass)))
+                leaf_mass[node] = float(mass)
             except OverflowError:
                 raise NonFiniteMass(
                     f"leaf {node!r} has a mass beyond the float range"
@@ -149,11 +131,6 @@ def _parsed_masses(pairs: Iterable) -> list[tuple[NodeId, Fraction | float]]:
                 f"leaf {node!r} mass must be a rational string or number, got {mass!r}"
             )
     return leaf_mass
-
-
-def _check_version(version) -> None:
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported document version {version!r}")
 
 
 def _check_metadata(metadata) -> None:
@@ -219,21 +196,31 @@ def load_json(text: str):
         raise ParseError("document nested too deeply to parse") from exc
 
 
-def parse_document(text: str) -> TreeDocument:
-    """Parse document text, reporting structural problems with locations."""
+def parse_tree(text: str, force_float: bool = False) -> Tree:
+    """Parse and validate document text into a Tree.
+
+    The document's own checks run first, in this order, each raising a
+    ParseError that names its location: the JSON syntax, the version, the
+    required fields, the root, the edge and leaf_mass entries, ids that
+    print alike, each distinct mass string and the metadata.  Then a leaf
+    listed twice in leaf_mass is refused, ``build_tree`` validates the
+    shape and masses (picking the numeric mode; ``force_float`` selects
+    float mode), and the declared root must be the one the edges imply.
+    """
     raw = load_json(text)
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
     version = raw.get("version", FORMAT_VERSION)
-    _check_version(version)
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported document version {version!r}")
     for required in ("root", "edges", "leaf_mass"):
         if required not in raw:
             raise ParseError(f"missing required field {required!r}")
     root = _check_id(raw["root"], "field 'root'")
-    if not isinstance(raw["edges"], list):
+    edges = raw["edges"]
+    if not isinstance(edges, list):
         raise ParseError("field 'edges' must be a list")
-    edge_types = _check_rows(raw["edges"], "edge", _EDGE_FIELDS, chain.from_iterable)
-    edges = tuple(map(tuple, raw["edges"]))
+    edge_types = _check_rows(edges, "edge", _EDGE_FIELDS, chain.from_iterable)
     pairs = raw["leaf_mass"]
     if isinstance(pairs, dict):
         pairs = resolve_node_keys(pairs, _node_ids(root, edges)).items()
@@ -242,48 +229,18 @@ def parse_document(text: str) -> TreeDocument:
         _check_names({type(root)} | edge_types | leaf_types, root, edges, pairs)
     else:
         raise ParseError("field 'leaf_mass' must be a list of pairs or an object")
-    leaf_mass = _parsed_masses(pairs)
-    metadata = raw.get("metadata", {})
-    _check_metadata(metadata)
-    return TreeDocument(
-        root=root,
-        edges=edges,
-        leaf_mass=tuple(leaf_mass),
-        version=version,
-        metadata=metadata,
-    )
-
-
-def document_to_tree(doc: TreeDocument, force_float: bool = False) -> Tree:
-    """Validate a document into a Tree; ``build_tree`` picks the numeric
-    mode from the masses, and ``force_float`` selects float mode."""
-    mass = dict(doc.leaf_mass)
-    if len(mass) < len(doc.leaf_mass):
+    mass = _parsed_masses(pairs)
+    _check_metadata(raw.get("metadata", {}))
+    if len(mass) < len(pairs):
         seen = set()
-        for node, _ in doc.leaf_mass:
+        for node in _leaf_ids(pairs):
             if node in seen:
                 raise ParseError(f"leaf {node!r} listed twice in leaf_mass")
             seen.add(node)
-    tree = build_tree(doc.edges, mass, exact=False if force_float else None)
-    if tree.root != doc.root:
-        raise ParseError(
-            f"declared root {doc.root!r} but edges imply root {tree.root!r}"
-        )
+    tree = build_tree(edges, mass, exact=False if force_float else None)
+    if tree.root != root:
+        raise ParseError(f"declared root {root!r} but edges imply root {tree.root!r}")
     return tree
-
-
-def tree_to_document(tree: Tree, metadata: Mapping | None = None) -> TreeDocument:
-    """Render a tree back into document form, masses as the tree holds them."""
-    edges = tuple(
-        [(node, label, child) for node in tree.nodes for label, child in tree.children[node]]
-    )
-    leaves = tree.leaves
-    return TreeDocument(
-        root=tree.root,
-        edges=edges,
-        leaf_mass=tuple(zip(leaves, map(tree.leaf_mass.__getitem__, leaves))),
-        metadata=dict(metadata or {}),
-    )
 
 
 # one C-encoder call writes a whole column: its items joined by NUL, which
@@ -334,42 +291,55 @@ def _column(items: list, row: str, width: int) -> str:
     return "[\n%s\n  ]" % (rows % tuple(_encode_column(items)[1:-1].split("\x00")))
 
 
-def serialize_document(doc: TreeDocument) -> str:
-    """Document text in a fixed layout: 2-space indent, one scalar per line,
-    a Fraction mass as its reduced string.
+def serialize_tree(tree: Tree, metadata: dict | None = None) -> str:
+    """Document text of ``tree`` in a fixed layout: 2-space indent, one
+    scalar per line, edges in preorder of their parents, leaves in
+    preorder, each Fraction mass as its reduced string.
 
-    Raises the ParseError that ``parse_document`` would raise on the
-    written text, checked in the parser's order: a version other than "1",
-    a root, edge id, label or leaf id that is not a string or integer, two
-    ids that print alike, a mass that is not a Fraction, rational string,
-    integer or float, or metadata that is not a dict.
+    Raises the ParseError that ``parse_tree`` would raise on the written
+    text, checked in the parser's order: a root, edge id or label that is
+    not a string or integer (bools included), two ids that print alike, a
+    mass too long to print under the interpreter's int-string limit, or
+    metadata that is not a dict.  ``build_tree`` has already made the rows
+    triples and the masses Fractions or floats, and every leaf is the root
+    or an edge's child.
     """
-    _check_version(doc.version)
-    _check_id(doc.root, "field 'root'")
-    edge_types = _check_rows(doc.edges, "edge", _EDGE_FIELDS, chain.from_iterable)
-    leaf_types = _check_rows(doc.leaf_mass, "leaf_mass entry", _PAIR_FIELDS, _leaf_ids)
-    id_types = {type(doc.root)} | edge_types | leaf_types
-    _check_names(id_types, doc.root, doc.edges, doc.leaf_mass)
-    pairs = list(chain.from_iterable(doc.leaf_mass))
-    masses = pairs[1::2]
-    if not set(map(type, masses)) <= _NUMBER_TYPES:
-        _parsed_masses((n, m) for n, m in doc.leaf_mass if type(m) is not Fraction)
-    _check_metadata(doc.metadata)
-    pairs[1::2] = [str(m) if type(m) is Fraction else m for m in masses]
+    metadata = {} if metadata is None else metadata
+    root, nodes, children = tree.root, tree.nodes, tree.children
+    edges = []  # the edges' parent, label and child columns, interleaved
+    for v in nodes:
+        for label, child in children[v]:
+            edges += (v, label, child)
+    id_types = {type(root), *map(type, edges)}
+    if not id_types <= _ID_TYPES:
+        _check_id(root, "field 'root'")
+        rows = [edges[i : i + 3] for i in range(0, len(edges), 3)]
+        _check_rows(rows, "edge", _EDGE_FIELDS, chain.from_iterable)
+    if {int, str} <= id_types and {int, str} <= set(map(type, nodes)):
+        _ids_by_name(_node_ids(root, list(zip(*[iter(edges)] * 3))))
+    leaves = tree.leaves
+    masses = list(map(tree.leaf_mass.__getitem__, leaves))
+    if tree.exact:
+        # one string per distinct mass object, keyed by identity, since
+        # hashing a Fraction takes a modular inverse
+        keys = list(map(id, masses))
+        texts = dict(zip(keys, masses))
+        for key, mass in texts.items():
+            try:
+                texts[key] = str(mass)
+            except ValueError:  # a part past the int-string limit
+                leaf = leaves[keys.index(key)]
+                raise ParseError(
+                    f"leaf {leaf!r}: not a rational number: {exact_text(mass)}"
+                ) from None
+        masses = list(map(texts.__getitem__, keys))
+    _check_metadata(metadata)
+    pairs = [None] * (2 * len(leaves))
+    pairs[0::2], pairs[1::2] = leaves, masses
     return _DOCUMENT % (
-        _encode_column(doc.version),
-        _encode_column(doc.root),
-        _column(list(chain.from_iterable(doc.edges)), _EDGE_ROW, 3),
+        _encode_column(FORMAT_VERSION),
+        _encode_column(root),
+        _column(edges, _EDGE_ROW, 3),
         _column(pairs, _PAIR_ROW, 2),
-        indented_json(doc.metadata, newline="\n  "),
+        indented_json(metadata, newline="\n  "),
     )
-
-
-def parse_tree(text: str, force_float: bool = False) -> Tree:
-    """Parse and validate document text directly into a Tree."""
-    return document_to_tree(parse_document(text), force_float=force_float)
-
-
-def serialize_tree(tree: Tree, metadata: Mapping | None = None) -> str:
-    """Serialize a tree as document text; parsing it back gives an equal tree."""
-    return serialize_document(tree_to_document(tree, metadata=metadata))

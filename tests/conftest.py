@@ -19,6 +19,10 @@ DEMO_DOCUMENT = """\
 }
 """
 
+# Fraction(str) accepts underscores from Python 3.11 on and spaces around
+# "/" from 3.12 on; parse_rational keeps 3.10's grammar on every version
+GRAMMAR_EXTENSIONS = ["1_000/3000", "0.2_5", "1/2_0", "1e1_0", "1_0/20", "1 / 2", "1/ 2", "1 /2", "-1\t/2"]
+
 
 @pytest.fixture
 def demo_tree():

@@ -721,13 +721,17 @@ class TestBranchDistances:
             self.kernel_agrees(p, reference)
 
 
-def float_trees(i):
-    """The float trees reported against corpus i's references: the float
-    corpus tree and the ``--float`` mirror of the exact one (the serialized
-    tree parsed back with ``force_float``), both of corpus i's shape."""
-    exact_p = corpus_tree(i)
+FAMILIES = (corpus_tree, informative_tree)
+
+
+def float_trees(i, family=corpus_tree):
+    """The float trees reported against the references of tree i of
+    ``family``: the float tree and the ``--float`` mirror of the exact one
+    (the serialized tree parsed back with ``force_float``), both of tree
+    i's shape."""
+    exact_p = family(i)
     mirror = parse_tree(serialize_tree(exact_p), force_float=True)
-    return [corpus_tree(i, exact=False), mirror]
+    return [family(i, exact=False), mirror]
 
 
 def reference_divergence(p, reference):
@@ -748,42 +752,46 @@ class TestFloatFold:
     @pytest.mark.parametrize("start", range(0, 200, 50))
     def test_float_corpus_agrees_bitwise(self, start):
         # an exact p against these references is TestPinskerReference's
-        for i in range(start, start + 50):
-            _, refs = pinsker_references(i)
-            for p in float_trees(i):
-                assert not p.exact and p.branching_nodes
-                for name, ref in refs.items():
-                    report = tree_pinsker_report(p, ref, EPSILONS)
-                    want = pinsker_reference(*one_mode(p, ref), EPSILONS)
-                    assert report_bits(report) == report_bits(want), (i, name)
-                    assert report.divergence == reference_divergence(p, ref), (i, name)
+        for family in FAMILIES:
+            for i in range(start, start + 50):
+                _, refs = pinsker_references(i, family)
+                for p in float_trees(i, family):
+                    assert not p.exact and p.branching_nodes
+                    for name, ref in refs.items():
+                        report = tree_pinsker_report(p, ref, EPSILONS)
+                        want = pinsker_reference(*one_mode(p, ref), EPSILONS)
+                        assert report_bits(report) == report_bits(want), (family, i, name)
+                        assert report.divergence == reference_divergence(p, ref), (family, i, name)
 
     def test_uncovered_and_leaf_aligned_references(self):
-        # corpus 0 has a branching node with a sibling to cut
-        _, refs = pinsker_references(0)
-        for p in float_trees(0):
-            removed = tree_pinsker_report(p, refs["float-subtree-removed"], EPSILONS)
-            assert removed.divergence == math.inf
-            to_leaf = tree_pinsker_report(p, refs["subtree-to-leaf"], (1 - 1e-9,))
-            assert to_leaf.divergence == math.inf
-            # the cut node faces a leaf, so its d_j is 1
-            assert to_leaf.tail[1 - 1e-9] > 0.0
-            bare = tree_pinsker_report(p, refs["float-bare-root"], EPSILONS)
-            assert bare.divergence == math.inf
-            assert bare.mean_distance == 1.0
+        # tree 0 of each family has a branching node with a sibling to cut
+        for family in FAMILIES:
+            _, refs = pinsker_references(0, family)
+            assert "subtree-to-leaf" in refs, family
+            for p in float_trees(0, family):
+                removed = tree_pinsker_report(p, refs["float-subtree-removed"], EPSILONS)
+                assert removed.divergence == math.inf
+                to_leaf = tree_pinsker_report(p, refs["subtree-to-leaf"], (1 - 1e-9,))
+                assert to_leaf.divergence == math.inf
+                # the cut node faces a leaf, so its d_j is 1
+                assert to_leaf.tail[1 - 1e-9] > 0.0
+                bare = tree_pinsker_report(p, refs["float-bare-root"], EPSILONS)
+                assert bare.divergence == math.inf
+                assert bare.mean_distance == 1.0
 
     def test_distance_to_an_empty_reference_is_exactly_one(self):
         # a float d_j against no aligned branching node is 1.0, as on the
         # exact path, not the chained sum of p's branch masses: on corpus 9
         # that sum is 1 - 2^-53 at some nodes, which tail(1.0) dropped
         bare = build_tree([], {0: 1.0}, exact=False)
-        for i in (9, *range(0, 200, 7)):
-            for p in float_trees(i):
-                if not p.branching_nodes:
-                    continue
-                report = tree_pinsker_report(p, bare, (0.5, 1.0))
-                assert (report.mean_distance, report.mean_sq_distance) == (1.0, 1.0), i
-                assert report.tail == {0.5: 1.0, 1.0: 1.0}, i
+        for family in FAMILIES:
+            for i in (9, *range(0, 200, 7)):
+                for p in float_trees(i, family):
+                    if not p.branching_nodes:
+                        continue
+                    report = tree_pinsker_report(p, bare, (0.5, 1.0))
+                    assert (report.mean_distance, report.mean_sq_distance) == (1.0, 1.0), (family, i)
+                    assert report.tail == {0.5: 1.0, 1.0: 1.0}, (family, i)
 
     def test_exact_p_against_a_float_bare_root_runs_as_float(self):
         # the pair is not both exact, so p runs as its float tree: the report
@@ -860,10 +868,11 @@ class TestFloatFold:
         for module, name in ((identities, "leaf_entropy"), (identities, "entropy_of"),
                              (approximation, "entropy_of")):
             monkeypatch.setattr(module, name, refuse)
-        p = float_trees(11)[0]
-        _, refs = pinsker_references(11)
-        for ref in refs.values():
-            tree_pinsker_report(p, ref)
+        for family in FAMILIES:
+            p = float_trees(11, family)[0]
+            _, refs = pinsker_references(11, family)
+            for ref in refs.values():
+                tree_pinsker_report(p, ref)
 
 
 class TestNoBranchingTable:

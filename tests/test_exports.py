@@ -114,7 +114,17 @@ DEAD_METRIC_FUNCTIONS = {
     "identities.differential_lansit_check",
     "identities.normalized_divergence",
     "approximation.divergence_to_product",
+    "treefile.parse_document",
+    "treefile.document_to_tree",
 }
+
+
+@pytest.mark.parametrize("qualname", sorted(DEAD_METRIC_FUNCTIONS))
+def test_dead_metric_functions_are_gone(qualname):
+    # an entry whose function still exists would hide a live metric that
+    # the tracer does not time
+    layer, name = qualname.split(".")
+    assert not hasattr(importlib.import_module(f"treeprob.{layer}"), name)
 
 
 def _tracing_constant(name: str):

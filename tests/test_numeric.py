@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import GRAMMAR_EXTENSIONS
 from corpus import (
     corpus_tree,
     exact_entropy_of,
@@ -431,10 +432,11 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1/0", "1/2/3"])
+@pytest.mark.parametrize("text", ["", "abc", "1/0", "1/2/3", *GRAMMAR_EXTENSIONS])
 def test_parse_rational_rejects_garbage(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         parse_rational(text)
+    assert str(info.value) == f"not a rational number: {text!r}"
 
 
 @pytest.mark.parametrize(

@@ -4,21 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DEMO_DOCUMENT
+from conftest import DEMO_DOCUMENT, GRAMMAR_EXTENSIONS
 from corpus import corpus_tree, float_mirror, informative_tree
 from treeprob import (
     MassNotNormalized,
+    NegativeMass,
     NonFiniteMass,
     ParseError,
-    TreeDocument,
+    TreeProbError,
     build_tree,
-    document_to_tree,
-    parse_document,
     parse_tree,
-    serialize_document,
     serialize_tree,
     structurally_equal,
-    tree_to_document,
 )
 from treeprob import treefile
 from treeprob.numeric import parse_rational
@@ -31,14 +28,21 @@ GOOD_PAIR = [1, "1/2"]
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def written(tree, metadata=None) -> dict:
+    """The JSON value of ``tree``'s document as ``serialize_tree`` writes it."""
+    return json.loads(serialize_tree(tree, metadata))
+
+
 class TestParseDocument:
+    """``parse_tree``'s checks of the document, before the tree is built."""
+
     def test_demo_document(self):
-        doc = parse_document(DEMO_DOCUMENT)
-        assert doc.version == "1"
-        assert doc.root == 0
-        assert len(doc.edges) == 5
-        assert dict(doc.leaf_mass) == {2: Fraction(1, 4), 5: Fraction(1, 2), 6: Fraction(1, 4)}
-        assert doc.metadata == {}
+        tree = parse_tree(DEMO_DOCUMENT)
+        assert written(tree)["version"] == "1"
+        assert tree.root == 0
+        assert sum(map(len, tree.children.values())) == 5
+        assert tree.leaf_mass == {2: Fraction(1, 4), 5: Fraction(1, 2), 6: Fraction(1, 4)}
+        assert written(tree)["metadata"] == {}
 
     def test_object_form_leaf_mass(self):
         text = json.dumps(
@@ -48,8 +52,7 @@ class TestParseDocument:
                 "leaf_mass": {"x": "1/2", "y": "1/2"},
             }
         )
-        doc = parse_document(text)
-        assert dict(doc.leaf_mass) == {"x": Fraction(1, 2), "y": Fraction(1, 2)}
+        assert parse_tree(text).leaf_mass == {"x": Fraction(1, 2), "y": Fraction(1, 2)}
 
     def test_object_form_keys_name_integer_ids(self):
         text = json.dumps(
@@ -59,7 +62,6 @@ class TestParseDocument:
                 "leaf_mass": {"1": "1/2", "2": "1/2"},
             }
         )
-        assert dict(parse_document(text).leaf_mass) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
         tree = parse_tree(text)
         assert tree.leaf_mass == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
@@ -72,7 +74,7 @@ class TestParseDocument:
             }
         )
         with pytest.raises(ParseError, match="'0'"):
-            parse_document(text)
+            parse_tree(text)
 
     @pytest.mark.parametrize(
         "document",
@@ -91,7 +93,7 @@ class TestParseDocument:
     )
     def test_node_ids_that_print_alike_are_rejected(self, document):
         with pytest.raises(ParseError, match="print alike"):
-            parse_document(json.dumps(document))
+            parse_tree(json.dumps(document))
 
     def test_resolve_key_naming_two_ids_is_rejected(self):
         with pytest.raises(ParseError, match="'0'"):
@@ -99,7 +101,7 @@ class TestParseDocument:
 
     def test_version_defaults(self):
         text = json.dumps({"root": 0, "edges": [], "leaf_mass": [[0, "1"]]})
-        assert parse_document(text).version == "1"
+        assert written(parse_tree(text))["version"] == "1"
 
     def test_numeric_masses_become_floats(self):
         text = json.dumps(
@@ -109,20 +111,21 @@ class TestParseDocument:
                 "leaf_mass": [[1, 0.5], [2, 0.5]],
             }
         )
-        doc = parse_document(text)
-        assert dict(doc.leaf_mass) == {1: 0.5, 2: 0.5}
+        tree = parse_tree(text)
+        assert not tree.exact
+        assert tree.leaf_mass == {1: 0.5, 2: 0.5}
 
     def test_bad_json_reports_location(self):
         with pytest.raises(ParseError, match=r"line 2, column"):
-            parse_document('{\n  "root": }')
+            parse_tree('{\n  "root": }')
 
     def test_not_an_object(self):
         with pytest.raises(ParseError, match="JSON object"):
-            parse_document("[1, 2]")
+            parse_tree("[1, 2]")
 
     def test_nesting_too_deep_to_parse_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
-            parse_document("[" * 200_000 + "]" * 200_000)
+            parse_tree("[" * 200_000 + "]" * 200_000)
 
     @pytest.mark.parametrize("missing", ["root", "edges", "leaf_mass"])
     def test_missing_required_field(self, missing):
@@ -133,14 +136,14 @@ class TestParseDocument:
         }
         del raw[missing]
         with pytest.raises(ParseError, match=missing):
-            parse_document(json.dumps(raw))
+            parse_tree(json.dumps(raw))
 
     def test_wrong_version(self):
         text = json.dumps(
             {"version": "2", "root": 0, "edges": [], "leaf_mass": [[0, "1"]]}
         )
         with pytest.raises(ParseError, match="version"):
-            parse_document(text)
+            parse_tree(text)
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -203,7 +206,7 @@ class TestParseDocument:
     def test_malformed_edges(self, edges, message):
         text = json.dumps({"root": 0, "edges": edges, "leaf_mass": [[1, "1"]]})
         with pytest.raises(ParseError) as info:
-            parse_document(text)
+            parse_tree(text)
         assert (type(info.value), str(info.value)) == (ParseError, message)
 
     @pytest.mark.parametrize(
@@ -288,6 +291,15 @@ class TestParseDocument:
                 "node ids 2 and '2' print alike",
                 id="print-alike",
             ),
+            # Fraction(str) reads these on some Python versions only
+            *(
+                pytest.param(
+                    [GOOD_PAIR, [2, mass]],
+                    f"leaf 2: not a rational number: {mass!r}",
+                    id=f"grammar-{mass}",
+                )
+                for mass in GRAMMAR_EXTENSIONS
+            ),
         ],
     )
     def test_malformed_leaf_mass(self, leaf_mass, message):
@@ -295,20 +307,18 @@ class TestParseDocument:
             {"root": 0, "edges": [GOOD_EDGE, [0, "b", 2]], "leaf_mass": leaf_mass}
         )
         with pytest.raises(ParseError) as info:
-            parse_document(text)
+            parse_tree(text)
         assert (type(info.value), str(info.value)) == (ParseError, message)
 
     @pytest.mark.parametrize("root", [True, 1.5, None, [0]])
     def test_malformed_root(self, root):
         text = json.dumps({"root": root, "edges": [GOOD_EDGE], "leaf_mass": [GOOD_PAIR]})
         with pytest.raises(ParseError) as info:
-            parse_document(text)
+            parse_tree(text)
         assert str(info.value) == f"field 'root' must be a string or integer, got {root!r}"
 
     def test_negative_mass_parses_but_fails_validation(self):
         # syntax check accepts any rational; sign is a build-time concern
-        from treeprob import NegativeMass
-
         text = json.dumps(
             {
                 "root": 0,
@@ -316,21 +326,31 @@ class TestParseDocument:
                 "leaf_mass": [[1, "3/2"], [2, "-1/2"]],
             }
         )
-        parse_document(text)
-        with pytest.raises(NegativeMass):
+        with pytest.raises(NegativeMass) as info:
             parse_tree(text)
+        assert str(info.value) == "leaf 2 has negative mass -1/2"
 
     def test_malformed_metadata(self):
         text = json.dumps(
             {"root": 0, "edges": [], "leaf_mass": [[0, "1"]], "metadata": []}
         )
         with pytest.raises(ParseError, match="metadata"):
-            parse_document(text)
+            parse_tree(text)
+
+    def test_first_refusal_in_parse_order(self):
+        # the edges are checked before the leaf ids, and those before the masses
+        text = json.dumps({"root": 0, "edges": [GOOD_EDGE, [0, None, 2]],
+                           "leaf_mass": [[None, True]]})
+        with pytest.raises(ParseError) as info:
+            parse_tree(text)
+        assert str(info.value) == "edge 1 label must be a string or integer, got None"
 
 
 class TestDocumentToTree:
+    """``parse_tree``'s checks of the tree the document describes."""
+
     def test_demo_tree(self):
-        tree = document_to_tree(parse_document(DEMO_DOCUMENT))
+        tree = parse_tree(DEMO_DOCUMENT)
         assert tree.exact
         assert set(tree.leaves) == {2, 5, 6}
         assert tree.leaf_mass[5] == Fraction(1, 2)
@@ -347,11 +367,10 @@ class TestDocumentToTree:
         masses = ["1/4", "0.25", "1/4", "1/4"]
         text = json.dumps({"root": 0, "edges": edges,
                            "leaf_mass": [[i + 1, m] for i, m in enumerate(masses)]})
-        doc = parse_document(text)
+        tree = parse_tree(text)
         assert parsed == ["1/4", "0.25"]
-        ones = [m for leaf, m in doc.leaf_mass if leaf != 2]
-        assert all(m is ones[0] for m in ones) and doc.leaf_mass[1][1] is not ones[0]
-        tree = document_to_tree(doc)
+        ones = [m for leaf, m in tree.leaf_mass.items() if leaf != 2]
+        assert all(m is ones[0] for m in ones) and tree.leaf_mass[2] is not ones[0]
         assert tree.leaf_mass == dict.fromkeys([1, 2, 3, 4], Fraction(1, 4))
         assert tree.mass_below == {0: 4, 1: 1, 2: 1, 3: 1, 4: 1}
 
@@ -373,7 +392,7 @@ class TestDocumentToTree:
         text = json.dumps({"root": 0, "edges": [[0, "a", 1], [0, "b", 2], [0, "c", 3]],
                            "leaf_mass": [[1, "1/2"], [3, "x/2"], [2, "x/2"]]})
         with pytest.raises(ParseError, match="^leaf 3: not a rational number: 'x/2'$"):
-            parse_document(text)
+            parse_tree(text)
 
     def test_decimal_strings_parse_exactly(self):
         text = json.dumps(
@@ -427,13 +446,15 @@ class TestDocumentToTree:
             parse_tree(text)
 
     def test_duplicate_leaf_rejected(self):
-        doc = TreeDocument(
-            root=0,
-            edges=((0, "a", 1), (0, "b", 2)),
-            leaf_mass=((1, "1/2"), (1, "1/4"), (2, "1/4")),
+        text = json.dumps(
+            {
+                "root": 0,
+                "edges": [[0, "a", 1], [0, "b", 2]],
+                "leaf_mass": [[1, "1/2"], [1, "1/4"], [2, "1/4"]],
+            }
         )
         with pytest.raises(ParseError, match="twice"):
-            document_to_tree(doc)
+            parse_tree(text)
 
     def test_first_repeated_leaf_is_named(self):
         text = json.dumps(
@@ -448,24 +469,34 @@ class TestDocumentToTree:
         assert str(info.value) == "leaf 1 listed twice in leaf_mass"
 
     def test_declared_root_must_match(self):
-        doc = TreeDocument(
-            root=1,
-            edges=((0, "a", 1), (0, "b", 2)),
-            leaf_mass=((1, "1/2"), (2, "1/2")),
+        text = json.dumps(
+            {
+                "root": 1,
+                "edges": [[0, "a", 1], [0, "b", 2]],
+                "leaf_mass": [[1, "1/2"], [2, "1/2"]],
+            }
         )
-        with pytest.raises(ParseError, match="root"):
-            document_to_tree(doc)
+        with pytest.raises(ParseError) as info:
+            parse_tree(text)
+        assert str(info.value) == "declared root 1 but edges imply root 0"
 
 
 class TestRoundTrips:
     def test_document_round_trip_exact(self):
-        doc = parse_document(DEMO_DOCUMENT)
-        assert parse_document(serialize_document(doc)) == doc
+        tree = parse_tree(DEMO_DOCUMENT)
+        text = serialize_tree(tree)
+        back = parse_tree(text)
+        assert back.exact and structurally_equal(tree, back)
+        assert back.leaf_mass == tree.leaf_mass
+        assert serialize_tree(back) == text
 
     def test_document_round_trip_float(self):
         tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: 0.25, 2: 0.75})
-        doc = tree_to_document(tree, metadata={"note": "float"})
-        assert parse_document(serialize_document(doc)) == doc
+        text = serialize_tree(tree, metadata={"note": "float"})
+        back = parse_tree(text)
+        assert not back.exact and structurally_equal(tree, back)
+        assert back.leaf_mass == tree.leaf_mass
+        assert serialize_tree(back, metadata={"note": "float"}) == text
 
     def test_tree_round_trip_preserves_structure_and_mode(self):
         for tree in (f(i) for f in (corpus_tree, informative_tree) for i in range(25)):
@@ -500,9 +531,8 @@ class TestRoundTrips:
             [(0, "a", 1), (0, "b", 2)],
             {1: Fraction(2, 8), 2: Fraction(6, 8)},
         )
-        doc = tree_to_document(tree)
-        assert dict(doc.leaf_mass) == {1: Fraction(1, 4), 2: Fraction(3, 4)}
-        assert json.loads(serialize_document(doc))["leaf_mass"] == [[1, "1/4"], [2, "3/4"]]
+        assert parse_tree(serialize_tree(tree)).leaf_mass == {1: Fraction(1, 4), 2: Fraction(3, 4)}
+        assert written(tree)["leaf_mass"] == [[1, "1/4"], [2, "3/4"]]
 
     def test_serialized_text_is_stable(self):
         for tree in (corpus_tree(4), informative_tree(4)):
@@ -512,27 +542,30 @@ class TestRoundTrips:
     def test_metadata_survives(self):
         tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: 0.5, 2: 0.5})
         text = serialize_tree(tree, metadata={"source": "unit"})
-        assert parse_document(text).metadata == {"source": "unit"}
+        assert json.loads(text)["metadata"] == {"source": "unit"}
+        assert structurally_equal(parse_tree(text), tree)
 
 
-def reference_text(doc: TreeDocument) -> str:
-    """The stdlib's indented encoding of a document, the layout that
-    ``serialize_document`` writes directly."""
+def reference_text(tree, metadata=None) -> str:
+    """The stdlib's indented encoding of a tree's document, the layout that
+    ``serialize_tree`` writes directly: edges grouped by parent in
+    preorder, leaves in preorder."""
     payload = {
-        "version": doc.version,
-        "root": doc.root,
-        "edges": [list(edge) for edge in doc.edges],
+        "version": "1",
+        "root": tree.root,
+        "edges": [[v, label, child] for v in tree.nodes for label, child in tree.children[v]],
         "leaf_mass": [
-            [node, str(mass) if isinstance(mass, Fraction) else mass]
-            for node, mass in doc.leaf_mass
+            [leaf, str(mass) if isinstance(mass, Fraction) else mass]
+            for leaf, mass in zip(tree.leaves, map(tree.leaf_mass.get, tree.leaves))
         ],
-        "metadata": doc.metadata,
+        "metadata": {} if metadata is None else metadata,
     }
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 # string ids that JSON must escape or that ensure_ascii=False writes raw
 AWKWARD_IDS = ['q"uote', "back\\slash", "new\nline", "nul\x00", "line\u2028sep", "lone\ud800", "\U0001F333", "é"]
+THREE_LEAVES = [(0, "a", 1), (0, "b", 2), (0, "c", 3)]
 
 
 class TestWrittenBytes:
@@ -545,120 +578,196 @@ class TestWrittenBytes:
         for family in (corpus_tree, informative_tree):
             for i in range(200):
                 tree = float_mirror(family(i)) if mirror else family(i)
-                doc = tree_to_document(tree)
-                assert serialize_document(doc) == reference_text(doc), i
+                assert serialize_tree(tree) == reference_text(tree), i
 
     @pytest.mark.parametrize(
-        "doc",
+        "edges, leaf_mass, metadata",
         [
-            pytest.param(TreeDocument(0, (), ((0, Fraction(1)),)), id="bare-root"),
-            pytest.param(TreeDocument(0, (), ()), id="no-leaf-mass"),
+            pytest.param([], {0: Fraction(1)}, None, id="bare-root"),
+            # a leaf given no mass is pruned, so the document names it nowhere
+            pytest.param([(0, "a", 1), (0, "b", 2)], {1: Fraction(1)}, None, id="no-leaf-mass"),
             pytest.param(
-                TreeDocument(
-                    "r",
-                    tuple(("r", name, name + "!") for name in AWKWARD_IDS),
-                    tuple((name + "!", Fraction(1, len(AWKWARD_IDS))) for name in AWKWARD_IDS),
-                ),
+                [("r", name, name + "!") for name in AWKWARD_IDS],
+                {name + "!": Fraction(1, len(AWKWARD_IDS)) for name in AWKWARD_IDS},
+                None,
                 id="escaped-strings",
             ),
             pytest.param(
-                TreeDocument(-1, ((-1, -2, -(10**3999)), (-1, 10**3999, 7)), ((-(10**3999), 0.5), (7, 0.5))),
+                [(-1, -2, -(10**3999)), (-1, 10**3999, 7)], {-(10**3999): 0.5, 7: 0.5}, None,
                 id="long-and-negative-ints",
             ),
             pytest.param(
-                TreeDocument(0, ((0, "a", 1), (0, "b", 2), (0, "c", 3)), ((1, 5e-324), (2, 1e308), (3, 1.0))),
+                THREE_LEAVES, {1: 5e-324, 2: 1e-310, 3: 1.0}, {"huge": 1e308, "tiny": 5e-324},
                 id="subnormal-and-huge-floats",
             ),
+            # build_tree parses string masses; each is written reduced
+            pytest.param(THREE_LEAVES, {1: "1/4", 2: "0.25", 3: "2/4"}, None, id="string-masses"),
             pytest.param(
-                TreeDocument(0, ((0, "a", 1), (0, "b", 2), (0, "c", 3)), ((1, "1/4"), (2, "0.25"), (3, 0.5))),
-                id="string-masses",
-            ),
-            pytest.param(
-                TreeDocument(
-                    0,
-                    ((0, "a", 1),),
-                    ((1, Fraction(1)),),
-                    metadata={"größe": {"liste": [1, "zwei", {"drei": None}], "leer": {}, "nichts": []}, "n": 1.5},
-                ),
+                [(0, "a", 1)],
+                {1: Fraction(1)},
+                {"größe": {"liste": [1, "zwei", {"drei": None}], "leer": {}, "nichts": []}, "n": 1.5},
                 id="nested-metadata",
             ),
             pytest.param(
-                TreeDocument(
-                    0,
-                    ((0, "a", 1),),
-                    ((1, Fraction(1)),),
-                    metadata={1: {"x": ["nul\x00", (2, -0.0)]}, None: [True], 2.5: "\ud800", "é": {7: {}}},
-                ),
+                [(0, "a", 1)],
+                {1: Fraction(1)},
+                {1: {"x": ["nul\x00", (2, -0.0)]}, None: [True], 2.5: "\ud800", "é": {7: {}}},
                 id="metadata-keys-json-converts",
             ),
         ],
     )
-    def test_hand_built_documents_match_the_stdlib_encoding(self, doc):
-        assert serialize_document(doc) == reference_text(doc)
+    def test_hand_built_documents_match_the_stdlib_encoding(self, edges, leaf_mass, metadata):
+        tree = build_tree(edges, leaf_mass)
+        assert serialize_tree(tree, metadata) == reference_text(tree, metadata)
+
+    def test_one_string_per_mass_object(self, monkeypatch):
+        # the matcher's leaves share a handful of Fractions, and each is
+        # printed once however many leaves hold it
+        tree = parse_tree((GOLDEN / "matcher.tree").read_text("utf-8"))
+        printed = []
+        to_text = Fraction.__str__
+
+        def counted(self):
+            printed.append(self)
+            return to_text(self)
+
+        monkeypatch.setattr(Fraction, "__str__", counted)
+        serialize_tree(tree)
+        objects = {id(m) for m in tree.leaf_mass.values()}
+        assert len(printed) == len(objects) < len(tree.leaves)
+
+
+BAD_IDS = [True, 1.5, None, [1], {"x": 1}]
+
+
+def hashable(value) -> bool:
+    return not isinstance(value, (list, dict))
 
 
 class TestSerializerRefusals:
-    """``serialize_document`` refuses the ids, labels and masses that
-    ``parse_document`` refuses, with the parser's ParseError message."""
+    """``serialize_tree`` refuses the ids, labels and metadata of a built
+    tree that ``parse_tree`` refuses in its document, with the parser's
+    ParseError message.  A tree's version, row lengths and mass types are
+    right by construction; those refusals are the parser's alone, on the
+    written text edited."""
 
     @staticmethod
-    def assert_same_refusal(root, edges, leaf_mass, **fields):
-        """``fields`` are the optional version and metadata, set in both."""
+    def assert_same_refusal(root, edges, leaf_mass, builds=True, **fields):
+        """``parse_tree`` refuses the document of ``root``, ``edges`` and
+        ``leaf_mass`` (with the optional ``fields``), and ``serialize_tree``
+        refuses the tree those rows build with the same message.  Rows that
+        hold an unhashable id, or a leaf that is no node, build no tree
+        (``builds`` False): ``build_tree`` refuses them."""
         with pytest.raises(ParseError) as parsed:
-            parse_document(
-                json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass, **fields})
-            )
-        doc = TreeDocument(root, tuple(map(tuple, edges)), tuple(map(tuple, leaf_mass)), **fields)
-        with pytest.raises(ParseError) as written:
-            serialize_document(doc)
-        assert str(written.value) == str(parsed.value)
+            parse_tree(json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass, **fields}))
+        rows = [tuple(edge) for edge in edges]
+        masses = [(leaf, parse_rational(mass)) for leaf, mass in leaf_mass]
+        if not builds:
+            with pytest.raises((TypeError, TreeProbError)):
+                build_tree(rows, dict(masses))
+            return
+        tree = build_tree(rows, dict(masses))
+        # the rows list the tree's edges and leaves in the order it writes them
+        assert (tree.root, list(tree.leaf_mass.items())) == (root, masses)
+        with pytest.raises(ParseError) as written_:
+            serialize_tree(tree, fields.get("metadata"))
+        assert str(written_.value) == str(parsed.value)
 
-    BAD_IDS = [True, 1.5, None, [1], {"x": 1}]
+    @staticmethod
+    def refusal_of_edited(edit) -> str:
+        """The ParseError message of ``parse_tree`` on the written document
+        of a two-leaf tree after ``edit`` changes its JSON value in place."""
+        tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: Fraction(1, 2), 2: Fraction(1, 2)})
+        document = written(tree)
+        assert document["leaf_mass"] == [[1, "1/2"], [2, "1/2"]]
+        edit(document)
+        with pytest.raises(ParseError) as info:
+            parse_tree(json.dumps(document))
+        return str(info.value)
 
     @pytest.mark.parametrize("bad", BAD_IDS, ids=lambda bad: type(bad).__name__)
     def test_root(self, bad):
-        self.assert_same_refusal(bad, [GOOD_EDGE], [GOOD_PAIR])
+        self.assert_same_refusal(
+            bad, [[bad, "a", 10], [bad, "b", 20]], [[10, "1/2"], [20, "1/2"]], hashable(bad)
+        )
 
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["parent", "label", "child"])
     @pytest.mark.parametrize("bad", BAD_IDS, ids=lambda bad: type(bad).__name__)
     def test_edge_ids_and_labels(self, position, bad):
-        edge = [0, "b", 2]
-        edge[position] = bad
-        self.assert_same_refusal(0, [GOOD_EDGE, edge], [GOOD_PAIR, [2, "1/2"]])
+        # the tree 0 -a-> 10, 0 -b-> 20 -c-> 30, with node 20 (a parent), the
+        # label b or the leaf 30 replaced
+        edges = [[0, "a", 10], [0, "b", 20], [20, "c", 30]]
+        leaf = 30
+        if position == 0:
+            edges[1][2] = edges[2][0] = bad
+        elif position == 1:
+            edges[1][1] = bad
+        else:
+            edges[2][2] = leaf = bad
+        self.assert_same_refusal(0, edges, [[10, "1/2"], [leaf, "1/2"]], hashable(bad))
 
     @pytest.mark.parametrize("bad", BAD_IDS, ids=lambda bad: type(bad).__name__)
     def test_leaf_ids(self, bad):
-        self.assert_same_refusal(0, [GOOD_EDGE, [0, "b", 2]], [GOOD_PAIR, [bad, "1/2"]])
+        # a leaf is an edge's child, so the edge names it first
+        self.assert_same_refusal(
+            0, [[0, "a", 10], [0, "b", bad]], [[10, "1/2"], [bad, "1/2"]], hashable(bad)
+        )
 
     @pytest.mark.parametrize("bad", [True, None, [1], {"x": 1}], ids=lambda bad: type(bad).__name__)
     def test_masses(self, bad):
-        self.assert_same_refusal(0, [GOOD_EDGE, [0, "b", 2]], [GOOD_PAIR, [2, bad]])
+        def edit(document):
+            document["leaf_mass"][1][1] = bad
+
+        message = f"leaf 2 mass must be a rational string or number, got {bad!r}"
+        assert self.refusal_of_edited(edit) == message
 
     @pytest.mark.parametrize("bad", ["abc", "1/0", "-1/2/3", "1e5000"])
     def test_string_masses_that_are_no_rational(self, bad):
-        self.assert_same_refusal(0, [GOOD_EDGE, [0, "b", 2]], [GOOD_PAIR, [2, bad]])
+        def edit(document):
+            document["leaf_mass"][1][1] = bad
+
+        assert self.refusal_of_edited(edit) == f"leaf 2: not a rational number: {bad!r}"
 
     @pytest.mark.parametrize("version", ["2", 1, None], ids=repr)
     def test_version(self, version):
-        self.assert_same_refusal(0, [GOOD_EDGE], [GOOD_PAIR], version=version)
+        assert self.refusal_of_edited(lambda document: document.update(version=version)) == (
+            f"unsupported document version {version!r}"
+        )
+
+    def test_rows_of_the_wrong_length(self):
+        def edit(document):
+            document["edges"][1] = document["edges"][1][:2]
+            document["leaf_mass"][1].append("x")
+
+        message = "edge 1 must be a [parent, label, child] triple, got [0, 'b']"
+        assert self.refusal_of_edited(edit) == message
 
     @pytest.mark.parametrize("metadata", [[1], "x", None], ids=lambda bad: type(bad).__name__)
     def test_metadata_that_is_no_object(self, metadata):
-        self.assert_same_refusal(0, [GOOD_EDGE], [GOOD_PAIR], metadata=metadata)
+        if metadata is not None:
+            self.assert_same_refusal(0, [[0, "a", 1]], [[1, "1"]], metadata=metadata)
+            return
+        # serialize_tree's metadata=None is no metadata, written as {}
+        text = json.dumps({"root": 0, "edges": [[0, "a", 1]], "leaf_mass": [[1, "1"]], "metadata": None})
+        with pytest.raises(ParseError, match="^field 'metadata' must be an object$"):
+            parse_tree(text)
+        assert written(parse_tree(text.replace("null", "{}")), None)["metadata"] == {}
 
     @pytest.mark.parametrize(
-        "edges, leaf_mass",
+        "edges, leaf_mass, builds",
         [
-            ([GOOD_EDGE, [0, "b", "0"]], [GOOD_PAIR, ["0", "1/2"]]),
-            ([GOOD_EDGE, [0, "b", 2]], [["1", "1/2"], [2, "1/2"]]),
-            ([[0, "a", "1"], [1, "b", 2], [0, "b", 3]], [[2, "1/2"], [3, "1/2"]]),
-            ([[0, 0, 1], [0, 1, "1"]], [[1, "1/2"], ["1", "1/2"]]),
-            ([[0, 0, "0"], [0, 1, 2]], [["0", "1/2"], [2, "1/2"]]),
+            ([[0, "a", 1], [0, "b", "0"]], [[1, "1/2"], ["0", "1/2"]], True),
+            # a leaf id that names no node
+            ([[0, "a", 1], [0, "b", 2]], [["1", "1/2"], [2, "1/2"]], False),
+            # "1" is a child before 1 is a parent, and the parents are listed first
+            ([[0, "a", "1"], [0, "b", 1], [1, "c", 2]], [["1", "1/2"], [2, "1/2"]], True),
+            ([[0, 0, 1], [0, 1, "1"]], [[1, "1/2"], ["1", "1/2"]], True),
+            ([[0, 0, "0"], [0, 1, 2]], [["0", "1/2"], [2, "1/2"]], True),
         ],
         ids=["edge ids", "leaf id", "child before parent", "integer labels", "root"],
     )
-    def test_ids_that_print_alike(self, edges, leaf_mass):
-        self.assert_same_refusal(0, edges, leaf_mass)
+    def test_ids_that_print_alike(self, edges, leaf_mass, builds):
+        self.assert_same_refusal(0, edges, leaf_mass, builds)
 
     @pytest.mark.parametrize(
         "root, edges, leaf_mass, built",
@@ -683,12 +792,15 @@ class TestSerializerRefusals:
             return node_ids(*args)
 
         monkeypatch.setattr(treefile, "_node_ids", counted)
-        doc = parse_document(json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass}))
-        serialize_document(doc)
+        tree = parse_tree(json.dumps({"root": root, "edges": edges, "leaf_mass": leaf_mass}))
+        serialize_tree(tree)
         assert len(calls) == 2 * built
 
     def test_first_refusal_in_parse_order(self):
-        self.assert_same_refusal(0, [GOOD_EDGE, [0, None, 2]], [[None, True]])
+        # a bad label, then a bad leaf, then bad metadata: the label is named
+        self.assert_same_refusal(
+            0, [[0, "a", 10], [0, None, 1.5]], [[10, "1/2"], [1.5, "1/2"]], metadata=[]
+        )
 
     def test_tuple_ids_of_a_built_tree(self):
         tree = build_tree([((0,), "a", (1,)), ((0,), "b", (2,))], {(1,): 0.5, (2,): 0.5})
@@ -700,7 +812,14 @@ class TestSerializerRefusals:
         with pytest.raises(ParseError, match="edge 0 label must be a string or integer, got True"):
             serialize_tree(tree)
 
-    def test_rows_of_the_wrong_length(self):
-        doc = TreeDocument(0, ((0, "a", 1), (0, "b")), ((1, "1/2"), (2, "1/2", "x")))
-        with pytest.raises(ParseError, match=r"edge 1 must be a \[parent, label, child\] triple"):
-            serialize_document(doc)
+    def test_mass_past_the_int_string_limit(self):
+        # the parser refuses a mass string past the limit, naming its leaf;
+        # the serializer cannot print the string and names the leaf alike
+        big = 10**5000
+        tree = build_tree([(0, "a", 1), (0, "b", 2)], {1: Fraction(1, big), 2: Fraction(big - 1, big)})
+        with pytest.raises(ParseError) as info:
+            serialize_tree(tree)
+        assert str(info.value).startswith("leaf 1: not a rational number: about 0.0 (1-bit numerator, ")
+        text = json.dumps({"root": 0, "edges": [[0, "a", 1]], "leaf_mass": [[1, "1/" + "9" * 5000]]})
+        with pytest.raises(ParseError, match="^leaf 1: not a rational number: '1/999"):
+            parse_tree(text)

@@ -3,10 +3,11 @@
 Each shape is written once as exact-string text (rational mass strings)
 and once as JSON-number text (float masses), and each text is loaded with
 ``parse_tree`` and written back with ``serialize_tree``.  The load stages
-are timed by wrapping the functions the load calls:
+are timed by wrapping the functions ``parse_tree`` calls:
 
     json       ``load_json``, the JSON decoder
-    parse      the rest of ``parse_document``: the row checks and the masses
+    parse      the rest of ``parse_tree``: the document checks, the masses
+               and the declared-root check
     build      ``build_tree``
     serialize  ``serialize_tree`` of the loaded tree
     report     ``Report.to_json`` of the text's ``analyze --json`` report
@@ -140,16 +141,16 @@ def stage_times(text: str, report: cli.Report, spec: ProductSpec, twin) -> dict[
     against ``spec``, of one alignment of it with ``twin``, a tree of the
     same shape, and of one ``check`` of a second load of ``text``."""
     times = dict.fromkeys(STAGES, 0.0)
-    names = ("load_json", "parse_document", "build_tree")
+    names = ("load_json", "build_tree")
     originals = {name: getattr(treefile, name) for name in names}
-    for name, stage in zip(names, ("json", "parse", "build")):
+    for name, stage in zip(names, ("json", "build")):
         setattr(treefile, name, timed(times, stage, originals[name]))
     try:
-        tree = treefile.parse_tree(text)
+        tree = timed(times, "parse", treefile.parse_tree)(text)
     finally:
         for name, fn in originals.items():
             setattr(treefile, name, fn)
-    times["parse"] -= times["json"]
+    times["parse"] -= times["json"] + times["build"]
     start = time.perf_counter()
     serialize_tree(tree)
     times["serialize"] = time.perf_counter() - start
