@@ -10,18 +10,21 @@ power of two and the masses sum to one exactly.  Sweeping the matcher over
 growing leaf budgets demonstrates the decay of normalized divergence and
 of the entropy-rate gap toward the target.
 
-The matcher runs in integers.  Its heap keys are the integers
-K * M^(L - d) for a spec s_a = k_a / M, a depth-d leaf with path product K
-and L a depth no leaf can reach, which is bounded through the budget; the
-quantizer works on those numerators over M^L and returns each leaf's
-level k, its mass being 2^-k.  Equal keys go to the smaller label path,
-which the heap holds as an integer rank: the path's label positions as
-base-w digits, w the alphabet size, padded to L digits.  The leaves form a
-prefix-free set of paths, so their ranks order as their paths do.  The
-greedy growth for a larger budget extends the one for a smaller budget (as
-in Tunstall's parse trees), so a sweep grows its matcher once, up to its
-largest budget, and only quantizes and builds a tree at each budget on the
-way.  Growth keeps the preorder as a successor list, which each expansion
+The matcher runs in integers.  A leaf's key is the integer K * M^(L - d)
+for a spec s_a = k_a / M, a depth-d leaf with path product K and L a depth
+no leaf can reach, which is bounded through the budget; the quantizer
+works on those numerators over M^L and returns each leaf's level k, its
+mass being 2^-k.  Equal keys go to the smaller label path, which the
+matcher holds as an integer rank: the path's label positions as base-w
+digits, w the alphabet size, padded to L digits.  The leaves form a
+prefix-free set of paths, so their ranks order as their paths do.  Few
+distinct keys occur, so growth and quantization work one key class at a
+time: the growth heap holds each key once, with the class's leaves in a
+list, and the quantizer's heap holds runs of leaves that share a target
+and a level.  The greedy growth for a larger budget extends the one for a
+smaller budget (as in Tunstall's parse trees), so a sweep grows its
+matcher once, up to its largest budget, and only quantizes and builds a
+tree at each budget on the way.  Growth keeps the preorder as a successor list, which each expansion
 splices, so a budget's preorder is one walk of that list.  A matcher tree
 is valid by construction, so it is built from the growth's own tables by
 the table builder that ``build_tree`` ends in, without ``build_tree``'s
@@ -37,12 +40,14 @@ elsewhere.  The matcher itself uses no randomness.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import math
 import random
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from itertools import chain, groupby
 from typing import IO, Iterable, Iterator, Sequence
 
 from .approximation import ProductSpec, require_epsilon, tree_pinsker_report
@@ -156,9 +161,11 @@ def dyadic_quantization(
     leaf fits, hence the loop terminates with deficit zero.
 
     The targets are sorted by path (labels compared as ``label_order``
-    does), put over their common denominator and quantized in integers by
-    ``_dyadic_levels``, the matcher's own quantizer, whose ties go to the
-    earlier position.  The result is keyed in that path order.  Raises
+    does) and put over their common denominator.  Equal targets form one
+    group, whose positions are their indices in that order, and the groups
+    are quantized in integers by ``_dyadic_levels``, the matcher's own
+    quantizer, whose ties go to the earlier position.  The result is keyed
+    in path order.  Raises
     ParamsInvalid for no targets, for a target that is not an int or a
     Fraction, for a target that is not positive, for
     a path given twice (the result has one mass per path), and for targets
@@ -182,46 +189,73 @@ def dyadic_quantization(
     if (total := sum(numerators)) > denominator:
         text = exact_text(Fraction(total, denominator))
         raise ParamsInvalid(f"targets sum to {text}, more than 1")
-    levels = _dyadic_levels(numerators, denominator)
-    return {path: Fraction(1, 1 << level) for (path, _), level in zip(ranked, levels)}
+    # the indices by target, each target's ascending: its group's positions
+    by_target = sorted(range(len(ranked)), key=numerators.__getitem__)
+    groups = [(t, list(group)) for t, group in groupby(by_target, numerators.__getitem__)]
+    level_of = dict(zip(by_target, _dyadic_levels(groups, denominator)))
+    return {path: Fraction(1, 1 << level_of[i]) for i, (path, _) in enumerate(ranked)}
 
 
-def _dyadic_levels(targets: Sequence[int], denominator: int) -> list[int]:
-    """``dyadic_quantization`` of targets t / denominator, in integers: the
-    level k of each final mass 2^-k, ties broken by position.
+def _dyadic_levels(groups: Sequence[tuple[int, Sequence]], denominator: int) -> list[int]:
+    """``dyadic_quantization`` of targets t / denominator in integers, one
+    group of equal targets at a time: the level k of each final mass 2^-k,
+    for each (t, positions) group in turn and, within it, in position
+    order.  A group's positions ascend, and positions compare across
+    groups: ties go to the smaller one.  ``dyadic_quantization`` passes
+    indices, the matcher its leaves' (rank, node, step) triples.
 
     With E the largest starting level, the deficit counts units of 2^-E and
     each remainder units of 1 / (2^E * denominator), so the heap orders
-    exactly as the rationals would.
+    exactly as the rationals would.  Its entries are runs: contiguous
+    stretches of a group's positions that share a level, so a remainder,
+    keyed by (remainder, first position).  The greedy rule takes the
+    leaves of the run on top in position order and doubles each while its
+    step fits in the deficit.  The step is the same for the whole run and
+    the deficit only shrinks, so it doubles the first
+    min(count, deficit // step) leaves in one step, and the rest of the run
+    is final; the doubled part goes back as one run, one level up.  When
+    another run has the same remainder, the leaves of the two interleave by
+    position: only the leaves before the other run's first position go,
+    and the rest goes back as a run of its own.  Without such ties, the
+    work on a run does not depend on its length.
 
-    The caller passes at least one target, and the targets sum to at most
-    1.  Each 2^-k is at most its target, so the deficit starts at 0 or
-    more.  The steps 2^(E - k) and the total 2^E are powers of two no
-    smaller than the smallest step, so the deficit 2^E less the sum of the
-    steps stays a multiple of it.  So while the deficit is positive, the
-    leaf with the smallest step fits; it was never dropped, since a leaf is
-    dropped only when its step exceeds the deficit, which only shrinks; and
-    the heap cannot run empty.
+    The caller passes at least one group, no group is empty, and the
+    targets sum to at most 1.  Each 2^-k is at most its target, so the
+    deficit starts at 0 or more.  The steps 2^(E - k) and the total 2^E are
+    powers of two no smaller than the smallest step, so the deficit 2^E
+    less the sum of the steps stays a multiple of it.  So while the deficit
+    is positive, the leaf with the smallest step fits; it was never made
+    final, since a leaf is made final only when its step exceeds the
+    deficit, which only shrinks; and the heap cannot run empty.
     """
-    # largest k with 2^-k <= t / denominator, i.e. smallest 2^k >= den / t
-    levels = [(-(-denominator // t) - 1).bit_length() for t in targets]
-    top = max(levels)
-    deficit = (1 << top) - sum(1 << (top - level) for level in levels)
-    heap = [
-        ((denominator << (top - level)) - (t << top), i)
-        for i, (t, level) in enumerate(zip(targets, levels))
-    ]
+    # the smallest target has the largest starting level
+    top = (-(-denominator // min(groups)[0]) - 1).bit_length()
+    deficit = 1 << top
+    out, heap = [], []
+    for t, positions in groups:
+        # largest k with 2^-k <= t / denominator, i.e. smallest 2^k >= den / t
+        level = (-(-denominator // t) - 1).bit_length()
+        deficit -= len(positions) << (top - level)
+        out.append([level] * len(positions))
+        neg_remainder = (denominator << (top - level)) - (t << top)
+        heap.append((neg_remainder, positions[0], 0, len(positions), positions, out[-1]))
     heapq.heapify(heap)
     while deficit > 0:
-        neg_remainder, i = heapq.heappop(heap)
-        step = 1 << (top - levels[i])
-        if step > deficit:
-            # deficit only shrinks, so this leaf can never fit again
-            continue
-        levels[i] -= 1
-        deficit -= step
-        heapq.heappush(heap, (neg_remainder + denominator * step, i))
-    return levels
+        neg_remainder, _, start, stop, positions, levels = heapq.heappop(heap)
+        # when another run ties on the remainder, only the leaves before its
+        # first position go now, and the rest goes back
+        tied = heap and heap[0][0] == neg_remainder
+        cut = bisect.bisect(positions, heap[0][1], start, stop) if tied else stop
+        if cut < stop:
+            heapq.heappush(heap, (neg_remainder, positions[cut], cut, stop, positions, levels))
+        level = levels[start]
+        k = min(cut - start, deficit >> (top - level))
+        if k:
+            deficit -= k << (top - level)
+            levels[start : start + k] = [level - 1] * k
+            neg_remainder += denominator << (top - level)
+            heapq.heappush(heap, (neg_remainder, positions[start], start, start + k, positions, levels))
+    return list(chain.from_iterable(out))
 
 
 def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
@@ -237,9 +271,11 @@ def grow_matcher_tree(spec: ProductSpec, leaf_budget: int) -> Tree:
 
     The growth runs in integers.  With the spec written as s_a = k_a / M
     (its integer table, ``FiniteDistribution.integer_mass``), a depth-d
-    leaf whose path multiplies to K = prod k_a has Q+ = K / M^d, and the
-    heap keys it by the integer -K * M^(L - d), which orders as -Q+ does,
-    and then by its path's integer rank, which orders as the path does.
+    leaf whose path multiplies to K = prod k_a has Q+ = K / M^d, and its
+    key is the integer K * M^(L - d), which orders as Q+ does; equal keys
+    go in the order of the paths' integer ranks, which order as the paths
+    do.  The leaves of one key, a class, are expanded together, in rank
+    order.
     An expanded leaf is the largest of fewer than B leaves whose Q+ sum to
     1, so its Q+ exceeds 1/B, while Q+ <= (k_max / M)^d; L is the first
     depth with k_max^L * B < M^L, found by an integer loop, so no leaf lies
@@ -261,24 +297,33 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     repeats the previous tree's leaf count and raises ParamsInvalid.
 
     Growth keeps the tree's own tables, those ``build_tree`` collects: each
-    expanded node's (label, child) pairs and the parent edges.  The heap
-    holds each leaf as (-K * M^(L - d), rank, node).  The rank of a path
-    j_1 .. j_d of label positions is the sum of j_i * w^(L - i): its digits
-    in base w, padded to L digits.  A child's rank is its parent's plus j
-    times the parent's step w^(L - 1 - d), kept per node.  Two leaves never
-    share a rank, and as no leaf's path is a prefix of another's, ranks
-    order as the paths do: ties on the key go to the smaller path, and the
-    node is never compared.  A successor list keeps the preorder:
-    expanding v splices v -> c_0 .. c_(w-1) -> v's old successor, so each
-    budget's preorder is one walk of the list.  Children follow
-    ``spec.alphabet``, so that walk lists the leaves in label path order,
-    the order in which the quantizer breaks ties, and needs no sort.  A
-    matcher tree is valid by construction, so it goes straight to
-    ``tree._tree_from_tables`` without ``build_tree``'s checks.  The leaf
-    levels k give the table n = 2^(E - k) over D = 2^E, E the largest k,
-    with one Fraction per distinct level.  Each tree gets its own copy of
-    the parent edges, since growth goes on after the yield; its other maps
-    are built fresh.
+    expanded node's (label, child) pairs and the parent edges.  Each key
+    K * M^(L - d) of a current leaf, a class, is in a heap once, and the
+    class keeps its leaves as (rank, node, step) triples.  The rank of a
+    path j_1 .. j_d of label positions is the sum of j_i * w^(L - i): its
+    digits in base w, padded to L digits, and the step w^(L - 1 - d) is
+    what a child's position j adds to it.  Two leaves never share a rank,
+    and as no leaf's path is a prefix of another's, ranks order as the
+    paths do.  A child's key K * k_a / M is below its parent's, so when the
+    largest key comes off the heap its class is complete: its leaves are
+    sorted by rank once and expanded in that order, which is the order of
+    a heap of (key, rank) pairs, one per leaf, so node ids come out the
+    same.  The children of a class's leaves join the classes of its w child
+    keys, and a key enters the heap when its class is made.  A budget that
+    stops inside a class keeps the sorted rest of it for the next budget.
+
+    A successor list keeps the preorder: expanding v splices
+    v -> c_0 .. c_(w-1) -> v's old successor, so each budget's preorder is
+    one walk of the list.  At each budget the current classes, each sorted
+    by rank in place, are the quantizer's groups, with the triples as
+    positions: ranks order the leaves as the preorder does, the order in
+    which the quantizer breaks ties.  A matcher tree is valid by
+    construction, so it goes straight to ``tree._tree_from_tables`` without
+    ``build_tree``'s checks.  The leaf levels k give the table
+    n = 2^(E - k) over D = 2^E, E the largest final level, and one pass
+    over the preorder fills the leaf masses, with one Fraction per
+    distinct level.  Each tree gets its own copy of the parent edges, since
+    growth goes on after the yield; its other maps are built fresh.
     """
     if not spec.exact:
         raise ParamsInvalid("matcher requires an exact (rational) target")
@@ -309,50 +354,66 @@ def _matcher_trees(spec: ProductSpec, budgets: Sequence[int]) -> Iterator[Tree]:
     # and the parent edges in the order the nodes were made
     children: dict[int, list[tuple[Label, int]]] = {}
     parent_edge: dict[int, tuple[int, Label]] = {}
-    # places[v] = w^(L - 1 - d) for v at depth d, the rank step of its
-    # children; following[v] is the node after v in preorder, 0 for none
-    places = [place]
+    # following[v] is the node after v in preorder, 0 for none
     following = [0]
-    # heap of current leaves keyed by (-K * M^(L - d), rank), unique
-    heap: list[tuple[int, int, int]] = [(-scale, 0, 0)]
+    # the leaves of each key K * M^(L - d) as (rank, node, step), step =
+    # w^(L - 1 - d) the rank step of the leaf's children, and a heap of the
+    # keys, negated, each once
+    classes = {scale: [(0, 0, place)]}
+    heap = [-scale]
+    # the class being expanded: its key, its leaves sorted by rank, how many
+    # of them are expanded, and the leaf lists of its children's keys
+    key, rest, done, sinks = 0, [], 0, []
+    count = 1
     for budget in budgets:
         # the first budget always grows, since it is at least the width
-        if len(heap) + (width - 1) > budget:
+        if count + (width - 1) > budget:
             raise ParamsInvalid(
-                f"budget {budget} repeats the previous leaf count {len(heap)};"
+                f"budget {budget} repeats the previous leaf count {count};"
                 f" spread the budgets further apart"
             )
-        while len(heap) + (width - 1) <= budget:
-            neg_key, rank, node = heapq.heappop(heap)
-            # d < L for an expanded leaf, so its key is a multiple of M
-            neg_key //= m
-            step = places[node]
+        while count + (width - 1) <= budget:
+            if done == len(rest):
+                key = -heapq.heappop(heap)
+                rest, done, sinks = sorted(classes.pop(key)), 0, []
+                for k in weights:
+                    # d < L for an expanded leaf, so its key is a multiple of M
+                    child_key = key // m * k
+                    if (sink := classes.get(child_key)) is None:
+                        sink = classes[child_key] = []
+                        heapq.heappush(heap, -child_key)
+                    sinks.append(sink)
+            rank, node, step = rest[done]
+            done += 1
+            count += width - 1
             pairs = children[node] = []
             # splice node -> its children -> node's old successor; each id
             # is one int object in the successor list and the tables alike,
             # which the tables' dict lookups then match by identity
             after = following[node]
-            following[node] = child = len(places)
-            for j, (label, k) in enumerate(zip(labels, weights)):
+            following[node] = child = len(following)
+            for label, sink in zip(labels, sinks):
                 pairs.append((label, child))
                 parent_edge[child] = (node, label)
-                places.append(step // width)
-                heapq.heappush(heap, (neg_key * k, rank + j * step, child))
+                sink.append((rank, child, step // width))
+                rank += step
                 child += 1
                 following.append(child)
             following[-1] = after
-        order = [0]
-        v = following[0]
-        while v:
+        order, v = [0], 0
+        while v := following[v]:
             order.append(v)
-            v = following[v]
-        key = {node: -neg_key for neg_key, _, node in heap}
-        leaves = [v for v in order if v in key]
-        levels = _dyadic_levels([key[v] for v in leaves], scale)
-        top = max(levels)
-        unit = {level: Fraction(1, 1 << level) for level in set(levels)}
-        masses = {v: unit[level] for v, level in zip(leaves, levels)}
-        below = {v: 1 << (top - level) for v, level in zip(leaves, levels)}
+        groups = list(classes.items())
+        if done < len(rest):
+            groups.append((key, rest[done:]))
+        for _, members in groups:
+            members.sort()
+        leaves = [v for _, members in groups for _, v, _ in members]
+        level_of = dict(zip(leaves, _dyadic_levels(groups, scale)))
+        unit = {level: Fraction(1, 1 << level) for level in set(level_of.values())}
+        top = max(unit)
+        masses = {v: unit[level_of[v]] for v in order if v in level_of}
+        below = {v: 1 << (top - level) for v, level in level_of.items()}
         yield _tree_from_tables(0, children, dict(parent_edge), order, masses, below, 1 << top)
 
 

@@ -62,6 +62,9 @@ NodeId = Hashable
 Label = Hashable
 
 MASS_SUM_TOLERANCE = 1e-9
+# the exact types of most masses; a mass of any other type, a subclass
+# included, is checked with isinstance
+_MASS_TYPES = {Fraction, float, int}
 
 
 def label_order(label: Label) -> tuple[bool, Label]:
@@ -177,11 +180,11 @@ def build_tree(
 
     Checks, in order: no node has two parents, sibling labels are unique,
     there is exactly one root and every node is reachable from it (anything
-    else indicates a cycle), mass sits only on childless nodes, no mass is
-    NaN, infinite, past the float range or negative, and the masses sum to
-    one (exactly in exact mode, within 1e-9 in float mode).  Zero-mass
-    leaves are then pruned together with any internal node left without
-    descendants of positive mass.
+    else indicates a cycle), mass sits only on childless nodes, every mass
+    is a number that is not NaN, infinite, past the float range or
+    negative, and the masses sum to one (exactly in exact mode, within 1e-9
+    in float mode).  Zero-mass leaves are then pruned together with any
+    internal node left without descendants of positive mass.
 
     One pass over the edges collects each parent's (label, child) pairs and
     each child's (parent, label).  The first two checks compare sizes: every
@@ -191,11 +194,15 @@ def build_tree(
     edges again, to name the first bad one in edge order.  The roots and
     the unreachable count come from the key sets.
 
-    ``exact`` picks the numeric mode; None infers it from the mass types
-    (any float mass means float mode).  Exact masses become Fractions (a
-    Fraction is kept as the caller's object) and float ones floats.  The
-    checks up to the signs run here; ``_tree_from_tables`` then sums the
-    mass table, checks normalization, prunes and assembles the Tree.
+    A mass must be an int, a Fraction or a float, as in
+    ``FiniteDistribution``; anything else, a string included, raises
+    ParamsInvalid naming its leaf.  The set of mass types is taken once,
+    and the leaves are walked only when it holds another type.  ``exact``
+    picks the numeric mode; None infers it from the mass types (any float
+    mass means float mode).  Exact masses become Fractions (a Fraction is
+    kept as the caller's object) and float ones floats.  The checks up to
+    the signs run here; ``_tree_from_tables`` then sums the mass table,
+    checks normalization, prunes and assembles the Tree.
     """
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)
@@ -235,7 +242,12 @@ def build_tree(
         node = next(node for node in leaf_mass if node in children)
         raise LeafMassMismatch(f"mass assigned to internal node {node!r}")
 
-    has_float = any(isinstance(m, float) for m in leaf_mass.values())
+    mass_types = set(map(type, leaf_mass.values()))
+    if not mass_types <= _MASS_TYPES:
+        for node, mass in leaf_mass.items():
+            if not isinstance(mass, (int, Fraction, float)):
+                raise ParamsInvalid(f"leaf {node!r} has mass {mass!r}, which is not a number")
+    has_float = any(issubclass(t, float) for t in mass_types)
     if exact is None:
         exact = not has_float
     if exact and has_float:

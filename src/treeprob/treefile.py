@@ -37,9 +37,10 @@ It is written directly from the tree's preorder tables, each edge and
 leaf_mass column in one C-encoder call, with one string per distinct mass
 object; ``indented_json`` writes the metadata, and the CLI's reports, in
 that layout the same way.  ``serialize_tree`` checks what a built tree can
-get wrong, ids and labels that are not strings or integers, two ids that
-print alike, and metadata that is not a dict, and raises the ParseError
-that parsing the written text would raise.
+get wrong, ids and labels that are not strings or integers or that are
+integers too long to print, two ids that print alike, and metadata that is
+not a dict, and raises the ParseError that parsing the written text would
+raise.
 """
 
 from __future__ import annotations
@@ -298,11 +299,14 @@ def serialize_tree(tree: Tree, metadata: dict | None = None) -> str:
 
     Raises the ParseError that ``parse_tree`` would raise on the written
     text, checked in the parser's order: a root, edge id or label that is
-    not a string or integer (bools included), two ids that print alike, a
-    mass too long to print under the interpreter's int-string limit, or
-    metadata that is not a dict.  ``build_tree`` has already made the rows
-    triples and the masses Fractions or floats, and every leaf is the root
-    or an edge's child.
+    not a string or integer (bools included), or that is an integer too
+    long to print under the interpreter's int-string limit, two ids that
+    print alike, a mass too long to print, or metadata that is not a dict.
+    The parser refuses a long integer as an unreadable number; the
+    serializer names the entry that holds it.  Metadata the encoder cannot
+    write raises a ParseError as well.  ``build_tree`` has already made the
+    rows triples and the masses Fractions or floats, and every leaf is the
+    root or an edge's child.
     """
     metadata = {} if metadata is None else metadata
     root, nodes, children = tree.root, tree.nodes, tree.children
@@ -315,6 +319,11 @@ def serialize_tree(tree: Tree, metadata: dict | None = None) -> str:
         _check_id(root, "field 'root'")
         rows = [edges[i : i + 3] for i in range(0, len(edges), 3)]
         _check_rows(rows, "edge", _EDGE_FIELDS, chain.from_iterable)
+    try:
+        root_text = _encode_column(root)
+        edge_column = _column(edges, _EDGE_ROW, 3)
+    except ValueError as exc:  # an integer past the int-string limit
+        raise _unreadable_id(root, edges, exc) from None
     if {int, str} <= id_types and {int, str} <= set(map(type, nodes)):
         _ids_by_name(_node_ids(root, list(zip(*[iter(edges)] * 3))))
     leaves = tree.leaves
@@ -334,12 +343,29 @@ def serialize_tree(tree: Tree, metadata: dict | None = None) -> str:
                 ) from None
         masses = list(map(texts.__getitem__, keys))
     _check_metadata(metadata)
+    try:
+        metadata_text = indented_json(metadata, newline="\n  ")
+    except ValueError as exc:
+        raise ParseError(f"field 'metadata' cannot be written: {exc}") from None
     pairs = [None] * (2 * len(leaves))
     pairs[0::2], pairs[1::2] = leaves, masses
     return _DOCUMENT % (
         _encode_column(FORMAT_VERSION),
-        _encode_column(root),
-        _column(edges, _EDGE_ROW, 3),
+        root_text,
+        edge_column,
         _column(pairs, _PAIR_ROW, 2),
-        indented_json(metadata, newline="\n  "),
+        metadata_text,
     )
+
+
+def _unreadable_id(root: NodeId, edges: list, exc: ValueError) -> ParseError:
+    """The ParseError naming the root, or else the first edge field, that
+    is an integer too long to print under the int-string limit."""
+    for i, value in enumerate([root, *edges]):
+        if type(value) is int:
+            try:
+                str(value)
+            except ValueError:
+                where = f"edge {(i - 1) // 3} {_EDGE_FIELDS[(i - 1) % 3]}" if i else "field 'root'"
+                return ParseError(f"{where} holds an unreadable number: {exc}")
+    raise AssertionError("no id or label is past the int-string limit")

@@ -666,6 +666,9 @@ def build_tree_reference(edges, leaf_mass, exact=None) -> Tree:
         if children[node]:
             raise LeafMassMismatch(f"mass assigned to internal node {node!r}")
 
+    for node, mass in leaf_mass.items():
+        if not isinstance(mass, (int, Fraction, float)):
+            raise ParamsInvalid(f"leaf {node!r} has mass {mass!r}, which is not a number")
     has_float = any(isinstance(m, float) for m in leaf_mass.values())
     if exact is None:
         exact = not has_float

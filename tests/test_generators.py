@@ -266,6 +266,47 @@ class TestDyadicQuantization:
         out = dyadic_quantization([(("a",), Fraction(1, 3)), (("b",), Fraction(1, 3))])
         assert out == {("a",): Fraction(1, 2), ("b",): Fraction(1, 2)}
 
+    def test_tied_remainders_of_two_groups_settle_by_path(self):
+        # c is doubled first; then a (target 1/32) and b, d (1/16) all have
+        # remainder 0 and are doubled in path order, a, b, d; a is doubled
+        # again, and b and c, tied at remainder -1/16, take the last 1/4 of
+        # the deficit in path order, before d.  Settling each group's run
+        # on its own ends with 1/4 on every leaf.
+        targets = [
+            (("a",), Fraction(1, 32)),
+            (("b",), Fraction(1, 16)),
+            (("c",), Fraction(3, 16)),
+            (("d",), Fraction(1, 16)),
+        ]
+        out = dyadic_quantization(targets)
+        assert out == {
+            ("a",): Fraction(1, 8),
+            ("b",): Fraction(1, 4),
+            ("c",): Fraction(1, 2),
+            ("d",): Fraction(1, 8),
+        }
+        assert out == reference_dyadic_quantization(targets)
+
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 15), st.sampled_from([3, 4, 8, 16, 32])),
+            min_size=1, max_size=4, unique=True,
+        ),
+        st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_repeated_targets_equal_reference(self, pool, picks, rng):
+        # targets from a pool of 1-4 values form few groups of equal
+        # targets; mostly dyadic values, halved until they sum to at most
+        # 1, make the remainders of different groups tie often
+        values = [pool[i % len(pool)] for i in picks]
+        scale = 1
+        while sum(values) > scale:
+            scale *= 2
+        targets = [((i % 3, i), v / scale) for i, v in enumerate(values)]
+        rng.shuffle(targets)
+        assert dyadic_quantization(targets) == reference_dyadic_quantization(targets)
+
     @given(st.lists(st.integers(1, 100), min_size=1, max_size=12))
     def test_masses_are_dyadic_and_normalized(self, weights):
         total = sum(weights)
@@ -471,6 +512,36 @@ class TestReferenceMatcher:
         out = dyadic_quantization(targets)
         assert out == reference_dyadic_quantization(targets)
         assert out == {("a",): Fraction(1, 2), ("b",): Fraction(1, 2)}
+
+
+class TestMatcherHeapCost:
+    """The matcher's heaps hold each key class once and each quantizer run
+    once, not each leaf: a deterministic count of ``heappush`` calls over
+    the 3-label ladder to 2187 leaves, which one heap entry per leaf would
+    take to 4351 (1/6, 1/3, 1/2) and 5556 (uniform)."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProductSpec(FiniteDistribution(
+                {"a": Fraction(1, 6), "b": Fraction(1, 3), "c": Fraction(1, 2)}
+            )),
+            ProductSpec.uniform(["a", "b", "c"]),
+        ],
+        ids=["sixth-third-half", "uniform"],
+    )
+    def test_heap_pushes_of_a_ladder(self, spec, monkeypatch):
+        pushes = []
+        push = heapq.heappush
+
+        def counted(heap, item):
+            pushes.append(item)
+            push(heap, item)
+
+        monkeypatch.setattr(generators.heapq, "heappush", counted)
+        trees = list(generators._matcher_trees(spec, [3**k for k in range(1, 8)]))
+        assert len(trees[-1].leaf_mass) == 2187
+        assert len(pushes) <= 200
 
 
 def golden_ladders():

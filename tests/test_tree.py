@@ -250,6 +250,19 @@ class TestValidationErrors:
         # a float in exact mode, or a valid huge Fraction, fails elsewhere
         assert "leaf 3 " in want[1] or want[0] in (ParamsInvalid, MassNotNormalized)
 
+    @pytest.mark.parametrize("exact", [None, True, False])
+    @pytest.mark.parametrize(
+        "bad", ["1_0/10", "abc", "1/0", b"1", [1]], ids=["underscore", "word", "zero", "bytes", "list"]
+    )
+    def test_mass_that_is_no_number(self, bad, exact):
+        # a mass is an int, a Fraction or a float, as in FiniteDistribution;
+        # a string is not parsed, so "1_0/10" does not build on Python 3.11+
+        edges = [(0, "a", 1), (0, "b", 2)]
+        mass = {1: half, 2: bad}
+        want = (ParamsInvalid, f"leaf 2 has mass {bad!r}, which is not a number")
+        assert raised(partial(build_tree, exact=exact), edges, mass) == want
+        assert raised(partial(build_tree_reference, exact=exact), edges, mass) == want
+
     def test_mass_on_internal_node(self):
         edges = [(0, "a", 1), (1, "a", 2), (1, "b", 3)]
         with pytest.raises(LeafMassMismatch):

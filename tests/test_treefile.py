@@ -600,8 +600,11 @@ class TestWrittenBytes:
                 THREE_LEAVES, {1: 5e-324, 2: 1e-310, 3: 1.0}, {"huge": 1e308, "tiny": 5e-324},
                 id="subnormal-and-huge-floats",
             ),
-            # build_tree parses string masses; each is written reduced
-            pytest.param(THREE_LEAVES, {1: "1/4", 2: "0.25", 3: "2/4"}, None, id="string-masses"),
+            # equal masses, each its own Fraction object and its own string
+            pytest.param(
+                THREE_LEAVES, {1: Fraction(1, 4), 2: Fraction(25, 100), 3: Fraction(2, 4)}, None,
+                id="fraction-masses",
+            ),
             pytest.param(
                 [(0, "a", 1)],
                 {1: Fraction(1)},
@@ -823,3 +826,33 @@ class TestSerializerRefusals:
         text = json.dumps({"root": 0, "edges": [[0, "a", 1]], "leaf_mass": [[1, "1/" + "9" * 5000]]})
         with pytest.raises(ParseError, match="^leaf 1: not a rational number: '1/999"):
             parse_tree(text)
+
+    @pytest.mark.parametrize(
+        "edges, leaves, where",
+        [
+            ([(0, "a", 10**5000)], [10**5000], "edge 0 child"),
+            ([(0, 10**5000, 1)], [1], "edge 0 label"),
+            ([(0, "a", 1), (0, "b", 2), (2, -(10**5000), 3)], [1, 3], "edge 2 label"),
+            ([(-(10**5000), "a", 1)], [1], "field 'root'"),
+            ([], [10**5000], "field 'root'"),
+            # an integer and a string id: the print-alike check, which prints
+            # every id, must not meet the long one first
+            ([(0, "a", "x"), (0, "b", 10**5000)], ["x", 10**5000], "edge 1 child"),
+        ],
+        ids=["child", "label", "later-label", "parent-root", "bare-root", "mixed-ids"],
+    )
+    def test_integer_past_the_int_string_limit(self, edges, leaves, where):
+        # the parser cannot read such an integer in a document; the
+        # serializer cannot write it, and names the first entry that holds one
+        tree = build_tree(edges, {leaf: Fraction(1, len(leaves)) for leaf in leaves})
+        with pytest.raises(ParseError) as info:
+            serialize_tree(tree)
+        assert str(info.value).startswith(f"{where} holds an unreadable number: Exceeds the limit")
+        with pytest.raises(ParseError, match="^document holds an unreadable number: Exceeds the limit"):
+            parse_tree('{"root": 0, "edges": [[0, "a", %s]], "leaf_mass": [[1, "1"]]}' % ("9" * 5000))
+
+    def test_metadata_integer_past_the_int_string_limit(self):
+        tree = build_tree([(0, "a", 1)], {1: Fraction(1)})
+        with pytest.raises(ParseError) as info:
+            serialize_tree(tree, {"n": [1, 10**5000]})
+        assert str(info.value).startswith("field 'metadata' cannot be written: Exceeds the limit")

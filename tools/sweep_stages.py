@@ -5,9 +5,11 @@ targets (weights 1..k over their sum on k = 2, 3 and 4 labels, ladders
 ending at 1024, 2187 and 1024 leaves), then ``write_sweep_csv``.  The
 stages are timed by wrapping the functions the sweep calls:
 
-    grow        growth and each budget's preorder, leaves and maps: the
+    grow        growth, one key class at a time, and each budget's
+                preorder walk, sorted classes, leaf levels and maps: the
                 rest of ``_matcher_trees``
-    quantize    ``_dyadic_levels``
+    quantize    ``_dyadic_levels``, on the budget's classes as groups of
+                equal targets, one heap entry per run of leaves
     tables      ``_tree_from_tables``
     pinsker     the rest of ``tree_pinsker_report``: the branch distances,
                 tails and averages
